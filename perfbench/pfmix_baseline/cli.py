@@ -1,0 +1,464 @@
+"""Command-line front end: sweeps, concavity maps, transient runs, verification.
+
+Exit codes: 0 success, 1 verification failure, 2 configuration error,
+3 numerical failure, 4 transient blow-up.  Output files are written
+atomically (temp file + rename) with 17-significant-digit floats and
+newline line endings so identical configs give byte-identical results.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+from . import dispersion, free_energy, models, simulator
+from .config import RunConfig, build_all, load_config
+from .errors import (
+    BlowupError,
+    ConfigError,
+    NumericalError,
+    PfmixError,
+    RangeError,
+    SolveError,
+)
+
+EXIT_OK = 0
+EXIT_VERIFY_FAIL = 1
+EXIT_CONFIG = 2
+EXIT_NUMERIC = 3
+EXIT_BLOWUP = 4
+
+F = lambda x: format(float(x), ".17g")  # noqa: E731  (single CSV float format)
+
+
+def _write_atomic(path: str, text: str):
+    d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _csv(rows, header) -> str:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(F(v) if isinstance(v, (int, float, np.floating))
+                              else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def _echo_config(cfg: RunConfig, outdir: str):
+    _write_atomic(os.path.join(outdir, "config_echo.ini"), cfg.normalized())
+
+
+# ---------------------------------------------------------------------------
+# sweep
+# ---------------------------------------------------------------------------
+
+
+def cmd_sweep(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+    if not cfg.has_section("sweep"):
+        raise ConfigError(f"{cfg.source}: sweep command needs a [sweep] section")
+    model, state = build_all(cfg)
+    if isinstance(model, models.QuasiIncompressible) \
+            and model.rho_hat_1 == model.rho_hat_2:
+        raise ConfigError(
+            "rho_hat_1 == rho_hat_2 degenerates the quasi-incompressible "
+            "dispersion relation; set class = incompressible instead")
+    sec = cfg.sections["sweep"]
+    if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
+        raise ConfigError("sweep needs 0 < k_min < k_max and points >= 2")
+    if sec["spacing"] == "log":
+        ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]),
+                         sec["points"])
+    elif sec["spacing"] == "linear":
+        ks = np.linspace(sec["k_min"], sec["k_max"], sec["points"])
+    else:
+        raise ConfigError(f"unknown spacing {sec['spacing']!r}")
+
+    result = dispersion.sweep(model, state, ks)
+    names = result.mode_names
+    header = ["k"]
+    for nm in names:
+        header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
+    rows = []
+    for i, k in enumerate(result.k_grid):
+        row = [k]
+        for j, nm in enumerate(names):
+            row += [result.roots[i, j].real, result.roots[i, j].imag,
+                    result.labels[j].value]
+        rows.append(row)
+    _write_atomic(os.path.join(outdir, "dispersion.csv"), _csv(rows, header))
+
+    # asymptote curves over their windows, plus the flat coefficient blocks
+    for regime, fn, sel in (
+        ("small", dispersion.asymptotic_small_k, ks[ks <= sec["small_k_max"]]),
+        ("large", dispersion.asymptotic_large_k, ks[ks >= sec["large_k_min"]]),
+    ):
+        try:
+            co = fn(model, state)
+        except PfmixError as exc:
+            _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
+                          f"# unavailable: {exc}\n")
+            continue
+        _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.txt"),
+                      co.flat_text())
+        hdr = ["k"]
+        for m in co.modes:
+            hdr += [f"re_{m.name}", f"im_{m.name}"]
+        rws = []
+        for k in sel:
+            row = [k]
+            for m in co.modes:
+                v = m.evaluate(k)
+                row += [v.real, v.imag]
+            rws.append(row)
+        _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
+                      _csv(rws, hdr))
+
+    lines = []
+    for j, nm in enumerate(names):
+        re = result.roots[:, j].real
+        lines.append(f"{nm} ({result.labels[j].value}): max Re = {F(re.max())} "
+                     f"at k = {F(result.k_grid[np.argmax(re)])}")
+        bands = dispersion.unstable_bands(model, state, result, j)
+        if bands:
+            txt = ", ".join(f"({F(a)}, {F(b)})" for a, b in bands)
+            lines.append(f"{nm} unstable bands: {txt}")
+    lines.append(_classification_line(model, state))
+    if result.ambiguous:
+        lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
+    summary = "\n".join(lines) + "\n"
+    _write_atomic(os.path.join(outdir, "summary.txt"), summary)
+    sys.stdout.write(summary)
+    _echo_config(cfg, outdir)
+    return EXIT_OK
+
+
+def _classification_line(model, state) -> str:
+    if isinstance(model, (models.QuasiIncompressible, models.Incompressible)):
+        edge = dispersion.spinodal_band_edge(model, state)
+        if edge > 0:
+            return f"spinodal band: (0, {F(edge)})"
+        return "no spinodal band (h_phi_phi >= 0)"
+    lin = model.linearization(state)
+    report = free_energy.HessianReport(
+        matrix=lin.C, definiteness=free_energy.classify_matrix(lin.C),
+        det=float(np.linalg.det(lin.C)),
+        quadratic_form_p=float(lin.p @ lin.C @ lin.p))
+    M = lin.M if lin.M is not None else models.local_conservation_matrix(lin.M11)
+    try:
+        rep = dispersion.classify_stability(report, lin.p, M)
+    except PfmixError as exc:
+        return f"long-wave classification unavailable: {exc}"
+    verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
+    return f"long-wave classification [{rep.category}]: {verdicts}"
+
+
+# ---------------------------------------------------------------------------
+# concavity map
+# ---------------------------------------------------------------------------
+
+
+def cmd_concavity_map(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+    if not cfg.has_section("map"):
+        raise ConfigError(f"{cfg.source}: concavity-map needs a [map] section")
+    sec = cfg.sections["map"]
+    model, _ = build_all(cfg)
+    if not isinstance(model, models.CompressibleLocal):
+        raise ConfigError("concavity-map requires the compressible_local class "
+                          "(energy in (rho1, rho) variables)")
+    fe_tilde = model.free_energy
+    rho1 = np.linspace(sec["rho1_min"], sec["rho1_max"], sec["n_rho1"])
+    rho = np.linspace(sec["rho_min"], sec["rho_max"], sec["n_rho"])
+    if threads > 1:
+        chunks = np.array_split(np.arange(rho1.size), threads)
+        codes = np.empty((rho1.size, rho.size), dtype=int)
+        with ThreadPoolExecutor(max_workers=threads) as ex:
+            futs = [(idx, ex.submit(free_energy.concavity_map, fe_tilde,
+                                    rho1[idx], rho))
+                    for idx in chunks if idx.size]
+            for idx, fut in futs:
+                codes[idx] = fut.result()
+    else:
+        codes = free_energy.concavity_map(fe_tilde, rho1, rho)
+    rows = []
+    for i, r1 in enumerate(rho1):
+        for j, r in enumerate(rho):
+            rows.append([r1, r, int(codes[i, j])])
+    _write_atomic(os.path.join(outdir, "concavity.csv"),
+                  _csv(rows, ["rho1", "rho", "definiteness_code"]))
+    counts = {c: int(np.sum(codes == c)) for c in range(5)}
+    summary = ("cells: excluded={0} positive_definite={1} indefinite={2} "
+               "negative_definite={3} singular={4}\n").format(
+                   counts[0], counts[1], counts[2], counts[3], counts[4])
+    _write_atomic(os.path.join(outdir, "summary.txt"), summary)
+    sys.stdout.write(summary)
+    _echo_config(cfg, outdir)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# simulate
+# ---------------------------------------------------------------------------
+
+
+def cmd_simulate(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+    if not cfg.has_section("simulate"):
+        raise ConfigError(f"{cfg.source}: simulate needs a [simulate] section")
+    sec = cfg.sections["simulate"]
+    model, state = build_all(cfg)
+    grid = simulator.PeriodicGrid1D(sec["length"], sec["n"])
+    mode = sec["perturb_mode"]
+    alpha_pred = None
+    if sec["seed_eigenvector"]:
+        perts, alpha_pred = simulator.eigenvector_perturbations(
+            model, state, grid, mode=mode, amplitude=sec["perturb_amplitude"],
+            track_name=sec["eigen_track"])
+    else:
+        if sec.get("perturb_field") is None:
+            raise ConfigError("simulate needs perturb_field (or seed_eigenvector)")
+        perts = (simulator.Perturbation(sec["perturb_field"], mode,
+                                        sec["perturb_amplitude"]),)
+    track = []
+    if sec.get("track"):
+        for item in sec["track"].split(","):
+            fname, m = item.strip().split(":")
+            track.append((fname, int(m)))
+    else:
+        track.append((perts[0].field, mode))
+    run_cfg = simulator.SimulationConfig(
+        model=model, state=state, length=sec["length"], n=sec["n"],
+        dt=sec["dt"], t_end=sec["t_end"], integrator=sec["integrator"],
+        diagnostics_every=sec["diagnostics_every"], perturbations=perts,
+        track=tuple(track), enforce_dt_guard=sec["enforce_dt_guard"],
+        snapshot_every=sec["snapshot_every"])
+    trace = simulator.run(run_cfg)
+
+    for step, snap in trace.snapshots:
+        names = sorted(snap)
+        rows = [[trace.grid.x[i]] + [snap[nm][i] for nm in names]
+                for i in range(trace.grid.n)]
+        _write_atomic(os.path.join(outdir, f"snapshot_{step:08d}.csv"),
+                      _csv(rows, ["x"] + names))
+
+    header = ["t", "mass", "energy", "dissipation"]
+    for fname, m in track:
+        header += [f"re_{fname}_{m}", f"im_{fname}_{m}"]
+    rows = []
+    for i, t in enumerate(trace.times):
+        row = [t, trace.mass[i], trace.energy[i], trace.dissipation[i]]
+        for key in track:
+            row += [trace.amplitudes[key][i].real, trace.amplitudes[key][i].imag]
+        rows.append(row)
+    _write_atomic(os.path.join(outdir, "trace.csv"), _csv(rows, header))
+
+    drift = float(np.max(np.abs(trace.mass - trace.mass[0]))
+                  / max(abs(trace.mass[0]), 1e-300))
+    dE = np.diff(trace.energy)
+    tol = 1e-8 * max(1.0, abs(trace.energy[0]))
+    monotone = bool(np.all(dE <= tol))
+    lines = [f"MASS_DRIFT {F(drift)}",
+             f"ENERGY_MONOTONE {'yes' if monotone else 'no'} "
+             f"worst_increase {F(max(dE.max(), 0.0))}"]
+    fname, m = track[0]
+    try:
+        fit = simulator.extract_growth_rate(trace, fname, m)
+        line = f"ALPHA_MEASURED {F(fit.alpha.real)} {F(fit.alpha.imag)}"
+        if alpha_pred is not None:
+            rel = abs(fit.alpha.real - alpha_pred.real) / max(abs(alpha_pred.real),
+                                                              1e-300)
+            line += (f" ALPHA_PREDICTED {F(alpha_pred.real)} {F(alpha_pred.imag)}"
+                     f" REL_ERROR {F(rel)}")
+        lines.append(line)
+    except PfmixError as exc:
+        lines.append(f"ALPHA_MEASURED unavailable: {exc}")
+    verdict = "\n".join(lines) + "\n"
+    _write_atomic(os.path.join(outdir, "verdict.txt"), verdict)
+    sys.stdout.write(verdict)
+    _echo_config(cfg, outdir)
+    return EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# verify
+# ---------------------------------------------------------------------------
+
+
+def cmd_verify(cfg: RunConfig, outdir: str = None, threads: int = 1) -> int:
+    """One-shot invariant suite on the configured model."""
+    checks = []
+
+    def check(name, fn):
+        try:
+            ok, detail = fn()
+        except PfmixError as exc:
+            ok, detail = False, str(exc)
+        checks.append((name, ok, detail))
+
+    def build():
+        return build_all(cfg)
+
+    def kappa_psd():
+        build()
+        return True, "gradient coefficients accepted (PSD)"
+
+    check("kappa_psd", kappa_psd)
+    model = state = None
+    try:
+        model, state = build()
+    except PfmixError as exc:
+        checks.append(("model_build", False, str(exc)))
+    if model is not None:
+        def fd_check():
+            lin_fe = model.free_energy
+            rng = np.random.default_rng(0)
+            worst = 0.0
+            if isinstance(model, (models.QuasiIncompressible, models.Incompressible)):
+                base = np.array([state.phi])
+            else:
+                base = model.state_densities(state)
+            for _ in range(25):
+                x = base * rng.uniform(0.8, 1.2, size=base.shape)
+                if not lin_fe.in_domain(x):
+                    continue
+                g = lin_fe.gradient(x)
+                h = 1e-6 * np.maximum(1.0, np.abs(x))
+                for i in range(x.size):
+                    e = np.zeros_like(x)
+                    e[i] = h[i]
+                    fd = (lin_fe.value(x + e) - lin_fe.value(x - e)) / (2 * h[i])
+                    worst = max(worst, abs(g[i] - fd) / max(abs(fd), 1e-8))
+            return worst < 1e-5, f"max gradient FD deviation {worst:.3e}"
+
+        check("gradient_fd", fd_check)
+
+        def pencil_poly():
+            worst = 0.0
+            for k in (1e-2, 1.0, 10.0, 300.0):
+                ok, err = dispersion.pencil_matches_scalar(model, state, k)
+                worst = max(worst, err)
+                if not ok:
+                    return False, f"coefficient mismatch {err:.3e} at k={k}"
+            return True, f"max coefficient mismatch {worst:.3e}"
+
+        check("pencil_vs_polynomial", pencil_poly)
+
+        def viscous_exact():
+            worst = 0.0
+            for k in np.logspace(-3, 3, 13):
+                gr = dispersion.growth_rates(model, state, k)
+                v = dispersion.viscous_root(model, state, k)
+                worst = max(worst, min(abs(a - v) for a in gr.alphas) / abs(v))
+            return worst < 1e-12, f"worst viscous-root deviation {worst:.3e}"
+
+        check("viscous_mode_exact", viscous_exact)
+
+    def quasi_limit():
+        qphi = free_energy.Quadratic([[1.0]], variables=("phi",))
+        prev = np.inf
+        for ratio in (1.5, 1.1, 1.01, 1.001):
+            mq = models.QuasiIncompressible(
+                free_energy=qphi, kappa_phi_phi=1e-2, M11=0.1,
+                inv_Re_s=1.0, inv_Re_v=1.0, rho_hat_1=ratio, rho_hat_2=1.0)
+            st = models.MixtureState.fraction(2.0 / 3.0)
+            ks = np.logspace(-2, 1, 40)
+            _, a1, _ = dispersion.quasi_explicit_roots(mq, st, ks)
+            lin = mq.linearization(st)
+            _, a1_inc = dispersion.incompressible_roots(lin, st, ks)
+            rel = np.max(np.abs(a1 - a1_inc) / np.abs(a1_inc))
+            if rel > prev:
+                return False, f"limit not monotone at ratio {ratio}"
+            prev = rel
+        return prev < 1e-3, f"final sup relative difference {prev:.3e}"
+
+    check("quasi_to_incompressible_limit", quasi_limit)
+
+    def table_classification():
+        rng = np.random.default_rng(1)
+        for _ in range(10):
+            p = rng.uniform(0.5, 2.0, size=2)
+            M = np.diag(rng.uniform(0.5, 2.0, size=2))
+            for Cmat, cat in (
+                (np.diag(rng.uniform(0.5, 2.0, 2)), "C > 0"),
+                (-np.diag(rng.uniform(0.5, 2.0, 2)), "C < 0"),
+            ):
+                rep = dispersion.classify_stability(
+                    free_energy.hessian_report(free_energy.Quadratic(Cmat), p),
+                    p, M)
+                if rep.category != cat:
+                    return False, f"misclassified {cat}"
+        return True, "sign patterns reproduced on synthetic Hessians"
+
+    check("long_wave_classification", table_classification)
+
+    lines = []
+    all_ok = True
+    for name, ok, detail in checks:
+        all_ok &= ok
+        lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+    report = "\n".join(lines) + "\n"
+    sys.stdout.write(report)
+    if outdir:
+        _write_atomic(os.path.join(outdir, "verify.txt"), report)
+        _echo_config(cfg, outdir)
+    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+
+
+# ---------------------------------------------------------------------------
+# entry point
+# ---------------------------------------------------------------------------
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="pfmix",
+        description="Phase-field mixture models: stability sweeps, concavity "
+                    "maps, transient verification runs.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("sweep", "concavity-map", "simulate", "verify"):
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default="out")
+        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--format", choices=["csv"], default="csv")
+    args = parser.parse_args(argv)
+    try:
+        cfg = load_config(args.config)
+        if args.command == "sweep":
+            return cmd_sweep(cfg, args.out, args.threads)
+        if args.command == "concavity-map":
+            return cmd_concavity_map(cfg, args.out, args.threads)
+        if args.command == "simulate":
+            return cmd_simulate(cfg, args.out, args.threads)
+        return cmd_verify(cfg, args.out, args.threads)
+    except ConfigError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except RangeError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BlowupError as exc:
+        print(f"transient blow-up: {exc}", file=sys.stderr)
+        return EXIT_BLOWUP
+    except (NumericalError, SolveError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except PfmixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+
+
+if __name__ == "__main__":
+    sys.exit(main())

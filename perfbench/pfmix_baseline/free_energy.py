@@ -1,0 +1,686 @@
+"""Bulk free energy densities for binary fluid mixtures.
+
+Provides the quadratic, Flory-Huggins and Peng-Robinson bulk energies
+together with their analytic gradients and Hessians, the gradient-energy
+coefficient matrix, definiteness reports, viscosity interpolation rules,
+and the coordinate changes between the (rho1, rho2), (rho1, rho) and
+phi formulations.
+
+Peng-Robinson parameters follow the standard 1976 prescription: for each
+species, from critical temperature Tc, critical pressure Pc and acentric
+factor omega,
+
+    a_i(T) = 0.45724 R^2 Tc^2 / Pc * [1 + kappa_i (1 - sqrt(T/Tc))]^2
+    b_i    = 0.07780 R Tc / Pc
+    kappa_i = 0.37464 + 1.54226 omega - 0.26992 omega^2
+
+(Peng & Robinson, Ind. Eng. Chem. Fundam. 15 (1976) 59), combined with
+van der Waals one-fluid mixing rules a_ij = sqrt(a_i a_j)(1 - k_ij),
+b = sum_i y_i b_i.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from enum import Enum
+from importlib import resources
+
+import numpy as np
+
+from .errors import DomainError, RangeError, ShapeError
+
+SQRT2 = np.sqrt(2.0)
+
+# Default finite-difference step rule: central differences, relative step.
+FD_REL_STEP = 1e-6
+# An eigenvalue counts as zero if |lam| <= DEFINITENESS_TOL * ||C||_F.
+DEFINITENESS_TOL = 1e-10
+
+
+class Definiteness(Enum):
+    POSITIVE_DEFINITE = "positive_definite"
+    NEGATIVE_DEFINITE = "negative_definite"
+    INDEFINITE = "indefinite"
+    SINGULAR = "singular"
+
+
+@dataclass(frozen=True)
+class HessianReport:
+    """Second-derivative matrix of a bulk energy at a state, classified."""
+
+    matrix: np.ndarray
+    definiteness: Definiteness
+    det: float
+    quadratic_form_p: float  # p.C.p for the state vector p the report was built at
+
+
+def classify_matrix(C: np.ndarray) -> Definiteness:
+    C = np.asarray(C, dtype=float)
+    scale = np.linalg.norm(C)
+    if scale == 0.0:
+        return Definiteness.SINGULAR
+    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
+    tol = DEFINITENESS_TOL * scale
+    if np.any(np.abs(eigs) <= tol):
+        return Definiteness.SINGULAR
+    if np.all(eigs > 0):
+        return Definiteness.POSITIVE_DEFINITE
+    if np.all(eigs < 0):
+        return Definiteness.NEGATIVE_DEFINITE
+    return Definiteness.INDEFINITE
+
+
+# ---------------------------------------------------------------------------
+# Gradient-energy coefficients
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GradientCoefficients:
+    """Symmetric positive semi-definite matrix of square-gradient coefficients.
+
+    Positive semi-definiteness is required for short-wave stability and is
+    enforced at construction.
+    """
+
+    kappa: np.ndarray
+
+    def __post_init__(self):
+        k = np.asarray(self.kappa, dtype=float)
+        if k.ndim != 2 or k.shape[0] != k.shape[1]:
+            raise ShapeError(f"kappa must be square, got shape {k.shape}")
+        if not np.array_equal(k, k.T):
+            raise ShapeError("kappa must be symmetric")
+        scale = np.linalg.norm(k)
+        if scale > 0 and np.min(np.linalg.eigvalsh(k)) < -1e-12 * scale:
+            raise RangeError("kappa must be positive semi-definite")
+        object.__setattr__(self, "kappa", k)
+
+    @property
+    def n(self) -> int:
+        return self.kappa.shape[0]
+
+    def det(self) -> float:
+        return float(np.linalg.det(self.kappa))
+
+
+# ---------------------------------------------------------------------------
+# Bulk free energies
+# ---------------------------------------------------------------------------
+
+
+class BulkFreeEnergy:
+    """Base for bulk energy densities h(densities).
+
+    ``densities`` arrays have the variable axis last: shape (..., nvar).
+    Subclasses implement ``_value`` (and analytic ``_gradient``/``_hessian``
+    where available) assuming the domain has been checked.
+    """
+
+    variables: tuple[str, ...] = ()
+
+    @property
+    def nvar(self) -> int:
+        return len(self.variables)
+
+    # -- domain ------------------------------------------------------------
+    def domain_violation(self, rho: np.ndarray):
+        """Return (flat_index, message) of the first out-of-domain point, or None."""
+        rho = np.asarray(rho, dtype=float)
+        bad = ~np.isfinite(rho).all(axis=-1)
+        if np.any(bad):
+            return int(np.argmax(bad.ravel())), "non-finite density"
+        return self._domain_violation(rho)
+
+    def _domain_violation(self, rho):
+        return None
+
+    def check_domain(self, rho: np.ndarray, pointwise: bool = False) -> None:
+        hit = self.domain_violation(rho)
+        if hit is not None:
+            idx, msg = hit
+            raise DomainError(
+                f"{type(self).__name__}: {msg}", index=idx if pointwise else None
+            )
+
+    def in_domain(self, rho: np.ndarray) -> bool:
+        return self.domain_violation(np.asarray(rho, dtype=float)) is None
+
+    # -- evaluation ----------------------------------------------------------
+    def value(self, rho, pointwise: bool = False):
+        rho = np.asarray(rho, dtype=float)
+        self.check_domain(rho, pointwise=pointwise)
+        return self._value(rho)
+
+    def gradient(self, rho, pointwise: bool = False):
+        rho = np.asarray(rho, dtype=float)
+        self.check_domain(rho, pointwise=pointwise)
+        return self._gradient(rho)
+
+    def hessian(self, rho, pointwise: bool = False):
+        rho = np.asarray(rho, dtype=float)
+        self.check_domain(rho, pointwise=pointwise)
+        return self._hessian(rho)
+
+    # -- finite-difference fallbacks ------------------------------------------
+    def _fd_steps(self, rho):
+        return FD_REL_STEP * np.maximum(1.0, np.abs(rho))
+
+    def _gradient(self, rho):
+        h = self._fd_steps(rho)
+        out = np.empty_like(rho)
+        for i in range(self.nvar):
+            e = np.zeros(self.nvar)
+            e[i] = 1.0
+            out[..., i] = (self._value(rho + h[..., i, None] * e)
+                           - self._value(rho - h[..., i, None] * e)) / (2.0 * h[..., i])
+        return out
+
+    def _hessian(self, rho):
+        h = self._fd_steps(rho)
+        out = np.empty(rho.shape[:-1] + (self.nvar, self.nvar))
+        for j in range(self.nvar):
+            e = np.zeros(self.nvar)
+            e[j] = 1.0
+            gp = self._gradient(rho + h[..., j, None] * e)
+            gm = self._gradient(rho - h[..., j, None] * e)
+            out[..., :, j] = (gp - gm) / (2.0 * h[..., j, None])
+        return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+class Quadratic(BulkFreeEnergy):
+    """h(rho) = 1/2 rho.C.rho + g.rho with an explicit Hessian C."""
+
+    def __init__(self, C, g=None, variables=None):
+        C = np.atleast_2d(np.asarray(C, dtype=float))
+        if C.shape[0] != C.shape[1]:
+            raise ShapeError("C must be square")
+        if not np.allclose(C, C.T):
+            raise ShapeError("C must be symmetric")
+        self.C = 0.5 * (C + C.T)
+        self.g = np.zeros(C.shape[0]) if g is None else np.asarray(g, dtype=float)
+        if self.g.shape != (C.shape[0],):
+            raise ShapeError("g must match C")
+        self.variables = tuple(variables) if variables else tuple(
+            f"rho{i + 1}" for i in range(C.shape[0])
+        )
+
+    def _value(self, rho):
+        return 0.5 * np.einsum("...i,ij,...j->...", rho, self.C, rho) + rho @ self.g
+
+    def _gradient(self, rho):
+        return rho @ self.C + self.g
+
+    def _hessian(self, rho):
+        shape = rho.shape[:-1] + self.C.shape
+        return np.broadcast_to(self.C, shape).copy()
+
+
+class FloryHuggins(BulkFreeEnergy):
+    """Flory-Huggins mixing energy for a polymeric binary mixture.
+
+    h = (kB T / m) [ rho1/N1 ln(rho1/rho) + rho2/N2 ln(rho2/rho)
+                     + chi rho1 rho2 / rho ],   rho = rho1 + rho2.
+
+    The mass m of an average molecule is a free scaling parameter; only the
+    combination kB T / m enters.
+    """
+
+    variables = ("rho1", "rho2")
+
+    def __init__(self, kBT_over_m: float, N1: float, N2: float, chi: float):
+        if kBT_over_m <= 0 or N1 <= 0 or N2 <= 0:
+            raise RangeError("kBT_over_m, N1, N2 must be positive")
+        self.c = float(kBT_over_m)
+        self.N1 = float(N1)
+        self.N2 = float(N2)
+        self.chi = float(chi)
+
+    def _domain_violation(self, rho):
+        bad = (rho <= 0.0).any(axis=-1)
+        if np.any(bad):
+            return int(np.argmax(bad.ravel())), "density <= 0"
+        return None
+
+    def _value(self, rho):
+        r1, r2 = rho[..., 0], rho[..., 1]
+        r = r1 + r2
+        return self.c * (r1 / self.N1 * np.log(r1 / r)
+                         + r2 / self.N2 * np.log(r2 / r)
+                         + self.chi * r1 * r2 / r)
+
+    def _gradient(self, rho):
+        r1, r2 = rho[..., 0], rho[..., 1]
+        r = r1 + r2
+        g1 = (np.log(r1 / r) + r2 / r) / self.N1 - (r2 / r) / self.N2 \
+            + self.chi * (r2 / r) ** 2
+        g2 = (np.log(r2 / r) + r1 / r) / self.N2 - (r1 / r) / self.N1 \
+            + self.chi * (r1 / r) ** 2
+        return self.c * np.stack([g1, g2], axis=-1)
+
+    def _hessian(self, rho):
+        r1, r2 = rho[..., 0], rho[..., 1]
+        r = r1 + r2
+        h11 = r2**2 / (r1 * r**2) / self.N1 + r2 / r**2 / self.N2 \
+            - 2.0 * self.chi * r2**2 / r**3
+        h22 = r1**2 / (r2 * r**2) / self.N2 + r1 / r**2 / self.N1 \
+            - 2.0 * self.chi * r1**2 / r**3
+        h12 = -r2 / r**2 / self.N1 - r1 / r**2 / self.N2 \
+            + 2.0 * self.chi * r1 * r2 / r**3
+        H = np.empty(rho.shape[:-1] + (2, 2))
+        H[..., 0, 0] = h11
+        H[..., 0, 1] = H[..., 1, 0] = h12
+        H[..., 1, 1] = h22
+        return self.c * H
+
+
+@dataclass(frozen=True)
+class PRSpecies:
+    """Critical constants of one species for the Peng-Robinson EOS."""
+
+    name: str
+    Tc: float
+    Pc: float
+    acentric: float
+    molar_mass: float
+
+
+def load_species_data():
+    """Load the bundled species data file (SI units: K, Pa, kg/mol)."""
+    text = resources.files("pfmix.data").joinpath("pr_species.json").read_text()
+    payload = json.loads(text)
+    return {
+        name: PRSpecies(name=name, **rec) for name, rec in payload["species"].items()
+    }
+
+
+def pr_pure_coefficients(species: PRSpecies, T: float, R: float):
+    """Standard Peng-Robinson a_i(T), b_i for one species."""
+    if T <= 0:
+        raise RangeError("temperature must be positive")
+    kap = 0.37464 + 1.54226 * species.acentric - 0.26992 * species.acentric**2
+    alpha = (1.0 + kap * (1.0 - np.sqrt(T / species.Tc))) ** 2
+    a = 0.45724 * R**2 * species.Tc**2 / species.Pc * alpha
+    b = 0.07780 * R * species.Tc / species.Pc
+    return a, b
+
+
+class PengRobinson(BulkFreeEnergy):
+    """Peng-Robinson Helmholtz free energy density of a binary mixture.
+
+    In molar densities n_i = rho_i / m_i, with B = b1 n1 + b2 n2 and
+    A = a1 n1^2 + 2 a12 n1 n2 + a2 n2^2 (van der Waals mixing),
+
+        h = RT sum_i n_i (ln(n_i lam^3) - 1)  -  n RT ln(1 - B)
+            + A / (2 sqrt(2) B) * ln[(1 + (1-sqrt2) B) / (1 + (1+sqrt2) B)].
+
+    The thermal wavelength lam only shifts h linearly in the densities and
+    defaults to 1.  Physical domain: n_i > 0 and B < 1.
+    """
+
+    variables = ("rho1", "rho2")
+
+    def __init__(self, species1: PRSpecies, species2: PRSpecies, temperature: float,
+                 gas_constant: float = 8.31446261815324, k12: float = 0.0,
+                 thermal_wavelength: float = 1.0):
+        self.species = (species1, species2)
+        self.T = float(temperature)
+        self.R = float(gas_constant)
+        self.k12 = float(k12)
+        self.lam = float(thermal_wavelength)
+        a1, b1 = pr_pure_coefficients(species1, self.T, self.R)
+        a2, b2 = pr_pure_coefficients(species2, self.T, self.R)
+        self.a = np.array([[a1, np.sqrt(a1 * a2) * (1.0 - self.k12)],
+                           [np.sqrt(a1 * a2) * (1.0 - self.k12), a2]])
+        self.b = np.array([b1, b2])
+        self.m = np.array([species1.molar_mass, species2.molar_mass])
+        self.RT = self.R * self.T
+
+    @property
+    def molar_mass_ratio(self) -> float:
+        """m2 / m1, the solute-to-solvent molar mass ratio."""
+        return self.m[1] / self.m[0]
+
+    @classmethod
+    def from_mixture_coefficients(cls, a_matrix, b, molar_masses, RT,
+                                  thermal_wavelength: float = 1.0):
+        """Construct directly from mixture-level coefficients (bypassing the
+        critical-constant prescription); used for testing and calibration."""
+        self = cls.__new__(cls)
+        self.species = None
+        self.T = float(RT)
+        self.R = 1.0
+        self.k12 = float("nan")
+        self.lam = float(thermal_wavelength)
+        self.a = np.asarray(a_matrix, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.m = np.asarray(molar_masses, dtype=float)
+        self.RT = float(RT)
+        return self
+
+    # -- helpers -------------------------------------------------------------
+    def _moles(self, rho):
+        return rho / self.m
+
+    def _AB(self, nm):
+        B = nm @ self.b
+        A = np.einsum("...i,ij,...j->...", nm, self.a, nm)
+        Ai = 2.0 * nm @ self.a
+        return A, Ai, B
+
+    def _domain_violation(self, rho):
+        nm = self._moles(rho)
+        bad = (nm <= 0.0).any(axis=-1)
+        if np.any(bad):
+            return int(np.argmax(bad.ravel())), "molar density <= 0"
+        B = nm @ self.b
+        bad = B >= 1.0
+        if np.any(bad):
+            return int(np.argmax(bad.ravel())), "covolume packing b.n >= 1"
+        return None
+
+    @staticmethod
+    def _L(B):
+        return np.log1p((1.0 - SQRT2) * B) - np.log1p((1.0 + SQRT2) * B)
+
+    @staticmethod
+    def _Lp(B):
+        return -2.0 * SQRT2 / (1.0 + 2.0 * B - B * B)
+
+    @staticmethod
+    def _Lpp(B):
+        return 2.0 * SQRT2 * (2.0 - 2.0 * B) / (1.0 + 2.0 * B - B * B) ** 2
+
+    # -- evaluation ------------------------------------------------------------
+    def _value(self, rho):
+        nm = self._moles(rho)
+        n = nm.sum(axis=-1)
+        A, _, B = self._AB(nm)
+        ideal = self.RT * np.sum(nm * (np.log(nm) - 1.0), axis=-1) \
+            + self.RT * n * np.log(self.lam**3)
+        rep = -n * self.RT * np.log1p(-B)
+        attr = A / (2.0 * SQRT2 * B) * self._L(B)
+        return ideal + rep + attr
+
+    def _gradient(self, rho):
+        nm = self._moles(rho)
+        n = nm.sum(axis=-1)[..., None]
+        A, Ai, B = self._AB(nm)
+        A, B = A[..., None], B[..., None]
+        L, Lp = self._L(B), self._Lp(B)
+        dn = (self.RT * (np.log(nm) + np.log(self.lam**3))
+              - self.RT * np.log1p(-B)
+              + n * self.RT * self.b / (1.0 - B)
+              + (Ai / (2.0 * SQRT2 * B) - A * self.b / (2.0 * SQRT2 * B**2)) * L
+              + A / (2.0 * SQRT2 * B) * Lp * self.b)
+        return dn / self.m
+
+    def _hessian(self, rho):
+        nm = self._moles(rho)
+        n = nm.sum(axis=-1)[..., None, None]
+        A, Ai, B = self._AB(nm)
+        A, B = A[..., None, None], B[..., None, None]
+        L, Lp, Lpp = self._L(B), self._Lp(B), self._Lpp(B)
+        bi = self.b[:, None]
+        bj = self.b[None, :]
+        Ai_ = Ai[..., :, None]
+        Aj_ = Ai[..., None, :]
+        s = 2.0 * SQRT2
+        ideal = np.zeros(nm.shape[:-1] + (2, 2))
+        ideal[..., 0, 0] = self.RT / nm[..., 0]
+        ideal[..., 1, 1] = self.RT / nm[..., 1]
+        rep = self.RT * (bi + bj) / (1.0 - B) + n * self.RT * bi * bj / (1.0 - B) ** 2
+        F = ((2.0 * self.a / (s * B) - (Ai_ * bj + Aj_ * bi) / (s * B**2)
+              + 2.0 * A * bi * bj / (s * B**3)) * L
+             + (Ai_ / (s * B) - A * bi / (s * B**2)) * Lp * bj
+             + (Aj_ / (s * B) - A * bj / (s * B**2)) * Lp * bi
+             + A / (s * B) * Lpp * bi * bj)
+        H = ideal + rep + F
+        return H / (self.m[:, None] * self.m[None, :])
+
+
+# ---------------------------------------------------------------------------
+# Coordinate changes
+# ---------------------------------------------------------------------------
+
+# d(rho1, rho2) = J d(rho1, rho) with rho2 = rho - rho1.
+J_RHO1_RHO = np.array([[1.0, 0.0], [-1.0, 1.0]])
+
+
+class TildeFreeEnergy(BulkFreeEnergy):
+    """A binary energy re-expressed in (rho1, rho) variables:
+    h~(rho1, rho) = h(rho1, rho - rho1)."""
+
+    variables = ("rho1", "rho")
+
+    def __init__(self, base: BulkFreeEnergy):
+        if base.nvar != 2:
+            raise ShapeError("variable change requires a 2-component energy")
+        self.base = base
+
+    def _to_base(self, rho):
+        out = np.empty_like(rho)
+        out[..., 0] = rho[..., 0]
+        out[..., 1] = rho[..., 1] - rho[..., 0]
+        return out
+
+    def domain_violation(self, rho):
+        rho = np.asarray(rho, dtype=float)
+        return self.base.domain_violation(self._to_base(rho))
+
+    def _value(self, rho):
+        return self.base._value(self._to_base(rho))
+
+    def _gradient(self, rho):
+        return self.base._gradient(self._to_base(rho)) @ J_RHO1_RHO
+
+    def _hessian(self, rho):
+        H = self.base._hessian(self._to_base(rho))
+        return np.einsum("ki,...kl,lj->...ij", J_RHO1_RHO, H, J_RHO1_RHO)
+
+
+class PhiFreeEnergy(BulkFreeEnergy):
+    """Single-variable energy of the volume fraction,
+    h^(phi) = h~(rho_hat_1 phi, (rho_hat_1 - rho_hat_2) phi + rho_hat_2)."""
+
+    variables = ("phi",)
+
+    def __init__(self, fe_tilde: BulkFreeEnergy, rho_hat_1: float, rho_hat_2: float):
+        if rho_hat_1 <= 0 or rho_hat_2 <= 0:
+            raise RangeError("specific densities must be positive")
+        self.fe_tilde = fe_tilde
+        self.rho_hat_1 = float(rho_hat_1)
+        self.rho_hat_2 = float(rho_hat_2)
+        # direction of d(rho1, rho)/d(phi)
+        self.v = np.array([self.rho_hat_1, self.rho_hat_1 - self.rho_hat_2])
+
+    def _to_tilde(self, phi):
+        out = np.empty(phi.shape[:-1] + (2,))
+        out[..., 0] = self.rho_hat_1 * phi[..., 0]
+        out[..., 1] = (self.rho_hat_1 - self.rho_hat_2) * phi[..., 0] + self.rho_hat_2
+        return out
+
+    def domain_violation(self, phi):
+        phi = np.asarray(phi, dtype=float)
+        return self.fe_tilde.domain_violation(self._to_tilde(phi))
+
+    def _value(self, phi):
+        return self.fe_tilde._value(self._to_tilde(phi))
+
+    def _gradient(self, phi):
+        g = self.fe_tilde._gradient(self._to_tilde(phi))
+        return (g @ self.v)[..., None]
+
+    def _hessian(self, phi):
+        H = self.fe_tilde._hessian(self._to_tilde(phi))
+        return np.einsum("i,...ij,j->...", self.v, H, self.v)[..., None, None]
+
+
+def change_variables_to_rho_rho1(kappa: GradientCoefficients, fe: BulkFreeEnergy):
+    """Map a (rho1, rho2) energy and gradient coefficients to (rho1, rho).
+
+    kappa~ = J^T kappa J with J = [[1, 0], [-1, 1]]; exact and exactly
+    invertible (integer congruence).
+    """
+    if kappa.n != 2:
+        raise ShapeError("variable change requires a 2x2 kappa")
+    kt = J_RHO1_RHO.T @ kappa.kappa @ J_RHO1_RHO
+    return GradientCoefficients(kt), TildeFreeEnergy(fe)
+
+
+def change_variables_from_rho_rho1(kappa_tilde: GradientCoefficients,
+                                   fe_tilde: TildeFreeEnergy):
+    """Inverse of :func:`change_variables_to_rho_rho1` (round trip is exact)."""
+    Jinv = np.array([[1.0, 0.0], [1.0, 1.0]])
+    k = Jinv.T @ kappa_tilde.kappa @ Jinv
+    return GradientCoefficients(k), fe_tilde.base
+
+
+def reduce_quasi_incompressible(kappa_tilde: GradientCoefficients,
+                                fe_tilde: BulkFreeEnergy,
+                                rho_hat_1: float, rho_hat_2: float):
+    """Collapse a (rho1, rho) description onto the volume fraction phi.
+
+    Returns (kappa_phi_phi, PhiFreeEnergy); kappa_phi_phi = v.kappa~.v with
+    v = (rho_hat_1, rho_hat_1 - rho_hat_2).
+    """
+    if kappa_tilde.n != 2:
+        raise ShapeError("reduction requires a 2x2 kappa")
+    fe_phi = PhiFreeEnergy(fe_tilde, rho_hat_1, rho_hat_2)
+    kphi = float(fe_phi.v @ kappa_tilde.kappa @ fe_phi.v)
+    return kphi, fe_phi
+
+
+# ---------------------------------------------------------------------------
+# Reports, chemical potentials, maps
+# ---------------------------------------------------------------------------
+
+
+def hessian_report(fe: BulkFreeEnergy, rho) -> HessianReport:
+    """Hessian of the bulk energy at a state, with definiteness, determinant
+    and the quadratic form along the state vector itself."""
+    rho = np.asarray(rho, dtype=float)
+    C = fe.hessian(rho)
+    return HessianReport(
+        matrix=C,
+        definiteness=classify_matrix(C),
+        det=float(np.linalg.det(C)),
+        quadratic_form_p=float(rho @ C @ rho),
+    )
+
+
+@dataclass(frozen=True)
+class ChemicalPotentialField:
+    """mu_i(x) on a periodic grid plus the Laplacian scheme used."""
+
+    mu: np.ndarray  # shape (nvar, n)
+    laplacian: str  # "spectral" or "central"
+
+
+def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
+                        fields: np.ndarray, grid) -> ChemicalPotentialField:
+    """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) on a periodic 1D grid.
+
+    ``fields`` has shape (nvar, n).
+    """
+    fields = np.atleast_2d(np.asarray(fields, dtype=float))
+    if fields.shape[0] != fe.nvar or kappa.n != fe.nvar:
+        raise ShapeError("fields/kappa do not match the energy's variable count")
+    g = fe.gradient(np.moveaxis(fields, 0, -1), pointwise=True)
+    lap = np.stack([grid.dx2(f) for f in fields])
+    mu = np.moveaxis(g, -1, 0) - np.tensordot(kappa.kappa, lap, axes=(1, 0))
+    return ChemicalPotentialField(mu=mu, laplacian=grid.scheme)
+
+
+# Concavity-map cell codes (shared with the CLI output format).
+MAP_EXCLUDED = 0
+MAP_POSITIVE_DEFINITE = 1
+MAP_INDEFINITE = 2
+MAP_NEGATIVE_DEFINITE = 3
+MAP_SINGULAR = 4
+
+_DEFINITENESS_CODE = {
+    Definiteness.POSITIVE_DEFINITE: MAP_POSITIVE_DEFINITE,
+    Definiteness.INDEFINITE: MAP_INDEFINITE,
+    Definiteness.NEGATIVE_DEFINITE: MAP_NEGATIVE_DEFINITE,
+    Definiteness.SINGULAR: MAP_SINGULAR,
+}
+
+
+def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarray:
+    """Classify the bulk Hessian of an energy in (rho1, rho) variables on a
+    rectangular grid.  Out-of-domain cells are marked excluded, not raised.
+
+    Returns an int array of shape (len(rho1_values), len(rho_values)).
+    """
+    rho1_values = np.asarray(rho1_values, dtype=float)
+    rho_values = np.asarray(rho_values, dtype=float)
+    codes = np.full((rho1_values.size, rho_values.size), MAP_EXCLUDED, dtype=int)
+    R1, R = np.meshgrid(rho1_values, rho_values, indexing="ij")
+    pts = np.stack([R1, R], axis=-1)
+    ok = np.ones(R1.shape, dtype=bool)
+    for idx in np.ndindex(R1.shape):
+        ok[idx] = fe_tilde.in_domain(pts[idx])
+    if np.any(ok):
+        H = fe_tilde.hessian(pts[ok])
+        for slot, C in zip(np.argwhere(ok), H):
+            codes[tuple(slot)] = _DEFINITENESS_CODE[classify_matrix(C)]
+    return codes
+
+
+# ---------------------------------------------------------------------------
+# Viscosity interpolation
+# ---------------------------------------------------------------------------
+
+
+class ViscosityModel(Enum):
+    MASS_FRACTION = "mass_fraction"
+    VOLUME_FRACTION = "volume_fraction"
+    KRIEGER_DOUGHERTY = "krieger_dougherty"
+
+
+@dataclass(frozen=True)
+class ViscosityRule:
+    """Average shear/volumetric viscosity of the mixture.
+
+    The Krieger-Dougherty exponent is named ``kd_exponent``; it is unrelated
+    to the volumetric viscosity even though the literature reuses the symbol.
+    """
+
+    rule: ViscosityModel
+    eta1: float = 0.0
+    eta2: float = 0.0
+    nu1: float = 0.0
+    nu2: float = 0.0
+    eta0: float = 0.0
+    nu0: float = 0.0
+    kd_exponent: float = 2.0
+
+    def __post_init__(self):
+        for name in ("eta1", "eta2", "nu1", "nu2", "eta0", "nu0"):
+            if getattr(self, name) < 0:
+                raise RangeError(f"{name} must be nonnegative")
+
+
+def average_viscosity(rule: ViscosityRule, composition):
+    """(eta, nu) from the rule's interpolation at the given composition.
+
+    ``composition`` is the fraction of component 1 (mass or volume per rule),
+    or the solute concentration for Krieger-Dougherty:
+    eta = eta0 (1 - x)^(-kd_exponent).
+    """
+    x = np.asarray(composition, dtype=float)
+    if rule.rule is ViscosityModel.KRIEGER_DOUGHERTY:
+        if np.any(x < 0.0) or np.any(x >= 1.0):
+            raise RangeError("Krieger-Dougherty concentration must lie in [0, 1)")
+        eta = rule.eta0 * (1.0 - x) ** (-rule.kd_exponent)
+        nu = rule.nu0 * (1.0 - x) ** (-rule.kd_exponent)
+    else:
+        if np.any(x < 0.0) or np.any(x > 1.0):
+            raise RangeError("composition fraction must lie in [0, 1]")
+        eta = x * rule.eta1 + (1.0 - x) * rule.eta2
+        nu = x * rule.nu1 + (1.0 - x) * rule.nu2
+    if np.ndim(composition) == 0:
+        return float(eta), float(nu)
+    return eta, nu

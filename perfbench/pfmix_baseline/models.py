@@ -1,0 +1,832 @@
+"""The four binary model classes and the N-component generalization.
+
+Each model bundles a bulk free energy in its natural variables, gradient
+coefficients, mobilities and inverse Reynolds numbers, and knows how to:
+
+* evaluate its 1D right-hand side on a periodic grid (conservative momentum,
+  transverse velocity carried alongside),
+* evaluate total energy and the closed-form dissipation rate,
+* expose the coefficient data used by the linear stability engine.
+
+Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
+the quasi-incompressible and incompressible classes evolve velocities
+directly.  The hydrostatic field of the quasi-incompressible class is not
+evolved but solved at every evaluation from the divergence constraint by
+spectral inversion with zero mean.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from .errors import ConstraintError, RangeError, ShapeError, SolveError
+from .free_energy import (
+    BulkFreeEnergy,
+    GradientCoefficients,
+    ViscosityRule,
+    average_viscosity,
+    chemical_potentials,
+)
+from .grid import PeriodicGrid1D
+
+PSD_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# States and scales
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MixtureState:
+    """Constant background state a model is linearized about (velocity 0)."""
+
+    rho1: Optional[float] = None
+    rho2: Optional[float] = None
+    rho: Optional[float] = None
+    phi: Optional[float] = None
+    Pi: float = 0.0
+
+    @classmethod
+    def binary(cls, rho1: float, rho2: float) -> "MixtureState":
+        if rho1 <= 0 or rho2 <= 0:
+            raise RangeError("densities must be positive")
+        return cls(rho1=rho1, rho2=rho2, rho=rho1 + rho2)
+
+    @classmethod
+    def total_partial(cls, rho: float, rho1: float) -> "MixtureState":
+        if rho1 <= 0 or rho - rho1 <= 0:
+            raise RangeError("need 0 < rho1 < rho")
+        return cls(rho1=rho1, rho2=rho - rho1, rho=rho)
+
+    @classmethod
+    def fraction(cls, phi: float, Pi: float = 0.0) -> "MixtureState":
+        if not 0.0 < phi < 1.0:
+            raise RangeError("phi must lie in (0, 1)")
+        return cls(phi=phi, Pi=Pi)
+
+
+@dataclass(frozen=True)
+class ScaleSet:
+    """Characteristic time, length and density scales."""
+
+    t0: float
+    l0: float
+    rho0: float
+
+    def __post_init__(self):
+        if min(self.t0, self.l0, self.rho0) <= 0:
+            raise RangeError("scales must be positive")
+
+    @property
+    def energy_density(self) -> float:
+        return self.rho0 * self.l0**2 / self.t0**2
+
+
+# ---------------------------------------------------------------------------
+# Mobility checks
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MobilityReport:
+    eigenvalues: np.ndarray
+    psd: bool
+    row_sums: np.ndarray
+    zero_row_sums: bool
+
+
+def mobility_check(M) -> MobilityReport:
+    """PSD and zero-row-sum (local conservation) verdicts for a mobility matrix."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[0] != M.shape[1]:
+        raise ShapeError(f"mobility must be square, got {M.shape}")
+    if not np.allclose(M, M.T, rtol=0.0, atol=PSD_TOL * max(1.0, np.linalg.norm(M))):
+        raise ShapeError("mobility must be symmetric")
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    scale = max(np.linalg.norm(M), 1e-300)
+    rs = M.sum(axis=1)
+    return MobilityReport(
+        eigenvalues=eigs,
+        psd=bool(np.min(eigs) >= -PSD_TOL * scale),
+        row_sums=rs,
+        zero_row_sums=bool(np.max(np.abs(rs)) <= PSD_TOL * scale),
+    )
+
+
+def local_conservation_matrix(M11: float) -> np.ndarray:
+    """Full mobility matrix implied by the single-coefficient local model."""
+    return np.array([[M11, -M11], [-M11, M11]])
+
+
+# ---------------------------------------------------------------------------
+# Linearization coefficient bundles (consumed by the dispersion module)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BinaryLinearization:
+    """C, K, p for a compressible binary class.
+
+    For the globally-conserving class the variable order is (rho1, rho2);
+    for the locally-conserving class it is (rho, rho1).
+    """
+
+    C: np.ndarray
+    K: np.ndarray
+    p: np.ndarray
+    rho0: float
+    inv_Re_s: float
+    inv_Re: float
+    M: Optional[np.ndarray] = None   # 2x2, global class
+    M11: Optional[float] = None      # scalar, local class
+
+
+@dataclass(frozen=True)
+class PhaseFieldLinearization:
+    """Coefficients for the quasi-incompressible / incompressible classes."""
+
+    h_phi_phi: float
+    kappa_phi_phi: float
+    phi0: float
+    rho_hat_1: float
+    rho_hat_2: float
+    rho0: float
+    M11: float
+    inv_Re_s: float
+    inv_Re: float
+
+
+# ---------------------------------------------------------------------------
+# Model classes
+# ---------------------------------------------------------------------------
+
+
+class _ModelBase:
+    """Shared validation and viscosity plumbing."""
+
+    inv_Re_s: float
+    inv_Re_v: float
+    viscosity_rule: Optional[ViscosityRule]
+
+    def _check_reynolds(self):
+        if self.inv_Re_s < 0 or self.inv_Re_v < 0:
+            raise RangeError("inverse Reynolds numbers must be nonnegative")
+
+    @property
+    def inv_Re(self) -> float:
+        """Combined longitudinal viscous coefficient 2/Re_s + 1/Re_v."""
+        return 2.0 * self.inv_Re_s + self.inv_Re_v
+
+    def _viscosity_fields(self, composition):
+        """(eta, nu) pointwise; constants unless a rule is attached."""
+        if self.viscosity_rule is None:
+            return self.inv_Re_s, self.inv_Re_v
+        return average_viscosity(self.viscosity_rule, composition)
+
+
+def _viscous_terms(grid, vx, vy, eta, nu):
+    fx = grid.dx1((2.0 * eta + nu) * grid.dx1(vx)) if np.ndim(eta) else \
+        (2.0 * eta + nu) * grid.dx2(vx)
+    fy = grid.dx1(eta * grid.dx1(vy)) if np.ndim(eta) else eta * grid.dx2(vy)
+    return fx, fy
+
+
+@dataclass(frozen=True)
+class CompressibleGlobal(_ModelBase):
+    """Binary compressible model conserving total mass only globally.
+
+    Fields: rho1, rho2, mx, my.
+    """
+
+    free_energy: BulkFreeEnergy            # variables (rho1, rho2)
+    kappa: GradientCoefficients            # 2x2, (rho1, rho2)
+    mobility: np.ndarray                   # 2x2 symmetric PSD
+    inv_Re_s: float
+    inv_Re_v: float
+    viscosity_rule: Optional[ViscosityRule] = None
+
+    field_names = ("rho1", "rho2", "mx", "my")
+
+    def __post_init__(self):
+        self._check_reynolds()
+        M = np.atleast_2d(np.asarray(self.mobility, dtype=float))
+        rep = mobility_check(M)
+        if not rep.psd:
+            raise RangeError("mobility must be positive semi-definite")
+        if M.shape != (2, 2) or self.kappa.n != 2:
+            raise ShapeError("binary model needs 2x2 mobility and kappa")
+        object.__setattr__(self, "mobility", M)
+
+    # -- state / fields -----------------------------------------------------
+    def state_densities(self, state: MixtureState) -> np.ndarray:
+        return np.array([state.rho1, state.rho2])
+
+    def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
+        ones = np.ones(grid.n)
+        return {"rho1": state.rho1 * ones, "rho2": state.rho2 * ones,
+                "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
+
+    def _mu(self, fields, grid):
+        stack = np.stack([fields["rho1"], fields["rho2"]])
+        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        rho1, rho2 = fields["rho1"], fields["rho2"]
+        rho = rho1 + rho2
+        vx, vy = fields["mx"] / rho, fields["my"] / rho
+        mu = self._mu(fields, grid)
+        J = np.tensordot(self.mobility, np.stack([grid.dx2(mu[0]), grid.dx2(mu[1])]),
+                         axes=(1, 0))
+        eta, nu = self._viscosity_fields(rho1 / rho)
+        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
+        Jsum = J[0] + J[1]
+        out = {
+            "rho1": -grid.dx1(rho1 * vx) + J[0],
+            "rho2": -grid.dx1(rho2 * vx) + J[1],
+            "mx": (-grid.dx1(fields["mx"] * vx) + 0.5 * Jsum * vx + fx
+                   - rho1 * grid.dx1(mu[0]) - rho2 * grid.dx1(mu[1])),
+            "my": -grid.dx1(fields["my"] * vx) + 0.5 * Jsum * vy + fy,
+        }
+        if return_aux:
+            return out, {"mu": mu, "J": J}
+        return out
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(fields["rho1"] + fields["rho2"])
+
+    def total_energy(self, fields, grid) -> float:
+        rho1, rho2 = fields["rho1"], fields["rho2"]
+        rho = rho1 + rho2
+        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / rho
+        bulk = self.free_energy.value(np.stack([rho1, rho2], axis=-1), pointwise=True)
+        d = np.stack([grid.dx1(rho1), grid.dx1(rho2)])
+        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
+        return grid.integrate(kin + bulk + grad)
+
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        rho1, rho2 = fields["rho1"], fields["rho2"]
+        rho = rho1 + rho2
+        vx, vy = fields["mx"] / rho, fields["my"] / rho
+        mu = self._mu(fields, grid)
+        eta, nu = self._viscosity_fields(rho1 / rho)
+        dmu = np.stack([grid.dx1(mu[0]), grid.dx1(mu[1])])
+        mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
+        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
+        return -grid.integrate(visc + mob)
+
+    def linearization(self, state: MixtureState) -> BinaryLinearization:
+        p = self.state_densities(state)
+        return BinaryLinearization(
+            C=self.free_energy.hessian(p), K=self.kappa.kappa, p=p,
+            rho0=float(p.sum()), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+            M=self.mobility,
+        )
+
+
+@dataclass(frozen=True)
+class CompressibleLocal(_ModelBase):
+    """Binary compressible model with local mass conservation, single
+    mobility coefficient.  Fields: rho, rho1, mx, my."""
+
+    free_energy: BulkFreeEnergy            # variables (rho1, rho)
+    kappa: GradientCoefficients            # 2x2 in (rho1, rho) order
+    M11: float
+    inv_Re_s: float
+    inv_Re_v: float
+    viscosity_rule: Optional[ViscosityRule] = None
+
+    field_names = ("rho", "rho1", "mx", "my")
+
+    def __post_init__(self):
+        self._check_reynolds()
+        if self.M11 < 0:
+            raise RangeError("M11 must be nonnegative")
+        if self.kappa.n != 2:
+            raise ShapeError("binary model needs 2x2 kappa")
+
+    @property
+    def mobility(self) -> np.ndarray:
+        return local_conservation_matrix(self.M11)
+
+    def state_densities(self, state: MixtureState) -> np.ndarray:
+        # (rho1, rho), matching the free energy's variable order
+        return np.array([state.rho1, state.rho])
+
+    def uniform_fields(self, state, grid):
+        ones = np.ones(grid.n)
+        return {"rho": state.rho * ones, "rho1": state.rho1 * ones,
+                "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
+
+    def _mu(self, fields, grid):
+        """(mu_rho1, mu_rho) including cross-gradient contributions."""
+        stack = np.stack([fields["rho1"], fields["rho"]])
+        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        rho, rho1 = fields["rho"], fields["rho1"]
+        vx, vy = fields["mx"] / rho, fields["my"] / rho
+        mu = self._mu(fields, grid)   # mu[0] = mu~_1, mu[1] = mu~
+        eta, nu = self._viscosity_fields(rho1 / rho)
+        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
+        out = {
+            "rho": -grid.dx1(rho * vx),
+            "rho1": -grid.dx1(rho1 * vx) + self.M11 * grid.dx2(mu[0]),
+            "mx": (-grid.dx1(fields["mx"] * vx) + fx
+                   - rho1 * grid.dx1(mu[0]) - rho * grid.dx1(mu[1])),
+            "my": -grid.dx1(fields["my"] * vx) + fy,
+        }
+        if return_aux:
+            return out, {"mu": mu}
+        return out
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(fields["rho"])
+
+    def total_energy(self, fields, grid) -> float:
+        rho, rho1 = fields["rho"], fields["rho1"]
+        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / rho
+        bulk = self.free_energy.value(np.stack([rho1, rho], axis=-1), pointwise=True)
+        d = np.stack([grid.dx1(rho1), grid.dx1(rho)])
+        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
+        return grid.integrate(kin + bulk + grad)
+
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        rho, rho1 = fields["rho"], fields["rho1"]
+        vx, vy = fields["mx"] / rho, fields["my"] / rho
+        mu = self._mu(fields, grid)
+        eta, nu = self._viscosity_fields(rho1 / rho)
+        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
+        return -grid.integrate(visc + self.M11 * grid.dx1(mu[0]) ** 2)
+
+    def linearization(self, state: MixtureState) -> BinaryLinearization:
+        H = self.free_energy.hessian(self.state_densities(state))
+        K = self.kappa.kappa
+        # reorder (rho1, rho) -> (rho, rho1)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return BinaryLinearization(
+            C=swap @ H @ swap, K=swap @ K @ swap,
+            p=np.array([state.rho, state.rho1]),
+            rho0=float(state.rho), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+            M11=self.M11,
+        )
+
+
+@dataclass(frozen=True)
+class QuasiIncompressible(_ModelBase):
+    """Mixture of two incompressible components with unequal specific
+    densities.  Fields: phi, vx, vy; the hydrostatic field is solved from
+    the divergence constraint at every evaluation."""
+
+    free_energy: BulkFreeEnergy            # single variable phi
+    kappa_phi_phi: float
+    M11: float
+    inv_Re_s: float
+    inv_Re_v: float
+    rho_hat_1: float
+    rho_hat_2: float
+    viscosity_rule: Optional[ViscosityRule] = None
+
+    field_names = ("phi", "vx", "vy")
+
+    def __post_init__(self):
+        self._check_reynolds()
+        if self.M11 <= 0:
+            raise RangeError("M11 must be positive")
+        if self.kappa_phi_phi < 0:
+            raise RangeError("kappa_phi_phi must be nonnegative")
+        if self.rho_hat_1 <= 0 or self.rho_hat_2 <= 0:
+            raise RangeError("specific densities must be positive")
+
+    def density(self, phi):
+        return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
+
+    def state_rho0(self, state: MixtureState) -> float:
+        return float(self.density(state.phi))
+
+    def uniform_fields(self, state, grid):
+        return {"phi": state.phi * np.ones(grid.n),
+                "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
+
+    def mu_phi(self, phi, grid):
+        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        return g - self.kappa_phi_phi * grid.dx2(phi)
+
+    def solve_pressure(self, fields, grid):
+        """Hydrostatic field from the divergence constraint, zero mean."""
+        phi, vx = fields["phi"], fields["vx"]
+        mu = self.mu_phi(phi, grid)
+        r = self.rho_hat_1 / self.rho_hat_2
+        Mh = self.M11 / self.rho_hat_1**2
+        if abs(1.0 - r) < 1e-13:
+            # incompressible gauge: make the velocity divergence stationary
+            eta, nu = self._viscosity_fields(phi)
+            fx, _ = _viscous_terms(grid, vx, fields["vy"], eta, nu)
+            force = -self.density(phi) * vx * grid.dx1(vx) + fx - phi * grid.dx1(mu)
+            Pi = _antiderivative_mean_free(force, grid)
+        else:
+            rhs = (grid.dx1(vx) - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
+            Pi = _poisson_mean_free(rhs, grid)
+        if not np.all(np.isfinite(Pi)):
+            raise SolveError("pressure solve produced non-finite values")
+        return Pi, mu
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
+        Pi, mu = self.solve_pressure(fields, grid)
+        r = self.rho_hat_1 / self.rho_hat_2
+        Mh = self.M11 / self.rho_hat_1**2
+        G = mu + (1.0 - r) * Pi
+        rho = self.density(phi)
+        eta, nu = self._viscosity_fields(phi)
+        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
+        out = {
+            "phi": -grid.dx1(phi * vx) + Mh * grid.dx2(G),
+            "vx": (-rho * vx * grid.dx1(vx) + fx - grid.dx1(Pi)
+                   - phi * grid.dx1(mu)) / rho,
+            "vy": (-rho * vx * grid.dx1(vy) + fy) / rho,
+        }
+        if return_aux:
+            return out, {"Pi": Pi, "mu_phi": mu, "G": G}
+        return out
+
+    def divergence_residual(self, fields, grid) -> float:
+        """Max-norm of div v minus its constrained value after the solve."""
+        _, aux = self.rhs_1d(fields, grid, return_aux=True)
+        r = self.rho_hat_1 / self.rho_hat_2
+        Mh = self.M11 / self.rho_hat_1**2
+        res = grid.dx1(fields["vx"]) - (1.0 - r) * Mh * grid.dx2(aux["G"])
+        return float(np.max(np.abs(res)))
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(self.density(fields["phi"]))
+
+    def total_energy(self, fields, grid) -> float:
+        phi = fields["phi"]
+        rho = self.density(phi)
+        kin = 0.5 * rho * (fields["vx"] ** 2 + fields["vy"] ** 2)
+        bulk = self.free_energy.value(phi[..., None], pointwise=True)
+        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
+        return grid.integrate(kin + bulk + grad)
+
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
+        Pi, mu = self.solve_pressure(fields, grid)
+        r = self.rho_hat_1 / self.rho_hat_2
+        mu_hat_1 = (mu + (1.0 - r) * Pi) / self.rho_hat_1
+        eta, nu = self._viscosity_fields(phi)
+        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
+        return -grid.integrate(visc + self.M11 * grid.dx1(mu_hat_1) ** 2)
+
+    def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
+        hpp = float(self.free_energy.hessian(np.array([state.phi]))[0, 0])
+        return PhaseFieldLinearization(
+            h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
+            rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
+            rho0=self.state_rho0(state), M11=self.M11,
+            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+        )
+
+
+@dataclass(frozen=True)
+class Incompressible(_ModelBase):
+    """Equal specific densities: solenoidal velocity, phase transport is a
+    conserved gradient flow.  Fields: phi, vx, vy with vx spatially uniform
+    (enforced at initialization; in 1D it stays uniform)."""
+
+    free_energy: BulkFreeEnergy
+    kappa_phi_phi: float
+    M11: float
+    inv_Re_s: float
+    inv_Re_v: float
+    rho_hat: float
+    viscosity_rule: Optional[ViscosityRule] = None
+
+    field_names = ("phi", "vx", "vy")
+
+    def __post_init__(self):
+        self._check_reynolds()
+        if self.M11 <= 0:
+            raise RangeError("M11 must be positive")
+        if self.rho_hat <= 0:
+            raise RangeError("rho_hat must be positive")
+
+    @property
+    def rho_hat_1(self):
+        return self.rho_hat
+
+    @property
+    def rho_hat_2(self):
+        return self.rho_hat
+
+    def density(self, phi):
+        return self.rho_hat * np.ones_like(phi)
+
+    def state_rho0(self, state: MixtureState) -> float:
+        return self.rho_hat
+
+    def uniform_fields(self, state, grid):
+        return {"phi": state.phi * np.ones(grid.n),
+                "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
+
+    def mu_phi(self, phi, grid):
+        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        return g - self.kappa_phi_phi * grid.dx2(phi)
+
+    def solve_pressure(self, fields, grid):
+        phi = fields["phi"]
+        mu = self.mu_phi(phi, grid)
+        Pi = _antiderivative_mean_free(-phi * grid.dx1(mu), grid)
+        return Pi, mu
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
+        mu = self.mu_phi(phi, grid)
+        eta, nu = self._viscosity_fields(phi)
+        _, fy = _viscous_terms(grid, vx, vy, eta, nu)
+        out = {
+            "phi": -grid.dx1(phi * vx) + self.M11 / self.rho_hat**2 * grid.dx2(mu),
+            # x-momentum balances against the pressure gradient: vx stays uniform
+            "vx": np.zeros_like(vx),
+            "vy": (-self.rho_hat * vx * grid.dx1(vy) + fy) / self.rho_hat,
+        }
+        if return_aux:
+            Pi, _ = self.solve_pressure(fields, grid)
+            return out, {"Pi": Pi, "mu_phi": mu}
+        return out
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(self.density(fields["phi"]))
+
+    def total_energy(self, fields, grid) -> float:
+        phi = fields["phi"]
+        kin = 0.5 * self.rho_hat * (fields["vx"] ** 2 + fields["vy"] ** 2)
+        bulk = self.free_energy.value(phi[..., None], pointwise=True)
+        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
+        return grid.integrate(kin + bulk + grad)
+
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
+        mu = self.mu_phi(phi, grid)
+        eta, nu = self._viscosity_fields(phi)
+        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
+        mob = self.M11 / self.rho_hat**2 * grid.dx1(mu) ** 2
+        return -grid.integrate(visc + mob)
+
+    def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
+        hpp = float(self.free_energy.hessian(np.array([state.phi]))[0, 0])
+        return PhaseFieldLinearization(
+            h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
+            rho_hat_1=self.rho_hat, rho_hat_2=self.rho_hat,
+            rho0=self.rho_hat, M11=self.M11,
+            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+        )
+
+
+# ---------------------------------------------------------------------------
+# Elliptic helpers (periodic, spectral)
+# ---------------------------------------------------------------------------
+
+
+def _poisson_mean_free(rhs, grid):
+    """Solve d2 u / dx2 = rhs - mean(rhs), zero-mean solution."""
+    rh = np.fft.rfft(rhs)
+    k = grid.wavenumbers
+    uh = np.zeros_like(rh)
+    uh[1:] = -rh[1:] / k[1:] ** 2
+    return np.fft.irfft(uh, n=grid.n)
+
+
+def _antiderivative_mean_free(f, grid):
+    """Solve du/dx = f - mean(f), zero-mean solution."""
+    fh = np.fft.rfft(f)
+    k = grid.wavenumbers
+    uh = np.zeros_like(fh)
+    uh[1:] = fh[1:] / (1j * k[1:])
+    return np.fft.irfft(uh, n=grid.n)
+
+
+# ---------------------------------------------------------------------------
+# Module-level operations
+# ---------------------------------------------------------------------------
+
+
+def rhs_1d(model, fields, grid, return_aux=False):
+    return model.rhs_1d(fields, grid, return_aux=return_aux)
+
+
+def total_energy(model, fields, grid) -> float:
+    return model.total_energy(fields, grid)
+
+
+def energy_dissipation_rate(model, fields, grid) -> float:
+    return model.energy_dissipation_rate(fields, grid)
+
+
+def total_mass(model, fields, grid) -> float:
+    return model.total_mass(fields, grid)
+
+
+# ---------------------------------------------------------------------------
+# Nondimensionalization
+# ---------------------------------------------------------------------------
+
+
+class ScaledFreeEnergy(BulkFreeEnergy):
+    """h_scaled(x) = h(rho0 * x) / E0 for dimensionless evaluation."""
+
+    def __init__(self, base: BulkFreeEnergy, rho0: float, energy_density: float):
+        self.base = base
+        self.rho0 = float(rho0)
+        self.E0 = float(energy_density)
+        self.variables = base.variables
+
+    def domain_violation(self, rho):
+        return self.base.domain_violation(np.asarray(rho, dtype=float) * self.rho0)
+
+    def _value(self, rho):
+        return self.base._value(rho * self.rho0) / self.E0
+
+    def _gradient(self, rho):
+        return self.base._gradient(rho * self.rho0) * (self.rho0 / self.E0)
+
+    def _hessian(self, rho):
+        return self.base._hessian(rho * self.rho0) * (self.rho0**2 / self.E0)
+
+
+@dataclass(frozen=True)
+class DimensionalParameters:
+    """Dimensional inputs of a binary model prior to scaling."""
+
+    eta: float
+    nu: float
+    mobility: np.ndarray            # 2x2 (or [[M11]] for the local class)
+    kappa: GradientCoefficients
+    free_energy: Optional[BulkFreeEnergy] = None
+
+
+@dataclass(frozen=True)
+class NondimensionalizationRecord:
+    """The scale factors applied; dimensionless = dimensional / factor."""
+
+    mobility: float
+    inv_Re: float                   # eta_dimless = eta * t0 / (rho0 l0^2)
+    kappa: float
+    chemical_potential: float       # mu_dimless = mu * t0^2 / l0^2
+    energy_density: float
+
+
+def _record(scales: ScaleSet) -> NondimensionalizationRecord:
+    E0 = scales.energy_density
+    return NondimensionalizationRecord(
+        mobility=scales.t0 * scales.rho0,
+        inv_Re=scales.rho0 * scales.l0**2 / scales.t0,
+        kappa=E0 * scales.l0**2 / scales.rho0**2,
+        chemical_potential=scales.l0**2 / scales.t0**2,
+        energy_density=E0,
+    )
+
+
+def nondimensionalize(params: DimensionalParameters, scales: ScaleSet):
+    """Scale dimensional parameters; returns (scaled parameters, record)."""
+    rec = _record(scales)
+    fe = None if params.free_energy is None else ScaledFreeEnergy(
+        params.free_energy, scales.rho0, rec.energy_density)
+    scaled = DimensionalParameters(
+        eta=params.eta / rec.inv_Re,
+        nu=params.nu / rec.inv_Re,
+        mobility=np.asarray(params.mobility, dtype=float) / rec.mobility,
+        kappa=GradientCoefficients(params.kappa.kappa / rec.kappa),
+        free_energy=fe,
+    )
+    return scaled, rec
+
+
+def redimensionalize(scaled: DimensionalParameters, scales: ScaleSet):
+    """Algebraic inverse of :func:`nondimensionalize` (parameters only)."""
+    rec = _record(scales)
+    base = scaled.free_energy.base if isinstance(scaled.free_energy,
+                                                 ScaledFreeEnergy) else scaled.free_energy
+    return DimensionalParameters(
+        eta=scaled.eta * rec.inv_Re,
+        nu=scaled.nu * rec.inv_Re,
+        mobility=np.asarray(scaled.mobility, dtype=float) * rec.mobility,
+        kappa=GradientCoefficients(scaled.kappa.kappa * rec.kappa),
+        free_energy=base,
+    )
+
+
+# ---------------------------------------------------------------------------
+# N-component generalization (structural)
+# ---------------------------------------------------------------------------
+
+
+def n_component_local_mobility(block: np.ndarray) -> np.ndarray:
+    """Extend an (N-1)x(N-1) mobility block to the NxN matrix with zero row
+    sums: M_iN = M_Ni = -sum_j M_ij, M_NN = sum_ij M_ij."""
+    B = np.atleast_2d(np.asarray(block, dtype=float))
+    n1 = B.shape[0]
+    M = np.zeros((n1 + 1, n1 + 1))
+    M[:n1, :n1] = B
+    M[:n1, n1] = -B.sum(axis=1)
+    M[n1, :n1] = -B.sum(axis=0)
+    M[n1, n1] = B.sum()
+    return M
+
+
+@dataclass(frozen=True)
+class NComponentModel:
+    """N-component compressible mixture with a shared velocity.
+
+    Exposes chemical potentials, the local-conservation constraint residual
+    and the dissipation functional for arbitrary N; transient stepping is
+    provided only through the binary classes.
+    """
+
+    n_components: int
+    free_energy: BulkFreeEnergy            # variables (rho1..rhoN)
+    kappa: GradientCoefficients            # NxN
+    mobility: np.ndarray                   # NxN symmetric PSD
+    inv_Re_s: float
+    inv_Re_v: float
+
+    field_names = None  # densities + momenta, built on demand
+
+    def __post_init__(self):
+        if self.n_components < 2:
+            raise ShapeError("need at least two components")
+        M = np.atleast_2d(np.asarray(self.mobility, dtype=float))
+        if M.shape != (self.n_components, self.n_components):
+            raise ShapeError("mobility shape does not match component count")
+        rep = mobility_check(M)
+        if not rep.psd:
+            raise RangeError("mobility must be positive semi-definite")
+        if self.kappa.n != self.n_components:
+            raise ShapeError("kappa shape does not match component count")
+        if self.free_energy.nvar != self.n_components:
+            raise ShapeError("free energy variable count mismatch")
+        object.__setattr__(self, "mobility", M)
+
+    def require_local_conservation(self):
+        rep = mobility_check(self.mobility)
+        if not rep.zero_row_sums:
+            raise ConstraintError(
+                "local mass conservation requires zero mobility row sums; "
+                f"got row sums {rep.row_sums}")
+
+    def chemical_potential_fields(self, densities, grid):
+        return chemical_potentials(self.free_energy, self.kappa, densities, grid).mu
+
+    def density_fluxes(self, densities, grid):
+        mu = self.chemical_potential_fields(densities, grid)
+        lap = np.stack([grid.dx2(m) for m in mu])
+        return np.tensordot(self.mobility, lap, axes=(1, 0)), mu
+
+    def constraint_residual(self, densities, grid) -> float:
+        """Max-norm of sum_i sum_j div(M_ij grad mu_j)."""
+        J, _ = self.density_fluxes(densities, grid)
+        return float(np.max(np.abs(J.sum(axis=0))))
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        names = [f"rho{i + 1}" for i in range(self.n_components)]
+        dens = np.stack([fields[k] for k in names])
+        rho = dens.sum(axis=0)
+        vx, vy = fields["mx"] / rho, fields["my"] / rho
+        J, mu = self.density_fluxes(dens, grid)
+        fx, fy = _viscous_terms(grid, vx, vy, self.inv_Re_s, self.inv_Re_v)
+        elastic = sum(dens[i] * grid.dx1(mu[i]) for i in range(self.n_components))
+        Jsum = J.sum(axis=0)
+        out = {names[i]: -grid.dx1(dens[i] * vx) + J[i]
+               for i in range(self.n_components)}
+        out["mx"] = -grid.dx1(fields["mx"] * vx) + 0.5 * Jsum * vx + fx - elastic
+        out["my"] = -grid.dx1(fields["my"] * vx) + 0.5 * Jsum * vy + fy
+        if return_aux:
+            return out, {"mu": mu, "J": J}
+        return out
+
+    def dissipation_rate(self, densities, velocity_x, velocity_y, grid) -> float:
+        _, mu = self.density_fluxes(densities, grid)
+        dmu = np.stack([grid.dx1(m) for m in mu])
+        mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
+        visc = (2.0 * self.inv_Re_s + self.inv_Re_v) * grid.dx1(velocity_x) ** 2 \
+            + self.inv_Re_s * grid.dx1(velocity_y) ** 2
+        return -grid.integrate(visc + mob)
+
+
+def assemble_n_component(n_components: int, free_energy: BulkFreeEnergy,
+                         mobility, inv_Re_s: float, inv_Re_v: float,
+                         kappa: Optional[GradientCoefficients] = None,
+                         require_local_conservation: bool = False) -> NComponentModel:
+    """Build the N-component model object; see :class:`NComponentModel`."""
+    if kappa is None:
+        kappa = GradientCoefficients(np.zeros((n_components, n_components)))
+    model = NComponentModel(
+        n_components=n_components, free_energy=free_energy, kappa=kappa,
+        mobility=np.asarray(mobility, dtype=float),
+        inv_Re_s=inv_Re_s, inv_Re_v=inv_Re_v)
+    if require_local_conservation:
+        model.require_local_conservation()
+    return model

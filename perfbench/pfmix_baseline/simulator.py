@@ -1,0 +1,394 @@
+"""1D periodic transient solver for the binary models.
+
+Used to verify dispersion predictions, mass conservation and the energy
+dissipation inequality independently of the linear analysis.  Explicit RK4
+is the default integrator; a first-order semi-implicit scheme (stiff linear
+terms integrated in Fourier space) is available for stiff parameter sets.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import BlowupError, DomainError, FitError, RangeError
+from .grid import PeriodicGrid1D
+from .models import (
+    CompressibleGlobal,
+    CompressibleLocal,
+    Incompressible,
+    MixtureState,
+    QuasiIncompressible,
+    total_energy,
+    total_mass,
+)
+from . import dispersion
+
+DEFAULT_DT_SAFETY = 0.2
+
+
+@dataclass(frozen=True)
+class Perturbation:
+    """One seeded Fourier mode: field += Re(amplitude * exp(i k_m x)).
+
+    Velocity perturbations are specified on vx/vy even for the classes that
+    evolve momenta; the initializer converts them.
+    """
+
+    field: str
+    mode: int
+    amplitude: complex
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    model: object
+    state: MixtureState
+    length: float
+    n: int
+    dt: float
+    t_end: float
+    integrator: str = "rk4"                  # "rk4" | "semi_implicit"
+    diagnostics_every: int = 10
+    perturbations: tuple = ()
+    track: tuple = ()                        # (field, mode) pairs to record
+    enforce_dt_guard: bool = True
+    snapshot_every: int = 0                  # 0 disables field snapshots
+
+    def __post_init__(self):
+        if self.n & (self.n - 1):
+            raise RangeError("cell count must be a power of two")
+        if self.dt <= 0 or self.t_end <= 0:
+            raise RangeError("dt and t_end must be positive")
+        if self.integrator not in ("rk4", "semi_implicit"):
+            raise RangeError(f"unknown integrator {self.integrator!r}")
+        if self.diagnostics_every < 1:
+            raise RangeError("diagnostics cadence must be >= 1")
+
+
+@dataclass
+class SimulationTrace:
+    """Diagnostics time series of one run."""
+
+    times: np.ndarray
+    mass: np.ndarray
+    energy: np.ndarray
+    dissipation: np.ndarray
+    amplitudes: dict                    # (field, mode) -> complex array
+    final_fields: dict
+    grid: PeriodicGrid1D
+    config: SimulationConfig
+    snapshots: tuple = ()               # (step, fields dict) pairs
+
+
+RK4_REAL_AXIS = 2.5   # conservative RK4 stability radius on the negative real axis
+RK4_IMAG_AXIS = 2.5
+
+
+def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
+                       safety: float = DEFAULT_DT_SAFETY) -> float:
+    """Explicit step bound from the viscous, mobility-stiffness and acoustic
+    eigenvalue magnitudes at the spectral cutoff k_max = pi/dx."""
+    kmax = np.pi / grid.dx
+    lin = model.linearization(state)
+    rates = []
+    if lin.inv_Re > 0:
+        rates.append(RK4_REAL_AXIS / (lin.inv_Re / lin.rho0 * kmax**2))
+    if isinstance(model, (CompressibleGlobal, CompressibleLocal)):
+        kap = float(np.max(np.abs(lin.K)))
+        mob = float(np.max(np.abs(lin.M))) if lin.M is not None else lin.M11
+        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(lin.C))) * kmax**2)
+        if stiff > 0:
+            rates.append(RK4_REAL_AXIS / stiff)
+        pCp = float(lin.p @ lin.C @ lin.p)
+        if pCp > 0:
+            rates.append(RK4_IMAG_AXIS / (np.sqrt(pCp / lin.rho0) * kmax))
+    else:
+        Mh = lin.M11 / lin.rho_hat_1**2
+        stiff = Mh * (lin.kappa_phi_phi * kmax**4 + abs(lin.h_phi_phi) * kmax**2)
+        if stiff > 0:
+            rates.append(RK4_REAL_AXIS / stiff)
+    if not rates:
+        return np.inf
+    return safety * min(rates)
+
+
+# ---------------------------------------------------------------------------
+# Initialization and eigenvector seeding
+# ---------------------------------------------------------------------------
+
+_VECTOR_FIELDS = {
+    CompressibleGlobal: ("rho1", "rho2", "vx", "vy"),
+    CompressibleLocal: ("rho", "rho1", "vx", "vy"),
+    QuasiIncompressible: ("Pi", "phi", "vx", "vy"),
+    Incompressible: ("Pi", "phi", "vx", "vy"),
+}
+
+
+def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
+                              mode: int, amplitude: float,
+                              track_name: str = None) -> tuple:
+    """Perturbations aligned with one dispersion eigenvector so a single
+    growth rate is excited.
+
+    ``track_name`` selects the mode by its asymptotic name (e.g. "alpha1");
+    default is the least damped root.
+    """
+    k = grid.mode_wavenumber(mode)
+    gr = dispersion.growth_rates(model, state, k)
+    if track_name is None:
+        idx = 0
+    else:
+        small = dispersion.asymptotic_small_k(model, state)
+        pred = small.mode(track_name).evaluate(k)
+        idx = int(np.argmin(np.abs(gr.alphas - pred)))
+    vec = gr.vectors[:, idx]
+    names = _VECTOR_FIELDS[type(model)]
+    comp = {n: vec[i] for i, n in enumerate(names) if n != "Pi"}
+    scale = amplitude / max(abs(v) for v in comp.values())
+    return tuple(
+        Perturbation(field=n, mode=mode, amplitude=scale * v)
+        for n, v in comp.items() if abs(v) > 0.0
+    ), gr.alphas[idx]
+
+
+def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
+    model, state = config.model, config.state
+    fields = model.uniform_fields(state, grid)
+    velocity_like = {"vx", "vy"}
+    bumps = {}
+    for p in config.perturbations:
+        wave = (p.amplitude * np.exp(1j * grid.mode_wavenumber(p.mode) * grid.x)).real
+        bumps[p.field] = bumps.get(p.field, 0.0) + wave
+    conservative = isinstance(model, (CompressibleGlobal, CompressibleLocal))
+    for name, bump in bumps.items():
+        if name in velocity_like and conservative:
+            continue
+        if name not in fields:
+            raise RangeError(f"unknown field {name!r} for {type(model).__name__}")
+        fields[name] = fields[name] + bump
+    if conservative:
+        rho = fields["rho1"] + fields["rho2"] if "rho2" in fields else fields["rho"]
+        fields["mx"] = rho * bumps.get("vx", np.zeros(grid.n))
+        fields["my"] = rho * bumps.get("vy", np.zeros(grid.n))
+    _check_in_domain(model, fields, step=None)
+    return fields
+
+
+def _check_in_domain(model, fields, step):
+    for v in fields.values():
+        if not np.all(np.isfinite(v)):
+            raise BlowupError("non-finite field value", step=step)
+    try:
+        if isinstance(model, CompressibleGlobal):
+            model.free_energy.check_domain(
+                np.stack([fields["rho1"], fields["rho2"]], axis=-1), pointwise=True)
+        elif isinstance(model, CompressibleLocal):
+            model.free_energy.check_domain(
+                np.stack([fields["rho1"], fields["rho"]], axis=-1), pointwise=True)
+        else:
+            model.free_energy.check_domain(fields["phi"][..., None], pointwise=True)
+    except DomainError as exc:
+        raise BlowupError(f"field left the free-energy domain: {exc}",
+                          step=step) from exc
+
+
+# ---------------------------------------------------------------------------
+# Time steppers
+# ---------------------------------------------------------------------------
+
+
+def _rk4_step(model, fields, grid, dt):
+    k1 = model.rhs_1d(fields, grid)
+    f2 = {n: fields[n] + 0.5 * dt * k1[n] for n in fields}
+    k2 = model.rhs_1d(f2, grid)
+    f3 = {n: fields[n] + 0.5 * dt * k2[n] for n in fields}
+    k3 = model.rhs_1d(f3, grid)
+    f4 = {n: fields[n] + dt * k3[n] for n in fields}
+    k4 = model.rhs_1d(f4, grid)
+    return {
+        n: fields[n] + dt / 6.0 * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
+        for n in fields
+    }
+
+
+def _stiff_spectra(model, state, grid):
+    """Diagonal (Fourier) symbols of the stiffest linear operators,
+    frozen at the background state, per field."""
+    k2 = grid.wavenumbers**2
+    k4 = k2 * k2
+    lin = model.linearization(state)
+    spectra = {}
+    if isinstance(model, CompressibleGlobal):
+        Kd = np.diag(lin.K)
+        Md = np.diag(lin.M)
+        spectra["rho1"] = Md[0] * (lin.K[0, 0] * k4 + max(lin.C[0, 0], 0.0) * k2)
+        spectra["rho2"] = Md[1] * (lin.K[1, 1] * k4 + max(lin.C[1, 1], 0.0) * k2)
+        spectra["mx"] = lin.inv_Re * k2 / 1.0
+        spectra["my"] = lin.inv_Re_s * k2
+    elif isinstance(model, CompressibleLocal):
+        spectra["rho"] = np.zeros_like(k2)
+        spectra["rho1"] = lin.M11 * (lin.K[1, 1] * k4 + max(lin.C[1, 1], 0.0) * k2)
+        spectra["mx"] = lin.inv_Re * k2
+        spectra["my"] = lin.inv_Re_s * k2
+    else:
+        Mh = lin.M11 / lin.rho_hat_1**2
+        spectra["phi"] = Mh * (lin.kappa_phi_phi * k4 + max(lin.h_phi_phi, 0.0) * k2)
+        spectra["vx"] = lin.inv_Re * k2 / lin.rho0
+        spectra["vy"] = lin.inv_Re_s * k2 / lin.rho0
+    return spectra
+
+
+def _semi_implicit_step(model, fields, grid, dt, spectra):
+    rhs = model.rhs_1d(fields, grid)
+    out = {}
+    for n, f in fields.items():
+        L = spectra.get(n)
+        if L is None:
+            out[n] = f + dt * rhs[n]
+            continue
+        fh = np.fft.rfft(f)
+        # d/dt u = -L u + N(u);  N = rhs + L u evaluated explicitly
+        nh = np.fft.rfft(rhs[n]) + L * fh
+        out[n] = np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Runner
+# ---------------------------------------------------------------------------
+
+
+def run(config: SimulationConfig) -> SimulationTrace:
+    """Time-step the model, recording diagnostics at the configured cadence.
+
+    Aborts with :class:`BlowupError` (carrying the step index) if any field
+    leaves the free-energy domain or turns non-finite.
+    """
+    model = config.model
+    grid = PeriodicGrid1D(config.length, config.n)
+    if config.enforce_dt_guard:
+        guard = stable_dt_estimate(model, config.state, grid)
+        if config.dt > guard:
+            raise RangeError(
+                f"dt={config.dt:g} exceeds the stability guard {guard:g}; "
+                "reduce dt or set enforce_dt_guard=False")
+    fields = initial_fields(config, grid)
+    n_steps = int(round(config.t_end / config.dt))
+    spectra = None
+    if config.integrator == "semi_implicit":
+        spectra = _stiff_spectra(model, config.state, grid)
+
+    times, masses, energies, dissipations = [], [], [], []
+    amplitudes = {pair: [] for pair in config.track}
+    snapshots = []
+
+    def record(t):
+        times.append(t)
+        masses.append(total_mass(model, fields, grid))
+        energies.append(total_energy(model, fields, grid))
+        dissipations.append(model.energy_dissipation_rate(fields, grid))
+        for fname, mode in config.track:
+            amplitudes[(fname, mode)].append(
+                grid.mode_amplitude(_observable(model, fields, fname), mode))
+
+    def snapshot(step):
+        if config.snapshot_every > 0 and step % config.snapshot_every == 0:
+            snapshots.append((step, {k: v.copy() for k, v in fields.items()}))
+
+    record(0.0)
+    snapshot(0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, n_steps + 1):
+            try:
+                if config.integrator == "rk4":
+                    fields = _rk4_step(model, fields, grid, config.dt)
+                else:
+                    fields = _semi_implicit_step(model, fields, grid, config.dt,
+                                                 spectra)
+            except DomainError as exc:
+                err = BlowupError(f"field left the free-energy domain: {exc}",
+                                  step=step)
+                err.fields = fields  # state dump for post-mortem inspection
+                raise err from exc
+            if step % config.diagnostics_every == 0 or step == n_steps:
+                try:
+                    _check_in_domain(model, fields, step)
+                except BlowupError as err:
+                    err.fields = fields
+                    raise
+                record(step * config.dt)
+            snapshot(step)
+    return SimulationTrace(
+        times=np.array(times), mass=np.array(masses), energy=np.array(energies),
+        dissipation=np.array(dissipations),
+        amplitudes={k: np.array(v) for k, v in amplitudes.items()},
+        final_fields=fields, grid=grid, config=config,
+        snapshots=tuple(snapshots))
+
+
+def _observable(model, fields, name):
+    """Velocity observables for conservative classes divide out the density."""
+    if name in fields:
+        return fields[name]
+    if name in ("vx", "vy"):
+        rho = fields["rho"] if "rho" in fields else fields["rho1"] + fields["rho2"]
+        return fields["m" + name[1]] / rho
+    raise RangeError(f"unknown observable {name!r}")
+
+
+# ---------------------------------------------------------------------------
+# Growth-rate extraction
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GrowthFit:
+    alpha: complex
+    residual: float
+    window: tuple          # (t_start, t_end) actually used
+    n_samples: int
+
+
+def extract_growth_rate(trace: SimulationTrace, field: str, mode: int,
+                        skip_fraction: float = 0.1,
+                        max_residual: float = 0.05) -> GrowthFit:
+    """Least-squares fit of log|amplitude| (growth) and unwrapped phase
+    (frequency) over a window that discards the initial transient and spans
+    at most one decade of amplitude change.
+
+    Raises :class:`FitError` on excessive residual or underflowed amplitude.
+    """
+    key = (field, mode)
+    if key not in trace.amplitudes:
+        raise FitError(f"mode {key} was not tracked")
+    amp = trace.amplitudes[key]
+    t = trace.times
+    if len(t) < 20:
+        raise FitError("need at least 20 diagnostic samples")
+    start = int(len(t) * skip_fraction)
+    a = amp[start:]
+    tt = t[start:]
+    mag = np.abs(a)
+    if np.any(mag < 1e-250):
+        raise FitError("amplitude underflowed")
+    # stop after one decade of growth/decay to stay in a clean window
+    change = np.abs(np.log10(mag / mag[0]))
+    idx = np.nonzero(change > 1.0)[0]
+    stop = idx[0] + 1 if idx.size else len(tt)
+    if stop < 20:
+        stop = min(len(tt), 20)
+    tt, a, mag = tt[:stop], a[:stop], mag[:stop]
+    A = np.vstack([tt, np.ones_like(tt)]).T
+    logmag = np.log(mag)
+    coef_r, res_r, *_ = np.linalg.lstsq(A, logmag, rcond=None)
+    phase = np.unwrap(np.angle(a))
+    coef_i, _, *_ = np.linalg.lstsq(A, phase, rcond=None)
+    fit = A @ coef_r
+    denom = max(np.max(logmag) - np.min(logmag), 1e-3)
+    residual = float(np.sqrt(np.mean((logmag - fit) ** 2)) / denom)
+    if residual > max_residual:
+        raise FitError(f"fit residual {residual:.3g} exceeds {max_residual}")
+    return GrowthFit(alpha=complex(coef_r[0], coef_i[0]), residual=residual,
+                     window=(float(tt[0]), float(tt[-1])), n_samples=len(tt))
