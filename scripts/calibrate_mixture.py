@@ -7,7 +7,7 @@ The three reference states (total density, partial density) = (400, 2),
 compressible class with kappa_rho1_rho1 = 1e-4, kappa_rho_rho = 1.06e-4,
 kappa_rho_rho1 = 0, M11 = 1e-4:
 
-  state A (400, 2):     composition mode unstable on an interior band,
+  state A (400, 2):     composition mode unstable on a long-wave band,
                         all other modes damped, band eigenvector carried
                         purely by the partial density at the band peak;
   state B (1000, 0.025): coupled mode unstable, all other modes damped;

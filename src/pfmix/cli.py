@@ -12,7 +12,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -67,7 +66,7 @@ def _echo_config(cfg: RunConfig, outdir: str):
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     if not cfg.has_section("sweep"):
         raise ConfigError(f"{cfg.source}: sweep command needs a [sweep] section")
     model, state = build_all(cfg)
@@ -147,7 +146,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
 
 
 def _classification_line(model, state) -> str:
-    if isinstance(model, (models.QuasiIncompressible, models.Incompressible)):
+    if isinstance(model, models.PhaseFieldModel):
         edge = dispersion.spinodal_band_edge(model, state)
         if edge > 0:
             return f"spinodal band: (0, {F(edge)})"
@@ -157,9 +156,8 @@ def _classification_line(model, state) -> str:
         matrix=lin.C, definiteness=free_energy.classify_matrix(lin.C),
         det=float(np.linalg.det(lin.C)),
         quadratic_form_p=float(lin.p @ lin.C @ lin.p))
-    M = lin.M if lin.M is not None else models.local_conservation_matrix(lin.M11)
     try:
-        rep = dispersion.classify_stability(report, lin.p, M)
+        rep = dispersion.classify_stability(report, lin.p, lin.mobility)
     except PfmixError as exc:
         return f"long-wave classification unavailable: {exc}"
     verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
@@ -171,7 +169,7 @@ def _classification_line(model, state) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_concavity_map(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
     if not cfg.has_section("map"):
         raise ConfigError(f"{cfg.source}: concavity-map needs a [map] section")
     sec = cfg.sections["map"]
@@ -182,17 +180,7 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
     fe_tilde = model.free_energy
     rho1 = np.linspace(sec["rho1_min"], sec["rho1_max"], sec["n_rho1"])
     rho = np.linspace(sec["rho_min"], sec["rho_max"], sec["n_rho"])
-    if threads > 1:
-        chunks = np.array_split(np.arange(rho1.size), threads)
-        codes = np.empty((rho1.size, rho.size), dtype=int)
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futs = [(idx, ex.submit(free_energy.concavity_map, fe_tilde,
-                                    rho1[idx], rho))
-                    for idx in chunks if idx.size]
-            for idx, fut in futs:
-                codes[idx] = fut.result()
-    else:
-        codes = free_energy.concavity_map(fe_tilde, rho1, rho)
+    codes = free_energy.concavity_map(fe_tilde, rho1, rho)
     rows = []
     for i, r1 in enumerate(rho1):
         for j, r in enumerate(rho):
@@ -214,7 +202,7 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
+def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     if not cfg.has_section("simulate"):
         raise ConfigError(f"{cfg.source}: simulate needs a [simulate] section")
     sec = cfg.sections["simulate"]
@@ -296,7 +284,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str, threads: int = 1) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, outdir: str = None, threads: int = 1) -> int:
+def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
     """One-shot invariant suite on the configured model."""
     checks = []
 
@@ -325,10 +313,7 @@ def cmd_verify(cfg: RunConfig, outdir: str = None, threads: int = 1) -> int:
             lin_fe = model.free_energy
             rng = np.random.default_rng(0)
             worst = 0.0
-            if isinstance(model, (models.QuasiIncompressible, models.Incompressible)):
-                base = np.array([state.phi])
-            else:
-                base = model.state_densities(state)
+            base = model.state_densities(state)
             for _ in range(25):
                 x = base * rng.uniform(0.8, 1.2, size=base.shape)
                 if not lin_fe.in_domain(x):
@@ -431,18 +416,18 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
+        # accepted for compatibility; every command runs single-threaded
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--format", choices=["csv"], default="csv")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, args.threads)
+            return cmd_sweep(cfg, args.out)
         if args.command == "concavity-map":
-            return cmd_concavity_map(cfg, args.out, args.threads)
+            return cmd_concavity_map(cfg, args.out)
         if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.threads)
-        return cmd_verify(cfg, args.out, args.threads)
+            return cmd_simulate(cfg, args.out)
+        return cmd_verify(cfg, args.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

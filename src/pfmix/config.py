@@ -297,12 +297,11 @@ def build_model(cfg: RunConfig):
             inv_Re_s=inv_s, inv_Re_v=inv_v)
     bulk, kphi = built
     (m11,) = _need(cfg, "model", ["m11"])
+    rh1, rh2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
     if cls == "quasi_incompressible":
-        rh1, rh2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
         return models.QuasiIncompressible(
             free_energy=bulk, kappa_phi_phi=kphi, M11=m11,
             inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat_1=rh1, rho_hat_2=rh2)
-    rh1, rh2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
     if rh1 != rh2:
         raise ConfigError(
             f"{cfg.source}: incompressible class needs rho_hat_1 == rho_hat_2")
@@ -311,13 +310,14 @@ def build_model(cfg: RunConfig):
         inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat=rh1)
 
 
-def build_state(cfg: RunConfig, model) -> models.MixtureState:
+def build_state(cfg: RunConfig) -> models.MixtureState:
     sec = cfg.sections["state"]
-    if isinstance(model, models.CompressibleGlobal):
+    cls = cfg.sections["model"]["class"]
+    if cls == "compressible_global":
         if sec.get("rho1_0") is None or sec.get("rho2_0") is None:
             raise ConfigError(f"{cfg.source}: [state] needs rho1_0 and rho2_0")
         return models.MixtureState.binary(sec["rho1_0"], sec["rho2_0"])
-    if isinstance(model, models.CompressibleLocal):
+    if cls == "compressible_local":
         if sec.get("rho0") is None or sec.get("rho1_0") is None:
             raise ConfigError(f"{cfg.source}: [state] needs rho0 and rho1_0")
         return models.MixtureState.total_partial(sec["rho0"], sec["rho1_0"])
@@ -328,5 +328,5 @@ def build_state(cfg: RunConfig, model) -> models.MixtureState:
 
 def build_all(cfg: RunConfig):
     model = build_model(cfg)
-    state = build_state(cfg, model)
+    state = build_state(cfg)
     return model, state

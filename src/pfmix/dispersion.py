@@ -1,56 +1,35 @@
 """Linear stability engine.
 
-Assembles the 4x4 dispersion pencils of the linearized models about a
-constant state, extracts complex growth rates and eigenvectors per
-wavenumber, evaluates closed-form and asymptotic growth-rate formulas, and
-classifies long-wave stability from the bulk-energy Hessian.
-
-All pencils use the variable ordering of the linearized systems:
-
-* compressible, global conservation:  (rho1, rho2, vx, vy)
-* compressible, local conservation:   (rho, rho1, vx, vy)
-* quasi-incompressible:               (Pi, phi, vx, vy)
-* incompressible:                     (Pi, phi, vx, vy)
-
-so a perturbation growing purely in the partial density appears as the
-eigenvector (0, 1, 0, 0).
+Extracts complex growth rates and eigenvectors per wavenumber from the
+dispersion pencil of a model's linearization about a constant state, tracks
+them over wavenumber sweeps, bisects unstable bands, evaluates closed-form
+and asymptotic growth-rate formulas, and classifies long-wave stability from
+the bulk-energy Hessian.  Everything class-specific (pencil, variable order,
+reduced polynomial, expansions) lives on the linearization object returned
+by ``model.linearization(state)``; see :mod:`pfmix.linearization`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
+from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
     DegenerateCase,
     NumericalError,
     RangeError,
     SingularExpansion,
 )
 from .free_energy import Definiteness, HessianReport
-from .models import (
-    BinaryLinearization,
-    CompressibleGlobal,
-    CompressibleLocal,
-    Incompressible,
-    MixtureState,
-    PhaseFieldLinearization,
-    QuasiIncompressible,
-)
+from .linearization import DEGENERATE_TOL, AsymptoticCoefficients, DispersionPencil
+from .models import MixtureState, QuasiIncompressible
 
 EIG_RESIDUAL_TOL = 1e-8
-DEGENERATE_TOL = 1e-12
 TRACK_GAP_TOL = 1e-12
-
-
-class ModeLabel(Enum):
-    VISCOUS = "viscous"
-    THERMODYNAMIC = "thermodynamic"
-    COUPLED = "coupled"
 
 
 # ---------------------------------------------------------------------------
@@ -58,108 +37,9 @@ class ModeLabel(Enum):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DispersionPencil:
-    """Matrix pencil alpha*B + A(k) whose determinant is the dispersion
-    equation of the linearized system."""
-
-    A: np.ndarray
-    B: np.ndarray
-    k: float
-    n_finite_roots: int
-
-    def matrix(self, alpha: complex) -> np.ndarray:
-        return alpha * self.B + self.A
-
-    def determinant(self, alpha: complex) -> complex:
-        return complex(np.linalg.det(self.matrix(alpha)))
-
-    def determinant_coefficients(self, scale: float = None) -> np.ndarray:
-        """Coefficients c[j] of det(alpha B + A) = sum_j c[j] alpha^j,
-        extracted by exact polynomial interpolation on a circle of radius
-        ``scale`` (the balancing radius; pick it near the root magnitudes
-        for well-conditioned extraction)."""
-        deg = self.A.shape[0]
-        if scale is None:
-            scale = max(1.0, np.linalg.norm(self.A)
-                        / max(np.linalg.norm(self.B), 1e-300))
-        nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-        vals = np.array([self.determinant(scale * b) for b in nodes])
-        # unit-circle Vandermonde is perfectly conditioned
-        V = np.vander(nodes, deg + 1, increasing=True)
-        balanced = np.linalg.solve(V, vals)          # c_j * scale^j
-        return balanced / scale ** np.arange(deg + 1)
-
-
-def _d_matrix(lin: BinaryLinearization, k: float) -> np.ndarray:
-    return lin.C + k * k * lin.K
-
-
 def assemble_pencil(model, state: MixtureState, k: float) -> DispersionPencil:
     """Pencil of the model class linearized about ``state`` at wavenumber k."""
-    lin = model.linearization(state)
-    if isinstance(model, CompressibleGlobal):
-        D = _d_matrix(lin, k)
-        M = lin.M
-        p = lin.p
-        A = np.zeros((4, 4), dtype=complex)
-        MD = M @ D
-        A[0, 0], A[0, 1] = k * k * MD[0, 0], k * k * MD[0, 1]
-        A[1, 0], A[1, 1] = k * k * MD[1, 0], k * k * MD[1, 1]
-        A[0, 2] = 1j * p[0] * k
-        A[1, 2] = 1j * p[1] * k
-        A[2, 0] = 1j * k * (p[0] * D[0, 0] + p[1] * D[0, 1])
-        A[2, 1] = 1j * k * (p[1] * D[1, 1] + p[0] * D[0, 1])
-        A[2, 2] = lin.inv_Re * k * k
-        A[3, 3] = lin.inv_Re_s * k * k
-        B = np.diag([1.0, 1.0, lin.rho0, lin.rho0]).astype(complex)
-        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=4)
-    if isinstance(model, CompressibleLocal):
-        D = _d_matrix(lin, k)  # (rho, rho1) ordering
-        p = lin.p              # (rho0, rho1_0)
-        M11 = lin.M11
-        A = np.zeros((4, 4), dtype=complex)
-        A[0, 2] = 1j * p[0] * k
-        A[1, 0] = k * k * M11 * D[0, 1]
-        A[1, 1] = k * k * M11 * D[1, 1]
-        A[1, 2] = 1j * p[1] * k
-        A[2, 0] = 1j * k * (p[1] * D[0, 1] + p[0] * D[0, 0])
-        A[2, 1] = 1j * k * (p[1] * D[1, 1] + p[0] * D[0, 1])
-        A[2, 2] = lin.inv_Re * k * k
-        A[3, 3] = lin.inv_Re_s * k * k
-        B = np.diag([1.0, 1.0, lin.rho0, lin.rho0]).astype(complex)
-        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=4)
-    if isinstance(model, (QuasiIncompressible, Incompressible)):
-        lin: PhaseFieldLinearization
-        r = lin.rho_hat_1 / lin.rho_hat_2
-        Mh = lin.M11 / lin.rho_hat_1**2
-        Dphi = lin.h_phi_phi + k * k * lin.kappa_phi_phi
-        A = np.zeros((4, 4), dtype=complex)
-        B = np.zeros((4, 4), dtype=complex)
-        incompressible = isinstance(model, Incompressible) or abs(1.0 - r) == 0.0
-        # row 0: mass conservation / divergence constraint
-        if incompressible:
-            A[0, 2] = 1j * k
-            n_roots = 2
-        else:
-            B[0, 1] = -(1.0 - r)
-            A[0, 2] = 1j * k * (1.0 - lin.phi0 * (1.0 - r))
-            n_roots = 3
-        # row 1: phase transport
-        A[1, 0] = Mh * k * k * (1.0 - r)
-        A[1, 1] = Mh * k * k * Dphi
-        A[1, 2] = 1j * k * lin.phi0
-        B[1, 1] = 1.0
-        # row 2: longitudinal momentum
-        A[2, 0] = 1j * k
-        A[2, 1] = 1j * k * lin.phi0 * Dphi
-        A[2, 2] = lin.inv_Re * k * k
-        B[2, 2] = lin.rho0
-        # row 3: transverse momentum
-        A[3, 3] = lin.inv_Re_s * k * k
-        B[3, 3] = lin.rho0
-        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=n_roots)
-    raise TypeError(f"unsupported model type {type(model).__name__}")
+    return model.linearization(state).pencil(k)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +93,13 @@ def _eig_pencil(pencil: DispersionPencil) -> GrowthRates:
 
 def growth_rates(model, state: MixtureState, k: float) -> GrowthRates:
     """All finite growth rates at wavenumber k, descending real part."""
+    return _growth(model.linearization(state), k)
+
+
+def _growth(lin, k: float) -> GrowthRates:
     if k <= 0:
         raise RangeError("wavenumber must be positive")
-    return _eig_pencil(assemble_pencil(model, state, k))
+    return _eig_pencil(lin.pencil(k))
 
 
 def viscous_root(model, state: MixtureState, k: float) -> float:
@@ -234,48 +118,7 @@ def scalar_dispersion_coefficients(model, state: MixtureState, k: float) -> np.n
     pencil determinant."""
     lin = model.linearization(state)
     viscous = np.array([lin.inv_Re_s * k * k, lin.rho0])
-    if isinstance(model, CompressibleGlobal):
-        D = _d_matrix(lin, k)
-        M, p, r0, iRe = lin.M, lin.p, lin.rho0, lin.inv_Re
-        MD = float(np.tensordot(M, D))
-        detM = float(np.linalg.det(M))
-        detD = float(np.linalg.det(D))
-        pDp = float(p @ D @ p)
-        g1 = float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-                   - 2.0 * M[0, 1] * p[0] * p[1])
-        cubic = np.array([
-            k**4 * (iRe * detM * k**2 + g1) * detD,
-            pDp * k**2 + iRe * MD * k**4 + r0 * detM * detD * k**4,
-            k**2 * (iRe + r0 * MD),
-            r0,
-        ])
-    elif isinstance(model, CompressibleLocal):
-        D = _d_matrix(lin, k)
-        p, r0, iRe, M11 = lin.p, lin.rho0, lin.inv_Re, lin.M11
-        detD = float(np.linalg.det(D))
-        pDp = float(p @ D @ p)
-        cubic = np.array([
-            k**4 * M11 * r0**2 * detD,
-            iRe * M11 * D[1, 1] * k**4 + pDp * k**2,
-            k**2 * (iRe + r0 * M11 * D[1, 1]),
-            r0,
-        ])
-    elif isinstance(model, (QuasiIncompressible, Incompressible)):
-        r = lin.rho_hat_1 / lin.rho_hat_2
-        Mh = lin.M11 / lin.rho_hat_1**2
-        Dphi = lin.h_phi_phi + k * k * lin.kappa_phi_phi
-        if isinstance(model, Incompressible) or r == 1.0:
-            # det(alpha B + A) = viscous * k^2 * (alpha + Mh k^2 Dphi)
-            cubic = np.array([k**2 * Mh * Dphi, 1.0]) * k**2
-        else:
-            Qbar = 1.0 - (1.0 - r) * lin.phi0
-            cubic = np.array([
-                k**4 * Mh * Dphi * Qbar**2,
-                k**2 + lin.inv_Re * Mh * (1.0 - r) ** 2 * k**4,
-                lin.rho0 * Mh * (1.0 - r) ** 2 * k**2,
-            ])
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
+    cubic = lin.reduced_polynomial(k)
     return np.polymul(cubic[::-1], viscous[::-1])[::-1]
 
 
@@ -297,8 +140,11 @@ def pencil_matches_scalar(model, state: MixtureState, k: float,
     got = pencil.determinant_coefficients(scale=scale)
     powers = scale ** np.arange(size)
     got_b, want_b = got * powers, want * powers
-    got_b = got_b / got_b[np.argmax(np.abs(got_b))]
-    want_b = want_b / want_b[np.argmax(np.abs(want_b))]
+    # balancing makes the outer entries equally large, so normalize both
+    # vectors by the same entry or a tie may flip one of them
+    j = np.argmax(np.abs(want_b))
+    got_b = got_b / got_b[j]
+    want_b = want_b / want_b[j]
     err = float(np.max(np.abs(got_b - want_b)) / np.max(np.abs(want_b)))
     return err <= rtol, err
 
@@ -308,243 +154,14 @@ def pencil_matches_scalar(model, state: MixtureState, k: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeExpansion:
-    """One mode's truncated expansion alpha(k) ~ sum_j coeff_j k^power_j."""
-
-    label: ModeLabel
-    name: str
-    powers: tuple[float, ...]
-    coefficients: tuple[complex, ...]
-
-    def evaluate(self, k):
-        k = np.asarray(k, dtype=float)
-        out = np.zeros(k.shape, dtype=complex)
-        for p, c in zip(self.powers, self.coefficients):
-            out = out + c * k**p
-        return out if out.shape else complex(out)
-
-
-@dataclass(frozen=True)
-class AsymptoticCoefficients:
-    regime: str                       # "small_k" or "large_k"
-    modes: tuple[ModeExpansion, ...]
-    auxiliaries: dict = field(default_factory=dict)
-
-    def mode(self, name: str) -> ModeExpansion:
-        for m in self.modes:
-            if m.name == name:
-                return m
-        raise KeyError(name)
-
-    def flat_text(self) -> str:
-        """Flat key-value block: one `<mode>.k^<power> = re [im]` line per
-        expansion term plus the auxiliary scalars."""
-        lines = [f"regime = {self.regime}"]
-        for m in self.modes:
-            lines.append(f"{m.name}.label = {m.label.value}")
-            for p, c in zip(m.powers, m.coefficients):
-                c = complex(c)
-                val = format(c.real, ".17g")
-                if c.imag != 0.0:
-                    val += " " + format(c.imag, ".17g")
-                lines.append(f"{m.name}.k^{p:g} = {val}")
-        for key, val in sorted(self.auxiliaries.items()):
-            if isinstance(val, (int, float)):
-                lines.append(f"aux.{key} = {format(float(val), '.17g')}")
-            else:
-                lines.append(f"aux.{key} = {val}")
-        return "\n".join(lines) + "\n"
-
-
-def _binary_aux(lin: BinaryLinearization):
-    C, K, p = lin.C, lin.K, lin.p
-    pCp = float(p @ C @ p)
-    pKp = float(p @ K @ p)
-    detC = float(np.linalg.det(C))
-    detK = float(np.linalg.det(K))
-    d = float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0] - 2.0 * C[0, 1] * K[0, 1])
-    return pCp, pKp, detC, detK, d
-
-
-def _guard_denominator(value: float, scale: float, what: str):
-    if abs(value) <= DEGENERATE_TOL * max(scale, 1.0):
-        raise SingularExpansion(f"{what} vanishes within tolerance")
-
-
-def _csqrt(x: float) -> complex:
-    return complex(np.sqrt(complex(x)))
-
-
 def asymptotic_small_k(model, state: MixtureState) -> AsymptoticCoefficients:
     """Leading and subleading long-wave growth-rate coefficients."""
-    lin = model.linearization(state)
-    if isinstance(model, CompressibleGlobal):
-        C, K, M, p, r0, iRe = lin.C, lin.K, lin.M, lin.p, lin.rho0, lin.inv_Re
-        pCp, pKp, detC, detK, d = _binary_aux(lin)
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
-        g1 = float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-                   - 2.0 * M[0, 1] * p[0] * p[1])
-        detM = float(np.linalg.det(M))
-        MC = float(np.tensordot(M, C))
-        x1 = -g1 * detC / pCp
-        y1 = (-(iRe * detM * detC + d * g1) / pCp
-              - (r0 * x1**3 + x1**2 * (iRe + r0 * MC)
-                 + x1 * (r0 * detM * detC + iRe * MC + pKp)) / pCp)
-        xc = _csqrt(-pCp / r0)
-        y23 = (-iRe / (2.0 * r0)
-               - (M[0, 0] * (p[0] * C[0, 0] + p[1] * C[0, 1]) ** 2
-                  + M[1, 1] * (p[0] * C[0, 1] + p[1] * C[1, 1]) ** 2)
-               / (2.0 * pCp))
-        modes = (
-            ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-lin.inv_Re_s / r0,)),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
-        )
-        aux = {"g1": g1, "d": d, "p.C.p": pCp, "det_C": detC}
-    elif isinstance(model, CompressibleLocal):
-        C, K, p, r0, iRe, M11 = lin.C, lin.K, lin.p, lin.rho0, lin.inv_Re, lin.M11
-        pCp, pKp, detC, detK, d = _binary_aux(lin)
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
-        x0 = -M11 * r0**2 * detC / pCp
-        y1 = (-(x0**3 * r0 + x0**2 * (r0 * M11 * C[1, 1] + iRe)
-                + x0 * (pKp + C[1, 1] * M11 * iRe)) / pCp
-              - M11 * r0**2 * d / pCp)
-        xc = _csqrt(-pCp / r0)
-        y23 = (-iRe / (2.0 * r0)
-               - M11 * (p[1] * C[1, 1] + r0 * C[0, 1]) ** 2 / (2.0 * pCp))
-        modes = (
-            ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-lin.inv_Re_s / r0,)),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x0, y1)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
-        )
-        aux = {"d": d, "p.C.p": pCp, "det_C": detC, "x0": x0}
-    elif isinstance(model, (QuasiIncompressible, Incompressible)):
-        return _phase_field_asymptotics(model, lin, "small_k")
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return AsymptoticCoefficients(regime="small_k", modes=modes, auxiliaries=aux)
+    return model.linearization(state).small_k()
 
 
 def asymptotic_large_k(model, state: MixtureState) -> AsymptoticCoefficients:
     """Leading and subleading short-wave growth-rate coefficients."""
-    lin = model.linearization(state)
-    if isinstance(model, CompressibleGlobal):
-        C, K, M, p, r0, iRe = lin.C, lin.K, lin.M, lin.p, lin.rho0, lin.inv_Re
-        pCp, pKp, detC, detK, d = _binary_aux(lin)
-        g1 = float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-                   - 2.0 * M[0, 1] * p[0] * p[1])
-        detM = float(np.linalg.det(M))
-        MK = float(np.tensordot(M, K))
-        MC = float(np.tensordot(M, C))
-        # x^2 + (M:K) x + |M||K| = 0 for the two k^4 branches
-        disc = _csqrt(MK * MK - 4.0 * detM * detK)
-        x1 = (-MK + disc) / 2.0
-        x2 = (-MK - disc) / 2.0
-        ys = []
-        for x in (x1, x2):
-            den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
-            num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
-                    + x * (iRe * MK + r0 * detM * d))
-            if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
-                if abs(num) <= DEGENERATE_TOL * max(abs(r0), 1.0):
-                    ys.append(0.0)   # degenerate 0/0 branch (e.g. M = 0)
-                    continue
-                raise SingularExpansion("k^4 branch denominator vanishes")
-            ys.append(num / den)
-        x3 = -iRe / r0
-        if detM * detK != 0.0 and iRe > 0:
-            y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)
-                   + detM * iRe * d + g1 * detK) / (r0 * detM * detK)
-            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0), (x3, y3))
-        else:
-            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (x3,))
-        modes = (
-            ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-lin.inv_Re_s / r0,)),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2), (x1, ys[0])),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha2", (4, 2), (x2, ys[1])),
-            thermo3,
-        )
-        aux = {"g1": g1, "d": d, "M:K": MK, "det_M": detM, "det_K": detK}
-    elif isinstance(model, CompressibleLocal):
-        C, K, p, r0, iRe, M11 = lin.C, lin.K, lin.p, lin.rho0, lin.inv_Re, lin.M11
-        pCp, pKp, detC, detK, d = _binary_aux(lin)
-        k11 = K[1, 1]
-        if k11 <= 0:
-            raise SingularExpansion("short-wave expansion needs kappa_rho1_rho1 > 0")
-        disc = _csqrt(iRe * iRe - 4.0 * r0**3 * detK / k11)
-        xs = ((-iRe + disc) / (2.0 * r0), (-iRe - disc) / (2.0 * r0))
-        aux = {"d": d, "det_K": detK, "x23": xs}
-        if disc.imag == 0.0:
-            ys = []
-            for x in xs:
-                den = 2.0 * x * r0 * M11 * k11 + M11 * k11 * iRe
-                _guard_denominator(abs(den), max(abs(r0 * M11 * k11), 1.0),
-                                   "k^2 branch denominator")
-                ys.append(-M11 * r0**2 * d / den
-                          - (x**3 * r0 + x**2 * (r0 * M11 * C[1, 1] + iRe)
-                             + x * (M11 * C[1, 1] * iRe + pKp)) / den)
-            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2, 0),
-                                     (xs[0], ys[0])),
-                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0),
-                                     (xs[1], ys[1])))
-        else:
-            # oscillatory pair: the subleading-correction denominator
-            # 2 x rho0 + 1/Re is purely imaginary here, so the printed
-            # correction is degenerate; report the leading order only
-            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,), (xs[0],)),
-                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (xs[1],)))
-            aux["subleading"] = "omitted: oscillatory branch denominator degenerate"
-        modes = (
-            ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-lin.inv_Re_s / r0,)),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2),
-                          (-M11 * k11, -M11 * C[1, 1])),
-        ) + coupled
-    elif isinstance(model, (QuasiIncompressible, Incompressible)):
-        return _phase_field_asymptotics(model, lin, "large_k")
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    return AsymptoticCoefficients(regime="large_k", modes=modes, auxiliaries=aux)
-
-
-def _phase_field_asymptotics(model, lin: PhaseFieldLinearization, regime: str):
-    visc = ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-lin.inv_Re_s / lin.rho0,))
-    if isinstance(model, Incompressible) or lin.rho_hat_1 == lin.rho_hat_2:
-        thermo = ModeExpansion(
-            ModeLabel.THERMODYNAMIC, "alpha1", (2, 4),
-            (-lin.M11 / lin.rho_hat_2**2 * lin.h_phi_phi,
-             -lin.M11 / lin.rho_hat_1**2 * lin.kappa_phi_phi))
-        return AsymptoticCoefficients(regime=regime, modes=(visc, thermo),
-                                      auxiliaries={})
-    r = lin.rho_hat_1 / lin.rho_hat_2
-    Q = lin.phi0 - lin.rho_hat_2 / (lin.rho_hat_2 - lin.rho_hat_1)
-    Aco = 1.0 / ((1.0 - r) ** 2 * lin.M11 / lin.rho_hat_1**2)
-    iRe, r0, hpp, kpp = lin.inv_Re, lin.rho0, lin.h_phi_phi, lin.kappa_phi_phi
-    if regime == "small_k":
-        x1 = -hpp * Q * Q / Aco
-        y1 = -kpp * Q * Q / Aco + hpp * Q * Q * iRe / Aco**2 \
-            + r0 * (hpp * Q * Q) ** 2 / Aco**3
-        thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1))
-        coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (0, 2),
-                                (-Aco / r0, -iRe / r0 + hpp * Q * Q / Aco))
-    else:
-        disc = _csqrt(iRe * iRe - 4.0 * r0 * kpp * Q * Q)
-        if disc.imag == 0.0 and iRe > 0:
-            den = (iRe + disc.real) / 2.0
-            thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 0),
-                                   (-kpp * Q * Q / den, -hpp * Q * Q / den))
-            coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
-                                    (-(iRe + disc.real) / (2.0 * r0),))
-        else:
-            thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2,),
-                                   ((-iRe + disc) / (2.0 * r0),))
-            coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
-                                    ((-iRe - disc) / (2.0 * r0),))
-    return AsymptoticCoefficients(
-        regime=regime, modes=(visc, thermo, coupled),
-        auxiliaries={"Q": Q, "A": Aco})
+    return model.linearization(state).large_k()
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +173,11 @@ def quasi_explicit_roots(model: QuasiIncompressible, state: MixtureState, k):
     """Closed-form (alpha0, alpha1, alpha2) of the quasi-incompressible
     dispersion equation; requires unequal specific densities."""
     lin = model.linearization(state)
-    if lin.rho_hat_1 == lin.rho_hat_2:
+    if lin.equal_densities:
         raise RangeError(
             "equal specific densities: use incompressible_roots instead")
     k = np.asarray(k, dtype=float)
-    Q = lin.phi0 - lin.rho_hat_2 / (lin.rho_hat_2 - lin.rho_hat_1)
-    Aco = 1.0 / ((1.0 - lin.rho_hat_1 / lin.rho_hat_2) ** 2
-                 * lin.M11 / lin.rho_hat_1**2)
+    Q, Aco = lin.Q, lin.Aco
     Dphi = lin.h_phi_phi + k * k * lin.kappa_phi_phi
     S = lin.inv_Re * k * k + Aco
     disc = np.sqrt(np.asarray(S * S - 4.0 * lin.rho0 * k * k * Dphi * Q * Q,
@@ -692,9 +307,10 @@ def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
-    first = growth_rates(model, state, k_grid[0])
+    lin = model.linearization(state)
+    first = _growth(lin, k_grid[0])
     nroots = first.alphas.size
-    small = asymptotic_small_k(model, state)
+    small = lin.small_k()
     predicted = np.array([m.evaluate(k_grid[0]) for m in small.modes])
     order = _match(predicted, first.alphas)
     labels = tuple(m.label for m in small.modes)
@@ -708,7 +324,7 @@ def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
     residuals[0] = first.residuals[order]
     ambiguous = []
     for i, k in enumerate(k_grid[1:], start=1):
-        gr = growth_rates(model, state, k)
+        gr = _growth(lin, k)
         cols = _match(roots[i - 1], gr.alphas)
         roots[i] = gr.alphas[cols]
         vectors[i] = gr.vectors[:, cols].T
@@ -724,7 +340,11 @@ def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
 
 def track_root_at(model, state: MixtureState, k: float, near: complex) -> complex:
     """Root at wavenumber k closest to ``near`` (used by band bisection)."""
-    gr = growth_rates(model, state, k)
+    return _nearest_root(model.linearization(state), k, near)
+
+
+def _nearest_root(lin, k: float, near: complex) -> complex:
+    gr = _growth(lin, k)
     return complex(gr.alphas[np.argmin(np.abs(gr.alphas - near))])
 
 
@@ -762,11 +382,12 @@ def refine_edge(model, state, k_neg, k_pos, near, rel_tol, rising: bool):
     ``rising=True``: Re(alpha) <= 0 at k_neg, > 0 at k_pos (band opens);
     ``rising=False``: > 0 at k_neg, <= 0 at k_pos (band closes).
     """
+    lin = model.linearization(state)
     a, b = float(k_neg), float(k_pos)
     alpha_near = complex(near)
     while (b - a) > rel_tol * b:
         m = 0.5 * (a + b)
-        alpha = track_root_at(model, state, m, alpha_near)
+        alpha = _nearest_root(lin, m, alpha_near)
         alpha_near = alpha
         positive = alpha.real > 0.0
         if positive == rising:
@@ -781,9 +402,10 @@ def band_peak(model, state: MixtureState, k_lo: float, k_hi: float,
     """Golden-section maximum of Re(alpha) for the root tracked from
     ``near`` on [k_lo, k_hi]; returns (k_peak, alpha_peak)."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    lin = model.linearization(state)
 
     def re_at(k, seed):
-        alpha = track_root_at(model, state, k, seed)
+        alpha = _nearest_root(lin, k, seed)
         return alpha.real, alpha
 
     a, b = float(k_lo), float(k_hi)
@@ -801,7 +423,7 @@ def band_peak(model, state: MixtureState, k_lo: float, k_hi: float,
             d = a + inv_phi * (b - a)
             fd, seed = re_at(d, seed)
     k_star = 0.5 * (a + b)
-    alpha = track_root_at(model, state, k_star, seed)
+    alpha = _nearest_root(lin, k_star, seed)
     return k_star, alpha
 
 
@@ -828,9 +450,10 @@ def short_wave_stable_threshold(model, state: MixtureState, k_lo: float = 1e-2,
     """Smallest wavenumber K (within [k_lo, k_hi], up to rel_tol) such that
     max Re(alpha) < 0 on a log grid of [K, k_hi]; verifies the absence of
     short-wave instability."""
+    lin = model.linearization(state)
 
     def max_re(k):
-        return growth_rates(model, state, k).alphas.real.max()
+        return _growth(lin, k).alphas.real.max()
 
     if max_re(k_hi) >= 0:
         raise NumericalError(f"still unstable at k = {k_hi}")

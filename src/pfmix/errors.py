@@ -45,10 +45,6 @@ class DegenerateCase(PfmixError):
     reported as degenerate instead of guessed."""
 
 
-class TrackingAmbiguity(PfmixError):
-    """Two dispersion roots were too close to track reliably across a sweep."""
-
-
 class BlowupError(PfmixError):
     """A transient run produced NaN or left the free-energy domain."""
 

@@ -1,0 +1,516 @@
+"""Linearizations of the four binary model classes about a constant state.
+
+``model.linearization(state)`` returns one of the objects below.  Each owns
+everything specific to its class: the 4x4 dispersion pencil, the reduced
+scalar dispersion polynomial, the long- and short-wave expansions, the
+explicit-step stiffness, the Fourier symbols of the stiff linear terms and
+the names of the pencil variables.  Pencil variable orders:
+
+* compressible, global conservation:  (rho1, rho2, vx, vy)
+* compressible, local conservation:   (rho, rho1, vx, vy)
+* quasi-incompressible/incompressible: (Pi, phi, vx, vy)
+
+so a perturbation growing purely in the partial density appears as the
+eigenvector (0, 1, 0, 0).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+from enum import Enum
+
+import numpy as np
+
+from .errors import SingularExpansion
+
+DEGENERATE_TOL = 1e-12
+
+
+class ModeLabel(Enum):
+    VISCOUS = "viscous"
+    THERMODYNAMIC = "thermodynamic"
+    COUPLED = "coupled"
+
+
+@dataclass(frozen=True)
+class DispersionPencil:
+    """Matrix pencil alpha*B + A(k) whose determinant is the dispersion
+    equation of the linearized system."""
+
+    A: np.ndarray
+    B: np.ndarray
+    k: float
+    n_finite_roots: int
+
+    def matrix(self, alpha: complex) -> np.ndarray:
+        return alpha * self.B + self.A
+
+    def determinant(self, alpha: complex) -> complex:
+        return complex(np.linalg.det(self.matrix(alpha)))
+
+    def determinant_coefficients(self, scale: float = None) -> np.ndarray:
+        """Coefficients c[j] of det(alpha B + A) = sum_j c[j] alpha^j,
+        extracted by exact polynomial interpolation on a circle of radius
+        ``scale`` (the balancing radius; pick it near the root magnitudes
+        for well-conditioned extraction)."""
+        deg = self.A.shape[0]
+        if scale is None:
+            scale = max(1.0, np.linalg.norm(self.A)
+                        / max(np.linalg.norm(self.B), 1e-300))
+        nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
+        vals = np.array([self.determinant(scale * b) for b in nodes])
+        # unit-circle Vandermonde is perfectly conditioned
+        V = np.vander(nodes, deg + 1, increasing=True)
+        balanced = np.linalg.solve(V, vals)          # c_j * scale^j
+        return balanced / scale ** np.arange(deg + 1)
+
+
+@dataclass(frozen=True)
+class ModeExpansion:
+    """One mode's truncated expansion alpha(k) ~ sum_j coeff_j k^power_j."""
+
+    label: ModeLabel
+    name: str
+    powers: tuple[float, ...]
+    coefficients: tuple[complex, ...]
+
+    def evaluate(self, k):
+        k = np.asarray(k, dtype=float)
+        out = np.zeros(k.shape, dtype=complex)
+        for p, c in zip(self.powers, self.coefficients):
+            out = out + c * k**p
+        return out if out.shape else complex(out)
+
+
+@dataclass(frozen=True)
+class AsymptoticCoefficients:
+    regime: str                       # "small_k" or "large_k"
+    modes: tuple[ModeExpansion, ...]
+    auxiliaries: dict = field(default_factory=dict)
+
+    def mode(self, name: str) -> ModeExpansion:
+        for m in self.modes:
+            if m.name == name:
+                return m
+        raise KeyError(name)
+
+    def flat_text(self) -> str:
+        """Flat key-value block: one `<mode>.k^<power> = re [im]` line per
+        expansion term plus the auxiliary scalars."""
+        lines = [f"regime = {self.regime}"]
+        for m in self.modes:
+            lines.append(f"{m.name}.label = {m.label.value}")
+            for p, c in zip(m.powers, m.coefficients):
+                c = complex(c)
+                val = format(c.real, ".17g")
+                if c.imag != 0.0:
+                    val += " " + format(c.imag, ".17g")
+                lines.append(f"{m.name}.k^{p:g} = {val}")
+        for key, val in sorted(self.auxiliaries.items()):
+            if isinstance(val, (int, float)):
+                lines.append(f"aux.{key} = {format(float(val), '.17g')}")
+            else:
+                lines.append(f"aux.{key} = {val}")
+        return "\n".join(lines) + "\n"
+
+
+def _guard_denominator(value: float, scale: float, what: str):
+    if abs(value) <= DEGENERATE_TOL * max(scale, 1.0):
+        raise SingularExpansion(f"{what} vanishes within tolerance")
+
+
+def _csqrt(x: float) -> complex:
+    return complex(np.sqrt(complex(x)))
+
+
+def _viscous_mode(inv_Re_s: float, rho0: float) -> ModeExpansion:
+    return ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-inv_Re_s / rho0,))
+
+
+# ---------------------------------------------------------------------------
+# Compressible classes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BinaryLinearization:
+    """C, K, p and the 2x2 mobility of a compressible binary class, all in
+    the variable order of its pencil."""
+
+    C: np.ndarray
+    K: np.ndarray
+    p: np.ndarray
+    rho0: float
+    inv_Re_s: float
+    inv_Re: float
+    mobility: np.ndarray
+
+    def D(self, k: float) -> np.ndarray:
+        return self.C + k * k * self.K
+
+    def pencil(self, k: float) -> DispersionPencil:
+        D = self.D(k)
+        p = self.p
+        A = np.zeros((4, 4), dtype=complex)
+        self._diffusion_rows(A, k, D)
+        A[0, 2] = 1j * p[0] * k
+        A[1, 2] = 1j * p[1] * k
+        A[2, 0] = 1j * k * (p[0] * D[0, 0] + p[1] * D[0, 1])
+        A[2, 1] = 1j * k * (p[1] * D[1, 1] + p[0] * D[0, 1])
+        A[2, 2] = self.inv_Re * k * k
+        A[3, 3] = self.inv_Re_s * k * k
+        B = np.diag([1.0, 1.0, self.rho0, self.rho0]).astype(complex)
+        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=4)
+
+    def invariants(self):
+        """(p.C.p, p.K.p, det C, det K, d) shared by both expansions."""
+        C, K, p = self.C, self.K, self.p
+        pCp = float(p @ C @ p)
+        pKp = float(p @ K @ p)
+        detC = float(np.linalg.det(C))
+        detK = float(np.linalg.det(K))
+        d = float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0] - 2.0 * C[0, 1] * K[0, 1])
+        return pCp, pKp, detC, detK, d
+
+    def _small_k_modes(self, x1, y1, xc, y23, aux) -> AsymptoticCoefficients:
+        """alpha1 ~ x1 k^2 + y1 k^4 and the coupled pair +-xc k + y23 k^2."""
+        modes = (
+            _viscous_mode(self.inv_Re_s, self.rho0),
+            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1)),
+            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
+            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
+        )
+        return AsymptoticCoefficients(regime="small_k", modes=modes, auxiliaries=aux)
+
+    def explicit_stiffness(self, kmax: float):
+        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
+        cutoff from mobility stiffness and acoustics (positive ones only)."""
+        kap = float(np.max(np.abs(self.K)))
+        mob = float(np.max(np.abs(self.mobility)))
+        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(self.C))) * kmax**2)
+        pCp = float(self.p @ self.C @ self.p)
+        return ([stiff] if stiff > 0 else [],
+                [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
+
+
+@dataclass(frozen=True)
+class GlobalLinearization(BinaryLinearization):
+    """Globally-conserving class; variables (rho1, rho2)."""
+
+    vector_fields = ("rho1", "rho2", "vx", "vy")
+
+    @property
+    def g1(self) -> float:
+        M, p = self.mobility, self.p
+        return float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
+                     - 2.0 * M[0, 1] * p[0] * p[1])
+
+    def _diffusion_rows(self, A, k, D):
+        A[:2, :2] = k * k * (self.mobility @ D)
+
+    def reduced_polynomial(self, k: float) -> np.ndarray:
+        D = self.D(k)
+        M, p, r0, iRe = self.mobility, self.p, self.rho0, self.inv_Re
+        MD = float(np.tensordot(M, D))
+        detM = float(np.linalg.det(M))
+        detD = float(np.linalg.det(D))
+        pDp = float(p @ D @ p)
+        return np.array([
+            k**4 * (iRe * detM * k**2 + self.g1) * detD,
+            pDp * k**2 + iRe * MD * k**4 + r0 * detM * detD * k**4,
+            k**2 * (iRe + r0 * MD),
+            r0,
+        ])
+
+    def small_k(self) -> AsymptoticCoefficients:
+        C, M, p, r0, iRe = self.C, self.mobility, self.p, self.rho0, self.inv_Re
+        pCp, pKp, detC, detK, d = self.invariants()
+        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
+        g1 = self.g1
+        detM = float(np.linalg.det(M))
+        MC = float(np.tensordot(M, C))
+        x1 = -g1 * detC / pCp
+        y1 = (-(iRe * detM * detC + d * g1) / pCp
+              - (r0 * x1**3 + x1**2 * (iRe + r0 * MC)
+                 + x1 * (r0 * detM * detC + iRe * MC + pKp)) / pCp)
+        y23 = (-iRe / (2.0 * r0)
+               - (M[0, 0] * (p[0] * C[0, 0] + p[1] * C[0, 1]) ** 2
+                  + M[1, 1] * (p[0] * C[0, 1] + p[1] * C[1, 1]) ** 2)
+               / (2.0 * pCp))
+        aux = {"g1": g1, "d": d, "p.C.p": pCp, "det_C": detC}
+        return self._small_k_modes(x1, y1, _csqrt(-pCp / r0), y23, aux)
+
+    def large_k(self) -> AsymptoticCoefficients:
+        C, K, M, r0, iRe = self.C, self.K, self.mobility, self.rho0, self.inv_Re
+        pCp, pKp, detC, detK, d = self.invariants()
+        g1 = self.g1
+        detM = float(np.linalg.det(M))
+        MK = float(np.tensordot(M, K))
+        MC = float(np.tensordot(M, C))
+        # x^2 + (M:K) x + |M||K| = 0 for the two k^4 branches
+        disc = _csqrt(MK * MK - 4.0 * detM * detK)
+        x1 = (-MK + disc) / 2.0
+        x2 = (-MK - disc) / 2.0
+        ys = []
+        for x in (x1, x2):
+            den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
+            num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
+                    + x * (iRe * MK + r0 * detM * d))
+            if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
+                if abs(num) <= DEGENERATE_TOL * max(abs(r0), 1.0):
+                    ys.append(0.0)   # degenerate 0/0 branch (e.g. M = 0)
+                    continue
+                raise SingularExpansion("k^4 branch denominator vanishes")
+            ys.append(num / den)
+        x3 = -iRe / r0
+        if detM * detK != 0.0 and iRe > 0:
+            y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)
+                   + detM * iRe * d + g1 * detK) / (r0 * detM * detK)
+            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0), (x3, y3))
+        else:
+            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (x3,))
+        modes = (
+            _viscous_mode(self.inv_Re_s, r0),
+            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2), (x1, ys[0])),
+            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha2", (4, 2), (x2, ys[1])),
+            thermo3,
+        )
+        aux = {"g1": g1, "d": d, "M:K": MK, "det_M": detM, "det_K": detK}
+        return AsymptoticCoefficients(regime="large_k", modes=modes, auxiliaries=aux)
+
+    def stiff_symbols(self, k2: np.ndarray) -> dict:
+        k4 = k2 * k2
+        C, K, Md = self.C, self.K, np.diag(self.mobility)
+        return {
+            "rho1": Md[0] * (K[0, 0] * k4 + max(C[0, 0], 0.0) * k2),
+            "rho2": Md[1] * (K[1, 1] * k4 + max(C[1, 1], 0.0) * k2),
+            "mx": self.inv_Re * k2,
+            "my": self.inv_Re_s * k2,
+        }
+
+
+@dataclass(frozen=True)
+class LocalLinearization(BinaryLinearization):
+    """Locally-conserving class; variables (rho, rho1), mobility
+    [[M11, -M11], [-M11, M11]]."""
+
+    vector_fields = ("rho", "rho1", "vx", "vy")
+
+    @property
+    def M11(self) -> float:
+        return float(self.mobility[0, 0])
+
+    def _diffusion_rows(self, A, k, D):
+        # only rho1 diffuses, driven by mu~_1 = D[1] . (rho, rho1)
+        A[1, 0] = k * k * self.M11 * D[0, 1]
+        A[1, 1] = k * k * self.M11 * D[1, 1]
+
+    def reduced_polynomial(self, k: float) -> np.ndarray:
+        D = self.D(k)
+        p, r0, iRe, M11 = self.p, self.rho0, self.inv_Re, self.M11
+        detD = float(np.linalg.det(D))
+        pDp = float(p @ D @ p)
+        return np.array([
+            k**4 * M11 * r0**2 * detD,
+            iRe * M11 * D[1, 1] * k**4 + pDp * k**2,
+            k**2 * (iRe + r0 * M11 * D[1, 1]),
+            r0,
+        ])
+
+    def small_k(self) -> AsymptoticCoefficients:
+        C, p, r0, iRe, M11 = self.C, self.p, self.rho0, self.inv_Re, self.M11
+        pCp, pKp, detC, detK, d = self.invariants()
+        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
+        x0 = -M11 * r0**2 * detC / pCp
+        y1 = (-(x0**3 * r0 + x0**2 * (r0 * M11 * C[1, 1] + iRe)
+                + x0 * (pKp + C[1, 1] * M11 * iRe)) / pCp
+              - M11 * r0**2 * d / pCp)
+        y23 = (-iRe / (2.0 * r0)
+               - M11 * (p[1] * C[1, 1] + r0 * C[0, 1]) ** 2 / (2.0 * pCp))
+        aux = {"d": d, "p.C.p": pCp, "det_C": detC, "x0": x0}
+        return self._small_k_modes(x0, y1, _csqrt(-pCp / r0), y23, aux)
+
+    def large_k(self) -> AsymptoticCoefficients:
+        C, K, r0, iRe, M11 = self.C, self.K, self.rho0, self.inv_Re, self.M11
+        pCp, pKp, detC, detK, d = self.invariants()
+        k11 = K[1, 1]
+        if k11 <= 0:
+            raise SingularExpansion("short-wave expansion needs kappa_rho1_rho1 > 0")
+        disc = _csqrt(iRe * iRe - 4.0 * r0**3 * detK / k11)
+        xs = ((-iRe + disc) / (2.0 * r0), (-iRe - disc) / (2.0 * r0))
+        aux = {"d": d, "det_K": detK, "x23": xs}
+        if disc.imag == 0.0:
+            ys = []
+            for x in xs:
+                den = 2.0 * x * r0 * M11 * k11 + M11 * k11 * iRe
+                _guard_denominator(abs(den), max(abs(r0 * M11 * k11), 1.0),
+                                   "k^2 branch denominator")
+                ys.append(-M11 * r0**2 * d / den
+                          - (x**3 * r0 + x**2 * (r0 * M11 * C[1, 1] + iRe)
+                             + x * (M11 * C[1, 1] * iRe + pKp)) / den)
+            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2, 0),
+                                     (xs[0], ys[0])),
+                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0),
+                                     (xs[1], ys[1])))
+        else:
+            # oscillatory pair: the subleading-correction denominator
+            # 2 x rho0 + 1/Re is purely imaginary here, so the printed
+            # correction is degenerate; report the leading order only
+            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,), (xs[0],)),
+                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (xs[1],)))
+            aux["subleading"] = "omitted: oscillatory branch denominator degenerate"
+        modes = (
+            _viscous_mode(self.inv_Re_s, r0),
+            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2),
+                          (-M11 * k11, -M11 * C[1, 1])),
+        ) + coupled
+        return AsymptoticCoefficients(regime="large_k", modes=modes, auxiliaries=aux)
+
+    def stiff_symbols(self, k2: np.ndarray) -> dict:
+        k4 = k2 * k2
+        return {
+            "rho": np.zeros_like(k2),
+            "rho1": self.M11 * (self.K[1, 1] * k4 + max(self.C[1, 1], 0.0) * k2),
+            "mx": self.inv_Re * k2,
+            "my": self.inv_Re_s * k2,
+        }
+
+
+# ---------------------------------------------------------------------------
+# Phase-field classes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PhaseFieldLinearization:
+    """Quasi-incompressible and incompressible classes.  With
+    ``equal_densities`` the divergence constraint is the incompressible one
+    and the coupled mode drops out of the pencil."""
+
+    h_phi_phi: float
+    kappa_phi_phi: float
+    phi0: float
+    rho_hat_1: float
+    rho_hat_2: float
+    rho0: float
+    M11: float
+    inv_Re_s: float
+    inv_Re: float
+
+    vector_fields = ("Pi", "phi", "vx", "vy")
+
+    @property
+    def equal_densities(self) -> bool:
+        return self.rho_hat_1 == self.rho_hat_2
+
+    @property
+    def Mh(self) -> float:
+        return self.M11 / self.rho_hat_1**2
+
+    def pencil(self, k: float) -> DispersionPencil:
+        r = self.rho_hat_1 / self.rho_hat_2
+        Mh = self.Mh
+        Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
+        A = np.zeros((4, 4), dtype=complex)
+        B = np.zeros((4, 4), dtype=complex)
+        # row 0: mass conservation / divergence constraint
+        if self.equal_densities:
+            A[0, 2] = 1j * k
+            n_roots = 2
+        else:
+            B[0, 1] = -(1.0 - r)
+            A[0, 2] = 1j * k * (1.0 - self.phi0 * (1.0 - r))
+            n_roots = 3
+        # row 1: phase transport
+        A[1, 0] = Mh * k * k * (1.0 - r)
+        A[1, 1] = Mh * k * k * Dphi
+        A[1, 2] = 1j * k * self.phi0
+        B[1, 1] = 1.0
+        # row 2: longitudinal momentum
+        A[2, 0] = 1j * k
+        A[2, 1] = 1j * k * self.phi0 * Dphi
+        A[2, 2] = self.inv_Re * k * k
+        B[2, 2] = self.rho0
+        # row 3: transverse momentum
+        A[3, 3] = self.inv_Re_s * k * k
+        B[3, 3] = self.rho0
+        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=n_roots)
+
+    def reduced_polynomial(self, k: float) -> np.ndarray:
+        r = self.rho_hat_1 / self.rho_hat_2
+        Mh = self.Mh
+        Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
+        if self.equal_densities:
+            # det(alpha B + A) = viscous * k^2 * (alpha + Mh k^2 Dphi)
+            return np.array([k**2 * Mh * Dphi, 1.0]) * k**2
+        Qbar = 1.0 - (1.0 - r) * self.phi0
+        return np.array([
+            k**4 * Mh * Dphi * Qbar**2,
+            k**2 + self.inv_Re * Mh * (1.0 - r) ** 2 * k**4,
+            self.rho0 * Mh * (1.0 - r) ** 2 * k**2,
+        ])
+
+    def small_k(self) -> AsymptoticCoefficients:
+        return self._expansions("small_k")
+
+    def large_k(self) -> AsymptoticCoefficients:
+        return self._expansions("large_k")
+
+    def _expansions(self, regime: str) -> AsymptoticCoefficients:
+        visc = _viscous_mode(self.inv_Re_s, self.rho0)
+        if self.equal_densities:
+            thermo = ModeExpansion(
+                ModeLabel.THERMODYNAMIC, "alpha1", (2, 4),
+                (-self.M11 / self.rho_hat_2**2 * self.h_phi_phi,
+                 -self.M11 / self.rho_hat_1**2 * self.kappa_phi_phi))
+            return AsymptoticCoefficients(regime=regime, modes=(visc, thermo),
+                                          auxiliaries={})
+        Q, Aco = self.Q, self.Aco
+        iRe, r0, hpp, kpp = self.inv_Re, self.rho0, self.h_phi_phi, self.kappa_phi_phi
+        if regime == "small_k":
+            x1 = -hpp * Q * Q / Aco
+            y1 = -kpp * Q * Q / Aco + hpp * Q * Q * iRe / Aco**2 \
+                + r0 * (hpp * Q * Q) ** 2 / Aco**3
+            thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1))
+            coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (0, 2),
+                                    (-Aco / r0, -iRe / r0 + hpp * Q * Q / Aco))
+        else:
+            disc = _csqrt(iRe * iRe - 4.0 * r0 * kpp * Q * Q)
+            if disc.imag == 0.0 and iRe > 0:
+                den = (iRe + disc.real) / 2.0
+                thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 0),
+                                       (-kpp * Q * Q / den, -hpp * Q * Q / den))
+                coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
+                                        (-(iRe + disc.real) / (2.0 * r0),))
+            else:
+                thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2,),
+                                       ((-iRe + disc) / (2.0 * r0),))
+                coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
+                                        ((-iRe - disc) / (2.0 * r0),))
+        return AsymptoticCoefficients(
+            regime=regime, modes=(visc, thermo, coupled),
+            auxiliaries={"Q": Q, "A": Aco})
+
+    @property
+    def Q(self) -> float:
+        return self.phi0 - self.rho_hat_2 / (self.rho_hat_2 - self.rho_hat_1)
+
+    @property
+    def Aco(self) -> float:
+        """Coupled-mode coefficient 1 / ((1 - r)^2 M11 / rho_hat_1^2)."""
+        return 1.0 / ((1.0 - self.rho_hat_1 / self.rho_hat_2) ** 2
+                      * self.M11 / self.rho_hat_1**2)
+
+    def explicit_stiffness(self, kmax: float):
+        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
+        cutoff from the phase mobility (positive ones only)."""
+        stiff = self.Mh * (self.kappa_phi_phi * kmax**4 + abs(self.h_phi_phi) * kmax**2)
+        return [stiff] if stiff > 0 else [], []
+
+    def stiff_symbols(self, k2: np.ndarray) -> dict:
+        k4 = k2 * k2
+        return {
+            "phi": self.Mh * (self.kappa_phi_phi * k4 + max(self.h_phi_phi, 0.0) * k2),
+            "vx": self.inv_Re * k2 / self.rho0,
+            "vy": self.inv_Re_s * k2 / self.rho0,
+        }

@@ -6,7 +6,8 @@ coefficients, mobilities and inverse Reynolds numbers, and knows how to:
 * evaluate its 1D right-hand side on a periodic grid (conservative momentum,
   transverse velocity carried alongside),
 * evaluate total energy and the closed-form dissipation rate,
-* expose the coefficient data used by the linear stability engine.
+* return its linearization about a constant state, the object that owns
+  the class's pencil, expansions and stiff terms (:mod:`pfmix.linearization`).
 
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible and incompressible classes evolve velocities
@@ -31,6 +32,11 @@ from .free_energy import (
     chemical_potentials,
 )
 from .grid import PeriodicGrid1D
+from .linearization import (
+    GlobalLinearization,
+    LocalLinearization,
+    PhaseFieldLinearization,
+)
 
 PSD_TOL = 1e-12
 
@@ -48,7 +54,6 @@ class MixtureState:
     rho2: Optional[float] = None
     rho: Optional[float] = None
     phi: Optional[float] = None
-    Pi: float = 0.0
 
     @classmethod
     def binary(cls, rho1: float, rho2: float) -> "MixtureState":
@@ -63,10 +68,10 @@ class MixtureState:
         return cls(rho1=rho1, rho2=rho - rho1, rho=rho)
 
     @classmethod
-    def fraction(cls, phi: float, Pi: float = 0.0) -> "MixtureState":
+    def fraction(cls, phi: float) -> "MixtureState":
         if not 0.0 < phi < 1.0:
             raise RangeError("phi must lie in (0, 1)")
-        return cls(phi=phi, Pi=Pi)
+        return cls(phi=phi)
 
 
 @dataclass(frozen=True)
@@ -123,44 +128,6 @@ def local_conservation_matrix(M11: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Linearization coefficient bundles (consumed by the dispersion module)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BinaryLinearization:
-    """C, K, p for a compressible binary class.
-
-    For the globally-conserving class the variable order is (rho1, rho2);
-    for the locally-conserving class it is (rho, rho1).
-    """
-
-    C: np.ndarray
-    K: np.ndarray
-    p: np.ndarray
-    rho0: float
-    inv_Re_s: float
-    inv_Re: float
-    M: Optional[np.ndarray] = None   # 2x2, global class
-    M11: Optional[float] = None      # scalar, local class
-
-
-@dataclass(frozen=True)
-class PhaseFieldLinearization:
-    """Coefficients for the quasi-incompressible / incompressible classes."""
-
-    h_phi_phi: float
-    kappa_phi_phi: float
-    phi0: float
-    rho_hat_1: float
-    rho_hat_2: float
-    rho0: float
-    M11: float
-    inv_Re_s: float
-    inv_Re: float
-
-
-# ---------------------------------------------------------------------------
 # Model classes
 # ---------------------------------------------------------------------------
 
@@ -195,8 +162,42 @@ def _viscous_terms(grid, vx, vy, eta, nu):
     return fx, fy
 
 
+class CompressibleModel(_ModelBase):
+    """Shared plumbing of the two compressible classes: fields are two
+    densities and the momenta mx, my; the bulk energy's variables are the
+    densities ``energy_fields``."""
+
+    field_names: tuple
+    energy_fields: tuple
+
+    def energy_variables(self, fields, axis=-1):
+        """The free energy's variables stacked along ``axis``."""
+        return np.stack([fields[v] for v in self.energy_fields], axis=axis)
+
+    def _mu(self, fields, grid):
+        """Chemical potentials in the energy variables, including
+        cross-gradient contributions."""
+        stack = self.energy_variables(fields, axis=0)
+        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+
+    def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
+        ones = np.ones(grid.n)
+        fields = {name: getattr(state, name) * ones for name in self.field_names[:2]}
+        return {**fields, "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(self.total_density(fields))
+
+    def total_energy(self, fields, grid) -> float:
+        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / self.total_density(fields)
+        bulk = self.free_energy.value(self.energy_variables(fields), pointwise=True)
+        d = np.stack([grid.dx1(fields[v]) for v in self.energy_fields])
+        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
+        return grid.integrate(kin + bulk + grad)
+
+
 @dataclass(frozen=True)
-class CompressibleGlobal(_ModelBase):
+class CompressibleGlobal(CompressibleModel):
     """Binary compressible model conserving total mass only globally.
 
     Fields: rho1, rho2, mx, my.
@@ -210,6 +211,7 @@ class CompressibleGlobal(_ModelBase):
     viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("rho1", "rho2", "mx", "my")
+    energy_fields = ("rho1", "rho2")
 
     def __post_init__(self):
         self._check_reynolds()
@@ -225,14 +227,8 @@ class CompressibleGlobal(_ModelBase):
     def state_densities(self, state: MixtureState) -> np.ndarray:
         return np.array([state.rho1, state.rho2])
 
-    def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
-        ones = np.ones(grid.n)
-        return {"rho1": state.rho1 * ones, "rho2": state.rho2 * ones,
-                "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
-
-    def _mu(self, fields, grid):
-        stack = np.stack([fields["rho1"], fields["rho2"]])
-        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+    def total_density(self, fields):
+        return fields["rho1"] + fields["rho2"]
 
     def rhs_1d(self, fields, grid, return_aux=False):
         rho1, rho2 = fields["rho1"], fields["rho2"]
@@ -255,18 +251,6 @@ class CompressibleGlobal(_ModelBase):
             return out, {"mu": mu, "J": J}
         return out
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(fields["rho1"] + fields["rho2"])
-
-    def total_energy(self, fields, grid) -> float:
-        rho1, rho2 = fields["rho1"], fields["rho2"]
-        rho = rho1 + rho2
-        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / rho
-        bulk = self.free_energy.value(np.stack([rho1, rho2], axis=-1), pointwise=True)
-        d = np.stack([grid.dx1(rho1), grid.dx1(rho2)])
-        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
-        return grid.integrate(kin + bulk + grad)
-
     def energy_dissipation_rate(self, fields, grid) -> float:
         rho1, rho2 = fields["rho1"], fields["rho2"]
         rho = rho1 + rho2
@@ -278,17 +262,17 @@ class CompressibleGlobal(_ModelBase):
         visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
         return -grid.integrate(visc + mob)
 
-    def linearization(self, state: MixtureState) -> BinaryLinearization:
+    def linearization(self, state: MixtureState) -> GlobalLinearization:
         p = self.state_densities(state)
-        return BinaryLinearization(
+        return GlobalLinearization(
             C=self.free_energy.hessian(p), K=self.kappa.kappa, p=p,
             rho0=float(p.sum()), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-            M=self.mobility,
+            mobility=self.mobility,
         )
 
 
 @dataclass(frozen=True)
-class CompressibleLocal(_ModelBase):
+class CompressibleLocal(CompressibleModel):
     """Binary compressible model with local mass conservation, single
     mobility coefficient.  Fields: rho, rho1, mx, my."""
 
@@ -300,6 +284,7 @@ class CompressibleLocal(_ModelBase):
     viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("rho", "rho1", "mx", "my")
+    energy_fields = ("rho1", "rho")
 
     def __post_init__(self):
         self._check_reynolds()
@@ -316,15 +301,8 @@ class CompressibleLocal(_ModelBase):
         # (rho1, rho), matching the free energy's variable order
         return np.array([state.rho1, state.rho])
 
-    def uniform_fields(self, state, grid):
-        ones = np.ones(grid.n)
-        return {"rho": state.rho * ones, "rho1": state.rho1 * ones,
-                "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
-
-    def _mu(self, fields, grid):
-        """(mu_rho1, mu_rho) including cross-gradient contributions."""
-        stack = np.stack([fields["rho1"], fields["rho"]])
-        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+    def total_density(self, fields):
+        return fields["rho"]
 
     def rhs_1d(self, fields, grid, return_aux=False):
         rho, rho1 = fields["rho"], fields["rho1"]
@@ -343,17 +321,6 @@ class CompressibleLocal(_ModelBase):
             return out, {"mu": mu}
         return out
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(fields["rho"])
-
-    def total_energy(self, fields, grid) -> float:
-        rho, rho1 = fields["rho"], fields["rho1"]
-        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / rho
-        bulk = self.free_energy.value(np.stack([rho1, rho], axis=-1), pointwise=True)
-        d = np.stack([grid.dx1(rho1), grid.dx1(rho)])
-        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
-        return grid.integrate(kin + bulk + grad)
-
     def energy_dissipation_rate(self, fields, grid) -> float:
         rho, rho1 = fields["rho"], fields["rho1"]
         vx, vy = fields["mx"] / rho, fields["my"] / rho
@@ -362,21 +329,72 @@ class CompressibleLocal(_ModelBase):
         visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
         return -grid.integrate(visc + self.M11 * grid.dx1(mu[0]) ** 2)
 
-    def linearization(self, state: MixtureState) -> BinaryLinearization:
+    def linearization(self, state: MixtureState) -> LocalLinearization:
         H = self.free_energy.hessian(self.state_densities(state))
         K = self.kappa.kappa
         # reorder (rho1, rho) -> (rho, rho1)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return BinaryLinearization(
+        return LocalLinearization(
             C=swap @ H @ swap, K=swap @ K @ swap,
             p=np.array([state.rho, state.rho1]),
             rho0=float(state.rho), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-            M11=self.M11,
+            mobility=self.mobility,
+        )
+
+
+class PhaseFieldModel(_ModelBase):
+    """Shared plumbing of the quasi-incompressible and incompressible
+    classes: fields phi, vx, vy and a bulk energy in phi alone."""
+
+    free_energy: BulkFreeEnergy            # single variable phi
+    kappa_phi_phi: float
+    M11: float
+
+    field_names = ("phi", "vx", "vy")
+
+    def __post_init__(self):
+        self._check_reynolds()
+        if self.M11 <= 0:
+            raise RangeError("M11 must be positive")
+
+    def state_densities(self, state: MixtureState) -> np.ndarray:
+        """The free energy's variable at the state, (phi,)."""
+        return np.array([state.phi])
+
+    def energy_variables(self, fields):
+        return fields["phi"][..., None]
+
+    def uniform_fields(self, state, grid):
+        return {"phi": state.phi * np.ones(grid.n),
+                "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
+
+    def mu_phi(self, phi, grid):
+        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        return g - self.kappa_phi_phi * grid.dx2(phi)
+
+    def total_mass(self, fields, grid) -> float:
+        return grid.integrate(self.density(fields["phi"]))
+
+    def total_energy(self, fields, grid) -> float:
+        phi = fields["phi"]
+        rho = self.density(phi)
+        kin = 0.5 * rho * (fields["vx"] ** 2 + fields["vy"] ** 2)
+        bulk = self.free_energy.value(phi[..., None], pointwise=True)
+        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
+        return grid.integrate(kin + bulk + grad)
+
+    def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
+        hpp = float(self.free_energy.hessian(self.state_densities(state))[0, 0])
+        return PhaseFieldLinearization(
+            h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
+            rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
+            rho0=float(self.density(state.phi)), M11=self.M11,
+            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
         )
 
 
 @dataclass(frozen=True)
-class QuasiIncompressible(_ModelBase):
+class QuasiIncompressible(PhaseFieldModel):
     """Mixture of two incompressible components with unequal specific
     densities.  Fields: phi, vx, vy; the hydrostatic field is solved from
     the divergence constraint at every evaluation."""
@@ -390,12 +408,8 @@ class QuasiIncompressible(_ModelBase):
     rho_hat_2: float
     viscosity_rule: Optional[ViscosityRule] = None
 
-    field_names = ("phi", "vx", "vy")
-
     def __post_init__(self):
-        self._check_reynolds()
-        if self.M11 <= 0:
-            raise RangeError("M11 must be positive")
+        super().__post_init__()
         if self.kappa_phi_phi < 0:
             raise RangeError("kappa_phi_phi must be nonnegative")
         if self.rho_hat_1 <= 0 or self.rho_hat_2 <= 0:
@@ -403,17 +417,6 @@ class QuasiIncompressible(_ModelBase):
 
     def density(self, phi):
         return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
-
-    def state_rho0(self, state: MixtureState) -> float:
-        return float(self.density(state.phi))
-
-    def uniform_fields(self, state, grid):
-        return {"phi": state.phi * np.ones(grid.n),
-                "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
-
-    def mu_phi(self, phi, grid):
-        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
-        return g - self.kappa_phi_phi * grid.dx2(phi)
 
     def solve_pressure(self, fields, grid):
         """Hydrostatic field from the divergence constraint, zero mean."""
@@ -461,17 +464,6 @@ class QuasiIncompressible(_ModelBase):
         res = grid.dx1(fields["vx"]) - (1.0 - r) * Mh * grid.dx2(aux["G"])
         return float(np.max(np.abs(res)))
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(self.density(fields["phi"]))
-
-    def total_energy(self, fields, grid) -> float:
-        phi = fields["phi"]
-        rho = self.density(phi)
-        kin = 0.5 * rho * (fields["vx"] ** 2 + fields["vy"] ** 2)
-        bulk = self.free_energy.value(phi[..., None], pointwise=True)
-        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
-        return grid.integrate(kin + bulk + grad)
-
     def energy_dissipation_rate(self, fields, grid) -> float:
         phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
         Pi, mu = self.solve_pressure(fields, grid)
@@ -481,18 +473,9 @@ class QuasiIncompressible(_ModelBase):
         visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
         return -grid.integrate(visc + self.M11 * grid.dx1(mu_hat_1) ** 2)
 
-    def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
-        hpp = float(self.free_energy.hessian(np.array([state.phi]))[0, 0])
-        return PhaseFieldLinearization(
-            h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
-            rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
-            rho0=self.state_rho0(state), M11=self.M11,
-            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-        )
-
 
 @dataclass(frozen=True)
-class Incompressible(_ModelBase):
+class Incompressible(PhaseFieldModel):
     """Equal specific densities: solenoidal velocity, phase transport is a
     conserved gradient flow.  Fields: phi, vx, vy with vx spatially uniform
     (enforced at initialization; in 1D it stays uniform)."""
@@ -505,12 +488,8 @@ class Incompressible(_ModelBase):
     rho_hat: float
     viscosity_rule: Optional[ViscosityRule] = None
 
-    field_names = ("phi", "vx", "vy")
-
     def __post_init__(self):
-        self._check_reynolds()
-        if self.M11 <= 0:
-            raise RangeError("M11 must be positive")
+        super().__post_init__()
         if self.rho_hat <= 0:
             raise RangeError("rho_hat must be positive")
 
@@ -524,17 +503,6 @@ class Incompressible(_ModelBase):
 
     def density(self, phi):
         return self.rho_hat * np.ones_like(phi)
-
-    def state_rho0(self, state: MixtureState) -> float:
-        return self.rho_hat
-
-    def uniform_fields(self, state, grid):
-        return {"phi": state.phi * np.ones(grid.n),
-                "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
-
-    def mu_phi(self, phi, grid):
-        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
-        return g - self.kappa_phi_phi * grid.dx2(phi)
 
     def solve_pressure(self, fields, grid):
         phi = fields["phi"]
@@ -558,16 +526,6 @@ class Incompressible(_ModelBase):
             return out, {"Pi": Pi, "mu_phi": mu}
         return out
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(self.density(fields["phi"]))
-
-    def total_energy(self, fields, grid) -> float:
-        phi = fields["phi"]
-        kin = 0.5 * self.rho_hat * (fields["vx"] ** 2 + fields["vy"] ** 2)
-        bulk = self.free_energy.value(phi[..., None], pointwise=True)
-        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
-        return grid.integrate(kin + bulk + grad)
-
     def energy_dissipation_rate(self, fields, grid) -> float:
         phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
         mu = self.mu_phi(phi, grid)
@@ -575,15 +533,6 @@ class Incompressible(_ModelBase):
         visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
         mob = self.M11 / self.rho_hat**2 * grid.dx1(mu) ** 2
         return -grid.integrate(visc + mob)
-
-    def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
-        hpp = float(self.free_energy.hessian(np.array([state.phi]))[0, 0])
-        return PhaseFieldLinearization(
-            h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
-            rho_hat_1=self.rho_hat, rho_hat_2=self.rho_hat,
-            rho0=self.rho_hat, M11=self.M11,
-            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -607,27 +556,6 @@ def _antiderivative_mean_free(f, grid):
     uh = np.zeros_like(fh)
     uh[1:] = fh[1:] / (1j * k[1:])
     return np.fft.irfft(uh, n=grid.n)
-
-
-# ---------------------------------------------------------------------------
-# Module-level operations
-# ---------------------------------------------------------------------------
-
-
-def rhs_1d(model, fields, grid, return_aux=False):
-    return model.rhs_1d(fields, grid, return_aux=return_aux)
-
-
-def total_energy(model, fields, grid) -> float:
-    return model.total_energy(fields, grid)
-
-
-def energy_dissipation_rate(model, fields, grid) -> float:
-    return model.energy_dissipation_rate(fields, grid)
-
-
-def total_mass(model, fields, grid) -> float:
-    return model.total_mass(fields, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,7 @@ import numpy as np
 
 from .errors import BlowupError, DomainError, FitError, RangeError
 from .grid import PeriodicGrid1D
-from .models import (
-    CompressibleGlobal,
-    CompressibleLocal,
-    Incompressible,
-    MixtureState,
-    QuasiIncompressible,
-    total_energy,
-    total_mass,
-)
+from .models import MixtureState
 from . import dispersion
 
 DEFAULT_DT_SAFETY = 0.2
@@ -95,20 +87,8 @@ def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
     rates = []
     if lin.inv_Re > 0:
         rates.append(RK4_REAL_AXIS / (lin.inv_Re / lin.rho0 * kmax**2))
-    if isinstance(model, (CompressibleGlobal, CompressibleLocal)):
-        kap = float(np.max(np.abs(lin.K)))
-        mob = float(np.max(np.abs(lin.M))) if lin.M is not None else lin.M11
-        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(lin.C))) * kmax**2)
-        if stiff > 0:
-            rates.append(RK4_REAL_AXIS / stiff)
-        pCp = float(lin.p @ lin.C @ lin.p)
-        if pCp > 0:
-            rates.append(RK4_IMAG_AXIS / (np.sqrt(pCp / lin.rho0) * kmax))
-    else:
-        Mh = lin.M11 / lin.rho_hat_1**2
-        stiff = Mh * (lin.kappa_phi_phi * kmax**4 + abs(lin.h_phi_phi) * kmax**2)
-        if stiff > 0:
-            rates.append(RK4_REAL_AXIS / stiff)
+    real, imag = lin.explicit_stiffness(kmax)
+    rates += [RK4_REAL_AXIS / s for s in real] + [RK4_IMAG_AXIS / s for s in imag]
     if not rates:
         return np.inf
     return safety * min(rates)
@@ -117,14 +97,6 @@ def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
 # ---------------------------------------------------------------------------
 # Initialization and eigenvector seeding
 # ---------------------------------------------------------------------------
-
-_VECTOR_FIELDS = {
-    CompressibleGlobal: ("rho1", "rho2", "vx", "vy"),
-    CompressibleLocal: ("rho", "rho1", "vx", "vy"),
-    QuasiIncompressible: ("Pi", "phi", "vx", "vy"),
-    Incompressible: ("Pi", "phi", "vx", "vy"),
-}
-
 
 def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
                               mode: int, amplitude: float,
@@ -144,7 +116,7 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
         pred = small.mode(track_name).evaluate(k)
         idx = int(np.argmin(np.abs(gr.alphas - pred)))
     vec = gr.vectors[:, idx]
-    names = _VECTOR_FIELDS[type(model)]
+    names = model.linearization(state).vector_fields
     comp = {n: vec[i] for i, n in enumerate(names) if n != "Pi"}
     scale = amplitude / max(abs(v) for v in comp.values())
     return tuple(
@@ -161,7 +133,7 @@ def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
     for p in config.perturbations:
         wave = (p.amplitude * np.exp(1j * grid.mode_wavenumber(p.mode) * grid.x)).real
         bumps[p.field] = bumps.get(p.field, 0.0) + wave
-    conservative = isinstance(model, (CompressibleGlobal, CompressibleLocal))
+    conservative = "mx" in fields   # the compressible classes evolve momenta
     for name, bump in bumps.items():
         if name in velocity_like and conservative:
             continue
@@ -169,7 +141,7 @@ def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
             raise RangeError(f"unknown field {name!r} for {type(model).__name__}")
         fields[name] = fields[name] + bump
     if conservative:
-        rho = fields["rho1"] + fields["rho2"] if "rho2" in fields else fields["rho"]
+        rho = model.total_density(fields)
         fields["mx"] = rho * bumps.get("vx", np.zeros(grid.n))
         fields["my"] = rho * bumps.get("vy", np.zeros(grid.n))
     _check_in_domain(model, fields, step=None)
@@ -181,14 +153,7 @@ def _check_in_domain(model, fields, step):
         if not np.all(np.isfinite(v)):
             raise BlowupError("non-finite field value", step=step)
     try:
-        if isinstance(model, CompressibleGlobal):
-            model.free_energy.check_domain(
-                np.stack([fields["rho1"], fields["rho2"]], axis=-1), pointwise=True)
-        elif isinstance(model, CompressibleLocal):
-            model.free_energy.check_domain(
-                np.stack([fields["rho1"], fields["rho"]], axis=-1), pointwise=True)
-        else:
-            model.free_energy.check_domain(fields["phi"][..., None], pointwise=True)
+        model.free_energy.check_domain(model.energy_variables(fields), pointwise=True)
     except DomainError as exc:
         raise BlowupError(f"field left the free-energy domain: {exc}",
                           step=step) from exc
@@ -211,33 +176,6 @@ def _rk4_step(model, fields, grid, dt):
         n: fields[n] + dt / 6.0 * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
         for n in fields
     }
-
-
-def _stiff_spectra(model, state, grid):
-    """Diagonal (Fourier) symbols of the stiffest linear operators,
-    frozen at the background state, per field."""
-    k2 = grid.wavenumbers**2
-    k4 = k2 * k2
-    lin = model.linearization(state)
-    spectra = {}
-    if isinstance(model, CompressibleGlobal):
-        Kd = np.diag(lin.K)
-        Md = np.diag(lin.M)
-        spectra["rho1"] = Md[0] * (lin.K[0, 0] * k4 + max(lin.C[0, 0], 0.0) * k2)
-        spectra["rho2"] = Md[1] * (lin.K[1, 1] * k4 + max(lin.C[1, 1], 0.0) * k2)
-        spectra["mx"] = lin.inv_Re * k2 / 1.0
-        spectra["my"] = lin.inv_Re_s * k2
-    elif isinstance(model, CompressibleLocal):
-        spectra["rho"] = np.zeros_like(k2)
-        spectra["rho1"] = lin.M11 * (lin.K[1, 1] * k4 + max(lin.C[1, 1], 0.0) * k2)
-        spectra["mx"] = lin.inv_Re * k2
-        spectra["my"] = lin.inv_Re_s * k2
-    else:
-        Mh = lin.M11 / lin.rho_hat_1**2
-        spectra["phi"] = Mh * (lin.kappa_phi_phi * k4 + max(lin.h_phi_phi, 0.0) * k2)
-        spectra["vx"] = lin.inv_Re * k2 / lin.rho0
-        spectra["vy"] = lin.inv_Re_s * k2 / lin.rho0
-    return spectra
 
 
 def _semi_implicit_step(model, fields, grid, dt, spectra):
@@ -278,7 +216,8 @@ def run(config: SimulationConfig) -> SimulationTrace:
     n_steps = int(round(config.t_end / config.dt))
     spectra = None
     if config.integrator == "semi_implicit":
-        spectra = _stiff_spectra(model, config.state, grid)
+        # Fourier symbols of the stiffest linear operators, per field
+        spectra = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
 
     times, masses, energies, dissipations = [], [], [], []
     amplitudes = {pair: [] for pair in config.track}
@@ -286,8 +225,8 @@ def run(config: SimulationConfig) -> SimulationTrace:
 
     def record(t):
         times.append(t)
-        masses.append(total_mass(model, fields, grid))
-        energies.append(total_energy(model, fields, grid))
+        masses.append(model.total_mass(fields, grid))
+        energies.append(model.total_energy(fields, grid))
         dissipations.append(model.energy_dissipation_rate(fields, grid))
         for fname, mode in config.track:
             amplitudes[(fname, mode)].append(
@@ -333,8 +272,7 @@ def _observable(model, fields, name):
     if name in fields:
         return fields[name]
     if name in ("vx", "vy"):
-        rho = fields["rho"] if "rho" in fields else fields["rho1"] + fields["rho2"]
-        return fields["m" + name[1]] / rho
+        return fields["m" + name[1]] / model.total_density(fields)
     raise RangeError(f"unknown observable {name!r}")
 
 

@@ -56,7 +56,8 @@ class TestPencil:
     @pytest.mark.parametrize("k", [1e-3, 0.3, 2.0, 50.0, 1e3])
     def test_determinant_matches_scalar_polynomial(self, k):
         for model, st in ((make_global(), ST_GLOBAL), (make_local(), ST_LOCAL),
-                          (make_quasi(), ST_PHI)):
+                          (make_quasi(), ST_PHI),
+                          (make_quasi(rho_hat_1=1.5, rho_hat_2=1.5), ST_PHI)):
             ok, err = disp.pencil_matches_scalar(model, st, k)
             assert ok, f"{type(model).__name__}: err {err:.2e} at k={k}"
 
@@ -72,7 +73,9 @@ class TestPencil:
 class TestGrowthRates:
     def test_root_counts(self):
         cases = [(make_global(), ST_GLOBAL, 4), (make_local(), ST_LOCAL, 4),
-                 (make_quasi(), ST_PHI, 3)]
+                 (make_quasi(), ST_PHI, 3),
+                 # equal specific densities: the coupled mode drops out
+                 (make_quasi(rho_hat_1=1.5, rho_hat_2=1.5), ST_PHI, 2)]
         qi = fe.Quadratic([[1.0]], variables=("phi",))
         cases.append((models.Incompressible(qi, 1e-2, 0.2, 0.3, 0.1,
                                             rho_hat=1.5), ST_PHI, 2))

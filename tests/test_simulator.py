@@ -273,3 +273,46 @@ class TestQuasiSimulation:
         assert abs(fit.alpha.real - pred.real) / pred.real < 0.05
         drift = np.max(np.abs(tr.mass - tr.mass[0])) / abs(tr.mass[0])
         assert drift <= 1e-10
+
+
+def smoke_cases():
+    """One model per class, each at a state inside its energy's domain."""
+    q_phi = fe.Quadratic([[-1.0]], g=[0.4], variables=("phi",))
+    glob = models.CompressibleGlobal(
+        fe.Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]])),
+        fe.GradientCoefficients(np.diag([1e-2, 3e-2])),
+        np.array([[2.0, 0.5], [0.5, 1.0]]), inv_Re_s=0.5, inv_Re_v=0.2)
+    return {
+        "global": (glob, models.MixtureState.binary(1.0, 2.0)),
+        "local": (stable_local(), ST),
+        "quasi": (models.QuasiIncompressible(
+            q_phi, kappa_phi_phi=1e-2, M11=0.2, inv_Re_s=0.5, inv_Re_v=0.5,
+            rho_hat_1=2.0, rho_hat_2=1.0), models.MixtureState.fraction(0.4)),
+        "incompressible": (models.Incompressible(
+            q_phi, kappa_phi_phi=1e-2, M11=0.2, inv_Re_s=0.5, inv_Re_v=0.5,
+            rho_hat=1.5), models.MixtureState.fraction(0.4)),
+    }
+
+
+class TestEveryClassSmoke:
+    """Eigenvector seeding, dt guard, stiff symbols and the domain check
+    of every class under both integrators."""
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    @pytest.mark.parametrize("name", ["global", "local", "quasi", "incompressible"])
+    def test_short_run_conserves_mass_and_dissipates(self, name, integrator):
+        m, st = smoke_cases()[name]
+        grid = PeriodicGrid1D(L, 32)
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
+                                                 amplitude=1e-3,
+                                                 track_name="alpha1")
+        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
+                                   t_end=20 * dt, diagnostics_every=1,
+                                   perturbations=perts, integrator=integrator)
+        tr = sim.run(cfg)
+        assert tr.times.size == 21
+        drift = np.max(np.abs(tr.mass - tr.mass[0])) / abs(tr.mass[0])
+        assert drift <= 1e-10
+        assert np.all(np.diff(tr.energy) <= 1e-12 * max(1.0, abs(tr.energy[0])))
+        assert tr.energy[-1] < tr.energy[0]
