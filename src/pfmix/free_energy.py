@@ -579,17 +579,21 @@ class ChemicalPotentialField:
 
 
 def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
-                        fields: np.ndarray, grid) -> ChemicalPotentialField:
+                        fields: np.ndarray, grid,
+                        laplacians=None) -> ChemicalPotentialField:
     """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) on a periodic 1D grid.
 
-    ``fields`` has shape (nvar, n).
+    ``fields`` has shape (nvar, n).  The Laplacians are taken here in one
+    batched transform, unless a caller that already took them in its own
+    batch passes them as ``laplacians``.
     """
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    if fields.shape[0] != fe.nvar or kappa.n != fe.nvar:
+    if fields.ndim != 2 or fields.shape[0] != fe.nvar or kappa.n != fe.nvar:
         raise ShapeError("fields/kappa do not match the energy's variable count")
-    g = fe.gradient(np.moveaxis(fields, 0, -1), pointwise=True)
-    lap = np.stack([grid.dx2(f) for f in fields])
-    mu = np.moveaxis(g, -1, 0) - np.tensordot(kappa.kappa, lap, axes=(1, 0))
+    g = fe.gradient(fields.T, pointwise=True)
+    if laplacians is None:
+        laplacians = grid.derivatives(fields, (2,) * fe.nvar)
+    mu = g.T - kappa.kappa @ laplacians
     return ChemicalPotentialField(mu=mu, laplacian=grid.scheme)
 
 

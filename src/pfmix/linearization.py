@@ -114,9 +114,18 @@ class AsymptoticCoefficients:
         return "\n".join(lines) + "\n"
 
 
-def _guard_denominator(value: float, scale: float, what: str):
+def _guard_denominator(value: float, scale: float, what: str, why: str = ""):
     if abs(value) <= DEGENERATE_TOL * max(scale, 1.0):
-        raise SingularExpansion(f"{what} vanishes within tolerance")
+        raise SingularExpansion(f"{what} vanishes within tolerance{why}")
+
+
+# p.C.p / rho0 is dP/drho at fixed composition, the squared sound speed
+_NO_SOUND_SPEED = (
+    ": the pressure does not change with the total density at fixed "
+    "composition, so no long-wave acoustic expansion exists (an energy "
+    "homogeneous of degree one in the densities, such as Flory-Huggins, "
+    "gives this at every state); add a compressibility term to the bulk "
+    "energy, or use the quasi_incompressible class")
 
 
 def _csqrt(x: float) -> complex:
@@ -225,7 +234,8 @@ class GlobalLinearization(BinaryLinearization):
     def small_k(self) -> AsymptoticCoefficients:
         C, M, p, r0, iRe = self.C, self.mobility, self.p, self.rho0, self.inv_Re
         pCp, pKp, detC, detK, d = self.invariants()
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
+        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p",
+                           _NO_SOUND_SPEED)
         g1 = self.g1
         detM = float(np.linalg.det(M))
         MC = float(np.tensordot(M, C))
@@ -320,7 +330,8 @@ class LocalLinearization(BinaryLinearization):
     def small_k(self) -> AsymptoticCoefficients:
         C, p, r0, iRe, M11 = self.C, self.p, self.rho0, self.inv_Re, self.M11
         pCp, pKp, detC, detK, d = self.invariants()
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p")
+        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p",
+                           _NO_SOUND_SPEED)
         x0 = -M11 * r0**2 * detC / pCp
         y1 = (-(x0**3 * r0 + x0**2 * (r0 * M11 * C[1, 1] + iRe)
                 + x0 * (pKp + C[1, 1] * M11 * iRe)) / pCp

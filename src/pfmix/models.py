@@ -132,12 +132,20 @@ def local_conservation_matrix(M11: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class _ModelBase:
-    """Shared validation and viscosity plumbing."""
+class BinaryModel:
+    """Shared plumbing of the four binary classes: validation, viscosity
+    and the state array.
+
+    A state is one (n_fields, n) array whose rows follow ``field_names``.
+    Every method that takes ``fields`` also accepts a dict keyed by field
+    name and stacks it once at that boundary; ``rhs_1d`` answers in the
+    form it was given.
+    """
 
     inv_Re_s: float
     inv_Re_v: float
     viscosity_rule: Optional[ViscosityRule]
+    field_names: tuple
 
     def _check_reynolds(self):
         if self.inv_Re_s < 0 or self.inv_Re_v < 0:
@@ -154,31 +162,90 @@ class _ModelBase:
             return self.inv_Re_s, self.inv_Re_v
         return average_viscosity(self.viscosity_rule, composition)
 
+    @property
+    def _viscous_order(self) -> int:
+        """Order at which the velocities enter the viscous terms: their
+        Laplacians for constant viscosities, their gradients under a rule."""
+        return 2 if self.viscosity_rule is None else 1
 
-def _viscous_terms(grid, vx, vy, eta, nu):
-    fx = grid.dx1((2.0 * eta + nu) * grid.dx1(vx)) if np.ndim(eta) else \
-        (2.0 * eta + nu) * grid.dx2(vx)
-    fy = grid.dx1(eta * grid.dx1(vy)) if np.ndim(eta) else eta * grid.dx2(vy)
+    def state_array(self, fields) -> np.ndarray:
+        """The state as one (n_fields, n) array in ``field_names`` order."""
+        if isinstance(fields, dict):
+            return np.stack([fields[name] for name in self.field_names])
+        return fields
+
+    def field_dict(self, u) -> dict:
+        """The rows of a state array keyed by field name."""
+        return dict(zip(self.field_names, u))
+
+    def rhs_1d(self, fields, grid, return_aux=False):
+        """Time derivative of the state on a periodic grid, as an array or
+        a dict like ``fields``; with ``return_aux`` also the auxiliary
+        fields of the class (chemical potentials, fluxes, pressure)."""
+        out, aux = self._rhs(self.state_array(fields), grid, return_aux)
+        if isinstance(fields, dict):
+            out = self.field_dict(out)
+        return (out, aux) if return_aux else out
+
+
+def _viscous_terms(grid, dv, eta, nu):
+    """Viscous forces (fx, fy) from the velocities (vx, vy) differentiated
+    to the model's ``_viscous_order``; pointwise viscosities take one more
+    batched derivative of the stresses."""
+    if np.ndim(eta) == 0:
+        return (2.0 * eta + nu) * dv[0], eta * dv[1]
+    fx, fy = grid.derivatives(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
+                              (1, 1))
     return fx, fy
 
 
-class CompressibleModel(_ModelBase):
-    """Shared plumbing of the two compressible classes: fields are two
-    densities and the momenta mx, my; the bulk energy's variables are the
-    densities ``energy_fields``."""
+class CompressibleModel(BinaryModel):
+    """Shared plumbing of the two compressible classes: the state rows are
+    two densities then the momenta mx, my; the bulk energy's variables are
+    the densities ``energy_fields``."""
 
     field_names: tuple
     energy_fields: tuple
 
     def energy_variables(self, fields, axis=-1):
         """The free energy's variables stacked along ``axis``."""
-        return np.stack([fields[v] for v in self.energy_fields], axis=axis)
+        u = self.state_array(fields)
+        return np.stack([u[self.field_names.index(v)] for v in self.energy_fields],
+                        axis=axis)
 
-    def _mu(self, fields, grid):
-        """Chemical potentials in the energy variables, including
-        cross-gradient contributions."""
-        stack = self.energy_variables(fields, axis=0)
-        return chemical_potentials(self.free_energy, self.kappa, stack, grid).mu
+    def _primitive(self, u):
+        """Energy variables (stacked on axis 0), total density and the
+        velocities of a state array."""
+        rho = self.total_density(u)
+        return self.energy_variables(u, axis=0), rho, u[2] / rho, u[3] / rho
+
+    def _transport(self, u, grid):
+        """What both right-hand sides differentiate, one batched transform
+        per dependency level: the densities' Laplacians (for mu), the
+        velocities (viscous terms) and the fluxes u*vx; then d2 mu and d mu.
+
+        Returns vx, vy, mu, d2 mu, d mu, d(u*vx)/dx, fx, fy.
+        """
+        E, rho, vx, vy = self._primitive(u)
+        vo = self._viscous_order
+        d = grid.derivatives(np.concatenate([E, [vx, vy], u * vx]),
+                             (2, 2, vo, vo, 1, 1, 1, 1))
+        mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
+                                 laplacians=d[:2]).mu
+        dmu = grid.derivatives(np.concatenate([mu, mu]), (2, 2, 1, 1))
+        eta, nu = self._viscosity_fields(E[0] / rho)
+        fx, fy = _viscous_terms(grid, d[2:4], eta, nu)
+        return vx, vy, mu, dmu[:2], dmu[2:], d[4:], fx, fy
+
+    def _dissipation_terms(self, fields, grid):
+        """Viscous dissipation density and d mu, in two batched transforms."""
+        E, rho, vx, vy = self._primitive(self.state_array(fields))
+        d = grid.derivatives(np.concatenate([E, [vx, vy]]), (2, 2, 1, 1))
+        mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
+                                 laplacians=d[:2]).mu
+        eta, nu = self._viscosity_fields(E[0] / rho)
+        visc = (2.0 * eta + nu) * d[2] ** 2 + eta * d[3] ** 2
+        return visc, grid.derivatives(mu, (1, 1))
 
     def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
         ones = np.ones(grid.n)
@@ -189,9 +256,10 @@ class CompressibleModel(_ModelBase):
         return grid.integrate(self.total_density(fields))
 
     def total_energy(self, fields, grid) -> float:
-        kin = 0.5 * (fields["mx"] ** 2 + fields["my"] ** 2) / self.total_density(fields)
-        bulk = self.free_energy.value(self.energy_variables(fields), pointwise=True)
-        d = np.stack([grid.dx1(fields[v]) for v in self.energy_fields])
+        u = self.state_array(fields)
+        kin = 0.5 * (u[2] ** 2 + u[3] ** 2) / self.total_density(u)
+        bulk = self.free_energy.value(self.energy_variables(u), pointwise=True)
+        d = grid.derivatives(self.energy_variables(u, axis=0), (1, 1))
         grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
         return grid.integrate(kin + bulk + grad)
 
@@ -228,38 +296,23 @@ class CompressibleGlobal(CompressibleModel):
         return np.array([state.rho1, state.rho2])
 
     def total_density(self, fields):
-        return fields["rho1"] + fields["rho2"]
+        u = self.state_array(fields)
+        return u[0] + u[1]
 
-    def rhs_1d(self, fields, grid, return_aux=False):
-        rho1, rho2 = fields["rho1"], fields["rho2"]
-        rho = rho1 + rho2
-        vx, vy = fields["mx"] / rho, fields["my"] / rho
-        mu = self._mu(fields, grid)
-        J = np.tensordot(self.mobility, np.stack([grid.dx2(mu[0]), grid.dx2(mu[1])]),
-                         axes=(1, 0))
-        eta, nu = self._viscosity_fields(rho1 / rho)
-        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
+    def _rhs(self, u, grid, return_aux):
+        vx, vy, mu, d2mu, dmu, dflux, fx, fy = self._transport(u, grid)
+        J = self.mobility @ d2mu
         Jsum = J[0] + J[1]
-        out = {
-            "rho1": -grid.dx1(rho1 * vx) + J[0],
-            "rho2": -grid.dx1(rho2 * vx) + J[1],
-            "mx": (-grid.dx1(fields["mx"] * vx) + 0.5 * Jsum * vx + fx
-                   - rho1 * grid.dx1(mu[0]) - rho2 * grid.dx1(mu[1])),
-            "my": -grid.dx1(fields["my"] * vx) + 0.5 * Jsum * vy + fy,
-        }
-        if return_aux:
-            return out, {"mu": mu, "J": J}
-        return out
+        out = np.empty_like(u)
+        out[0] = -dflux[0] + J[0]
+        out[1] = -dflux[1] + J[1]
+        out[2] = -dflux[2] + 0.5 * Jsum * vx + fx - u[0] * dmu[0] - u[1] * dmu[1]
+        out[3] = -dflux[3] + 0.5 * Jsum * vy + fy
+        return out, {"mu": mu, "J": J}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
-        rho1, rho2 = fields["rho1"], fields["rho2"]
-        rho = rho1 + rho2
-        vx, vy = fields["mx"] / rho, fields["my"] / rho
-        mu = self._mu(fields, grid)
-        eta, nu = self._viscosity_fields(rho1 / rho)
-        dmu = np.stack([grid.dx1(mu[0]), grid.dx1(mu[1])])
+        visc, dmu = self._dissipation_terms(fields, grid)
         mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
-        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
         return -grid.integrate(visc + mob)
 
     def linearization(self, state: MixtureState) -> GlobalLinearization:
@@ -302,32 +355,22 @@ class CompressibleLocal(CompressibleModel):
         return np.array([state.rho1, state.rho])
 
     def total_density(self, fields):
-        return fields["rho"]
+        return self.state_array(fields)[0]
 
-    def rhs_1d(self, fields, grid, return_aux=False):
-        rho, rho1 = fields["rho"], fields["rho1"]
-        vx, vy = fields["mx"] / rho, fields["my"] / rho
-        mu = self._mu(fields, grid)   # mu[0] = mu~_1, mu[1] = mu~
-        eta, nu = self._viscosity_fields(rho1 / rho)
-        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
-        out = {
-            "rho": -grid.dx1(rho * vx),
-            "rho1": -grid.dx1(rho1 * vx) + self.M11 * grid.dx2(mu[0]),
-            "mx": (-grid.dx1(fields["mx"] * vx) + fx
-                   - rho1 * grid.dx1(mu[0]) - rho * grid.dx1(mu[1])),
-            "my": -grid.dx1(fields["my"] * vx) + fy,
-        }
-        if return_aux:
-            return out, {"mu": mu}
-        return out
+    def _rhs(self, u, grid, return_aux):
+        # mu[0] = mu~_1, mu[1] = mu~
+        vx, vy, mu, d2mu, dmu, dflux, fx, fy = self._transport(u, grid)
+        rho, rho1 = u[0], u[1]
+        out = np.empty_like(u)
+        out[0] = -dflux[0]
+        out[1] = -dflux[1] + self.M11 * d2mu[0]
+        out[2] = -dflux[2] + fx - rho1 * dmu[0] - rho * dmu[1]
+        out[3] = -dflux[3] + fy
+        return out, {"mu": mu}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
-        rho, rho1 = fields["rho"], fields["rho1"]
-        vx, vy = fields["mx"] / rho, fields["my"] / rho
-        mu = self._mu(fields, grid)
-        eta, nu = self._viscosity_fields(rho1 / rho)
-        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
-        return -grid.integrate(visc + self.M11 * grid.dx1(mu[0]) ** 2)
+        visc, dmu = self._dissipation_terms(fields, grid)
+        return -grid.integrate(visc + self.M11 * dmu[0] ** 2)
 
     def linearization(self, state: MixtureState) -> LocalLinearization:
         H = self.free_energy.hessian(self.state_densities(state))
@@ -342,7 +385,7 @@ class CompressibleLocal(CompressibleModel):
         )
 
 
-class PhaseFieldModel(_ModelBase):
+class PhaseFieldModel(BinaryModel):
     """Shared plumbing of the quasi-incompressible and incompressible
     classes: fields phi, vx, vy and a bulk energy in phi alone."""
 
@@ -362,23 +405,25 @@ class PhaseFieldModel(_ModelBase):
         return np.array([state.phi])
 
     def energy_variables(self, fields):
-        return fields["phi"][..., None]
+        return self.state_array(fields)[0][..., None]
 
     def uniform_fields(self, state, grid):
         return {"phi": state.phi * np.ones(grid.n),
                 "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
 
-    def mu_phi(self, phi, grid):
+    def mu_phi(self, phi, laplacian):
+        """Chemical potential dh/dphi - kappa_phi_phi lap(phi), given the
+        Laplacian of phi."""
         g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
-        return g - self.kappa_phi_phi * grid.dx2(phi)
+        return g - self.kappa_phi_phi * laplacian
 
     def total_mass(self, fields, grid) -> float:
-        return grid.integrate(self.density(fields["phi"]))
+        return grid.integrate(self.density(self.state_array(fields)[0]))
 
     def total_energy(self, fields, grid) -> float:
-        phi = fields["phi"]
+        phi, vx, vy = self.state_array(fields)
         rho = self.density(phi)
-        kin = 0.5 * rho * (fields["vx"] ** 2 + fields["vy"] ** 2)
+        kin = 0.5 * rho * (vx ** 2 + vy ** 2)
         bulk = self.free_energy.value(phi[..., None], pointwise=True)
         grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
         return grid.integrate(kin + bulk + grad)
@@ -419,59 +464,67 @@ class QuasiIncompressible(PhaseFieldModel):
         return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
 
     def solve_pressure(self, fields, grid):
-        """Hydrostatic field from the divergence constraint, zero mean."""
-        phi, vx = fields["phi"], fields["vx"]
-        mu = self.mu_phi(phi, grid)
+        """Hydrostatic field from the divergence constraint, zero mean;
+        returns it with mu_phi."""
+        phi, vx, vy = self.state_array(fields)
         r = self.rho_hat_1 / self.rho_hat_2
         Mh = self.M11 / self.rho_hat_1**2
         if abs(1.0 - r) < 1e-13:
             # incompressible gauge: make the velocity divergence stationary
+            vo = self._viscous_order
+            d = grid.derivatives(np.stack([phi, vx, vx, vy]), (2, 1, vo, vo))
+            mu = self.mu_phi(phi, d[0])
             eta, nu = self._viscosity_fields(phi)
-            fx, _ = _viscous_terms(grid, vx, fields["vy"], eta, nu)
-            force = -self.density(phi) * vx * grid.dx1(vx) + fx - phi * grid.dx1(mu)
+            fx, _ = _viscous_terms(grid, d[2:], eta, nu)
+            force = -self.density(phi) * vx * d[1] + fx - phi * grid.dx1(mu)
             Pi = _antiderivative_mean_free(force, grid)
         else:
-            rhs = (grid.dx1(vx) - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
+            d = grid.derivatives(np.stack([phi, vx]), (2, 1))
+            mu = self.mu_phi(phi, d[0])
+            rhs = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
             Pi = _poisson_mean_free(rhs, grid)
         if not np.all(np.isfinite(Pi)):
             raise SolveError("pressure solve produced non-finite values")
         return Pi, mu
 
-    def rhs_1d(self, fields, grid, return_aux=False):
-        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
-        Pi, mu = self.solve_pressure(fields, grid)
+    def _rhs(self, u, grid, return_aux):
+        phi, vx, vy = u
+        Pi, mu = self.solve_pressure(u, grid)
         r = self.rho_hat_1 / self.rho_hat_2
         Mh = self.M11 / self.rho_hat_1**2
         G = mu + (1.0 - r) * Pi
         rho = self.density(phi)
+        vo = self._viscous_order
+        d = grid.derivatives(np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
+                             (2, 1, 1, 1, 1, 1, vo, vo))
         eta, nu = self._viscosity_fields(phi)
-        fx, fy = _viscous_terms(grid, vx, vy, eta, nu)
-        out = {
-            "phi": -grid.dx1(phi * vx) + Mh * grid.dx2(G),
-            "vx": (-rho * vx * grid.dx1(vx) + fx - grid.dx1(Pi)
-                   - phi * grid.dx1(mu)) / rho,
-            "vy": (-rho * vx * grid.dx1(vy) + fy) / rho,
-        }
-        if return_aux:
-            return out, {"Pi": Pi, "mu_phi": mu, "G": G}
-        return out
+        fx, fy = _viscous_terms(grid, d[6:], eta, nu)
+        out = np.empty_like(u)
+        out[0] = -d[1] + Mh * d[0]
+        out[1] = (-rho * vx * d[2] + fx - d[3] - phi * d[4]) / rho
+        out[2] = (-rho * vx * d[5] + fy) / rho
+        return out, {"Pi": Pi, "mu_phi": mu, "G": G}
 
     def divergence_residual(self, fields, grid) -> float:
         """Max-norm of div v minus its constrained value after the solve."""
-        _, aux = self.rhs_1d(fields, grid, return_aux=True)
+        u = self.state_array(fields)
+        _, aux = self.rhs_1d(u, grid, return_aux=True)
         r = self.rho_hat_1 / self.rho_hat_2
         Mh = self.M11 / self.rho_hat_1**2
-        res = grid.dx1(fields["vx"]) - (1.0 - r) * Mh * grid.dx2(aux["G"])
+        d = grid.derivatives(np.stack([u[1], aux["G"]]), (1, 2))
+        res = d[0] - (1.0 - r) * Mh * d[1]
         return float(np.max(np.abs(res)))
 
     def energy_dissipation_rate(self, fields, grid) -> float:
-        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
-        Pi, mu = self.solve_pressure(fields, grid)
+        u = self.state_array(fields)
+        phi, vx, vy = u
+        Pi, mu = self.solve_pressure(u, grid)
         r = self.rho_hat_1 / self.rho_hat_2
         mu_hat_1 = (mu + (1.0 - r) * Pi) / self.rho_hat_1
         eta, nu = self._viscosity_fields(phi)
-        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
-        return -grid.integrate(visc + self.M11 * grid.dx1(mu_hat_1) ** 2)
+        d = grid.derivatives(np.stack([vx, vy, mu_hat_1]), (1, 1, 1))
+        visc = (2.0 * eta + nu) * d[0] ** 2 + eta * d[1] ** 2
+        return -grid.integrate(visc + self.M11 * d[2] ** 2)
 
 
 @dataclass(frozen=True)
@@ -505,32 +558,34 @@ class Incompressible(PhaseFieldModel):
         return self.rho_hat * np.ones_like(phi)
 
     def solve_pressure(self, fields, grid):
-        phi = fields["phi"]
-        mu = self.mu_phi(phi, grid)
+        phi = self.state_array(fields)[0]
+        mu = self.mu_phi(phi, grid.dx2(phi))
         Pi = _antiderivative_mean_free(-phi * grid.dx1(mu), grid)
         return Pi, mu
 
-    def rhs_1d(self, fields, grid, return_aux=False):
-        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
-        mu = self.mu_phi(phi, grid)
+    def _rhs(self, u, grid, return_aux):
+        phi, vx, vy = u
+        vo = self._viscous_order
+        d = grid.derivatives(np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
+        mu = self.mu_phi(phi, d[0])
         eta, nu = self._viscosity_fields(phi)
-        _, fy = _viscous_terms(grid, vx, vy, eta, nu)
-        out = {
-            "phi": -grid.dx1(phi * vx) + self.M11 / self.rho_hat**2 * grid.dx2(mu),
-            # x-momentum balances against the pressure gradient: vx stays uniform
-            "vx": np.zeros_like(vx),
-            "vy": (-self.rho_hat * vx * grid.dx1(vy) + fy) / self.rho_hat,
-        }
-        if return_aux:
-            Pi, _ = self.solve_pressure(fields, grid)
-            return out, {"Pi": Pi, "mu_phi": mu}
-        return out
+        _, fy = _viscous_terms(grid, d[3:], eta, nu)
+        out = np.empty_like(u)
+        out[0] = -d[1] + self.M11 / self.rho_hat**2 * grid.dx2(mu)
+        # x-momentum balances against the pressure gradient: vx stays uniform
+        out[1] = 0.0
+        out[2] = (-self.rho_hat * vx * d[2] + fy) / self.rho_hat
+        if not return_aux:
+            return out, None
+        Pi, _ = self.solve_pressure(u, grid)
+        return out, {"Pi": Pi, "mu_phi": mu}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
-        phi, vx, vy = fields["phi"], fields["vx"], fields["vy"]
-        mu = self.mu_phi(phi, grid)
+        phi, vx, vy = self.state_array(fields)
+        d = grid.derivatives(np.stack([phi, vx, vy]), (2, 1, 1))
+        mu = self.mu_phi(phi, d[0])
         eta, nu = self._viscosity_fields(phi)
-        visc = (2.0 * eta + nu) * grid.dx1(vx) ** 2 + eta * grid.dx1(vy) ** 2
+        visc = (2.0 * eta + nu) * d[1] ** 2 + eta * d[2] ** 2
         mob = self.M11 / self.rho_hat**2 * grid.dx1(mu) ** 2
         return -grid.integrate(visc + mob)
 
@@ -710,7 +765,7 @@ class NComponentModel:
 
     def density_fluxes(self, densities, grid):
         mu = self.chemical_potential_fields(densities, grid)
-        lap = np.stack([grid.dx2(m) for m in mu])
+        lap = grid.derivatives(mu, (2,) * self.n_components)
         return np.tensordot(self.mobility, lap, axes=(1, 0)), mu
 
     def constraint_residual(self, densities, grid) -> float:
@@ -724,7 +779,8 @@ class NComponentModel:
         rho = dens.sum(axis=0)
         vx, vy = fields["mx"] / rho, fields["my"] / rho
         J, mu = self.density_fluxes(dens, grid)
-        fx, fy = _viscous_terms(grid, vx, vy, self.inv_Re_s, self.inv_Re_v)
+        fx, fy = _viscous_terms(grid, grid.derivatives(np.stack([vx, vy]), (2, 2)),
+                                self.inv_Re_s, self.inv_Re_v)
         elastic = sum(dens[i] * grid.dx1(mu[i]) for i in range(self.n_components))
         Jsum = J.sum(axis=0)
         out = {names[i]: -grid.dx1(dens[i] * vx) + J[i]
@@ -737,7 +793,7 @@ class NComponentModel:
 
     def dissipation_rate(self, densities, velocity_x, velocity_y, grid) -> float:
         _, mu = self.density_fluxes(densities, grid)
-        dmu = np.stack([grid.dx1(m) for m in mu])
+        dmu = grid.derivatives(mu, (1,) * self.n_components)
         mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
         visc = (2.0 * self.inv_Re_s + self.inv_Re_v) * grid.dx1(velocity_x) ** 2 \
             + self.inv_Re_s * grid.dx1(velocity_y) ** 2

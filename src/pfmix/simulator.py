@@ -4,6 +4,9 @@ Used to verify dispersion predictions, mass conservation and the energy
 dissipation inequality independently of the linear analysis.  Explicit RK4
 is the default integrator; a first-order semi-implicit scheme (stiff linear
 terms integrated in Fourier space) is available for stiff parameter sets.
+
+The state is carried as one (n_fields, n) array in ``model.field_names``
+order; traces, snapshots and blow-up dumps hand it out as dicts.
 """
 
 from __future__ import annotations
@@ -144,16 +147,15 @@ def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
         rho = model.total_density(fields)
         fields["mx"] = rho * bumps.get("vx", np.zeros(grid.n))
         fields["my"] = rho * bumps.get("vy", np.zeros(grid.n))
-    _check_in_domain(model, fields, step=None)
+    _check_in_domain(model, model.state_array(fields), step=None)
     return fields
 
 
-def _check_in_domain(model, fields, step):
-    for v in fields.values():
-        if not np.all(np.isfinite(v)):
-            raise BlowupError("non-finite field value", step=step)
+def _check_in_domain(model, u, step):
+    if not np.all(np.isfinite(u)):
+        raise BlowupError("non-finite field value", step=step)
     try:
-        model.free_energy.check_domain(model.energy_variables(fields), pointwise=True)
+        model.free_energy.check_domain(model.energy_variables(u), pointwise=True)
     except DomainError as exc:
         raise BlowupError(f"field left the free-energy domain: {exc}",
                           step=step) from exc
@@ -164,33 +166,22 @@ def _check_in_domain(model, fields, step):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(model, fields, grid, dt):
-    k1 = model.rhs_1d(fields, grid)
-    f2 = {n: fields[n] + 0.5 * dt * k1[n] for n in fields}
-    k2 = model.rhs_1d(f2, grid)
-    f3 = {n: fields[n] + 0.5 * dt * k2[n] for n in fields}
-    k3 = model.rhs_1d(f3, grid)
-    f4 = {n: fields[n] + dt * k3[n] for n in fields}
-    k4 = model.rhs_1d(f4, grid)
-    return {
-        n: fields[n] + dt / 6.0 * (k1[n] + 2.0 * k2[n] + 2.0 * k3[n] + k4[n])
-        for n in fields
-    }
+def _rk4_step(model, u, grid, dt):
+    k1 = model.rhs_1d(u, grid)
+    k2 = model.rhs_1d(u + 0.5 * dt * k1, grid)
+    k3 = model.rhs_1d(u + 0.5 * dt * k2, grid)
+    k4 = model.rhs_1d(u + dt * k3, grid)
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _semi_implicit_step(model, fields, grid, dt, spectra):
-    rhs = model.rhs_1d(fields, grid)
-    out = {}
-    for n, f in fields.items():
-        L = spectra.get(n)
-        if L is None:
-            out[n] = f + dt * rhs[n]
-            continue
-        fh = np.fft.rfft(f)
-        # d/dt u = -L u + N(u);  N = rhs + L u evaluated explicitly
-        nh = np.fft.rfft(rhs[n]) + L * fh
-        out[n] = np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n)
-    return out
+def _semi_implicit_step(model, u, grid, dt, L):
+    """One step with the stiff symbols ``L`` (one row per field) implicit:
+    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly."""
+    rhs = model.rhs_1d(u, grid)
+    h = np.fft.rfft(np.concatenate([u, rhs]), axis=-1)
+    fh = h[:len(u)]
+    nh = h[len(u):] + L * fh
+    return np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +203,12 @@ def run(config: SimulationConfig) -> SimulationTrace:
             raise RangeError(
                 f"dt={config.dt:g} exceeds the stability guard {guard:g}; "
                 "reduce dt or set enforce_dt_guard=False")
-    fields = initial_fields(config, grid)
+    u = model.state_array(initial_fields(config, grid))
     n_steps = int(round(config.t_end / config.dt))
-    spectra = None
     if config.integrator == "semi_implicit":
-        # Fourier symbols of the stiffest linear operators, per field
-        spectra = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
+        # Fourier symbols of the stiffest linear operators, one row per field
+        symbols = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
+        stiff = np.stack([symbols[name] for name in model.field_names])
 
     times, masses, energies, dissipations = [], [], [], []
     amplitudes = {pair: [] for pair in config.track}
@@ -225,16 +216,16 @@ def run(config: SimulationConfig) -> SimulationTrace:
 
     def record(t):
         times.append(t)
-        masses.append(model.total_mass(fields, grid))
-        energies.append(model.total_energy(fields, grid))
-        dissipations.append(model.energy_dissipation_rate(fields, grid))
+        masses.append(model.total_mass(u, grid))
+        energies.append(model.total_energy(u, grid))
+        dissipations.append(model.energy_dissipation_rate(u, grid))
         for fname, mode in config.track:
             amplitudes[(fname, mode)].append(
-                grid.mode_amplitude(_observable(model, fields, fname), mode))
+                grid.mode_amplitude(_observable(model, u, fname), mode))
 
     def snapshot(step):
         if config.snapshot_every > 0 and step % config.snapshot_every == 0:
-            snapshots.append((step, {k: v.copy() for k, v in fields.items()}))
+            snapshots.append((step, model.field_dict(u.copy())))
 
     record(0.0)
     snapshot(0)
@@ -242,20 +233,19 @@ def run(config: SimulationConfig) -> SimulationTrace:
         for step in range(1, n_steps + 1):
             try:
                 if config.integrator == "rk4":
-                    fields = _rk4_step(model, fields, grid, config.dt)
+                    u = _rk4_step(model, u, grid, config.dt)
                 else:
-                    fields = _semi_implicit_step(model, fields, grid, config.dt,
-                                                 spectra)
+                    u = _semi_implicit_step(model, u, grid, config.dt, stiff)
             except DomainError as exc:
                 err = BlowupError(f"field left the free-energy domain: {exc}",
                                   step=step)
-                err.fields = fields  # state dump for post-mortem inspection
+                err.fields = model.field_dict(u)  # state dump for post-mortem
                 raise err from exc
             if step % config.diagnostics_every == 0 or step == n_steps:
                 try:
-                    _check_in_domain(model, fields, step)
+                    _check_in_domain(model, u, step)
                 except BlowupError as err:
-                    err.fields = fields
+                    err.fields = model.field_dict(u)
                     raise
                 record(step * config.dt)
             snapshot(step)
@@ -263,16 +253,18 @@ def run(config: SimulationConfig) -> SimulationTrace:
         times=np.array(times), mass=np.array(masses), energy=np.array(energies),
         dissipation=np.array(dissipations),
         amplitudes={k: np.array(v) for k, v in amplitudes.items()},
-        final_fields=fields, grid=grid, config=config,
+        final_fields=model.field_dict(u), grid=grid, config=config,
         snapshots=tuple(snapshots))
 
 
-def _observable(model, fields, name):
-    """Velocity observables for conservative classes divide out the density."""
-    if name in fields:
-        return fields[name]
+def _observable(model, u, name):
+    """Row ``name`` of the state; velocity observables for conservative
+    classes divide out the density."""
+    names = model.field_names
+    if name in names:
+        return u[names.index(name)]
     if name in ("vx", "vy"):
-        return fields["m" + name[1]] / model.total_density(fields)
+        return u[names.index("m" + name[1])] / model.total_density(u)
     raise RangeError(f"unknown observable {name!r}")
 
 

@@ -129,6 +129,48 @@ enforce_dt_guard = false""")
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_BLOWUP
 
+    @pytest.mark.parametrize("model, kappa, state", [
+        ("class = compressible_global\nM11 = 0.05\nM12 = -0.02\nM22 = 0.05",
+         "kappa_rho1_rho1 = 0.002\nkappa_rho1_rho2 = 0.0\nkappa_rho2_rho2 = 0.002",
+         "rho1_0 = 0.5\nrho2_0 = 0.5"),
+        ("class = compressible_local\nM11 = 0.05",
+         "kappa_rho1_rho1 = 0.002\nkappa_rho_rho1 = 0.0\nkappa_rho_rho = 0.002",
+         "rho0 = 1.0\nrho1_0 = 0.5"),
+    ], ids=["global", "local_tilde"])
+    def test_flory_huggins_sweep_explains_missing_sound_speed(
+            self, tmp_path, capsys, model, kappa, state):
+        # Flory-Huggins is homogeneous of degree one in the densities, so
+        # p.C.p = 0 at every state and the long-wave expansion cannot exist
+        text = f"""
+[free_energy]
+kind = flory_huggins
+kBT_over_m = 1.0
+N1 = 1.0
+N2 = 1.0
+chi = 3.0
+{kappa}
+
+[model]
+{model}
+Re_s = 2.0
+Re_v = 5.0
+
+[state]
+{state}
+
+[sweep]
+k_min = 0.01
+k_max = 10.0
+points = 11
+"""
+        path = write(tmp_path, "fh.ini", text)
+        code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "p.C.p vanishes" in err
+        assert "homogeneous of degree one" in err
+        assert "compressibility term" in err and "quasi_incompressible" in err
+
     def test_verify_default_config_passes(self, tmp_path):
         assert cli.main(["verify", "--config",
                          str(config_path("quasi_spinodal.ini")),

@@ -1,0 +1,45 @@
+import numpy as np
+import pytest
+
+from pfmix.grid import PeriodicGrid1D
+
+
+def reference_derivative(grid, f, order):
+    """One row at a time, written out: the spectral symbol (ik)^p or the
+    second-order central stencil."""
+    if grid.scheme == "spectral":
+        k = grid.wavenumbers
+        symbol = 1j * k if order == 1 else -(k**2)
+        return np.fft.irfft(symbol * np.fft.rfft(f), n=grid.n)
+    if order == 1:
+        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.dx)
+    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / grid.dx**2
+
+
+class TestBatchedDerivatives:
+    @pytest.mark.parametrize("n", [32, 1024])
+    @pytest.mark.parametrize("scheme", ["spectral", "central"])
+    def test_mixed_orders_match_row_by_row(self, scheme, n, rng):
+        grid = PeriodicGrid1D(2 * np.pi, n, scheme=scheme)
+        orders = (2, 1, 1, 2, 1, 2, 2, 1)
+        stack = rng.normal(size=(len(orders), n))
+        out = grid.derivatives(stack, orders)
+        assert out.shape == stack.shape
+        for row, order, got in zip(stack, orders, out):
+            one = grid.dx1(row) if order == 1 else grid.dx2(row)
+            assert np.array_equal(got, one)
+            assert np.array_equal(got, reference_derivative(grid, row, order))
+
+    def test_spectral_derivative_of_a_mode(self):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        f = np.sin(3 * grid.x)
+        d = grid.derivatives(np.stack([f, f]), (1, 2))
+        assert np.allclose(d[0], 3 * np.cos(3 * grid.x), atol=1e-12)
+        assert np.allclose(d[1], -9 * f, atol=1e-12)
+
+
+def test_mode_amplitude_convention():
+    grid = PeriodicGrid1D(2 * np.pi, 64)
+    assert grid.mode_amplitude(0.3 * np.cos(3 * grid.x), 3) == pytest.approx(0.3)
+    assert grid.mode_amplitude(0.3 * np.sin(3 * grid.x), 3) == pytest.approx(-0.3j)
+    assert grid.mode_amplitude(0.7 + 0.0 * grid.x, 0) == pytest.approx(0.7)

@@ -232,6 +232,9 @@ class TestFailureModes:
         with pytest.raises(BlowupError) as err:
             sim.run(cfg)
         assert err.value.step is not None
+        dump = err.value.fields
+        assert isinstance(dump, dict) and tuple(dump) == m.field_names
+        assert all(np.shape(v) == (64,) for v in dump.values())
 
     def test_fit_needs_enough_samples(self):
         m = stable_local()
@@ -311,8 +314,69 @@ class TestEveryClassSmoke:
                                    t_end=20 * dt, diagnostics_every=1,
                                    perturbations=perts, integrator=integrator)
         tr = sim.run(cfg)
+        assert isinstance(tr.final_fields, dict)
+        assert tuple(tr.final_fields) == m.field_names
         assert tr.times.size == 21
         drift = np.max(np.abs(tr.mass - tr.mass[0])) / abs(tr.mass[0])
         assert drift <= 1e-10
         assert np.all(np.diff(tr.energy) <= 1e-12 * max(1.0, abs(tr.energy[0])))
         assert tr.energy[-1] < tr.energy[0]
+
+
+# Upper bounds on numpy.fft.rfft + irfft calls: one batched transform pair
+# per dependency level of each right-hand side (constant viscosities).
+FFT_PER_RHS = {"global": 4, "local": 4, "quasi": 8, "incompressible": 4}
+
+
+@pytest.fixture()
+def fft_calls(monkeypatch):
+    """Counter of numpy.fft.rfft/irfft calls made while the test runs."""
+    count = [0]
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            count[0] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    return count
+
+
+class TestFftBudget:
+    """The fused core does each spectral transform once per dependency
+    level; these bounds fail if a right-hand side goes back to one
+    transform pair per derivative."""
+
+    @pytest.mark.parametrize("name", sorted(FFT_PER_RHS))
+    def test_per_rhs(self, name, fft_calls):
+        m, st = smoke_cases()[name]
+        grid = PeriodicGrid1D(L, 32)
+        u = m.state_array(m.uniform_fields(st, grid))
+        before = fft_calls[0]
+        m.rhs_1d(u, grid)
+        assert fft_calls[0] - before <= FFT_PER_RHS[name]
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    @pytest.mark.parametrize("name", sorted(FFT_PER_RHS))
+    def test_per_step(self, name, integrator, fft_calls):
+        m, st = smoke_cases()[name]
+        grid = PeriodicGrid1D(L, 32)
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
+                                                 amplitude=1e-3)
+        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+
+        def calls(steps):
+            # diagnostics only at the first and the last step of each run
+            cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
+                                       t_end=steps * dt, diagnostics_every=1000,
+                                       perturbations=perts, integrator=integrator)
+            before = fft_calls[0]
+            sim.run(cfg)
+            return fft_calls[0] - before
+
+        per_step = (calls(10) - calls(5)) / 5
+        stages = 4 if integrator == "rk4" else 1
+        extra = 0 if integrator == "rk4" else 2   # one batched rfft and irfft
+        assert per_step <= stages * FFT_PER_RHS[name] + extra
