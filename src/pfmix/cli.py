@@ -416,8 +416,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        # accepted for compatibility; every command runs single-threaded
-        p.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

@@ -32,8 +32,6 @@ from .errors import DomainError, RangeError, ShapeError
 
 SQRT2 = np.sqrt(2.0)
 
-# Default finite-difference step rule: central differences, relative step.
-FD_REL_STEP = 1e-6
 # An eigenvalue counts as zero if |lam| <= DEFINITENESS_TOL * ||C||_F.
 DEFINITENESS_TOL = 1e-10
 
@@ -114,8 +112,8 @@ class BulkFreeEnergy:
     """Base for bulk energy densities h(densities).
 
     ``densities`` arrays have the variable axis last: shape (..., nvar).
-    Subclasses implement ``_value`` (and analytic ``_gradient``/``_hessian``
-    where available) assuming the domain has been checked.
+    Subclasses implement ``_value`` and the analytic ``_gradient`` and
+    ``_hessian``, assuming the domain has been checked.
     """
 
     variables: tuple[str, ...] = ()
@@ -162,31 +160,6 @@ class BulkFreeEnergy:
         rho = np.asarray(rho, dtype=float)
         self.check_domain(rho, pointwise=pointwise)
         return self._hessian(rho)
-
-    # -- finite-difference fallbacks ------------------------------------------
-    def _fd_steps(self, rho):
-        return FD_REL_STEP * np.maximum(1.0, np.abs(rho))
-
-    def _gradient(self, rho):
-        h = self._fd_steps(rho)
-        out = np.empty_like(rho)
-        for i in range(self.nvar):
-            e = np.zeros(self.nvar)
-            e[i] = 1.0
-            out[..., i] = (self._value(rho + h[..., i, None] * e)
-                           - self._value(rho - h[..., i, None] * e)) / (2.0 * h[..., i])
-        return out
-
-    def _hessian(self, rho):
-        h = self._fd_steps(rho)
-        out = np.empty(rho.shape[:-1] + (self.nvar, self.nvar))
-        for j in range(self.nvar):
-            e = np.zeros(self.nvar)
-            e[j] = 1.0
-            gp = self._gradient(rho + h[..., j, None] * e)
-            gm = self._gradient(rho - h[..., j, None] * e)
-            out[..., :, j] = (gp - gm) / (2.0 * h[..., j, None])
-        return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 class Quadratic(BulkFreeEnergy):

@@ -16,9 +16,10 @@ class PeriodicGrid1D:
     length: float
     n: int
     scheme: str = "spectral"
-    x: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
-    symbols: np.ndarray = field(init=False, repr=False)   # row p: (ik)^p
+    # derived from (length, n), so left out of equality and hashing
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
+    symbols: np.ndarray = field(init=False, repr=False, compare=False)  # row p: (ik)^p
 
     def __post_init__(self):
         if self.length <= 0:

@@ -1,4 +1,5 @@
-"""The four binary model classes and the N-component generalization.
+"""The model classes: compressible N-component mixtures and the binary
+phase-field hierarchy.
 
 Each model bundles a bulk free energy in its natural variables, gradient
 coefficients, mobilities and inverse Reynolds numbers, and knows how to:
@@ -6,8 +7,12 @@ coefficients, mobilities and inverse Reynolds numbers, and knows how to:
 * evaluate its 1D right-hand side on a periodic grid (conservative momentum,
   transverse velocity carried alongside),
 * evaluate total energy and the closed-form dissipation rate,
-* return its linearization about a constant state, the object that owns
-  the class's pencil, expansions and stiff terms (:mod:`pfmix.linearization`).
+* return its linearization about a constant binary state, the object that
+  owns the class's pencil, expansions and stiff terms (:mod:`pfmix.linearization`).
+
+``CompressibleGlobal`` holds N densities: its right-hand side, energy and
+dissipation run through the one batched compressible core for every N;
+N = 2 is the binary model, the only one with a linearization.
 
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible and incompressible classes evolve velocities
@@ -133,7 +138,7 @@ def local_conservation_matrix(M11: float) -> np.ndarray:
 
 
 class BinaryModel:
-    """Shared plumbing of the four binary classes: validation, viscosity
+    """Shared plumbing of the four model classes: validation, viscosity
     and the state array.
 
     A state is one (n_fields, n) array whose rows follow ``field_names``.
@@ -201,11 +206,16 @@ def _viscous_terms(grid, dv, eta, nu):
 
 class CompressibleModel(BinaryModel):
     """Shared plumbing of the two compressible classes: the state rows are
-    two densities then the momenta mx, my; the bulk energy's variables are
+    the densities then the momenta mx, my; the bulk energy's variables are
     the densities ``energy_fields``."""
 
     field_names: tuple
     energy_fields: tuple
+
+    @property
+    def n_components(self) -> int:
+        """Number of densities N, the size of kappa."""
+        return self.kappa.n
 
     def energy_variables(self, fields, axis=-1):
         """The free energy's variables stacked along ``axis``."""
@@ -217,7 +227,7 @@ class CompressibleModel(BinaryModel):
         """Energy variables (stacked on axis 0), total density and the
         velocities of a state array."""
         rho = self.total_density(u)
-        return self.energy_variables(u, axis=0), rho, u[2] / rho, u[3] / rho
+        return self.energy_variables(u, axis=0), rho, u[-2] / rho, u[-1] / rho
 
     def _transport(self, u, grid):
         """What both right-hand sides differentiate, one batched transform
@@ -227,59 +237,59 @@ class CompressibleModel(BinaryModel):
         Returns vx, vy, mu, d2 mu, d mu, d(u*vx)/dx, fx, fy.
         """
         E, rho, vx, vy = self._primitive(u)
-        vo = self._viscous_order
+        N, vo = self.n_components, self._viscous_order
         d = grid.derivatives(np.concatenate([E, [vx, vy], u * vx]),
-                             (2, 2, vo, vo, 1, 1, 1, 1))
+                             (2,) * N + (vo, vo) + (1,) * (N + 2))
         mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:2]).mu
-        dmu = grid.derivatives(np.concatenate([mu, mu]), (2, 2, 1, 1))
+                                 laplacians=d[:N]).mu
+        dmu = grid.derivatives(np.concatenate([mu, mu]), (2,) * N + (1,) * N)
         eta, nu = self._viscosity_fields(E[0] / rho)
-        fx, fy = _viscous_terms(grid, d[2:4], eta, nu)
-        return vx, vy, mu, dmu[:2], dmu[2:], d[4:], fx, fy
+        fx, fy = _viscous_terms(grid, d[N:N + 2], eta, nu)
+        return vx, vy, mu, dmu[:N], dmu[N:], d[N + 2:], fx, fy
 
     def _dissipation_terms(self, fields, grid):
         """Viscous dissipation density and d mu, in two batched transforms."""
         E, rho, vx, vy = self._primitive(self.state_array(fields))
-        d = grid.derivatives(np.concatenate([E, [vx, vy]]), (2, 2, 1, 1))
+        N = self.n_components
+        d = grid.derivatives(np.concatenate([E, [vx, vy]]), (2,) * N + (1, 1))
         mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:2]).mu
+                                 laplacians=d[:N]).mu
         eta, nu = self._viscosity_fields(E[0] / rho)
-        visc = (2.0 * eta + nu) * d[2] ** 2 + eta * d[3] ** 2
-        return visc, grid.derivatives(mu, (1, 1))
+        visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
+        return visc, grid.derivatives(mu, (1,) * N)
 
     def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
-        ones = np.ones(grid.n)
-        fields = {name: getattr(state, name) * ones for name in self.field_names[:2]}
-        return {**fields, "mx": np.zeros(grid.n), "my": np.zeros(grid.n)}
+        level = dict(zip(self.energy_fields, self.state_densities(state)))
+        return {name: level.get(name, 0.0) * np.ones(grid.n)
+                for name in self.field_names}
 
     def total_mass(self, fields, grid) -> float:
         return grid.integrate(self.total_density(fields))
 
     def total_energy(self, fields, grid) -> float:
         u = self.state_array(fields)
-        kin = 0.5 * (u[2] ** 2 + u[3] ** 2) / self.total_density(u)
+        kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / self.total_density(u)
         bulk = self.free_energy.value(self.energy_variables(u), pointwise=True)
-        d = grid.derivatives(self.energy_variables(u, axis=0), (1, 1))
+        d = grid.derivatives(self.energy_variables(u, axis=0),
+                             (1,) * self.n_components)
         grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
         return grid.integrate(kin + bulk + grad)
 
 
 @dataclass(frozen=True)
 class CompressibleGlobal(CompressibleModel):
-    """Binary compressible model conserving total mass only globally.
+    """Compressible N-component model conserving total mass only globally.
 
-    Fields: rho1, rho2, mx, my.
+    Fields: rho1, ..., rhoN, mx, my; N is the size of the mobility, kappa
+    and the free energy.  Binary states and a viscosity rule need N = 2.
     """
 
-    free_energy: BulkFreeEnergy            # variables (rho1, rho2)
-    kappa: GradientCoefficients            # 2x2, (rho1, rho2)
-    mobility: np.ndarray                   # 2x2 symmetric PSD
+    free_energy: BulkFreeEnergy            # variables (rho1, ..., rhoN)
+    kappa: GradientCoefficients            # NxN, (rho1, ..., rhoN)
+    mobility: np.ndarray                   # NxN symmetric PSD
     inv_Re_s: float
     inv_Re_v: float
     viscosity_rule: Optional[ViscosityRule] = None
-
-    field_names = ("rho1", "rho2", "mx", "my")
-    energy_fields = ("rho1", "rho2")
 
     def __post_init__(self):
         self._check_reynolds()
@@ -287,27 +297,43 @@ class CompressibleGlobal(CompressibleModel):
         rep = mobility_check(M)
         if not rep.psd:
             raise RangeError("mobility must be positive semi-definite")
-        if M.shape != (2, 2) or self.kappa.n != 2:
-            raise ShapeError("binary model needs 2x2 mobility and kappa")
+        n = M.shape[0]
+        if n < 2 or self.kappa.n != n or self.free_energy.nvar != n:
+            raise ShapeError(f"mobility {M.shape}, kappa of size {self.kappa.n} "
+                             f"and variables {self.free_energy.variables} must "
+                             "agree on N >= 2 components")
+        densities = tuple(f"rho{i + 1}" for i in range(n))
         object.__setattr__(self, "mobility", M)
+        object.__setattr__(self, "energy_fields", densities)
+        object.__setattr__(self, "field_names", densities + ("mx", "my"))
+        if self.viscosity_rule is not None:
+            self._require_binary("a viscosity rule")
+
+    def _require_binary(self, what: str):
+        """The one guard of everything that exists for N = 2 only."""
+        if self.n_components != 2:
+            raise ShapeError(f"{what} needs two components; this model has "
+                             f"{self.n_components}")
 
     # -- state / fields -----------------------------------------------------
     def state_densities(self, state: MixtureState) -> np.ndarray:
+        self._require_binary("a binary MixtureState")
         return np.array([state.rho1, state.rho2])
 
     def total_density(self, fields):
-        u = self.state_array(fields)
-        return u[0] + u[1]
+        return self.state_array(fields)[:self.n_components].sum(axis=0)
 
     def _rhs(self, u, grid, return_aux):
         vx, vy, mu, d2mu, dmu, dflux, fx, fy = self._transport(u, grid)
+        N = self.n_components
         J = self.mobility @ d2mu
-        Jsum = J[0] + J[1]
+        Jsum = J.sum(axis=0)
         out = np.empty_like(u)
-        out[0] = -dflux[0] + J[0]
-        out[1] = -dflux[1] + J[1]
-        out[2] = -dflux[2] + 0.5 * Jsum * vx + fx - u[0] * dmu[0] - u[1] * dmu[1]
-        out[3] = -dflux[3] + 0.5 * Jsum * vy + fy
+        out[:N] = -dflux[:N] + J
+        out[N] = -dflux[N] + 0.5 * Jsum * vx + fx
+        for i in range(N):                 # - sum_i rho_i d mu_i, in index order
+            out[N] -= u[i] * dmu[i]
+        out[N + 1] = -dflux[N + 1] + 0.5 * Jsum * vy + fy
         return out, {"mu": mu, "J": J}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
@@ -322,6 +348,27 @@ class CompressibleGlobal(CompressibleModel):
             rho0=float(p.sum()), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
             mobility=self.mobility,
         )
+
+    def require_local_conservation(self):
+        rep = mobility_check(self.mobility)
+        if not rep.zero_row_sums:
+            raise ConstraintError(
+                "local mass conservation requires zero mobility row sums; "
+                f"got row sums {rep.row_sums}")
+
+    def _state_from(self, densities, vx=0.0, vy=0.0):
+        """State array of an (N, n) density stack moving with (vx, vy)."""
+        rho = np.sum(densities, axis=0)
+        return np.concatenate([densities, [rho * vx, rho * vy]])
+
+    def constraint_residual(self, densities, grid) -> float:
+        """Max-norm of sum_i sum_j div(M_ij grad mu_j)."""
+        _, aux = self._rhs(self._state_from(densities), grid, True)
+        return float(np.max(np.abs(aux["J"].sum(axis=0))))
+
+    def dissipation_rate(self, densities, vx, vy, grid) -> float:
+        """Closed-form dissipation rate of the densities moving with (vx, vy)."""
+        return self.energy_dissipation_rate(self._state_from(densities, vx, vy), grid)
 
 
 @dataclass(frozen=True)
@@ -703,7 +750,7 @@ def redimensionalize(scaled: DimensionalParameters, scales: ScaleSet):
 
 
 # ---------------------------------------------------------------------------
-# N-component generalization (structural)
+# N-component construction
 # ---------------------------------------------------------------------------
 
 
@@ -720,97 +767,18 @@ def n_component_local_mobility(block: np.ndarray) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
-class NComponentModel:
-    """N-component compressible mixture with a shared velocity.
-
-    Exposes chemical potentials, the local-conservation constraint residual
-    and the dissipation functional for arbitrary N; transient stepping is
-    provided only through the binary classes.
-    """
-
-    n_components: int
-    free_energy: BulkFreeEnergy            # variables (rho1..rhoN)
-    kappa: GradientCoefficients            # NxN
-    mobility: np.ndarray                   # NxN symmetric PSD
-    inv_Re_s: float
-    inv_Re_v: float
-
-    field_names = None  # densities + momenta, built on demand
-
-    def __post_init__(self):
-        if self.n_components < 2:
-            raise ShapeError("need at least two components")
-        M = np.atleast_2d(np.asarray(self.mobility, dtype=float))
-        if M.shape != (self.n_components, self.n_components):
-            raise ShapeError("mobility shape does not match component count")
-        rep = mobility_check(M)
-        if not rep.psd:
-            raise RangeError("mobility must be positive semi-definite")
-        if self.kappa.n != self.n_components:
-            raise ShapeError("kappa shape does not match component count")
-        if self.free_energy.nvar != self.n_components:
-            raise ShapeError("free energy variable count mismatch")
-        object.__setattr__(self, "mobility", M)
-
-    def require_local_conservation(self):
-        rep = mobility_check(self.mobility)
-        if not rep.zero_row_sums:
-            raise ConstraintError(
-                "local mass conservation requires zero mobility row sums; "
-                f"got row sums {rep.row_sums}")
-
-    def chemical_potential_fields(self, densities, grid):
-        return chemical_potentials(self.free_energy, self.kappa, densities, grid).mu
-
-    def density_fluxes(self, densities, grid):
-        mu = self.chemical_potential_fields(densities, grid)
-        lap = grid.derivatives(mu, (2,) * self.n_components)
-        return np.tensordot(self.mobility, lap, axes=(1, 0)), mu
-
-    def constraint_residual(self, densities, grid) -> float:
-        """Max-norm of sum_i sum_j div(M_ij grad mu_j)."""
-        J, _ = self.density_fluxes(densities, grid)
-        return float(np.max(np.abs(J.sum(axis=0))))
-
-    def rhs_1d(self, fields, grid, return_aux=False):
-        names = [f"rho{i + 1}" for i in range(self.n_components)]
-        dens = np.stack([fields[k] for k in names])
-        rho = dens.sum(axis=0)
-        vx, vy = fields["mx"] / rho, fields["my"] / rho
-        J, mu = self.density_fluxes(dens, grid)
-        fx, fy = _viscous_terms(grid, grid.derivatives(np.stack([vx, vy]), (2, 2)),
-                                self.inv_Re_s, self.inv_Re_v)
-        elastic = sum(dens[i] * grid.dx1(mu[i]) for i in range(self.n_components))
-        Jsum = J.sum(axis=0)
-        out = {names[i]: -grid.dx1(dens[i] * vx) + J[i]
-               for i in range(self.n_components)}
-        out["mx"] = -grid.dx1(fields["mx"] * vx) + 0.5 * Jsum * vx + fx - elastic
-        out["my"] = -grid.dx1(fields["my"] * vx) + 0.5 * Jsum * vy + fy
-        if return_aux:
-            return out, {"mu": mu, "J": J}
-        return out
-
-    def dissipation_rate(self, densities, velocity_x, velocity_y, grid) -> float:
-        _, mu = self.density_fluxes(densities, grid)
-        dmu = grid.derivatives(mu, (1,) * self.n_components)
-        mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
-        visc = (2.0 * self.inv_Re_s + self.inv_Re_v) * grid.dx1(velocity_x) ** 2 \
-            + self.inv_Re_s * grid.dx1(velocity_y) ** 2
-        return -grid.integrate(visc + mob)
-
-
 def assemble_n_component(n_components: int, free_energy: BulkFreeEnergy,
                          mobility, inv_Re_s: float, inv_Re_v: float,
                          kappa: Optional[GradientCoefficients] = None,
-                         require_local_conservation: bool = False) -> NComponentModel:
-    """Build the N-component model object; see :class:`NComponentModel`."""
+                         require_local_conservation: bool = False) -> CompressibleGlobal:
+    """The N-component model, a :class:`CompressibleGlobal` with zero kappa
+    unless one is given; checks that its shapes describe ``n_components``."""
     if kappa is None:
         kappa = GradientCoefficients(np.zeros((n_components, n_components)))
-    model = NComponentModel(
-        n_components=n_components, free_energy=free_energy, kappa=kappa,
-        mobility=np.asarray(mobility, dtype=float),
-        inv_Re_s=inv_Re_s, inv_Re_v=inv_Re_v)
+    model = CompressibleGlobal(free_energy, kappa, mobility, inv_Re_s, inv_Re_v)
+    if model.n_components != n_components:
+        raise ShapeError(f"asked for {n_components} components, the mobility, "
+                         f"kappa and free energy have {model.n_components}")
     if require_local_conservation:
         model.require_local_conservation()
     return model

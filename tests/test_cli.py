@@ -219,8 +219,7 @@ class TestMapOutput:
         cfgtext = cfgtext.replace("n_rho1 = 120", "n_rho1 = 40")
         cfgtext = cfgtext.replace("n_rho = 120", "n_rho = 40")
         path = write(tmp_path, "co2map.ini", cfgtext)
-        assert cli.main(["concavity-map", "--config", path, "--out", out,
-                         "--threads", "2"]) == 0
+        assert cli.main(["concavity-map", "--config", path, "--out", out]) == 0
         rows = open(os.path.join(out, "concavity.csv")).read().strip().split("\n")
         codes = {int(float(r.split(",")[2])) for r in rows[1:]}
         assert 1 in codes and 2 in codes and 0 in codes

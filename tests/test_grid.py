@@ -43,3 +43,18 @@ def test_mode_amplitude_convention():
     assert grid.mode_amplitude(0.3 * np.cos(3 * grid.x), 3) == pytest.approx(0.3)
     assert grid.mode_amplitude(0.3 * np.sin(3 * grid.x), 3) == pytest.approx(-0.3j)
     assert grid.mode_amplitude(0.7 + 0.0 * grid.x, 0) == pytest.approx(0.7)
+
+
+class TestEquality:
+    def test_equal_grids_compare_and_hash_equal(self):
+        a, b = PeriodicGrid1D(1.0, 8), PeriodicGrid1D(1.0, 8)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("other", [PeriodicGrid1D(1.0, 16),
+                                       PeriodicGrid1D(1.0, 8, scheme="central")])
+    def test_different_n_or_scheme_differ(self, other):
+        grid = PeriodicGrid1D(1.0, 8)
+        assert grid != other
+        assert hash(grid) != hash(other)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from pfmix import dispersion
 from pfmix import free_energy as fe
 from pfmix import models
+from pfmix import simulator as sim
 from pfmix.errors import ConstraintError, RangeError, ShapeError
 from pfmix.grid import PeriodicGrid1D
 
@@ -30,6 +32,16 @@ def make_global():
     kap = fe.GradientCoefficients(np.array([[1e-2, 2e-3], [2e-3, 3e-2]]))
     M = np.array([[2.0, 0.5], [0.5, 1.0]])
     return models.CompressibleGlobal(q, kap, M, inv_Re_s=0.5, inv_Re_v=0.2)
+
+
+def make_three():
+    """Three densities through the same compressible core."""
+    C = np.eye(3) + 0.2 * np.ones((3, 3))
+    q = fe.Quadratic(C, g=-C @ np.array([1.0, 2.0, 1.5]))
+    kap = fe.GradientCoefficients(np.diag([1e-2, 2e-2, 3e-2]) + 2e-3)
+    M = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
+    return models.assemble_n_component(3, q, M, inv_Re_s=0.5, inv_Re_v=0.2,
+                                       kappa=kap)
 
 
 def make_local():
@@ -157,7 +169,8 @@ class TestEnergy:
         assert m.energy_dissipation_rate(flds, grid) == pytest.approx(want,
                                                                       rel=1e-12)
 
-    @pytest.mark.parametrize("cls", ["global", "local", "quasi", "incomp"])
+    @pytest.mark.parametrize("cls", ["global", "local", "quasi", "incomp",
+                                     "three"])
     def test_chain_rule_oracle(self, cls, grid):
         """Closed-form dissipation equals d/dt of the discrete energy."""
         if cls == "global":
@@ -173,6 +186,21 @@ class TestEnergy:
             dEdt = grid.integrate(vx * rhs["mx"] + vy * rhs["my"]
                                   + (mu[0] - 0.5 * v2) * rhs["rho1"]
                                   + (mu[1] - 0.5 * v2) * rhs["rho2"])
+        elif cls == "three":
+            m = make_three()
+            flds = {"rho1": smooth_field(grid, 1.0, 41),
+                    "rho2": smooth_field(grid, 2.0, 42),
+                    "rho3": smooth_field(grid, 1.5, 43),
+                    "mx": 0.08 * np.sin(grid.x), "my": 0.05 * np.cos(2 * grid.x)}
+            rhs, aux = m.rhs_1d(flds, grid, return_aux=True)
+            rho = flds["rho1"] + flds["rho2"] + flds["rho3"]
+            vx, vy = flds["mx"] / rho, flds["my"] / rho
+            v2 = vx**2 + vy**2
+            mu = aux["mu"]
+            dEdt = grid.integrate(vx * rhs["mx"] + vy * rhs["my"]
+                                  + (mu[0] - 0.5 * v2) * rhs["rho1"]
+                                  + (mu[1] - 0.5 * v2) * rhs["rho2"]
+                                  + (mu[2] - 0.5 * v2) * rhs["rho3"])
         elif cls == "local":
             m = make_local()
             flds = {"rho": smooth_field(grid, 3.0, 7),
@@ -389,6 +417,43 @@ class TestNComponent:
         assert np.max(np.abs(out2["rho1"] - outl["rho1"])) < 1e-11
         assert np.max(np.abs(out2["mx"] - outl["mx"])) < 1e-11
         assert np.max(np.abs(out2["my"] - outl["my"])) < 1e-11
+
+    def test_is_the_compressible_core(self, rng):
+        m3 = self.make3(rng)
+        assert isinstance(m3, models.CompressibleGlobal)
+        assert m3.n_components == 3
+        assert m3.field_names == ("rho1", "rho2", "rho3", "mx", "my")
+
+    def test_binary_entry_points_refuse_three_components(self, rng):
+        m3 = self.make3(rng)
+        st = models.MixtureState.binary(1.0, 2.0)
+        grid = PeriodicGrid1D(2 * np.pi, 32)
+        with pytest.raises(ShapeError):
+            m3.linearization(st)
+        with pytest.raises(ShapeError):
+            m3.uniform_fields(st, grid)
+        with pytest.raises(ShapeError):
+            sim.stable_dt_estimate(m3, st, grid)
+        with pytest.raises(ShapeError):
+            dispersion.sweep(m3, st, np.linspace(0.1, 1.0, 5))
+        with pytest.raises(ShapeError):
+            sim.run(sim.SimulationConfig(model=m3, state=st, length=2 * np.pi,
+                                         n=32, dt=1e-3, t_end=1e-3,
+                                         enforce_dt_guard=False))
+
+    def test_viscosity_rule_needs_two_components(self):
+        rule = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
+                                eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
+        with pytest.raises(ShapeError):
+            models.CompressibleGlobal(
+                fe.Quadratic(np.eye(3)), fe.GradientCoefficients(1e-2 * np.eye(3)),
+                np.eye(3), 0.1, 0.1, viscosity_rule=rule)
+
+    def test_component_count_must_match_shapes(self):
+        with pytest.raises(ShapeError):
+            models.assemble_n_component(3, fe.Quadratic(np.eye(2)), np.eye(2),
+                                        0.1, 0.1,
+                                        kappa=fe.GradientCoefficients(np.eye(2)))
 
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
