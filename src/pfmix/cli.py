@@ -330,9 +330,10 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
         check("gradient_fd", fd_check)
 
         def pencil_poly():
+            lin = model.linearization(state)
             worst = 0.0
             for k in (1e-2, 1.0, 10.0, 300.0):
-                ok, err = dispersion.pencil_matches_scalar(model, state, k)
+                ok, err = dispersion._pencil_matches(lin, k)
                 worst = max(worst, err)
                 if not ok:
                     return False, f"coefficient mismatch {err:.3e} at k={k}"
@@ -341,11 +342,12 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
         check("pencil_vs_polynomial", pencil_poly)
 
         def viscous_exact():
-            worst = 0.0
-            for k in np.logspace(-3, 3, 13):
-                gr = dispersion.growth_rates(model, state, k)
-                v = dispersion.viscous_root(model, state, k)
-                worst = max(worst, min(abs(a - v) for a in gr.alphas) / abs(v))
+            lin = model.linearization(state)
+            ks = np.logspace(-3, 3, 13)
+            alphas, _, _ = dispersion._solve(lin, ks)
+            v = -lin.inv_Re_s * ks * ks / lin.rho0
+            worst = float(np.max(np.min(np.abs(alphas - v[:, None]), axis=1)
+                                 / np.abs(v)))
             return worst < 1e-12, f"worst viscous-root deviation {worst:.3e}"
 
         check("viscous_mode_exact", viscous_exact)

@@ -1,7 +1,8 @@
 """Linear stability engine.
 
-Extracts complex growth rates and eigenvectors per wavenumber from the
-dispersion pencil of a model's linearization about a constant state, tracks
+Extracts complex growth rates and eigenvectors from the dispersion pencil
+of a model's linearization about a constant state, for a whole wavenumber
+grid in one batched eigensolve of the pencil's standard form, tracks
 them over wavenumber sweeps, bisects unstable bands, evaluates closed-form
 and asymptotic growth-rate formulas, and classifies long-wave stability from
 the bulk-energy Hessian.  Everything class-specific (pencil, variable order,
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
@@ -29,6 +29,8 @@ from .linearization import DEGENERATE_TOL, AsymptoticCoefficients, DispersionPen
 from .models import MixtureState, QuasiIncompressible
 
 EIG_RESIDUAL_TOL = 1e-8
+# Two roots closer than this, relative to the larger modulus, cannot be told
+# apart: labels may swap there, so the sweep flags the grid point.
 TRACK_GAP_TOL = 1e-12
 
 
@@ -50,8 +52,8 @@ def assemble_pencil(model, state: MixtureState, k: float) -> DispersionPencil:
 @dataclass(frozen=True)
 class GrowthRates:
     """Finite generalized eigenvalues of one pencil, sorted by descending
-    real part, with right eigenvectors (columns of ``vectors``) and
-    relative residuals."""
+    real part, with right eigenvectors (columns of ``vectors``, unit norm,
+    largest-modulus component real and positive) and relative residuals."""
 
     k: float
     alphas: np.ndarray
@@ -59,36 +61,54 @@ class GrowthRates:
     residuals: np.ndarray
 
 
-def _eig_pencil(pencil: DispersionPencil) -> GrowthRates:
-    # alpha B x = -A x
+def _solve(lin, k) -> tuple:
+    """(alphas, vectors, residuals) of the pencil of ``lin`` at every k of a
+    1-D array, from one batched eigensolve of its standard form.
+
+    ``alphas[i]`` holds the finite roots at k[i] by descending real part
+    (a conjugate pair: negative imaginary part first) and ``vectors[i]``
+    their eigenvectors as columns, each of unit norm with its
+    largest-modulus component real and positive.  Every root is checked on
+    the full pencil: ``residuals[i, j]`` is |(alpha B + A) x| / (|A| |x|).
+    """
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
+        raise RangeError("wavenumber must be positive")
+    A = lin.pencil_matrices(k)
     try:
-        w, v = scipy.linalg.eig(-pencil.A, pencil.B)
-    except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-        raise NumericalError(f"generalized eigensolve failed: {exc}") from exc
-    finite = np.isfinite(w)
-    w, v = w[finite], v[:, finite]
-    if w.size < pencil.n_finite_roots:
-        raise NumericalError(
-            f"expected {pencil.n_finite_roots} finite roots, got {w.size}")
-    if w.size > pencil.n_finite_roots:
-        # keep the smallest |alpha| ones: spurious roots from a singular B
-        # are sent to huge magnitudes by QZ
-        keep = np.argsort(np.abs(w))[: pencil.n_finite_roots]
-        w, v = w[keep], v[:, keep]
-    order = np.argsort(-w.real)
-    w, v = w[order], v[:, order]
-    nA = np.linalg.norm(pencil.A)
-    res = np.array([
-        np.linalg.norm(pencil.matrix(w[i]) @ v[:, i])
-        / max(nA * np.linalg.norm(v[:, i]), 1e-300)
-        for i in range(w.size)
-    ])
+        w, y = np.linalg.eig(lin.standard_form(A))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve failed: {exc}") from exc
+    w = w.astype(complex, copy=False)    # real when every root is real
+    finite = np.isfinite(w).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"non-finite growth rate at k={k[~finite][0]}")
+    order = np.lexsort((w.imag, -w.real))
+    i = np.arange(k.size)[:, None]
+    w = w[i, order]
+    y = y[i[:, None], np.arange(y.shape[1])[:, None], order[:, None, :]]
+    x = _unit_phase(lin.eigenvectors(A, y))
+    r = A @ x + w[:, None, :] * (lin.B @ x)
+    res = np.linalg.norm(r, axis=1) / np.maximum(
+        np.linalg.norm(A, axis=(1, 2)), 1e-300)[:, None]
     bad = res > EIG_RESIDUAL_TOL
     if np.any(bad):
         raise NumericalError(
             f"eigen-residual {res[bad].max():.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
-            f"at k={pencil.k}")
-    return GrowthRates(k=pencil.k, alphas=w, vectors=v, residuals=res)
+            f"at k={k[bad.any(axis=1)][0]}")
+    return w, x, res
+
+
+def _unit_phase(x: np.ndarray) -> np.ndarray:
+    """Columns of each x[i] scaled to unit norm, with the largest-modulus
+    component real and positive (set exactly: the complex product leaves a
+    rounding-level imaginary part)."""
+    mag = np.abs(x)
+    size = np.sqrt(np.sum(mag * mag, axis=1))
+    top = (np.arange(x.shape[0])[:, None], mag.argmax(axis=1), np.arange(x.shape[2]))
+    x = x * (np.conj(x[top]) / (mag[top] * size))[:, None, :]
+    x[top] = mag[top] / size
+    return x
 
 
 def growth_rates(model, state: MixtureState, k: float) -> GrowthRates:
@@ -97,9 +117,8 @@ def growth_rates(model, state: MixtureState, k: float) -> GrowthRates:
 
 
 def _growth(lin, k: float) -> GrowthRates:
-    if k <= 0:
-        raise RangeError("wavenumber must be positive")
-    return _eig_pencil(lin.pencil(k))
+    w, x, res = _solve(lin, [k])
+    return GrowthRates(k=k, alphas=w[0], vectors=x[0], residuals=res[0])
 
 
 def viscous_root(model, state: MixtureState, k: float) -> float:
@@ -116,7 +135,10 @@ def scalar_dispersion_coefficients(model, state: MixtureState, k: float) -> np.n
     """Coefficients (ascending in alpha) of the scalar dispersion polynomial
     written as (viscous factor) * (reduced polynomial), for cross-checking the
     pencil determinant."""
-    lin = model.linearization(state)
+    return _scalar_coefficients(model.linearization(state), k)
+
+
+def _scalar_coefficients(lin, k: float) -> np.ndarray:
     viscous = np.array([lin.inv_Re_s * k * k, lin.rho0])
     cubic = lin.reduced_polynomial(k)
     return np.polymul(cubic[::-1], viscous[::-1])[::-1]
@@ -128,10 +150,14 @@ def pencil_matches_scalar(model, state: MixtureState, k: float,
     polynomial.  The two agree up to an alpha-independent constant factor
     (exactly 1 for the compressible classes), so balanced coefficient
     vectors are compared after normalizing by their largest entries."""
-    pencil = assemble_pencil(model, state, k)
+    return _pencil_matches(model.linearization(state), k, rtol)
+
+
+def _pencil_matches(lin, k: float, rtol: float = 1e-9) -> tuple[bool, float]:
+    pencil = lin.pencil(k)
     size = pencil.A.shape[0] + 1
     want = np.zeros(size, dtype=complex)
-    raw = scalar_dispersion_coefficients(model, state, k).astype(complex)
+    raw = _scalar_coefficients(lin, k).astype(complex)
     want[: raw.size] = raw
     nz = np.nonzero(np.abs(want) > 0)[0]
     i0, i1 = nz[0], nz[-1]
@@ -302,40 +328,35 @@ def _match(previous: np.ndarray, current: np.ndarray):
 
 
 def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
-    """Growth rates over an increasing positive k grid with continuity-based
-    mode tracking seeded from the long-wave asymptotics."""
+    """Growth rates over an increasing positive k grid, from one eigensolve
+    of the whole grid, with continuity-based mode tracking seeded from the
+    long-wave asymptotics."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
     lin = model.linearization(state)
-    first = _growth(lin, k_grid[0])
-    nroots = first.alphas.size
+    alphas, vecs, res = _solve(lin, k_grid)
     small = lin.small_k()
     predicted = np.array([m.evaluate(k_grid[0]) for m in small.modes])
-    order = _match(predicted, first.alphas)
     labels = tuple(m.label for m in small.modes)
     names = tuple(m.name for m in small.modes)
 
-    roots = np.empty((k_grid.size, nroots), dtype=complex)
-    vectors = np.empty((k_grid.size, nroots, 4), dtype=complex)
-    residuals = np.empty((k_grid.size, nroots))
-    roots[0] = first.alphas[order]
-    vectors[0] = first.vectors[:, order].T
-    residuals[0] = first.residuals[order]
-    ambiguous = []
-    for i, k in enumerate(k_grid[1:], start=1):
-        gr = _growth(lin, k)
-        cols = _match(roots[i - 1], gr.alphas)
-        roots[i] = gr.alphas[cols]
-        vectors[i] = gr.vectors[:, cols].T
-        residuals[i] = gr.residuals[cols]
-        gaps = np.abs(gr.alphas[:, None] - gr.alphas[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < TRACK_GAP_TOL:
-            ambiguous.append(i)
+    cols = np.empty(alphas.shape, dtype=int)
+    cols[0] = _match(predicted, alphas[0])
+    for i in range(1, k_grid.size):
+        cols[i] = _match(alphas[i - 1, cols[i - 1]], alphas[i])
+    roots = np.take_along_axis(alphas, cols, axis=1)
+    vectors = np.take_along_axis(vecs, cols[:, None, :], axis=2).transpose(0, 2, 1)
+    residuals = np.take_along_axis(res, cols, axis=1)
+
+    size = np.abs(alphas)
+    gaps = np.abs(alphas[:, :, None] - alphas[:, None, :])
+    close = gaps <= TRACK_GAP_TOL * np.maximum(size[:, :, None], size[:, None, :])
+    close[:, np.arange(size.shape[1]), np.arange(size.shape[1])] = False
+    ambiguous = tuple(int(i) for i in np.flatnonzero(close.any(axis=(1, 2))))
     return DispersionResult(
         k_grid=k_grid, roots=roots, vectors=vectors, labels=labels,
-        mode_names=names, residuals=residuals, ambiguous=tuple(ambiguous))
+        mode_names=names, residuals=residuals, ambiguous=ambiguous)
 
 
 def track_root_at(model, state: MixtureState, k: float, near: complex) -> complex:
@@ -428,12 +449,11 @@ def band_peak(model, state: MixtureState, k_lo: float, k_hi: float,
 
 
 def eigenvector_at(model, state: MixtureState, k: float, near: complex):
-    """(alpha, eigenvector) of the root closest to ``near`` at wavenumber k,
-    eigenvector normalized to unit length."""
+    """(alpha, eigenvector) of the root closest to ``near`` at wavenumber k;
+    the eigenvector has unit length and a real positive largest component."""
     gr = growth_rates(model, state, k)
     i = int(np.argmin(np.abs(gr.alphas - near)))
-    v = gr.vectors[:, i]
-    return gr.alphas[i], v / np.linalg.norm(v)
+    return gr.alphas[i], gr.vectors[:, i]
 
 
 def angular_deviation(vector, axis_index: int = 1) -> float:

@@ -12,6 +12,18 @@ the names of the pencil variables.  Pencil variable orders:
 
 so a perturbation growing purely in the partial density appears as the
 eigenvector (0, 1, 0, 0).
+
+Every class writes its pencil as alpha*B + A(k) with a constant B and an
+A(k) with terms in k, k^2, k^3 and k^4, assembles A for a whole array of k
+at once (``pencil_matrices``), and owns the standard form -B^-1 A(k) of
+that pencil on the unknowns that carry alpha (``standard_form``) together
+with the map of its eigenvectors back to all four variables
+(``eigenvectors``).  ``pencil(k)`` is the one-k case of the same assembly;
+each entry is the same elementwise arithmetic for every k, so one k gives
+the same bits alone or in a grid.  Every i k of a pencil couples vx to
+another unknown, so the standard form is taken in (.., vx / i, ..), where
+it is real: real roots come out real and complex ones in exact conjugate
+pairs.
 """
 
 from __future__ import annotations
@@ -40,7 +52,6 @@ class DispersionPencil:
     A: np.ndarray
     B: np.ndarray
     k: float
-    n_finite_roots: int
 
     def matrix(self, alpha: complex) -> np.ndarray:
         return alpha * self.B + self.A
@@ -136,13 +147,40 @@ def _viscous_mode(inv_Re_s: float, rho0: float) -> ModeExpansion:
     return ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-inv_Re_s / rho0,))
 
 
+# x = T x' with T = diag(1, 1, i, 1) makes T^-1 (alpha B + A) T real
+_VX_BY_I = np.array([1.0, 1.0, 1j, 1.0])
+
+
+class _Pencil:
+    """``pencil(k)`` as the one-k case of ``pencil_matrices``, and the real
+    standard form from the class's ``_reduce``/``_lift`` of the real pencil."""
+
+    def pencil(self, k: float) -> DispersionPencil:
+        A = self.pencil_matrices(np.array([k], dtype=float))[0]
+        return DispersionPencil(A=A, B=self.B, k=k)
+
+    def standard_form(self, A: np.ndarray) -> np.ndarray:
+        """Real -B^-1 A(k) on the unknowns that carry alpha, with vx / i in
+        place of vx, for a stack of A; its eigenvalues are the finite roots."""
+        return self._reduce(_real_pencil(A))
+
+    def eigenvectors(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Eigenvectors of the pencil in all four variables from the columns
+        of Y, eigenvectors of ``standard_form(A)``."""
+        return _VX_BY_I[:, None] * self._lift(_real_pencil(A), Y)
+
+
+def _real_pencil(A: np.ndarray) -> np.ndarray:
+    return (A * _VX_BY_I / _VX_BY_I[:, None]).real
+
+
 # ---------------------------------------------------------------------------
 # Compressible classes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BinaryLinearization:
+class BinaryLinearization(_Pencil):
     """C, K, p and the 2x2 mobility of a compressible binary class, all in
     the variable order of its pencil."""
 
@@ -157,19 +195,34 @@ class BinaryLinearization:
     def D(self, k: float) -> np.ndarray:
         return self.C + k * k * self.K
 
-    def pencil(self, k: float) -> DispersionPencil:
-        D = self.D(k)
+    @property
+    def B(self) -> np.ndarray:
+        return np.diag([1.0, 1.0, self.rho0, self.rho0])
+
+    def pencil_matrices(self, k) -> np.ndarray:
+        """A(k) for every k of a 1-D array, shape (k.size, 4, 4): the
+        density-velocity coupling i k p, the pressure row i k p.D(k), the
+        diffusion block k^2 M D(k) and the viscous diagonal, with
+        D(k) = C + k^2 K."""
+        k = np.asarray(k, dtype=float)
+        D = self.C + (k * k)[:, None, None] * self.K
         p = self.p
-        A = np.zeros((4, 4), dtype=complex)
+        A = np.zeros((k.size, 4, 4), dtype=complex)
         self._diffusion_rows(A, k, D)
-        A[0, 2] = 1j * p[0] * k
-        A[1, 2] = 1j * p[1] * k
-        A[2, 0] = 1j * k * (p[0] * D[0, 0] + p[1] * D[0, 1])
-        A[2, 1] = 1j * k * (p[1] * D[1, 1] + p[0] * D[0, 1])
-        A[2, 2] = self.inv_Re * k * k
-        A[3, 3] = self.inv_Re_s * k * k
-        B = np.diag([1.0, 1.0, self.rho0, self.rho0]).astype(complex)
-        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=4)
+        A[:, 0, 2] = 1j * p[0] * k
+        A[:, 1, 2] = 1j * p[1] * k
+        A[:, 2, 0] = 1j * k * (p[0] * D[:, 0, 0] + p[1] * D[:, 0, 1])
+        A[:, 2, 1] = 1j * k * (p[1] * D[:, 1, 1] + p[0] * D[:, 0, 1])
+        A[:, 2, 2] = self.inv_Re * k * k
+        A[:, 3, 3] = self.inv_Re_s * k * k
+        return A
+
+    def _reduce(self, A: np.ndarray) -> np.ndarray:
+        # B is diagonal and invertible
+        return -A / np.diag(self.B)[:, None]
+
+    def _lift(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return Y
 
     def invariants(self):
         """(p.C.p, p.K.p, det C, det K, d) shared by both expansions."""
@@ -215,7 +268,7 @@ class GlobalLinearization(BinaryLinearization):
                      - 2.0 * M[0, 1] * p[0] * p[1])
 
     def _diffusion_rows(self, A, k, D):
-        A[:2, :2] = k * k * (self.mobility @ D)
+        A[:, :2, :2] = (k * k)[:, None, None] * (self.mobility @ D)
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
         D = self.D(k)
@@ -312,8 +365,8 @@ class LocalLinearization(BinaryLinearization):
 
     def _diffusion_rows(self, A, k, D):
         # only rho1 diffuses, driven by mu~_1 = D[1] . (rho, rho1)
-        A[1, 0] = k * k * self.M11 * D[0, 1]
-        A[1, 1] = k * k * self.M11 * D[1, 1]
+        A[:, 1, 0] = k * k * self.M11 * D[:, 0, 1]
+        A[:, 1, 1] = k * k * self.M11 * D[:, 1, 1]
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
         D = self.D(k)
@@ -393,7 +446,7 @@ class LocalLinearization(BinaryLinearization):
 
 
 @dataclass(frozen=True)
-class PhaseFieldLinearization:
+class PhaseFieldLinearization(_Pencil):
     """Quasi-incompressible and incompressible classes.  With
     ``equal_densities`` the divergence constraint is the incompressible one
     and the coupled mode drops out of the pencil."""
@@ -418,34 +471,66 @@ class PhaseFieldLinearization:
     def Mh(self) -> float:
         return self.M11 / self.rho_hat_1**2
 
-    def pencil(self, k: float) -> DispersionPencil:
+    @property
+    def B(self) -> np.ndarray:
+        B = np.diag([0.0, 1.0, self.rho0, self.rho0])
+        if not self.equal_densities:
+            B[0, 1] = -(1.0 - self.rho_hat_1 / self.rho_hat_2)
+        return B
+
+    def pencil_matrices(self, k) -> np.ndarray:
+        """A(k) for every k of a 1-D array, shape (k.size, 4, 4); rows: mass
+        conservation / divergence constraint, phase transport, longitudinal
+        and transverse momentum."""
+        k = np.asarray(k, dtype=float)
         r = self.rho_hat_1 / self.rho_hat_2
         Mh = self.Mh
         Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
-        A = np.zeros((4, 4), dtype=complex)
-        B = np.zeros((4, 4), dtype=complex)
-        # row 0: mass conservation / divergence constraint
+        A = np.zeros((k.size, 4, 4), dtype=complex)
         if self.equal_densities:
-            A[0, 2] = 1j * k
-            n_roots = 2
+            A[:, 0, 2] = 1j * k
         else:
-            B[0, 1] = -(1.0 - r)
-            A[0, 2] = 1j * k * (1.0 - self.phi0 * (1.0 - r))
-            n_roots = 3
-        # row 1: phase transport
-        A[1, 0] = Mh * k * k * (1.0 - r)
-        A[1, 1] = Mh * k * k * Dphi
-        A[1, 2] = 1j * k * self.phi0
-        B[1, 1] = 1.0
-        # row 2: longitudinal momentum
-        A[2, 0] = 1j * k
-        A[2, 1] = 1j * k * self.phi0 * Dphi
-        A[2, 2] = self.inv_Re * k * k
-        B[2, 2] = self.rho0
-        # row 3: transverse momentum
-        A[3, 3] = self.inv_Re_s * k * k
-        B[3, 3] = self.rho0
-        return DispersionPencil(A=A, B=B, k=k, n_finite_roots=n_roots)
+            A[:, 0, 2] = 1j * k * (1.0 - self.phi0 * (1.0 - r))
+        A[:, 1, 0] = Mh * k * k * (1.0 - r)
+        A[:, 1, 1] = Mh * k * k * Dphi
+        A[:, 1, 2] = 1j * k * self.phi0
+        A[:, 2, 0] = 1j * k
+        A[:, 2, 1] = 1j * k * self.phi0 * Dphi
+        A[:, 2, 2] = self.inv_Re * k * k
+        A[:, 3, 3] = self.inv_Re_s * k * k
+        return A
+
+    def _reduce(self, A: np.ndarray) -> np.ndarray:
+        """Pi enters without alpha (column 0 of B is zero), so B is singular
+        and Pi is eliminated from the assembled rows:
+
+        * unequal densities (index 1): row 0 minus B01/B11 times row 1 has
+          no alpha and gives Pi from (phi, vx, vy); its Schur complement
+          leaves a 3x3 system;
+        * equal densities (index 2): row 0 is i k vx = 0, which has no Pi,
+          so vx = 0; Pi enters only row 2, which then gives Pi from
+          (phi, vy), leaving rows 1 and 3 on (phi, vy).
+        """
+        keep, Pi_row = self._elimination(A)
+        Ak = A[:, keep][:, :, keep]
+        Ak = Ak - A[:, keep, :1] * (Pi_row[:, None, keep] / Pi_row[:, None, :1])
+        return -Ak / np.diag(self.B)[keep][:, None]
+
+    def _lift(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        # an eliminated vx is zero
+        keep, Pi_row = self._elimination(A)
+        X = np.zeros((Y.shape[0], 4, Y.shape[2]), dtype=complex)
+        X[:, keep] = Y
+        X[:, 0] = -np.einsum("nj,njm->nm", Pi_row[:, keep], Y) / Pi_row[:, :1]
+        return X
+
+    def _elimination(self, A: np.ndarray):
+        """The unknowns kept in the standard form (their rows are kept too)
+        and, for each A of the stack, the row that gives Pi from them."""
+        if self.equal_densities:
+            return [1, 3], A[:, 2]
+        B = self.B
+        return [1, 2, 3], A[:, 0] - (B[0, 1] / B[1, 1]) * A[:, 1]
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
         r = self.rho_hat_1 / self.rho_hat_2

@@ -18,7 +18,8 @@ Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible and incompressible classes evolve velocities
 directly.  The hydrostatic field of the quasi-incompressible class is not
 evolved but solved at every evaluation from the divergence constraint by
-spectral inversion with zero mean.
+spectral inversion with zero mean.  The model dataclasses hold arrays, so
+they compare and hash by identity (``eq=False``), like the free energies.
 """
 
 from __future__ import annotations
@@ -276,7 +277,7 @@ class CompressibleModel(BinaryModel):
         return grid.integrate(kin + bulk + grad)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressibleGlobal(CompressibleModel):
     """Compressible N-component model conserving total mass only globally.
 
@@ -371,7 +372,7 @@ class CompressibleGlobal(CompressibleModel):
         return self.energy_dissipation_rate(self._state_from(densities, vx, vy), grid)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CompressibleLocal(CompressibleModel):
     """Binary compressible model with local mass conservation, single
     mobility coefficient.  Fields: rho, rho1, mx, my."""
@@ -485,7 +486,7 @@ class PhaseFieldModel(BinaryModel):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuasiIncompressible(PhaseFieldModel):
     """Mixture of two incompressible components with unequal specific
     densities.  Fields: phi, vx, vy; the hydrostatic field is solved from
@@ -574,7 +575,7 @@ class QuasiIncompressible(PhaseFieldModel):
         return -grid.integrate(visc + self.M11 * d[2] ** 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Incompressible(PhaseFieldModel):
     """Equal specific densities: solenoidal velocity, phase transport is a
     conserved gradient flow.  Fields: phi, vx, vy with vx spatially uniform

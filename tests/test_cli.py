@@ -177,6 +177,32 @@ points = 11
                          "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
+def test_verify_linearizes_once_per_check(tmp_path, monkeypatch):
+    """pencil_vs_polynomial and viscous_mode_exact each linearize once, and
+    the viscous check solves its 13 wavenumbers in one eigensolve."""
+    import numpy as np
+
+    from pfmix import models
+
+    calls = {"linearization": 0, "eig": 0}
+    linearize, eig = models.CompressibleLocal.linearization, np.linalg.eig
+
+    def counting_linearization(self, state):
+        calls["linearization"] += 1
+        return linearize(self, state)
+
+    def counting_eig(a):
+        calls["eig"] += 1
+        return eig(a)
+
+    monkeypatch.setattr(models.CompressibleLocal, "linearization",
+                        counting_linearization)
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    assert cli.main(["verify", "--config", str(config_path("band_density.ini")),
+                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+    assert calls == {"linearization": 2, "eig": 1}
+
+
 class TestDeterminism:
     def test_sweep_byte_identical(self, tmp_path):
         path = write(tmp_path, "mini.ini", MINI_SWEEP)

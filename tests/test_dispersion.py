@@ -4,9 +4,10 @@ import pytest
 from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
-from pfmix.errors import DegenerateCase, RangeError
+from pfmix.config import load_config
+from pfmix.errors import DegenerateCase, NumericalError, RangeError
 
-from conftest import random_global_model
+from conftest import config_path, random_global_model
 
 
 def make_global(C=None, M=None, inv_Re_s=0.5, inv_Re_v=0.2):
@@ -322,3 +323,162 @@ class TestSweep:
     def test_k_grid_validation(self):
         with pytest.raises(RangeError):
             disp.sweep(make_global(), ST_GLOBAL, np.array([1.0, 0.5]))
+
+
+def closed_form_roots(model, st, k):
+    return np.roots(disp.scalar_dispersion_coefficients(model, st, k)[::-1])
+
+
+def worst_root_gap(got, want):
+    """Largest distance from a computed root to the nearest closed-form
+    root, relative to the spectral radius; every closed-form root must be
+    someone's nearest."""
+    gap = np.abs(np.asarray(got)[:, None] - want[None, :])
+    assert len(set(np.argmin(gap, axis=1))) == want.size
+    return gap.min(axis=1).max() / np.abs(want).max()
+
+
+def make_incompressible():
+    q = fe.Quadratic([[-1.0]], variables=("phi",))
+    return models.Incompressible(q, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5)
+
+
+class TestBatchedEngine:
+    """One batched eigensolve of each class's standard form: accuracy against
+    the closed-form polynomial, exact agreement between a sweep and its
+    one-k solves, the eigenvector convention and the residual gate."""
+
+    def test_band_density_sweep_matches_closed_form(self, band_density):
+        model, st = band_density
+        sec = load_config(config_path("band_density.ini")).sections["sweep"]
+        ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]),
+                         sec["points"])
+        res = disp.sweep(model, st, ks)
+        worst = max(worst_root_gap(res.roots[i], closed_form_roots(model, st, k))
+                    for i, k in enumerate(ks))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("case", ["quasi", "incompressible"])
+    def test_phase_field_roots_match_closed_form(self, case):
+        model = make_quasi() if case == "quasi" else make_incompressible()
+        for k in (1e-2, 0.5, 3.0, 9.0, 40.0, 300.0):
+            got = disp.growth_rates(model, ST_PHI, k).alphas
+            assert worst_root_gap(got, closed_form_roots(model, ST_PHI, k)) <= 1e-12
+
+    def test_sweep_roots_are_the_one_k_roots(self, band_composition):
+        model, st = band_composition
+        ks = np.logspace(-3, 2, 60)
+        res = disp.sweep(model, st, ks)
+        for i, k in enumerate(ks):
+            one = disp.growth_rates(model, st, k).alphas
+            assert np.array_equal(np.sort_complex(res.roots[i]), np.sort_complex(one))
+
+    def test_eigenvector_convention(self):
+        cases = [(make_global(C=-np.eye(2)), ST_GLOBAL), (make_local(), ST_LOCAL),
+                 (make_quasi(), ST_PHI), (make_incompressible(), ST_PHI)]
+        for model, st in cases:
+            for k in (0.3, 2.0, 50.0):
+                gr = disp.growth_rates(model, st, k)
+                v = gr.vectors
+                assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-15)
+                top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+                assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
+
+    def test_real_and_conjugate_roots_are_exact(self):
+        # the standard form is real: no rounding-level imaginary parts
+        for k in np.logspace(-2, 2, 9):
+            a = disp.growth_rates(make_global(), ST_GLOBAL, k).alphas
+            for root in a[a.imag != 0.0]:
+                assert np.conj(root) in a
+
+    def test_corrupted_eigensolve_fails_the_residual_gate(self, monkeypatch):
+        eig = np.linalg.eig
+
+        def perturbed(S):
+            w, v = eig(S)
+            w = w.astype(complex)
+            w[..., 0] *= 1.0 + 1e-3
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eig", perturbed)
+        with pytest.raises(NumericalError, match="eigen-residual"):
+            disp.growth_rates(make_local(), ST_LOCAL, 1.0)
+        with pytest.raises(NumericalError, match="eigen-residual"):
+            disp.sweep(make_quasi(), ST_PHI, np.logspace(-1, 1, 20))
+
+
+@pytest.fixture()
+def eig_calls(monkeypatch):
+    """Calls made to numpy.linalg.eig and scipy.linalg.eig while the test
+    runs, and the number of pencils handed to numpy in them."""
+    import scipy.linalg
+
+    counts = {"numpy": 0, "matrices": 0, "scipy": 0}
+    numpy_eig, scipy_eig = np.linalg.eig, scipy.linalg.eig
+
+    def counting_numpy(a, *args, **kwargs):
+        counts["numpy"] += 1
+        counts["matrices"] += int(np.prod(np.shape(a)[:-2], dtype=int))
+        return numpy_eig(a, *args, **kwargs)
+
+    def counting_scipy(*args, **kwargs):
+        counts["scipy"] += 1
+        return scipy_eig(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_numpy)
+    monkeypatch.setattr(scipy.linalg, "eig", counting_scipy)
+    return counts
+
+
+class TestEigenBudget:
+    """A sweep solves its whole grid in one eigensolve; bisection and
+    golden-section steps solve one k each; no QZ."""
+
+    def test_sweep_is_one_batched_call(self, band_composition, eig_calls):
+        model, st = band_composition
+        disp.sweep(model, st, np.logspace(-3, 2, 400))
+        assert eig_calls == {"numpy": 1, "matrices": 400, "scipy": 0}
+
+    def test_one_call_per_bisection_step(self, monkeypatch, eig_calls):
+        m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
+        steps = [0]
+        nearest = disp._nearest_root
+
+        def counting(lin, k, near):
+            steps[0] += 1
+            return nearest(lin, k, near)
+
+        monkeypatch.setattr(disp, "_nearest_root", counting)
+        alpha = disp.growth_rates(m, ST_LOCAL, 14.0).alphas[0]
+        before = dict(eig_calls)
+        disp.refine_edge(m, ST_LOCAL, 14.0, 20.0, alpha, 1e-6, rising=False)
+        assert steps[0] >= 10
+        assert eig_calls["numpy"] - before["numpy"] == steps[0]
+        assert eig_calls["matrices"] - before["matrices"] == steps[0]
+        steps[0] = 0
+        before = dict(eig_calls)
+        disp.band_peak(m, ST_LOCAL, 1.0, 14.0, alpha)
+        assert eig_calls["numpy"] - before["numpy"] == steps[0] > 10
+        assert eig_calls["scipy"] == 0
+
+
+class TestTrackingGap:
+    def test_long_wave_sweep_is_not_ambiguous(self, band_composition):
+        model, st = band_composition
+        res = disp.sweep(model, st, np.logspace(-6, 2, 300))
+        assert res.ambiguous == ()
+
+    def test_large_root_crossing_is_flagged(self):
+        # alpha1 = -Mh (h'' k^2 + kappa k^4) crosses alpha0 = -k^2 / (Re_s rho0)
+        # at |alpha| = 2e5
+        q = fe.Quadratic([[-1.0]], variables=("phi",))
+        m = models.Incompressible(q, 1e-5, 1.0, 1.0, 1.0, rho_hat=1.0)
+        st = models.MixtureState.fraction(0.5)
+        lin = m.linearization(st)
+        k_x = np.sqrt((lin.inv_Re_s / lin.rho0 - lin.Mh * lin.h_phi_phi)
+                      / (lin.Mh * lin.kappa_phi_phi))
+        ks = np.array([0.5, 1.0 + 2e-15, 1.0 + 1e-6, 2.0]) * k_x
+        res = disp.sweep(m, st, ks)
+        gap = abs(res.roots[1, 0] - res.roots[1, 1])
+        assert abs(res.roots[1, 0]) >= 1e5 and gap > 1e-12
+        assert res.ambiguous == (1,)

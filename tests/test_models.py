@@ -82,6 +82,22 @@ class TestConstruction:
         assert m.inv_Re == pytest.approx(2 * 0.5 + 0.2)
 
 
+class TestIdentity:
+    """Models hold arrays, so they compare and hash by identity, as the
+    free energies do."""
+
+    def test_hash_and_set_membership(self):
+        q = fe.Quadratic([[1.0]], variables=("phi",))
+        incompressible = models.Incompressible(q, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5)
+        built = [make_global(), make_local(), make_quasi(), incompressible,
+                 make_three()]
+        for m in built:
+            assert hash(m) == hash(m)
+            assert m == m and m in {m}
+        assert len(set(built)) == len(built)
+        assert make_local() != make_local()
+
+
 class TestMobilityCheck:
     def test_identity(self):
         rep = models.mobility_check(np.eye(2))
