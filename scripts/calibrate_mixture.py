@@ -162,9 +162,9 @@ def polish_k12(s1, s2, T, k12_seed):
     def balance(k12v):
         m = make_model(s1, s2, T, k12v)
         lin = m.linearization(stA)
-        small = disp.asymptotic_small_k(m, stA)
-        seed = disp.track_root_at(m, stA, 0.3, small.mode("alpha1").evaluate(0.3))
-        kpk, _ = disp.band_peak(m, stA, 0.5, 25.0, seed)
+        near = lin.small_k().mode("alpha1").evaluate(0.3)
+        seed = disp.track_root_at(lin, 0.3, near)
+        kpk, _ = disp.band_peak(lin, 0.5, 25.0, seed)
         D = lin.C + kpk**2 * lin.K
         return float(lin.p[0] * D[0, 1] + lin.p[1] * D[1, 1])
 
@@ -185,50 +185,50 @@ def verify(s1, s2, T, k12):
     stC = models.MixtureState.total_partial(*STATES["C"])
     mA = make_model(s1, s2, T, k12)
     mC = make_model(s1, s2, T, k12, Re_s=1e6, Re_v=3e6)
+    linA, linB = mA.linearization(stA), mA.linearization(stB)
     ks = np.logspace(-3, 3, 241)
     ok = True
 
-    def asym_worst(m, st, regime, kvals):
-        co = (disp.asymptotic_small_k if regime == "small"
-              else disp.asymptotic_large_k)(m, st)
+    def asym_worst(lin, regime, kvals):
+        co = lin.small_k() if regime == "small" else lin.large_k()
         worst = 0.0
         for k in kvals:
-            gr = disp.growth_rates(m, st, k)
+            gr = disp.growth_rates(lin, k)
             for md in co.modes:
                 pred = md.evaluate(k)
                 best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
                 worst = max(worst, abs(pred - best) / abs(best))
         return worst
 
-    resA = disp.sweep(mA, stA, ks)
+    resA = disp.sweep(linA, ks)
     i1 = resA.mode_names.index("alpha1")
     pos = {nm: resA.roots[:, j].real.max()
            for j, nm in enumerate(resA.mode_names)}
     ok &= pos["alpha1"] > 0 and max(pos["alpha0"], pos["alpha2"], pos["alpha3"]) <= 0
-    band = disp.unstable_bands(mA, stA, resA, i1)[0]
+    band = disp.unstable_bands(linA, resA, i1)[0]
     seed = resA.roots[np.searchsorted(ks, band[0]), i1]
-    kpk, apk = disp.band_peak(mA, stA, max(band[0], 1e-3), band[1], seed)
-    _, vec = disp.eigenvector_at(mA, stA, kpk, apk)
+    kpk, apk = disp.band_peak(linA, max(band[0], 1e-3), band[1], seed)
+    _, vec = disp.eigenvector_at(linA, kpk, apk)
     dev = disp.angular_deviation(vec)
     ok &= dev < 1e-6
-    eA_small = asym_worst(mA, stA, "small", [1e-3, 3e-3, 1e-2])
-    eA_large = asym_worst(mA, stA, "large", [100.0, 300.0, 1e3])
+    eA_small = asym_worst(linA, "small", [1e-3, 3e-3, 1e-2])
+    eA_large = asym_worst(linA, "large", [100.0, 300.0, 1e3])
     print(f"A: band {band}, peak k={kpk:.3f}, eigvec deviation {dev:.2e}, "
           f"asym small {eA_small:.2e} large {eA_large:.2e}")
     ok &= eA_small < 0.05 and eA_large < 0.05
 
-    resB = disp.sweep(mA, stB, ks)
+    resB = disp.sweep(linB, ks)
     posB = {nm: resB.roots[:, j].real.max()
             for j, nm in enumerate(resB.mode_names)}
     ok &= posB["alpha2"] > 0 and max(posB["alpha0"], posB["alpha1"],
                                      posB["alpha3"]) <= 0
-    eB_small = asym_worst(mA, stB, "small", [1e-3, 3e-3, 1e-2])
-    eB_large = asym_worst(mA, stB, "large", [100.0, 300.0, 1e3])
+    eB_small = asym_worst(linB, "small", [1e-3, 3e-3, 1e-2])
+    eB_large = asym_worst(linB, "large", [100.0, 300.0, 1e3])
     print(f"B: alpha2 band max {posB['alpha2']:.3e}, asym small {eB_small:.2e} "
           f"large {eB_large:.2e}")
     ok &= eB_small < 0.05 and eB_large < 0.05
 
-    resC = disp.sweep(mC, stC, ks)
+    resC = disp.sweep(mC.linearization(stC), ks)
     hr = fe.hessian_report(mC.free_energy, mC.state_densities(stC))
     print(f"C: max Re {resC.roots.real.max():.2e}, "
           f"definiteness {hr.definiteness.value}")

@@ -86,7 +86,8 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     else:
         raise ConfigError(f"unknown spacing {sec['spacing']!r}")
 
-    result = dispersion.sweep(model, state, ks)
+    lin = model.linearization(state)
+    result = dispersion.sweep(lin, ks)
     names = result.mode_names
     header = ["k"]
     for nm in names:
@@ -102,11 +103,11 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
 
     # asymptote curves over their windows, plus the flat coefficient blocks
     for regime, fn, sel in (
-        ("small", dispersion.asymptotic_small_k, ks[ks <= sec["small_k_max"]]),
-        ("large", dispersion.asymptotic_large_k, ks[ks >= sec["large_k_min"]]),
+        ("small", lin.small_k, ks[ks <= sec["small_k_max"]]),
+        ("large", lin.large_k, ks[ks >= sec["large_k_min"]]),
     ):
         try:
-            co = fn(model, state)
+            co = fn()
         except PfmixError as exc:
             _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
                           f"# unavailable: {exc}\n")
@@ -131,11 +132,11 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
         re = result.roots[:, j].real
         lines.append(f"{nm} ({result.labels[j].value}): max Re = {F(re.max())} "
                      f"at k = {F(result.k_grid[np.argmax(re)])}")
-        bands = dispersion.unstable_bands(model, state, result, j)
+        bands = dispersion.unstable_bands(lin, result, j)
         if bands:
             txt = ", ".join(f"({F(a)}, {F(b)})" for a, b in bands)
             lines.append(f"{nm} unstable bands: {txt}")
-    lines.append(_classification_line(model, state))
+    lines.append(_classification_line(model, lin))
     if result.ambiguous:
         lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
     summary = "\n".join(lines) + "\n"
@@ -145,13 +146,12 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     return EXIT_OK
 
 
-def _classification_line(model, state) -> str:
+def _classification_line(model, lin) -> str:
     if isinstance(model, models.PhaseFieldModel):
-        edge = dispersion.spinodal_band_edge(model, state)
+        edge = dispersion.spinodal_band_edge(lin)
         if edge > 0:
             return f"spinodal band: (0, {F(edge)})"
         return "no spinodal band (h_phi_phi >= 0)"
-    lin = model.linearization(state)
     report = free_energy.HessianReport(
         matrix=lin.C, definiteness=free_energy.classify_matrix(lin.C),
         det=float(np.linalg.det(lin.C)),
@@ -333,7 +333,7 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
             lin = model.linearization(state)
             worst = 0.0
             for k in (1e-2, 1.0, 10.0, 300.0):
-                ok, err = dispersion._pencil_matches(lin, k)
+                ok, err = dispersion.pencil_matches_scalar(lin, k)
                 worst = max(worst, err)
                 if not ok:
                     return False, f"coefficient mismatch {err:.3e} at k={k}"
@@ -345,7 +345,7 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
             lin = model.linearization(state)
             ks = np.logspace(-3, 3, 13)
             alphas, _, _ = dispersion._solve(lin, ks)
-            v = -lin.inv_Re_s * ks * ks / lin.rho0
+            v = dispersion.viscous_root(lin, ks)
             worst = float(np.max(np.min(np.abs(alphas - v[:, None]), axis=1)
                                  / np.abs(v)))
             return worst < 1e-12, f"worst viscous-root deviation {worst:.3e}"
@@ -359,11 +359,10 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
             mq = models.QuasiIncompressible(
                 free_energy=qphi, kappa_phi_phi=1e-2, M11=0.1,
                 inv_Re_s=1.0, inv_Re_v=1.0, rho_hat_1=ratio, rho_hat_2=1.0)
-            st = models.MixtureState.fraction(2.0 / 3.0)
+            lin = mq.linearization(models.MixtureState.fraction(2.0 / 3.0))
             ks = np.logspace(-2, 1, 40)
-            _, a1, _ = dispersion.quasi_explicit_roots(mq, st, ks)
-            lin = mq.linearization(st)
-            _, a1_inc = dispersion.incompressible_roots(lin, st, ks)
+            _, a1, _ = dispersion.quasi_explicit_roots(lin, ks)
+            _, a1_inc = dispersion.incompressible_roots(lin, ks)
             rel = np.max(np.abs(a1 - a1_inc) / np.abs(a1_inc))
             if rel > prev:
                 return False, f"limit not monotone at ratio {ratio}"

@@ -4,10 +4,16 @@ Extracts complex growth rates and eigenvectors from the dispersion pencil
 of a model's linearization about a constant state, for a whole wavenumber
 grid in one batched eigensolve of the pencil's standard form, tracks
 them over wavenumber sweeps, bisects unstable bands, evaluates closed-form
-and asymptotic growth-rate formulas, and classifies long-wave stability from
-the bulk-energy Hessian.  Everything class-specific (pencil, variable order,
-reduced polynomial, expansions) lives on the linearization object returned
-by ``model.linearization(state)``; see :mod:`pfmix.linearization`.
+growth-rate formulas, and classifies long-wave stability from the
+bulk-energy Hessian.
+
+Every function takes ``lin``, the object a model's ``linearization``
+method returns for a state, so a caller linearizes a state once and passes
+it on.  Everything class-specific (pencil, variable order, reduced
+polynomial, the small- and large-k expansions ``lin.small_k()`` and
+``lin.large_k()``) lives on that object; see :mod:`pfmix.linearization`.
+The one exception is :func:`scalar_dispersion_coefficients`, which keeps
+``(model, state, k)``.
 """
 
 from __future__ import annotations
@@ -25,23 +31,13 @@ from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
     SingularExpansion,
 )
 from .free_energy import Definiteness, HessianReport
-from .linearization import DEGENERATE_TOL, AsymptoticCoefficients, DispersionPencil
-from .models import MixtureState, QuasiIncompressible
+from .linearization import DEGENERATE_TOL
+from .models import MixtureState
 
 EIG_RESIDUAL_TOL = 1e-8
 # Two roots closer than this, relative to the larger modulus, cannot be told
 # apart: labels may swap there, so the sweep flags the grid point.
 TRACK_GAP_TOL = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Pencils
-# ---------------------------------------------------------------------------
-
-
-def assemble_pencil(model, state: MixtureState, k: float) -> DispersionPencil:
-    """Pencil of the model class linearized about ``state`` at wavenumber k."""
-    return model.linearization(state).pencil(k)
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +107,13 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def growth_rates(model, state: MixtureState, k: float) -> GrowthRates:
+def growth_rates(lin, k: float) -> GrowthRates:
     """All finite growth rates at wavenumber k, descending real part."""
-    return _growth(model.linearization(state), k)
-
-
-def _growth(lin, k: float) -> GrowthRates:
     w, x, res = _solve(lin, [k])
     return GrowthRates(k=k, alphas=w[0], vectors=x[0], residuals=res[0])
 
 
-def viscous_root(model, state: MixtureState, k: float) -> float:
-    lin = model.linearization(state)
+def viscous_root(lin, k: float) -> float:
     return -lin.inv_Re_s * k * k / lin.rho0
 
 
@@ -134,7 +125,10 @@ def viscous_root(model, state: MixtureState, k: float) -> float:
 def scalar_dispersion_coefficients(model, state: MixtureState, k: float) -> np.ndarray:
     """Coefficients (ascending in alpha) of the scalar dispersion polynomial
     written as (viscous factor) * (reduced polynomial), for cross-checking the
-    pencil determinant."""
+    pencil determinant.
+
+    The one function here that takes ``(model, state)``, because
+    ``perfbench/gates.py`` calls it that way."""
     return _scalar_coefficients(model.linearization(state), k)
 
 
@@ -144,16 +138,11 @@ def _scalar_coefficients(lin, k: float) -> np.ndarray:
     return np.polymul(cubic[::-1], viscous[::-1])[::-1]
 
 
-def pencil_matches_scalar(model, state: MixtureState, k: float,
-                          rtol: float = 1e-9) -> tuple[bool, float]:
+def pencil_matches_scalar(lin, k: float, rtol: float = 1e-9) -> tuple[bool, float]:
     """Compare det(alpha B + A) coefficients with the printed scalar
     polynomial.  The two agree up to an alpha-independent constant factor
     (exactly 1 for the compressible classes), so balanced coefficient
     vectors are compared after normalizing by their largest entries."""
-    return _pencil_matches(model.linearization(state), k, rtol)
-
-
-def _pencil_matches(lin, k: float, rtol: float = 1e-9) -> tuple[bool, float]:
     pencil = lin.pencil(k)
     size = pencil.A.shape[0] + 1
     want = np.zeros(size, dtype=complex)
@@ -176,29 +165,13 @@ def _pencil_matches(lin, k: float, rtol: float = 1e-9) -> tuple[bool, float]:
 
 
 # ---------------------------------------------------------------------------
-# Asymptotic expansions
-# ---------------------------------------------------------------------------
-
-
-def asymptotic_small_k(model, state: MixtureState) -> AsymptoticCoefficients:
-    """Leading and subleading long-wave growth-rate coefficients."""
-    return model.linearization(state).small_k()
-
-
-def asymptotic_large_k(model, state: MixtureState) -> AsymptoticCoefficients:
-    """Leading and subleading short-wave growth-rate coefficients."""
-    return model.linearization(state).large_k()
-
-
-# ---------------------------------------------------------------------------
 # Explicit roots of the constrained classes
 # ---------------------------------------------------------------------------
 
 
-def quasi_explicit_roots(model: QuasiIncompressible, state: MixtureState, k):
+def quasi_explicit_roots(lin, k):
     """Closed-form (alpha0, alpha1, alpha2) of the quasi-incompressible
     dispersion equation; requires unequal specific densities."""
-    lin = model.linearization(state)
     if lin.equal_densities:
         raise RangeError(
             "equal specific densities: use incompressible_roots instead")
@@ -214,11 +187,9 @@ def quasi_explicit_roots(model: QuasiIncompressible, state: MixtureState, k):
     return alpha0, alpha1, alpha2
 
 
-def incompressible_roots(lin_or_model, state: MixtureState, k):
+def incompressible_roots(lin, k):
     """(alpha0, alpha1) of the incompressible class, exactly as printed:
     alpha1 = -(M11/rho_hat_2^2) h'' k^2 - (M11/rho_hat_1^2) kappa k^4."""
-    lin = lin_or_model.linearization(state) if hasattr(lin_or_model, "linearization") \
-        else lin_or_model
     k = np.asarray(k, dtype=float)
     alpha0 = -lin.inv_Re_s / lin.rho0 * k * k
     alpha1 = (-lin.M11 / lin.rho_hat_2**2 * lin.h_phi_phi * k * k
@@ -226,10 +197,9 @@ def incompressible_roots(lin_or_model, state: MixtureState, k):
     return alpha0, alpha1
 
 
-def spinodal_band_edge(model, state: MixtureState) -> float:
+def spinodal_band_edge(lin) -> float:
     """Upper wavenumber of the phase-field spinodal band,
     sqrt(-h''/kappa); zero when the state is linearly stable."""
-    lin = model.linearization(state)
     if lin.h_phi_phi >= 0 or lin.kappa_phi_phi <= 0:
         return 0.0
     return float(np.sqrt(-lin.h_phi_phi / lin.kappa_phi_phi))
@@ -327,14 +297,13 @@ def _match(previous: np.ndarray, current: np.ndarray):
     return cols
 
 
-def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
+def sweep(lin, k_grid) -> DispersionResult:
     """Growth rates over an increasing positive k grid, from one eigensolve
     of the whole grid, with continuity-based mode tracking seeded from the
     long-wave asymptotics."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
-    lin = model.linearization(state)
     alphas, vecs, res = _solve(lin, k_grid)
     small = lin.small_k()
     predicted = np.array([m.evaluate(k_grid[0]) for m in small.modes])
@@ -359,18 +328,14 @@ def sweep(model, state: MixtureState, k_grid) -> DispersionResult:
         mode_names=names, residuals=residuals, ambiguous=ambiguous)
 
 
-def track_root_at(model, state: MixtureState, k: float, near: complex) -> complex:
+def track_root_at(lin, k: float, near: complex) -> complex:
     """Root at wavenumber k closest to ``near`` (used by band bisection)."""
-    return _nearest_root(model.linearization(state), k, near)
-
-
-def _nearest_root(lin, k: float, near: complex) -> complex:
-    gr = _growth(lin, k)
+    gr = growth_rates(lin, k)
     return complex(gr.alphas[np.argmin(np.abs(gr.alphas - near))])
 
 
-def unstable_bands(model, state: MixtureState, result: DispersionResult,
-                   track: int, rel_tol: float = 1e-6):
+def unstable_bands(lin, result: DispersionResult, track: int,
+                   rel_tol: float = 1e-6):
     """(k_lo, k_hi) intervals where Re(alpha_track) > 0, endpoints sharpened
     by bisection on the tracked root to relative tolerance ``rel_tol``."""
     ks = result.k_grid
@@ -384,10 +349,10 @@ def unstable_bands(model, state: MixtureState, result: DispersionResult,
             j = i
             while j + 1 < n and sign[j + 1]:
                 j += 1
-            k_lo = ks[i] if i == 0 else refine_edge(model, state, ks[i - 1], ks[i],
+            k_lo = ks[i] if i == 0 else refine_edge(lin, ks[i - 1], ks[i],
                                                     result.roots[i, track], rel_tol,
                                                     rising=True)
-            k_hi = ks[j] if j == n - 1 else refine_edge(model, state, ks[j], ks[j + 1],
+            k_hi = ks[j] if j == n - 1 else refine_edge(lin, ks[j], ks[j + 1],
                                                         result.roots[j, track], rel_tol,
                                                         rising=False)
             bands.append((float(k_lo), float(k_hi)))
@@ -397,18 +362,17 @@ def unstable_bands(model, state: MixtureState, result: DispersionResult,
     return bands
 
 
-def refine_edge(model, state, k_neg, k_pos, near, rel_tol, rising: bool):
+def refine_edge(lin, k_neg, k_pos, near, rel_tol, rising: bool):
     """Bisect a sign change of the tracked root's real part.
 
     ``rising=True``: Re(alpha) <= 0 at k_neg, > 0 at k_pos (band opens);
     ``rising=False``: > 0 at k_neg, <= 0 at k_pos (band closes).
     """
-    lin = model.linearization(state)
     a, b = float(k_neg), float(k_pos)
     alpha_near = complex(near)
     while (b - a) > rel_tol * b:
         m = 0.5 * (a + b)
-        alpha = _nearest_root(lin, m, alpha_near)
+        alpha = track_root_at(lin, m, alpha_near)
         alpha_near = alpha
         positive = alpha.real > 0.0
         if positive == rising:
@@ -418,15 +382,13 @@ def refine_edge(model, state, k_neg, k_pos, near, rel_tol, rising: bool):
     return 0.5 * (a + b)
 
 
-def band_peak(model, state: MixtureState, k_lo: float, k_hi: float,
-              near: complex, tol: float = 1e-10):
+def band_peak(lin, k_lo: float, k_hi: float, near: complex, tol: float = 1e-10):
     """Golden-section maximum of Re(alpha) for the root tracked from
     ``near`` on [k_lo, k_hi]; returns (k_peak, alpha_peak)."""
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    lin = model.linearization(state)
 
     def re_at(k, seed):
-        alpha = _nearest_root(lin, k, seed)
+        alpha = track_root_at(lin, k, seed)
         return alpha.real, alpha
 
     a, b = float(k_lo), float(k_hi)
@@ -444,14 +406,14 @@ def band_peak(model, state: MixtureState, k_lo: float, k_hi: float,
             d = a + inv_phi * (b - a)
             fd, seed = re_at(d, seed)
     k_star = 0.5 * (a + b)
-    alpha = _nearest_root(lin, k_star, seed)
+    alpha = track_root_at(lin, k_star, seed)
     return k_star, alpha
 
 
-def eigenvector_at(model, state: MixtureState, k: float, near: complex):
+def eigenvector_at(lin, k: float, near: complex):
     """(alpha, eigenvector) of the root closest to ``near`` at wavenumber k;
     the eigenvector has unit length and a real positive largest component."""
-    gr = growth_rates(model, state, k)
+    gr = growth_rates(lin, k)
     i = int(np.argmin(np.abs(gr.alphas - near)))
     return gr.alphas[i], gr.vectors[:, i]
 
@@ -465,15 +427,13 @@ def angular_deviation(vector, axis_index: int = 1) -> float:
     return float(np.arccos(min(overlap, 1.0)))
 
 
-def short_wave_stable_threshold(model, state: MixtureState, k_lo: float = 1e-2,
-                                k_hi: float = 1e4, rel_tol: float = 1e-3) -> float:
+def short_wave_stable_threshold(lin, k_lo: float = 1e-2, k_hi: float = 1e4,
+                                rel_tol: float = 1e-3) -> float:
     """Smallest wavenumber K (within [k_lo, k_hi], up to rel_tol) such that
     max Re(alpha) < 0 on a log grid of [K, k_hi]; verifies the absence of
     short-wave instability."""
-    lin = model.linearization(state)
-
     def max_re(k):
-        return _growth(lin, k).alphas.real.max()
+        return growth_rates(lin, k).alphas.real.max()
 
     if max_re(k_hi) >= 0:
         raise NumericalError(f"still unstable at k = {k_hi}")

@@ -99,9 +99,6 @@ class GradientCoefficients:
     def n(self) -> int:
         return self.kappa.shape[0]
 
-    def det(self) -> float:
-        return float(np.linalg.det(self.kappa))
-
 
 # ---------------------------------------------------------------------------
 # Bulk free energies
@@ -543,22 +540,14 @@ def hessian_report(fe: BulkFreeEnergy, rho) -> HessianReport:
     )
 
 
-@dataclass(frozen=True)
-class ChemicalPotentialField:
-    """mu_i(x) on a periodic grid plus the Laplacian scheme used."""
-
-    mu: np.ndarray  # shape (nvar, n)
-    laplacian: str  # "spectral" or "central"
-
-
 def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
                         fields: np.ndarray, grid,
-                        laplacians=None) -> ChemicalPotentialField:
+                        laplacians=None) -> np.ndarray:
     """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) on a periodic 1D grid.
 
-    ``fields`` has shape (nvar, n).  The Laplacians are taken here in one
-    batched transform, unless a caller that already took them in its own
-    batch passes them as ``laplacians``.
+    ``fields`` and the returned mu have shape (nvar, n).  The Laplacians
+    are taken here in one batched transform, unless a caller that already
+    took them in its own batch passes them as ``laplacians``.
     """
     fields = np.atleast_2d(np.asarray(fields, dtype=float))
     if fields.ndim != 2 or fields.shape[0] != fe.nvar or kappa.n != fe.nvar:
@@ -566,8 +555,7 @@ def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
     g = fe.gradient(fields.T, pointwise=True)
     if laplacians is None:
         laplacians = grid.derivatives(fields, (2,) * fe.nvar)
-    mu = g.T - kappa.kappa @ laplacians
-    return ChemicalPotentialField(mu=mu, laplacian=grid.scheme)
+    return g.T - kappa.kappa @ laplacians
 
 
 # Concavity-map cell codes (shared with the CLI output format).

@@ -1,4 +1,4 @@
-"""Uniform periodic 1D grid with spectral and central-difference operators."""
+"""Uniform periodic 1D grid with Fourier-spectral operators."""
 
 from dataclasses import dataclass, field
 
@@ -7,15 +7,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class PeriodicGrid1D:
-    """Uniform grid on [0, L) with periodic wrap-around.
-
-    Derivatives are Fourier-spectral by default; ``scheme='central'``
-    selects second-order central differences instead.
-    """
+    """Uniform grid on [0, L) with periodic wrap-around and Fourier-spectral
+    derivatives."""
 
     length: float
     n: int
-    scheme: str = "spectral"
     # derived from (length, n), so left out of equality and hashing
     x: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
@@ -26,8 +22,6 @@ class PeriodicGrid1D:
             raise ValueError("grid length must be positive")
         if self.n < 4:
             raise ValueError("need at least 4 cells")
-        if self.scheme not in ("spectral", "central"):
-            raise ValueError(f"unknown derivative scheme {self.scheme!r}")
         object.__setattr__(self, "x", np.arange(self.n) * self.dx)
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         symbols = np.empty((3, k.size), dtype=complex)
@@ -43,18 +37,13 @@ class PeriodicGrid1D:
         """Derivatives of the rows of an (m, n) stack, row i of order
         ``orders[i]`` (0, 1 or 2), in one batched transform.
 
-        A spectral grid does one ``rfft`` of the stack, multiplies each row
-        by its symbol (ik)^p and does one ``irfft``; every row comes out bit
-        for bit as it would from a transform of that row alone.
+        One ``rfft`` of the stack, a multiplication of each row by its
+        symbol (ik)^p and one ``irfft``; every row comes out bit for bit as
+        it would from a transform of that row alone.
         """
-        if self.scheme == "spectral":
-            fh = np.fft.rfft(f, axis=-1)
-            symbols = self.symbols.take(orders, axis=0)
-            return np.fft.irfft(symbols * fh, n=self.n, axis=-1)
-        up, down = np.roll(f, -1, axis=-1), np.roll(f, 1, axis=-1)
-        stencils = (f, (up - down) / (2.0 * self.dx),
-                    (up - 2.0 * f + down) / self.dx**2)
-        return np.choose(np.asarray(orders)[..., None], stencils)
+        fh = np.fft.rfft(f, axis=-1)
+        symbols = self.symbols.take(orders, axis=0)
+        return np.fft.irfft(symbols * fh, n=self.n, axis=-1)
 
     def dx1(self, f: np.ndarray) -> np.ndarray:
         """First derivative."""

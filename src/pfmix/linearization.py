@@ -24,6 +24,9 @@ the same bits alone or in a grid.  Every i k of a pencil couples vx to
 another unknown, so the standard form is taken in (.., vx / i, ..), where
 it is real: real roots come out real and complex ones in exact conjugate
 pairs.
+
+The linearizations hold arrays, so they compare and hash by identity
+(``eq=False``), like the models.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ def _real_pencil(A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryLinearization(_Pencil):
     """C, K, p and the 2x2 mobility of a compressible binary class, all in
     the variable order of its pencil."""
@@ -255,7 +258,7 @@ class BinaryLinearization(_Pencil):
                 [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalLinearization(BinaryLinearization):
     """Globally-conserving class; variables (rho1, rho2)."""
 
@@ -352,7 +355,7 @@ class GlobalLinearization(BinaryLinearization):
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalLinearization(BinaryLinearization):
     """Locally-conserving class; variables (rho, rho1), mobility
     [[M11, -M11], [-M11, M11]]."""
@@ -445,7 +448,7 @@ class LocalLinearization(BinaryLinearization):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseFieldLinearization(_Pencil):
     """Quasi-incompressible and incompressible classes.  With
     ``equal_densities`` the divergence constraint is the incompressible one

@@ -242,7 +242,7 @@ class CompressibleModel(BinaryModel):
         d = grid.derivatives(np.concatenate([E, [vx, vy], u * vx]),
                              (2,) * N + (vo, vo) + (1,) * (N + 2))
         mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:N]).mu
+                                 laplacians=d[:N])
         dmu = grid.derivatives(np.concatenate([mu, mu]), (2,) * N + (1,) * N)
         eta, nu = self._viscosity_fields(E[0] / rho)
         fx, fy = _viscous_terms(grid, d[N:N + 2], eta, nu)
@@ -254,7 +254,7 @@ class CompressibleModel(BinaryModel):
         N = self.n_components
         d = grid.derivatives(np.concatenate([E, [vx, vy]]), (2,) * N + (1, 1))
         mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:N]).mu
+                                 laplacians=d[:N])
         eta, nu = self._viscosity_fields(E[0] / rho)
         visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
         return visc, grid.derivatives(mu, (1,) * N)

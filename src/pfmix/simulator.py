@@ -111,16 +111,15 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
     default is the least damped root.
     """
     k = grid.mode_wavenumber(mode)
-    gr = dispersion.growth_rates(model, state, k)
+    lin = model.linearization(state)
+    gr = dispersion.growth_rates(lin, k)
     if track_name is None:
         idx = 0
     else:
-        small = dispersion.asymptotic_small_k(model, state)
-        pred = small.mode(track_name).evaluate(k)
+        pred = lin.small_k().mode(track_name).evaluate(k)
         idx = int(np.argmin(np.abs(gr.alphas - pred)))
     vec = gr.vectors[:, idx]
-    names = model.linearization(state).vector_fields
-    comp = {n: vec[i] for i, n in enumerate(names) if n != "Pi"}
+    comp = {n: vec[i] for i, n in enumerate(lin.vector_fields) if n != "Pi"}
     scale = amplitude / max(abs(v) for v in comp.values())
     return tuple(
         Perturbation(field=n, mode=mode, amplitude=scale * v)

@@ -23,12 +23,11 @@ def report(criterion, ok, detail):
     assert ok, line
 
 
-def asymptote_errors(model, state, regime, samples):
-    fn = disp.asymptotic_small_k if regime == "small" else disp.asymptotic_large_k
-    co = fn(model, state)
+def asymptote_errors(lin, regime, samples):
+    co = lin.small_k() if regime == "small" else lin.large_k()
     worst = 0.0
     for k in samples:
-        gr = disp.growth_rates(model, state, k)
+        gr = disp.growth_rates(lin, k)
         for mode in co.modes:
             pred = mode.evaluate(k)
             best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
@@ -36,8 +35,8 @@ def asymptote_errors(model, state, regime, samples):
     return worst
 
 
-def band_structure(model, state, k_grid):
-    result = disp.sweep(model, state, k_grid)
+def band_structure(lin, k_grid):
+    result = disp.sweep(lin, k_grid)
     max_re = {nm: result.roots[:, j].real.max()
               for j, nm in enumerate(result.mode_names)}
     return result, max_re
@@ -67,9 +66,10 @@ def test_criterion_1_viscous_mode_exactness():
     ]
     worst = 0.0
     for model, state in cases:
+        lin = model.linearization(state)
         for k in np.logspace(-3, 3, 13):
-            gr = disp.growth_rates(model, state, k)
-            want = disp.viscous_root(model, state, k)
+            gr = disp.growth_rates(lin, k)
+            want = disp.viscous_root(lin, k)
             worst = max(worst, min(abs(a - want) for a in gr.alphas) / abs(want))
     report(1, worst <= 1e-12,
            f"viscous root matches -k^2/(Re_s rho0) in all four classes, "
@@ -82,22 +82,22 @@ def test_criterion_1_viscous_mode_exactness():
 
 def test_criterion_2_composition_band(band_composition):
     model, state = band_composition
+    lin = model.linearization(state)
     ks = np.logspace(-3, 3, 241)
-    result, max_re = band_structure(model, state, ks)
+    result, max_re = band_structure(lin, ks)
     i1 = result.mode_names.index("alpha1")
     ok = max_re["alpha1"] > 0
     ok &= max(max_re["alpha0"], max_re["alpha2"], max_re["alpha3"]) <= 0
-    bands = disp.unstable_bands(model, state, result, i1)
+    bands = disp.unstable_bands(lin, result, i1)
     ok &= len(bands) == 1 and bands[0][1] < ks[-1]
     # eigenvector at the band peak lies along the partial-density axis
     seed = result.roots[0, i1]
-    k_pk, alpha_pk = disp.band_peak(model, state, max(bands[0][0], 1e-3),
-                                    bands[0][1], seed)
-    _, vec = disp.eigenvector_at(model, state, k_pk, alpha_pk)
+    k_pk, alpha_pk = disp.band_peak(lin, max(bands[0][0], 1e-3), bands[0][1], seed)
+    _, vec = disp.eigenvector_at(lin, k_pk, alpha_pk)
     dev = disp.angular_deviation(vec, axis_index=1)
     ok &= dev <= 1e-6
-    e_small = asymptote_errors(model, state, "small", SMALL_K_SAMPLES)
-    e_large = asymptote_errors(model, state, "large", LARGE_K_SAMPLES)
+    e_small = asymptote_errors(lin, "small", SMALL_K_SAMPLES)
+    e_large = asymptote_errors(lin, "large", LARGE_K_SAMPLES)
     ok &= e_small < 0.05 and e_large < 0.05
     report(2, ok,
            f"alpha1 band {bands[0][0]:.3g}..{bands[0][1]:.3g}, others damped; "
@@ -107,12 +107,13 @@ def test_criterion_2_composition_band(band_composition):
 
 def test_criterion_3_density_band(band_density):
     model, state = band_density
+    lin = model.linearization(state)
     ks = np.logspace(-3, 3, 241)
-    result, max_re = band_structure(model, state, ks)
+    result, max_re = band_structure(lin, ks)
     ok = max_re["alpha2"] > 0
     ok &= max(max_re["alpha0"], max_re["alpha1"], max_re["alpha3"]) <= 0
-    e_small = asymptote_errors(model, state, "small", SMALL_K_SAMPLES)
-    e_large = asymptote_errors(model, state, "large", LARGE_K_SAMPLES)
+    e_small = asymptote_errors(lin, "small", SMALL_K_SAMPLES)
+    e_large = asymptote_errors(lin, "large", LARGE_K_SAMPLES)
     ok &= e_small < 0.05 and e_large < 0.05
     report(3, ok,
            f"alpha2 unstable (max Re {max_re['alpha2']:.3g}), others damped; "
@@ -122,7 +123,7 @@ def test_criterion_3_density_band(band_density):
 def test_criterion_4_stable_state(stable_dense):
     model, state = stable_dense
     ks = np.logspace(-3, 3, 241)
-    result, max_re = band_structure(model, state, ks)
+    result, max_re = band_structure(model.linearization(state), ks)
     ok = max(max_re.values()) <= 0
     hr = fe.hessian_report(model.free_energy, model.state_densities(state))
     ok &= hr.definiteness is fe.Definiteness.POSITIVE_DEFINITE
@@ -166,7 +167,7 @@ def _draw_case(rng, category):
                                       inv_Re_s=0.4, inv_Re_v=0.3)
         st = models.MixtureState.binary(p[0], p[1])
         try:
-            co = disp.asymptotic_small_k(m, st)
+            co = m.linearization(st).small_k()
         except disp.SingularExpansion:
             continue
         preds = np.array([md.evaluate(1e-3) for md in co.modes])
@@ -191,7 +192,7 @@ def test_criterion_5_long_wave_classification(rng):
             rep = disp.classify_stability(
                 fe.hessian_report(fe.Quadratic(C), p), p, M)
             assert rep.category == want_label
-            gr = disp.growth_rates(m, st, 1e-3)
+            gr = disp.growth_rates(m.linearization(st), 1e-3)
             # associate roots with mode names via the asymptotic predictions
             preds = np.array([md.evaluate(1e-3) for md in co.modes])
             cost = np.abs(preds[:, None] - gr.alphas[None, :])
@@ -224,9 +225,9 @@ def test_criterion_6_determinant_polynomial(rng):
         m = models.CompressibleGlobal(fe.Quadratic(C), kap, M,
                                       inv_Re_s=rng.uniform(0.1, 1.0),
                                       inv_Re_v=rng.uniform(0.1, 1.0))
-        st = models.MixtureState.binary(*rng.uniform(0.5, 2.0, 2))
+        lin = m.linearization(models.MixtureState.binary(*rng.uniform(0.5, 2.0, 2)))
         for k in rng.uniform(0.05, 50.0, size=5):
-            ok, err = disp.pencil_matches_scalar(m, st, float(k), rtol=1e-9)
+            ok, err = disp.pencil_matches_scalar(lin, float(k), rtol=1e-9)
             worst = max(worst, err)
             assert ok
     report(6, worst <= 1e-9,
@@ -243,21 +244,20 @@ def test_criterion_7_quasi_closed_forms():
     m = models.QuasiIncompressible(q, kappa_phi_phi=1e-2, M11=0.2,
                                    inv_Re_s=0.3, inv_Re_v=0.1,
                                    rho_hat_1=2.0, rho_hat_2=1.0)
-    st = models.MixtureState.fraction(0.4)
+    lin = m.linearization(models.MixtureState.fraction(0.4))
     worst = 0.0
     for k in np.logspace(-2, 2, 41):
-        roots = np.sort_complex(np.array(disp.quasi_explicit_roots(m, st,
-                                                                   float(k))))
-        got = np.sort_complex(disp.growth_rates(m, st, float(k)).alphas)
+        roots = np.sort_complex(np.array(disp.quasi_explicit_roots(lin, float(k))))
+        got = np.sort_complex(disp.growth_rates(lin, float(k)).alphas)
         worst = max(worst, float(np.max(np.abs(roots - got))
                                  / np.max(np.abs(roots))))
     ok = worst <= 1e-10
     # spinodal band endpoint by bisection on Re(alpha1)
-    edge = disp.spinodal_band_edge(m, st)
+    edge = disp.spinodal_band_edge(lin)
     lo, hi = 0.5 * edge, 2.0 * edge
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        _, a1, _ = disp.quasi_explicit_roots(m, st, mid)
+        _, a1, _ = disp.quasi_explicit_roots(lin, mid)
         if a1.real > 0:
             lo = mid
         else:
@@ -282,8 +282,9 @@ def test_criterion_8_incompressible_limit():
         m = models.QuasiIncompressible(q, kappa_phi_phi=1e-2, M11=0.1,
                                        inv_Re_s=1.0, inv_Re_v=1.0,
                                        rho_hat_1=ratio, rho_hat_2=1.0)
-        _, a1, _ = disp.quasi_explicit_roots(m, st, ks)
-        _, a1_inc = disp.incompressible_roots(m.linearization(st), st, ks)
+        lin = m.linearization(st)
+        _, a1, _ = disp.quasi_explicit_roots(lin, ks)
+        _, a1_inc = disp.incompressible_roots(lin, ks)
         rels.append(float(np.max(np.abs(a1 - a1_inc) / np.abs(a1_inc))))
     ok = all(rels[i + 1] < rels[i] for i in range(3)) and rels[-1] < 1e-3
     report(8, ok,

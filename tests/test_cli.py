@@ -177,30 +177,46 @@ points = 11
                          "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
-def test_verify_linearizes_once_per_check(tmp_path, monkeypatch):
-    """pencil_vs_polynomial and viscous_mode_exact each linearize once, and
-    the viscous check solves its 13 wavenumbers in one eigensolve."""
+@pytest.mark.parametrize("command, config, linearizations, eig_calls", [
+    ("sweep", "band_density.ini", {"CompressibleLocal": 1}, None),
+    # the dt guard and the eigenvector seed
+    ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 1),
+    # pencil_vs_polynomial and viscous_mode_exact once each, the
+    # quasi-incompressible limit once per density ratio; the viscous check
+    # solves its 13 wavenumbers in one eigensolve
+    ("verify", "band_density.ini",
+     {"CompressibleLocal": 2, "QuasiIncompressible": 4}, 1),
+], ids=["sweep", "simulate", "verify"])
+def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
+                                    linearizations, eig_calls):
+    """Each command linearizes a state once where it needs it and passes
+    the linearization on."""
+    from collections import Counter
+
     import numpy as np
 
     from pfmix import models
 
-    calls = {"linearization": 0, "eig": 0}
-    linearize, eig = models.CompressibleLocal.linearization, np.linalg.eig
+    calls, eigs = Counter(), [0]
+    for cls in (models.CompressibleGlobal, models.CompressibleLocal,
+                models.PhaseFieldModel):
+        def counting_linearization(self, state, linearize=cls.linearization):
+            calls[type(self).__name__] += 1
+            return linearize(self, state)
 
-    def counting_linearization(self, state):
-        calls["linearization"] += 1
-        return linearize(self, state)
+        monkeypatch.setattr(cls, "linearization", counting_linearization)
+    eig = np.linalg.eig
 
     def counting_eig(a):
-        calls["eig"] += 1
+        eigs[0] += 1
         return eig(a)
 
-    monkeypatch.setattr(models.CompressibleLocal, "linearization",
-                        counting_linearization)
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
-    assert cli.main(["verify", "--config", str(config_path("band_density.ini")),
+    assert cli.main([command, "--config", str(config_path(config)),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
-    assert calls == {"linearization": 2, "eig": 1}
+    assert dict(calls) == linearizations
+    if eig_calls is not None:
+        assert eigs[0] == eig_calls
 
 
 class TestDeterminism:

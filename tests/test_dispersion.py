@@ -40,18 +40,18 @@ ST_PHI = models.MixtureState.fraction(0.4)
 
 class TestPencil:
     def test_transverse_block_decouples(self):
-        p = disp.assemble_pencil(make_global(), ST_GLOBAL, 2.0)
+        p = make_global().linearization(ST_GLOBAL).pencil(2.0)
         assert p.A[3, 3] == pytest.approx(0.5 * 4.0)
         assert np.all(p.A[3, :3] == 0) and np.all(p.A[:3, 3] == 0)
         assert p.B[3, 3] == pytest.approx(3.0)
 
     def test_zero_wavenumber_pencil_vanishes(self):
-        p = disp.assemble_pencil(make_global(), ST_GLOBAL, 0.0)
+        p = make_global().linearization(ST_GLOBAL).pencil(0.0)
         assert np.all(p.A == 0.0)
 
     def test_b_invertible_compressible(self):
         for model, st in ((make_global(), ST_GLOBAL), (make_local(), ST_LOCAL)):
-            p = disp.assemble_pencil(model, st, 1.0)
+            p = model.linearization(st).pencil(1.0)
             assert abs(np.linalg.det(p.B)) > 0
 
     @pytest.mark.parametrize("k", [1e-3, 0.3, 2.0, 50.0, 1e3])
@@ -59,15 +59,16 @@ class TestPencil:
         for model, st in ((make_global(), ST_GLOBAL), (make_local(), ST_LOCAL),
                           (make_quasi(), ST_PHI),
                           (make_quasi(rho_hat_1=1.5, rho_hat_2=1.5), ST_PHI)):
-            ok, err = disp.pencil_matches_scalar(model, st, k)
+            ok, err = disp.pencil_matches_scalar(model.linearization(st), k)
             assert ok, f"{type(model).__name__}: err {err:.2e} at k={k}"
 
     def test_random_parameter_sets(self, rng):
         for _ in range(5):
             m = random_global_model(rng)
             st = models.MixtureState.binary(*rng.uniform(0.5, 2.0, size=2))
+            lin = m.linearization(st)
             for k in rng.uniform(0.05, 50.0, size=5):
-                ok, err = disp.pencil_matches_scalar(m, st, float(k))
+                ok, err = disp.pencil_matches_scalar(lin, float(k))
                 assert ok and err < 1e-9
 
 
@@ -81,23 +82,25 @@ class TestGrowthRates:
         cases.append((models.Incompressible(qi, 1e-2, 0.2, 0.3, 0.1,
                                             rho_hat=1.5), ST_PHI, 2))
         for model, st, n in cases:
-            assert disp.growth_rates(model, st, 1.0).alphas.size == n
+            assert disp.growth_rates(model.linearization(st), 1.0).alphas.size == n
 
     def test_viscous_root_exact(self):
         for model, st in ((make_global(), ST_GLOBAL), (make_local(), ST_LOCAL),
                           (make_quasi(), ST_PHI)):
+            lin = model.linearization(st)
             for k in np.logspace(-3, 3, 7):
-                gr = disp.growth_rates(model, st, k)
-                v = disp.viscous_root(model, st, k)
+                gr = disp.growth_rates(lin, k)
+                v = disp.viscous_root(lin, k)
                 assert min(abs(a - v) for a in gr.alphas) <= 1e-12 * abs(v)
 
     def test_residuals_small(self):
-        gr = disp.growth_rates(make_global(), ST_GLOBAL, 0.7)
+        gr = disp.growth_rates(make_global().linearization(ST_GLOBAL), 0.7)
         assert np.all(gr.residuals <= 1e-8)
 
     def test_conjugate_pairs(self):
+        lin = make_global().linearization(ST_GLOBAL)
         for k in (0.3, 1.0, 5.0):
-            a = disp.growth_rates(make_global(), ST_GLOBAL, k).alphas
+            a = disp.growth_rates(lin, k).alphas
             scale = np.abs(a).max()
             complex_roots = a[np.abs(a.imag) > 1e-12 * scale]
             assert complex_roots.size % 2 == 0
@@ -107,7 +110,7 @@ class TestGrowthRates:
 
     def test_positive_k_required(self):
         with pytest.raises(RangeError):
-            disp.growth_rates(make_global(), ST_GLOBAL, 0.0)
+            disp.growth_rates(make_global().linearization(ST_GLOBAL), 0.0)
 
 
 class TestAsymptotics:
@@ -115,7 +118,7 @@ class TestAsymptotics:
         # M = I, C = I, p = (1, 0): g1 = 1, x1 = -1
         m = make_global(C=np.eye(2), M=np.eye(2))
         st = models.MixtureState(rho1=1.0, rho2=1e-12, rho=1.0 + 1e-12)
-        co = disp.asymptotic_small_k(m, st)
+        co = m.linearization(st).small_k()
         assert co.auxiliaries["g1"] == pytest.approx(1.0, rel=1e-9)
         x1 = co.mode("alpha1").coefficients[0]
         assert x1 == pytest.approx(-1.0, rel=1e-9)
@@ -124,16 +127,16 @@ class TestAsymptotics:
         # C = -I, p = (1, 1), rho0 = 2: x_{2,3} = +-1
         m = make_global(C=-np.eye(2), M=np.eye(2))
         st = models.MixtureState.binary(1.0, 1.0)
-        co = disp.asymptotic_small_k(m, st)
+        co = m.linearization(st).small_k()
         xc = co.mode("alpha2").coefficients[0]
         assert xc == pytest.approx(1.0, rel=1e-12)
         assert co.mode("alpha3").coefficients[0] == pytest.approx(-1.0, rel=1e-12)
 
     def test_small_k_matches_roots(self):
-        m = make_local()
-        co = disp.asymptotic_small_k(m, ST_LOCAL)
+        lin = make_local().linearization(ST_LOCAL)
+        co = lin.small_k()
         k = 1e-3
-        gr = disp.growth_rates(m, ST_LOCAL, k)
+        gr = disp.growth_rates(lin, k)
         for md in co.modes:
             pred = md.evaluate(k)
             best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
@@ -145,20 +148,20 @@ class TestAsymptotics:
         kap = fe.GradientCoefficients(np.array([[1e-4, 0.0], [0.0, 1.06e-4]]))
         m = models.CompressibleLocal(q, kap, M11=1e-4, inv_Re_s=1.0,
                                      inv_Re_v=1.0 / 3.0)
-        co = disp.asymptotic_large_k(m, ST_LOCAL)
+        co = m.linearization(ST_LOCAL).large_k()
         assert co.mode("alpha1").coefficients[0] == pytest.approx(-1e-8)
 
     def test_large_k_zero_mobility_thermo(self):
         m = make_global(M=np.zeros((2, 2)))
-        co = disp.asymptotic_large_k(m, ST_GLOBAL)
+        co = m.linearization(ST_GLOBAL).large_k()
         assert co.mode("alpha1").coefficients[0] == 0.0
         assert co.mode("alpha2").coefficients[0] == 0.0
 
     def test_large_k_matches_roots(self):
-        m = make_local()
-        co = disp.asymptotic_large_k(m, ST_LOCAL)
+        lin = make_local().linearization(ST_LOCAL)
+        co = lin.large_k()
         for k in (100.0, 300.0):
-            gr = disp.growth_rates(m, ST_LOCAL, k)
+            gr = disp.growth_rates(lin, k)
             for md in co.modes:
                 pred = md.evaluate(k)
                 best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
@@ -170,30 +173,30 @@ class TestAsymptotics:
         m = make_global(C=C)
         st = models.MixtureState.binary(1.0, 1.0)
         with pytest.raises(disp.SingularExpansion):
-            disp.asymptotic_small_k(m, st)
+            m.linearization(st).small_k()
 
 
 class TestQuasiRoots:
     def test_explicit_matches_pencil(self):
-        m = make_quasi()
+        lin = make_quasi().linearization(ST_PHI)
         for k in np.logspace(-2, 2, 25):
-            a0, a1, a2 = disp.quasi_explicit_roots(m, ST_PHI, float(k))
-            got = np.sort_complex(disp.growth_rates(m, ST_PHI, float(k)).alphas)
+            a0, a1, a2 = disp.quasi_explicit_roots(lin, float(k))
+            got = np.sort_complex(disp.growth_rates(lin, float(k)).alphas)
             want = np.sort_complex(np.array([a0, a1, a2]))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
     def test_spinodal_band(self):
-        m = make_quasi(h_pp=-1.0, kappa_pp=1e-2)
-        edge = disp.spinodal_band_edge(m, ST_PHI)
+        lin = make_quasi(h_pp=-1.0, kappa_pp=1e-2).linearization(ST_PHI)
+        edge = disp.spinodal_band_edge(lin)
         assert edge == pytest.approx(10.0)
-        _, a1_in, _ = disp.quasi_explicit_roots(m, ST_PHI, edge * 0.999)
-        _, a1_out, _ = disp.quasi_explicit_roots(m, ST_PHI, edge * 1.001)
+        _, a1_in, _ = disp.quasi_explicit_roots(lin, edge * 0.999)
+        _, a1_out, _ = disp.quasi_explicit_roots(lin, edge * 1.001)
         assert a1_in.real > 0 > a1_out.real
 
     def test_equal_densities_raise(self):
-        m = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0)
+        lin = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0).linearization(ST_PHI)
         with pytest.raises(RangeError):
-            disp.quasi_explicit_roots(m, ST_PHI, 1.0)
+            disp.quasi_explicit_roots(lin, 1.0)
 
     def test_limit_toward_incompressible(self):
         # alpha1 converges to -(M11/rho_hat^2)(h'' k^2 + kappa k^4)
@@ -201,8 +204,8 @@ class TestQuasiRoots:
         prev = np.inf
         for ratio in (1.5, 1.1, 1.01):
             m = make_quasi(rho_hat_1=ratio, rho_hat_2=1.0)
-            _, a1, _ = disp.quasi_explicit_roots(m, ST_PHI, ks)
             lin = m.linearization(ST_PHI)
+            _, a1, _ = disp.quasi_explicit_roots(lin, ks)
             limit = -m.M11 / m.rho_hat_1**2 * (lin.h_phi_phi * ks**2
                                                + lin.kappa_phi_phi * ks**4)
             rel = np.max(np.abs(a1 - limit)) / np.max(np.abs(limit))
@@ -214,15 +217,16 @@ class TestQuasiRoots:
         q = fe.Quadratic([[-1.0]], variables=("phi",))
         m = models.Incompressible(q, kappa_phi_phi=1.0, M11=1.0,
                                   inv_Re_s=0.3, inv_Re_v=0.1, rho_hat=1.0)
-        a0, a1 = disp.incompressible_roots(m, ST_PHI, 0.0)
+        lin = m.linearization(ST_PHI)
+        a0, a1 = disp.incompressible_roots(lin, 0.0)
         assert a0 == 0.0 and a1 == 0.0
         k = np.array([0.5, 1.0, 2.0])
-        _, a1 = disp.incompressible_roots(m, ST_PHI, k)
+        _, a1 = disp.incompressible_roots(lin, k)
         assert np.allclose(a1, k**2 - k**4)
         assert a1[0] > 0 and a1[1] == pytest.approx(0.0) and a1[2] < 0
         for kk in (0.5, 2.0):
-            gr = disp.growth_rates(m, ST_PHI, kk)
-            _, want = disp.incompressible_roots(m, ST_PHI, kk)
+            gr = disp.growth_rates(lin, kk)
+            _, want = disp.incompressible_roots(lin, kk)
             assert min(abs(a - want) for a in gr.alphas) < 1e-12 * max(abs(want), 1)
 
 
@@ -283,7 +287,7 @@ class TestClassification:
 class TestSweep:
     def test_labels_and_residuals(self):
         m = make_global(C=-np.eye(2))
-        res = disp.sweep(m, ST_GLOBAL, np.logspace(-2, 2, 50))
+        res = disp.sweep(m.linearization(ST_GLOBAL), np.logspace(-2, 2, 50))
         assert res.mode_names == ("alpha0", "alpha1", "alpha2", "alpha3")
         labels = [l.value for l in res.labels]
         assert labels == ["viscous", "thermodynamic", "coupled", "coupled"]
@@ -291,38 +295,39 @@ class TestSweep:
         assert res.ambiguous == ()
 
     def test_viscous_track_is_exact(self):
-        m = make_global()
+        lin = make_global().linearization(ST_GLOBAL)
         ks = np.logspace(-2, 2, 40)
-        res = disp.sweep(m, ST_GLOBAL, ks)
+        res = disp.sweep(lin, ks)
         i0 = res.mode_names.index("alpha0")
-        lin = m.linearization(ST_GLOBAL)
         want = -lin.inv_Re_s * ks**2 / lin.rho0
         assert np.max(np.abs(res.roots[:, i0].real - want) / np.abs(want)) < 1e-12
 
     def test_unstable_band_endpoints(self):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
+        lin = m.linearization(ST_LOCAL)
         ks = np.logspace(-1, 1.6, 60)
-        res = disp.sweep(m, ST_LOCAL, ks)
+        res = disp.sweep(lin, ks)
         i1 = res.mode_names.index("alpha1")
-        bands = disp.unstable_bands(m, ST_LOCAL, res, i1)
+        bands = disp.unstable_bands(lin, res, i1)
         assert len(bands) == 1
         # band closes where det(C + k^2 K) = 0: k = sqrt(0.5/2e-3) with
         # a small cross correction
         k_hi = bands[0][1]
         assert k_hi == pytest.approx(np.sqrt(0.5 / 2e-3), rel=2e-2)
-        alpha = disp.track_root_at(m, ST_LOCAL, k_hi * 1.001,
-                                   res.roots[-1, i1])
+        alpha = disp.track_root_at(lin, k_hi * 1.001, res.roots[-1, i1])
         assert alpha.real <= 0
 
     def test_short_wave_threshold(self):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
-        K = disp.short_wave_stable_threshold(m, ST_LOCAL)
+        lin = m.linearization(ST_LOCAL)
+        K = disp.short_wave_stable_threshold(lin)
         for k in K * np.array([1.01, 2.0, 10.0]):
-            assert disp.growth_rates(m, ST_LOCAL, k).alphas.real.max() < 0
+            assert disp.growth_rates(lin, k).alphas.real.max() < 0
 
     def test_k_grid_validation(self):
         with pytest.raises(RangeError):
-            disp.sweep(make_global(), ST_GLOBAL, np.array([1.0, 0.5]))
+            disp.sweep(make_global().linearization(ST_GLOBAL),
+                       np.array([1.0, 0.5]))
 
 
 def closed_form_roots(model, st, k):
@@ -353,7 +358,7 @@ class TestBatchedEngine:
         sec = load_config(config_path("band_density.ini")).sections["sweep"]
         ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]),
                          sec["points"])
-        res = disp.sweep(model, st, ks)
+        res = disp.sweep(model.linearization(st), ks)
         worst = max(worst_root_gap(res.roots[i], closed_form_roots(model, st, k))
                     for i, k in enumerate(ks))
         assert worst <= 1e-12
@@ -361,24 +366,27 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("case", ["quasi", "incompressible"])
     def test_phase_field_roots_match_closed_form(self, case):
         model = make_quasi() if case == "quasi" else make_incompressible()
+        lin = model.linearization(ST_PHI)
         for k in (1e-2, 0.5, 3.0, 9.0, 40.0, 300.0):
-            got = disp.growth_rates(model, ST_PHI, k).alphas
+            got = disp.growth_rates(lin, k).alphas
             assert worst_root_gap(got, closed_form_roots(model, ST_PHI, k)) <= 1e-12
 
     def test_sweep_roots_are_the_one_k_roots(self, band_composition):
         model, st = band_composition
+        lin = model.linearization(st)
         ks = np.logspace(-3, 2, 60)
-        res = disp.sweep(model, st, ks)
+        res = disp.sweep(lin, ks)
         for i, k in enumerate(ks):
-            one = disp.growth_rates(model, st, k).alphas
+            one = disp.growth_rates(lin, k).alphas
             assert np.array_equal(np.sort_complex(res.roots[i]), np.sort_complex(one))
 
     def test_eigenvector_convention(self):
         cases = [(make_global(C=-np.eye(2)), ST_GLOBAL), (make_local(), ST_LOCAL),
                  (make_quasi(), ST_PHI), (make_incompressible(), ST_PHI)]
         for model, st in cases:
+            lin = model.linearization(st)
             for k in (0.3, 2.0, 50.0):
-                gr = disp.growth_rates(model, st, k)
+                gr = disp.growth_rates(lin, k)
                 v = gr.vectors
                 assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-15)
                 top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
@@ -386,8 +394,9 @@ class TestBatchedEngine:
 
     def test_real_and_conjugate_roots_are_exact(self):
         # the standard form is real: no rounding-level imaginary parts
+        lin = make_global().linearization(ST_GLOBAL)
         for k in np.logspace(-2, 2, 9):
-            a = disp.growth_rates(make_global(), ST_GLOBAL, k).alphas
+            a = disp.growth_rates(lin, k).alphas
             for root in a[a.imag != 0.0]:
                 assert np.conj(root) in a
 
@@ -402,9 +411,9 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(np.linalg, "eig", perturbed)
         with pytest.raises(NumericalError, match="eigen-residual"):
-            disp.growth_rates(make_local(), ST_LOCAL, 1.0)
+            disp.growth_rates(make_local().linearization(ST_LOCAL), 1.0)
         with pytest.raises(NumericalError, match="eigen-residual"):
-            disp.sweep(make_quasi(), ST_PHI, np.logspace(-1, 1, 20))
+            disp.sweep(make_quasi().linearization(ST_PHI), np.logspace(-1, 1, 20))
 
 
 @pytest.fixture()
@@ -436,28 +445,29 @@ class TestEigenBudget:
 
     def test_sweep_is_one_batched_call(self, band_composition, eig_calls):
         model, st = band_composition
-        disp.sweep(model, st, np.logspace(-3, 2, 400))
+        disp.sweep(model.linearization(st), np.logspace(-3, 2, 400))
         assert eig_calls == {"numpy": 1, "matrices": 400, "scipy": 0}
 
     def test_one_call_per_bisection_step(self, monkeypatch, eig_calls):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
+        lin = m.linearization(ST_LOCAL)
         steps = [0]
-        nearest = disp._nearest_root
+        nearest = disp.track_root_at
 
         def counting(lin, k, near):
             steps[0] += 1
             return nearest(lin, k, near)
 
-        monkeypatch.setattr(disp, "_nearest_root", counting)
-        alpha = disp.growth_rates(m, ST_LOCAL, 14.0).alphas[0]
+        monkeypatch.setattr(disp, "track_root_at", counting)
+        alpha = disp.growth_rates(lin, 14.0).alphas[0]
         before = dict(eig_calls)
-        disp.refine_edge(m, ST_LOCAL, 14.0, 20.0, alpha, 1e-6, rising=False)
+        disp.refine_edge(lin, 14.0, 20.0, alpha, 1e-6, rising=False)
         assert steps[0] >= 10
         assert eig_calls["numpy"] - before["numpy"] == steps[0]
         assert eig_calls["matrices"] - before["matrices"] == steps[0]
         steps[0] = 0
         before = dict(eig_calls)
-        disp.band_peak(m, ST_LOCAL, 1.0, 14.0, alpha)
+        disp.band_peak(lin, 1.0, 14.0, alpha)
         assert eig_calls["numpy"] - before["numpy"] == steps[0] > 10
         assert eig_calls["scipy"] == 0
 
@@ -465,7 +475,7 @@ class TestEigenBudget:
 class TestTrackingGap:
     def test_long_wave_sweep_is_not_ambiguous(self, band_composition):
         model, st = band_composition
-        res = disp.sweep(model, st, np.logspace(-6, 2, 300))
+        res = disp.sweep(model.linearization(st), np.logspace(-6, 2, 300))
         assert res.ambiguous == ()
 
     def test_large_root_crossing_is_flagged(self):
@@ -478,7 +488,7 @@ class TestTrackingGap:
         k_x = np.sqrt((lin.inv_Re_s / lin.rho0 - lin.Mh * lin.h_phi_phi)
                       / (lin.Mh * lin.kappa_phi_phi))
         ks = np.array([0.5, 1.0 + 2e-15, 1.0 + 1e-6, 2.0]) * k_x
-        res = disp.sweep(m, st, ks)
+        res = disp.sweep(lin, ks)
         gap = abs(res.roots[1, 0] - res.roots[1, 1])
         assert abs(res.roots[1, 0]) >= 1e5 and gap > 1e-12
         assert res.ambiguous == (1,)

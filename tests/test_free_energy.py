@@ -226,11 +226,10 @@ class TestChemicalPotentials:
         q = fe.Quadratic(np.eye(2))
         kap = fe.GradientCoefficients(np.diag([0.1, 0.2]))
         fields = np.stack([np.full(grid.n, 1.5), np.full(grid.n, 2.5)])
-        out = fe.chemical_potentials(q, kap, fields, grid)
+        mu = fe.chemical_potentials(q, kap, fields, grid)
         g = q.gradient([1.5, 2.5])
-        assert np.allclose(out.mu[0], g[0], atol=1e-14)
-        assert np.allclose(out.mu[1], g[1], atol=1e-14)
-        assert out.laplacian == "spectral"
+        assert np.allclose(mu[0], g[0], atol=1e-14)
+        assert np.allclose(mu[1], g[1], atol=1e-14)
 
     def test_single_mode_laplacian(self):
         grid = PeriodicGrid1D(2 * np.pi, 64)
@@ -241,29 +240,10 @@ class TestChemicalPotentials:
         k = grid.mode_wavenumber(mode)
         rho1 = 1.0 + eps * np.cos(k * grid.x)
         rho2 = np.full(grid.n, 2.0)
-        out = fe.chemical_potentials(q, kap, np.stack([rho1, rho2]), grid)
+        mu = fe.chemical_potentials(q, kap, np.stack([rho1, rho2]), grid)
         grad_part = q.gradient(np.stack([rho1, rho2], axis=-1))[..., 0]
         want = eps * k11 * k * k * np.cos(k * grid.x)
-        assert np.max(np.abs(out.mu[0] - grad_part - want)) < 1e-8 * eps * k11 * k * k
-
-    def test_spectral_vs_central_refinement(self, rng):
-        q = fe.Quadratic(np.eye(2))
-        kap = fe.GradientCoefficients(np.diag([0.2, 0.1]))
-
-        def mismatch(n):
-            gs = PeriodicGrid1D(2 * np.pi, n, scheme="spectral")
-            gc = PeriodicGrid1D(2 * np.pi, n, scheme="central")
-            r = np.random.default_rng(7)
-            f1 = 1.0 + 0.1 * np.cos(gs.x) + 0.05 * np.sin(2 * gs.x) \
-                + 0.02 * np.cos(3 * gs.x)
-            f2 = 2.0 + 0.08 * np.sin(gs.x) + 0.03 * np.cos(2 * gs.x)
-            del r
-            a = fe.chemical_potentials(q, kap, np.stack([f1, f2]), gs).mu
-            b = fe.chemical_potentials(q, kap, np.stack([f1, f2]), gc).mu
-            return np.max(np.abs(a - b))
-
-        e1, e2 = mismatch(32), mismatch(64)
-        assert e2 < e1 / 3.5  # second-order central error
+        assert np.max(np.abs(mu[0] - grad_part - want)) < 1e-8 * eps * k11 * k * k
 
 
 class TestConcavityMap:

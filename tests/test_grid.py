@@ -5,22 +5,16 @@ from pfmix.grid import PeriodicGrid1D
 
 
 def reference_derivative(grid, f, order):
-    """One row at a time, written out: the spectral symbol (ik)^p or the
-    second-order central stencil."""
-    if grid.scheme == "spectral":
-        k = grid.wavenumbers
-        symbol = 1j * k if order == 1 else -(k**2)
-        return np.fft.irfft(symbol * np.fft.rfft(f), n=grid.n)
-    if order == 1:
-        return (np.roll(f, -1) - np.roll(f, 1)) / (2.0 * grid.dx)
-    return (np.roll(f, -1) - 2.0 * f + np.roll(f, 1)) / grid.dx**2
+    """One row at a time, written out: the spectral symbol (ik)^p."""
+    k = grid.wavenumbers
+    symbol = 1j * k if order == 1 else -(k**2)
+    return np.fft.irfft(symbol * np.fft.rfft(f), n=grid.n)
 
 
 class TestBatchedDerivatives:
     @pytest.mark.parametrize("n", [32, 1024])
-    @pytest.mark.parametrize("scheme", ["spectral", "central"])
-    def test_mixed_orders_match_row_by_row(self, scheme, n, rng):
-        grid = PeriodicGrid1D(2 * np.pi, n, scheme=scheme)
+    def test_mixed_orders_match_row_by_row(self, n, rng):
+        grid = PeriodicGrid1D(2 * np.pi, n)
         orders = (2, 1, 1, 2, 1, 2, 2, 1)
         stack = rng.normal(size=(len(orders), n))
         out = grid.derivatives(stack, orders)
@@ -52,8 +46,7 @@ class TestEquality:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    @pytest.mark.parametrize("other", [PeriodicGrid1D(1.0, 16),
-                                       PeriodicGrid1D(1.0, 8, scheme="central")])
+    @pytest.mark.parametrize("other", [PeriodicGrid1D(1.0, 16)])
     def test_different_n_or_scheme_differ(self, other):
         grid = PeriodicGrid1D(1.0, 8)
         assert grid != other

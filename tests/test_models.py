@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pfmix import dispersion
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
@@ -83,19 +82,28 @@ class TestConstruction:
 
 
 class TestIdentity:
-    """Models hold arrays, so they compare and hash by identity, as the
-    free energies do."""
+    """Models and their linearizations hold arrays, so they compare and hash
+    by identity, as the free energies do."""
 
     def test_hash_and_set_membership(self):
         q = fe.Quadratic([[1.0]], variables=("phi",))
         incompressible = models.Incompressible(q, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5)
-        built = [make_global(), make_local(), make_quasi(), incompressible,
-                 make_three()]
+        local = make_local()
+        st_global = models.MixtureState.binary(1.0, 2.0)
+        st_local = models.MixtureState.total_partial(3.0, 1.0)
+        st_phi = models.MixtureState.fraction(0.4)
+        linearizations = [make_global().linearization(st_global),
+                          local.linearization(st_local),
+                          make_quasi().linearization(st_phi),
+                          incompressible.linearization(st_phi)]
+        built = [make_global(), local, make_quasi(), incompressible,
+                 make_three()] + linearizations
         for m in built:
             assert hash(m) == hash(m)
             assert m == m and m in {m}
         assert len(set(built)) == len(built)
         assert make_local() != make_local()
+        assert local.linearization(st_local) != local.linearization(st_local)
 
 
 class TestMobilityCheck:
@@ -450,8 +458,6 @@ class TestNComponent:
             m3.uniform_fields(st, grid)
         with pytest.raises(ShapeError):
             sim.stable_dt_estimate(m3, st, grid)
-        with pytest.raises(ShapeError):
-            dispersion.sweep(m3, st, np.linspace(0.1, 1.0, 5))
         with pytest.raises(ShapeError):
             sim.run(sim.SimulationConfig(model=m3, state=st, length=2 * np.pi,
                                          n=32, dt=1e-3, t_end=1e-3,
