@@ -17,6 +17,7 @@ import numpy as np
 
 from . import dispersion, free_energy, models, simulator
 from .config import RunConfig, build_all, load_config
+from .linearization import EQUAL_DENSITY_RTOL, equal_specific_densities
 from .errors import (
     BlowupError,
     ConfigError,
@@ -71,9 +72,10 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
         raise ConfigError(f"{cfg.source}: sweep command needs a [sweep] section")
     model, state = build_all(cfg)
     if isinstance(model, models.QuasiIncompressible) \
-            and model.rho_hat_1 == model.rho_hat_2:
+            and equal_specific_densities(model.rho_hat_1, model.rho_hat_2):
         raise ConfigError(
-            "rho_hat_1 == rho_hat_2 degenerates the quasi-incompressible "
+            f"rho_hat_1 == rho_hat_2 (to a relative {EQUAL_DENSITY_RTOL:.1e}) "
+            "degenerates the quasi-incompressible "
             "dispersion relation; set class = incompressible instead")
     sec = cfg.sections["sweep"]
     if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
@@ -181,12 +183,14 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
     rho1 = np.linspace(sec["rho1_min"], sec["rho1_max"], sec["n_rho1"])
     rho = np.linspace(sec["rho_min"], sec["rho_max"], sec["n_rho"])
     codes = free_energy.concavity_map(fe_tilde, rho1, rho)
-    rows = []
-    for i, r1 in enumerate(rho1):
-        for j, r in enumerate(rho):
-            rows.append([r1, r, int(codes[i, j])])
-    _write_atomic(os.path.join(outdir, "concavity.csv"),
-                  _csv(rows, ["rho1", "rho", "definiteness_code"]))
+    # each axis value and code is formatted once, as _csv would format it
+    rho_txt = [F(r) for r in rho]
+    code_txt = [F(c) for c in range(5)]
+    lines = ["rho1,rho,definiteness_code"]
+    for r1, row in zip(rho1, codes.tolist()):
+        r1_txt = F(r1)
+        lines += [f"{r1_txt},{r},{code_txt[c]}" for r, c in zip(rho_txt, row)]
+    _write_atomic(os.path.join(outdir, "concavity.csv"), "\n".join(lines) + "\n")
     counts = {c: int(np.sum(codes == c)) for c in range(5)}
     summary = ("cells: excluded={0} positive_definite={1} indefinite={2} "
                "negative_definite={3} singular={4}\n").format(

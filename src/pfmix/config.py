@@ -17,6 +17,7 @@ import numpy as np
 from . import free_energy as fe
 from . import models
 from .errors import ConfigError
+from .linearization import equal_specific_densities
 
 _FLOAT_FMT = ".17g"
 
@@ -302,7 +303,7 @@ def build_model(cfg: RunConfig):
         return models.QuasiIncompressible(
             free_energy=bulk, kappa_phi_phi=kphi, M11=m11,
             inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat_1=rh1, rho_hat_2=rh2)
-    if rh1 != rh2:
+    if not equal_specific_densities(rh1, rh2):
         raise ConfigError(
             f"{cfg.source}: incompressible class needs rho_hat_1 == rho_hat_2")
     return models.Incompressible(

@@ -53,20 +53,31 @@ class HessianReport:
     quadratic_form_p: float  # p.C.p for the state vector p the report was built at
 
 
+# Definiteness codes of classify_matrices, the concavity map and its CLI output.
+MAP_EXCLUDED = 0
+MAP_POSITIVE_DEFINITE = 1
+MAP_INDEFINITE = 2
+MAP_NEGATIVE_DEFINITE = 3
+MAP_SINGULAR = 4
+
+_BY_CODE = (None, Definiteness.POSITIVE_DEFINITE, Definiteness.INDEFINITE,
+            Definiteness.NEGATIVE_DEFINITE, Definiteness.SINGULAR)
+
+
+def classify_matrices(H) -> np.ndarray:
+    """Definiteness code of every matrix C of a (..., n, n) stack, shape (...);
+    an eigenvalue with |lam| <= DEFINITENESS_TOL * ||C||_F makes C singular."""
+    H = np.asarray(H, dtype=float)
+    eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+    tol = DEFINITENESS_TOL * np.linalg.norm(H, axis=(-2, -1))
+    codes = np.where((eigs > 0).all(axis=-1), MAP_POSITIVE_DEFINITE,
+                     np.where((eigs < 0).all(axis=-1), MAP_NEGATIVE_DEFINITE,
+                              MAP_INDEFINITE))
+    return np.where((np.abs(eigs) <= tol[..., None]).any(axis=-1), MAP_SINGULAR, codes)
+
+
 def classify_matrix(C: np.ndarray) -> Definiteness:
-    C = np.asarray(C, dtype=float)
-    scale = np.linalg.norm(C)
-    if scale == 0.0:
-        return Definiteness.SINGULAR
-    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
-    tol = DEFINITENESS_TOL * scale
-    if np.any(np.abs(eigs) <= tol):
-        return Definiteness.SINGULAR
-    if np.all(eigs > 0):
-        return Definiteness.POSITIVE_DEFINITE
-    if np.all(eigs < 0):
-        return Definiteness.NEGATIVE_DEFINITE
-    return Definiteness.INDEFINITE
+    return _BY_CODE[int(classify_matrices(C))]
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +131,26 @@ class BulkFreeEnergy:
         return len(self.variables)
 
     # -- domain ------------------------------------------------------------
-    def domain_violation(self, rho: np.ndarray):
-        """Return (flat_index, message) of the first out-of-domain point, or None."""
-        rho = np.asarray(rho, dtype=float)
-        bad = ~np.isfinite(rho).all(axis=-1)
-        if np.any(bad):
-            return int(np.argmax(bad.ravel())), "non-finite density"
-        return self._domain_violation(rho)
+    def _domain_checks(self, rho):
+        """The domain as ordered pointwise checks: yields (bad_mask, reason)
+        pairs over the points of ``rho``.  Subclasses extend the sequence."""
+        yield ~np.isfinite(rho).all(axis=-1), "non-finite density"
 
-    def _domain_violation(self, rho):
+    def domain_mask(self, rho: np.ndarray) -> np.ndarray:
+        """Boolean mask over the points of ``rho``: True where in the domain."""
+        rho = np.asarray(rho, dtype=float)
+        ok = np.ones(rho.shape[:-1], dtype=bool)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for bad, _ in self._domain_checks(rho):
+                ok &= ~bad
+        return ok
+
+    def domain_violation(self, rho: np.ndarray):
+        """Return (flat_index, message) of the first out-of-domain point, or
+        None: the first failing check, at its first bad point."""
+        for bad, reason in self._domain_checks(np.asarray(rho, dtype=float)):
+            if np.any(bad):
+                return int(np.argmax(bad.ravel())), reason
         return None
 
     def check_domain(self, rho: np.ndarray, pointwise: bool = False) -> None:
@@ -207,11 +229,9 @@ class FloryHuggins(BulkFreeEnergy):
         self.N2 = float(N2)
         self.chi = float(chi)
 
-    def _domain_violation(self, rho):
-        bad = (rho <= 0.0).any(axis=-1)
-        if np.any(bad):
-            return int(np.argmax(bad.ravel())), "density <= 0"
-        return None
+    def _domain_checks(self, rho):
+        yield from super()._domain_checks(rho)
+        yield (rho <= 0.0).any(axis=-1), "density <= 0"
 
     def _value(self, rho):
         r1, r2 = rho[..., 0], rho[..., 1]
@@ -339,16 +359,11 @@ class PengRobinson(BulkFreeEnergy):
         Ai = 2.0 * nm @ self.a
         return A, Ai, B
 
-    def _domain_violation(self, rho):
+    def _domain_checks(self, rho):
+        yield from super()._domain_checks(rho)
         nm = self._moles(rho)
-        bad = (nm <= 0.0).any(axis=-1)
-        if np.any(bad):
-            return int(np.argmax(bad.ravel())), "molar density <= 0"
-        B = nm @ self.b
-        bad = B >= 1.0
-        if np.any(bad):
-            return int(np.argmax(bad.ravel())), "covolume packing b.n >= 1"
-        return None
+        yield (nm <= 0.0).any(axis=-1), "molar density <= 0"
+        yield nm @ self.b >= 1.0, "covolume packing b.n >= 1"
 
     @staticmethod
     def _L(B):
@@ -435,9 +450,8 @@ class TildeFreeEnergy(BulkFreeEnergy):
         out[..., 1] = rho[..., 1] - rho[..., 0]
         return out
 
-    def domain_violation(self, rho):
-        rho = np.asarray(rho, dtype=float)
-        return self.base.domain_violation(self._to_base(rho))
+    def _domain_checks(self, rho):
+        return self.base._domain_checks(self._to_base(rho))
 
     def _value(self, rho):
         return self.base._value(self._to_base(rho))
@@ -471,9 +485,8 @@ class PhiFreeEnergy(BulkFreeEnergy):
         out[..., 1] = (self.rho_hat_1 - self.rho_hat_2) * phi[..., 0] + self.rho_hat_2
         return out
 
-    def domain_violation(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        return self.fe_tilde.domain_violation(self._to_tilde(phi))
+    def _domain_checks(self, phi):
+        return self.fe_tilde._domain_checks(self._to_tilde(phi))
 
     def _value(self, phi):
         return self.fe_tilde._value(self._to_tilde(phi))
@@ -558,39 +571,22 @@ def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
     return g.T - kappa.kappa @ laplacians
 
 
-# Concavity-map cell codes (shared with the CLI output format).
-MAP_EXCLUDED = 0
-MAP_POSITIVE_DEFINITE = 1
-MAP_INDEFINITE = 2
-MAP_NEGATIVE_DEFINITE = 3
-MAP_SINGULAR = 4
-
-_DEFINITENESS_CODE = {
-    Definiteness.POSITIVE_DEFINITE: MAP_POSITIVE_DEFINITE,
-    Definiteness.INDEFINITE: MAP_INDEFINITE,
-    Definiteness.NEGATIVE_DEFINITE: MAP_NEGATIVE_DEFINITE,
-    Definiteness.SINGULAR: MAP_SINGULAR,
-}
-
-
 def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarray:
     """Classify the bulk Hessian of an energy in (rho1, rho) variables on a
-    rectangular grid.  Out-of-domain cells are marked excluded, not raised.
+    rectangular grid.  Out-of-domain cells, non-finite coordinates included,
+    are marked MAP_EXCLUDED, not raised; every other cell gets its
+    ``classify_matrices`` code.  The whole grid is one ``domain_mask``, one
+    batched Hessian of the cells inside it and one batched eigensolve.
 
     Returns an int array of shape (len(rho1_values), len(rho_values)).
     """
-    rho1_values = np.asarray(rho1_values, dtype=float)
-    rho_values = np.asarray(rho_values, dtype=float)
-    codes = np.full((rho1_values.size, rho_values.size), MAP_EXCLUDED, dtype=int)
-    R1, R = np.meshgrid(rho1_values, rho_values, indexing="ij")
+    R1, R = np.meshgrid(np.asarray(rho1_values, dtype=float),
+                        np.asarray(rho_values, dtype=float), indexing="ij")
     pts = np.stack([R1, R], axis=-1)
-    ok = np.ones(R1.shape, dtype=bool)
-    for idx in np.ndindex(R1.shape):
-        ok[idx] = fe_tilde.in_domain(pts[idx])
+    ok = fe_tilde.domain_mask(pts)
+    codes = np.full(ok.shape, MAP_EXCLUDED, dtype=int)
     if np.any(ok):
-        H = fe_tilde.hessian(pts[ok])
-        for slot, C in zip(np.argwhere(ok), H):
-            codes[tuple(slot)] = _DEFINITENESS_CODE[classify_matrix(C)]
+        codes[ok] = classify_matrices(fe_tilde.hessian(pts[ok]))
     return codes
 
 

@@ -40,6 +40,17 @@ from .errors import SingularExpansion
 
 DEGENERATE_TOL = 1e-12
 
+# |1 - rho_hat_1/rho_hat_2| <= sqrt(eps): the constraint's pressure weight
+# (1 - r)^2 is below eps, and a 1-ulp change of the fields moves the
+# quasi-incompressible right-hand side by O(1) (7e-2 at 1 - r = 1e-7).
+EQUAL_DENSITY_RTOL = float(np.sqrt(np.finfo(float).eps))
+
+
+def equal_specific_densities(rho_hat_1: float, rho_hat_2: float) -> bool:
+    """The one test of "equal specific densities": a quasi-incompressible
+    mixture inside it is treated as, and configured as, incompressible."""
+    return abs(rho_hat_1 - rho_hat_2) <= EQUAL_DENSITY_RTOL * abs(rho_hat_2)
+
 
 class ModeLabel(Enum):
     VISCOUS = "viscous"
@@ -47,7 +58,7 @@ class ModeLabel(Enum):
     COUPLED = "coupled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersionPencil:
     """Matrix pencil alpha*B + A(k) whose determinant is the dispersion
     equation of the linearized system."""
@@ -468,7 +479,7 @@ class PhaseFieldLinearization(_Pencil):
 
     @property
     def equal_densities(self) -> bool:
-        return self.rho_hat_1 == self.rho_hat_2
+        return equal_specific_densities(self.rho_hat_1, self.rho_hat_2)
 
     @property
     def Mh(self) -> float:

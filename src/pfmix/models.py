@@ -42,6 +42,7 @@ from .linearization import (
     GlobalLinearization,
     LocalLinearization,
     PhaseFieldLinearization,
+    equal_specific_densities,
 )
 
 PSD_TOL = 1e-12
@@ -517,7 +518,7 @@ class QuasiIncompressible(PhaseFieldModel):
         phi, vx, vy = self.state_array(fields)
         r = self.rho_hat_1 / self.rho_hat_2
         Mh = self.M11 / self.rho_hat_1**2
-        if abs(1.0 - r) < 1e-13:
+        if equal_specific_densities(self.rho_hat_1, self.rho_hat_2):
             # incompressible gauge: make the velocity divergence stationary
             vo = self._viscous_order
             d = grid.derivatives(np.stack([phi, vx, vx, vy]), (2, 1, vo, vo))
@@ -675,8 +676,8 @@ class ScaledFreeEnergy(BulkFreeEnergy):
         self.E0 = float(energy_density)
         self.variables = base.variables
 
-    def domain_violation(self, rho):
-        return self.base.domain_violation(np.asarray(rho, dtype=float) * self.rho0)
+    def _domain_checks(self, rho):
+        return self.base._domain_checks(rho * self.rho0)
 
     def _value(self, rho):
         return self.base._value(rho * self.rho0) / self.E0

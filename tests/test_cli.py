@@ -1,10 +1,13 @@
+import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from pfmix import cli
 from pfmix.config import load_config, parse_config
 from pfmix.errors import ConfigError
+from pfmix.linearization import EQUAL_DENSITY_RTOL
 
 from conftest import config_path
 
@@ -111,6 +114,25 @@ points = 11
         code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert "incompressible" in capsys.readouterr().err
+
+    def test_near_equal_rho_hats_guided_exit_2(self, tmp_path, capsys):
+        # inside EQUAL_DENSITY_RTOL the quasi class is refused with
+        # a pointer to the incompressible class, which accepts the same pair
+        text = open(config_path("quasi_spinodal.ini")).read()
+        for gap in 10.0 ** -np.arange(6.0, 13.0):
+            quasi = text.replace("rho_hat_1 = 2.0", f"rho_hat_1 = {float(1.0 - gap)!r}")
+            path = write(tmp_path, "near.ini", quasi)
+            out = str(tmp_path / "o")
+            code = cli.main(["sweep", "--config", path, "--out", out])
+            err = capsys.readouterr().err
+            if gap > EQUAL_DENSITY_RTOL:
+                assert code != cli.EXIT_CONFIG, err
+                continue
+            assert code == cli.EXIT_CONFIG
+            assert "set class = incompressible" in err
+            path = write(tmp_path, "near.ini", quasi.replace(
+                "class = quasi_incompressible", "class = incompressible"))
+            assert cli.main(["sweep", "--config", path, "--out", out]) == cli.EXIT_OK
 
     def test_blowup_exit_4(self, tmp_path):
         text = MINI_SWEEP.replace("c11 = -0.5", "c11 = -3.0") \
@@ -242,6 +264,22 @@ class TestDeterminism:
 
 
 class TestMapOutput:
+    def test_bundled_co2_decane_map_digests(self, tmp_path):
+        # recorded before the map was vectorized; the outputs are linspace
+        # coordinates and integer codes, so they must stay byte-identical
+        out = str(tmp_path / "o")
+        path = str(config_path("concavity_co2_decane.ini"))
+        assert cli.main(["concavity-map", "--config", path, "--out", out]) == 0
+        digests = {name: hashlib.sha256(
+            open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ("concavity.csv", "summary.txt")}
+        assert digests == {
+            "concavity.csv":
+                "8d2cef391734364cbb59a1c6f0a472bde1b5fc37e1df5139cf45ac41b44445f9",
+            "summary.txt":
+                "f2fbe3aec0b8e3d09e0af07ffb26b2fa73f2f354b5509c0df1da1834ce3b47ae",
+        }
+
     def test_quadratic_map_all_positive(self, tmp_path):
         text = MINI_SWEEP.replace("c11 = -0.5", "c11 = 1.0")
         text = text.replace("[sweep]", "[map]").replace(

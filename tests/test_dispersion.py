@@ -6,6 +6,7 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import load_config
 from pfmix.errors import DegenerateCase, NumericalError, RangeError
+from pfmix.linearization import EQUAL_DENSITY_RTOL
 
 from conftest import config_path, random_global_model
 
@@ -197,6 +198,37 @@ class TestQuasiRoots:
         lin = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0).linearization(ST_PHI)
         with pytest.raises(RangeError):
             disp.quasi_explicit_roots(lin, 1.0)
+
+    def test_near_equal_densities(self):
+        # 1 - r from 1e-6 down to 1e-12, across EQUAL_DENSITY_RTOL ~ 1.5e-8.
+        # Inside it the linearization is the incompressible one and the
+        # closed form refuses with a pointer to it.  Outside it the pencil's
+        # round-off grows as eps / (1 - r)^2, so each k either matches the
+        # closed form or is refused by the eigen-residual gate.
+        ks = np.logspace(-2, 2, 9)
+        for gap in 10.0 ** -np.arange(6.0, 13.0):
+            m = make_quasi(rho_hat_1=1.0 - gap, rho_hat_2=1.0)
+            lin = m.linearization(ST_PHI)
+            assert lin.equal_densities == (gap <= EQUAL_DENSITY_RTOL)
+            if lin.equal_densities:
+                with pytest.raises(RangeError, match="incompressible_roots"):
+                    disp.quasi_explicit_roots(lin, ks)
+                got = np.sort(disp.sweep(lin, ks).roots.real, axis=1)
+                want = np.sort(np.stack(disp.incompressible_roots(lin, ks), 1), 1)
+                assert np.all(np.abs(got - want)
+                              <= 1e-7 * np.abs(want).max(axis=1, keepdims=True))
+                continue
+            matched = 0
+            for k in ks:
+                try:
+                    got = disp.growth_rates(lin, k).alphas
+                except NumericalError as exc:
+                    assert "eigen-residual" in str(exc)
+                    continue
+                for want in disp.quasi_explicit_roots(lin, k):
+                    assert np.min(np.abs(got - want)) <= 1e-6 * abs(want)
+                matched += 1
+            assert matched > 0
 
     def test_limit_toward_incompressible(self):
         # alpha1 converges to -(M11/rho_hat^2)(h'' k^2 + kappa k^4)

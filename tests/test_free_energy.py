@@ -72,6 +72,52 @@ class TestBulkEnergy:
         with pytest.raises(DomainError):
             co2_decane.value(dense)
 
+    # (energy, points, (index, message)): one bad point of each kind on each
+    # energy and wrapper, the first failing check winning over a later kind
+    # at a smaller index; recorded before the checks became mask-based
+    @pytest.mark.parametrize("kind, pts, want", [
+        ("quadratic", [[1, 2], [3, np.nan], [np.nan, 1]], (1, "non-finite density")),
+        ("quadratic", [[1, 2], [1, 2], [-np.inf, 0]], (2, "non-finite density")),
+        ("fh", [[0.3, 0.4], [0.3, 0.4], [np.nan, 0.1], [-1, 0.2]],
+         (2, "non-finite density")),
+        ("fh", [[0.3, 0.4], [0.3, 0.0], [0.3, 0.4]], (1, "density <= 0")),
+        ("fh", [[-0.1, 0.2], [0.3, 0.4], [np.inf, 0.1]], (2, "non-finite density")),
+        ("pr", [[100, 200], [np.nan, 100]], (1, "non-finite density")),
+        ("pr", [[100, 200], [100, 200], [100, -1], [5000, 5000]],
+         (2, "molar density <= 0")),
+        ("pr", [[100, 200], [700, 900], [0, 1]], (2, "molar density <= 0")),
+        ("pr", [[100, 200], [100, 200], [700, 900]], (2, "covolume packing b.n >= 1")),
+        ("pr", [0, 100], (0, "molar density <= 0")),
+        ("tilde_pr", [[100, 300], [300, 200]], (1, "molar density <= 0")),
+        ("tilde_pr", [[100, 300], [700, 1600]], (1, "covolume packing b.n >= 1")),
+        ("tilde_pr", [[100, 300], [100, np.nan]], (1, "non-finite density")),
+        ("tilde_pr", [[[100, 300], [100, 300]], [[100, 300], [300, 100]]],
+         (3, "molar density <= 0")),
+        ("phi_fh", [[0.5], [1.5], [-0.5]], (1, "density <= 0")),
+        ("phi_fh", [[0.5], [np.nan]], (1, "non-finite density")),
+        ("scaled_pr", [[0.2, 0.4], [1.4, 1.8]], (1, "covolume packing b.n >= 1")),
+        ("scaled_pr", [[0.2, 0.4], [0.2, 0.0]], (1, "molar density <= 0")),
+        ("scaled_pr", [[0.2, 0.4]], None),
+    ])
+    def test_domain_violation_table(self, co2_decane, kind, pts, want):
+        from pfmix.models import ScaledFreeEnergy
+        fh = fe.FloryHuggins(1.0, 1.0, 2.0, 3.0)
+        energy = {
+            "quadratic": fe.Quadratic(np.eye(2)),
+            "fh": fh,
+            "pr": co2_decane,
+            "tilde_pr": fe.TildeFreeEnergy(co2_decane),
+            "phi_fh": fe.PhiFreeEnergy(fe.TildeFreeEnergy(fh), 2.0, 1.0),
+            "scaled_pr": ScaledFreeEnergy(co2_decane, 500.0, 1e6),
+        }[kind]
+        pts = np.array(pts, dtype=float)
+        assert energy.domain_violation(pts) == want
+        mask = energy.domain_mask(pts)
+        assert mask.shape == pts.shape[:-1]
+        assert np.all(mask) == (want is None)
+        if want is not None:
+            assert not mask.ravel()[want[0]]
+
     def test_pointwise_domain_error_carries_index(self, co2_decane):
         field = np.tile([50.0, 200.0], (8, 1))
         field[5, 1] = -3.0
@@ -246,7 +292,103 @@ class TestChemicalPotentials:
         assert np.max(np.abs(mu[0] - grad_part - want)) < 1e-8 * eps * k11 * k * k
 
 
+def classify_one(C):
+    """Definiteness code of one matrix, decided the way the per-matrix
+    classifier did before classification was batched; the oracle for
+    ``classify_matrices``."""
+    scale = np.linalg.norm(C)
+    if scale == 0.0:
+        return fe.MAP_SINGULAR
+    eigs = np.linalg.eigvalsh(0.5 * (C + C.T))
+    if np.any(np.abs(eigs) <= fe.DEFINITENESS_TOL * scale):
+        return fe.MAP_SINGULAR
+    if np.all(eigs > 0):
+        return fe.MAP_POSITIVE_DEFINITE
+    if np.all(eigs < 0):
+        return fe.MAP_NEGATIVE_DEFINITE
+    return fe.MAP_INDEFINITE
+
+
+def per_cell_map(energy, rho1_values, rho_values):
+    """The concavity map one cell at a time: ``in_domain``, then the
+    Hessian and ``classify_one`` of that cell alone."""
+    codes = np.full((len(rho1_values), len(rho_values)), fe.MAP_EXCLUDED)
+    for i, r1 in enumerate(rho1_values):
+        for j, r in enumerate(rho_values):
+            pt = np.array([r1, r])
+            if energy.in_domain(pt):
+                codes[i, j] = classify_one(energy.hessian(pt))
+    return codes
+
+
+# a zero eigenvalue is one with |lam| <= DEFINITENESS_TOL * ||C||_F; these
+# put the second eigenvalue 0.1 % inside and outside that bound
+_INSIDE = fe.DEFINITENESS_TOL * (1.0 - 1e-3)
+_OUTSIDE = fe.DEFINITENESS_TOL * (1.0 + 1e-3)
+
+
 class TestConcavityMap:
+    @pytest.mark.parametrize("C, code", [
+        (np.zeros((2, 2)), fe.MAP_SINGULAR),
+        (np.diag([1.0, _INSIDE]), fe.MAP_SINGULAR),
+        (np.diag([1.0, _OUTSIDE]), fe.MAP_POSITIVE_DEFINITE),
+        (np.diag([-1.0, -_OUTSIDE]), fe.MAP_NEGATIVE_DEFINITE),
+        (np.diag([-1.0, _INSIDE]), fe.MAP_SINGULAR),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), fe.MAP_INDEFINITE),
+    ])
+    def test_quadratic_matches_per_cell(self, C, code):
+        q = fe.Quadratic(C, variables=("rho1", "rho"))
+        rho1 = np.array([np.nan, -1.0, 0.0, 0.5, np.inf, 2.0])
+        rho = np.array([1.0, -np.inf, 3.0, np.nan, 4.0])
+        codes = fe.concavity_map(q, rho1, rho)
+        np.testing.assert_array_equal(codes, per_cell_map(q, rho1, rho))
+        finite = np.isfinite(rho1)[:, None] & np.isfinite(rho)[None, :]
+        assert np.all(codes[finite] == code)
+        assert np.all(codes[~finite] == fe.MAP_EXCLUDED)
+
+    def test_flory_huggins_matches_per_cell(self):
+        # homogeneous of degree one, so every Hessian in the domain is singular
+        fh = fe.FloryHuggins(1.0, 1.0, 2.0, 3.0)
+        rho1 = np.array([-0.2, 0.0, 0.1, 0.3, np.nan, 0.7])
+        rho2 = np.array([0.2, np.inf, 0.0, 0.5, -0.1, 0.9])
+        codes = fe.concavity_map(fh, rho1, rho2)
+        np.testing.assert_array_equal(codes, per_cell_map(fh, rho1, rho2))
+        assert set(np.unique(codes)) == {fe.MAP_EXCLUDED, fe.MAP_SINGULAR}
+
+    def test_peng_robinson_matches_per_cell(self, co2_decane):
+        tq = fe.TildeFreeEnergy(co2_decane)
+        # rho1 > rho, rho1 = 0, covolume packing past ~750 kg/m^3 of decane,
+        # and non-finite coordinates on both axes
+        rho1 = np.concatenate([[np.nan, -5.0, 0.0], np.linspace(2.0, 900.0, 23),
+                               [np.inf]])
+        rho = np.concatenate([[-np.inf], np.linspace(2.0, 1800.0, 25), [np.nan]])
+        codes = fe.concavity_map(tq, rho1, rho)
+        np.testing.assert_array_equal(codes, per_cell_map(tq, rho1, rho))
+        assert {fe.MAP_EXCLUDED, fe.MAP_POSITIVE_DEFINITE,
+                fe.MAP_INDEFINITE} <= set(np.unique(codes))
+        # excluded cells with both densities positive: the covolume bound
+        R1, R = np.meshgrid(rho1, rho, indexing="ij")
+        assert np.any((codes == fe.MAP_EXCLUDED) & (0.0 < R1) & (R1 < R)
+                      & np.isfinite(R))
+
+    def test_classify_matrices_matches_per_matrix(self, rng):
+        H = rng.normal(size=(200, 3, 3))
+        H[:50] = H[:50] @ np.swapaxes(H[:50], 1, 2)        # positive definite
+        H[50:100] = -H[50:100] @ np.swapaxes(H[50:100], 1, 2)
+        H[100] = 0.0
+        H[101] = np.diag([2.0, 1.0, _INSIDE * np.sqrt(5.0)])
+        H[102] = np.diag([2.0, 1.0, _OUTSIDE * np.sqrt(5.0)])
+        codes = fe.classify_matrices(H)
+        assert codes.shape == (200,)
+        want = [classify_one(C) for C in H]
+        np.testing.assert_array_equal(codes, want)
+        assert codes[100] == codes[101] == fe.MAP_SINGULAR
+        assert codes[102] == fe.MAP_POSITIVE_DEFINITE
+        assert set(want) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
+                             fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
+        assert fe.classify_matrix(H[102]) is fe.Definiteness.POSITIVE_DEFINITE
+        assert fe.classify_matrices(H.reshape(20, 10, 3, 3)).shape == (20, 10)
+
     def test_quadratic_all_positive_definite(self):
         q = fe.Quadratic(np.eye(2), variables=("rho1", "rho"))
         codes = fe.concavity_map(q, np.linspace(0.5, 2, 5), np.linspace(1, 4, 5))
