@@ -17,7 +17,6 @@ import numpy as np
 
 from . import dispersion, free_energy, models, simulator
 from .config import RunConfig, build_all, load_config
-from .linearization import EQUAL_DENSITY_RTOL, equal_specific_densities
 from .errors import (
     BlowupError,
     ConfigError,
@@ -26,6 +25,7 @@ from .errors import (
     RangeError,
     SolveError,
 )
+from .linearization import EQUAL_DENSITY_RTOL, equal_specific_densities
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
