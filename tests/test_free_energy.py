@@ -4,6 +4,7 @@ import pytest
 from pfmix import free_energy as fe
 from pfmix.errors import DomainError, RangeError, ShapeError
 from pfmix.grid import PeriodicGrid1D
+from pfmix.models import ScaledFreeEnergy
 
 from conftest import fd_gradient, fd_hessian
 
@@ -100,7 +101,6 @@ class TestBulkEnergy:
         ("scaled_pr", [[0.2, 0.4]], None),
     ])
     def test_domain_violation_table(self, co2_decane, kind, pts, want):
-        from pfmix.models import ScaledFreeEnergy
         fh = fe.FloryHuggins(1.0, 1.0, 2.0, 3.0)
         energy = {
             "quadratic": fe.Quadratic(np.eye(2)),
