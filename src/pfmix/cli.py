@@ -50,11 +50,22 @@ def _write_atomic(path: str, text: str):
         raise
 
 
+_NUMERIC = (int, float, np.floating)
+
+
 def _csv(rows, header) -> str:
+    """CSV text; numbers as ``F`` formats them, anything else by ``str``.
+
+    A row of ``len(header)`` numbers goes through one %-format string,
+    which gives the same text as ``F`` value by value."""
     lines = [",".join(header)]
+    numeric = ",".join(["%.17g"] * len(header))
     for row in rows:
-        lines.append(",".join(F(v) if isinstance(v, (int, float, np.floating))
-                              else str(v) for v in row))
+        if len(row) == len(header) and all(isinstance(v, _NUMERIC) for v in row):
+            lines.append(numeric % tuple(row))
+        else:
+            lines.append(",".join(F(v) if isinstance(v, _NUMERIC) else str(v)
+                                  for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -240,8 +251,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 
     for step, snap in trace.snapshots:
         names = sorted(snap)
-        rows = [[trace.grid.x[i]] + [snap[nm][i] for nm in names]
-                for i in range(trace.grid.n)]
+        rows = np.column_stack([trace.grid.x] + [snap[nm] for nm in names]).tolist()
         _write_atomic(os.path.join(outdir, f"snapshot_{step:08d}.csv"),
                       _csv(rows, ["x"] + names))
 

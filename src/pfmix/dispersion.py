@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
     DegenerateCase,
@@ -292,6 +291,10 @@ class DispersionResult:
 
 
 def _match(previous: np.ndarray, current: np.ndarray):
+    # imported here: root tracking is the package's only use of scipy, and
+    # importing scipy.optimize dominates the start-up of every command
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(previous[:, None] - current[None, :])
     _, cols = linear_sum_assignment(cost)
     return cols

@@ -16,6 +16,11 @@ class PeriodicGrid1D:
     x: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
     symbols: np.ndarray = field(init=False, repr=False, compare=False)  # row p: (ik)^p
+    # ik with the Nyquist mode set to 0, the first derivative of a real
+    # field, and 1/(ik) where that is not 0, its mean-free antiderivative:
+    # for products taken in Fourier space before the inverse transform
+    ik: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_ik: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length <= 0:
@@ -28,6 +33,13 @@ class PeriodicGrid1D:
         symbols[0], symbols[1], symbols[2] = 1.0, 1j * k, -(k**2)
         object.__setattr__(self, "wavenumbers", k)
         object.__setattr__(self, "symbols", symbols)
+        ik = 1j * k
+        if self.n % 2 == 0:
+            ik[-1] = 0.0
+        inv_ik = np.zeros_like(ik)
+        inv_ik[ik != 0.0] = 1.0 / ik[ik != 0.0]
+        object.__setattr__(self, "ik", ik)
+        object.__setattr__(self, "inv_ik", inv_ik)
 
     @property
     def dx(self) -> float:

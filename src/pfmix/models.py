@@ -17,15 +17,15 @@ N = 2 is the binary model, the only one with a linearization.
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible and incompressible classes evolve velocities
 directly.  The hydrostatic field of the quasi-incompressible class is not
-evolved but solved at every evaluation from the divergence constraint by
-spectral inversion with zero mean.  The model dataclasses hold arrays, so
+evolved but solved at every evaluation from the divergence constraint, with
+zero mean, in Fourier space.  The model dataclasses hold arrays, so
 they compare and hash by identity (``eq=False``), like the free energies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -185,14 +185,28 @@ class BinaryModel:
         """The rows of a state array keyed by field name."""
         return dict(zip(self.field_names, u))
 
-    def rhs_1d(self, fields, grid, return_aux=False):
+    def rhs_1d(self, fields, grid, return_aux=False, spectral=False):
         """Time derivative of the state on a periodic grid, as an array or
         a dict like ``fields``; with ``return_aux`` also the auxiliary
-        fields of the class (chemical potentials, fluxes, pressure)."""
-        out, aux = self._rhs(self.state_array(fields), grid, return_aux)
+        fields of the class (chemical potentials, fluxes, pressure).
+
+        With ``spectral`` it returns instead the pair (u^, rhs^): the
+        ``rfft`` spectra of the state and of its time derivative, each an
+        (n_fields, n // 2 + 1) array, for integrators that step in Fourier
+        space."""
+        u = self.state_array(fields)
+        if spectral:
+            return self._rhs_spectral(u, grid)
+        out, aux = self._rhs(u, grid, return_aux)
         if isinstance(fields, dict):
             out = self.field_dict(out)
         return (out, aux) if return_aux else out
+
+    def _rhs_spectral(self, u, grid):
+        """(u^, rhs^) by one batched ``rfft`` of the state and ``_rhs``;
+        each row comes out as its own transform would give it."""
+        h = np.fft.rfft(np.concatenate([u, self._rhs(u, grid, False)[0]]), axis=-1)
+        return h[:len(u)], h[len(u):]
 
 
 def _viscous_terms(grid, dv, eta, nu):
@@ -487,11 +501,27 @@ class PhaseFieldModel(BinaryModel):
         )
 
 
+class _QuasiSpectra(NamedTuple):
+    """One pass of :meth:`QuasiIncompressible._spectral_core`."""
+
+    uh: np.ndarray      # rfft of the state
+    d: np.ndarray       # lap phi, d vx, d vy
+    mu: np.ndarray      # mu_phi
+    h: np.ndarray       # rfft of mu_phi, then of phi*vx if asked for
+    fh: np.ndarray      # viscous forces (fx^, fy^), or None if not asked for
+    Pih: np.ndarray     # Pi^, zero mode 0
+    Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
+    eta: object         # viscosities, constants or pointwise
+    nu: object
+
+
 @dataclass(frozen=True, eq=False)
 class QuasiIncompressible(PhaseFieldModel):
     """Mixture of two incompressible components with unequal specific
     densities.  Fields: phi, vx, vy; the hydrostatic field is solved from
-    the divergence constraint at every evaluation."""
+    the divergence constraint at every evaluation, in Fourier space: one
+    spectral core (:meth:`_spectral_core`) serves the right-hand side, the
+    pressure, the dissipation rate and the divergence residual."""
 
     free_energy: BulkFreeEnergy            # single variable phi
     kappa_phi_phi: float
@@ -512,68 +542,136 @@ class QuasiIncompressible(PhaseFieldModel):
     def density(self, phi):
         return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
 
+    @property
+    def _constraint(self):
+        """(1 - r, Mh) of the divergence constraint, r = rho_hat_1 / rho_hat_2
+        and Mh = M11 / rho_hat_1^2."""
+        return 1.0 - self.rho_hat_1 / self.rho_hat_2, self.M11 / self.rho_hat_1**2
+
+    def _spectral_core(self, u, grid, flux=False) -> _QuasiSpectra:
+        """The pass through Fourier space that every evaluation of the class
+        shares.
+
+        One ``rfft`` of the state; one ``irfft`` of lap phi, d vx and d vy;
+        mu_phi pointwise, with the energy's domain check; one ``rfft`` of
+        mu_phi and, with ``flux``, of phi*vx.  Where the momentum balance
+        is needed (the right-hand side, asked for by ``flux``, and the
+        incompressible gauge) the viscous forces are formed in Fourier
+        space too: from the velocities' spectra for constant viscosities,
+        from the stresses of a rule, which join the second ``rfft``.  The
+        pressure and G = mu_phi + (1 - r) Pi follow from these spectra.
+        """
+        phi, vx, _ = u
+        S = grid.symbols
+        uh = np.fft.rfft(u, axis=-1)
+        d = np.fft.irfft(S[[2, 1, 1]] * uh, n=grid.n, axis=-1)
+        mu = self.mu_phi(phi, d[0])
+        eta, nu = self._viscosity_fields(phi)
+        gauge = equal_specific_densities(self.rho_hat_1, self.rho_hat_2)
+        momentum, rule = flux or gauge, np.ndim(eta) > 0
+        level = [mu, phi * vx] if flux else [mu]
+        if momentum and rule:
+            level += [(2.0 * eta + nu) * d[1], eta * d[2]]
+        h = np.fft.rfft(np.stack(level), axis=-1)
+        if not momentum:
+            fh = None
+        elif rule:
+            fh = grid.ik * h[-2:]
+            h = h[:-2]
+        else:
+            fh = S[2] * np.stack([(2.0 * eta + nu) * uh[1], eta * uh[2]])
+        Pih = self._pressure_hat(u, uh, d, h[0], fh, gauge, grid)
+        return _QuasiSpectra(uh, d, mu, h, fh, Pih,
+                             h[0] + self._constraint[0] * Pih, eta, nu)
+
+    def _pressure_hat(self, u, uh, d, muh, fh, gauge, grid):
+        """Spectrum of the hydrostatic field, zero mode 0.
+
+        Quasi-incompressible: the constraint d vx/dx = (1-r) Mh d2 G/dx2
+        gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh k^2)
+        = vx^ / (ik (1-r)^2 Mh) - mu^ / (1-r).  Equal specific densities
+        (incompressible gauge): Pi^ = force^ / (ik), force being the
+        x-momentum balance without the pressure, so d Pi/dx = force -
+        mean(force) keeps the velocity divergence stationary.
+        """
+        if gauge:
+            phi, vx, _ = u
+            dmu, fx = np.fft.irfft(np.stack([grid.ik * muh, fh[0]]), n=grid.n, axis=-1)
+            force = -self.density(phi) * vx * d[1] + fx - phi * dmu
+            Pih = np.fft.rfft(force) * grid.inv_ik
+        else:
+            r1, Mh = self._constraint
+            Pih = uh[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
+            Pih[0] = 0.0
+        if not np.all(np.isfinite(Pih)):
+            raise SolveError("pressure solve produced non-finite values")
+        return Pih
+
     def solve_pressure(self, fields, grid):
         """Hydrostatic field from the divergence constraint, zero mean;
         returns it with mu_phi."""
-        phi, vx, vy = self.state_array(fields)
-        r = self.rho_hat_1 / self.rho_hat_2
-        Mh = self.M11 / self.rho_hat_1**2
-        if equal_specific_densities(self.rho_hat_1, self.rho_hat_2):
-            # incompressible gauge: make the velocity divergence stationary
-            vo = self._viscous_order
-            d = grid.derivatives(np.stack([phi, vx, vx, vy]), (2, 1, vo, vo))
-            mu = self.mu_phi(phi, d[0])
-            eta, nu = self._viscosity_fields(phi)
-            fx, _ = _viscous_terms(grid, d[2:], eta, nu)
-            force = -self.density(phi) * vx * d[1] + fx - phi * grid.dx1(mu)
-            Pi = _antiderivative_mean_free(force, grid)
-        else:
-            d = grid.derivatives(np.stack([phi, vx]), (2, 1))
-            mu = self.mu_phi(phi, d[0])
-            rhs = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
-            Pi = _poisson_mean_free(rhs, grid)
-        if not np.all(np.isfinite(Pi)):
-            raise SolveError("pressure solve produced non-finite values")
-        return Pi, mu
+        core = self._spectral_core(self.state_array(fields), grid)
+        return np.fft.irfft(core.Pih, n=grid.n), core.mu
+
+    def _rhs_parts(self, u, grid, physical):
+        """The right-hand side with its phi row in Fourier space,
+        -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
+
+        One last ``irfft`` gives fx - d Pi/dx, d mu_phi/dx, fy and the
+        physical values of the spectra named in ``physical`` ("phi" for
+        the phi row, "Pi", "G").  Returns the core, the phi row's spectrum,
+        the two velocity rows and those physical values.
+        """
+        phi, vx, _ = u
+        core = self._spectral_core(u, grid, flux=True)
+        ik, h, fh = grid.ik, core.h, core.fh
+        phih = -ik * h[1] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
+        named = {"phi": phih, "Pi": core.Pih, "G": core.Gh}
+        spectra = np.empty((3 + len(physical), ik.size), dtype=complex)
+        spectra[0] = fh[0] - ik * core.Pih
+        spectra[1] = ik * h[0]
+        spectra[2] = fh[1]
+        for i, name in enumerate(physical, 3):
+            spectra[i] = named[name]
+        p = np.fft.irfft(spectra, n=grid.n, axis=-1)
+        rho = self.density(phi)
+        ax = (-rho * vx * core.d[1] + p[0] - phi * p[1]) / rho
+        ay = (-rho * vx * core.d[2] + p[2]) / rho
+        return core, phih, ax, ay, p[3:]
 
     def _rhs(self, u, grid, return_aux):
-        phi, vx, vy = u
-        Pi, mu = self.solve_pressure(u, grid)
-        r = self.rho_hat_1 / self.rho_hat_2
-        Mh = self.M11 / self.rho_hat_1**2
-        G = mu + (1.0 - r) * Pi
-        rho = self.density(phi)
-        vo = self._viscous_order
-        d = grid.derivatives(np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
-                             (2, 1, 1, 1, 1, 1, vo, vo))
-        eta, nu = self._viscosity_fields(phi)
-        fx, fy = _viscous_terms(grid, d[6:], eta, nu)
+        names = ("phi", "Pi", "G") if return_aux else ("phi",)
+        core, _, ax, ay, extra = self._rhs_parts(u, grid, names)
         out = np.empty_like(u)
-        out[0] = -d[1] + Mh * d[0]
-        out[1] = (-rho * vx * d[2] + fx - d[3] - phi * d[4]) / rho
-        out[2] = (-rho * vx * d[5] + fy) / rho
-        return out, {"Pi": Pi, "mu_phi": mu, "G": G}
+        out[0], out[1], out[2] = extra[0], ax, ay
+        if not return_aux:
+            return out, None
+        return out, {"Pi": extra[1], "mu_phi": core.mu, "G": extra[2]}
+
+    def _rhs_spectral(self, u, grid):
+        """The state's spectrum from the core, the phi row as formed in
+        Fourier space and one ``rfft`` of the velocity rows."""
+        core, phih, ax, ay, _ = self._rhs_parts(u, grid, ())
+        rhsh = np.empty_like(core.uh)
+        rhsh[0] = phih
+        rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
+        return core.uh, rhsh
 
     def divergence_residual(self, fields, grid) -> float:
-        """Max-norm of div v minus its constrained value after the solve."""
-        u = self.state_array(fields)
-        _, aux = self.rhs_1d(u, grid, return_aux=True)
-        r = self.rho_hat_1 / self.rho_hat_2
-        Mh = self.M11 / self.rho_hat_1**2
-        d = grid.derivatives(np.stack([u[1], aux["G"]]), (1, 2))
-        res = d[0] - (1.0 - r) * Mh * d[1]
+        """Max-norm of div v minus its constrained value after the solve,
+        d vx/dx - (1 - r) Mh d2 G/dx2."""
+        core = self._spectral_core(self.state_array(fields), grid)
+        r1, Mh = self._constraint
+        res = np.fft.irfft(grid.ik * core.uh[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
+                           n=grid.n)
         return float(np.max(np.abs(res)))
 
     def energy_dissipation_rate(self, fields, grid) -> float:
-        u = self.state_array(fields)
-        phi, vx, vy = u
-        Pi, mu = self.solve_pressure(u, grid)
-        r = self.rho_hat_1 / self.rho_hat_2
-        mu_hat_1 = (mu + (1.0 - r) * Pi) / self.rho_hat_1
-        eta, nu = self._viscosity_fields(phi)
-        d = grid.derivatives(np.stack([vx, vy, mu_hat_1]), (1, 1, 1))
-        visc = (2.0 * eta + nu) * d[0] ** 2 + eta * d[1] ** 2
-        return -grid.integrate(visc + self.M11 * d[2] ** 2)
+        core = self._spectral_core(self.state_array(fields), grid)
+        # d mu^_1/dx with mu^_1 = G / rho_hat_1
+        dmu1 = np.fft.irfft(grid.ik * core.Gh, n=grid.n) / self.rho_hat_1
+        visc = (2.0 * core.eta + core.nu) * core.d[1] ** 2 + core.eta * core.d[2] ** 2
+        return -grid.integrate(visc + self.M11 * dmu1 ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -609,7 +707,8 @@ class Incompressible(PhaseFieldModel):
     def solve_pressure(self, fields, grid):
         phi = self.state_array(fields)[0]
         mu = self.mu_phi(phi, grid.dx2(phi))
-        Pi = _antiderivative_mean_free(-phi * grid.dx1(mu), grid)
+        # the mean-free antiderivative of the x-momentum balance
+        Pi = np.fft.irfft(np.fft.rfft(-phi * grid.dx1(mu)) * grid.inv_ik, n=grid.n)
         return Pi, mu
 
     def _rhs(self, u, grid, return_aux):
@@ -637,29 +736,6 @@ class Incompressible(PhaseFieldModel):
         visc = (2.0 * eta + nu) * d[1] ** 2 + eta * d[2] ** 2
         mob = self.M11 / self.rho_hat**2 * grid.dx1(mu) ** 2
         return -grid.integrate(visc + mob)
-
-
-# ---------------------------------------------------------------------------
-# Elliptic helpers (periodic, spectral)
-# ---------------------------------------------------------------------------
-
-
-def _poisson_mean_free(rhs, grid):
-    """Solve d2 u / dx2 = rhs - mean(rhs), zero-mean solution."""
-    rh = np.fft.rfft(rhs)
-    k = grid.wavenumbers
-    uh = np.zeros_like(rh)
-    uh[1:] = -rh[1:] / k[1:] ** 2
-    return np.fft.irfft(uh, n=grid.n)
-
-
-def _antiderivative_mean_free(f, grid):
-    """Solve du/dx = f - mean(f), zero-mean solution."""
-    fh = np.fft.rfft(f)
-    k = grid.wavenumbers
-    uh = np.zeros_like(fh)
-    uh[1:] = fh[1:] / (1j * k[1:])
-    return np.fft.irfft(uh, n=grid.n)
 
 
 # ---------------------------------------------------------------------------

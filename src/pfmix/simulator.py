@@ -4,6 +4,10 @@ Used to verify dispersion predictions, mass conservation and the energy
 dissipation inequality independently of the linear analysis.  Explicit RK4
 is the default integrator; a first-order semi-implicit scheme (stiff linear
 terms integrated in Fourier space) is available for stiff parameter sets.
+It steps in Fourier space on the spectra that ``model.rhs_1d(u, grid,
+spectral=True)`` hands back: by default one batched ``rfft`` of the state
+and its right-hand side, while the quasi-incompressible class returns the
+spectra its own spectral core already holds.
 
 The state is carried as one (n_fields, n) array in ``model.field_names``
 order; traces, snapshots and blow-up dumps hand it out as dicts.
@@ -175,11 +179,11 @@ def _rk4_step(model, u, grid, dt):
 
 def _semi_implicit_step(model, u, grid, dt, L):
     """One step with the stiff symbols ``L`` (one row per field) implicit:
-    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly."""
-    rhs = model.rhs_1d(u, grid)
-    h = np.fft.rfft(np.concatenate([u, rhs]), axis=-1)
-    fh = h[:len(u)]
-    nh = h[len(u):] + L * fh
+    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly.  The model
+    hands back the spectra of u and of its right-hand side, and the step
+    ends in one ``irfft``."""
+    fh, rh = model.rhs_1d(u, grid, spectral=True)
+    nh = rh + L * fh
     return np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n, axis=-1)
 
 

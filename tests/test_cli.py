@@ -254,6 +254,43 @@ class TestDeterminism:
             assert b1 == b2, name
             assert b"\r" not in b1
 
+    def test_csv_matches_value_by_value_formatting(self):
+        # the per-value formatting every CSV used before the one-format
+        # fast path for numeric rows
+        def reference(rows, header):
+            lines = [",".join(header)]
+            for row in rows:
+                lines.append(",".join(cli.F(v) if isinstance(v, (int, float, np.floating))
+                                      else str(v) for v in row))
+            return "\n".join(lines) + "\n"
+
+        rows = [
+            [0, 1, -7, 2**60],
+            [True, False, np.float64(0.1), 1.0 / 3.0],
+            [-0.0, np.float64(-0.0), np.inf, -np.inf],
+            [np.nan, np.float64(np.nan), 1e-310, 1.7976931348623157e308],
+            [np.float32(0.1), np.float64(123456789.123456789), 5e-324, -2.5],
+            ["alpha1", 0.25, np.int64(2**60 + 1), 1j],       # a label row
+            [1.5, 2.5, 3.5],                                 # short row
+        ]
+        header = ["a", "b", "c", "d"]
+        assert cli._csv(rows, header) == reference(rows, header)
+        grid = np.random.default_rng(7).normal(size=(1024, 4)) * 10.0 ** np.arange(-3, 5, 2)
+        rows = [list(r) for r in grid]
+        assert cli._csv(rows, header) == reference(rows, header)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        import subprocess
+        import sys
+        import pfmix
+        code = "import sys, pfmix.cli; print('scipy.optimize' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(pfmix.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env, timeout=120)
+        assert out.stdout.strip() == "False"
+
     def test_sweep_summary_reports_band(self, tmp_path, capsys):
         path = write(tmp_path, "mini.ini", MINI_SWEEP)
         assert cli.main(["sweep", "--config", path,

@@ -4,8 +4,10 @@ import pytest
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
-from pfmix.errors import ConstraintError, RangeError, ShapeError
+from pfmix.errors import (ConstraintError, DomainError, RangeError, ShapeError,
+                          SolveError)
 from pfmix.grid import PeriodicGrid1D
+from pfmix.linearization import EQUAL_DENSITY_RTOL
 
 from conftest import random_global_model
 
@@ -341,6 +343,126 @@ class TestQuasi:
         rhs = m.rhs_1d(flds, grid)
         dmass = grid.integrate((m.rho_hat_1 - m.rho_hat_2) * rhs["phi"])
         assert abs(dmass) < 1e-13
+
+
+def physical_quasi_route(m, u, grid):
+    """Reference for the quasi-incompressible spectral core: the
+    physical-space route, in which every derivative is a transform pair of
+    a physical field and the pressure an explicit rfft Poisson solve.
+
+    Returns the hydrostatic field, the right-hand side and the dissipation
+    rate.
+    """
+    phi, vx, vy = u
+    r = m.rho_hat_1 / m.rho_hat_2
+    Mh = m.M11 / m.rho_hat_1**2
+    k = grid.wavenumbers
+    if m.viscosity_rule is None:
+        vo, eta, nu = 2, m.inv_Re_s, m.inv_Re_v
+    else:
+        vo = 1
+        eta, nu = fe.average_viscosity(m.viscosity_rule, phi)
+
+    def viscous(dv):
+        if vo == 2:
+            return (2.0 * eta + nu) * dv[0], eta * dv[1]
+        return tuple(grid.derivatives(np.stack([(2.0 * eta + nu) * dv[0],
+                                                eta * dv[1]]), (1, 1)))
+
+    if abs(1.0 - r) <= EQUAL_DENSITY_RTOL:
+        # incompressible gauge: Pi is the mean-free antiderivative of the
+        # x-momentum balance without the pressure
+        d = grid.derivatives(np.stack([phi, vx, vx, vy]), (2, 1, vo, vo))
+        mu = m.mu_phi(phi, d[0])
+        fx, _ = viscous(d[2:])
+        force = -m.density(phi) * vx * d[1] + fx - phi * grid.dx1(mu)
+        fh = np.fft.rfft(force)
+        Pih = np.zeros_like(fh)
+        Pih[1:] = fh[1:] / (1j * k[1:])
+    else:
+        d = grid.derivatives(np.stack([phi, vx]), (2, 1))
+        mu = m.mu_phi(phi, d[0])
+        source = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
+        sh = np.fft.rfft(source)
+        Pih = np.zeros_like(sh)
+        Pih[1:] = -sh[1:] / k[1:] ** 2
+    Pi = np.fft.irfft(Pih, n=grid.n)
+    G = mu + (1.0 - r) * Pi
+    rho = m.density(phi)
+    d = grid.derivatives(np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
+                         (2, 1, 1, 1, 1, 1, vo, vo))
+    fx, fy = viscous(d[6:])
+    rhs = np.stack([-d[1] + Mh * d[0],
+                    (-rho * vx * d[2] + fx - d[3] - phi * d[4]) / rho,
+                    (-rho * vx * d[5] + fy) / rho])
+    dd = grid.derivatives(np.stack([vx, vy, G / m.rho_hat_1]), (1, 1, 1))
+    dis = -grid.integrate((2.0 * eta + nu) * dd[0] ** 2 + eta * dd[1] ** 2
+                          + m.M11 * dd[2] ** 2)
+    return Pi, rhs, dis
+
+
+class TestQuasiSpectralCore:
+    """The Fourier-space pressure and right-hand side against the
+    physical-space route, outside and inside the equal-density window, with
+    constant viscosities and with a viscosity rule."""
+
+    RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
+                            eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
+
+    @staticmethod
+    def state(grid):
+        phi = smooth_field(grid, 0.4, 51, amp=0.1, modes=12)
+        vx = smooth_field(grid, 0.03, 52, amp=1.0, modes=12) - 0.03
+        vy = smooth_field(grid, 0.02, 53, amp=1.0, modes=12)
+        return np.stack([phi, vx, vy])
+
+    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
+    @pytest.mark.parametrize("rho_hat_1", [2.0, 1.0 + 0.5 * EQUAL_DENSITY_RTOL],
+                             ids=["r=2", "window"])
+    def test_matches_physical_route(self, rho_hat_1, rule):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        q = fe.Quadratic([[1.5]], g=[-1.5 * 0.4], variables=("phi",))
+        m = models.QuasiIncompressible(
+            q, kappa_phi_phi=1e-3, M11=0.2, inv_Re_s=0.3, inv_Re_v=0.1,
+            rho_hat_1=rho_hat_1, rho_hat_2=1.0,
+            viscosity_rule=self.RULE if rule else None)
+        u = self.state(grid)
+        Pi_ref, rhs_ref, dis_ref = physical_quasi_route(m, u, grid)
+
+        def rel(a, b):
+            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+        Pi, mu = m.solve_pressure(u, grid)
+        assert rel(Pi, Pi_ref) <= 1e-12
+        # relative to the whole right-hand side: inside the window the vx
+        # row is a round-off remainder of cancelling terms
+        rhs, aux = m.rhs_1d(u, grid, return_aux=True)
+        assert rel(rhs, rhs_ref) <= 1e-12
+        assert rel(aux["Pi"], Pi_ref) <= 1e-12
+        assert np.array_equal(aux["mu_phi"], mu)
+        assert rel(m.energy_dissipation_rate(u, grid), dis_ref) <= 1e-12
+        # the spectral hook carries the same right-hand side
+        uh, rh = m.rhs_1d(u, grid, spectral=True)
+        assert np.array_equal(uh, np.fft.rfft(u, axis=-1))
+        assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
+
+    def test_non_finite_pressure_raises(self):
+        grid = PeriodicGrid1D(2 * np.pi, 32)
+        m = make_quasi()
+        u = self.state(grid)
+        u[1, 3] = np.inf     # vx is not checked against the energy's domain
+        with np.errstate(invalid="ignore"), pytest.raises(SolveError):
+            m.solve_pressure(u, grid)
+        with np.errstate(invalid="ignore"), pytest.raises(SolveError):
+            m.rhs_1d(u, grid)
+
+    def test_domain_check_inside_mu_phi(self):
+        grid = PeriodicGrid1D(2 * np.pi, 32)
+        u = self.state(grid)
+        u[0, 5] = np.nan
+        m = make_quasi()
+        with pytest.raises(DomainError):
+            m.rhs_1d(u, grid)
 
 
 class TestNondimensionalize:

@@ -217,6 +217,32 @@ class TestIntegrators:
         tr = sim.run(cfg)
         assert np.all(np.isfinite(tr.energy))
 
+    def test_semi_implicit_default_spectra_bit_for_bit(self):
+        # the default spectral right-hand side is the batched rfft of the
+        # state and its right-hand side: the step formula below, bit for bit
+        m = stable_local()
+        grid = PeriodicGrid1D(L, 64)
+        perts, _ = sim.eigenvector_perturbations(m, ST, grid, mode=2,
+                                                 amplitude=1e-3,
+                                                 track_name="alpha1")
+        dt = 2e-3
+        cfg = sim.SimulationConfig(model=m, state=ST, length=L, n=64, dt=dt,
+                                   t_end=20 * dt, diagnostics_every=5,
+                                   perturbations=perts,
+                                   integrator="semi_implicit",
+                                   enforce_dt_guard=False)
+        symbols = m.linearization(ST).stiff_symbols(grid.wavenumbers**2)
+        stiff = np.stack([symbols[name] for name in m.field_names])
+        u = m.state_array(sim.initial_fields(cfg, grid))
+        for _ in range(20):
+            h = np.fft.rfft(np.concatenate([u, m.rhs_1d(u, grid)]), axis=-1)
+            fh, nh = h[:len(u)], h[len(u):] + stiff * h[:len(u)]
+            u = np.fft.irfft((fh + dt * nh) / (1.0 + dt * stiff), n=grid.n,
+                             axis=-1)
+        final = sim.run(cfg).final_fields
+        for i, name in enumerate(m.field_names):
+            assert np.array_equal(final[name], u[i])
+
 
 class TestFailureModes:
     def test_blowup_reports_step(self):
@@ -324,8 +350,16 @@ class TestEveryClassSmoke:
 
 
 # Upper bounds on numpy.fft.rfft + irfft calls: one batched transform pair
-# per dependency level of each right-hand side (constant viscosities).
-FFT_PER_RHS = {"global": 4, "local": 4, "quasi": 8, "incompressible": 4}
+# per dependency level of each right-hand side (constant viscosities).  The
+# quasi-incompressible core forms the pressure in Fourier space, between its
+# two levels, so it needs no more than the others.
+FFT_PER_RHS = {"global": 4, "local": 4, "quasi": 4, "incompressible": 4}
+# A quasi-incompressible semi-implicit step: the right-hand side's four,
+# one rfft of the two velocity rows and the closing irfft.
+QUASI_SEMI_IMPLICIT_STEP = 6
+# One quasi-incompressible diagnostics record: the energy's gradient (2),
+# the dissipation rate through the spectral core (4) and one tracked mode.
+QUASI_RECORD = 7
 
 
 @pytest.fixture()
@@ -392,3 +426,26 @@ class TestFftBudget:
         stages = 4 if integrator == "rk4" else 1
         extra = 0 if integrator == "rk4" else 2   # one batched rfft and irfft
         assert per_step <= stages * FFT_PER_RHS[name] + extra
+        if name == "quasi" and integrator == "semi_implicit":
+            assert per_step <= QUASI_SEMI_IMPLICIT_STEP
+
+    def test_per_quasi_record(self, fft_calls):
+        m, st = smoke_cases()["quasi"]
+        grid = PeriodicGrid1D(L, 32)
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
+                                                 amplitude=1e-3)
+        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+
+        def calls(every):
+            cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
+                                       t_end=10 * dt, diagnostics_every=every,
+                                       perturbations=perts, track=(("phi", 2),),
+                                       integrator="semi_implicit")
+            before = fft_calls[0]
+            tr = sim.run(cfg)
+            return fft_calls[0] - before, tr.times.size
+
+        dense, n_dense = calls(1)
+        sparse, n_sparse = calls(1000)
+        assert (n_dense, n_sparse) == (11, 2)
+        assert (dense - sparse) / (n_dense - n_sparse) <= QUASI_RECORD
