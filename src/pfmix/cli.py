@@ -25,7 +25,6 @@ from .errors import (
     RangeError,
     SolveError,
 )
-from .linearization import EQUAL_DENSITY_RTOL, equal_specific_densities
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -82,12 +81,6 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     if not cfg.has_section("sweep"):
         raise ConfigError(f"{cfg.source}: sweep command needs a [sweep] section")
     model, state = build_all(cfg)
-    if isinstance(model, models.QuasiIncompressible) \
-            and equal_specific_densities(model.rho_hat_1, model.rho_hat_2):
-        raise ConfigError(
-            f"rho_hat_1 == rho_hat_2 (to a relative {EQUAL_DENSITY_RTOL:.1e}) "
-            "degenerates the quasi-incompressible "
-            "dispersion relation; set class = incompressible instead")
     sec = cfg.sections["sweep"]
     if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
         raise ConfigError("sweep needs 0 < k_min < k_max and points >= 2")
@@ -160,7 +153,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
 
 
 def _classification_line(model, lin) -> str:
-    if isinstance(model, models.PhaseFieldModel):
+    if isinstance(model, models.QuasiIncompressible):
         edge = dispersion.spinodal_band_edge(lin)
         if edge > 0:
             return f"spinodal band: (0, {F(edge)})"
@@ -226,9 +219,12 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     mode = sec["perturb_mode"]
     alpha_pred = None
     if sec["seed_eigenvector"]:
-        perts, alpha_pred = simulator.eigenvector_perturbations(
-            model, state, grid, mode=mode, amplitude=sec["perturb_amplitude"],
-            track_name=sec["eigen_track"])
+        try:
+            perts, alpha_pred = simulator.eigenvector_perturbations(
+                model, state, grid, mode=mode, amplitude=sec["perturb_amplitude"],
+                track_name=sec["eigen_track"])
+        except KeyError as exc:
+            raise ConfigError(f"[simulate] eigen_track: {exc.args[0]}") from None
     else:
         if sec.get("perturb_field") is None:
             raise ConfigError("simulate needs perturb_field (or seed_eigenvector)")
@@ -237,8 +233,12 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     track = []
     if sec.get("track"):
         for item in sec["track"].split(","):
-            fname, m = item.strip().split(":")
-            track.append((fname, int(m)))
+            fname, _, m = item.strip().partition(":")
+            try:
+                track.append((fname, int(m)))
+            except ValueError:
+                raise ConfigError(f"[simulate] track: {item.strip()!r} is not "
+                                  "field:mode") from None
     else:
         track.append((perts[0].field, mode))
     run_cfg = simulator.SimulationConfig(

@@ -17,7 +17,7 @@ import numpy as np
 from . import free_energy as fe
 from . import models
 from .errors import ConfigError
-from .linearization import equal_specific_densities
+from .linearization import EQUAL_DENSITY_RTOL, equal_specific_densities
 
 _FLOAT_FMT = ".17g"
 
@@ -299,16 +299,20 @@ def build_model(cfg: RunConfig):
     bulk, kphi = built
     (m11,) = _need(cfg, "model", ["m11"])
     rh1, rh2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
-    if cls == "quasi_incompressible":
-        return models.QuasiIncompressible(
-            free_energy=bulk, kappa_phi_phi=kphi, M11=m11,
-            inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat_1=rh1, rho_hat_2=rh2)
-    if not equal_specific_densities(rh1, rh2):
+    equal = equal_specific_densities(rh1, rh2)
+    if cls == "incompressible":
+        if not equal:
+            raise ConfigError(
+                f"{cfg.source}: incompressible class needs rho_hat_1 == rho_hat_2")
+        rh2 = rh1
+    elif equal:
         raise ConfigError(
-            f"{cfg.source}: incompressible class needs rho_hat_1 == rho_hat_2")
-    return models.Incompressible(
+            f"{cfg.source}: rho_hat_1 == rho_hat_2 (to a relative "
+            f"{EQUAL_DENSITY_RTOL:.1e}) degenerates the quasi-incompressible "
+            "model to the incompressible one; set class = incompressible instead")
+    return models.QuasiIncompressible(
         free_energy=bulk, kappa_phi_phi=kphi, M11=m11,
-        inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat=rh1)
+        inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat_1=rh1, rho_hat_2=rh2)
 
 
 def build_state(cfg: RunConfig) -> models.MixtureState:

@@ -117,7 +117,8 @@ class AsymptoticCoefficients:
         for m in self.modes:
             if m.name == name:
                 return m
-        raise KeyError(name)
+        raise KeyError(f"no mode {name!r} among "
+                       f"{', '.join(m.name for m in self.modes)}")
 
     def flat_text(self) -> str:
         """Flat key-value block: one `<mode>.k^<power> = re [im]` line per

@@ -1,5 +1,5 @@
 """The model classes: compressible N-component mixtures and the binary
-phase-field hierarchy.
+phase-field model, whose equal-density case is the incompressible one.
 
 Each model bundles a bulk free energy in its natural variables, gradient
 coefficients, mobilities and inverse Reynolds numbers, and knows how to:
@@ -15,11 +15,11 @@ dissipation run through the one batched compressible core for every N;
 N = 2 is the binary model, the only one with a linearization.
 
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
-the quasi-incompressible and incompressible classes evolve velocities
-directly.  The hydrostatic field of the quasi-incompressible class is not
-evolved but solved at every evaluation from the divergence constraint, with
-zero mean, in Fourier space.  The model dataclasses hold arrays, so
-they compare and hash by identity (``eq=False``), like the free energies.
+the quasi-incompressible class evolves velocities directly.  Its
+hydrostatic field is not evolved but solved at every evaluation from the
+divergence constraint, with zero mean, in Fourier space.  The model
+dataclasses hold arrays, so they compare and hash by identity
+(``eq=False``), like the free energies.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def local_conservation_matrix(M11: float) -> np.ndarray:
 
 
 class BinaryModel:
-    """Shared plumbing of the four model classes: validation, viscosity
+    """Shared plumbing of the three model classes: validation, viscosity
     and the state array.
 
     A state is one (n_fields, n) array whose rows follow ``field_names``.
@@ -448,13 +448,42 @@ class CompressibleLocal(CompressibleModel):
         )
 
 
-class PhaseFieldModel(BinaryModel):
-    """Shared plumbing of the quasi-incompressible and incompressible
-    classes: fields phi, vx, vy and a bulk energy in phi alone."""
+class _QuasiSpectra(NamedTuple):
+    """One pass of :meth:`QuasiIncompressible._spectral_core`."""
+
+    uh: np.ndarray      # rfft of the state
+    d: np.ndarray       # lap phi, d vx, d vy
+    mu: np.ndarray      # mu_phi
+    h: np.ndarray       # rfft of mu_phi, then of phi*vx if asked for
+    fh: np.ndarray      # viscous forces (fx^, fy^), or None if not asked for
+    Pih: np.ndarray     # Pi^, zero mode 0; None for equal specific densities
+    Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
+    eta: object         # viscosities, constants or pointwise
+    nu: object
+
+
+@dataclass(frozen=True, eq=False)
+class QuasiIncompressible(BinaryModel):
+    """Mixture of two incompressible components with specific densities
+    rho_hat_1 and rho_hat_2.  Fields: phi, vx, vy and a bulk energy in phi
+    alone; the hydrostatic field is solved from the divergence constraint
+    at every evaluation, in Fourier space: one spectral core
+    (:meth:`_spectral_core`) serves the right-hand side, the pressure, the
+    dissipation rate and the divergence residual.
+
+    Equal specific densities (:func:`equal_specific_densities`) are the
+    incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
+    is solenoidal (in 1D vx stays as it is) and the pressure is formed only
+    when it is asked for."""
 
     free_energy: BulkFreeEnergy            # single variable phi
     kappa_phi_phi: float
     M11: float
+    inv_Re_s: float
+    inv_Re_v: float
+    rho_hat_1: float
+    rho_hat_2: float
+    viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("phi", "vx", "vy")
 
@@ -462,6 +491,10 @@ class PhaseFieldModel(BinaryModel):
         self._check_reynolds()
         if self.M11 <= 0:
             raise RangeError("M11 must be positive")
+        if self.kappa_phi_phi < 0:
+            raise RangeError("kappa_phi_phi must be nonnegative")
+        if self.rho_hat_1 <= 0 or self.rho_hat_2 <= 0:
+            raise RangeError("specific densities must be positive")
 
     def state_densities(self, state: MixtureState) -> np.ndarray:
         """The free energy's variable at the state, (phi,)."""
@@ -473,6 +506,9 @@ class PhaseFieldModel(BinaryModel):
     def uniform_fields(self, state, grid):
         return {"phi": state.phi * np.ones(grid.n),
                 "vx": np.zeros(grid.n), "vy": np.zeros(grid.n)}
+
+    def density(self, phi):
+        return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
 
     def mu_phi(self, phi, laplacian):
         """Chemical potential dh/dphi - kappa_phi_phi lap(phi), given the
@@ -500,53 +536,13 @@ class PhaseFieldModel(BinaryModel):
             inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
         )
 
-
-class _QuasiSpectra(NamedTuple):
-    """One pass of :meth:`QuasiIncompressible._spectral_core`."""
-
-    uh: np.ndarray      # rfft of the state
-    d: np.ndarray       # lap phi, d vx, d vy
-    mu: np.ndarray      # mu_phi
-    h: np.ndarray       # rfft of mu_phi, then of phi*vx if asked for
-    fh: np.ndarray      # viscous forces (fx^, fy^), or None if not asked for
-    Pih: np.ndarray     # Pi^, zero mode 0
-    Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
-    eta: object         # viscosities, constants or pointwise
-    nu: object
-
-
-@dataclass(frozen=True, eq=False)
-class QuasiIncompressible(PhaseFieldModel):
-    """Mixture of two incompressible components with unequal specific
-    densities.  Fields: phi, vx, vy; the hydrostatic field is solved from
-    the divergence constraint at every evaluation, in Fourier space: one
-    spectral core (:meth:`_spectral_core`) serves the right-hand side, the
-    pressure, the dissipation rate and the divergence residual."""
-
-    free_energy: BulkFreeEnergy            # single variable phi
-    kappa_phi_phi: float
-    M11: float
-    inv_Re_s: float
-    inv_Re_v: float
-    rho_hat_1: float
-    rho_hat_2: float
-    viscosity_rule: Optional[ViscosityRule] = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.kappa_phi_phi < 0:
-            raise RangeError("kappa_phi_phi must be nonnegative")
-        if self.rho_hat_1 <= 0 or self.rho_hat_2 <= 0:
-            raise RangeError("specific densities must be positive")
-
-    def density(self, phi):
-        return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
-
     @property
     def _constraint(self):
         """(1 - r, Mh) of the divergence constraint, r = rho_hat_1 / rho_hat_2
-        and Mh = M11 / rho_hat_1^2."""
-        return 1.0 - self.rho_hat_1 / self.rho_hat_2, self.M11 / self.rho_hat_1**2
+        and Mh = M11 / rho_hat_1^2; 1 - r is 0 for equal specific densities."""
+        r1 = 0.0 if equal_specific_densities(self.rho_hat_1, self.rho_hat_2) \
+            else 1.0 - self.rho_hat_1 / self.rho_hat_2
+        return r1, self.M11 / self.rho_hat_1**2
 
     def _spectral_core(self, u, grid, flux=False) -> _QuasiSpectra:
         """The pass through Fourier space that every evaluation of the class
@@ -554,12 +550,16 @@ class QuasiIncompressible(PhaseFieldModel):
 
         One ``rfft`` of the state; one ``irfft`` of lap phi, d vx and d vy;
         mu_phi pointwise, with the energy's domain check; one ``rfft`` of
-        mu_phi and, with ``flux``, of phi*vx.  Where the momentum balance
-        is needed (the right-hand side, asked for by ``flux``, and the
-        incompressible gauge) the viscous forces are formed in Fourier
-        space too: from the velocities' spectra for constant viscosities,
-        from the stresses of a rule, which join the second ``rfft``.  The
-        pressure and G = mu_phi + (1 - r) Pi follow from these spectra.
+        mu_phi and, with ``flux``, of phi*vx.  The right-hand side, asked
+        for by ``flux``, needs the viscous forces too: they are formed in
+        Fourier space from the velocities' spectra for constant viscosities,
+        from the stresses of a rule, which join the second ``rfft``.
+
+        The constraint d vx/dx = (1-r) Mh d2 G/dx2 with G = mu_phi +
+        (1 - r) Pi gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh
+        k^2) = vx^ / (ik (1-r)^2 Mh) - mu^ / (1-r).  For equal specific
+        densities G = mu_phi and the pressure is left to
+        :meth:`_pressure`.
         """
         phi, vx, _ = u
         S = grid.symbols
@@ -567,91 +567,82 @@ class QuasiIncompressible(PhaseFieldModel):
         d = np.fft.irfft(S[[2, 1, 1]] * uh, n=grid.n, axis=-1)
         mu = self.mu_phi(phi, d[0])
         eta, nu = self._viscosity_fields(phi)
-        gauge = equal_specific_densities(self.rho_hat_1, self.rho_hat_2)
-        momentum, rule = flux or gauge, np.ndim(eta) > 0
+        rule = np.ndim(eta) > 0
         level = [mu, phi * vx] if flux else [mu]
-        if momentum and rule:
+        if flux and rule:
             level += [(2.0 * eta + nu) * d[1], eta * d[2]]
         h = np.fft.rfft(np.stack(level), axis=-1)
-        if not momentum:
+        if not flux:
             fh = None
         elif rule:
             fh = grid.ik * h[-2:]
             h = h[:-2]
         else:
             fh = S[2] * np.stack([(2.0 * eta + nu) * uh[1], eta * uh[2]])
-        Pih = self._pressure_hat(u, uh, d, h[0], fh, gauge, grid)
-        return _QuasiSpectra(uh, d, mu, h, fh, Pih,
-                             h[0] + self._constraint[0] * Pih, eta, nu)
-
-    def _pressure_hat(self, u, uh, d, muh, fh, gauge, grid):
-        """Spectrum of the hydrostatic field, zero mode 0.
-
-        Quasi-incompressible: the constraint d vx/dx = (1-r) Mh d2 G/dx2
-        gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh k^2)
-        = vx^ / (ik (1-r)^2 Mh) - mu^ / (1-r).  Equal specific densities
-        (incompressible gauge): Pi^ = force^ / (ik), force being the
-        x-momentum balance without the pressure, so d Pi/dx = force -
-        mean(force) keeps the velocity divergence stationary.
-        """
-        if gauge:
-            phi, vx, _ = u
-            dmu, fx = np.fft.irfft(np.stack([grid.ik * muh, fh[0]]), n=grid.n, axis=-1)
-            force = -self.density(phi) * vx * d[1] + fx - phi * dmu
-            Pih = np.fft.rfft(force) * grid.inv_ik
-        else:
-            r1, Mh = self._constraint
-            Pih = uh[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
-            Pih[0] = 0.0
+        r1, Mh = self._constraint
+        if r1 == 0.0:
+            return _QuasiSpectra(uh, d, mu, h, fh, None, h[0], eta, nu)
+        Pih = uh[1] * grid.inv_ik / (r1**2 * Mh) - h[0] / r1
+        Pih[0] = 0.0
         if not np.all(np.isfinite(Pih)):
             raise SolveError("pressure solve produced non-finite values")
-        return Pih
+        return _QuasiSpectra(uh, d, mu, h, fh, Pih, h[0] + r1 * Pih, eta, nu)
+
+    def _pressure(self, phi, core, grid):
+        """The hydrostatic field, zero mean: the core's Pi^ or, for equal
+        specific densities, the mean-free antiderivative of the x-momentum
+        balance of a solenoidal velocity, -phi d mu_phi/dx."""
+        if core.Pih is not None:
+            return np.fft.irfft(core.Pih, n=grid.n)
+        dmu = np.fft.irfft(grid.ik * core.h[0], n=grid.n)
+        return np.fft.irfft(np.fft.rfft(-phi * dmu) * grid.inv_ik, n=grid.n)
 
     def solve_pressure(self, fields, grid):
         """Hydrostatic field from the divergence constraint, zero mean;
         returns it with mu_phi."""
-        core = self._spectral_core(self.state_array(fields), grid)
-        return np.fft.irfft(core.Pih, n=grid.n), core.mu
+        u = self.state_array(fields)
+        core = self._spectral_core(u, grid)
+        return self._pressure(u[0], core, grid), core.mu
 
-    def _rhs_parts(self, u, grid, physical):
+    def _rhs_parts(self, u, grid, physical_phi):
         """The right-hand side with its phi row in Fourier space,
         -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
 
-        One last ``irfft`` gives fx - d Pi/dx, d mu_phi/dx, fy and the
-        physical values of the spectra named in ``physical`` ("phi" for
-        the phi row, "Pi", "G").  Returns the core, the phi row's spectrum,
-        the two velocity rows and those physical values.
+        One last ``irfft`` gives fy, and, with a pressure, fx - d Pi/dx
+        and d mu_phi/dx; with ``physical_phi`` also the phi row.  Returns
+        the core, the phi row's spectrum, the two velocity rows and the
+        physical phi row (or None).
         """
         phi, vx, _ = u
         core = self._spectral_core(u, grid, flux=True)
         ik, h, fh = grid.ik, core.h, core.fh
         phih = -ik * h[1] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
-        named = {"phi": phih, "Pi": core.Pih, "G": core.Gh}
-        spectra = np.empty((3 + len(physical), ik.size), dtype=complex)
-        spectra[0] = fh[0] - ik * core.Pih
-        spectra[1] = ik * h[0]
-        spectra[2] = fh[1]
-        for i, name in enumerate(physical, 3):
-            spectra[i] = named[name]
-        p = np.fft.irfft(spectra, n=grid.n, axis=-1)
+        rows = [fh[1]] + ([phih] if physical_phi else [])
+        if core.Pih is not None:
+            rows += [fh[0] - ik * core.Pih, ik * h[0]]
+        p = np.fft.irfft(np.stack(rows), n=grid.n, axis=-1)
         rho = self.density(phi)
-        ax = (-rho * vx * core.d[1] + p[0] - phi * p[1]) / rho
-        ay = (-rho * vx * core.d[2] + p[2]) / rho
-        return core, phih, ax, ay, p[3:]
+        ay = (-rho * vx * core.d[2] + p[0]) / rho
+        if core.Pih is None:
+            # the x-momentum balance is the pressure's: vx is stationary
+            ax = np.zeros_like(vx)
+        else:
+            ax = (-rho * vx * core.d[1] + p[-2] - phi * p[-1]) / rho
+        return core, phih, ax, ay, p[1] if physical_phi else None
 
     def _rhs(self, u, grid, return_aux):
-        names = ("phi", "Pi", "G") if return_aux else ("phi",)
-        core, _, ax, ay, extra = self._rhs_parts(u, grid, names)
+        core, _, ax, ay, phi_row = self._rhs_parts(u, grid, True)
         out = np.empty_like(u)
-        out[0], out[1], out[2] = extra[0], ax, ay
+        out[0], out[1], out[2] = phi_row, ax, ay
         if not return_aux:
             return out, None
-        return out, {"Pi": extra[1], "mu_phi": core.mu, "G": extra[2]}
+        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": core.mu,
+                     "G": np.fft.irfft(core.Gh, n=grid.n)}
 
     def _rhs_spectral(self, u, grid):
         """The state's spectrum from the core, the phi row as formed in
         Fourier space and one ``rfft`` of the velocity rows."""
-        core, phih, ax, ay, _ = self._rhs_parts(u, grid, ())
+        core, phih, ax, ay, _ = self._rhs_parts(u, grid, False)
         rhsh = np.empty_like(core.uh)
         rhsh[0] = phih
         rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
@@ -659,7 +650,8 @@ class QuasiIncompressible(PhaseFieldModel):
 
     def divergence_residual(self, fields, grid) -> float:
         """Max-norm of div v minus its constrained value after the solve,
-        d vx/dx - (1 - r) Mh d2 G/dx2."""
+        d vx/dx - (1 - r) Mh d2 G/dx2; for equal specific densities that is
+        max |d vx/dx|."""
         core = self._spectral_core(self.state_array(fields), grid)
         r1, Mh = self._constraint
         res = np.fft.irfft(grid.ik * core.uh[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
@@ -672,70 +664,6 @@ class QuasiIncompressible(PhaseFieldModel):
         dmu1 = np.fft.irfft(grid.ik * core.Gh, n=grid.n) / self.rho_hat_1
         visc = (2.0 * core.eta + core.nu) * core.d[1] ** 2 + core.eta * core.d[2] ** 2
         return -grid.integrate(visc + self.M11 * dmu1 ** 2)
-
-
-@dataclass(frozen=True, eq=False)
-class Incompressible(PhaseFieldModel):
-    """Equal specific densities: solenoidal velocity, phase transport is a
-    conserved gradient flow.  Fields: phi, vx, vy with vx spatially uniform
-    (enforced at initialization; in 1D it stays uniform)."""
-
-    free_energy: BulkFreeEnergy
-    kappa_phi_phi: float
-    M11: float
-    inv_Re_s: float
-    inv_Re_v: float
-    rho_hat: float
-    viscosity_rule: Optional[ViscosityRule] = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.rho_hat <= 0:
-            raise RangeError("rho_hat must be positive")
-
-    @property
-    def rho_hat_1(self):
-        return self.rho_hat
-
-    @property
-    def rho_hat_2(self):
-        return self.rho_hat
-
-    def density(self, phi):
-        return self.rho_hat * np.ones_like(phi)
-
-    def solve_pressure(self, fields, grid):
-        phi = self.state_array(fields)[0]
-        mu = self.mu_phi(phi, grid.dx2(phi))
-        # the mean-free antiderivative of the x-momentum balance
-        Pi = np.fft.irfft(np.fft.rfft(-phi * grid.dx1(mu)) * grid.inv_ik, n=grid.n)
-        return Pi, mu
-
-    def _rhs(self, u, grid, return_aux):
-        phi, vx, vy = u
-        vo = self._viscous_order
-        d = grid.derivatives(np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
-        mu = self.mu_phi(phi, d[0])
-        eta, nu = self._viscosity_fields(phi)
-        _, fy = _viscous_terms(grid, d[3:], eta, nu)
-        out = np.empty_like(u)
-        out[0] = -d[1] + self.M11 / self.rho_hat**2 * grid.dx2(mu)
-        # x-momentum balances against the pressure gradient: vx stays uniform
-        out[1] = 0.0
-        out[2] = (-self.rho_hat * vx * d[2] + fy) / self.rho_hat
-        if not return_aux:
-            return out, None
-        Pi, _ = self.solve_pressure(u, grid)
-        return out, {"Pi": Pi, "mu_phi": mu}
-
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        phi, vx, vy = self.state_array(fields)
-        d = grid.derivatives(np.stack([phi, vx, vy]), (2, 1, 1))
-        mu = self.mu_phi(phi, d[0])
-        eta, nu = self._viscosity_fields(phi)
-        visc = (2.0 * eta + nu) * d[1] ** 2 + eta * d[2] ** 2
-        mob = self.M11 / self.rho_hat**2 * grid.dx1(mu) ** 2
-        return -grid.integrate(visc + mob)
 
 
 # ---------------------------------------------------------------------------

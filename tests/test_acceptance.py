@@ -61,7 +61,8 @@ def test_criterion_1_viscous_mode_exactness():
         (models.QuasiIncompressible(qphi, 1e-2, 0.2, 0.3, 0.1,
                                     rho_hat_1=2.0, rho_hat_2=1.0),
          models.MixtureState.fraction(0.4)),
-        (models.Incompressible(qphi, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5),
+        (models.QuasiIncompressible(qphi, 1e-2, 0.2, 0.3, 0.1,
+                                    rho_hat_1=1.5, rho_hat_2=1.5),
          models.MixtureState.fraction(0.4)),
     ]
     worst = 0.0

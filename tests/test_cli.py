@@ -116,9 +116,20 @@ points = 11
         assert "incompressible" in capsys.readouterr().err
 
     def test_near_equal_rho_hats_guided_exit_2(self, tmp_path, capsys):
-        # inside EQUAL_DENSITY_RTOL the quasi class is refused with
-        # a pointer to the incompressible class, which accepts the same pair
-        text = open(config_path("quasi_spinodal.ini")).read()
+        # inside EQUAL_DENSITY_RTOL the quasi class is refused, by every
+        # command, with a pointer to the incompressible class, which accepts
+        # the same pair
+        text = open(config_path("quasi_spinodal.ini")).read() + """
+[simulate]
+length = 6.283185307179586
+n = 32
+dt = 0.0005
+t_end = 0.01
+diagnostics_every = 1
+seed_eigenvector = true
+perturb_mode = 2
+perturb_amplitude = 1e-6
+"""
         for gap in 10.0 ** -np.arange(6.0, 13.0):
             quasi = text.replace("rho_hat_1 = 2.0", f"rho_hat_1 = {float(1.0 - gap)!r}")
             path = write(tmp_path, "near.ini", quasi)
@@ -130,9 +141,28 @@ points = 11
                 continue
             assert code == cli.EXIT_CONFIG
             assert "set class = incompressible" in err
+            assert cli.main(["simulate", "--config", path, "--out", out]) \
+                == cli.EXIT_CONFIG
+            assert "set class = incompressible" in capsys.readouterr().err
             path = write(tmp_path, "near.ini", quasi.replace(
                 "class = quasi_incompressible", "class = incompressible"))
-            assert cli.main(["sweep", "--config", path, "--out", out]) == cli.EXIT_OK
+            for command in ("sweep", "simulate"):
+                assert cli.main([command, "--config", path, "--out", out]) \
+                    == cli.EXIT_OK
+
+    @pytest.mark.parametrize("line, bad, key", [
+        ("track = rho1:6", "track = rho1", "track"),
+        ("track = rho1:6", "track = rho1:six", "track"),
+        ("eigen_track = alpha1", "eigen_track = alpha9", "eigen_track"),
+    ], ids=["track_without_mode", "track_mode_not_int", "unknown_eigen_track"])
+    def test_bad_simulate_keys_exit_2(self, tmp_path, capsys, line, bad, key):
+        text = open(config_path("simulate_relaxation.ini")).read()
+        assert line in text
+        path = write(tmp_path, "bad.ini", text.replace(line, bad))
+        code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"[simulate] {key}:" in err and "Traceback" not in err
 
     def test_blowup_exit_4(self, tmp_path):
         text = MINI_SWEEP.replace("c11 = -0.5", "c11 = -3.0") \
@@ -221,7 +251,7 @@ def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
 
     calls, eigs = Counter(), [0]
     for cls in (models.CompressibleGlobal, models.CompressibleLocal,
-                models.PhaseFieldModel):
+                models.QuasiIncompressible):
         def counting_linearization(self, state, linearize=cls.linearization):
             calls[type(self).__name__] += 1
             return linearize(self, state)

@@ -80,8 +80,9 @@ class TestGrowthRates:
                  # equal specific densities: the coupled mode drops out
                  (make_quasi(rho_hat_1=1.5, rho_hat_2=1.5), ST_PHI, 2)]
         qi = fe.Quadratic([[1.0]], variables=("phi",))
-        cases.append((models.Incompressible(qi, 1e-2, 0.2, 0.3, 0.1,
-                                            rho_hat=1.5), ST_PHI, 2))
+        cases.append((models.QuasiIncompressible(qi, 1e-2, 0.2, 0.3, 0.1,
+                                                 rho_hat_1=1.5, rho_hat_2=1.5),
+                      ST_PHI, 2))
         for model, st, n in cases:
             assert disp.growth_rates(model.linearization(st), 1.0).alphas.size == n
 
@@ -247,8 +248,9 @@ class TestQuasiRoots:
 
     def test_incompressible_roots(self):
         q = fe.Quadratic([[-1.0]], variables=("phi",))
-        m = models.Incompressible(q, kappa_phi_phi=1.0, M11=1.0,
-                                  inv_Re_s=0.3, inv_Re_v=0.1, rho_hat=1.0)
+        m = models.QuasiIncompressible(q, kappa_phi_phi=1.0, M11=1.0,
+                                       inv_Re_s=0.3, inv_Re_v=0.1,
+                                       rho_hat_1=1.0, rho_hat_2=1.0)
         lin = m.linearization(ST_PHI)
         a0, a1 = disp.incompressible_roots(lin, 0.0)
         assert a0 == 0.0 and a1 == 0.0
@@ -377,7 +379,8 @@ def worst_root_gap(got, want):
 
 def make_incompressible():
     q = fe.Quadratic([[-1.0]], variables=("phi",))
-    return models.Incompressible(q, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5)
+    return models.QuasiIncompressible(q, 1e-2, 0.2, 0.3, 0.1,
+                                      rho_hat_1=1.5, rho_hat_2=1.5)
 
 
 class TestBatchedEngine:
@@ -514,7 +517,8 @@ class TestTrackingGap:
         # alpha1 = -Mh (h'' k^2 + kappa k^4) crosses alpha0 = -k^2 / (Re_s rho0)
         # at |alpha| = 2e5
         q = fe.Quadratic([[-1.0]], variables=("phi",))
-        m = models.Incompressible(q, 1e-5, 1.0, 1.0, 1.0, rho_hat=1.0)
+        m = models.QuasiIncompressible(q, 1e-5, 1.0, 1.0, 1.0,
+                                       rho_hat_1=1.0, rho_hat_2=1.0)
         st = models.MixtureState.fraction(0.5)
         lin = m.linearization(st)
         k_x = np.sqrt((lin.inv_Re_s / lin.rho0 - lin.Mh * lin.h_phi_phi)

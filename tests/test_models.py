@@ -89,7 +89,8 @@ class TestIdentity:
 
     def test_hash_and_set_membership(self):
         q = fe.Quadratic([[1.0]], variables=("phi",))
-        incompressible = models.Incompressible(q, 1e-2, 0.2, 0.3, 0.1, rho_hat=1.5)
+        incompressible = models.QuasiIncompressible(q, 1e-2, 0.2, 0.3, 0.1,
+                                                    rho_hat_1=1.5, rho_hat_2=1.5)
         local = make_local()
         st_global = models.MixtureState.binary(1.0, 2.0)
         st_local = models.MixtureState.total_partial(3.0, 1.0)
@@ -254,12 +255,13 @@ class TestEnergy:
                                   + (aux["mu_phi"] + 0.5 * drho * v2) * rhs["phi"])
         else:
             q = fe.Quadratic([[1.5]], variables=("phi",))
-            m = models.Incompressible(q, kappa_phi_phi=1e-3, M11=0.2,
-                                      inv_Re_s=0.3, inv_Re_v=0.1, rho_hat=1.3)
+            m = models.QuasiIncompressible(q, kappa_phi_phi=1e-3, M11=0.2,
+                                           inv_Re_s=0.3, inv_Re_v=0.1,
+                                           rho_hat_1=1.3, rho_hat_2=1.3)
             flds = {"phi": 0.4 + 0.05 * np.cos(grid.x),
                     "vx": np.zeros(grid.n), "vy": 0.02 * np.cos(grid.x)}
             rhs, aux = m.rhs_1d(flds, grid, return_aux=True)
-            rho = m.rho_hat
+            rho = m.rho_hat_1
             dEdt = grid.integrate(rho * flds["vy"] * rhs["vy"]
                                   + aux["mu_phi"] * rhs["phi"])
         dis = m.energy_dissipation_rate(flds, grid)
@@ -328,7 +330,8 @@ class TestQuasi:
         q = fe.Quadratic([[1.5]], g=[-0.6], variables=("phi",))
         mq = models.QuasiIncompressible(q, 1e-3, 0.2, 0.3, 0.1,
                                         rho_hat_1=1.0, rho_hat_2=1.0)
-        mi = models.Incompressible(q, 1e-3, 0.2, 0.3, 0.1, rho_hat=1.0)
+        mi = models.QuasiIncompressible(q, 1e-3, 0.2, 0.3, 0.1,
+                                        rho_hat_1=1.0, rho_hat_2=1.0)
         flds = {"phi": 0.4 + 0.05 * np.cos(grid.x) + 0.02 * np.sin(2 * grid.x),
                 "vx": np.zeros(grid.n), "vy": 0.03 * np.cos(grid.x)}
         r1 = mq.rhs_1d(flds, grid)
@@ -345,18 +348,9 @@ class TestQuasi:
         assert abs(dmass) < 1e-13
 
 
-def physical_quasi_route(m, u, grid):
-    """Reference for the quasi-incompressible spectral core: the
-    physical-space route, in which every derivative is a transform pair of
-    a physical field and the pressure an explicit rfft Poisson solve.
-
-    Returns the hydrostatic field, the right-hand side and the dissipation
-    rate.
-    """
-    phi, vx, vy = u
-    r = m.rho_hat_1 / m.rho_hat_2
-    Mh = m.M11 / m.rho_hat_1**2
-    k = grid.wavenumbers
+def viscous_route(m, phi, grid):
+    """The velocities' derivative order, the viscosities and the viscous
+    forces (fx, fy) from the velocities differentiated to that order."""
     if m.viscosity_rule is None:
         vo, eta, nu = 2, m.inv_Re_s, m.inv_Re_v
     else:
@@ -369,23 +363,28 @@ def physical_quasi_route(m, u, grid):
         return tuple(grid.derivatives(np.stack([(2.0 * eta + nu) * dv[0],
                                                 eta * dv[1]]), (1, 1)))
 
-    if abs(1.0 - r) <= EQUAL_DENSITY_RTOL:
-        # incompressible gauge: Pi is the mean-free antiderivative of the
-        # x-momentum balance without the pressure
-        d = grid.derivatives(np.stack([phi, vx, vx, vy]), (2, 1, vo, vo))
-        mu = m.mu_phi(phi, d[0])
-        fx, _ = viscous(d[2:])
-        force = -m.density(phi) * vx * d[1] + fx - phi * grid.dx1(mu)
-        fh = np.fft.rfft(force)
-        Pih = np.zeros_like(fh)
-        Pih[1:] = fh[1:] / (1j * k[1:])
-    else:
-        d = grid.derivatives(np.stack([phi, vx]), (2, 1))
-        mu = m.mu_phi(phi, d[0])
-        source = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
-        sh = np.fft.rfft(source)
-        Pih = np.zeros_like(sh)
-        Pih[1:] = -sh[1:] / k[1:] ** 2
+    return vo, eta, nu, viscous
+
+
+def physical_quasi_route(m, u, grid):
+    """Reference for the quasi-incompressible spectral core: the
+    physical-space route, in which every derivative is a transform pair of
+    a physical field and the pressure an explicit rfft Poisson solve.
+
+    Returns the hydrostatic field, the right-hand side and the dissipation
+    rate.
+    """
+    phi, vx, vy = u
+    r = m.rho_hat_1 / m.rho_hat_2
+    Mh = m.M11 / m.rho_hat_1**2
+    k = grid.wavenumbers
+    vo, eta, nu, viscous = viscous_route(m, phi, grid)
+    d = grid.derivatives(np.stack([phi, vx]), (2, 1))
+    mu = m.mu_phi(phi, d[0])
+    source = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
+    sh = np.fft.rfft(source)
+    Pih = np.zeros_like(sh)
+    Pih[1:] = -sh[1:] / k[1:] ** 2
     Pi = np.fft.irfft(Pih, n=grid.n)
     G = mu + (1.0 - r) * Pi
     rho = m.density(phi)
@@ -401,10 +400,38 @@ def physical_quasi_route(m, u, grid):
     return Pi, rhs, dis
 
 
+def incompressible_route(m, u, grid):
+    """Reference for the equal-density case: the formulas of the former
+    separate incompressible class, with the x-momentum balanced by the
+    pressure (vx row 0), the phase row a conserved gradient flow of mu_phi
+    and the pressure the mean-free antiderivative of -phi d mu_phi/dx.  Its
+    constant density rho_hat is m.density(phi) here, which is rho_hat at
+    r = 1, and its mobility M11 / rho_hat^2 is M11 / rho_hat_1^2.
+
+    Returns the hydrostatic field, mu_phi, the right-hand side and the
+    dissipation rate.
+    """
+    phi, vx, vy = u
+    Mh = m.M11 / m.rho_hat_1**2
+    rho = m.density(phi)
+    vo, eta, nu, viscous = viscous_route(m, phi, grid)
+    d = grid.derivatives(np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
+    mu = m.mu_phi(phi, d[0])
+    _, fy = viscous(d[3:])
+    rhs = np.stack([-d[1] + Mh * grid.dx2(mu), np.zeros(grid.n),
+                    (-rho * vx * d[2] + fy) / rho])
+    Pi = np.fft.irfft(np.fft.rfft(-phi * grid.dx1(mu)) * grid.inv_ik, n=grid.n)
+    d = grid.derivatives(np.stack([vx, vy]), (1, 1))
+    dis = -grid.integrate((2.0 * eta + nu) * d[0] ** 2 + eta * d[1] ** 2
+                          + Mh * grid.dx1(mu) ** 2)
+    return Pi, mu, rhs, dis
+
+
 class TestQuasiSpectralCore:
     """The Fourier-space pressure and right-hand side against the
-    physical-space route, outside and inside the equal-density window, with
-    constant viscosities and with a viscosity rule."""
+    physical-space route and, for equal specific densities, against the
+    incompressible formulas, with constant viscosities and with a
+    viscosity rule."""
 
     RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
                             eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
@@ -416,26 +443,28 @@ class TestQuasiSpectralCore:
         vy = smooth_field(grid, 0.02, 53, amp=1.0, modes=12)
         return np.stack([phi, vx, vy])
 
-    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
-    @pytest.mark.parametrize("rho_hat_1", [2.0, 1.0 + 0.5 * EQUAL_DENSITY_RTOL],
-                             ids=["r=2", "window"])
-    def test_matches_physical_route(self, rho_hat_1, rule):
-        grid = PeriodicGrid1D(2 * np.pi, 64)
+    def model(self, rho_hat_1, rule):
         q = fe.Quadratic([[1.5]], g=[-1.5 * 0.4], variables=("phi",))
-        m = models.QuasiIncompressible(
+        return models.QuasiIncompressible(
             q, kappa_phi_phi=1e-3, M11=0.2, inv_Re_s=0.3, inv_Re_v=0.1,
             rho_hat_1=rho_hat_1, rho_hat_2=1.0,
             viscosity_rule=self.RULE if rule else None)
+
+    @staticmethod
+    def rel(a, b):
+        return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
+    @pytest.mark.parametrize("rho_hat_1", [2.0], ids=["r=2"])
+    def test_matches_physical_route(self, rho_hat_1, rule):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        m = self.model(rho_hat_1, rule)
         u = self.state(grid)
         Pi_ref, rhs_ref, dis_ref = physical_quasi_route(m, u, grid)
-
-        def rel(a, b):
-            return np.max(np.abs(a - b)) / np.max(np.abs(b))
+        rel = self.rel
 
         Pi, mu = m.solve_pressure(u, grid)
         assert rel(Pi, Pi_ref) <= 1e-12
-        # relative to the whole right-hand side: inside the window the vx
-        # row is a round-off remainder of cancelling terms
         rhs, aux = m.rhs_1d(u, grid, return_aux=True)
         assert rel(rhs, rhs_ref) <= 1e-12
         assert rel(aux["Pi"], Pi_ref) <= 1e-12
@@ -445,6 +474,34 @@ class TestQuasiSpectralCore:
         uh, rh = m.rhs_1d(u, grid, spectral=True)
         assert np.array_equal(uh, np.fft.rfft(u, axis=-1))
         assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
+
+    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
+    @pytest.mark.parametrize("rho_hat_1", [1.0, 1.0 - 0.5 * EQUAL_DENSITY_RTOL],
+                             ids=["r=1", "window"])
+    def test_equal_densities_match_incompressible_route(self, rho_hat_1, rule):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        m = self.model(rho_hat_1, rule)
+        u = self.state(grid)
+        Pi_ref, mu_ref, rhs_ref, dis_ref = incompressible_route(m, u, grid)
+        rel = self.rel
+
+        Pi, mu = m.solve_pressure(u, grid)
+        assert rel(Pi, Pi_ref) <= 1e-12
+        assert rel(mu, mu_ref) <= 1e-12
+        rhs, aux = m.rhs_1d(u, grid, return_aux=True)
+        assert rel(rhs, rhs_ref) <= 1e-12
+        assert np.all(rhs[1] == 0.0)
+        assert rel(aux["Pi"], Pi_ref) <= 1e-12
+        assert np.array_equal(aux["mu_phi"], mu)
+        assert rel(aux["G"], mu) <= 1e-12
+        assert rel(m.energy_dissipation_rate(u, grid), dis_ref) <= 1e-12
+        uh, rh = m.rhs_1d(u, grid, spectral=True)
+        assert np.array_equal(uh, np.fft.rfft(u, axis=-1))
+        assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
+        # the incompressible constraint: div v itself, not the
+        # quasi-incompressible remainder
+        div = np.max(np.abs(grid.dx1(u[1])))
+        assert m.divergence_residual(u, grid) == pytest.approx(div, rel=1e-12)
 
     def test_non_finite_pressure_raises(self):
         grid = PeriodicGrid1D(2 * np.pi, 32)

@@ -317,9 +317,9 @@ def smoke_cases():
         "quasi": (models.QuasiIncompressible(
             q_phi, kappa_phi_phi=1e-2, M11=0.2, inv_Re_s=0.5, inv_Re_v=0.5,
             rho_hat_1=2.0, rho_hat_2=1.0), models.MixtureState.fraction(0.4)),
-        "incompressible": (models.Incompressible(
+        "incompressible": (models.QuasiIncompressible(
             q_phi, kappa_phi_phi=1e-2, M11=0.2, inv_Re_s=0.5, inv_Re_v=0.5,
-            rho_hat=1.5), models.MixtureState.fraction(0.4)),
+            rho_hat_1=1.5, rho_hat_2=1.5), models.MixtureState.fraction(0.4)),
     }
 
 
