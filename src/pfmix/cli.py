@@ -16,7 +16,7 @@ import tempfile
 import numpy as np
 
 from . import dispersion, free_energy, models, simulator
-from .config import RunConfig, build_all, load_config
+from .config import RunConfig, build_all, build_kappa, load_config
 from .errors import (
     BlowupError,
     ConfigError,
@@ -309,17 +309,14 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
             ok, detail = False, str(exc)
         checks.append((name, ok, detail))
 
-    def build():
-        return build_all(cfg)
-
     def kappa_psd():
-        build()
+        build_kappa(cfg, cfg.sections["model"]["class"])
         return True, "gradient coefficients accepted (PSD)"
 
     check("kappa_psd", kappa_psd)
     model = state = None
     try:
-        model, state = build()
+        model, state = build_all(cfg)
     except PfmixError as exc:
         checks.append(("model_build", False, str(exc)))
     if model is not None:

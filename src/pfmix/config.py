@@ -91,8 +91,8 @@ _SCHEMAS = {
     },
 }
 
-_MODEL_CLASSES = ("compressible_global", "compressible_local",
-                  "quasi_incompressible", "incompressible")
+_PHASE_FIELD_CLASSES = ("quasi_incompressible", "incompressible")
+_MODEL_CLASSES = ("compressible_global", "compressible_local") + _PHASE_FIELD_CLASSES
 _FE_KINDS = ("quadratic", "flory_huggins", "peng_robinson")
 
 
@@ -212,27 +212,24 @@ def _build_species(cfg: RunConfig, idx: int) -> fe.PRSpecies:
 
 
 def build_free_energy(cfg: RunConfig, model_class: str):
-    """(bulk energy in the class's natural variables, kappa, extras)."""
+    """(bulk energy in the class's natural variables, kappa)."""
     sec = cfg.sections["free_energy"]
     kind = sec["kind"]
     if kind not in _FE_KINDS:
         raise ConfigError(f"{cfg.source}: unknown free energy kind {kind!r}")
-    phase_field = model_class in ("quasi_incompressible", "incompressible")
+    phase_field = model_class in _PHASE_FIELD_CLASSES
+    if phase_field and kind not in ("quadratic", "peng_robinson"):
+        raise ConfigError(
+            f"{cfg.source}: {kind} is not supported for phase-field classes")
+    kappa = build_kappa(cfg, model_class)
     if phase_field:
         if kind == "quadratic":
             (hpp,) = _need(cfg, "free_energy", ["h_phi_phi"])
             bulk = fe.Quadratic([[hpp]], g=[sec["g_phi"]], variables=("phi",))
-        elif kind == "peng_robinson":
-            bulk = _pr_from_config(cfg)
-            rho_hat_1, rho_hat_2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
-            ktilde = _kappa_local(cfg)
-            kphi, bulk = fe.reduce_quasi_incompressible(
-                ktilde, fe.TildeFreeEnergy(bulk), rho_hat_1, rho_hat_2)
-            return bulk, kphi
-        else:
-            raise ConfigError(
-                f"{cfg.source}: {kind} is not supported for phase-field classes")
-        (kphi,) = _need(cfg, "free_energy", ["kappa_phi_phi"])
+            return bulk, float(kappa.kappa[0, 0])
+        rho_hat_1, rho_hat_2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
+        kphi, bulk = fe.reduce_quasi_incompressible(
+            kappa, fe.TildeFreeEnergy(_pr_from_config(cfg)), rho_hat_1, rho_hat_2)
         return bulk, kphi
 
     if kind == "quadratic":
@@ -245,17 +242,30 @@ def build_free_energy(cfg: RunConfig, model_class: str):
     else:
         bulk = _pr_from_config(cfg)
     if model_class == "compressible_local":
-        kappa = _kappa_local(cfg)
         if kind != "quadratic":
             bulk = fe.TildeFreeEnergy(bulk)
         else:
             # quadratic coefficients are read in (rho1, rho) variables directly
             bulk = fe.Quadratic(bulk.C, bulk.g, variables=("rho1", "rho"))
-    else:
-        k11, k12_, k22 = _need(cfg, "free_energy", [
-            "kappa_rho1_rho1", "kappa_rho1_rho2", "kappa_rho2_rho2"])
-        kappa = fe.GradientCoefficients(np.array([[k11, k12_], [k12_, k22]]))
     return bulk, kappa
+
+
+def build_kappa(cfg: RunConfig, model_class: str) -> fe.GradientCoefficients:
+    """The configured gradient coefficients, checked PSD on construction:
+    [[kappa_phi_phi]] for a quadratic phase-field energy, the (rho1, rho2)
+    matrix for compressible_global, else the (rho1, rho) one."""
+    if model_class in _PHASE_FIELD_CLASSES \
+            and cfg.sections["free_energy"]["kind"] == "quadratic":
+        return fe.GradientCoefficients(
+            np.array([_need(cfg, "free_energy", ["kappa_phi_phi"])]))
+    if model_class == "compressible_global":
+        k11, k12, k22 = _need(cfg, "free_energy", [
+            "kappa_rho1_rho1", "kappa_rho1_rho2", "kappa_rho2_rho2"])
+        return fe.GradientCoefficients(np.array([[k11, k12], [k12, k22]]))
+    k11, kr1, krr = _need(cfg, "free_energy", [
+        "kappa_rho1_rho1", "kappa_rho_rho1", "kappa_rho_rho"])
+    # stored in (rho1, rho) order to match the tilde free energy
+    return fe.GradientCoefficients(np.array([[k11, kr1], [kr1, krr]]))
 
 
 def _pr_from_config(cfg: RunConfig) -> fe.PengRobinson:
@@ -265,13 +275,6 @@ def _pr_from_config(cfg: RunConfig) -> fe.PengRobinson:
         _build_species(cfg, 1), _build_species(cfg, 2), temperature=T,
         gas_constant=sec["r"], k12=sec["k12"],
         thermal_wavelength=sec["lambda_thermal"])
-
-
-def _kappa_local(cfg: RunConfig) -> fe.GradientCoefficients:
-    k11, kr1, krr = _need(cfg, "free_energy", [
-        "kappa_rho1_rho1", "kappa_rho_rho1", "kappa_rho_rho"])
-    # stored in (rho1, rho) order to match the tilde free energy
-    return fe.GradientCoefficients(np.array([[k11, kr1], [kr1, krr]]))
 
 
 def build_model(cfg: RunConfig):

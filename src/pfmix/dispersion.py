@@ -18,6 +18,7 @@ The one exception is :func:`scalar_dispersion_coefficients`, which keeps
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,7 +31,7 @@ from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
     SingularExpansion,
 )
 from .free_energy import Definiteness, HessianReport
-from .linearization import DEGENERATE_TOL
+from .linearization import DEGENERATE_TOL, adjugate_form
 from .models import MixtureState
 
 EIG_RESIDUAL_TOL = 1e-8
@@ -235,8 +236,7 @@ def classify_stability(hessian: HessianReport, p, M) -> StabilityReport:
     scale = max(np.linalg.norm(M), 1e-300)
     if np.min(eigs) < -1e-12 * scale or np.max(eigs) <= 1e-12 * scale:
         raise RangeError("mobility must be PSD with a positive eigenvalue")
-    g1 = float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-               - 2.0 * M[0, 1] * p[0] * p[1])
+    g1 = adjugate_form(M, p)
     C = hessian.matrix
     scaleC = max(np.linalg.norm(C), 1e-300)
     pCp = hessian.quadratic_form_p
@@ -290,14 +290,19 @@ class DispersionResult:
     ambiguous: tuple
 
 
-def _match(previous: np.ndarray, current: np.ndarray):
-    # imported here: root tracking is the package's only use of scipy, and
-    # importing scipy.optimize dominates the start-up of every command
-    from scipy.optimize import linear_sum_assignment
+# every permutation of n = 1..4 roots in lexicographic order, with the
+# positions of its entries in a flattened n x n cost matrix
+_PERMUTATIONS = {n: (p, p + n * np.arange(n)) for n in range(1, 5)
+                 for p in [np.array(list(itertools.permutations(range(n))))]}
 
-    cost = np.abs(previous[:, None] - current[None, :])
-    _, cols = linear_sum_assignment(cost)
-    return cols
+
+def _match(cost: np.ndarray) -> np.ndarray:
+    """Columns s minimizing sum_j cost[j, s[j]] for a square cost matrix: an
+    exact search over all n! <= 24 permutations, each sum taken in row
+    order.  Among equal sums the first permutation in lexicographic order
+    wins."""
+    perms, flat = _PERMUTATIONS[cost.shape[0]]
+    return perms[cost.take(flat).sum(axis=1).argmin()]
 
 
 def sweep(lin, k_grid) -> DispersionResult:
@@ -313,10 +318,12 @@ def sweep(lin, k_grid) -> DispersionResult:
     labels = tuple(m.label for m in small.modes)
     names = tuple(m.name for m in small.modes)
 
+    # steps[i, j, m]: distance from root j at k[i] to root m at k[i + 1]
+    steps = np.abs(alphas[:-1, :, None] - alphas[1:, None, :])
     cols = np.empty(alphas.shape, dtype=int)
-    cols[0] = _match(predicted, alphas[0])
+    cols[0] = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
     for i in range(1, k_grid.size):
-        cols[i] = _match(alphas[i - 1, cols[i - 1]], alphas[i])
+        cols[i] = _match(steps[i - 1, cols[i - 1]])
     roots = np.take_along_axis(alphas, cols, axis=1)
     vectors = np.take_along_axis(vecs, cols[:, None, :], axis=2).transpose(0, 2, 1)
     residuals = np.take_along_axis(res, cols, axis=1)

@@ -1,7 +1,8 @@
-"""Linearizations of the four binary model classes about a constant state.
+"""Linearizations of the binary model classes about a constant state.
 
-``model.linearization(state)`` returns one of the objects below.  Each owns
-everything specific to its class: the 4x4 dispersion pencil, the reduced
+``model.linearization(state)`` returns one of the two objects below: one
+for both compressible classes, one for the phase-field model.  Each owns
+everything specific to its classes: the 4x4 dispersion pencil, the reduced
 scalar dispersion polynomial, the long- and short-wave expansions, the
 explicit-step stiffness, the Fourier symbols of the stiff linear terms and
 the names of the pencil variables.  Pencil variable orders:
@@ -189,15 +190,24 @@ def _real_pencil(A: np.ndarray) -> np.ndarray:
     return (A * _VX_BY_I / _VX_BY_I[:, None]).real
 
 
+def adjugate_form(M: np.ndarray, p: np.ndarray) -> float:
+    """p.adj(M).p of a symmetric 2x2 M."""
+    return float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
+                 - 2.0 * M[0, 1] * p[0] * p[1])
+
+
 # ---------------------------------------------------------------------------
 # Compressible classes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class BinaryLinearization(_Pencil):
-    """C, K, p and the 2x2 mobility of a compressible binary class, all in
-    the variable order of its pencil."""
+class CompressibleLinearization(_Pencil):
+    """Both compressible classes.  C, K, p and the 2x2 mobility are in the
+    order of the pencil's densities, the first two ``vector_fields``: the
+    globally-conserving class has (rho1, rho2) and its mobility; the
+    locally-conserving one has (rho, rho1) and diag(0, M11), the rank-one
+    mobility by which only rho1 diffuses."""
 
     C: np.ndarray
     K: np.ndarray
@@ -206,13 +216,16 @@ class BinaryLinearization(_Pencil):
     inv_Re_s: float
     inv_Re: float
     mobility: np.ndarray
-
-    def D(self, k: float) -> np.ndarray:
-        return self.C + k * k * self.K
+    vector_fields: tuple
 
     @property
     def B(self) -> np.ndarray:
         return np.diag([1.0, 1.0, self.rho0, self.rho0])
+
+    @property
+    def g1(self) -> float:
+        """p.adj(M).p, the weight of the long-wave thermodynamic mode."""
+        return adjugate_form(self.mobility, self.p)
 
     def pencil_matrices(self, k) -> np.ndarray:
         """A(k) for every k of a 1-D array, shape (k.size, 4, 4): the
@@ -223,7 +236,9 @@ class BinaryLinearization(_Pencil):
         D = self.C + (k * k)[:, None, None] * self.K
         p = self.p
         A = np.zeros((k.size, 4, 4), dtype=complex)
-        self._diffusion_rows(A, k, D)
+        # mu_l's perturbation is taken from column l of the Hessian (D^T),
+        # which equals its row up to rounding
+        A[:, :2, :2] = ((k * k)[:, None, None] * self.mobility) @ D.transpose(0, 2, 1)
         A[:, 0, 2] = 1j * p[0] * k
         A[:, 1, 2] = 1j * p[1] * k
         A[:, 2, 0] = 1j * k * (p[0] * D[:, 0, 0] + p[1] * D[:, 0, 1])
@@ -249,44 +264,8 @@ class BinaryLinearization(_Pencil):
         d = float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0] - 2.0 * C[0, 1] * K[0, 1])
         return pCp, pKp, detC, detK, d
 
-    def _small_k_modes(self, x1, y1, xc, y23, aux) -> AsymptoticCoefficients:
-        """alpha1 ~ x1 k^2 + y1 k^4 and the coupled pair +-xc k + y23 k^2."""
-        modes = (
-            _viscous_mode(self.inv_Re_s, self.rho0),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
-        )
-        return AsymptoticCoefficients(regime="small_k", modes=modes, auxiliaries=aux)
-
-    def explicit_stiffness(self, kmax: float):
-        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
-        cutoff from mobility stiffness and acoustics (positive ones only)."""
-        kap = float(np.max(np.abs(self.K)))
-        mob = float(np.max(np.abs(self.mobility)))
-        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(self.C))) * kmax**2)
-        pCp = float(self.p @ self.C @ self.p)
-        return ([stiff] if stiff > 0 else [],
-                [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
-
-
-@dataclass(frozen=True, eq=False)
-class GlobalLinearization(BinaryLinearization):
-    """Globally-conserving class; variables (rho1, rho2)."""
-
-    vector_fields = ("rho1", "rho2", "vx", "vy")
-
-    @property
-    def g1(self) -> float:
-        M, p = self.mobility, self.p
-        return float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-                     - 2.0 * M[0, 1] * p[0] * p[1])
-
-    def _diffusion_rows(self, A, k, D):
-        A[:, :2, :2] = (k * k)[:, None, None] * (self.mobility @ D)
-
     def reduced_polynomial(self, k: float) -> np.ndarray:
-        D = self.D(k)
+        D = self.C + k * k * self.K
         M, p, r0, iRe = self.mobility, self.p, self.rho0, self.inv_Re
         MD = float(np.tensordot(M, D))
         detM = float(np.linalg.det(M))
@@ -300,6 +279,7 @@ class GlobalLinearization(BinaryLinearization):
         ])
 
     def small_k(self) -> AsymptoticCoefficients:
+        """alpha1 ~ x1 k^2 + y1 k^4 and the coupled pair +-xc k + y23 k^2."""
         C, M, p, r0, iRe = self.C, self.mobility, self.p, self.rho0, self.inv_Re
         pCp, pKp, detC, detK, d = self.invariants()
         _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p",
@@ -307,149 +287,119 @@ class GlobalLinearization(BinaryLinearization):
         g1 = self.g1
         detM = float(np.linalg.det(M))
         MC = float(np.tensordot(M, C))
+        r0MC = float(np.tensordot(r0 * M, C))
         x1 = -g1 * detC / pCp
-        y1 = (-(iRe * detM * detC + d * g1) / pCp
-              - (r0 * x1**3 + x1**2 * (iRe + r0 * MC)
-                 + x1 * (r0 * detM * detC + iRe * MC + pKp)) / pCp)
+        y1 = (-(x1**3 * r0 + x1**2 * (r0MC + iRe)
+                + x1 * (pKp + MC * iRe + r0 * detM * detC)) / pCp
+              - (g1 * d + iRe * detM * detC) / pCp)
+        # (pC).M.(pC), the mobility's weight on the pressure's gradient
+        q0 = p[0] * C[0, 0] + p[1] * C[1, 0]
+        q1 = p[0] * C[0, 1] + p[1] * C[1, 1]
         y23 = (-iRe / (2.0 * r0)
-               - (M[0, 0] * (p[0] * C[0, 0] + p[1] * C[0, 1]) ** 2
-                  + M[1, 1] * (p[0] * C[0, 1] + p[1] * C[1, 1]) ** 2)
+               - (M[0, 0] * q0**2 + 2.0 * M[0, 1] * q0 * q1 + M[1, 1] * q1**2)
                / (2.0 * pCp))
+        xc = _csqrt(-pCp / r0)
+        modes = (
+            _viscous_mode(self.inv_Re_s, r0),
+            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1)),
+            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
+            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
+        )
         aux = {"g1": g1, "d": d, "p.C.p": pCp, "det_C": detC}
-        return self._small_k_modes(x1, y1, _csqrt(-pCp / r0), y23, aux)
+        return AsymptoticCoefficients(regime="small_k", modes=modes, auxiliaries=aux)
 
     def large_k(self) -> AsymptoticCoefficients:
         C, K, M, r0, iRe = self.C, self.K, self.mobility, self.rho0, self.inv_Re
         pCp, pKp, detC, detK, d = self.invariants()
-        g1 = self.g1
         detM = float(np.linalg.det(M))
-        MK = float(np.tensordot(M, K))
-        MC = float(np.tensordot(M, C))
-        # x^2 + (M:K) x + |M||K| = 0 for the two k^4 branches
-        disc = _csqrt(MK * MK - 4.0 * detM * detK)
-        x1 = (-MK + disc) / 2.0
-        x2 = (-MK - disc) / 2.0
-        ys = []
-        for x in (x1, x2):
-            den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
-            num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
-                    + x * (iRe * MK + r0 * detM * d))
-            if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
-                if abs(num) <= DEGENERATE_TOL * max(abs(r0), 1.0):
-                    ys.append(0.0)   # degenerate 0/0 branch (e.g. M = 0)
-                    continue
-                raise SingularExpansion("k^4 branch denominator vanishes")
-            ys.append(num / den)
-        x3 = -iRe / r0
-        if detM * detK != 0.0 and iRe > 0:
-            y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)
-                   + detM * iRe * d + g1 * detK) / (r0 * detM * detK)
-            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0), (x3, y3))
+        lam = float(np.trace(M))
+        if lam > 0 and abs(detM) <= DEGENERATE_TOL * lam * lam:
+            modes, aux = self._rank_one_large_k(lam, pKp, detK, d)
         else:
-            thermo3 = ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (x3,))
-        modes = (
-            _viscous_mode(self.inv_Re_s, r0),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2), (x1, ys[0])),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha2", (4, 2), (x2, ys[1])),
-            thermo3,
-        )
-        aux = {"g1": g1, "d": d, "M:K": MK, "det_M": detM, "det_K": detK}
-        return AsymptoticCoefficients(regime="large_k", modes=modes, auxiliaries=aux)
+            g1 = self.g1
+            MK = float(np.tensordot(M, K))
+            MC = float(np.tensordot(M, C))
+            # x^2 + (M:K) x + |M||K| = 0 for the two k^4 branches
+            disc = _csqrt(MK * MK - 4.0 * detM * detK)
+            modes = []
+            for name, x in (("alpha1", (-MK + disc) / 2.0),
+                            ("alpha2", (-MK - disc) / 2.0)):
+                den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
+                num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
+                        + x * (iRe * MK + r0 * detM * d))
+                if abs(den) > DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
+                    y = num / den
+                elif abs(num) <= DEGENERATE_TOL * max(abs(r0), 1.0):
+                    y = 0.0   # degenerate 0/0 branch (e.g. M = 0)
+                else:
+                    raise SingularExpansion("k^4 branch denominator vanishes")
+                modes.append(ModeExpansion(ModeLabel.THERMODYNAMIC, name, (4, 2),
+                                           (x, y)))
+            x3 = -iRe / r0
+            if detM * detK != 0.0 and iRe > 0:
+                y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)
+                       + detM * iRe * d + g1 * detK) / (r0 * detM * detK)
+                alpha3 = (2, 0), (x3, y3)
+            else:
+                alpha3 = (2,), (x3,)
+            modes.append(ModeExpansion(ModeLabel.COUPLED, "alpha3", *alpha3))
+            aux = {"g1": g1, "d": d, "M:K": MK, "det_M": detM, "det_K": detK}
+        return AsymptoticCoefficients(
+            regime="large_k", modes=(_viscous_mode(self.inv_Re_s, r0), *modes),
+            auxiliaries=aux)
 
-    def stiff_symbols(self, k2: np.ndarray) -> dict:
-        k4 = k2 * k2
-        C, K, Md = self.C, self.K, np.diag(self.mobility)
-        return {
-            "rho1": Md[0] * (K[0, 0] * k4 + max(C[0, 0], 0.0) * k2),
-            "rho2": Md[1] * (K[1, 1] * k4 + max(C[1, 1], 0.0) * k2),
-            "mx": self.inv_Re * k2,
-            "my": self.inv_Re_s * k2,
-        }
-
-
-@dataclass(frozen=True, eq=False)
-class LocalLinearization(BinaryLinearization):
-    """Locally-conserving class; variables (rho, rho1), mobility
-    [[M11, -M11], [-M11, M11]]."""
-
-    vector_fields = ("rho", "rho1", "vx", "vy")
-
-    @property
-    def M11(self) -> float:
-        return float(self.mobility[0, 0])
-
-    def _diffusion_rows(self, A, k, D):
-        # only rho1 diffuses, driven by mu~_1 = D[1] . (rho, rho1)
-        A[:, 1, 0] = k * k * self.M11 * D[:, 0, 1]
-        A[:, 1, 1] = k * k * self.M11 * D[:, 1, 1]
-
-    def reduced_polynomial(self, k: float) -> np.ndarray:
-        D = self.D(k)
-        p, r0, iRe, M11 = self.p, self.rho0, self.inv_Re, self.M11
-        detD = float(np.linalg.det(D))
-        pDp = float(p @ D @ p)
-        return np.array([
-            k**4 * M11 * r0**2 * detD,
-            iRe * M11 * D[1, 1] * k**4 + pDp * k**2,
-            k**2 * (iRe + r0 * M11 * D[1, 1]),
-            r0,
-        ])
-
-    def small_k(self) -> AsymptoticCoefficients:
-        C, p, r0, iRe, M11 = self.C, self.p, self.rho0, self.inv_Re, self.M11
-        pCp, pKp, detC, detK, d = self.invariants()
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p",
-                           _NO_SOUND_SPEED)
-        x0 = -M11 * r0**2 * detC / pCp
-        y1 = (-(x0**3 * r0 + x0**2 * (r0 * M11 * C[1, 1] + iRe)
-                + x0 * (pKp + C[1, 1] * M11 * iRe)) / pCp
-              - M11 * r0**2 * d / pCp)
-        y23 = (-iRe / (2.0 * r0)
-               - M11 * (p[1] * C[1, 1] + r0 * C[0, 1]) ** 2 / (2.0 * pCp))
-        aux = {"d": d, "p.C.p": pCp, "det_C": detC, "x0": x0}
-        return self._small_k_modes(x0, y1, _csqrt(-pCp / r0), y23, aux)
-
-    def large_k(self) -> AsymptoticCoefficients:
-        C, K, r0, iRe, M11 = self.C, self.K, self.rho0, self.inv_Re, self.M11
-        pCp, pKp, detC, detK, d = self.invariants()
-        k11 = K[1, 1]
-        if k11 <= 0:
-            raise SingularExpansion("short-wave expansion needs kappa_rho1_rho1 > 0")
-        disc = _csqrt(iRe * iRe - 4.0 * r0**3 * detK / k11)
+    def _rank_one_large_k(self, lam, pKp, detK, d):
+        """M = lam P with P = M / tr M: one diffusive mode -(M:K) k^4 - (M:C)
+        k^2 and a coupled pair x k^2 + y with rho0 (M:K) x^2 + (M:K) x / Re
+        + g1 det K = 0.  Written with P:K, P:C and p.adj(P).p, which are
+        exactly K[1, 1], C[1, 1] and rho^2 for local conservation's diag(0, M11)."""
+        r0, iRe, P = self.rho0, self.inv_Re, self.mobility / lam
+        PK, PC = float(np.tensordot(P, self.K)), float(np.tensordot(P, self.C))
+        G = adjugate_form(P, self.p)
+        if PK <= 0:
+            raise SingularExpansion("short-wave expansion needs M:K > 0 "
+                                    "(kappa_rho1_rho1 > 0 for local conservation)")
+        disc = _csqrt(iRe * iRe - 4.0 * r0 * G * detK / PK)
         xs = ((-iRe + disc) / (2.0 * r0), (-iRe - disc) / (2.0 * r0))
         aux = {"d": d, "det_K": detK, "x23": xs}
         if disc.imag == 0.0:
-            ys = []
+            powers, coefficients = (2, 0), []
             for x in xs:
-                den = 2.0 * x * r0 * M11 * k11 + M11 * k11 * iRe
-                _guard_denominator(abs(den), max(abs(r0 * M11 * k11), 1.0),
+                den = 2.0 * x * r0 * lam * PK + lam * PK * iRe
+                _guard_denominator(abs(den), max(abs(r0 * lam * PK), 1.0),
                                    "k^2 branch denominator")
-                ys.append(-M11 * r0**2 * d / den
-                          - (x**3 * r0 + x**2 * (r0 * M11 * C[1, 1] + iRe)
-                             + x * (M11 * C[1, 1] * iRe + pKp)) / den)
-            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2, 0),
-                                     (xs[0], ys[0])),
-                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2, 0),
-                                     (xs[1], ys[1])))
+                coefficients.append((x, -lam * G * d / den
+                                     - (x**3 * r0 + x**2 * (r0 * lam * PC + iRe)
+                                        + x * (lam * PC * iRe + pKp)) / den))
         else:
             # oscillatory pair: the subleading-correction denominator
             # 2 x rho0 + 1/Re is purely imaginary here, so the printed
             # correction is degenerate; report the leading order only
-            coupled = (ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,), (xs[0],)),
-                       ModeExpansion(ModeLabel.COUPLED, "alpha3", (2,), (xs[1],)))
+            powers, coefficients = (2,), [(x,) for x in xs]
             aux["subleading"] = "omitted: oscillatory branch denominator degenerate"
-        modes = (
-            _viscous_mode(self.inv_Re_s, r0),
+        return (
             ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2),
-                          (-M11 * k11, -M11 * C[1, 1])),
-        ) + coupled
-        return AsymptoticCoefficients(regime="large_k", modes=modes, auxiliaries=aux)
+                          (-lam * PK, -lam * PC)),
+        ) + tuple(ModeExpansion(ModeLabel.COUPLED, name, powers, c)
+                  for name, c in zip(("alpha2", "alpha3"), coefficients)), aux
+
+    def explicit_stiffness(self, kmax: float):
+        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
+        cutoff from mobility stiffness and acoustics (positive ones only)."""
+        kap = float(np.max(np.abs(self.K)))
+        mob = float(np.max(np.abs(self.mobility)))
+        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(self.C))) * kmax**2)
+        pCp = float(self.p @ self.C @ self.p)
+        return ([stiff] if stiff > 0 else [],
+                [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:
+        """Symbols keyed by field name: the two densities, then mx and my."""
         k4 = k2 * k2
+        C, K, Md = self.C, self.K, np.diag(self.mobility)
         return {
-            "rho": np.zeros_like(k2),
-            "rho1": self.M11 * (self.K[1, 1] * k4 + max(self.C[1, 1], 0.0) * k2),
+            self.vector_fields[0]: Md[0] * (K[0, 0] * k4 + max(C[0, 0], 0.0) * k2),
+            self.vector_fields[1]: Md[1] * (K[1, 1] * k4 + max(C[1, 1], 0.0) * k2),
             "mx": self.inv_Re * k2,
             "my": self.inv_Re_s * k2,
         }

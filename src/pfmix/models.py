@@ -39,8 +39,7 @@ from .free_energy import (
 )
 from .grid import PeriodicGrid1D
 from .linearization import (
-    GlobalLinearization,
-    LocalLinearization,
+    CompressibleLinearization,
     PhaseFieldLinearization,
     equal_specific_densities,
 )
@@ -274,6 +273,11 @@ class CompressibleModel(BinaryModel):
         visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
         return visc, grid.derivatives(mu, (1,) * N)
 
+    def _linearization(self, C, K, p, rho0, mobility) -> CompressibleLinearization:
+        return CompressibleLinearization(
+            C=C, K=K, p=p, rho0=rho0, inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+            mobility=mobility, vector_fields=self.field_names[:2] + ("vx", "vy"))
+
     def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
         level = dict(zip(self.energy_fields, self.state_densities(state)))
         return {name: level.get(name, 0.0) * np.ones(grid.n)
@@ -357,13 +361,10 @@ class CompressibleGlobal(CompressibleModel):
         mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
         return -grid.integrate(visc + mob)
 
-    def linearization(self, state: MixtureState) -> GlobalLinearization:
+    def linearization(self, state: MixtureState) -> CompressibleLinearization:
         p = self.state_densities(state)
-        return GlobalLinearization(
-            C=self.free_energy.hessian(p), K=self.kappa.kappa, p=p,
-            rho0=float(p.sum()), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-            mobility=self.mobility,
-        )
+        return self._linearization(self.free_energy.hessian(p), self.kappa.kappa,
+                                   p, float(p.sum()), self.mobility)
 
     def require_local_conservation(self):
         rep = mobility_check(self.mobility)
@@ -435,17 +436,13 @@ class CompressibleLocal(CompressibleModel):
         visc, dmu = self._dissipation_terms(fields, grid)
         return -grid.integrate(visc + self.M11 * dmu[0] ** 2)
 
-    def linearization(self, state: MixtureState) -> LocalLinearization:
+    def linearization(self, state: MixtureState) -> CompressibleLinearization:
         H = self.free_energy.hessian(self.state_densities(state))
-        K = self.kappa.kappa
-        # reorder (rho1, rho) -> (rho, rho1)
+        # reorder (rho1, rho) -> (rho, rho1); only rho1 diffuses
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return LocalLinearization(
-            C=swap @ H @ swap, K=swap @ K @ swap,
-            p=np.array([state.rho, state.rho1]),
-            rho0=float(state.rho), inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-            mobility=self.mobility,
-        )
+        return self._linearization(swap @ H @ swap, swap @ self.kappa.kappa @ swap,
+                                   np.array([state.rho, state.rho1]),
+                                   float(state.rho), np.diag([0.0, self.M11]))
 
 
 class _QuasiSpectra(NamedTuple):

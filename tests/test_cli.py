@@ -39,6 +39,29 @@ points = 41
 spacing = log
 """
 
+EQUAL_RHO_HATS = """
+[free_energy]
+kind = quadratic
+h_phi_phi = -1.0
+kappa_phi_phi = 0.01
+
+[model]
+class = quasi_incompressible
+M11 = 0.1
+Re_s = 1.0
+Re_v = 1.0
+rho_hat_1 = 1.0
+rho_hat_2 = 1.0
+
+[state]
+phi0 = 0.4
+
+[sweep]
+k_min = 0.01
+k_max = 10.0
+points = 11
+"""
+
 
 def write(tmp_path, name, text):
     p = tmp_path / name
@@ -87,30 +110,24 @@ class TestExitCodes:
         assert cli.main(["verify", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
 
+    @pytest.mark.parametrize("case, failed", [
+        # equal specific densities break the model build, not kappa
+        ("equal_rho_hats", ["model_build"]),
+        ("negative_kappa", ["kappa_psd", "model_build"]),
+    ], ids=["equal_rho_hats", "negative_kappa"])
+    def test_verify_blames_kappa_only_for_kappa(self, tmp_path, capsys, case, failed):
+        text = EQUAL_RHO_HATS if case == "equal_rho_hats" else MINI_SWEEP.replace(
+            "kappa_rho_rho = 0.002", "kappa_rho_rho = -0.002")
+        path = write(tmp_path, "verify.ini", text)
+        assert cli.main(["verify", "--config", path, "--out",
+                         str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+        out = capsys.readouterr().out
+        verdicts = [ln.split(":")[0].split() for ln in out.splitlines()]
+        assert [name for v, name in verdicts if v == "FAIL"] == failed
+        assert ["PASS", "kappa_psd"] in verdicts or "kappa_psd" in failed
+
     def test_equal_rho_hats_guided_exit_2(self, tmp_path, capsys):
-        text = """
-[free_energy]
-kind = quadratic
-h_phi_phi = -1.0
-kappa_phi_phi = 0.01
-
-[model]
-class = quasi_incompressible
-M11 = 0.1
-Re_s = 1.0
-Re_v = 1.0
-rho_hat_1 = 1.0
-rho_hat_2 = 1.0
-
-[state]
-phi0 = 0.4
-
-[sweep]
-k_min = 0.01
-k_max = 10.0
-points = 11
-"""
-        path = write(tmp_path, "equal.ini", text)
+        path = write(tmp_path, "equal.ini", EQUAL_RHO_HATS)
         code = cli.main(["sweep", "--config", path, "--out", str(tmp_path / "o")])
         assert code == cli.EXIT_CONFIG
         assert "incompressible" in capsys.readouterr().err
@@ -309,17 +326,28 @@ class TestDeterminism:
         rows = [list(r) for r in grid]
         assert cli._csv(rows, header) == reference(rows, header)
 
-    def test_import_leaves_scipy_optimize_unloaded(self):
+    def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
         import subprocess
         import sys
         import pfmix
-        code = "import sys, pfmix.cli; print('scipy.optimize' in sys.modules)"
+        # numpy is the one runtime dependency: a sweep, which tracks roots,
+        # loads no scipy module either
+        code = ("import sys, pfmix.cli\n"
+                "def scipy():\n"
+                "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+                "print(scipy())\n"
+                "pfmix.cli.main(['sweep', '--config', sys.argv[1],\n"
+                "                '--out', sys.argv[2]])\n"
+                "print(scipy())\n")
         src = os.path.dirname(os.path.dirname(pfmix.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                             text=True, check=True, env=env, timeout=120)
-        assert out.stdout.strip() == "False"
+        out = subprocess.run([sys.executable, "-c", code,
+                              config_path("band_composition.ini"), str(tmp_path)],
+                             capture_output=True, text=True, check=True, env=env,
+                             timeout=120)
+        assert out.stdout.splitlines()[0] == "False"
+        assert out.stdout.splitlines()[-1] == "False"
 
     def test_sweep_summary_reports_band(self, tmp_path, capsys):
         path = write(tmp_path, "mini.ini", MINI_SWEEP)

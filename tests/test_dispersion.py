@@ -6,7 +6,7 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import load_config
 from pfmix.errors import DegenerateCase, NumericalError, RangeError
-from pfmix.linearization import EQUAL_DENSITY_RTOL
+from pfmix.linearization import EQUAL_DENSITY_RTOL, CompressibleLinearization
 
 from conftest import config_path, random_global_model
 
@@ -176,6 +176,100 @@ class TestAsymptotics:
         st = models.MixtureState.binary(1.0, 1.0)
         with pytest.raises(disp.SingularExpansion):
             m.linearization(st).small_k()
+
+
+def local_from_global(C, kappa, M11, inv_Re_s=0.5, inv_Re_v=0.2):
+    """A globally-conserving model with the locally-conserving mobility and
+    the same mixture written as a CompressibleLocal in (rho1, rho)."""
+    q = fe.Quadratic(np.asarray(C, float))
+    kap = fe.GradientCoefficients(np.asarray(kappa, float))
+    glob = models.CompressibleGlobal(q, kap, models.local_conservation_matrix(M11),
+                                     inv_Re_s=inv_Re_s, inv_Re_v=inv_Re_v)
+    kt, qt = fe.change_variables_to_rho_rho1(kap, q)
+    return glob, models.CompressibleLocal(qt, kt, M11=M11, inv_Re_s=inv_Re_s,
+                                          inv_Re_v=inv_Re_v)
+
+
+def worst_expansion_error(lin, co, k):
+    """Largest relative distance from a mode's expansion at k to the
+    nearest root of the pencil."""
+    roots = disp.growth_rates(lin, k).alphas
+    worst = 0.0
+    for m in co.modes:
+        pred = m.evaluate(k)
+        best = roots[np.argmin(np.abs(roots - pred))]
+        worst = max(worst, abs(pred - best) / abs(best))
+    return worst
+
+
+C_MIX = [[2.0, 0.3], [0.3, 1.0]]
+KAPPA_MIX = [[1e-3, 2e-4], [2e-4, 3e-3]]
+
+
+class TestOneCompressibleLinearization:
+    """The locally-conserving class is the globally-conserving one with a
+    zero-row-sum, rank-one mobility: one linearization serves both, and its
+    expansions agree between the two descriptions of one mixture."""
+
+    def test_local_mobility_is_rank_one_in_its_variables(self):
+        lin = make_local(M11=0.3).linearization(ST_LOCAL)
+        assert isinstance(lin, CompressibleLinearization)
+        assert isinstance(make_global().linearization(ST_GLOBAL),
+                          CompressibleLinearization)
+        assert np.array_equal(lin.mobility, np.diag([0.0, 0.3]))
+        assert lin.vector_fields == ("rho", "rho1", "vx", "vy")
+
+    @pytest.mark.parametrize("kappa, oscillatory", [
+        ([[1e-2, 2e-3], [2e-3, 3e-2]], False),
+        ([[1e-1, 2e-2], [2e-2, 3e-1]], True),
+    ], ids=["real_pair", "oscillatory_pair"])
+    def test_local_matches_global_with_rank_one_mobility(self, kappa, oscillatory):
+        glob, loc = local_from_global(C_MIX, kappa, M11=0.3)
+        lg = glob.linearization(ST_GLOBAL)
+        ll = loc.linearization(models.MixtureState.total_partial(3.0, 1.0))
+        ks = np.logspace(-3, 3, 61)
+        rg, _, _ = disp._solve(lg, ks)
+        rl, _, _ = disp._solve(ll, ks)
+        assert max(worst_root_gap(a, b) for a, b in zip(rg, rl)) <= 1e-13
+        for regime in ("small_k", "large_k"):
+            cg, cl = getattr(lg, regime)(), getattr(ll, regime)()
+            assert [m.name for m in cg.modes] == [m.name for m in cl.modes]
+            for mg in cg.modes:
+                ml = cl.mode(mg.name)
+                assert mg.powers == ml.powers
+                for a, b in zip(mg.coefficients, ml.coefficients):
+                    assert abs(a - b) <= 1e-12 * abs(b), (regime, mg.name)
+            assert cg.auxiliaries.keys() == cl.auxiliaries.keys()
+            for key, b in cl.auxiliaries.items():
+                if isinstance(b, float):
+                    assert abs(cg.auxiliaries[key] - b) <= 1e-12 * abs(b), key
+        assert ("subleading" in cl.auxiliaries) is oscillatory
+
+    @pytest.mark.parametrize("M", [
+        [[0.05, -0.02], [-0.02, 0.05]],
+        models.local_conservation_matrix(0.05),
+    ], ids=["off_diagonal", "rank_one"])
+    def test_small_k_error_is_second_order(self, M):
+        lin = models.CompressibleGlobal(
+            fe.Quadratic(np.array(C_MIX)), fe.GradientCoefficients(np.array(KAPPA_MIX)),
+            np.asarray(M, float), inv_Re_s=0.5, inv_Re_v=0.2).linearization(ST_GLOBAL)
+        co = lin.small_k()
+        e3, e4 = (worst_expansion_error(lin, co, k) for k in (1e-3, 1e-4))
+        assert e4 * 50.0 <= e3
+
+    def test_large_k_rank_one_converges(self):
+        glob, _ = local_from_global(C_MIX, KAPPA_MIX, M11=0.05)
+        lin = glob.linearization(ST_GLOBAL)
+        co = lin.large_k()
+        e3, e4 = (worst_expansion_error(lin, co, k) for k in (1e3, 1e4))
+        assert e4 * 50.0 <= e3
+
+    def test_local_large_k_needs_kappa_rho1_rho1(self):
+        q = fe.Quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]), variables=("rho1", "rho"))
+        kap = fe.GradientCoefficients(np.array([[0.0, 0.0], [0.0, 3e-3]]))
+        m = models.CompressibleLocal(q, kap, M11=0.3, inv_Re_s=0.5, inv_Re_v=0.2)
+        with pytest.raises(disp.SingularExpansion):
+            m.linearization(ST_LOCAL).large_k()
 
 
 class TestQuasiRoots:
@@ -508,6 +602,21 @@ class TestEigenBudget:
 
 
 class TestTrackingGap:
+    def test_match_is_an_optimal_assignment(self, rng):
+        # the Hungarian solver is the reference: the exact permutation
+        # search reaches its minimum cost, and its assignment when unique
+        from scipy.optimize import linear_sum_assignment
+        for n in (1, 2, 3, 4):
+            for _ in range(200):
+                cost = np.abs(rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1))
+                              - rng.normal(size=n) - 1j * rng.normal(size=n))
+                _, ref = linear_sum_assignment(cost)
+                got = disp._match(cost)
+                assert sorted(got) == list(range(n))
+                assert cost[np.arange(n), got].sum() == pytest.approx(
+                    cost[np.arange(n), ref].sum(), rel=1e-14)
+                assert np.array_equal(got, ref)
+
     def test_long_wave_sweep_is_not_ambiguous(self, band_composition):
         model, st = band_composition
         res = disp.sweep(model.linearization(st), np.logspace(-6, 2, 300))

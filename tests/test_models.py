@@ -326,19 +326,6 @@ class TestQuasi:
                 "vy": np.zeros(grid.n)}
         assert m.divergence_residual(flds, grid) < 1e-12
 
-    def test_equal_densities_match_incompressible(self, grid):
-        q = fe.Quadratic([[1.5]], g=[-0.6], variables=("phi",))
-        mq = models.QuasiIncompressible(q, 1e-3, 0.2, 0.3, 0.1,
-                                        rho_hat_1=1.0, rho_hat_2=1.0)
-        mi = models.QuasiIncompressible(q, 1e-3, 0.2, 0.3, 0.1,
-                                        rho_hat_1=1.0, rho_hat_2=1.0)
-        flds = {"phi": 0.4 + 0.05 * np.cos(grid.x) + 0.02 * np.sin(2 * grid.x),
-                "vx": np.zeros(grid.n), "vy": 0.03 * np.cos(grid.x)}
-        r1 = mq.rhs_1d(flds, grid)
-        r2 = mi.rhs_1d(flds, grid)
-        for key in r1:
-            assert np.max(np.abs(r1[key] - r2[key])) < 1e-12
-
     def test_mass_conservation(self, grid):
         m = make_quasi()
         flds = {"phi": 0.4 + 0.05 * np.cos(grid.x), "vx": 0.03 * np.sin(grid.x),
