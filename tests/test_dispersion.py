@@ -224,9 +224,9 @@ class TestOneCompressibleLinearization:
         ([[1e-1, 2e-2], [2e-2, 3e-1]], True),
     ], ids=["real_pair", "oscillatory_pair"])
     def test_local_matches_global_with_rank_one_mobility(self, kappa, oscillatory):
+        # one state: rho1 = 1, rho2 = 2, rho = 3
         glob, loc = local_from_global(C_MIX, kappa, M11=0.3)
-        lg = glob.linearization(ST_GLOBAL)
-        ll = loc.linearization(models.MixtureState.total_partial(3.0, 1.0))
+        lg, ll = glob.linearization(ST_GLOBAL), loc.linearization(ST_GLOBAL)
         ks = np.logspace(-3, 3, 61)
         rg, _, _ = disp._solve(lg, ks)
         rl, _, _ = disp._solve(ll, ks)
