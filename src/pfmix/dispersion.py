@@ -294,21 +294,31 @@ class DispersionResult:
 # positions of its entries in a flattened n x n cost matrix
 _PERMUTATIONS = {n: (p, p + n * np.arange(n)) for n in range(1, 5)
                  for p in [np.array(list(itertools.permutations(range(n))))]}
+# Two assignments of roots between neighbouring k whose summed eigenvector
+# overlaps differ by less than this are told apart by root distance.
+OVERLAP_TIE_TOL = 1e-6
 
 
-def _match(cost: np.ndarray) -> np.ndarray:
-    """Columns s minimizing sum_j cost[j, s[j]] for a square cost matrix: an
-    exact search over all n! <= 24 permutations, each sum taken in row
-    order.  Among equal sums the first permutation in lexicographic order
+def _match(cost: np.ndarray, tie: np.ndarray = None) -> np.ndarray:
+    """Columns s minimizing sum_j cost[j, s[j]] for each square matrix of a
+    stack (..., n, n): an exact search over all n! <= 24 permutations, each
+    sum taken in row order.  With ``tie``, a stack of the same shape, the
+    sums of ``tie`` decide among the sums within OVERLAP_TIE_TOL of the
+    least.  Among equal sums the first permutation in lexicographic order
     wins."""
-    perms, flat = _PERMUTATIONS[cost.shape[0]]
-    return perms[cost.take(flat).sum(axis=1).argmin()]
+    n = cost.shape[-1]
+    perms, flat = _PERMUTATIONS[n]
+    sums = cost.reshape(-1, n * n)[:, flat].sum(axis=2)
+    if tie is not None:
+        near = sums <= sums.min(axis=1, keepdims=True) + OVERLAP_TIE_TOL
+        sums = np.where(near, tie.reshape(-1, n * n)[:, flat].sum(axis=2), np.inf)
+    return perms[sums.argmin(axis=1)].reshape(cost.shape[:-1])
 
 
 def sweep(lin, k_grid) -> DispersionResult:
     """Growth rates over an increasing positive k grid, from one eigensolve
-    of the whole grid, with continuity-based mode tracking seeded from the
-    long-wave asymptotics."""
+    of the whole grid, with mode tracking seeded from the long-wave
+    asymptotics and continued by eigenvector continuity."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
@@ -318,12 +328,15 @@ def sweep(lin, k_grid) -> DispersionResult:
     labels = tuple(m.label for m in small.modes)
     names = tuple(m.name for m in small.modes)
 
-    # steps[i, j, m]: distance from root j at k[i] to root m at k[i + 1]
-    steps = np.abs(alphas[:-1, :, None] - alphas[1:, None, :])
+    # step[i, j]: the root at k[i + 1] that root j at k[i] goes to, by the
+    # mismatch 1 - |x^H y| of unit eigenvectors (a crossing of two real
+    # roots ties their distances, not their eigenvectors), then by distance
+    mismatch = 1.0 - np.abs(np.einsum("ivj,ivm->ijm", vecs[:-1].conj(), vecs[1:]))
+    step = _match(mismatch, tie=np.abs(alphas[:-1, :, None] - alphas[1:, None, :]))
     cols = np.empty(alphas.shape, dtype=int)
     cols[0] = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
     for i in range(1, k_grid.size):
-        cols[i] = _match(steps[i - 1, cols[i - 1]])
+        cols[i] = step[i - 1][cols[i - 1]]
     roots = np.take_along_axis(alphas, cols, axis=1)
     vectors = np.take_along_axis(vecs, cols[:, None, :], axis=2).transpose(0, 2, 1)
     residuals = np.take_along_axis(res, cols, axis=1)

@@ -553,24 +553,6 @@ def hessian_report(fe: BulkFreeEnergy, rho) -> HessianReport:
     )
 
 
-def chemical_potentials(fe: BulkFreeEnergy, kappa: GradientCoefficients,
-                        fields: np.ndarray, grid,
-                        laplacians=None) -> np.ndarray:
-    """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) on a periodic 1D grid.
-
-    ``fields`` and the returned mu have shape (nvar, n).  The Laplacians
-    are taken here in one batched transform, unless a caller that already
-    took them in its own batch passes them as ``laplacians``.
-    """
-    fields = np.atleast_2d(np.asarray(fields, dtype=float))
-    if fields.ndim != 2 or fields.shape[0] != fe.nvar or kappa.n != fe.nvar:
-        raise ShapeError("fields/kappa do not match the energy's variable count")
-    g = fe.gradient(fields.T, pointwise=True)
-    if laplacians is None:
-        laplacians = grid.derivatives(fields, (2,) * fe.nvar)
-    return g.T - kappa.kappa @ laplacians
-
-
 def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarray:
     """Classify the bulk Hessian of an energy in (rho1, rho) variables on a
     rectangular grid.  Out-of-domain cells, non-finite coordinates included,

@@ -313,7 +313,9 @@ class CompressibleLinearization(_Pencil):
         pCp, pKp, detC, detK, d = self.invariants()
         detM = float(np.linalg.det(M))
         lam = float(np.trace(M))
-        if lam > 0 and abs(detM) <= DEGENERATE_TOL * lam * lam:
+        if not np.any(M):
+            modes, aux = self._zero_mobility_large_k(pCp, pKp)
+        elif lam > 0 and abs(detM) <= DEGENERATE_TOL * lam * lam:
             modes, aux = self._rank_one_large_k(lam, pKp, detK, d)
         else:
             g1 = self.g1
@@ -347,6 +349,21 @@ class CompressibleLinearization(_Pencil):
         return AsymptoticCoefficients(
             regime="large_k", modes=(_viscous_mode(self.inv_Re_s, r0), *modes),
             auxiliaries=aux)
+
+    def _zero_mobility_large_k(self, pCp, pKp):
+        """M = 0: nothing diffuses, so alpha1 = 0 exactly, and the coupled
+        pair solves rho0 a^2 + (1/Re) k^2 a + k^2 p.D(k).p = 0 with D(k) =
+        C + k^2 K: a ~ x k^2 + y with rho0 x^2 + x / Re + p.K.p = 0 and
+        y = -p.C.p / (2 rho0 x + 1/Re), a relative error of O(k^-4)."""
+        r0, iRe = self.rho0, self.inv_Re
+        disc = _csqrt(iRe * iRe - 4.0 * r0 * pKp)
+        _guard_denominator(abs(disc), max(iRe * iRe, abs(r0 * pKp)) ** 0.5,
+                           "coupled pair discriminant")
+        return (ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2), (0.0, 0.0)),
+                ) + tuple(ModeExpansion(ModeLabel.COUPLED, name, (2, 0),
+                                        ((-iRe + s * disc) / (2.0 * r0), -pCp / (s * disc)))
+                          for name, s in (("alpha2", 1.0), ("alpha3", -1.0))), \
+            {"p.C.p": pCp, "p.K.p": pKp}
 
     def _rank_one_large_k(self, lam, pKp, detK, d):
         """M = lam P with P = M / tr M: one diffusive mode -(M:K) k^4 - (M:C)

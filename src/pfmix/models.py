@@ -35,7 +35,6 @@ from .free_energy import (
     GradientCoefficients,
     ViscosityRule,
     average_viscosity,
-    chemical_potentials,
 )
 from .grid import PeriodicGrid1D
 from .linearization import (
@@ -162,17 +161,12 @@ class BinaryModel:
         """Combined longitudinal viscous coefficient 2/Re_s + 1/Re_v."""
         return 2.0 * self.inv_Re_s + self.inv_Re_v
 
-    def _viscosity_fields(self, composition):
-        """(eta, nu) pointwise; constants unless a rule is attached."""
+    def _viscosity_fields(self, part, total=1.0):
+        """(eta, nu) pointwise at the composition part / total; constants
+        unless a rule is attached."""
         if self.viscosity_rule is None:
             return self.inv_Re_s, self.inv_Re_v
-        return average_viscosity(self.viscosity_rule, composition)
-
-    @property
-    def _viscous_order(self) -> int:
-        """Order at which the velocities enter the viscous terms: their
-        Laplacians for constant viscosities, their gradients under a rule."""
-        return 2 if self.viscosity_rule is None else 1
+        return average_viscosity(self.viscosity_rule, part / total)
 
     def state_array(self, fields) -> np.ndarray:
         """The state as one (n_fields, n) array in ``field_names`` order."""
@@ -208,15 +202,16 @@ class BinaryModel:
         return h[:len(u)], h[len(u):]
 
 
-def _viscous_terms(grid, dv, eta, nu):
-    """Viscous forces (fx, fy) from the velocities (vx, vy) differentiated
-    to the model's ``_viscous_order``; pointwise viscosities take one more
-    batched derivative of the stresses."""
+def _viscous_forces(grid, vh, eta, nu):
+    """Spectra (fx^, fy^) of the viscous forces from the velocities'
+    spectra (vx^, vy^): formed in Fourier space for constant viscosities;
+    pointwise viscosities take one more transform pair, of the velocities'
+    gradients and then of the stresses."""
     if np.ndim(eta) == 0:
-        return (2.0 * eta + nu) * dv[0], eta * dv[1]
-    fx, fy = grid.derivatives(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
-                              (1, 1))
-    return fx, fy
+        return grid.symbols[2] * vh * [[2.0 * eta + nu], [eta]]
+    dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
+    return grid.ik * np.fft.rfft(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
+                                 axis=-1)
 
 
 class CompressibleModel(BinaryModel):
@@ -234,44 +229,50 @@ class CompressibleModel(BinaryModel):
 
     def energy_variables(self, fields, axis=-1):
         """The free energy's variables stacked along ``axis``."""
-        u = self.state_array(fields)
-        return np.stack([u[self.field_names.index(v)] for v in self.energy_fields],
-                        axis=axis)
+        E = self.state_array(fields)[[self.field_names.index(v)
+                                      for v in self.energy_fields]]
+        return E.swapaxes(0, axis)
 
-    def _primitive(self, u):
-        """Energy variables (stacked on axis 0), total density and the
-        velocities of a state array."""
+    def _forward(self, u, grid, flux):
+        """E, the total density, the velocities v = (vx, vy), mu^ and the
+        spectra of v (then of the fluxes u*vx, with ``flux``) from one
+        batched ``rfft``: the bulk gradient g(E) is pointwise (with the
+        energy's domain check), so it joins the state's rows; mu^ = g^ -
+        kappa (ik)^2 E^."""
         rho = self.total_density(u)
-        return self.energy_variables(u, axis=0), rho, u[-2] / rho, u[-1] / rho
+        E = self.energy_variables(u, axis=0)
+        v = u[-2:] / rho
+        N = self.n_components
+        g = self.free_energy.gradient(E.T, pointwise=True).T
+        h = np.fft.rfft(np.concatenate([E, g, v, u * v[0]] if flux else [E, g, v]),
+                        axis=-1)
+        muh = h[N:2 * N] - self.kappa.kappa @ (grid.symbols[2] * h[:N])
+        return E, rho, v, muh, h[2 * N:]
 
-    def _transport(self, u, grid):
-        """What both right-hand sides differentiate, one batched transform
-        per dependency level: the densities' Laplacians (for mu), the
-        velocities (viscous terms) and the fluxes u*vx; then d2 mu and d mu.
-
-        Returns vx, vy, mu, d2 mu, d mu, d(u*vx)/dx, fx, fy.
-        """
-        E, rho, vx, vy = self._primitive(u)
-        N, vo = self.n_components, self._viscous_order
-        d = grid.derivatives(np.concatenate([E, [vx, vy], u * vx]),
-                             (2,) * N + (vo, vo) + (1,) * (N + 2))
-        mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:N])
-        dmu = grid.derivatives(np.concatenate([mu, mu]), (2,) * N + (1,) * N)
-        eta, nu = self._viscosity_fields(E[0] / rho)
-        fx, fy = _viscous_terms(grid, d[N:N + 2], eta, nu)
-        return vx, vy, mu, dmu[:N], dmu[N:], d[N + 2:], fx, fy
+    def _transport(self, u, grid, return_aux):
+        """What both right-hand sides differentiate: the forward transform,
+        then one ``irfft`` of d2 mu, d mu, the viscous forces (a viscosity
+        rule's stresses take one more pair), the flux divergences and, with
+        ``return_aux``, mu.  Returns v, d2 mu, d mu, the forces (fx, fy),
+        d(u*vx)/dx and mu (or None)."""
+        E, rho, v, muh, h = self._forward(u, grid, flux=True)
+        N, S = self.n_components, grid.symbols
+        eta, nu = self._viscosity_fields(E[0], rho)
+        rows = [S[2] * muh, S[1] * muh, _viscous_forces(grid, h[:2], eta, nu),
+                S[1] * h[2:]] + ([muh] if return_aux else [])
+        d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
+        f = 2 * N + 2
+        return (v, d[:N], d[N:2 * N], d[2 * N:f], d[f:f + N + 2],
+                d[f + N + 2:] if return_aux else None)
 
     def _dissipation_terms(self, fields, grid):
-        """Viscous dissipation density and d mu, in two batched transforms."""
-        E, rho, vx, vy = self._primitive(self.state_array(fields))
+        """Viscous dissipation density and d mu, in one transform pair."""
+        E, rho, _, muh, vh = self._forward(self.state_array(fields), grid, flux=False)
         N = self.n_components
-        d = grid.derivatives(np.concatenate([E, [vx, vy]]), (2,) * N + (1, 1))
-        mu = chemical_potentials(self.free_energy, self.kappa, E, grid,
-                                 laplacians=d[:N])
-        eta, nu = self._viscosity_fields(E[0] / rho)
+        d = np.fft.irfft(grid.symbols[1] * np.concatenate([muh, vh]), n=grid.n, axis=-1)
+        eta, nu = self._viscosity_fields(E[0], rho)
         visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
-        return visc, grid.derivatives(mu, (1,) * N)
+        return visc, d[:N]
 
     def _linearization(self, C, K, p, rho0, mobility) -> CompressibleLinearization:
         return CompressibleLinearization(
@@ -344,16 +345,13 @@ class CompressibleGlobal(CompressibleModel):
         return self.state_array(fields)[:self.n_components].sum(axis=0)
 
     def _rhs(self, u, grid, return_aux):
-        vx, vy, mu, d2mu, dmu, dflux, fx, fy = self._transport(u, grid)
+        v, d2mu, dmu, f, dflux, mu = self._transport(u, grid, return_aux)
         N = self.n_components
         J = self.mobility @ d2mu
-        Jsum = J.sum(axis=0)
-        out = np.empty_like(u)
-        out[:N] = -dflux[:N] + J
-        out[N] = -dflux[N] + 0.5 * Jsum * vx + fx
-        for i in range(N):                 # - sum_i rho_i d mu_i, in index order
-            out[N] -= u[i] * dmu[i]
-        out[N + 1] = -dflux[N + 1] + 0.5 * Jsum * vy + fy
+        out = -dflux
+        out[:N] += J
+        out[N:] += 0.5 * J.sum(axis=0) * v + f
+        out[N] -= np.einsum("ix,ix->x", u[:N], dmu)     # sum_i rho_i d mu_i
         return out, {"mu": mu, "J": J}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
@@ -423,13 +421,11 @@ class CompressibleLocal(CompressibleModel):
 
     def _rhs(self, u, grid, return_aux):
         # mu[0] = mu~_1, mu[1] = mu~
-        vx, vy, mu, d2mu, dmu, dflux, fx, fy = self._transport(u, grid)
-        rho, rho1 = u[0], u[1]
-        out = np.empty_like(u)
-        out[0] = -dflux[0]
-        out[1] = -dflux[1] + self.M11 * d2mu[0]
-        out[2] = -dflux[2] + fx - rho1 * dmu[0] - rho * dmu[1]
-        out[3] = -dflux[3] + fy
+        _, d2mu, dmu, f, dflux, mu = self._transport(u, grid, return_aux)
+        out = -dflux
+        out[1] += self.M11 * d2mu[0]
+        out[2:] += f
+        out[2] -= u[1] * dmu[0] + u[0] * dmu[1]         # rho1 d mu~_1 + rho d mu~
         return out, {"mu": mu}
 
     def energy_dissipation_rate(self, fields, grid) -> float:
@@ -448,11 +444,8 @@ class CompressibleLocal(CompressibleModel):
 class _QuasiSpectra(NamedTuple):
     """One pass of :meth:`QuasiIncompressible._spectral_core`."""
 
-    uh: np.ndarray      # rfft of the state
-    d: np.ndarray       # lap phi, d vx, d vy
-    mu: np.ndarray      # mu_phi
-    h: np.ndarray       # rfft of mu_phi, then of phi*vx if asked for
-    fh: np.ndarray      # viscous forces (fx^, fy^), or None if not asked for
+    h: np.ndarray       # rfft of phi, vx, vy, g(phi), then of phi*vx if asked for
+    muh: np.ndarray     # mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^
     Pih: np.ndarray     # Pi^, zero mode 0; None for equal specific densities
     Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
     eta: object         # viscosities, constants or pointwise
@@ -464,9 +457,10 @@ class QuasiIncompressible(BinaryModel):
     """Mixture of two incompressible components with specific densities
     rho_hat_1 and rho_hat_2.  Fields: phi, vx, vy and a bulk energy in phi
     alone; the hydrostatic field is solved from the divergence constraint
-    at every evaluation, in Fourier space: one spectral core
+    at every evaluation, in Fourier space: one forward transform
     (:meth:`_spectral_core`) serves the right-hand side, the pressure, the
-    dissipation rate and the divergence residual.
+    dissipation rate and the divergence residual, each of which then takes
+    one inverse transform.
 
     Equal specific densities (:func:`equal_specific_densities`) are the
     incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
@@ -507,12 +501,6 @@ class QuasiIncompressible(BinaryModel):
     def density(self, phi):
         return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
 
-    def mu_phi(self, phi, laplacian):
-        """Chemical potential dh/dphi - kappa_phi_phi lap(phi), given the
-        Laplacian of phi."""
-        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
-        return g - self.kappa_phi_phi * laplacian
-
     def total_mass(self, fields, grid) -> float:
         return grid.integrate(self.density(self.state_array(fields)[0]))
 
@@ -542,15 +530,11 @@ class QuasiIncompressible(BinaryModel):
         return r1, self.M11 / self.rho_hat_1**2
 
     def _spectral_core(self, u, grid, flux=False) -> _QuasiSpectra:
-        """The pass through Fourier space that every evaluation of the class
-        shares.
+        """The forward transform that every evaluation of the class shares.
 
-        One ``rfft`` of the state; one ``irfft`` of lap phi, d vx and d vy;
-        mu_phi pointwise, with the energy's domain check; one ``rfft`` of
-        mu_phi and, with ``flux``, of phi*vx.  The right-hand side, asked
-        for by ``flux``, needs the viscous forces too: they are formed in
-        Fourier space from the velocities' spectra for constant viscosities,
-        from the stresses of a rule, which join the second ``rfft``.
+        The bulk gradient g(phi) is pointwise (with the energy's domain
+        check), so it joins the state and, with ``flux``, phi*vx in one
+        batched ``rfft``; then mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^.
 
         The constraint d vx/dx = (1-r) Mh d2 G/dx2 with G = mu_phi +
         (1 - r) Pi gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh
@@ -559,31 +543,18 @@ class QuasiIncompressible(BinaryModel):
         :meth:`_pressure`.
         """
         phi, vx, _ = u
-        S = grid.symbols
-        uh = np.fft.rfft(u, axis=-1)
-        d = np.fft.irfft(S[[2, 1, 1]] * uh, n=grid.n, axis=-1)
-        mu = self.mu_phi(phi, d[0])
+        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        h = np.fft.rfft(np.stack([*u, g] + ([phi * vx] if flux else [])), axis=-1)
+        muh = h[3] - self.kappa_phi_phi * grid.symbols[2] * h[0]
         eta, nu = self._viscosity_fields(phi)
-        rule = np.ndim(eta) > 0
-        level = [mu, phi * vx] if flux else [mu]
-        if flux and rule:
-            level += [(2.0 * eta + nu) * d[1], eta * d[2]]
-        h = np.fft.rfft(np.stack(level), axis=-1)
-        if not flux:
-            fh = None
-        elif rule:
-            fh = grid.ik * h[-2:]
-            h = h[:-2]
-        else:
-            fh = S[2] * np.stack([(2.0 * eta + nu) * uh[1], eta * uh[2]])
         r1, Mh = self._constraint
         if r1 == 0.0:
-            return _QuasiSpectra(uh, d, mu, h, fh, None, h[0], eta, nu)
-        Pih = uh[1] * grid.inv_ik / (r1**2 * Mh) - h[0] / r1
+            return _QuasiSpectra(h, muh, None, muh, eta, nu)
+        Pih = h[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
         Pih[0] = 0.0
         if not np.all(np.isfinite(Pih)):
             raise SolveError("pressure solve produced non-finite values")
-        return _QuasiSpectra(uh, d, mu, h, fh, Pih, h[0] + r1 * Pih, eta, nu)
+        return _QuasiSpectra(h, muh, Pih, muh + r1 * Pih, eta, nu)
 
     def _pressure(self, phi, core, grid):
         """The hydrostatic field, zero mean: the core's Pi^ or, for equal
@@ -591,7 +562,7 @@ class QuasiIncompressible(BinaryModel):
         balance of a solenoidal velocity, -phi d mu_phi/dx."""
         if core.Pih is not None:
             return np.fft.irfft(core.Pih, n=grid.n)
-        dmu = np.fft.irfft(grid.ik * core.h[0], n=grid.n)
+        dmu = np.fft.irfft(grid.ik * core.muh, n=grid.n)
         return np.fft.irfft(np.fft.rfft(-phi * dmu) * grid.inv_ik, n=grid.n)
 
     def solve_pressure(self, fields, grid):
@@ -599,33 +570,35 @@ class QuasiIncompressible(BinaryModel):
         returns it with mu_phi."""
         u = self.state_array(fields)
         core = self._spectral_core(u, grid)
-        return self._pressure(u[0], core, grid), core.mu
+        return self._pressure(u[0], core, grid), np.fft.irfft(core.muh, n=grid.n)
 
     def _rhs_parts(self, u, grid, physical_phi):
         """The right-hand side with its phi row in Fourier space,
         -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
 
-        One last ``irfft`` gives fy, and, with a pressure, fx - d Pi/dx
-        and d mu_phi/dx; with ``physical_phi`` also the phi row.  Returns
-        the core, the phi row's spectrum, the two velocity rows and the
-        physical phi row (or None).
+        One ``irfft`` (after the stresses' pair of a viscosity rule) gives
+        d vx, d vy, fy and, with a pressure, fx - d Pi/dx and d mu_phi/dx;
+        with ``physical_phi`` also the phi row.  Returns the core, the phi
+        row's spectrum, the two velocity rows and the physical phi row (or
+        None).
         """
         phi, vx, _ = u
         core = self._spectral_core(u, grid, flux=True)
-        ik, h, fh = grid.ik, core.h, core.fh
-        phih = -ik * h[1] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
-        rows = [fh[1]] + ([phih] if physical_phi else [])
+        ik, h = grid.ik, core.h
+        phih = -ik * h[4] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
+        fh = _viscous_forces(grid, h[1:3], core.eta, core.nu)
+        rows = [ik * h[1], ik * h[2], fh[1]] + ([phih] if physical_phi else [])
         if core.Pih is not None:
-            rows += [fh[0] - ik * core.Pih, ik * h[0]]
+            rows += [fh[0] - ik * core.Pih, ik * core.muh]
         p = np.fft.irfft(np.stack(rows), n=grid.n, axis=-1)
         rho = self.density(phi)
-        ay = (-rho * vx * core.d[2] + p[0]) / rho
+        ay = (-rho * vx * p[1] + p[2]) / rho
         if core.Pih is None:
             # the x-momentum balance is the pressure's: vx is stationary
             ax = np.zeros_like(vx)
         else:
-            ax = (-rho * vx * core.d[1] + p[-2] - phi * p[-1]) / rho
-        return core, phih, ax, ay, p[1] if physical_phi else None
+            ax = (-rho * vx * p[0] + p[-2] - phi * p[-1]) / rho
+        return core, phih, ax, ay, p[3] if physical_phi else None
 
     def _rhs(self, u, grid, return_aux):
         core, _, ax, ay, phi_row = self._rhs_parts(u, grid, True)
@@ -633,17 +606,17 @@ class QuasiIncompressible(BinaryModel):
         out[0], out[1], out[2] = phi_row, ax, ay
         if not return_aux:
             return out, None
-        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": core.mu,
-                     "G": np.fft.irfft(core.Gh, n=grid.n)}
+        mu, G = np.fft.irfft(np.stack([core.muh, core.Gh]), n=grid.n, axis=-1)
+        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": mu, "G": G}
 
     def _rhs_spectral(self, u, grid):
         """The state's spectrum from the core, the phi row as formed in
         Fourier space and one ``rfft`` of the velocity rows."""
         core, phih, ax, ay, _ = self._rhs_parts(u, grid, False)
-        rhsh = np.empty_like(core.uh)
+        rhsh = np.empty_like(core.h[:3])
         rhsh[0] = phih
         rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
-        return core.uh, rhsh
+        return core.h[:3], rhsh
 
     def divergence_residual(self, fields, grid) -> float:
         """Max-norm of div v minus its constrained value after the solve,
@@ -651,16 +624,17 @@ class QuasiIncompressible(BinaryModel):
         max |d vx/dx|."""
         core = self._spectral_core(self.state_array(fields), grid)
         r1, Mh = self._constraint
-        res = np.fft.irfft(grid.ik * core.uh[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
+        res = np.fft.irfft(grid.ik * core.h[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
                            n=grid.n)
         return float(np.max(np.abs(res)))
 
     def energy_dissipation_rate(self, fields, grid) -> float:
         core = self._spectral_core(self.state_array(fields), grid)
-        # d mu^_1/dx with mu^_1 = G / rho_hat_1
-        dmu1 = np.fft.irfft(grid.ik * core.Gh, n=grid.n) / self.rho_hat_1
-        visc = (2.0 * core.eta + core.nu) * core.d[1] ** 2 + core.eta * core.d[2] ** 2
-        return -grid.integrate(visc + self.M11 * dmu1 ** 2)
+        # d vx, d vy and d mu^_1/dx with mu^_1 = G / rho_hat_1
+        d = np.fft.irfft(grid.ik * np.stack([core.h[1], core.h[2], core.Gh]),
+                         n=grid.n, axis=-1)
+        visc = (2.0 * core.eta + core.nu) * d[0] ** 2 + core.eta * d[1] ** 2
+        return -grid.integrate(visc + self.M11 * (d[2] / self.rho_hat_1) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from pfmix import cli
 from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
-from pfmix.config import load_config
+from pfmix.config import build_all, load_config
 from pfmix.errors import DegenerateCase, NumericalError, RangeError
 from pfmix.linearization import EQUAL_DENSITY_RTOL, CompressibleLinearization
 
@@ -154,10 +155,25 @@ class TestAsymptotics:
         assert co.mode("alpha1").coefficients[0] == pytest.approx(-1e-8)
 
     def test_large_k_zero_mobility_thermo(self):
-        m = make_global(M=np.zeros((2, 2)))
-        co = m.linearization(ST_GLOBAL).large_k()
-        assert co.mode("alpha1").coefficients[0] == 0.0
-        assert co.mode("alpha2").coefficients[0] == 0.0
+        """With M = 0 only alpha1 is 0; the coupled pair has its own
+        x k^2 + y branch.  Every expansion matches its own root, with an
+        error, relative to the largest root, falling as k^-4 (the leading
+        order alone would fall as k^-2)."""
+        for m, st in ((make_global(M=np.zeros((2, 2))), ST_GLOBAL),
+                      (make_local(M11=0.0), ST_LOCAL)):
+            lin = m.linearization(st)
+            co = lin.large_k()
+            assert co.mode("alpha1").coefficients == (0.0, 0.0)
+            assert co.mode("alpha2").powers == co.mode("alpha3").powers == (2, 0)
+            worst = []
+            for k in (1e2, 1e3, 1e4):
+                roots = disp.growth_rates(lin, k).alphas
+                pred = np.array([md.evaluate(k) for md in co.modes])
+                gaps = np.abs(pred[:, None] - roots[None, :])
+                assert sorted(gaps.argmin(axis=1)) == [0, 1, 2, 3]
+                worst.append(gaps.min(axis=1).max() / np.abs(roots).max())
+            assert worst[0] < 1e-4
+            assert worst[1] <= 1e-3 * worst[0] and worst[2] <= 1e-3 * worst[1]
 
     def test_large_k_matches_roots(self):
         lin = make_local().linearization(ST_LOCAL)
@@ -412,6 +428,49 @@ class TestClassification:
             assert rep.g1 >= 0.0
 
 
+# A calibrated Peng-Robinson mixture near band_density.ini at which distance
+# tracking swapped the viscous track from k = 308 to 1000.
+SEED4_DENSITY_INI = """
+[free_energy]
+kind = peng_robinson
+T = 103.71705908840643
+R = 1.0
+k12 = -12.609256292891342
+lambda_thermal = 1.0
+species1 = solute
+species1_Tc = 205.04572205633292
+species1_Pc = 1.0368467543128044
+species1_acentric = 0.3
+species1_molar_mass = 13942.138920843885
+species2 = solvent
+species2_Tc = 106.10171406985489
+species2_Pc = 43938.461124579924
+species2_acentric = 0.3
+species2_molar_mass = 1.0
+kappa_rho1_rho1 = 0.0001
+kappa_rho_rho1 = 0.0
+kappa_rho_rho = 0.000106
+
+[model]
+class = compressible_local
+M11 = 0.0001
+Re_s = 1.0082487789544
+Re_v = 3.0
+
+[state]
+rho0 = 1002.9765371941646
+rho1_0 = 0.024692363545071545
+
+[sweep]
+k_min = 0.001
+k_max = 1000.0
+points = 400
+spacing = log
+small_k_max = 0.01
+large_k_min = 100.0
+"""
+
+
 class TestSweep:
     def test_labels_and_residuals(self):
         m = make_global(C=-np.eye(2))
@@ -429,6 +488,32 @@ class TestSweep:
         i0 = res.mode_names.index("alpha0")
         want = -lin.inv_Re_s * ks**2 / lin.rho0
         assert np.max(np.abs(res.roots[:, i0].real - want) / np.abs(want)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["band_composition.ini", "band_density.ini",
+                                      "quasi_spinodal.ini", "stable_dense.ini",
+                                      "seed4_density"])
+    def test_viscous_column_is_exact_at_every_point(self, name, tmp_path):
+        """Two real roots crossing between grid points tie in root distance,
+        not in eigenvector overlap: the viscous column of the written
+        dispersion.csv is -k^2/(Re_s rho0) at every point of every bundled
+        sweep and of a Peng-Robinson density-unstable state whose crossing
+        once swapped it over the last 35 points."""
+        if name == "seed4_density":
+            path = tmp_path / "seed4_density.ini"
+            path.write_text(SEED4_DENSITY_INI, encoding="utf-8")
+        else:
+            path = config_path(name)
+        out = tmp_path / "out"
+        assert cli.main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        model, state = build_all(load_config(path))
+        lin = model.linearization(state)
+        table = np.genfromtxt(out / "dispersion.csv", delimiter=",", names=True,
+                              dtype=None, encoding="utf-8")
+        assert set(table["label_alpha0"]) == {"viscous"}
+        k = table["k"]
+        want = -lin.inv_Re_s * k**2 / lin.rho0
+        assert np.max(np.abs(table["re_alpha0"] - want) / np.abs(want)) <= 1e-9
+        assert np.all(table["im_alpha0"] == 0.0)
 
     def test_unstable_band_endpoints(self):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -353,6 +355,12 @@ def viscous_route(m, phi, grid):
     return vo, eta, nu, viscous
 
 
+def mu_phi(m, phi, laplacian):
+    """Chemical potential dh/dphi - kappa_phi_phi lap(phi), pointwise."""
+    g = m.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+    return g - m.kappa_phi_phi * laplacian
+
+
 def physical_quasi_route(m, u, grid):
     """Reference for the quasi-incompressible spectral core: the
     physical-space route, in which every derivative is a transform pair of
@@ -367,7 +375,7 @@ def physical_quasi_route(m, u, grid):
     k = grid.wavenumbers
     vo, eta, nu, viscous = viscous_route(m, phi, grid)
     d = grid.derivatives(np.stack([phi, vx]), (2, 1))
-    mu = m.mu_phi(phi, d[0])
+    mu = mu_phi(m, phi, d[0])
     source = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
     sh = np.fft.rfft(source)
     Pih = np.zeros_like(sh)
@@ -403,7 +411,7 @@ def incompressible_route(m, u, grid):
     rho = m.density(phi)
     vo, eta, nu, viscous = viscous_route(m, phi, grid)
     d = grid.derivatives(np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
-    mu = m.mu_phi(phi, d[0])
+    mu = mu_phi(m, phi, d[0])
     _, fy = viscous(d[3:])
     rhs = np.stack([-d[1] + Mh * grid.dx2(mu), np.zeros(grid.n),
                     (-rho * vx * d[2] + fy) / rho])
@@ -412,6 +420,85 @@ def incompressible_route(m, u, grid):
     dis = -grid.integrate((2.0 * eta + nu) * d[0] ** 2 + eta * d[1] ** 2
                           + Mh * grid.dx1(mu) ** 2)
     return Pi, mu, rhs, dis
+
+
+def physical_compressible_route(m, u, grid, mobility_E, weights):
+    """Reference for the compressible core: every derivative a transform
+    pair of its own physical field, and mu formed pointwise as dh/dE -
+    kappa lap(E) in the energy variables E.  ``mobility_E`` is the
+    mobility in E and ``weights`` the total density's weights on E.
+
+    Returns the right-hand side, mu and the dissipation rate.
+    """
+    E = m.energy_variables(u, axis=0)
+    rho = m.total_density(u)
+    vx, vy = u[-2] / rho, u[-1] / rho
+    lap = np.stack([grid.dx2(e) for e in E])
+    mu = m.free_energy.gradient(E.T, pointwise=True).T - m.kappa.kappa @ lap
+    dmu = np.stack([grid.dx1(x) for x in mu])
+    J = mobility_E @ np.stack([grid.dx2(x) for x in mu])
+    Jtot = weights @ J
+    if m.viscosity_rule is None:
+        eta, nu = m.inv_Re_s, m.inv_Re_v
+        fx, fy = (2.0 * eta + nu) * grid.dx2(vx), eta * grid.dx2(vy)
+    else:
+        eta, nu = fe.average_viscosity(m.viscosity_rule, E[0] / rho)
+        fx = grid.dx1((2.0 * eta + nu) * grid.dx1(vx))
+        fy = grid.dx1(eta * grid.dx1(vy))
+    rhs = -np.stack([grid.dx1(row * vx) for row in u])
+    for i, name in enumerate(m.energy_fields):
+        rhs[m.field_names.index(name)] += J[i]
+    rhs[-2] += 0.5 * Jtot * vx + fx - np.sum(E * dmu, axis=0)
+    rhs[-1] += 0.5 * Jtot * vy + fy
+    dis = -grid.integrate((2.0 * eta + nu) * grid.dx1(vx) ** 2
+                          + eta * grid.dx1(vy) ** 2
+                          + np.einsum("ij,ix,jx->x", mobility_E, dmu, dmu))
+    return rhs, mu, dis
+
+
+class TestCompressibleFusedCore:
+    """The one-transform-pair compressible core (mu formed in Fourier
+    space) against the physical-space route, for both classes, with
+    constant viscosities and with a viscosity rule (N = 3 has no rule)."""
+
+    RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
+                            eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
+
+    @staticmethod
+    def case(name, rule, grid):
+        """(model, state, mobility in E, total density weights)."""
+        vel = [smooth_field(grid, 0.1, 61, amp=1.0, modes=8),
+               smooth_field(grid, 0.05, 62, amp=1.0, modes=8)]
+        if name == "local":
+            m = make_local()
+            dens = [smooth_field(grid, 3.0, 63, modes=8),
+                    smooth_field(grid, 1.0, 64, modes=8)]
+            M_E, w = np.diag([m.M11, 0.0]), np.array([0.0, 1.0])
+        else:
+            m = make_three() if name == "global3" else make_global()
+            dens = [smooth_field(grid, base, 65 + i, modes=8)
+                    for i, base in enumerate([1.0, 2.0, 1.5][:m.n_components])]
+            M_E, w = m.mobility, np.ones(m.n_components)
+        if rule:
+            m = dataclasses.replace(m, viscosity_rule=TestCompressibleFusedCore.RULE)
+        rho = np.sum(dens, axis=0) if name != "local" else dens[0]
+        return m, np.stack(dens + [rho * vel[0], rho * vel[1]]), M_E, w
+
+    @pytest.mark.parametrize("name, rule", [("global2", False), ("global2", True),
+                                            ("global3", False), ("local", False),
+                                            ("local", True)])
+    def test_matches_physical_route(self, name, rule):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        m, u, M_E, w = self.case(name, rule, grid)
+        rhs_ref, mu_ref, dis_ref = physical_compressible_route(m, u, grid, M_E, w)
+        rhs, aux = m.rhs_1d(u, grid, return_aux=True)
+        for got, want in zip(rhs, rhs_ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got, want in zip(aux["mu"], mu_ref):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.array_equal(m.rhs_1d(u, grid), rhs)
+        dis = m.energy_dissipation_rate(u, grid)
+        assert dis == pytest.approx(dis_ref, rel=1e-12)
 
 
 class TestQuasiSpectralCore:

@@ -350,16 +350,17 @@ class TestEveryClassSmoke:
 
 
 # Upper bounds on numpy.fft.rfft + irfft calls: one batched transform pair
-# per dependency level of each right-hand side (constant viscosities).  The
-# quasi-incompressible core forms the pressure in Fourier space, between its
-# two levels, so it needs no more than the others.
-FFT_PER_RHS = {"global": 4, "local": 4, "quasi": 4, "incompressible": 4}
-# A quasi-incompressible semi-implicit step: the right-hand side's four,
+# per right-hand side of each class (constant viscosities).  The bulk
+# gradient joins the state's forward transform and mu is formed in Fourier
+# space, so no class needs a second level.
+FFT_PER_RHS = {"global": 2, "local": 2, "quasi": 2, "incompressible": 2}
+# A quasi-incompressible semi-implicit step: the right-hand side's two,
 # one rfft of the two velocity rows and the closing irfft.
-QUASI_SEMI_IMPLICIT_STEP = 6
-# One quasi-incompressible diagnostics record: the energy's gradient (2),
-# the dissipation rate through the spectral core (4) and one tracked mode.
-QUASI_RECORD = 7
+QUASI_SEMI_IMPLICIT_STEP = 4
+# One diagnostics record: the energy's gradient (2), the dissipation rate
+# in one transform pair (2) and one tracked mode.
+QUASI_RECORD = 5
+COMPRESSIBLE_RECORD = 5
 
 
 @pytest.fixture()
@@ -379,9 +380,9 @@ def fft_calls(monkeypatch):
 
 
 class TestFftBudget:
-    """The fused core does each spectral transform once per dependency
-    level; these bounds fail if a right-hand side goes back to one
-    transform pair per derivative."""
+    """Each right-hand side is one forward and one inverse transform;
+    these bounds fail if it goes back to a second level (mu formed in
+    physical space and transformed again) or to one pair per derivative."""
 
     @pytest.mark.parametrize("name", sorted(FFT_PER_RHS) + ["three_components"])
     def test_per_rhs(self, name, fft_calls):
@@ -429,8 +430,10 @@ class TestFftBudget:
         if name == "quasi" and integrator == "semi_implicit":
             assert per_step <= QUASI_SEMI_IMPLICIT_STEP
 
-    def test_per_quasi_record(self, fft_calls):
-        m, st = smoke_cases()["quasi"]
+    @staticmethod
+    def record_calls(name, integrator, track, fft_calls):
+        """FFT calls per diagnostics record of a ten-step run."""
+        m, st = smoke_cases()[name]
         grid = PeriodicGrid1D(L, 32)
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3)
@@ -439,8 +442,8 @@ class TestFftBudget:
         def calls(every):
             cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
                                        t_end=10 * dt, diagnostics_every=every,
-                                       perturbations=perts, track=(("phi", 2),),
-                                       integrator="semi_implicit")
+                                       perturbations=perts, track=((track, 2),),
+                                       integrator=integrator)
             before = fft_calls[0]
             tr = sim.run(cfg)
             return fft_calls[0] - before, tr.times.size
@@ -448,4 +451,12 @@ class TestFftBudget:
         dense, n_dense = calls(1)
         sparse, n_sparse = calls(1000)
         assert (n_dense, n_sparse) == (11, 2)
-        assert (dense - sparse) / (n_dense - n_sparse) <= QUASI_RECORD
+        return (dense - sparse) / (n_dense - n_sparse)
+
+    def test_per_quasi_record(self, fft_calls):
+        assert self.record_calls("quasi", "semi_implicit", "phi",
+                                 fft_calls) <= QUASI_RECORD
+
+    @pytest.mark.parametrize("name", ["global", "local"])
+    def test_per_compressible_record(self, name, fft_calls):
+        assert self.record_calls(name, "rk4", "rho1", fft_calls) <= COMPRESSIBLE_RECORD
