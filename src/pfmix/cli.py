@@ -180,7 +180,7 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
         raise ConfigError(f"{cfg.source}: concavity-map needs a [map] section")
     sec = cfg.sections["map"]
     model, _ = build_all(cfg)
-    if not isinstance(model, models.CompressibleLocal):
+    if model.free_energy.variables != ("rho1", "rho"):
         raise ConfigError("concavity-map requires the compressible_local class "
                           "(energy in (rho1, rho) variables)")
     fe_tilde = model.free_energy

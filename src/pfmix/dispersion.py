@@ -448,25 +448,3 @@ def angular_deviation(vector, axis_index: int = 1) -> float:
     v = np.asarray(vector, dtype=complex)
     overlap = abs(v[axis_index]) / np.linalg.norm(v)
     return float(np.arccos(min(overlap, 1.0)))
-
-
-def short_wave_stable_threshold(lin, k_lo: float = 1e-2, k_hi: float = 1e4,
-                                rel_tol: float = 1e-3) -> float:
-    """Smallest wavenumber K (within [k_lo, k_hi], up to rel_tol) such that
-    max Re(alpha) < 0 on a log grid of [K, k_hi]; verifies the absence of
-    short-wave instability."""
-    def max_re(k):
-        return growth_rates(lin, k).alphas.real.max()
-
-    if max_re(k_hi) >= 0:
-        raise NumericalError(f"still unstable at k = {k_hi}")
-    a, b = k_lo, k_hi
-    if max_re(a) < 0:
-        return a
-    while (b - a) > rel_tol * b:
-        m = np.sqrt(a * b)
-        if max_re(m) < 0:
-            b = m
-        else:
-            a = m
-    return b

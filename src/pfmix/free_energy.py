@@ -512,14 +512,6 @@ def change_variables_to_rho_rho1(kappa: GradientCoefficients, fe: BulkFreeEnergy
     return GradientCoefficients(kt), TildeFreeEnergy(fe)
 
 
-def change_variables_from_rho_rho1(kappa_tilde: GradientCoefficients,
-                                   fe_tilde: TildeFreeEnergy):
-    """Inverse of :func:`change_variables_to_rho_rho1` (round trip is exact)."""
-    Jinv = np.array([[1.0, 0.0], [1.0, 1.0]])
-    k = Jinv.T @ kappa_tilde.kappa @ Jinv
-    return GradientCoefficients(k), fe_tilde.base
-
-
 def reduce_quasi_incompressible(kappa_tilde: GradientCoefficients,
                                 fe_tilde: BulkFreeEnergy,
                                 rho_hat_1: float, rho_hat_2: float):

@@ -10,9 +10,14 @@ coefficients, mobilities and inverse Reynolds numbers, and knows how to:
 * return its linearization about a constant binary state, the object that
   owns the class's pencil, expansions and stiff terms (:mod:`pfmix.linearization`).
 
-``CompressibleGlobal`` holds N densities: its right-hand side, energy and
-dissipation run through the one batched compressible core for every N;
-N = 2 is the binary model, the only one with a linearization.
+One class, :class:`CompressibleModel`, owns the compressible right-hand
+side, energy, dissipation and linearization for both conservation levels.
+It is parameterized by the state rows of its energy variables E, the
+mobility in E and the weights w of the total density rho = w.E.  Its two
+constructors only fill these in: ``CompressibleGlobal`` has E = (rho1,
+..., rhoN), any PSD mobility and w = 1, for every N (N = 2 is the binary
+model, the only one with a linearization); ``CompressibleLocal`` has E =
+(rho1, rho), diag(M11, 0) and w = (0, 1).
 
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible class evolves velocities directly.  Its
@@ -47,7 +52,7 @@ PSD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# States and scales
+# States
 # ---------------------------------------------------------------------------
 
 
@@ -77,23 +82,6 @@ class MixtureState:
         if not 0.0 < phi < 1.0:
             raise RangeError("phi must lie in (0, 1)")
         return cls(phi=phi)
-
-
-@dataclass(frozen=True)
-class ScaleSet:
-    """Characteristic time, length and density scales."""
-
-    t0: float
-    l0: float
-    rho0: float
-
-    def __post_init__(self):
-        if min(self.t0, self.l0, self.rho0) <= 0:
-            raise RangeError("scales must be positive")
-
-    @property
-    def energy_density(self) -> float:
-        return self.rho0 * self.l0**2 / self.t0**2
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +126,8 @@ def local_conservation_matrix(M11: float) -> np.ndarray:
 
 
 class BinaryModel:
-    """Shared plumbing of the three model classes: validation, viscosity
-    and the state array.
+    """Shared plumbing of the compressible and phase-field models:
+    validation, viscosity and the state array.
 
     A state is one (n_fields, n) array whose rows follow ``field_names``.
     Every method that takes ``fields`` also accepts a dict keyed by field
@@ -215,23 +203,61 @@ def _viscous_forces(grid, vh, eta, nu):
 
 
 class CompressibleModel(BinaryModel):
-    """Shared plumbing of the two compressible classes: the state rows are
-    the densities then the momenta mx, my; the bulk energy's variables are
-    the densities ``energy_fields``."""
+    """The compressible model of both conservation levels: one set of
+    equations that differ only in the mobility and the density variables.
+
+    The state rows are N densities, then the momenta mx, my.  Three values
+    set at construction (:meth:`_parameterize`) describe a class:
+
+    * ``energy_fields``, the state rows of the energy variables E, the
+      bulk energy's and kappa's variables;
+    * ``mobility_E``, the mobility in E: fluxes J = M_E d2 mu/dx2 with
+      mu = dh/dE - kappa d2 E/dx2;
+    * ``weights`` w, with total density rho = w.E.
+
+    Momentum gains 1/2 (w.J) v only where mass is not conserved locally,
+    that is where w.M_E is nonzero."""
 
     field_names: tuple
     energy_fields: tuple
+    mobility_E: np.ndarray
+    weights: np.ndarray
+
+    def _parameterize(self, energy_fields, mobility_E, weights):
+        """Store the three values and, in state-row order, what the
+        right-hand side uses: J lands on the density rows as one slice."""
+        rows = [self.field_names.index(v) for v in energy_fields]
+        order = np.argsort(rows)               # E index of each density row
+        M, w = np.asarray(mobility_E, dtype=float), np.asarray(weights, dtype=float)
+        for name, value in (("energy_fields", tuple(energy_fields)),
+                            ("mobility_E", M), ("weights", w), ("_rows", rows),
+                            ("_order", order), ("_mobility_rows", M[order]),
+                            ("_weights_rows", w[order]),
+                            ("_mass_flux", bool(np.any(w @ M != 0.0)))):
+            object.__setattr__(self, name, value)
 
     @property
     def n_components(self) -> int:
         """Number of densities N, the size of kappa."""
         return self.kappa.n
 
+    def _require_binary(self, what: str):
+        """The one guard of everything that exists for N = 2 only."""
+        if self.n_components != 2:
+            raise ShapeError(f"{what} needs two components; this model has "
+                             f"{self.n_components}")
+
+    def state_densities(self, state: MixtureState) -> np.ndarray:
+        """E at a binary state, in the free energy's variable order."""
+        self._require_binary("a binary MixtureState")
+        return np.array([getattr(state, v) for v in self.energy_fields])
+
+    def total_density(self, fields):
+        return self._weights_rows @ self.state_array(fields)[:self.n_components]
+
     def energy_variables(self, fields, axis=-1):
         """The free energy's variables stacked along ``axis``."""
-        E = self.state_array(fields)[[self.field_names.index(v)
-                                      for v in self.energy_fields]]
-        return E.swapaxes(0, axis)
+        return self.state_array(fields)[self._rows].swapaxes(0, axis)
 
     def _forward(self, u, grid, flux):
         """E, the total density, the velocities v = (vx, vy), mu^ and the
@@ -249,12 +275,11 @@ class CompressibleModel(BinaryModel):
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.symbols[2] * h[:N])
         return E, rho, v, muh, h[2 * N:]
 
-    def _transport(self, u, grid, return_aux):
-        """What both right-hand sides differentiate: the forward transform,
-        then one ``irfft`` of d2 mu, d mu, the viscous forces (a viscosity
-        rule's stresses take one more pair), the flux divergences and, with
-        ``return_aux``, mu.  Returns v, d2 mu, d mu, the forces (fx, fy),
-        d(u*vx)/dx and mu (or None)."""
+    def _rhs(self, u, grid, return_aux):
+        """The forward transform, then one ``irfft`` of d2 mu, d mu, the
+        viscous forces (a viscosity rule's stresses take one more pair),
+        the flux divergences d(u*vx)/dx and, with ``return_aux``, mu.  The
+        auxiliary fields are mu (or None) and the fluxes J by density row."""
         E, rho, v, muh, h = self._forward(u, grid, flux=True)
         N, S = self.n_components, grid.symbols
         eta, nu = self._viscosity_fields(E[0], rho)
@@ -262,22 +287,38 @@ class CompressibleModel(BinaryModel):
                 S[1] * h[2:]] + ([muh] if return_aux else [])
         d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
-        return (v, d[:N], d[N:2 * N], d[2 * N:f], d[f:f + N + 2],
-                d[f + N + 2:] if return_aux else None)
+        J = self._mobility_rows @ d[:N]
+        out = -d[f:f + N + 2]
+        out[:N] += J
+        if self._mass_flux:
+            out[N:] += 0.5 * (self._weights_rows @ J) * v + d[2 * N:f]
+        else:
+            out[N:] += d[2 * N:f]
+        out[N] -= np.einsum("ix,ix->x", E, d[N:2 * N])     # sum_i E_i d mu_i
+        return out, {"mu": d[f + N + 2:] if return_aux else None, "J": J}
 
-    def _dissipation_terms(self, fields, grid):
-        """Viscous dissipation density and d mu, in one transform pair."""
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        """Viscous and diffusive dissipation, d mu and the velocity
+        gradients in one transform pair."""
         E, rho, _, muh, vh = self._forward(self.state_array(fields), grid, flux=False)
         N = self.n_components
         d = np.fft.irfft(grid.symbols[1] * np.concatenate([muh, vh]), n=grid.n, axis=-1)
         eta, nu = self._viscosity_fields(E[0], rho)
         visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
-        return visc, d[:N]
+        mob = np.einsum("ij,ijx->x", self.mobility_E, d[:N, None] * d[None, :N])
+        return -grid.integrate(visc + mob)
 
-    def _linearization(self, C, K, p, rho0, mobility) -> CompressibleLinearization:
+    def linearization(self, state: MixtureState) -> CompressibleLinearization:
+        """The pencil's densities are the first two state rows: E's
+        Hessian, kappa and mobility are indexed into that order."""
+        E0 = self.state_densities(state)
+        o = self._order
+        rc = np.ix_(o, o)
         return CompressibleLinearization(
-            C=C, K=K, p=p, rho0=rho0, inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
-            mobility=mobility, vector_fields=self.field_names[:2] + ("vx", "vy"))
+            C=self.free_energy.hessian(E0)[rc], K=self.kappa.kappa[rc], p=E0[o],
+            rho0=float(self.weights @ E0), inv_Re_s=self.inv_Re_s,
+            inv_Re=self.inv_Re, mobility=self.mobility_E[rc],
+            vector_fields=self.field_names[:2] + ("vx", "vy"))
 
     def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
         level = dict(zip(self.energy_fields, self.state_densities(state)))
@@ -301,8 +342,9 @@ class CompressibleModel(BinaryModel):
 class CompressibleGlobal(CompressibleModel):
     """Compressible N-component model conserving total mass only globally.
 
-    Fields: rho1, ..., rhoN, mx, my; N is the size of the mobility, kappa
-    and the free energy.  Binary states and a viscosity rule need N = 2.
+    Fields: rho1, ..., rhoN, mx, my; E = (rho1, ..., rhoN), M_E = the
+    mobility and w = 1.  N is the size of the mobility, kappa and the free
+    energy.  Binary states and a viscosity rule need N = 2.
     """
 
     free_energy: BulkFreeEnergy            # variables (rho1, ..., rhoN)
@@ -325,44 +367,10 @@ class CompressibleGlobal(CompressibleModel):
                              "agree on N >= 2 components")
         densities = tuple(f"rho{i + 1}" for i in range(n))
         object.__setattr__(self, "mobility", M)
-        object.__setattr__(self, "energy_fields", densities)
         object.__setattr__(self, "field_names", densities + ("mx", "my"))
+        self._parameterize(densities, M, np.ones(n))
         if self.viscosity_rule is not None:
             self._require_binary("a viscosity rule")
-
-    def _require_binary(self, what: str):
-        """The one guard of everything that exists for N = 2 only."""
-        if self.n_components != 2:
-            raise ShapeError(f"{what} needs two components; this model has "
-                             f"{self.n_components}")
-
-    # -- state / fields -----------------------------------------------------
-    def state_densities(self, state: MixtureState) -> np.ndarray:
-        self._require_binary("a binary MixtureState")
-        return np.array([state.rho1, state.rho2])
-
-    def total_density(self, fields):
-        return self.state_array(fields)[:self.n_components].sum(axis=0)
-
-    def _rhs(self, u, grid, return_aux):
-        v, d2mu, dmu, f, dflux, mu = self._transport(u, grid, return_aux)
-        N = self.n_components
-        J = self.mobility @ d2mu
-        out = -dflux
-        out[:N] += J
-        out[N:] += 0.5 * J.sum(axis=0) * v + f
-        out[N] -= np.einsum("ix,ix->x", u[:N], dmu)     # sum_i rho_i d mu_i
-        return out, {"mu": mu, "J": J}
-
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        visc, dmu = self._dissipation_terms(fields, grid)
-        mob = np.einsum("ij,ix,jx->x", self.mobility, dmu, dmu)
-        return -grid.integrate(visc + mob)
-
-    def linearization(self, state: MixtureState) -> CompressibleLinearization:
-        p = self.state_densities(state)
-        return self._linearization(self.free_energy.hessian(p), self.kappa.kappa,
-                                   p, float(p.sum()), self.mobility)
 
     def require_local_conservation(self):
         rep = mobility_check(self.mobility)
@@ -389,7 +397,8 @@ class CompressibleGlobal(CompressibleModel):
 @dataclass(frozen=True, eq=False)
 class CompressibleLocal(CompressibleModel):
     """Binary compressible model with local mass conservation, single
-    mobility coefficient.  Fields: rho, rho1, mx, my."""
+    mobility coefficient.  Fields: rho, rho1, mx, my; E = (rho1, rho),
+    M_E = diag(M11, 0), so only rho1 diffuses, and w = (0, 1)."""
 
     free_energy: BulkFreeEnergy            # variables (rho1, rho)
     kappa: GradientCoefficients            # 2x2 in (rho1, rho) order
@@ -399,7 +408,6 @@ class CompressibleLocal(CompressibleModel):
     viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("rho", "rho1", "mx", "my")
-    energy_fields = ("rho1", "rho")
 
     def __post_init__(self):
         self._check_reynolds()
@@ -407,38 +415,11 @@ class CompressibleLocal(CompressibleModel):
             raise RangeError("M11 must be nonnegative")
         if self.kappa.n != 2:
             raise ShapeError("binary model needs 2x2 kappa")
+        self._parameterize(("rho1", "rho"), np.diag([self.M11, 0.0]), (0.0, 1.0))
 
     @property
     def mobility(self) -> np.ndarray:
         return local_conservation_matrix(self.M11)
-
-    def state_densities(self, state: MixtureState) -> np.ndarray:
-        # (rho1, rho), matching the free energy's variable order
-        return np.array([state.rho1, state.rho])
-
-    def total_density(self, fields):
-        return self.state_array(fields)[0]
-
-    def _rhs(self, u, grid, return_aux):
-        # mu[0] = mu~_1, mu[1] = mu~
-        _, d2mu, dmu, f, dflux, mu = self._transport(u, grid, return_aux)
-        out = -dflux
-        out[1] += self.M11 * d2mu[0]
-        out[2:] += f
-        out[2] -= u[1] * dmu[0] + u[0] * dmu[1]         # rho1 d mu~_1 + rho d mu~
-        return out, {"mu": mu}
-
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        visc, dmu = self._dissipation_terms(fields, grid)
-        return -grid.integrate(visc + self.M11 * dmu[0] ** 2)
-
-    def linearization(self, state: MixtureState) -> CompressibleLinearization:
-        H = self.free_energy.hessian(self.state_densities(state))
-        # reorder (rho1, rho) -> (rho, rho1); only rho1 diffuses
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return self._linearization(swap @ H @ swap, swap @ self.kappa.kappa @ swap,
-                                   np.array([state.rho, state.rho1]),
-                                   float(state.rho), np.diag([0.0, self.M11]))
 
 
 class _QuasiSpectra(NamedTuple):
@@ -635,95 +616,6 @@ class QuasiIncompressible(BinaryModel):
                          n=grid.n, axis=-1)
         visc = (2.0 * core.eta + core.nu) * d[0] ** 2 + core.eta * d[1] ** 2
         return -grid.integrate(visc + self.M11 * (d[2] / self.rho_hat_1) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Nondimensionalization
-# ---------------------------------------------------------------------------
-
-
-class ScaledFreeEnergy(BulkFreeEnergy):
-    """h_scaled(x) = h(rho0 * x) / E0 for dimensionless evaluation."""
-
-    def __init__(self, base: BulkFreeEnergy, rho0: float, energy_density: float):
-        self.base = base
-        self.rho0 = float(rho0)
-        self.E0 = float(energy_density)
-        self.variables = base.variables
-
-    def _domain_checks(self, rho):
-        return self.base._domain_checks(rho * self.rho0)
-
-    def _value(self, rho):
-        return self.base._value(rho * self.rho0) / self.E0
-
-    def _gradient(self, rho):
-        return self.base._gradient(rho * self.rho0) * (self.rho0 / self.E0)
-
-    def _hessian(self, rho):
-        return self.base._hessian(rho * self.rho0) * (self.rho0**2 / self.E0)
-
-
-@dataclass(frozen=True)
-class DimensionalParameters:
-    """Dimensional inputs of a binary model prior to scaling."""
-
-    eta: float
-    nu: float
-    mobility: np.ndarray            # 2x2 (or [[M11]] for the local class)
-    kappa: GradientCoefficients
-    free_energy: Optional[BulkFreeEnergy] = None
-
-
-@dataclass(frozen=True)
-class NondimensionalizationRecord:
-    """The scale factors applied; dimensionless = dimensional / factor."""
-
-    mobility: float
-    inv_Re: float                   # eta_dimless = eta * t0 / (rho0 l0^2)
-    kappa: float
-    chemical_potential: float       # mu_dimless = mu * t0^2 / l0^2
-    energy_density: float
-
-
-def _record(scales: ScaleSet) -> NondimensionalizationRecord:
-    E0 = scales.energy_density
-    return NondimensionalizationRecord(
-        mobility=scales.t0 * scales.rho0,
-        inv_Re=scales.rho0 * scales.l0**2 / scales.t0,
-        kappa=E0 * scales.l0**2 / scales.rho0**2,
-        chemical_potential=scales.l0**2 / scales.t0**2,
-        energy_density=E0,
-    )
-
-
-def nondimensionalize(params: DimensionalParameters, scales: ScaleSet):
-    """Scale dimensional parameters; returns (scaled parameters, record)."""
-    rec = _record(scales)
-    fe = None if params.free_energy is None else ScaledFreeEnergy(
-        params.free_energy, scales.rho0, rec.energy_density)
-    scaled = DimensionalParameters(
-        eta=params.eta / rec.inv_Re,
-        nu=params.nu / rec.inv_Re,
-        mobility=np.asarray(params.mobility, dtype=float) / rec.mobility,
-        kappa=GradientCoefficients(params.kappa.kappa / rec.kappa),
-        free_energy=fe,
-    )
-    return scaled, rec
-
-
-def redimensionalize(scaled: DimensionalParameters, scales: ScaleSet):
-    """Algebraic inverse of :func:`nondimensionalize` (parameters only)."""
-    rec = _record(scales)
-    base = scaled.free_energy.base if isinstance(scaled.free_energy,
-                                                 ScaledFreeEnergy) else scaled.free_energy
-    return DimensionalParameters(
-        eta=scaled.eta * rec.inv_Re,
-        nu=scaled.nu * rec.inv_Re,
-        mobility=np.asarray(scaled.mobility, dtype=float) * rec.mobility,
-        kappa=GradientCoefficients(scaled.kappa.kappa * rec.kappa),
-        free_energy=base,
-    )
 
 
 # ---------------------------------------------------------------------------

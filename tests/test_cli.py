@@ -388,6 +388,29 @@ class TestMapOutput:
         codes = {int(float(r.split(",")[2])) for r in rows[1:]}
         assert codes == {1}
 
+    @pytest.mark.parametrize("case", ["global", "quasi"])
+    def test_map_refuses_energy_not_in_rho1_rho(self, tmp_path, capsys, case):
+        # the map classifies an energy in (rho1, rho): a global model's is
+        # in (rho1, rho2), a phase-field model's in phi
+        if case == "global":
+            text = MINI_SWEEP.replace(
+                "kappa_rho_rho1 = 0.0\nkappa_rho_rho = 0.002",
+                "kappa_rho1_rho2 = 0.0\nkappa_rho2_rho2 = 0.002").replace(
+                "class = compressible_local\nM11 = 0.05",
+                "class = compressible_global\nM11 = 0.05\nM12 = -0.02\nM22 = 0.05"
+            ).replace("rho0 = 3.0\nrho1_0 = 1.0", "rho1_0 = 1.0\nrho2_0 = 2.0")
+            assert "compressible_global" in text and "rho2_0" in text
+        else:
+            text = open(config_path("quasi_spinodal.ini")).read()
+        text += ("\n[map]\nrho1_min = 0.5\nrho1_max = 2.0\nrho_min = 2.5\n"
+                 "rho_max = 4.0\nn_rho1 = 6\nn_rho = 6\n")
+        path = write(tmp_path, "map.ini", text)
+        code = cli.main(["concavity-map", "--config", path,
+                         "--out", str(tmp_path / "o")])
+        assert code == cli.EXIT_CONFIG
+        assert ("concavity-map requires the compressible_local class (energy "
+                "in (rho1, rho) variables)") in capsys.readouterr().err
+
     def test_co2_decane_map_has_both_regions(self, tmp_path):
         out = str(tmp_path / "o")
         cfgtext = open(config_path("concavity_co2_decane.ini")).read()

@@ -228,12 +228,20 @@ class TestOneCompressibleLinearization:
     expansions agree between the two descriptions of one mixture."""
 
     def test_local_mobility_is_rank_one_in_its_variables(self):
-        lin = make_local(M11=0.3).linearization(ST_LOCAL)
+        m = make_local(M11=0.3)
+        lin = m.linearization(ST_LOCAL)
         assert isinstance(lin, CompressibleLinearization)
         assert isinstance(make_global().linearization(ST_GLOBAL),
                           CompressibleLinearization)
         assert np.array_equal(lin.mobility, np.diag([0.0, 0.3]))
         assert lin.vector_fields == ("rho", "rho1", "vx", "vy")
+        # the pencil's (rho, rho1) order is the energy's (rho1, rho) with
+        # rows and columns swapped, bit for bit
+        H = m.free_energy.hessian(np.array([ST_LOCAL.rho1, ST_LOCAL.rho]))
+        assert np.array_equal(lin.C, H[::-1, ::-1])
+        assert np.array_equal(lin.K, m.kappa.kappa[::-1, ::-1])
+        assert np.array_equal(lin.p, [ST_LOCAL.rho, ST_LOCAL.rho1])
+        assert lin.rho0 == ST_LOCAL.rho
 
     @pytest.mark.parametrize("kappa, oscillatory", [
         ([[1e-2, 2e-3], [2e-3, 3e-2]], False),
@@ -529,13 +537,6 @@ class TestSweep:
         assert k_hi == pytest.approx(np.sqrt(0.5 / 2e-3), rel=2e-2)
         alpha = disp.track_root_at(lin, k_hi * 1.001, res.roots[-1, i1])
         assert alpha.real <= 0
-
-    def test_short_wave_threshold(self):
-        m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
-        lin = m.linearization(ST_LOCAL)
-        K = disp.short_wave_stable_threshold(lin)
-        for k in K * np.array([1.01, 2.0, 10.0]):
-            assert disp.growth_rates(lin, k).alphas.real.max() < 0
 
     def test_k_grid_validation(self):
         with pytest.raises(RangeError):

@@ -596,50 +596,6 @@ class TestQuasiSpectralCore:
             m.rhs_1d(u, grid)
 
 
-class TestNondimensionalize:
-    def base_params(self):
-        q = fe.Quadratic(np.array([[2.0, 0.3], [0.3, 1.0]]))
-        return models.DimensionalParameters(
-            eta=2.0, nu=0.5, mobility=np.array([[1e-8, 0.0], [0.0, 2e-8]]),
-            kappa=fe.GradientCoefficients(np.diag([1e-4, 3e-4])), free_energy=q)
-
-    def test_identity_scaling(self):
-        par = self.base_params()
-        nd, rec = models.nondimensionalize(par, models.ScaleSet(1.0, 1.0, 1.0))
-        assert nd.eta == par.eta
-        assert np.array_equal(nd.mobility, par.mobility)
-        assert rec.chemical_potential == 1.0
-
-    def test_direct_formula(self):
-        par = self.base_params()
-        nd, _ = models.nondimensionalize(par, models.ScaleSet(1.0, 1.0, 1.0))
-        assert nd.eta == pytest.approx(2.0)  # inv_Re_s = t0 eta / (rho0 l0^2)
-
-    def test_round_trip(self):
-        par = self.base_params()
-        scales = models.ScaleSet(t0=1e-3, l0=1e-2, rho0=5.0)
-        nd, rec = models.nondimensionalize(par, scales)
-        back = models.redimensionalize(nd, scales)
-        assert back.eta == pytest.approx(par.eta, rel=1e-14)
-        assert back.nu == pytest.approx(par.nu, rel=1e-14)
-        assert np.allclose(back.mobility, par.mobility, rtol=1e-14)
-        assert np.allclose(back.kappa.kappa, par.kappa.kappa, rtol=1e-14)
-        assert rec.chemical_potential == pytest.approx(scales.l0**2 / scales.t0**2)
-
-    def test_scaled_free_energy_consistency(self):
-        par = self.base_params()
-        scales = models.ScaleSet(t0=2.0, l0=3.0, rho0=5.0)
-        nd, rec = models.nondimensionalize(par, scales)
-        x = np.array([0.2, 0.4])
-        want = par.free_energy.hessian(x * scales.rho0) \
-            * scales.rho0**2 / rec.energy_density
-        assert np.allclose(nd.free_energy.hessian(x), want, rtol=1e-14)
-
-    def test_positive_scales_required(self):
-        with pytest.raises(RangeError):
-            models.ScaleSet(0.0, 1.0, 1.0)
-
-
 class TestNComponent:
     def make3(self, rng):
         A = rng.normal(size=(2, 2))
