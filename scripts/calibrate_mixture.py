@@ -163,7 +163,7 @@ def polish_k12(s1, s2, T, k12_seed):
         m = make_model(s1, s2, T, k12v)
         lin = m.linearization(stA)
         near = lin.small_k().mode("alpha1").evaluate(0.3)
-        seed = disp.track_root_at(lin, 0.3, near)
+        seed, _ = disp.eigenvector_at(lin, 0.3, near)
         kpk, _ = disp.band_peak(lin, 0.5, 25.0, seed)
         D = lin.C + kpk**2 * lin.K
         return float(lin.p[0] * D[0, 1] + lin.p[1] * D[1, 1])

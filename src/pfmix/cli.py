@@ -154,9 +154,9 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
 
 def _classification_line(model, lin) -> str:
     if isinstance(model, models.QuasiIncompressible):
-        edge = dispersion.spinodal_band_edge(lin)
-        if edge > 0:
-            return f"spinodal band: (0, {F(edge)})"
+        edges = lin.band_edges()
+        if edges.size:
+            return f"spinodal band: (0, {F(edges[0])})"
         return "no spinodal band (h_phi_phi >= 0)"
     report = free_energy.HessianReport(
         matrix=lin.C, definiteness=free_energy.classify_matrix(lin.C),

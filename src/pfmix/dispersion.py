@@ -3,9 +3,10 @@
 Extracts complex growth rates and eigenvectors from the dispersion pencil
 of a model's linearization about a constant state, for a whole wavenumber
 grid in one batched eigensolve of the pencil's standard form, tracks
-them over wavenumber sweeps, bisects unstable bands, evaluates closed-form
-growth-rate formulas, and classifies long-wave stability from the
-bulk-energy Hessian.
+them over wavenumber sweeps, takes unstable band edges from the
+linearization's closed form and checks each on the pencil, evaluates
+closed-form growth-rate formulas, and classifies long-wave stability from
+the bulk-energy Hessian.
 
 Every function takes ``lin``, the object a model's ``linearization``
 method returns for a state, so a caller linearizes a state once and passes
@@ -36,7 +37,7 @@ from .models import MixtureState
 
 EIG_RESIDUAL_TOL = 1e-8
 # Two roots closer than this, relative to the larger modulus, cannot be told
-# apart: labels may swap there, so the sweep flags the grid point.
+# apart (the sweep flags the point); a root grows only above it times max |alpha|.
 TRACK_GAP_TOL = 1e-12
 
 
@@ -65,8 +66,20 @@ def _solve(lin, k) -> tuple:
     (a conjugate pair: negative imaginary part first) and ``vectors[i]``
     their eigenvectors as columns, each of unit norm with its
     largest-modulus component real and positive.  Every root is checked on
-    the full pencil: ``residuals[i, j]`` is |(alpha B + A) x| / (|A| |x|).
+    the full pencil: ``residuals[i, j]`` is |(alpha B + A) x| / (|A| |x|),
+    and NumericalError is raised where one exceeds EIG_RESIDUAL_TOL.
     """
+    w, x, res = _eigen(lin, k)
+    bad = res > EIG_RESIDUAL_TOL
+    if np.any(bad):
+        raise NumericalError(
+            f"eigen-residual {res[bad].max():.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
+            f"at k={np.asarray(k, dtype=float)[bad.any(axis=1)][0]}")
+    return w, x, res
+
+
+def _eigen(lin, k) -> tuple:
+    """``_solve`` without the residual check."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise RangeError("wavenumber must be positive")
@@ -87,11 +100,6 @@ def _solve(lin, k) -> tuple:
     r = A @ x + w[:, None, :] * (lin.B @ x)
     res = np.linalg.norm(r, axis=1) / np.maximum(
         np.linalg.norm(A, axis=(1, 2)), 1e-300)[:, None]
-    bad = res > EIG_RESIDUAL_TOL
-    if np.any(bad):
-        raise NumericalError(
-            f"eigen-residual {res[bad].max():.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
-            f"at k={k[bad.any(axis=1)][0]}")
     return w, x, res
 
 
@@ -195,14 +203,6 @@ def incompressible_roots(lin, k):
     alpha1 = (-lin.M11 / lin.rho_hat_2**2 * lin.h_phi_phi * k * k
               - lin.M11 / lin.rho_hat_1**2 * lin.kappa_phi_phi * k**4)
     return alpha0, alpha1
-
-
-def spinodal_band_edge(lin) -> float:
-    """Upper wavenumber of the phase-field spinodal band,
-    sqrt(-h''/kappa); zero when the state is linearly stable."""
-    if lin.h_phi_phi >= 0 or lin.kappa_phi_phi <= 0:
-        return 0.0
-    return float(np.sqrt(-lin.h_phi_phi / lin.kappa_phi_phi))
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +318,35 @@ def _match(cost: np.ndarray, tie: np.ndarray = None) -> np.ndarray:
 def sweep(lin, k_grid) -> DispersionResult:
     """Growth rates over an increasing positive k grid, from one eigensolve
     of the whole grid, with mode tracking seeded from the long-wave
-    asymptotics and continued by eigenvector continuity."""
+    asymptotics and continued by eigenvector continuity.
+
+    Where those asymptotics do not hold at k_grid[0], tracking starts at the
+    first of k_grid[0] / 10, ..., k_grid[0] / 1e16 where they do (one
+    batched solve of all 16) and runs through 20 log-spaced points per
+    decade up to k_grid[0], which are then dropped; NumericalError if
+    there is no such k."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
     alphas, vecs, res = _solve(lin, k_grid)
-    small = lin.small_k()
-    predicted = np.array([m.evaluate(k_grid[0]) for m in small.modes])
-    labels = tuple(m.label for m in small.modes)
-    names = tuple(m.name for m in small.modes)
+    modes = lin.small_k().modes
+    labels = tuple(m.label for m in modes)
+    names = tuple(m.name for m in modes)
+    n, k_seed = 0, k_grid[0]
+    if not _long_wave(modes, k_grid[:1], alphas[:1], res[:1])[0]:
+        seeds = k_seed * 10.0 ** -np.arange(1.0, 17.0)
+        w, _, r = _eigen(lin, seeds)
+        found = np.flatnonzero(_long_wave(modes, seeds, w, r))
+        if not found.size:
+            raise NumericalError(
+                f"the long-wave expansions match the pencil's roots at no k "
+                f"down to {seeds[-1]:.3g}, so the sweep's modes cannot be named")
+        n = 20 * (int(found[0]) + 1)
+        prefix = k_seed * np.logspace(-n / 20, 0.0, n, endpoint=False)
+        alphas, vecs, res = (np.concatenate(pair) for pair in zip(
+            _solve(lin, prefix), (alphas, vecs, res)))
+        k_seed = prefix[0]
+    predicted = np.array([m.evaluate(k_seed) for m in modes])
 
     # step[i, j]: the root at k[i + 1] that root j at k[i] goes to, by the
     # mismatch 1 - |x^H y| of unit eigenvectors (a crossing of two real
@@ -335,8 +355,9 @@ def sweep(lin, k_grid) -> DispersionResult:
     step = _match(mismatch, tie=np.abs(alphas[:-1, :, None] - alphas[1:, None, :]))
     cols = np.empty(alphas.shape, dtype=int)
     cols[0] = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
-    for i in range(1, k_grid.size):
+    for i in range(1, cols.shape[0]):
         cols[i] = step[i - 1][cols[i - 1]]
+    alphas, vecs, res, cols = alphas[n:], vecs[n:], res[n:], cols[n:]
     roots = np.take_along_axis(alphas, cols, axis=1)
     vectors = np.take_along_axis(vecs, cols[:, None, :], axis=2).transpose(0, 2, 1)
     residuals = np.take_along_axis(res, cols, axis=1)
@@ -351,58 +372,48 @@ def sweep(lin, k_grid) -> DispersionResult:
         mode_names=names, residuals=residuals, ambiguous=ambiguous)
 
 
-def track_root_at(lin, k: float, near: complex) -> complex:
-    """Root at wavenumber k closest to ``near`` (used by band bisection)."""
-    gr = growth_rates(lin, k)
-    return complex(gr.alphas[np.argmin(np.abs(gr.alphas - near))])
+def _long_wave(modes, ks, alphas, residuals) -> np.ndarray:
+    """Whether, at each k, every long-wave prediction lies within 1e-3 of
+    the largest root of its own distinct root, all of them passing the
+    eigen-residual check."""
+    gap = np.abs(np.array([m.evaluate(ks) for m in modes]).T[:, :, None]
+                 - alphas[:, None, :])
+    distinct = (np.diff(np.sort(gap.argmin(axis=2), axis=1), axis=1) > 0).all(axis=1)
+    return (distinct & (residuals <= EIG_RESIDUAL_TOL).all(axis=1)
+            & (gap.min(axis=2).max(axis=1) <= 1e-3 * np.abs(alphas).max(axis=1)))
 
 
-def unstable_bands(lin, result: DispersionResult, track: int,
-                   rel_tol: float = 1e-6):
-    """(k_lo, k_hi) intervals where Re(alpha_track) > 0, endpoints sharpened
-    by bisection on the tracked root to relative tolerance ``rel_tol``."""
+def _growing(alphas: np.ndarray) -> np.ndarray:
+    """Roots (last axis) whose real part exceeds TRACK_GAP_TOL times the
+    largest modulus at their k, so alpha1 = 0 without mobility never grows."""
+    return alphas.real > TRACK_GAP_TOL * np.abs(alphas).max(axis=-1, keepdims=True)
+
+
+def unstable_bands(lin, result: DispersionResult, track: int):
+    """(k_lo, k_hi) intervals where the tracked root grows.
+
+    The sweep's sign pattern places each edge between two grid points
+    k_(i-1) < k_i, and ``lin.band_edges()`` gives it in closed form: the
+    one candidate in the closed bracket [k_(i-1), k_i] across which the
+    pencil's count of growing roots changes, checked at edge * (1 -+ 1e-6).
+    No candidate, or more than one, raises NumericalError.  A band open at
+    a grid end ends at that grid point."""
     ks = result.k_grid
-    re = result.roots[:, track].real
-    sign = re > 0.0
-    bands = []
-    i = 0
-    n = ks.size
-    while i < n:
-        if sign[i]:
-            j = i
-            while j + 1 < n and sign[j + 1]:
-                j += 1
-            k_lo = ks[i] if i == 0 else refine_edge(lin, ks[i - 1], ks[i],
-                                                    result.roots[i, track], rel_tol,
-                                                    rising=True)
-            k_hi = ks[j] if j == n - 1 else refine_edge(lin, ks[j], ks[j + 1],
-                                                        result.roots[j, track], rel_tol,
-                                                        rising=False)
-            bands.append((float(k_lo), float(k_hi)))
-            i = j + 1
-        else:
-            i += 1
-    return bands
+    sign = _growing(result.roots)[:, track]
+    cuts = [_band_edge(lin, ks[i], ks[i + 1]) for i in np.flatnonzero(np.diff(sign))]
+    cuts = [float(ks[0])] * int(sign[0]) + cuts + [float(ks[-1])] * int(sign[-1])
+    return list(zip(cuts[::2], cuts[1::2]))
 
 
-def refine_edge(lin, k_neg, k_pos, near, rel_tol, rising: bool):
-    """Bisect a sign change of the tracked root's real part.
-
-    ``rising=True``: Re(alpha) <= 0 at k_neg, > 0 at k_pos (band opens);
-    ``rising=False``: > 0 at k_neg, <= 0 at k_pos (band closes).
-    """
-    a, b = float(k_neg), float(k_pos)
-    alpha_near = complex(near)
-    while (b - a) > rel_tol * b:
-        m = 0.5 * (a + b)
-        alpha = track_root_at(lin, m, alpha_near)
-        alpha_near = alpha
-        positive = alpha.real > 0.0
-        if positive == rising:
-            b = m
-        else:
-            a = m
-    return 0.5 * (a + b)
+def _band_edge(lin, k0: float, k1: float) -> float:
+    edges = lin.band_edges()
+    found = [e for e in edges[(edges >= k0) & (edges <= k1)] if np.ptp(
+        _growing(_solve(lin, e * np.array([1 - 1e-6, 1 + 1e-6]))[0]).sum(axis=1))]
+    if len(found) != 1:
+        raise NumericalError(
+            f"{len(found)} closed-form band edges change the pencil's count of "
+            f"growing roots between k={k0} and k={k1}, not one")
+    return float(found[0])
 
 
 def band_peak(lin, k_lo: float, k_hi: float, near: complex, tol: float = 1e-10):
@@ -411,7 +422,7 @@ def band_peak(lin, k_lo: float, k_hi: float, near: complex, tol: float = 1e-10):
     inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
 
     def re_at(k, seed):
-        alpha = track_root_at(lin, k, seed)
+        alpha, _ = eigenvector_at(lin, k, seed)
         return alpha.real, alpha
 
     a, b = float(k_lo), float(k_hi)
@@ -429,8 +440,8 @@ def band_peak(lin, k_lo: float, k_hi: float, near: complex, tol: float = 1e-10):
             d = a + inv_phi * (b - a)
             fd, seed = re_at(d, seed)
     k_star = 0.5 * (a + b)
-    alpha = track_root_at(lin, k_star, seed)
-    return k_star, alpha
+    alpha, _ = eigenvector_at(lin, k_star, seed)
+    return k_star, complex(alpha)
 
 
 def eigenvector_at(lin, k: float, near: complex):

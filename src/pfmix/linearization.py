@@ -3,9 +3,9 @@
 ``model.linearization(state)`` returns one of the two objects below: one
 for both compressible classes, one for the phase-field model.  Each owns
 everything specific to its classes: the 4x4 dispersion pencil, the reduced
-scalar dispersion polynomial, the long- and short-wave expansions, the
-explicit-step stiffness, the Fourier symbols of the stiff linear terms and
-the names of the pencil variables.  Pencil variable orders:
+scalar dispersion polynomial and its band edges, the long- and short-wave
+expansions, the explicit-step stiffness, the Fourier symbols of the stiff
+linear terms and the names of the pencil variables.  Pencil variable orders:
 
 * compressible, global conservation:  (rho1, rho2, vx, vy)
 * compressible, local conservation:   (rho, rho1, vx, vy)
@@ -264,6 +264,29 @@ class CompressibleLinearization(_Pencil):
         d = float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0] - 2.0 * C[0, 1] * K[0, 1])
         return pCp, pKp, detC, detK, d
 
+    def band_edges(self) -> np.ndarray:
+        """Ascending k > 0 where the alpha^0 coefficient of the reduced
+        polynomial vanishes: the only k where a root's real part changes
+        sign.
+
+        The linearization has the generalized Onsager form
+        alpha x = -(R + W) E x, with R >= 0 (mobility and viscosity), W skew
+        and E the energy's Hessian.  For alpha = i omega, omega != 0, the
+        real part of (E x)^H alpha x gives R E x = 0; with 1/Re > 0 the
+        velocities of E x vanish, so the skew coupling leaves alpha times
+        the densities 0, and x = 0.  In s = k^2 that coefficient is
+        s^2 (g1 + det M s / Re) det(C + s K), so the edges are the positive
+        roots of det K s^2 + d s + det C.  Where it is identically 0
+        (g1 = det M = 0, as with M11 = 0) a root is 0 at every k, and the
+        edges are those of the next one,
+        p.C.p + s (p.K.p + M:C / Re) + s^2 M:K / Re."""
+        pCp, pKp, detC, detK, d = self.invariants()
+        MK, MC = (float(np.tensordot(self.mobility, X)) * self.inv_Re
+                  for X in (self.K, self.C))
+        neutral = self.g1 == 0.0 and np.linalg.det(self.mobility) == 0.0
+        s = np.roots([MK, pKp + MC, pCp] if neutral else [detK, d, detC])
+        return np.sort(np.sqrt(s[(s.imag == 0.0) & (s.real > 0.0)].real))
+
     def reduced_polynomial(self, k: float) -> np.ndarray:
         D = self.C + k * k * self.K
         M, p, r0, iRe = self.mobility, self.p, self.rho0, self.inv_Re
@@ -513,6 +536,15 @@ class PhaseFieldLinearization(_Pencil):
             return [1, 3], A[:, 2]
         B = self.B
         return [1, 2, 3], A[:, 0] - (B[0, 1] / B[1, 1]) * A[:, 1]
+
+    def band_edges(self) -> np.ndarray:
+        """The spinodal edge sqrt(-h''/kappa), where the alpha^0 coefficient
+        of the reduced polynomial, k^4 Mh (h'' + kappa k^2) times a positive
+        factor, vanishes; empty when h'' >= 0.  As for the compressible
+        classes, with 1/Re > 0 no root crosses the imaginary axis off 0."""
+        if self.h_phi_phi < 0.0 < self.kappa_phi_phi:
+            return np.sqrt(np.array([-self.h_phi_phi / self.kappa_phi_phi]))
+        return np.empty(0)
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
         r = self.rho_hat_1 / self.rho_hat_2

@@ -253,9 +253,10 @@ def test_criterion_7_quasi_closed_forms():
         worst = max(worst, float(np.max(np.abs(roots - got))
                                  / np.max(np.abs(roots))))
     ok = worst <= 1e-10
-    # spinodal band endpoint by bisection on Re(alpha1)
-    edge = disp.spinodal_band_edge(lin)
-    lo, hi = 0.5 * edge, 2.0 * edge
+    # spinodal band endpoint by bisection on Re(alpha1), against the
+    # closed-form edge sqrt(-h''/kappa) of the linearization
+    edge = lin.band_edges()[0]
+    lo, hi = 0.5, 50.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         _, a1, _ = disp.quasi_explicit_roots(lin, mid)

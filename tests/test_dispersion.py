@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,11 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import build_all, load_config
 from pfmix.errors import DegenerateCase, NumericalError, RangeError
-from pfmix.linearization import EQUAL_DENSITY_RTOL, CompressibleLinearization
+from pfmix.linearization import (
+    EQUAL_DENSITY_RTOL,
+    CompressibleLinearization,
+    ModeLabel,
+)
 
 from conftest import config_path, random_global_model
 
@@ -307,11 +313,13 @@ class TestQuasiRoots:
 
     def test_spinodal_band(self):
         lin = make_quasi(h_pp=-1.0, kappa_pp=1e-2).linearization(ST_PHI)
-        edge = disp.spinodal_band_edge(lin)
-        assert edge == pytest.approx(10.0)
-        _, a1_in, _ = disp.quasi_explicit_roots(lin, edge * 0.999)
-        _, a1_out, _ = disp.quasi_explicit_roots(lin, edge * 1.001)
+        edges = lin.band_edges()
+        assert edges.shape == (1,) and edges[0] == pytest.approx(10.0)
+        _, a1_in, _ = disp.quasi_explicit_roots(lin, edges[0] * 0.999)
+        _, a1_out, _ = disp.quasi_explicit_roots(lin, edges[0] * 1.001)
         assert a1_in.real > 0 > a1_out.real
+        for h_pp in (0.0, 1.0):
+            assert make_quasi(h_pp=h_pp).linearization(ST_PHI).band_edges().size == 0
 
     def test_equal_densities_raise(self):
         lin = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0).linearization(ST_PHI)
@@ -531,17 +539,155 @@ class TestSweep:
         i1 = res.mode_names.index("alpha1")
         bands = disp.unstable_bands(lin, res, i1)
         assert len(bands) == 1
-        # band closes where det(C + k^2 K) = 0: k = sqrt(0.5/2e-3) with
-        # a small cross correction
+        # band closes where det(C + k^2 K) = 0, found here by root bracketing
+        from scipy.optimize import brentq
+        root = brentq(lambda k: np.linalg.det(lin.C + k * k * lin.K), 10.0, 20.0,
+                      xtol=1e-14, rtol=4 * np.finfo(float).eps)
         k_hi = bands[0][1]
-        assert k_hi == pytest.approx(np.sqrt(0.5 / 2e-3), rel=2e-2)
-        alpha = disp.track_root_at(lin, k_hi * 1.001, res.roots[-1, i1])
+        assert k_hi == pytest.approx(root, rel=1e-12)
+        alpha, _ = disp.eigenvector_at(lin, k_hi * 1.001, res.roots[-1, i1])
         assert alpha.real <= 0
 
     def test_k_grid_validation(self):
         with pytest.raises(RangeError):
             disp.sweep(make_global().linearization(ST_GLOBAL),
                        np.array([1.0, 0.5]))
+
+    @pytest.mark.parametrize("k_min", [None, 1.0, 5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("name", ["band_composition.ini", "band_density.ini",
+                                      "quasi_spinodal.ini", "stable_dense.ini"])
+    def test_labels_do_not_depend_on_k_min(self, name, k_min):
+        """A grid that starts outside the long-wave window is labelled as the
+        same grid seen from the bundled k_min: the viscous column is exact at
+        every point and every column holds the same roots."""
+        model, st = build_all(load_config(config_path(name)))
+        lin = model.linearization(st)
+        low = np.log10(load_config(config_path(name)).sections["sweep"]["k_min"])
+        ks = np.union1d(np.logspace(low, 4.0, round(20 * (4.0 - low)) + 1),
+                        [1.0, 5.0, 20.0, 100.0])
+        full = disp.sweep(lin, ks)
+        tail = ks >= (k_min or ks[0])
+        res = disp.sweep(lin, ks[tail])
+        assert res.labels[0] is ModeLabel.VISCOUS
+        want = -lin.inv_Re_s * ks[tail] ** 2 / lin.rho0
+        assert np.max(np.abs(res.roots[:, 0] - want) / np.abs(want)) <= 1e-9
+        assert res.labels == full.labels
+        assert np.array_equal(res.roots, full.roots[tail])
+
+    def test_sweep_with_no_long_wave_seed_fails_loudly(self, monkeypatch, tmp_path,
+                                                       capsys):
+        small_k = CompressibleLinearization.small_k
+
+        def off_by_half(self):
+            co = small_k(self)
+            modes = tuple(dataclasses.replace(m, coefficients=tuple(
+                1.5 * c for c in m.coefficients)) for m in co.modes)
+            return dataclasses.replace(co, modes=modes)
+
+        monkeypatch.setattr(CompressibleLinearization, "small_k", off_by_half)
+        assert cli.main(["sweep", "--config", str(config_path("band_density.ini")),
+                         "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+        assert "long-wave expansions match the pencil's roots at no k" \
+            in capsys.readouterr().err
+
+
+def signed_growing_count(lin, ks, neutral):
+    """Roots per k whose real part exceeds its first-order error bound
+    10 eps |S| kappa, from the pencil's eigenvectors alone (S the standard
+    form, kappa the root's condition number from the inverse eigenvector
+    matrix); -1 where more than ``neutral`` roots lie within their bound,
+    so the count is not known."""
+    alphas, x, _ = disp._solve(lin, ks)
+    S = lin.standard_form(lin.pencil_matrices(ks))
+    kappa = np.linalg.norm(np.linalg.inv(x), axis=2)
+    bound = 10.0 * np.finfo(float).eps * np.linalg.norm(S, axis=(1, 2))[:, None] * kappa
+    known = (np.abs(alphas.real) <= bound).sum(axis=1) <= neutral
+    return np.where(known, (alphas.real > bound).sum(axis=1), -1)
+
+
+def random_compressible_linearization(rng, mobility):
+    """C of either sign, K PSD, p > 0 and 1/Re in [1e-3, 30], with a full-rank
+    PSD, a rank-one diag(0, M11) or a zero mobility."""
+    C = rng.normal(size=(2, 2))
+    L = rng.normal(size=(2, 2)) * 10.0 ** rng.uniform(-2.0, 0.0)
+    M = {"full": (lambda A: A @ A.T)(rng.normal(size=(2, 2))),
+         "rank_one": np.diag([0.0, rng.uniform(0.01, 1.0)]),
+         "zero": np.zeros((2, 2))}[mobility]
+    inv_Re = 10.0 ** rng.uniform(-3.0, np.log10(30.0), size=2)
+    return CompressibleLinearization(
+        C=C + C.T, K=L @ L.T, p=rng.uniform(0.2, 2.0, size=2),
+        rho0=rng.uniform(0.2, 3.0), inv_Re_s=inv_Re[0], inv_Re=inv_Re[1],
+        mobility=M, vector_fields=("rho", "rho1", "vx", "vy"))
+
+
+class TestBandEdges:
+    """Closed-form band edges, each checked on the pencil's own roots, never
+    on the reduced polynomial that gives them."""
+
+    @pytest.mark.parametrize("mobility", ["full", "rank_one", "zero"])
+    def test_no_hopf_edge_and_every_edge_checked_on_the_pencil(self, mobility):
+        """Where the pencil signs its roots, the count of growing roots
+        changes only in grid intervals that hold a closed-form edge, and
+        changes across every edge.  Without mobility one root is 0 at every
+        k and is never signed; next to a zero-mobility edge it nearly
+        coalesces with the crossing root, so some edges cannot be signed."""
+        rng = np.random.default_rng({"full": 11, "rank_one": 12, "zero": 13}[mobility])
+        ks = np.logspace(-3, 3, 2001)
+        neutral = int(mobility == "zero")
+        checked = unknown = 0
+        for _ in range(70):
+            lin = random_compressible_linearization(rng, mobility)
+            edges = lin.band_edges()
+            count = signed_growing_count(lin, ks, neutral)
+            known = np.flatnonzero(count >= 0)
+            for i, j in zip(known[:-1], known[1:]):
+                if count[i] != count[j]:
+                    assert np.any((edges >= ks[i]) & (edges <= ks[j])), \
+                        f"growing count changes on [{ks[i]}, {ks[j]}] with no edge"
+            for edge in edges[(edges > ks[0]) & (edges < ks[-1])]:
+                below, above = signed_growing_count(
+                    lin, edge * np.array([1 - 1e-6, 1 + 1e-6]), neutral)
+                if min(below, above) < 0:
+                    unknown += 1
+                    continue
+                assert below != above, f"no change across the edge {edge}"
+                checked += 1
+        assert checked >= 25 and unknown <= checked // 2
+
+    @pytest.mark.parametrize("name, bands", [
+        ("band_density.ini", ["alpha2 unstable bands: (0.001, 2.1491626364940273)"]),
+        ("band_composition.ini", []),
+    ])
+    def test_zero_mobility_prints_no_neutral_band(self, name, bands, tmp_path, capsys):
+        """Without mobility alpha1 = 0 up to rounding and never grows; the
+        coupled band ends at sqrt(-p.C.p / p.K.p)."""
+        text = config_path(name).read_text(encoding="utf-8")
+        path = tmp_path / name
+        path.write_text(text.replace("M11 = 1e-4", "M11 = 0.0"), encoding="utf-8")
+        assert "M11 = 0.0" in path.read_text(encoding="utf-8")
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if "unstable bands" in line] == bands
+
+    def test_quasi_spinodal_band_ends_at_the_spinodal_edge(self, tmp_path, capsys):
+        """The grid has a point at the edge, k = 10, which the closed
+        bracket keeps as the edge's candidate."""
+        path = config_path("quasi_spinodal.ini")
+        assert cli.main(["sweep", "--config", str(path),
+                         "--out", str(tmp_path)]) == cli.EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        model, st = build_all(load_config(path))
+        assert model.linearization(st).band_edges().tolist() == [10.0]
+        assert "alpha1 unstable bands: (0.01, 10)" in out
+        assert "spinodal band: (0, 10)" in out
+
+    def test_no_checked_edge_fails_loudly(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(CompressibleLinearization, "band_edges",
+                            lambda self: np.array([3.0, 44.0]))
+        assert cli.main(["sweep", "--config", str(config_path("band_density.ini")),
+                         "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
+        assert "0 closed-form band edges" in capsys.readouterr().err
 
 
 def closed_form_roots(model, st, k):
@@ -655,35 +801,41 @@ def eig_calls(monkeypatch):
 
 
 class TestEigenBudget:
-    """A sweep solves its whole grid in one eigensolve; bisection and
-    golden-section steps solve one k each; no QZ."""
+    """A sweep solves its whole grid in one eigensolve; a band edge takes one
+    batched solve of two k per closed-form candidate; golden-section steps
+    solve one k each; no QZ."""
 
     def test_sweep_is_one_batched_call(self, band_composition, eig_calls):
         model, st = band_composition
         disp.sweep(model.linearization(st), np.logspace(-3, 2, 400))
         assert eig_calls == {"numpy": 1, "matrices": 400, "scipy": 0}
 
-    def test_one_call_per_bisection_step(self, monkeypatch, eig_calls):
+    def test_one_batched_call_per_edge_candidate(self, band_composition, eig_calls):
+        model, st = band_composition
+        lin = model.linearization(st)
+        res = disp.sweep(lin, np.logspace(-3, 3, 241))
+        before = dict(eig_calls)
+        bands = disp.unstable_bands(lin, res, res.mode_names.index("alpha1"))
+        assert bands == [(1e-3, lin.band_edges()[0])]
+        assert eig_calls["numpy"] - before["numpy"] == 1
+        assert eig_calls["matrices"] - before["matrices"] == 2
+
+    def test_one_call_per_golden_section_step(self, monkeypatch, eig_calls):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
         lin = m.linearization(ST_LOCAL)
         steps = [0]
-        nearest = disp.track_root_at
+        nearest = disp.eigenvector_at
 
         def counting(lin, k, near):
             steps[0] += 1
             return nearest(lin, k, near)
 
-        monkeypatch.setattr(disp, "track_root_at", counting)
+        monkeypatch.setattr(disp, "eigenvector_at", counting)
         alpha = disp.growth_rates(lin, 14.0).alphas[0]
-        before = dict(eig_calls)
-        disp.refine_edge(lin, 14.0, 20.0, alpha, 1e-6, rising=False)
-        assert steps[0] >= 10
-        assert eig_calls["numpy"] - before["numpy"] == steps[0]
-        assert eig_calls["matrices"] - before["matrices"] == steps[0]
-        steps[0] = 0
         before = dict(eig_calls)
         disp.band_peak(lin, 1.0, 14.0, alpha)
         assert eig_calls["numpy"] - before["numpy"] == steps[0] > 10
+        assert eig_calls["matrices"] - before["matrices"] == steps[0]
         assert eig_calls["scipy"] == 0
 
 
