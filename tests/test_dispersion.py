@@ -600,7 +600,8 @@ def signed_growing_count(lin, ks, neutral):
     alphas, x, _ = disp._solve(lin, ks)
     S = lin.standard_form(lin.pencil_matrices(ks))
     kappa = np.linalg.norm(np.linalg.inv(x), axis=2)
-    bound = 10.0 * np.finfo(float).eps * np.linalg.norm(S, axis=(1, 2))[:, None] * kappa
+    bound = (10.0 * np.finfo(float).eps * kappa
+             * np.linalg.norm(S, axis=(1, 2))[:, None])
     known = (np.abs(alphas.real) <= bound).sum(axis=1) <= neutral
     return np.where(known, (alphas.real > bound).sum(axis=1), -1)
 
