@@ -21,6 +21,9 @@ class PeriodicGrid1D:
     # for products taken in Fourier space before the inverse transform
     ik: np.ndarray = field(init=False, repr=False, compare=False)
     inv_ik: np.ndarray = field(init=False, repr=False, compare=False)
+    # 2 |ik|^2 dx / n: the weight of mode k in the integral of the product
+    # of two real fields' first derivatives, by Parseval
+    grad_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.length <= 0:
@@ -40,44 +43,35 @@ class PeriodicGrid1D:
         inv_ik[ik != 0.0] = 1.0 / ik[ik != 0.0]
         object.__setattr__(self, "ik", ik)
         object.__setattr__(self, "inv_ik", inv_ik)
+        object.__setattr__(self, "grad_weights", 2.0 * self.dx / self.n * np.abs(ik)**2)
 
     @property
     def dx(self) -> float:
         return self.length / self.n
-
-    def derivatives(self, f: np.ndarray, orders) -> np.ndarray:
-        """Derivatives of the rows of an (m, n) stack, row i of order
-        ``orders[i]`` (0, 1 or 2), in one batched transform.
-
-        One ``rfft`` of the stack, a multiplication of each row by its
-        symbol (ik)^p and one ``irfft``; every row comes out bit for bit as
-        it would from a transform of that row alone.
-        """
-        fh = np.fft.rfft(f, axis=-1)
-        symbols = self.symbols.take(orders, axis=0)
-        return np.fft.irfft(symbols * fh, n=self.n, axis=-1)
-
-    def dx1(self, f: np.ndarray) -> np.ndarray:
-        """First derivative."""
-        return self.derivatives(np.asarray(f)[np.newaxis], (1,))[0]
-
-    def dx2(self, f: np.ndarray) -> np.ndarray:
-        """Second derivative (Laplacian in 1D)."""
-        return self.derivatives(np.asarray(f)[np.newaxis], (2,))[0]
 
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature consistent with the periodic trapezoid rule (= midpoint
         on a uniform periodic grid, spectrally accurate for smooth f)."""
         return float(np.sum(f) * self.dx)
 
+    def gradient_form(self, A, fh: np.ndarray) -> float:
+        """Integral of sum_ij A_ij (df_i/dx)(df_j/dx) over real rows f_i,
+        from their ``rfft`` spectra ``fh``: a sum over modes by Parseval,
+        taken over the nonzero entries of A only."""
+        w = self.grad_weights
+        return float(sum(a * np.vdot(fh[i], w * fh[j]).real
+                         for (i, j), a in np.ndenumerate(np.atleast_2d(A)) if a))
+
     def mode_amplitude(self, f: np.ndarray, mode: int) -> complex:
         """Complex amplitude a of Fourier mode ``mode`` (wavenumber k_m), so
         that f = Re(a e^{i k_m x}) returns a: ε·cos(k_m x) gives ε and
         ε·sin(k_m x) gives -iε.  Mode 0 returns the mean."""
-        fh = np.fft.rfft(f) / self.n
-        if mode == 0:
-            return complex(fh[0])
-        return 2.0 * complex(fh[mode])
+        return self.spectrum_amplitude(np.fft.rfft(f), mode)
+
+    def spectrum_amplitude(self, fh: np.ndarray, mode: int) -> complex:
+        """:meth:`mode_amplitude` of a field from its ``rfft`` spectrum."""
+        a = complex((fh[mode:mode + 1] / self.n)[0])
+        return a if mode == 0 else 2.0 * a
 
     def mode_wavenumber(self, mode: int) -> float:
         return 2.0 * np.pi * mode / self.length

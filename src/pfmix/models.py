@@ -6,7 +6,8 @@ coefficients, mobilities and inverse Reynolds numbers, and knows how to:
 
 * evaluate its 1D right-hand side on a periodic grid (conservative momentum,
   transverse velocity carried alongside),
-* evaluate total energy and the closed-form dissipation rate,
+* record mass, total energy, the closed-form dissipation rate and tracked
+  mode amplitudes from the forward spectra of a right-hand side pass,
 * return its linearization about a constant binary state, the object that
   owns the class's pencil, expansions and stiff terms (:mod:`pfmix.linearization`).
 
@@ -166,40 +167,72 @@ class BinaryModel:
         """The rows of a state array keyed by field name."""
         return dict(zip(self.field_names, u))
 
-    def rhs_1d(self, fields, grid, return_aux=False, spectral=False):
+    def rhs_1d(self, fields, grid, return_aux=False):
         """Time derivative of the state on a periodic grid, as an array or
         a dict like ``fields``; with ``return_aux`` also the auxiliary
-        fields of the class (chemical potentials, fluxes, pressure).
-
-        With ``spectral`` it returns instead the pair (u^, rhs^): the
-        ``rfft`` spectra of the state and of its time derivative, each an
-        (n_fields, n // 2 + 1) array, for integrators that step in Fourier
-        space."""
+        fields of the class (chemical potentials, fluxes, pressure)."""
         u = self.state_array(fields)
-        if spectral:
-            return self._rhs_spectral(u, grid)
-        out, aux = self._rhs(u, grid, return_aux)
+        out, aux, _ = self._rhs(u, grid, return_aux)
         if isinstance(fields, dict):
             out = self.field_dict(out)
         return (out, aux) if return_aux else out
 
+    def rhs_pass(self, u, grid, spectral=False):
+        """The right-hand side of a state array and the forward spectra it
+        was formed from (the class's ``_spectral_core``), from which
+        :meth:`record` takes the diagnostics of u.  With ``spectral`` the
+        right-hand side is the pair (u^, rhs^) of ``rfft`` spectra of the
+        state and of its time derivative, for stepping in Fourier space."""
+        if spectral:
+            return self._rhs_spectral(u, grid)
+        out, _, core = self._rhs(u, grid, False)
+        return out, core
+
     def _rhs_spectral(self, u, grid):
-        """(u^, rhs^) by one batched ``rfft`` of the state and ``_rhs``;
-        each row comes out as its own transform would give it."""
-        h = np.fft.rfft(np.concatenate([u, self._rhs(u, grid, False)[0]]), axis=-1)
-        return h[:len(u)], h[len(u):]
+        """((u^, rhs^), core) by one batched ``rfft`` of the state and
+        ``_rhs``; each row comes out as its own transform would give it."""
+        out, _, core = self._rhs(u, grid, False)
+        h = np.fft.rfft(np.concatenate([u, out]), axis=-1)
+        return (h[:len(u)], h[len(u):]), core
+
+    def total_energy(self, fields, grid) -> float:
+        return self.record(self.state_array(fields), grid)[1]
+
+    def energy_dissipation_rate(self, fields, grid) -> float:
+        """Viscous and diffusive dissipation, the closed form of dE/dt."""
+        return self.record(self.state_array(fields), grid)[2]
+
+    def _amplitudes(self, u, grid, spectra, track):
+        """Amplitudes of the tracked (field, mode) pairs from ``spectra``,
+        rfft rows by name; a state row that a pass does not transform (a
+        momentum) takes a transform of its own."""
+        rows = dict(zip(self.field_names, u))
+        if not {name for name, _ in track} <= spectra.keys() | rows.keys():
+            raise RangeError(f"unknown observable in {track}")
+        return [grid.spectrum_amplitude(spectra[name], mode) if name in spectra
+                else grid.mode_amplitude(rows[name], mode) for name, mode in track]
 
 
 def _viscous_forces(grid, vh, eta, nu):
     """Spectra (fx^, fy^) of the viscous forces from the velocities'
-    spectra (vx^, vy^): formed in Fourier space for constant viscosities;
-    pointwise viscosities take one more transform pair, of the velocities'
-    gradients and then of the stresses."""
+    spectra (vx^, vy^), and the velocities' gradients if they were formed:
+    constant viscosities work in Fourier space (None); pointwise ones take
+    one more transform pair, of the gradients and then of the stresses."""
     if np.ndim(eta) == 0:
-        return grid.symbols[2] * vh * [[2.0 * eta + nu], [eta]]
+        return grid.symbols[2] * vh * [[2.0 * eta + nu], [eta]], None
     dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
     return grid.ik * np.fft.rfft(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
-                                 axis=-1)
+                                 axis=-1), dv
+
+
+def _viscous_dissipation(grid, vh, eta, nu):
+    """Integral of (2 eta + nu) (d vx/dx)^2 + eta (d vy/dx)^2 from the
+    velocities' spectra: a sum over modes for constant viscosities;
+    pointwise ones take one ``irfft`` of the gradients."""
+    if np.ndim(eta) == 0:
+        return grid.gradient_form(np.diag([2.0 * eta + nu, eta]), vh)
+    dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
+    return grid.integrate((2.0 * eta + nu) * dv[0] ** 2 + eta * dv[1] ** 2)
 
 
 class CompressibleModel(BinaryModel):
@@ -259,12 +292,12 @@ class CompressibleModel(BinaryModel):
         """The free energy's variables stacked along ``axis``."""
         return self.state_array(fields)[self._rows].swapaxes(0, axis)
 
-    def _forward(self, u, grid, flux):
-        """E, the total density, the velocities v = (vx, vy), mu^ and the
-        spectra of v (then of the fluxes u*vx, with ``flux``) from one
-        batched ``rfft``: the bulk gradient g(E) is pointwise (with the
-        energy's domain check), so it joins the state's rows; mu^ = g^ -
-        kappa (ik)^2 E^."""
+    def _spectral_core(self, u, grid, flux=False):
+        """(E, rho, v, h, mu^): E, the total density, the velocities v =
+        (vx, vy), the spectra h of E, g(E), v (then of the fluxes u*vx,
+        with ``flux``) from one batched ``rfft``, and mu^.  The bulk
+        gradient g(E) is pointwise (with the energy's domain check), so it
+        joins the state's rows; mu^ = g^ - kappa (ik)^2 E^."""
         rho = self.total_density(u)
         E = self.energy_variables(u, axis=0)
         v = u[-2:] / rho
@@ -273,18 +306,20 @@ class CompressibleModel(BinaryModel):
         h = np.fft.rfft(np.concatenate([E, g, v, u * v[0]] if flux else [E, g, v]),
                         axis=-1)
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.symbols[2] * h[:N])
-        return E, rho, v, muh, h[2 * N:]
+        return E, rho, v, h, muh
 
     def _rhs(self, u, grid, return_aux):
         """The forward transform, then one ``irfft`` of d2 mu, d mu, the
         viscous forces (a viscosity rule's stresses take one more pair),
         the flux divergences d(u*vx)/dx and, with ``return_aux``, mu.  The
-        auxiliary fields are mu (or None) and the fluxes J by density row."""
-        E, rho, v, muh, h = self._forward(u, grid, flux=True)
+        auxiliary fields are mu (or None) and the fluxes J by density row;
+        the forward pass comes back with them."""
+        core = E, rho, v, h, muh = self._spectral_core(u, grid, flux=True)
         N, S = self.n_components, grid.symbols
         eta, nu = self._viscosity_fields(E[0], rho)
-        rows = [S[2] * muh, S[1] * muh, _viscous_forces(grid, h[:2], eta, nu),
-                S[1] * h[2:]] + ([muh] if return_aux else [])
+        rows = [S[2] * muh, S[1] * muh,
+                _viscous_forces(grid, h[2 * N:2 * N + 2], eta, nu)[0],
+                S[1] * h[2 * N + 2:]] + ([muh] if return_aux else [])
         d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
         J = self._mobility_rows @ d[:N]
@@ -295,18 +330,27 @@ class CompressibleModel(BinaryModel):
         else:
             out[N:] += d[2 * N:f]
         out[N] -= np.einsum("ix,ix->x", E, d[N:2 * N])     # sum_i E_i d mu_i
-        return out, {"mu": d[f + N + 2:] if return_aux else None, "J": J}
+        return out, {"mu": d[f + N + 2:] if return_aux else None, "J": J}, core
 
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        """Viscous and diffusive dissipation, d mu and the velocity
-        gradients in one transform pair."""
-        E, rho, _, muh, vh = self._forward(self.state_array(fields), grid, flux=False)
+    def record(self, u, grid, core=None, track=()):
+        """Mass, total energy, dissipation rate and the amplitudes of the
+        tracked (field, mode) pairs of the state array u, from the forward
+        spectra ``core`` of a pass over u (:meth:`rhs_pass`) or of its own
+        pass.  Only the kinetic and bulk energies are pointwise; the rest
+        are sums over modes (a viscosity rule's stresses take one irfft)."""
+        E, rho, _, h, muh = self._spectral_core(u, grid) if core is None else core
         N = self.n_components
-        d = np.fft.irfft(grid.symbols[1] * np.concatenate([muh, vh]), n=grid.n, axis=-1)
+        vh = h[2 * N:2 * N + 2]
+        kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / rho
+        bulk = self.free_energy.value(E.T, pointwise=True)
+        energy = (grid.integrate(kin + bulk)
+                  + 0.5 * grid.gradient_form(self.kappa.kappa, h[:N]))
         eta, nu = self._viscosity_fields(E[0], rho)
-        visc = (2.0 * eta + nu) * d[N] ** 2 + eta * d[N + 1] ** 2
-        mob = np.einsum("ij,ijx->x", self.mobility_E, d[:N, None] * d[None, :N])
-        return -grid.integrate(visc + mob)
+        dissipation = -(_viscous_dissipation(grid, vh, eta, nu)
+                        + grid.gradient_form(self.mobility_E, muh))
+        spectra = dict(zip(self.energy_fields + ("vx", "vy"), [*h[:N], *vh]))
+        return (self.total_mass(u, grid), energy, dissipation,
+                self._amplitudes(u, grid, spectra, track))
 
     def linearization(self, state: MixtureState) -> CompressibleLinearization:
         """The pencil's densities are the first two state rows: E's
@@ -327,15 +371,6 @@ class CompressibleModel(BinaryModel):
 
     def total_mass(self, fields, grid) -> float:
         return grid.integrate(self.total_density(fields))
-
-    def total_energy(self, fields, grid) -> float:
-        u = self.state_array(fields)
-        kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / self.total_density(u)
-        bulk = self.free_energy.value(self.energy_variables(u), pointwise=True)
-        d = grid.derivatives(self.energy_variables(u, axis=0),
-                             (1,) * self.n_components)
-        grad = 0.5 * np.einsum("ij,ix,jx->x", self.kappa.kappa, d, d)
-        return grid.integrate(kin + bulk + grad)
 
 
 @dataclass(frozen=True, eq=False)
@@ -386,7 +421,7 @@ class CompressibleGlobal(CompressibleModel):
 
     def constraint_residual(self, densities, grid) -> float:
         """Max-norm of sum_i sum_j div(M_ij grad mu_j)."""
-        _, aux = self._rhs(self._state_from(densities), grid, True)
+        aux = self._rhs(self._state_from(densities), grid, True)[1]
         return float(np.max(np.abs(aux["J"].sum(axis=0))))
 
     def dissipation_rate(self, densities, vx, vy, grid) -> float:
@@ -439,9 +474,10 @@ class QuasiIncompressible(BinaryModel):
     rho_hat_1 and rho_hat_2.  Fields: phi, vx, vy and a bulk energy in phi
     alone; the hydrostatic field is solved from the divergence constraint
     at every evaluation, in Fourier space: one forward transform
-    (:meth:`_spectral_core`) serves the right-hand side, the pressure, the
-    dissipation rate and the divergence residual, each of which then takes
-    one inverse transform.
+    (:meth:`_spectral_core`) serves the right-hand side, the pressure and
+    the divergence residual, each of which then takes one inverse
+    transform, and the diagnostics record, which takes none with constant
+    viscosities.
 
     Equal specific densities (:func:`equal_specific_densities`) are the
     incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
@@ -485,13 +521,21 @@ class QuasiIncompressible(BinaryModel):
     def total_mass(self, fields, grid) -> float:
         return grid.integrate(self.density(self.state_array(fields)[0]))
 
-    def total_energy(self, fields, grid) -> float:
-        phi, vx, vy = self.state_array(fields)
+    def record(self, u, grid, core=None, track=()):
+        """As :meth:`CompressibleModel.record`, from the spectral core; the
+        diffusive dissipation is M11 (d mu_1/dx)^2 with mu_1 = G /
+        rho_hat_1."""
+        c = self._spectral_core(u, grid) if core is None else core
+        phi, vx, vy = u
         rho = self.density(phi)
         kin = 0.5 * rho * (vx ** 2 + vy ** 2)
         bulk = self.free_energy.value(phi[..., None], pointwise=True)
-        grad = 0.5 * self.kappa_phi_phi * grid.dx1(phi) ** 2
-        return grid.integrate(kin + bulk + grad)
+        energy = (grid.integrate(kin + bulk)
+                  + grid.gradient_form(0.5 * self.kappa_phi_phi, c.h[:1]))
+        dissipation = -(_viscous_dissipation(grid, c.h[1:3], c.eta, c.nu)
+                        + grid.gradient_form(self.M11 / self.rho_hat_1**2, c.Gh[None]))
+        return (self.total_mass(u, grid), energy, dissipation,
+                self._amplitudes(u, grid, dict(zip(self.field_names, c.h)), track))
 
     def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
         hpp = float(self.free_energy.hessian(self.state_densities(state))[0, 0])
@@ -557,38 +601,42 @@ class QuasiIncompressible(BinaryModel):
         """The right-hand side with its phi row in Fourier space,
         -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
 
-        One ``irfft`` (after the stresses' pair of a viscosity rule) gives
-        d vx, d vy, fy and, with a pressure, fx - d Pi/dx and d mu_phi/dx;
-        with ``physical_phi`` also the phi row.  Returns the core, the phi
-        row's spectrum, the two velocity rows and the physical phi row (or
-        None).
+        One ``irfft`` gives fy, with a pressure fx - d Pi/dx and d
+        mu_phi/dx, with ``physical_phi`` the phi row, and d vx, d vy unless
+        a viscosity rule's stresses (one more pair) formed them.  Returns
+        the core, the phi row's spectrum, the two velocity rows and the
+        physical phi row (or None).
         """
         phi, vx, _ = u
         core = self._spectral_core(u, grid, flux=True)
         ik, h = grid.ik, core.h
         phih = -ik * h[4] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
-        fh = _viscous_forces(grid, h[1:3], core.eta, core.nu)
-        rows = [ik * h[1], ik * h[2], fh[1]] + ([phih] if physical_phi else [])
+        fh, dv = _viscous_forces(grid, h[1:3], core.eta, core.nu)
+        rows = [fh[1]] + ([phih] if physical_phi else [])
         if core.Pih is not None:
             rows += [fh[0] - ik * core.Pih, ik * core.muh]
+        if dv is None:
+            rows += [ik * h[1], ik * h[2]]
         p = np.fft.irfft(np.stack(rows), n=grid.n, axis=-1)
+        if dv is None:
+            p, dv = p[:-2], p[-2:]
         rho = self.density(phi)
-        ay = (-rho * vx * p[1] + p[2]) / rho
+        ay = (-rho * vx * dv[1] + p[0]) / rho
         if core.Pih is None:
             # the x-momentum balance is the pressure's: vx is stationary
             ax = np.zeros_like(vx)
         else:
-            ax = (-rho * vx * p[0] + p[-2] - phi * p[-1]) / rho
-        return core, phih, ax, ay, p[3] if physical_phi else None
+            ax = (-rho * vx * dv[0] + p[-2] - phi * p[-1]) / rho
+        return core, phih, ax, ay, p[1] if physical_phi else None
 
     def _rhs(self, u, grid, return_aux):
         core, _, ax, ay, phi_row = self._rhs_parts(u, grid, True)
         out = np.empty_like(u)
         out[0], out[1], out[2] = phi_row, ax, ay
         if not return_aux:
-            return out, None
+            return out, None, core
         mu, G = np.fft.irfft(np.stack([core.muh, core.Gh]), n=grid.n, axis=-1)
-        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": mu, "G": G}
+        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": mu, "G": G}, core
 
     def _rhs_spectral(self, u, grid):
         """The state's spectrum from the core, the phi row as formed in
@@ -597,7 +645,7 @@ class QuasiIncompressible(BinaryModel):
         rhsh = np.empty_like(core.h[:3])
         rhsh[0] = phih
         rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
-        return core.h[:3], rhsh
+        return (core.h[:3], rhsh), core
 
     def divergence_residual(self, fields, grid) -> float:
         """Max-norm of div v minus its constrained value after the solve,
@@ -608,14 +656,6 @@ class QuasiIncompressible(BinaryModel):
         res = np.fft.irfft(grid.ik * core.h[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
                            n=grid.n)
         return float(np.max(np.abs(res)))
-
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        core = self._spectral_core(self.state_array(fields), grid)
-        # d vx, d vy and d mu^_1/dx with mu^_1 = G / rho_hat_1
-        d = np.fft.irfft(grid.ik * np.stack([core.h[1], core.h[2], core.Gh]),
-                         n=grid.n, axis=-1)
-        visc = (2.0 * core.eta + core.nu) * d[0] ** 2 + core.eta * d[1] ** 2
-        return -grid.integrate(visc + self.M11 * (d[2] / self.rho_hat_1) ** 2)
 
 
 # ---------------------------------------------------------------------------

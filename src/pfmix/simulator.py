@@ -4,10 +4,11 @@ Used to verify dispersion predictions, mass conservation and the energy
 dissipation inequality independently of the linear analysis.  Explicit RK4
 is the default integrator; a first-order semi-implicit scheme (stiff linear
 terms integrated in Fourier space) is available for stiff parameter sets.
-It steps in Fourier space on the spectra that ``model.rhs_1d(u, grid,
+It steps in Fourier space on the spectra that ``model.rhs_pass(u, grid,
 spectral=True)`` hands back: by default one batched ``rfft`` of the state
 and its right-hand side, while the quasi-incompressible class returns the
-spectra its own spectral core already holds.
+spectra its own spectral core already holds.  A diagnostics record is
+taken from the forward spectra of the next step's first pass.
 
 The state is carried as one (n_fields, n) array in ``model.field_names``
 order; traces, snapshots and blow-up dumps hand it out as dicts.
@@ -169,20 +170,17 @@ def _check_in_domain(model, u, step):
 # ---------------------------------------------------------------------------
 
 
-def _rk4_step(model, u, grid, dt):
-    k1 = model.rhs_1d(u, grid)
+def _rk4_step(model, u, grid, dt, k1):
     k2 = model.rhs_1d(u + 0.5 * dt * k1, grid)
     k3 = model.rhs_1d(u + 0.5 * dt * k2, grid)
     k4 = model.rhs_1d(u + dt * k3, grid)
     return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _semi_implicit_step(model, u, grid, dt, L):
+def _semi_implicit_step(fh, rh, grid, dt, L):
     """One step with the stiff symbols ``L`` (one row per field) implicit:
-    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly.  The model
-    hands back the spectra of u and of its right-hand side, and the step
-    ends in one ``irfft``."""
-    fh, rh = model.rhs_1d(u, grid, spectral=True)
+    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly, from the
+    spectra of u and of its right-hand side; it ends in one ``irfft``."""
     nh = rh + L * fh
     return np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n, axis=-1)
 
@@ -195,8 +193,11 @@ def _semi_implicit_step(model, u, grid, dt, L):
 def run(config: SimulationConfig) -> SimulationTrace:
     """Time-step the model, recording diagnostics at the configured cadence.
 
-    Aborts with :class:`BlowupError` (carrying the step index) if any field
-    leaves the free-energy domain or turns non-finite.
+    A record step's state is checked for the domain at once; its record
+    comes from the spectra of the next step's first right-hand side pass,
+    and only the final record makes its own pass.  Aborts with
+    :class:`BlowupError` (carrying the step index) if any field leaves the
+    free-energy domain or turns non-finite.
     """
     model = config.model
     grid = PeriodicGrid1D(config.length, config.n)
@@ -208,37 +209,34 @@ def run(config: SimulationConfig) -> SimulationTrace:
                 "reduce dt or set enforce_dt_guard=False")
     u = model.state_array(initial_fields(config, grid))
     n_steps = int(round(config.t_end / config.dt))
-    if config.integrator == "semi_implicit":
+    semi_implicit = config.integrator == "semi_implicit"
+    if semi_implicit:
         # Fourier symbols of the stiffest linear operators, one row per field
         symbols = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
         stiff = np.stack([symbols[name] for name in model.field_names])
 
-    times, masses, energies, dissipations = [], [], [], []
-    amplitudes = {pair: [] for pair in config.track}
-    snapshots = []
+    records, snapshots = [], []    # records: (t, mass, energy, dissipation, amplitudes)
 
-    def record(t):
-        times.append(t)
-        masses.append(model.total_mass(u, grid))
-        energies.append(model.total_energy(u, grid))
-        dissipations.append(model.energy_dissipation_rate(u, grid))
-        for fname, mode in config.track:
-            amplitudes[(fname, mode)].append(
-                grid.mode_amplitude(_observable(model, u, fname), mode))
+    def record(t, core):
+        records.append((t, *model.record(u, grid, core, config.track)))
 
     def snapshot(step):
         if config.snapshot_every > 0 and step % config.snapshot_every == 0:
             snapshots.append((step, model.field_dict(u.copy())))
 
-    record(0.0)
+    due = 0.0                # time of the record the next pass takes
     snapshot(0)
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, n_steps + 1):
             try:
-                if config.integrator == "rk4":
-                    u = _rk4_step(model, u, grid, config.dt)
+                rhs, core = model.rhs_pass(u, grid, spectral=semi_implicit)
+                if due is not None:
+                    record(due, core)
+                    due = None
+                if semi_implicit:
+                    u = _semi_implicit_step(*rhs, grid, config.dt, stiff)
                 else:
-                    u = _semi_implicit_step(model, u, grid, config.dt, stiff)
+                    u = _rk4_step(model, u, grid, config.dt, rhs)
             except DomainError as exc:
                 err = BlowupError(f"field left the free-energy domain: {exc}",
                                   step=step)
@@ -250,25 +248,16 @@ def run(config: SimulationConfig) -> SimulationTrace:
                 except BlowupError as err:
                     err.fields = model.field_dict(u)
                     raise
-                record(step * config.dt)
+                due = step * config.dt
             snapshot(step)
+    record(due, None)
+    times, masses, energies, dissipations, amps = zip(*records)
     return SimulationTrace(
         times=np.array(times), mass=np.array(masses), energy=np.array(energies),
         dissipation=np.array(dissipations),
-        amplitudes={k: np.array(v) for k, v in amplitudes.items()},
+        amplitudes={pair: np.array(a) for pair, a in zip(config.track, zip(*amps))},
         final_fields=model.field_dict(u), grid=grid, config=config,
         snapshots=tuple(snapshots))
-
-
-def _observable(model, u, name):
-    """Row ``name`` of the state; velocity observables for conservative
-    classes divide out the density."""
-    names = model.field_names
-    if name in names:
-        return u[names.index(name)]
-    if name in ("vx", "vy"):
-        return u[names.index("m" + name[1])] / model.total_density(u)
-    raise RangeError(f"unknown observable {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,54 @@ def rng():
     return np.random.default_rng(1234)
 
 
+def derivatives(grid, f, orders):
+    """Derivatives of the rows of an (m, n) stack, row i of order
+    ``orders[i]`` (0, 1 or 2), in physical space: one ``rfft``, the symbol
+    (ik)^p of each row and one ``irfft``.  The physical-space route of the
+    oracles, independent of the package's spectral sums."""
+    fh = np.fft.rfft(f, axis=-1)
+    return np.fft.irfft(grid.symbols.take(orders, axis=0) * fh, n=grid.n, axis=-1)
+
+
+def dx1(grid, f):
+    return derivatives(grid, np.asarray(f)[np.newaxis], (1,))[0]
+
+
+def dx2(grid, f):
+    return derivatives(grid, np.asarray(f)[np.newaxis], (2,))[0]
+
+
+def physical_record(m, u, grid):
+    """(energy, dissipation rate) of the state array u by the physical-space
+    route: each derivative a transform pair of a physical field (mu, or G,
+    from ``rhs_1d``'s auxiliary fields), each integrand summed pointwise."""
+    _, aux = m.rhs_1d(u, grid, return_aux=True)
+    rule = m.viscosity_rule
+    if isinstance(m, models.QuasiIncompressible):
+        phi, vx, vy = u
+        rho = m.density(phi)
+        kin = 0.5 * rho * (vx ** 2 + vy ** 2)
+        bulk = m.free_energy.value(phi[..., None], pointwise=True)
+        grad = 0.5 * m.kappa_phi_phi * dx1(grid, phi) ** 2
+        mob = m.M11 * (dx1(grid, aux["G"]) / m.rho_hat_1) ** 2
+        part = phi
+    else:
+        rho = m.total_density(u)
+        vx, vy = u[-2] / rho, u[-1] / rho
+        E = m.energy_variables(u, axis=0)
+        kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / rho
+        bulk = m.free_energy.value(E.T, pointwise=True)
+        dE = derivatives(grid, E, (1,) * len(E))
+        grad = 0.5 * np.einsum("ij,ix,jx->x", m.kappa.kappa, dE, dE)
+        dmu = derivatives(grid, aux["mu"], (1,) * len(E))
+        mob = np.einsum("ij,ix,jx->x", m.mobility_E, dmu, dmu)
+        part = E[0] / rho
+    eta, nu = ((m.inv_Re_s, m.inv_Re_v) if rule is None
+               else fe.average_viscosity(rule, part))
+    visc = (2.0 * eta + nu) * dx1(grid, vx) ** 2 + eta * dx1(grid, vy) ** 2
+    return grid.integrate(kin + bulk + grad), -grid.integrate(visc + mob)
+
+
 def fd_gradient(f, x, rel=1e-6):
     """Central-difference gradient oracle with relative step."""
     x = np.asarray(x, dtype=float)

@@ -11,7 +11,7 @@ from pfmix.errors import (ConstraintError, DomainError, RangeError, ShapeError,
 from pfmix.grid import PeriodicGrid1D
 from pfmix.linearization import EQUAL_DENSITY_RTOL
 
-from conftest import random_global_model
+from conftest import derivatives, dx1, dx2, physical_record, random_global_model
 
 
 def smooth_field(grid, base, seed, amp=0.05, modes=3):
@@ -155,7 +155,7 @@ class TestRhs:
         rho = flds["rho1"] + flds["rho2"]
         vx = flds["mx"] / rho
         rhs_int = grid.integrate(rhs["rho1"] + rhs["rho2"]
-                                 + grid.dx1(rho * vx))
+                                 + dx1(grid, rho * vx))
         assert abs(lhs - rhs_int) < 1e-10 * max(1.0, abs(lhs))
 
 
@@ -268,6 +268,10 @@ class TestEnergy:
                                   + aux["mu_phi"] * rhs["phi"])
         dis = m.energy_dissipation_rate(flds, grid)
         assert dEdt == pytest.approx(dis, rel=1e-6)
+        # the spectral sums against the physical-space route
+        energy, dissipation = physical_record(m, m.state_array(flds), grid)
+        assert m.total_energy(flds, grid) == pytest.approx(energy, rel=1e-13, abs=0)
+        assert dis == pytest.approx(dissipation, rel=1e-13, abs=0)
 
     def test_chain_rule_with_viscosity_rule(self, grid):
         # pointwise composition-dependent viscosities keep the identity exact
@@ -292,6 +296,8 @@ class TestEnergy:
         dis = m.energy_dissipation_rate(flds, grid)
         assert dEdt == pytest.approx(dis, rel=1e-6)
         assert dis <= 0.0
+        assert dis == pytest.approx(physical_record(m, m.state_array(flds), grid)[1],
+                                    rel=1e-13, abs=0)
 
     def test_dissipation_nonpositive_random(self, rng):
         grid = PeriodicGrid1D(2 * np.pi, 64)
@@ -349,8 +355,8 @@ def viscous_route(m, phi, grid):
     def viscous(dv):
         if vo == 2:
             return (2.0 * eta + nu) * dv[0], eta * dv[1]
-        return tuple(grid.derivatives(np.stack([(2.0 * eta + nu) * dv[0],
-                                                eta * dv[1]]), (1, 1)))
+        return tuple(derivatives(grid, np.stack([(2.0 * eta + nu) * dv[0],
+                                                 eta * dv[1]]), (1, 1)))
 
     return vo, eta, nu, viscous
 
@@ -374,22 +380,22 @@ def physical_quasi_route(m, u, grid):
     Mh = m.M11 / m.rho_hat_1**2
     k = grid.wavenumbers
     vo, eta, nu, viscous = viscous_route(m, phi, grid)
-    d = grid.derivatives(np.stack([phi, vx]), (2, 1))
+    d = derivatives(grid, np.stack([phi, vx]), (2, 1))
     mu = mu_phi(m, phi, d[0])
-    source = (d[1] - (1.0 - r) * Mh * grid.dx2(mu)) / ((1.0 - r) ** 2 * Mh)
+    source = (d[1] - (1.0 - r) * Mh * dx2(grid, mu)) / ((1.0 - r) ** 2 * Mh)
     sh = np.fft.rfft(source)
     Pih = np.zeros_like(sh)
     Pih[1:] = -sh[1:] / k[1:] ** 2
     Pi = np.fft.irfft(Pih, n=grid.n)
     G = mu + (1.0 - r) * Pi
     rho = m.density(phi)
-    d = grid.derivatives(np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
-                         (2, 1, 1, 1, 1, 1, vo, vo))
+    d = derivatives(grid, np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
+                    (2, 1, 1, 1, 1, 1, vo, vo))
     fx, fy = viscous(d[6:])
     rhs = np.stack([-d[1] + Mh * d[0],
                     (-rho * vx * d[2] + fx - d[3] - phi * d[4]) / rho,
                     (-rho * vx * d[5] + fy) / rho])
-    dd = grid.derivatives(np.stack([vx, vy, G / m.rho_hat_1]), (1, 1, 1))
+    dd = derivatives(grid, np.stack([vx, vy, G / m.rho_hat_1]), (1, 1, 1))
     dis = -grid.integrate((2.0 * eta + nu) * dd[0] ** 2 + eta * dd[1] ** 2
                           + m.M11 * dd[2] ** 2)
     return Pi, rhs, dis
@@ -410,15 +416,15 @@ def incompressible_route(m, u, grid):
     Mh = m.M11 / m.rho_hat_1**2
     rho = m.density(phi)
     vo, eta, nu, viscous = viscous_route(m, phi, grid)
-    d = grid.derivatives(np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
+    d = derivatives(grid, np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
     mu = mu_phi(m, phi, d[0])
     _, fy = viscous(d[3:])
-    rhs = np.stack([-d[1] + Mh * grid.dx2(mu), np.zeros(grid.n),
+    rhs = np.stack([-d[1] + Mh * dx2(grid, mu), np.zeros(grid.n),
                     (-rho * vx * d[2] + fy) / rho])
-    Pi = np.fft.irfft(np.fft.rfft(-phi * grid.dx1(mu)) * grid.inv_ik, n=grid.n)
-    d = grid.derivatives(np.stack([vx, vy]), (1, 1))
+    Pi = np.fft.irfft(np.fft.rfft(-phi * dx1(grid, mu)) * grid.inv_ik, n=grid.n)
+    d = derivatives(grid, np.stack([vx, vy]), (1, 1))
     dis = -grid.integrate((2.0 * eta + nu) * d[0] ** 2 + eta * d[1] ** 2
-                          + Mh * grid.dx1(mu) ** 2)
+                          + Mh * dx1(grid, mu) ** 2)
     return Pi, mu, rhs, dis
 
 
@@ -433,25 +439,25 @@ def physical_compressible_route(m, u, grid, mobility_E, weights):
     E = m.energy_variables(u, axis=0)
     rho = m.total_density(u)
     vx, vy = u[-2] / rho, u[-1] / rho
-    lap = np.stack([grid.dx2(e) for e in E])
+    lap = np.stack([dx2(grid, e) for e in E])
     mu = m.free_energy.gradient(E.T, pointwise=True).T - m.kappa.kappa @ lap
-    dmu = np.stack([grid.dx1(x) for x in mu])
-    J = mobility_E @ np.stack([grid.dx2(x) for x in mu])
+    dmu = np.stack([dx1(grid, x) for x in mu])
+    J = mobility_E @ np.stack([dx2(grid, x) for x in mu])
     Jtot = weights @ J
     if m.viscosity_rule is None:
         eta, nu = m.inv_Re_s, m.inv_Re_v
-        fx, fy = (2.0 * eta + nu) * grid.dx2(vx), eta * grid.dx2(vy)
+        fx, fy = (2.0 * eta + nu) * dx2(grid, vx), eta * dx2(grid, vy)
     else:
         eta, nu = fe.average_viscosity(m.viscosity_rule, E[0] / rho)
-        fx = grid.dx1((2.0 * eta + nu) * grid.dx1(vx))
-        fy = grid.dx1(eta * grid.dx1(vy))
-    rhs = -np.stack([grid.dx1(row * vx) for row in u])
+        fx = dx1(grid, (2.0 * eta + nu) * dx1(grid, vx))
+        fy = dx1(grid, eta * dx1(grid, vy))
+    rhs = -np.stack([dx1(grid, row * vx) for row in u])
     for i, name in enumerate(m.energy_fields):
         rhs[m.field_names.index(name)] += J[i]
     rhs[-2] += 0.5 * Jtot * vx + fx - np.sum(E * dmu, axis=0)
     rhs[-1] += 0.5 * Jtot * vy + fy
-    dis = -grid.integrate((2.0 * eta + nu) * grid.dx1(vx) ** 2
-                          + eta * grid.dx1(vy) ** 2
+    dis = -grid.integrate((2.0 * eta + nu) * dx1(grid, vx) ** 2
+                          + eta * dx1(grid, vy) ** 2
                           + np.einsum("ij,ix,jx->x", mobility_E, dmu, dmu))
     return rhs, mu, dis
 
@@ -544,10 +550,12 @@ class TestQuasiSpectralCore:
         assert rel(aux["Pi"], Pi_ref) <= 1e-12
         assert np.array_equal(aux["mu_phi"], mu)
         assert rel(m.energy_dissipation_rate(u, grid), dis_ref) <= 1e-12
-        # the spectral hook carries the same right-hand side
-        uh, rh = m.rhs_1d(u, grid, spectral=True)
+        # the spectral pass carries the same right-hand side, and its
+        # spectra the record of a pass of its own, bit for bit
+        (uh, rh), core = m.rhs_pass(u, grid, spectral=True)
         assert np.array_equal(uh, np.fft.rfft(u, axis=-1))
         assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
+        assert m.record(u, grid, core, (("phi", 1),)) == m.record(u, grid, None, (("phi", 1),))
 
     @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
     @pytest.mark.parametrize("rho_hat_1", [1.0, 1.0 - 0.5 * EQUAL_DENSITY_RTOL],
@@ -569,12 +577,12 @@ class TestQuasiSpectralCore:
         assert np.array_equal(aux["mu_phi"], mu)
         assert rel(aux["G"], mu) <= 1e-12
         assert rel(m.energy_dissipation_rate(u, grid), dis_ref) <= 1e-12
-        uh, rh = m.rhs_1d(u, grid, spectral=True)
+        (uh, rh), _ = m.rhs_pass(u, grid, spectral=True)
         assert np.array_equal(uh, np.fft.rfft(u, axis=-1))
         assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
         # the incompressible constraint: div v itself, not the
         # quasi-incompressible remainder
-        div = np.max(np.abs(grid.dx1(u[1])))
+        div = np.max(np.abs(dx1(grid, u[1])))
         assert m.divergence_residual(u, grid) == pytest.approx(div, rel=1e-12)
 
     def test_non_finite_pressure_raises(self):

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
-from pfmix.errors import BlowupError, FitError, RangeError
+from pfmix.errors import BlowupError, DomainError, FitError, RangeError
 from pfmix.grid import PeriodicGrid1D
+
+from conftest import physical_record
 
 L = 2 * np.pi
 
@@ -262,6 +266,41 @@ class TestFailureModes:
         assert isinstance(dump, dict) and tuple(dump) == m.field_names
         assert all(np.shape(v) == (64,) for v in dump.values())
 
+    @pytest.mark.parametrize("every", [1, 50])
+    def test_blowup_step_and_dump_match_a_plain_loop(self, every):
+        # RK4 written out with rhs_1d: the run reports the step of the
+        # first domain exit (inside a step, or at the check of a record
+        # step) and dumps the state it had then, bit for bit
+        q = fe.Quadratic(-3.0 * np.eye(2), variables=("rho1", "rho"))
+        kap = fe.GradientCoefficients(np.diag([2e-3, 2e-3]))
+        m = models.CompressibleLocal(q, kap, M11=0.05, inv_Re_s=0.0,
+                                     inv_Re_v=0.0)
+        dt = 1e-3
+        cfg = sim.SimulationConfig(
+            model=m, state=ST, length=L, n=64, dt=dt, t_end=50.0,
+            diagnostics_every=every,
+            perturbations=(sim.Perturbation("rho1", 3, 0.4),),
+            enforce_dt_guard=False)
+        grid = PeriodicGrid1D(L, 64)
+        u = m.state_array(sim.initial_fields(cfg, grid))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(1, 50001):
+                try:
+                    k1 = m.rhs_1d(u, grid)
+                    k2 = m.rhs_1d(u + 0.5 * dt * k1, grid)
+                    k3 = m.rhs_1d(u + 0.5 * dt * k2, grid)
+                    k4 = m.rhs_1d(u + dt * k3, grid)
+                except DomainError:
+                    break
+                u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if step % every == 0 and not np.all(np.isfinite(u)):
+                    break
+        with pytest.raises(BlowupError) as err:
+            sim.run(cfg)
+        assert err.value.step == step < 50000
+        for i, name in enumerate(m.field_names):
+            assert np.array_equal(err.value.fields[name], u[i], equal_nan=True)
+
     def test_fit_needs_enough_samples(self):
         m = stable_local()
         cfg = sim.SimulationConfig(model=m, state=ST, length=L, n=32, dt=1e-3,
@@ -349,6 +388,64 @@ class TestEveryClassSmoke:
         assert tr.energy[-1] < tr.energy[0]
 
 
+VISCOSITY_RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
+                                  eta1=0.6, eta2=0.4, nu1=0.3, nu2=0.1)
+
+
+def smoke_case(name, rule):
+    """A model of ``smoke_cases()``, with ``rule`` as its viscosity rule."""
+    m, st = smoke_cases()[name]
+    return dataclasses.replace(m, viscosity_rule=rule), st
+
+
+class TestRecordFromSpectra:
+    """The records a run takes from the spectra of its own passes, against
+    the physical-space route at the same states (every step is recorded
+    and snapshotted)."""
+
+    @pytest.mark.parametrize("rule", [None, VISCOSITY_RULE], ids=["constant", "rule"])
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    @pytest.mark.parametrize("name", ["global", "local", "quasi", "incompressible"])
+    def test_trace_matches_physical_route(self, name, integrator, rule):
+        m, st = smoke_case(name, rule)
+        grid = PeriodicGrid1D(L, 32)
+        # the physical route differentiates mu, whose mean is O(1): its
+        # rounding, relative to the gradients, grows as 1/amplitude (1e-13
+        # at 1e-3, 1e-14 at 1e-2 on the global class)
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
+                                                 amplitude=1e-2,
+                                                 track_name="alpha1")
+        observables = m.field_names + (("vx", "vy") if "mx" in m.field_names else ())
+        track = tuple((f, 2) for f in observables) + ((m.field_names[0], 0),)
+        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
+                                   t_end=10 * dt, diagnostics_every=1,
+                                   snapshot_every=1, perturbations=perts,
+                                   track=track, integrator=integrator)
+        tr = sim.run(cfg)
+        assert tr.times.size == len(tr.snapshots) == 11
+        for i, (_, fields) in enumerate(tr.snapshots):
+            u = m.state_array(fields)
+            energy, dissipation = physical_record(m, u, grid)
+            assert tr.energy[i] == pytest.approx(energy, rel=1e-13, abs=0)
+            assert tr.dissipation[i] == pytest.approx(dissipation, rel=1e-13, abs=0)
+            assert tr.mass[i] == m.total_mass(u, grid)
+            # the run's record and that of a pass of its own agree bit for bit
+            assert (tr.energy[i], tr.dissipation[i]) == m.record(u, grid)[1:3]
+            rho = m.total_density(u) if "mx" in m.field_names else None
+            for f, mode in track:
+                row = (u[m.field_names.index(f)] if f in m.field_names
+                       else u[m.field_names.index("m" + f[1])] / rho)
+                assert tr.amplitudes[(f, mode)][i] == grid.mode_amplitude(row, mode)
+
+    def test_unknown_observable_raises(self):
+        m, st = smoke_cases()["local"]
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=1e-3,
+                                   t_end=0.01, track=(("phi", 1),))
+        with pytest.raises(RangeError, match="unknown observable"):
+            sim.run(cfg)
+
+
 # Upper bounds on numpy.fft.rfft + irfft calls: one batched transform pair
 # per right-hand side of each class (constant viscosities).  The bulk
 # gradient joins the state's forward transform and mu is formed in Fourier
@@ -357,10 +454,12 @@ FFT_PER_RHS = {"global": 2, "local": 2, "quasi": 2, "incompressible": 2}
 # A quasi-incompressible semi-implicit step: the right-hand side's two,
 # one rfft of the two velocity rows and the closing irfft.
 QUASI_SEMI_IMPLICIT_STEP = 4
-# One diagnostics record: the energy's gradient (2), the dissipation rate
-# in one transform pair (2) and one tracked mode.
-QUASI_RECORD = 5
-COMPRESSIBLE_RECORD = 5
+# One diagnostics record inside a run: it takes mass, energy, dissipation
+# and the tracked modes from the spectra of the next step's first pass.
+# With a viscosity rule the viscous dissipation takes one irfft.
+QUASI_RECORD = 0
+COMPRESSIBLE_RECORD = 0
+RULE_RECORD = 1
 
 
 @pytest.fixture()
@@ -431,9 +530,9 @@ class TestFftBudget:
             assert per_step <= QUASI_SEMI_IMPLICIT_STEP
 
     @staticmethod
-    def record_calls(name, integrator, track, fft_calls):
+    def record_calls(name, integrator, track, fft_calls, rule=None):
         """FFT calls per diagnostics record of a ten-step run."""
-        m, st = smoke_cases()[name]
+        m, st = smoke_case(name, rule)
         grid = PeriodicGrid1D(L, 32)
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3)
@@ -460,3 +559,11 @@ class TestFftBudget:
     @pytest.mark.parametrize("name", ["global", "local"])
     def test_per_compressible_record(self, name, fft_calls):
         assert self.record_calls(name, "rk4", "rho1", fft_calls) <= COMPRESSIBLE_RECORD
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    @pytest.mark.parametrize("name", sorted(FFT_PER_RHS))
+    def test_per_record_either_integrator(self, name, integrator, fft_calls):
+        track = "phi" if name in ("quasi", "incompressible") else "rho1"
+        assert self.record_calls(name, integrator, track, fft_calls) == 0
+        assert self.record_calls(name, integrator, track, fft_calls,
+                                 VISCOSITY_RULE) <= RULE_RECORD
