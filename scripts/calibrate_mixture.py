@@ -229,11 +229,11 @@ def verify(s1, s2, T, k12):
     ok &= eB_small < 0.05 and eB_large < 0.05
 
     resC = disp.sweep(mC.linearization(stC), ks)
-    hr = fe.hessian_report(mC.free_energy, mC.state_densities(stC))
+    definiteness = fe.classify_matrix(mC.free_energy.hessian(mC.state_densities(stC)))
     print(f"C: max Re {resC.roots.real.max():.2e}, "
-          f"definiteness {hr.definiteness.value}")
+          f"definiteness {definiteness.value}")
     ok &= resC.roots.real.max() <= 0
-    ok &= hr.definiteness is fe.Definiteness.POSITIVE_DEFINITE
+    ok &= definiteness is fe.Definiteness.POSITIVE_DEFINITE
     return ok
 
 

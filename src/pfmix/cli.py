@@ -25,6 +25,7 @@ from .errors import (
     RangeError,
     SolveError,
 )
+from .linearization import classify_stability
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -142,7 +143,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
         if bands:
             txt = ", ".join(f"({F(a)}, {F(b)})" for a, b in bands)
             lines.append(f"{nm} unstable bands: {txt}")
-    lines.append(_classification_line(model, lin))
+    lines.append(lin.classification())
     if result.ambiguous:
         lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
     summary = "\n".join(lines) + "\n"
@@ -150,24 +151,6 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     sys.stdout.write(summary)
     _echo_config(cfg, outdir)
     return EXIT_OK
-
-
-def _classification_line(model, lin) -> str:
-    if isinstance(model, models.QuasiIncompressible):
-        edges = lin.band_edges()
-        if edges.size:
-            return f"spinodal band: (0, {F(edges[0])})"
-        return "no spinodal band (h_phi_phi >= 0)"
-    report = free_energy.HessianReport(
-        matrix=lin.C, definiteness=free_energy.classify_matrix(lin.C),
-        det=float(np.linalg.det(lin.C)),
-        quadratic_form_p=float(lin.p @ lin.C @ lin.p))
-    try:
-        rep = dispersion.classify_stability(report, lin.p, lin.mobility)
-    except PfmixError as exc:
-        return f"long-wave classification unavailable: {exc}"
-    verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
-    return f"long-wave classification [{rep.category}]: {verdicts}"
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +374,7 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
                 (np.diag(rng.uniform(0.5, 2.0, 2)), "C > 0"),
                 (-np.diag(rng.uniform(0.5, 2.0, 2)), "C < 0"),
             ):
-                rep = dispersion.classify_stability(
-                    free_energy.hessian_report(free_energy.Quadratic(Cmat), p),
-                    p, M)
-                if rep.category != cat:
+                if classify_stability(Cmat, p, M).category != cat:
                     return False, f"misclassified {cat}"
         return True, "sign patterns reproduced on synthetic Hessians"
 

@@ -4,16 +4,21 @@ Extracts complex growth rates and eigenvectors from the dispersion pencil
 of a model's linearization about a constant state, for a whole wavenumber
 grid in one batched eigensolve of the pencil's standard form, tracks
 them over wavenumber sweeps, takes unstable band edges from the
-linearization's closed form and checks each on the pencil, evaluates
-closed-form growth-rate formulas, and classifies long-wave stability from
-the bulk-energy Hessian.
+linearization's closed form and checks each on the pencil, and evaluates
+closed-form growth-rate formulas.
+
+:func:`sweep` is the one place that names roots: its tracks start where
+the long-wave expansions hold and keep their names (``alpha1``, ...) at any
+k by eigenvector continuity, so a named root at one k is that of
+``sweep(lin, [k])``.
 
 Every function takes ``lin``, the object a model's ``linearization``
 method returns for a state, so a caller linearizes a state once and passes
 it on.  Everything class-specific (pencil, variable order, reduced
 polynomial, the small- and large-k expansions ``lin.small_k()`` and
-``lin.large_k()``) lives on that object; see :mod:`pfmix.linearization`.
-The one exception is :func:`scalar_dispersion_coefficients`, which keeps
+``lin.large_k()``, the long-wave classification ``lin.classification()``)
+lives on that object; see :mod:`pfmix.linearization`.  The one exception
+is :func:`scalar_dispersion_coefficients`, which keeps
 ``(model, state, k)``.
 """
 
@@ -21,18 +26,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import (  # noqa: F401  (SingularExpansion is re-exported)
-    DegenerateCase,
     NumericalError,
     RangeError,
     SingularExpansion,
 )
-from .free_energy import Definiteness, HessianReport
-from .linearization import DEGENERATE_TOL, adjugate_form
 from .models import MixtureState
 
 EIG_RESIDUAL_TOL = 1e-8
@@ -151,8 +152,8 @@ def pencil_matches_scalar(lin, k: float, rtol: float = 1e-9) -> tuple[bool, floa
     polynomial.  The two agree up to an alpha-independent constant factor
     (exactly 1 for the compressible classes), so balanced coefficient
     vectors are compared after normalizing by their largest entries."""
-    pencil = lin.pencil(k)
-    size = pencil.A.shape[0] + 1
+    A, B = lin.pencil_matrices(np.array([k], dtype=float))[0], lin.B
+    size = A.shape[0] + 1
     want = np.zeros(size, dtype=complex)
     raw = _scalar_coefficients(lin, k).astype(complex)
     want[: raw.size] = raw
@@ -160,8 +161,11 @@ def pencil_matches_scalar(lin, k: float, rtol: float = 1e-9) -> tuple[bool, floa
     i0, i1 = nz[0], nz[-1]
     scale = (np.abs(want[i0]) / np.abs(want[i1])) ** (1.0 / max(i1 - i0, 1))
     scale = float(max(scale, 1e-30))
-    got = pencil.determinant_coefficients(scale=scale)
+    # exact interpolation of det(alpha B + A) on the circle |alpha| = scale
+    nodes = np.exp(2j * np.pi * np.arange(size) / size)
+    vals = np.array([complex(np.linalg.det(scale * b * B + A)) for b in nodes])
     powers = scale ** np.arange(size)
+    got = np.linalg.solve(np.vander(nodes, size, increasing=True), vals) / powers
     got_b, want_b = got * powers, want * powers
     # balancing makes the outer entries equally large, so normalize both
     # vectors by the same entry or a tie may flip one of them
@@ -203,68 +207,6 @@ def incompressible_roots(lin, k):
     alpha1 = (-lin.M11 / lin.rho_hat_2**2 * lin.h_phi_phi * k * k
               - lin.M11 / lin.rho_hat_1**2 * lin.kappa_phi_phi * k**4)
     return alpha0, alpha1
-
-
-# ---------------------------------------------------------------------------
-# Long-wave classification
-# ---------------------------------------------------------------------------
-
-
-class SignVerdict(Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    hessian: HessianReport
-    category: str              # "C > 0", "C < 0", "C indefinite"
-    verdicts: dict             # mode name -> SignVerdict
-    g1: float
-
-
-def classify_stability(hessian: HessianReport, p, M) -> StabilityReport:
-    """Long-wave sign pattern of the four modes from the Hessian category.
-
-    Requires a PSD mobility with at least one positive eigenvalue (so the
-    thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
-    or p.C.p at the decision boundary) are reported, not guessed.
-    """
-    p = np.asarray(p, dtype=float)
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(np.linalg.norm(M), 1e-300)
-    if np.min(eigs) < -1e-12 * scale or np.max(eigs) <= 1e-12 * scale:
-        raise RangeError("mobility must be PSD with a positive eigenvalue")
-    g1 = adjugate_form(M, p)
-    C = hessian.matrix
-    scaleC = max(np.linalg.norm(C), 1e-300)
-    pCp = hessian.quadratic_form_p
-    det = hessian.det
-    if hessian.definiteness is Definiteness.SINGULAR:
-        raise DegenerateCase("Hessian is singular within tolerance")
-    if abs(pCp) <= DEGENERATE_TOL * scaleC * float(p @ p):
-        raise DegenerateCase("p.C.p sits on the decision boundary")
-    if abs(det) <= DEGENERATE_TOL * scaleC**2:
-        raise DegenerateCase("det C sits on the decision boundary")
-    neg, pos = SignVerdict.NEGATIVE, SignVerdict.POSITIVE
-    if hessian.definiteness is Definiteness.POSITIVE_DEFINITE:
-        category = "C > 0"
-        verdicts = {"alpha0": neg, "alpha1": neg, "alpha2": neg, "alpha3": neg}
-    elif hessian.definiteness is Definiteness.NEGATIVE_DEFINITE:
-        category = "C < 0"
-        verdicts = {"alpha0": neg, "alpha1": pos, "alpha2": pos, "alpha3": neg}
-    else:
-        category = "C indefinite"
-        same_sign = (pCp > 0) == (det > 0)
-        verdicts = {
-            "alpha0": neg,
-            "alpha1": neg if same_sign else pos,
-            "alpha2": neg if pCp > 0 else pos,
-            "alpha3": neg,
-        }
-    return StabilityReport(hessian=hessian, category=category,
-                           verdicts=verdicts, g1=g1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Provides the quadratic, Flory-Huggins and Peng-Robinson bulk energies
 together with their analytic gradients and Hessians, the gradient-energy
-coefficient matrix, definiteness reports, viscosity interpolation rules,
+coefficient matrix, definiteness classification, viscosity interpolation rules,
 and the coordinate changes between the (rho1, rho2), (rho1, rho) and
 phi formulations.
 
@@ -41,16 +41,6 @@ class Definiteness(Enum):
     NEGATIVE_DEFINITE = "negative_definite"
     INDEFINITE = "indefinite"
     SINGULAR = "singular"
-
-
-@dataclass(frozen=True)
-class HessianReport:
-    """Second-derivative matrix of a bulk energy at a state, classified."""
-
-    matrix: np.ndarray
-    definiteness: Definiteness
-    det: float
-    quadratic_form_p: float  # p.C.p for the state vector p the report was built at
 
 
 # Definiteness codes of classify_matrices, the concavity map and its CLI output.
@@ -528,21 +518,8 @@ def reduce_quasi_incompressible(kappa_tilde: GradientCoefficients,
 
 
 # ---------------------------------------------------------------------------
-# Reports, chemical potentials, maps
+# Concavity map
 # ---------------------------------------------------------------------------
-
-
-def hessian_report(fe: BulkFreeEnergy, rho) -> HessianReport:
-    """Hessian of the bulk energy at a state, with definiteness, determinant
-    and the quadratic form along the state vector itself."""
-    rho = np.asarray(rho, dtype=float)
-    C = fe.hessian(rho)
-    return HessianReport(
-        matrix=C,
-        definiteness=classify_matrix(C),
-        det=float(np.linalg.det(C)),
-        quadratic_form_p=float(rho @ C @ rho),
-    )
 
 
 def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarray:

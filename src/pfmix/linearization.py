@@ -19,12 +19,15 @@ A(k) with terms in k, k^2, k^3 and k^4, assembles A for a whole array of k
 at once (``pencil_matrices``), and owns the standard form -B^-1 A(k) of
 that pencil on the unknowns that carry alpha (``standard_form``) together
 with the map of its eigenvectors back to all four variables
-(``eigenvectors``).  ``pencil(k)`` is the one-k case of the same assembly;
-each entry is the same elementwise arithmetic for every k, so one k gives
-the same bits alone or in a grid.  Every i k of a pencil couples vx to
-another unknown, so the standard form is taken in (.., vx / i, ..), where
-it is real: real roots come out real and complex ones in exact conjugate
-pairs.
+(``eigenvectors``).  Each entry of A is the same elementwise arithmetic
+for every k, so one k gives the same bits alone or in a grid.  Every i k
+of a pencil couples vx to another unknown, so the standard form is taken
+in (.., vx / i, ..), where it is real: real roots come out real and
+complex ones in exact conjugate pairs.
+
+Each class gives the one-line verdict of a sweep's summary
+(``classification``): the long-wave sign table of ``classify_stability``
+for the compressible classes, the spinodal band for the phase-field one.
 
 The linearizations hold arrays, so they compare and hash by identity
 (``eq=False``), like the models.
@@ -37,7 +40,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import SingularExpansion
+from .errors import DegenerateCase, PfmixError, RangeError, SingularExpansion
+from .free_energy import Definiteness, classify_matrix
 
 DEGENERATE_TOL = 1e-12
 
@@ -57,38 +61,6 @@ class ModeLabel(Enum):
     VISCOUS = "viscous"
     THERMODYNAMIC = "thermodynamic"
     COUPLED = "coupled"
-
-
-@dataclass(frozen=True, eq=False)
-class DispersionPencil:
-    """Matrix pencil alpha*B + A(k) whose determinant is the dispersion
-    equation of the linearized system."""
-
-    A: np.ndarray
-    B: np.ndarray
-    k: float
-
-    def matrix(self, alpha: complex) -> np.ndarray:
-        return alpha * self.B + self.A
-
-    def determinant(self, alpha: complex) -> complex:
-        return complex(np.linalg.det(self.matrix(alpha)))
-
-    def determinant_coefficients(self, scale: float = None) -> np.ndarray:
-        """Coefficients c[j] of det(alpha B + A) = sum_j c[j] alpha^j,
-        extracted by exact polynomial interpolation on a circle of radius
-        ``scale`` (the balancing radius; pick it near the root magnitudes
-        for well-conditioned extraction)."""
-        deg = self.A.shape[0]
-        if scale is None:
-            scale = max(1.0, np.linalg.norm(self.A)
-                        / max(np.linalg.norm(self.B), 1e-300))
-        nodes = np.exp(2j * np.pi * np.arange(deg + 1) / (deg + 1))
-        vals = np.array([self.determinant(scale * b) for b in nodes])
-        # unit-circle Vandermonde is perfectly conditioned
-        V = np.vander(nodes, deg + 1, increasing=True)
-        balanced = np.linalg.solve(V, vals)          # c_j * scale^j
-        return balanced / scale ** np.arange(deg + 1)
 
 
 @dataclass(frozen=True)
@@ -168,12 +140,7 @@ _VX_BY_I = np.array([1.0, 1.0, 1j, 1.0])
 
 
 class _Pencil:
-    """``pencil(k)`` as the one-k case of ``pencil_matrices``, and the real
-    standard form from the class's ``_reduce``/``_lift`` of the real pencil."""
-
-    def pencil(self, k: float) -> DispersionPencil:
-        A = self.pencil_matrices(np.array([k], dtype=float))[0]
-        return DispersionPencil(A=A, B=self.B, k=k)
+    """The real standard form from the class's ``_reduce``/``_lift``."""
 
     def standard_form(self, A: np.ndarray) -> np.ndarray:
         """Real -B^-1 A(k) on the unknowns that carry alpha, with vx / i in
@@ -194,6 +161,67 @@ def adjugate_form(M: np.ndarray, p: np.ndarray) -> float:
     """p.adj(M).p of a symmetric 2x2 M."""
     return float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
                  - 2.0 * M[0, 1] * p[0] * p[1])
+
+
+# ---------------------------------------------------------------------------
+# Long-wave classification
+# ---------------------------------------------------------------------------
+
+
+class SignVerdict(Enum):
+    NEGATIVE = "negative"
+    POSITIVE = "positive"
+
+
+@dataclass(frozen=True)
+class StabilityReport:
+    category: str              # "C > 0", "C < 0", "C indefinite"
+    verdicts: dict             # mode name -> SignVerdict
+    g1: float
+
+
+def classify_stability(C, p, M) -> StabilityReport:
+    """Long-wave sign pattern of the four modes from the bulk energy's
+    Hessian C: its definiteness, det C and p.C.p.
+
+    Requires a PSD mobility with at least one positive eigenvalue (so the
+    thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
+    or p.C.p at the decision boundary) are reported, not guessed.
+    """
+    p = np.asarray(p, dtype=float)
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    scale = max(np.linalg.norm(M), 1e-300)
+    if np.min(eigs) < -1e-12 * scale or np.max(eigs) <= 1e-12 * scale:
+        raise RangeError("mobility must be PSD with a positive eigenvalue")
+    g1 = adjugate_form(M, p)
+    definiteness = classify_matrix(C)
+    scaleC = max(np.linalg.norm(C), 1e-300)
+    pCp = float(p @ C @ p)
+    det = float(np.linalg.det(C))
+    if definiteness is Definiteness.SINGULAR:
+        raise DegenerateCase("Hessian is singular within tolerance")
+    if abs(pCp) <= DEGENERATE_TOL * scaleC * float(p @ p):
+        raise DegenerateCase("p.C.p sits on the decision boundary")
+    if abs(det) <= DEGENERATE_TOL * scaleC**2:
+        raise DegenerateCase("det C sits on the decision boundary")
+    neg, pos = SignVerdict.NEGATIVE, SignVerdict.POSITIVE
+    if definiteness is Definiteness.POSITIVE_DEFINITE:
+        category = "C > 0"
+        verdicts = {"alpha0": neg, "alpha1": neg, "alpha2": neg, "alpha3": neg}
+    elif definiteness is Definiteness.NEGATIVE_DEFINITE:
+        category = "C < 0"
+        verdicts = {"alpha0": neg, "alpha1": pos, "alpha2": pos, "alpha3": neg}
+    else:
+        category = "C indefinite"
+        same_sign = (pCp > 0) == (det > 0)
+        verdicts = {
+            "alpha0": neg,
+            "alpha1": neg if same_sign else pos,
+            "alpha2": neg if pCp > 0 else pos,
+            "alpha3": neg,
+        }
+    return StabilityReport(category=category, verdicts=verdicts, g1=g1)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +281,16 @@ class CompressibleLinearization(_Pencil):
 
     def _lift(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return Y
+
+    def classification(self) -> str:
+        """The long-wave sign table of ``classify_stability`` on C, p and
+        the mobility, or why it is unavailable."""
+        try:
+            rep = classify_stability(self.C, self.p, self.mobility)
+        except PfmixError as exc:
+            return f"long-wave classification unavailable: {exc}"
+        verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
+        return f"long-wave classification [{rep.category}]: {verdicts}"
 
     def invariants(self):
         """(p.C.p, p.K.p, det C, det K, d) shared by both expansions."""
@@ -434,14 +472,15 @@ class CompressibleLinearization(_Pencil):
                 [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:
-        """Symbols keyed by field name: the two densities, then mx and my."""
+        """Symbols keyed by field name: the two densities, then mx and my,
+        which decay at the viscous rates of vx and vy, 1/Re k^2 / rho0."""
         k4 = k2 * k2
         C, K, Md = self.C, self.K, np.diag(self.mobility)
         return {
             self.vector_fields[0]: Md[0] * (K[0, 0] * k4 + max(C[0, 0], 0.0) * k2),
             self.vector_fields[1]: Md[1] * (K[1, 1] * k4 + max(C[1, 1], 0.0) * k2),
-            "mx": self.inv_Re * k2,
-            "my": self.inv_Re_s * k2,
+            "mx": self.inv_Re * k2 / self.rho0,
+            "my": self.inv_Re_s * k2 / self.rho0,
         }
 
 
@@ -545,6 +584,12 @@ class PhaseFieldLinearization(_Pencil):
         if self.h_phi_phi < 0.0 < self.kappa_phi_phi:
             return np.sqrt(np.array([-self.h_phi_phi / self.kappa_phi_phi]))
         return np.empty(0)
+
+    def classification(self) -> str:
+        """The spinodal band (0, ``band_edges()``), where h'' < 0."""
+        edges = self.band_edges()
+        return (f"spinodal band: (0, {edges[0]:.17g})" if edges.size
+                else "no spinodal band (h_phi_phi >= 0)")
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
         r = self.rho_hat_1 / self.rho_hat_2

@@ -337,12 +337,14 @@ class CompressibleModel(BinaryModel):
         tracked (field, mode) pairs of the state array u, from the forward
         spectra ``core`` of a pass over u (:meth:`rhs_pass`) or of its own
         pass.  Only the kinetic and bulk energies are pointwise; the rest
-        are sums over modes (a viscosity rule's stresses take one irfft)."""
+        are sums over modes (a viscosity rule's stresses take one irfft).
+        The bulk energy is evaluated unchecked: that pass's pointwise
+        gradient has already checked the same state's domain."""
         E, rho, _, h, muh = self._spectral_core(u, grid) if core is None else core
         N = self.n_components
         vh = h[2 * N:2 * N + 2]
         kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / rho
-        bulk = self.free_energy.value(E.T, pointwise=True)
+        bulk = self.free_energy._value(E.T)
         energy = (grid.integrate(kin + bulk)
                   + 0.5 * grid.gradient_form(self.kappa.kappa, h[:N]))
         eta, nu = self._viscosity_fields(E[0], rho)
@@ -529,7 +531,7 @@ class QuasiIncompressible(BinaryModel):
         phi, vx, vy = u
         rho = self.density(phi)
         kin = 0.5 * rho * (vx ** 2 + vy ** 2)
-        bulk = self.free_energy.value(phi[..., None], pointwise=True)
+        bulk = self.free_energy._value(phi[..., None])
         energy = (grid.integrate(kin + bulk)
                   + grid.gradient_form(0.5 * self.kappa_phi_phi, c.h[:1]))
         dissipation = -(_viscous_dissipation(grid, c.h[1:3], c.eta, c.nu)

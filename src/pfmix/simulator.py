@@ -110,26 +110,30 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
                               mode: int, amplitude: float,
                               track_name: str = None) -> tuple:
     """Perturbations aligned with one dispersion eigenvector so a single
-    growth rate is excited.
+    growth rate is excited, and that root.
 
-    ``track_name`` selects the mode by its asymptotic name (e.g. "alpha1");
-    default is the least damped root.
+    The root is the one ``dispersion.sweep(lin, [k])`` tracks under
+    ``track_name`` (e.g. "alpha1"; KeyError for a name it does not have);
+    None selects the root with the largest real part.
     """
     k = grid.mode_wavenumber(mode)
     lin = model.linearization(state)
-    gr = dispersion.growth_rates(lin, k)
+    result = dispersion.sweep(lin, [k])
+    roots = result.roots[0]
     if track_name is None:
-        idx = 0
+        # growth_rates' order: descending real part, then ascending imaginary
+        idx = np.lexsort((roots.imag, -roots.real))[0]
+    elif track_name in result.mode_names:
+        idx = result.mode_names.index(track_name)
     else:
-        pred = lin.small_k().mode(track_name).evaluate(k)
-        idx = int(np.argmin(np.abs(gr.alphas - pred)))
-    vec = gr.vectors[:, idx]
+        raise KeyError(f"no mode {track_name!r} among {', '.join(result.mode_names)}")
+    vec = result.vectors[0, idx]
     comp = {n: vec[i] for i, n in enumerate(lin.vector_fields) if n != "Pi"}
     scale = amplitude / max(abs(v) for v in comp.values())
     return tuple(
         Perturbation(field=n, mode=mode, amplitude=scale * v)
         for n, v in comp.items() if abs(v) > 0.0
-    ), gr.alphas[idx]
+    ), roots[idx]
 
 
 def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:

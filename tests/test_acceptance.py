@@ -9,6 +9,7 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
 from pfmix.grid import PeriodicGrid1D
+from pfmix.linearization import SignVerdict, classify_stability
 
 from conftest import fd_gradient, fd_hessian
 
@@ -126,8 +127,8 @@ def test_criterion_4_stable_state(stable_dense):
     ks = np.logspace(-3, 3, 241)
     result, max_re = band_structure(model.linearization(state), ks)
     ok = max(max_re.values()) <= 0
-    hr = fe.hessian_report(model.free_energy, model.state_densities(state))
-    ok &= hr.definiteness is fe.Definiteness.POSITIVE_DEFINITE
+    C = model.free_energy.hessian(model.state_densities(state))
+    ok &= fe.classify_matrix(C) is fe.Definiteness.POSITIVE_DEFINITE
     report(4, ok,
            f"all roots nonpositive (max Re {max(max_re.values()):.2e}); "
            f"Hessian positive definite")
@@ -190,8 +191,7 @@ def test_criterion_5_long_wave_classification(rng):
     for cat, want_label in categories.items():
         while checked[cat] < 20:
             m, st, C, p, M, co = _draw_case(rng, cat)
-            rep = disp.classify_stability(
-                fe.hessian_report(fe.Quadratic(C), p), p, M)
+            rep = classify_stability(C, p, M)
             assert rep.category == want_label
             gr = disp.growth_rates(m.linearization(st), 1e-3)
             # associate roots with mode names via the asymptotic predictions
@@ -202,7 +202,7 @@ def test_criterion_5_long_wave_classification(rng):
             for j, md in enumerate(co.modes):
                 verdict = rep.verdicts[md.name]
                 re = gr.alphas[cols[j]].real
-                want_positive = verdict is disp.SignVerdict.POSITIVE
+                want_positive = verdict is SignVerdict.POSITIVE
                 assert (re > 0) == want_positive, \
                     f"{cat}/{md.name}: Re={re:.3e} vs verdict {verdict}"
             checked[cat] += 1

@@ -248,8 +248,9 @@ points = 11
 
 @pytest.mark.parametrize("command, config, linearizations, eig_calls", [
     ("sweep", "band_density.ini", {"CompressibleLocal": 1}, None),
-    # the dt guard and the eigenvector seed
-    ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 1),
+    # the dt guard and the eigenvector seed; the seed's sweep solves k, the
+    # candidate long-wave seeds and the tracked prefix up to k
+    ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 3),
     # pencil_vs_polynomial and viscous_mode_exact once each, the
     # quasi-incompressible limit once per density ratio; the viscous check
     # solves its 13 wavenumbers in one eigensolve

@@ -171,21 +171,22 @@ class TestDerivatives:
         assert checked == 100
 
 
-class TestHessianReport:
+class TestHessianClassification:
     def test_quadratic_identity_report(self):
-        rep = fe.hessian_report(fe.Quadratic(np.eye(2)), np.array([1.0, 2.0]))
-        assert rep.definiteness is fe.Definiteness.POSITIVE_DEFINITE
-        assert rep.det == pytest.approx(1.0)
-        assert rep.quadratic_form_p == pytest.approx(5.0)
+        x = np.array([1.0, 2.0])
+        C = fe.Quadratic(np.eye(2)).hessian(x)
+        assert fe.classify_matrix(C) is fe.Definiteness.POSITIVE_DEFINITE
+        assert np.linalg.det(C) == pytest.approx(1.0)
+        assert x @ C @ x == pytest.approx(5.0)
 
     def test_calibrated_states(self, band_composition, stable_dense):
         model, state = stable_dense
-        rep = fe.hessian_report(model.free_energy, model.state_densities(state))
-        assert rep.definiteness is fe.Definiteness.POSITIVE_DEFINITE
+        C = model.free_energy.hessian(model.state_densities(state))
+        assert fe.classify_matrix(C) is fe.Definiteness.POSITIVE_DEFINITE
         model, state = band_composition
-        rep = fe.hessian_report(model.free_energy, model.state_densities(state))
-        assert rep.definiteness is fe.Definiteness.INDEFINITE
-        assert rep.det < 0.0
+        C = model.free_energy.hessian(model.state_densities(state))
+        assert fe.classify_matrix(C) is fe.Definiteness.INDEFINITE
+        assert np.linalg.det(C) < 0.0
 
 
 def from_rho_rho1(kappa_tilde):

@@ -86,8 +86,8 @@ class TestConstruction:
 
 
 class TestIdentity:
-    """Models, their linearizations and pencils hold arrays, so they compare
-    and hash by identity, as the free energies do."""
+    """Models and their linearizations hold arrays, so they compare and
+    hash by identity, as the free energies do."""
 
     def test_hash_and_set_membership(self):
         q = fe.Quadratic([[1.0]], variables=("phi",))
@@ -102,14 +102,13 @@ class TestIdentity:
                           make_quasi().linearization(st_phi),
                           incompressible.linearization(st_phi)]
         built = [make_global(), local, make_quasi(), incompressible,
-                 make_three()] + linearizations + [linearizations[0].pencil(1.0)]
+                 make_three()] + linearizations
         for m in built:
             assert hash(m) == hash(m)
             assert m == m and m in {m}
         assert len(set(built)) == len(built)
         assert make_local() != make_local()
         assert local.linearization(st_local) != local.linearization(st_local)
-        assert linearizations[0].pencil(1.0) != linearizations[0].pencil(1.0)
 
 
 class TestMobilityCheck:

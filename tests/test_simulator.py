@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
+from pfmix.config import build_all, load_config
 from pfmix.errors import BlowupError, DomainError, FitError, RangeError
 from pfmix.grid import PeriodicGrid1D
 
-from conftest import physical_record
+from conftest import config_path, physical_record
 
 L = 2 * np.pi
 
@@ -319,6 +321,32 @@ class TestFailureModes:
             sim.extract_growth_rate(tr, "rho1", 1)
 
 
+BUNDLED_CONFIGS = ["band_composition.ini", "band_density.ini",
+                   "concavity_co2_decane.ini", "quasi_spinodal.ini",
+                   "simulate_relaxation.ini", "stable_dense.ini"]
+
+
+@pytest.mark.parametrize("config", BUNDLED_CONFIGS)
+def test_seed_root_is_the_sweep_track_of_its_name(config):
+    """Off the long-wave window the expansions no longer say which root is
+    which: the seed under each name is the root that a sweep from that
+    window to k tracks under the name."""
+    model, state = build_all(load_config(config_path(config)))
+    lin = model.linearization(state)
+    grid = PeriodicGrid1D(L, 256)
+    for mode in (5, 20, 100):
+        k = grid.mode_wavenumber(mode)
+        result = disp.sweep(lin, np.geomspace(1e-3, k, 400))
+        assert result.k_grid[-1] == k
+        for j, name in enumerate(result.mode_names):
+            _, alpha = sim.eigenvector_perturbations(model, state, grid, mode=mode,
+                                                     amplitude=1e-6,
+                                                     track_name=name)
+            want = result.roots[-1, j]
+            assert abs(alpha - want) <= 1e-12 * np.abs(result.roots[-1]).max(), \
+                f"{name} at k={k}: seeded {alpha}, tracked {want}"
+
+
 class TestQuasiSimulation:
     def test_quasi_spinodal_growth(self):
         q = fe.Quadratic([[-1.0]], g=[0.4], variables=("phi",))
@@ -386,6 +414,17 @@ class TestEveryClassSmoke:
         assert drift <= 1e-10
         assert np.all(np.diff(tr.energy) <= 1e-12 * max(1.0, abs(tr.energy[0])))
         assert tr.energy[-1] < tr.energy[0]
+
+
+    @pytest.mark.parametrize("name", ["global", "local", "quasi", "incompressible"])
+    def test_transverse_symbol_is_the_viscous_rate(self, name):
+        # the transverse momentum or velocity, the last field, decays at the
+        # pencil's viscous root
+        m, st = smoke_cases()[name]
+        lin = m.linearization(st)
+        k = PeriodicGrid1D(L, 32).wavenumbers
+        symbol = lin.stiff_symbols(k**2)[m.field_names[-1]]
+        assert symbol == pytest.approx(-disp.viscous_root(lin, k), rel=1e-15, abs=0)
 
 
 VISCOSITY_RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
