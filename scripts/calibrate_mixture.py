@@ -162,9 +162,7 @@ def polish_k12(s1, s2, T, k12_seed):
     def balance(k12v):
         m = make_model(s1, s2, T, k12v)
         lin = m.linearization(stA)
-        near = lin.small_k().mode("alpha1").evaluate(0.3)
-        seed, _ = disp.eigenvector_at(lin, 0.3, near)
-        kpk, _ = disp.band_peak(lin, 0.5, 25.0, seed)
+        kpk, _, _ = disp.band_peak(lin, 0.5, 25.0, "alpha1")
         D = lin.C + kpk**2 * lin.K
         return float(lin.p[0] * D[0, 1] + lin.p[1] * D[1, 1])
 
@@ -201,14 +199,12 @@ def verify(s1, s2, T, k12):
         return worst
 
     resA = disp.sweep(linA, ks)
-    i1 = resA.mode_names.index("alpha1")
+    i1 = resA.track("alpha1")
     pos = {nm: resA.roots[:, j].real.max()
            for j, nm in enumerate(resA.mode_names)}
     ok &= pos["alpha1"] > 0 and max(pos["alpha0"], pos["alpha2"], pos["alpha3"]) <= 0
     band = disp.unstable_bands(linA, resA, i1)[0]
-    seed = resA.roots[np.searchsorted(ks, band[0]), i1]
-    kpk, apk = disp.band_peak(linA, max(band[0], 1e-3), band[1], seed)
-    _, vec = disp.eigenvector_at(linA, kpk, apk)
+    kpk, _, vec = disp.band_peak(linA, max(band[0], 1e-3), band[1], "alpha1")
     dev = disp.angular_deviation(vec)
     ok &= dev < 1e-6
     eA_small = asym_worst(linA, "small", [1e-3, 3e-3, 1e-2])

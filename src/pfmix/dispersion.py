@@ -10,7 +10,8 @@ closed-form growth-rate formulas.
 :func:`sweep` is the one place that names roots: its tracks start where
 the long-wave expansions hold and keep their names (``alpha1``, ...) at any
 k by eigenvector continuity, so a named root at one k is that of
-``sweep(lin, [k])``.
+``sweep(lin, [k])``.  ``DispersionResult.track(name)`` is the one name
+lookup, and :func:`band_peak` refines a named root's maximum by sweeps.
 
 Every function takes ``lin``, the object a model's ``linearization``
 method returns for a state, so a caller linearizes a state once and passes
@@ -40,6 +41,8 @@ EIG_RESIDUAL_TOL = 1e-8
 # Two roots closer than this, relative to the larger modulus, cannot be told
 # apart (the sweep flags the point); a root grows only above it times max |alpha|.
 TRACK_GAP_TOL = 1e-12
+# k per sweep of a band_peak refinement step
+PEAK_POINTS = 9
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +150,10 @@ def _scalar_coefficients(lin, k: float) -> np.ndarray:
     return np.polymul(cubic[::-1], viscous[::-1])[::-1]
 
 
-def pencil_matches_scalar(lin, k: float, rtol: float = 1e-9) -> tuple[bool, float]:
+def pencil_matches_scalar(lin, k: float) -> tuple[bool, float]:
     """Compare det(alpha B + A) coefficients with the printed scalar
-    polynomial.  The two agree up to an alpha-independent constant factor
-    (exactly 1 for the compressible classes), so balanced coefficient
+    polynomial, to 1e-9.  The two agree up to an alpha-independent constant
+    factor (exactly 1 for the compressible classes), so balanced coefficient
     vectors are compared after normalizing by their largest entries."""
     A, B = lin.pencil_matrices(np.array([k], dtype=float))[0], lin.B
     size = A.shape[0] + 1
@@ -173,7 +176,7 @@ def pencil_matches_scalar(lin, k: float, rtol: float = 1e-9) -> tuple[bool, floa
     got_b = got_b / got_b[j]
     want_b = want_b / want_b[j]
     err = float(np.max(np.abs(got_b - want_b)) / np.max(np.abs(want_b)))
-    return err <= rtol, err
+    return err <= 1e-9, err
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,13 @@ class DispersionResult:
     mode_names: tuple
     residuals: np.ndarray
     ambiguous: tuple
+
+    def track(self, name: str) -> int:
+        """The column of the track named ``name``; KeyError, listing the
+        modes, for a name the sweep does not have."""
+        if name not in self.mode_names:
+            raise KeyError(f"no mode {name!r} among {', '.join(self.mode_names)}")
+        return self.mode_names.index(name)
 
 
 # every permutation of n = 1..4 roots in lexicographic order, with the
@@ -358,46 +368,28 @@ def _band_edge(lin, k0: float, k1: float) -> float:
     return float(found[0])
 
 
-def band_peak(lin, k_lo: float, k_hi: float, near: complex, tol: float = 1e-10):
-    """Golden-section maximum of Re(alpha) for the root tracked from
-    ``near`` on [k_lo, k_hi]; returns (k_peak, alpha_peak)."""
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+def band_peak(lin, k_lo: float, k_hi: float, name: str):
+    """Largest Re(alpha) on [k_lo, k_hi] of the root that :func:`sweep`
+    names ``name``; returns (k_peak, alpha_peak, eigenvector).
 
-    def re_at(k, seed):
-        alpha, _ = eigenvector_at(lin, k, seed)
-        return alpha.real, alpha
-
+    Each step sweeps PEAK_POINTS log-spaced k of the bracket and narrows it
+    to the grid intervals beside the largest value, until the bracket is
+    narrower than 1e-10 times that k."""
     a, b = float(k_lo), float(k_hi)
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, seed = re_at(c, near)
-    fd, seed = re_at(d, seed)
-    while (b - a) > tol * max(b, 1.0):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc, seed = re_at(c, seed)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd, seed = re_at(d, seed)
-    k_star = 0.5 * (a + b)
-    alpha, _ = eigenvector_at(lin, k_star, seed)
-    return k_star, complex(alpha)
+    while True:
+        result = sweep(lin, np.geomspace(a, b, PEAK_POINTS))
+        j = result.track(name)
+        i = int(np.argmax(result.roots[:, j].real))
+        ks = result.k_grid
+        if b - a <= 1e-10 * ks[i]:
+            return float(ks[i]), complex(result.roots[i, j]), result.vectors[i, j]
+        a, b = ks[max(i - 1, 0)], ks[min(i + 1, PEAK_POINTS - 1)]
 
 
-def eigenvector_at(lin, k: float, near: complex):
-    """(alpha, eigenvector) of the root closest to ``near`` at wavenumber k;
-    the eigenvector has unit length and a real positive largest component."""
-    gr = growth_rates(lin, k)
-    i = int(np.argmin(np.abs(gr.alphas - near)))
-    return gr.alphas[i], gr.vectors[:, i]
-
-
-def angular_deviation(vector, axis_index: int = 1) -> float:
-    """Angle (radians) between a complex vector and the coordinate axis
-    ``axis_index``; 0 means the perturbation is carried purely by that
-    variable."""
+def angular_deviation(vector) -> float:
+    """Angle (radians) between a complex vector and the second coordinate
+    axis, the partial density rho1 of the locally-conserving pencil; 0
+    means the perturbation is carried purely by that variable."""
     v = np.asarray(vector, dtype=complex)
-    overlap = abs(v[axis_index]) / np.linalg.norm(v)
+    overlap = abs(v[1]) / np.linalg.norm(v)
     return float(np.arccos(min(overlap, 1.0)))

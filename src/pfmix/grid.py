@@ -15,7 +15,8 @@ class PeriodicGrid1D:
     # derived from (length, n), so left out of equality and hashing
     x: np.ndarray = field(init=False, repr=False, compare=False)
     wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
-    symbols: np.ndarray = field(init=False, repr=False, compare=False)  # row p: (ik)^p
+    # (ik)^2 = -k^2 as a complex row, the second derivative
+    ik2: np.ndarray = field(init=False, repr=False, compare=False)
     # ik with the Nyquist mode set to 0, the first derivative of a real
     # field, and 1/(ik) where that is not 0, its mean-free antiderivative:
     # for products taken in Fourier space before the inverse transform
@@ -32,10 +33,8 @@ class PeriodicGrid1D:
             raise ValueError("need at least 4 cells")
         object.__setattr__(self, "x", np.arange(self.n) * self.dx)
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
-        symbols = np.empty((3, k.size), dtype=complex)
-        symbols[0], symbols[1], symbols[2] = 1.0, 1j * k, -(k**2)
         object.__setattr__(self, "wavenumbers", k)
-        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "ik2", (-(k**2)).astype(complex))
         ik = 1j * k
         if self.n % 2 == 0:
             ik[-1] = 0.0

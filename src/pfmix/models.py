@@ -219,7 +219,7 @@ def _viscous_forces(grid, vh, eta, nu):
     constant viscosities work in Fourier space (None); pointwise ones take
     one more transform pair, of the gradients and then of the stresses."""
     if np.ndim(eta) == 0:
-        return grid.symbols[2] * vh * [[2.0 * eta + nu], [eta]], None
+        return grid.ik2 * vh * [[2.0 * eta + nu], [eta]], None
     dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
     return grid.ik * np.fft.rfft(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
                                  axis=-1), dv
@@ -305,7 +305,7 @@ class CompressibleModel(BinaryModel):
         g = self.free_energy.gradient(E.T, pointwise=True).T
         h = np.fft.rfft(np.concatenate([E, g, v, u * v[0]] if flux else [E, g, v]),
                         axis=-1)
-        muh = h[N:2 * N] - self.kappa.kappa @ (grid.symbols[2] * h[:N])
+        muh = h[N:2 * N] - self.kappa.kappa @ (grid.ik2 * h[:N])
         return E, rho, v, h, muh
 
     def _rhs(self, u, grid, return_aux):
@@ -315,11 +315,11 @@ class CompressibleModel(BinaryModel):
         auxiliary fields are mu (or None) and the fluxes J by density row;
         the forward pass comes back with them."""
         core = E, rho, v, h, muh = self._spectral_core(u, grid, flux=True)
-        N, S = self.n_components, grid.symbols
+        N = self.n_components
         eta, nu = self._viscosity_fields(E[0], rho)
-        rows = [S[2] * muh, S[1] * muh,
+        rows = [grid.ik2 * muh, grid.ik * muh,
                 _viscous_forces(grid, h[2 * N:2 * N + 2], eta, nu)[0],
-                S[1] * h[2 * N + 2:]] + ([muh] if return_aux else [])
+                grid.ik * h[2 * N + 2:]] + ([muh] if return_aux else [])
         d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
         J = self._mobility_rows @ d[:N]
@@ -356,14 +356,17 @@ class CompressibleModel(BinaryModel):
 
     def linearization(self, state: MixtureState) -> CompressibleLinearization:
         """The pencil's densities are the first two state rows: E's
-        Hessian, kappa and mobility are indexed into that order."""
+        Hessian, kappa and mobility are indexed into that order.  The
+        viscosities are the right-hand side's at the state's composition."""
         E0 = self.state_densities(state)
         o = self._order
         rc = np.ix_(o, o)
+        rho0 = float(self.weights @ E0)
+        eta, nu = self._viscosity_fields(E0[0], rho0)
         return CompressibleLinearization(
             C=self.free_energy.hessian(E0)[rc], K=self.kappa.kappa[rc], p=E0[o],
-            rho0=float(self.weights @ E0), inv_Re_s=self.inv_Re_s,
-            inv_Re=self.inv_Re, mobility=self.mobility_E[rc],
+            rho0=rho0, inv_Re_s=eta, inv_Re=2.0 * eta + nu,
+            mobility=self.mobility_E[rc],
             vector_fields=self.field_names[:2] + ("vx", "vy"))
 
     def uniform_fields(self, state: MixtureState, grid: PeriodicGrid1D) -> dict:
@@ -541,11 +544,12 @@ class QuasiIncompressible(BinaryModel):
 
     def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
         hpp = float(self.free_energy.hessian(self.state_densities(state))[0, 0])
+        eta, nu = self._viscosity_fields(state.phi)
         return PhaseFieldLinearization(
             h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
             rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
             rho0=float(self.density(state.phi)), M11=self.M11,
-            inv_Re_s=self.inv_Re_s, inv_Re=self.inv_Re,
+            inv_Re_s=eta, inv_Re=2.0 * eta + nu,
         )
 
     @property
@@ -572,7 +576,7 @@ class QuasiIncompressible(BinaryModel):
         phi, vx, _ = u
         g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
         h = np.fft.rfft(np.stack([*u, g] + ([phi * vx] if flux else [])), axis=-1)
-        muh = h[3] - self.kappa_phi_phi * grid.symbols[2] * h[0]
+        muh = h[3] - self.kappa_phi_phi * grid.ik2 * h[0]
         eta, nu = self._viscosity_fields(phi)
         r1, Mh = self._constraint
         if r1 == 0.0:

@@ -25,7 +25,7 @@ from .grid import PeriodicGrid1D
 from .models import MixtureState
 from . import dispersion
 
-DEFAULT_DT_SAFETY = 0.2
+DT_SAFETY = 0.2
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ RK4_REAL_AXIS = 2.5   # conservative RK4 stability radius on the negative real a
 RK4_IMAG_AXIS = 2.5
 
 
-def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
-                       safety: float = DEFAULT_DT_SAFETY) -> float:
-    """Explicit step bound from the viscous, mobility-stiffness and acoustic
-    eigenvalue magnitudes at the spectral cutoff k_max = pi/dx."""
+def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D) -> float:
+    """Explicit step bound, DT_SAFETY times the RK4 limit of the viscous,
+    mobility-stiffness and acoustic eigenvalue magnitudes at the spectral
+    cutoff k_max = pi/dx."""
     kmax = np.pi / grid.dx
     lin = model.linearization(state)
     rates = []
@@ -99,7 +99,7 @@ def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
     rates += [RK4_REAL_AXIS / s for s in real] + [RK4_IMAG_AXIS / s for s in imag]
     if not rates:
         return np.inf
-    return safety * min(rates)
+    return DT_SAFETY * min(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -108,32 +108,23 @@ def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
 
 def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
                               mode: int, amplitude: float,
-                              track_name: str = None) -> tuple:
+                              track_name: str) -> tuple:
     """Perturbations aligned with one dispersion eigenvector so a single
     growth rate is excited, and that root.
 
     The root is the one ``dispersion.sweep(lin, [k])`` tracks under
-    ``track_name`` (e.g. "alpha1"; KeyError for a name it does not have);
-    None selects the root with the largest real part.
+    ``track_name`` (e.g. "alpha1"; KeyError for a name it does not have).
     """
-    k = grid.mode_wavenumber(mode)
     lin = model.linearization(state)
-    result = dispersion.sweep(lin, [k])
-    roots = result.roots[0]
-    if track_name is None:
-        # growth_rates' order: descending real part, then ascending imaginary
-        idx = np.lexsort((roots.imag, -roots.real))[0]
-    elif track_name in result.mode_names:
-        idx = result.mode_names.index(track_name)
-    else:
-        raise KeyError(f"no mode {track_name!r} among {', '.join(result.mode_names)}")
+    result = dispersion.sweep(lin, [grid.mode_wavenumber(mode)])
+    idx = result.track(track_name)
     vec = result.vectors[0, idx]
     comp = {n: vec[i] for i, n in enumerate(lin.vector_fields) if n != "Pi"}
     scale = amplitude / max(abs(v) for v in comp.values())
     return tuple(
         Perturbation(field=n, mode=mode, amplitude=scale * v)
         for n, v in comp.items() if abs(v) > 0.0
-    ), roots[idx]
+    ), result.roots[0, idx]
 
 
 def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
@@ -277,9 +268,13 @@ class GrowthFit:
     n_samples: int
 
 
-def extract_growth_rate(trace: SimulationTrace, field: str, mode: int,
-                        skip_fraction: float = 0.1,
-                        max_residual: float = 0.05) -> GrowthFit:
+# growth-rate fits skip this leading fraction of the samples (the initial
+# transient) and fail above this relative residual of log|amplitude|
+FIT_SKIP_FRACTION = 0.1
+FIT_MAX_RESIDUAL = 0.05
+
+
+def extract_growth_rate(trace: SimulationTrace, field: str, mode: int) -> GrowthFit:
     """Least-squares fit of log|amplitude| (growth) and unwrapped phase
     (frequency) over a window that discards the initial transient and spans
     at most one decade of amplitude change.
@@ -293,7 +288,7 @@ def extract_growth_rate(trace: SimulationTrace, field: str, mode: int,
     t = trace.times
     if len(t) < 20:
         raise FitError("need at least 20 diagnostic samples")
-    start = int(len(t) * skip_fraction)
+    start = int(len(t) * FIT_SKIP_FRACTION)
     a = amp[start:]
     tt = t[start:]
     mag = np.abs(a)
@@ -314,7 +309,7 @@ def extract_growth_rate(trace: SimulationTrace, field: str, mode: int,
     fit = A @ coef_r
     denom = max(np.max(logmag) - np.min(logmag), 1e-3)
     residual = float(np.sqrt(np.mean((logmag - fit) ** 2)) / denom)
-    if residual > max_residual:
-        raise FitError(f"fit residual {residual:.3g} exceeds {max_residual}")
+    if residual > FIT_MAX_RESIDUAL:
+        raise FitError(f"fit residual {residual:.3g} exceeds {FIT_MAX_RESIDUAL}")
     return GrowthFit(alpha=complex(coef_r[0], coef_i[0]), residual=residual,
                      window=(float(tt[0]), float(tt[-1])), n_samples=len(tt))

@@ -536,8 +536,8 @@ class TestSweep:
                       xtol=1e-14, rtol=4 * np.finfo(float).eps)
         k_hi = bands[0][1]
         assert k_hi == pytest.approx(root, rel=1e-12)
-        alpha, _ = disp.eigenvector_at(lin, k_hi * 1.001, res.roots[-1, i1])
-        assert alpha.real <= 0
+        past = disp.sweep(lin, [k_hi * 1.001])
+        assert past.roots[0, past.track("alpha1")].real <= 0
 
     def test_k_grid_validation(self):
         with pytest.raises(RangeError):
@@ -565,6 +565,12 @@ class TestSweep:
         assert res.labels == full.labels
         assert np.array_equal(res.roots, full.roots[tail])
 
+    def test_unknown_track_name_lists_the_modes(self):
+        res = disp.sweep(make_global().linearization(ST_GLOBAL), [1.0])
+        assert res.track("alpha2") == res.mode_names.index("alpha2")
+        with pytest.raises(KeyError, match="alpha0, alpha1, alpha2, alpha3"):
+            res.track("alpha9")
+
     def test_sweep_with_no_long_wave_seed_fails_loudly(self, monkeypatch, tmp_path,
                                                        capsys):
         small_k = CompressibleLinearization.small_k
@@ -580,6 +586,42 @@ class TestSweep:
                          "--out", str(tmp_path)]) == cli.EXIT_NUMERIC
         assert "long-wave expansions match the pencil's roots at no k" \
             in capsys.readouterr().err
+
+
+def bundled_sweep(name):
+    """The linearization of a bundled config and the sweep of its own grid."""
+    cfg = load_config(config_path(name))
+    model, st = build_all(cfg)
+    sec = cfg.sections["sweep"]
+    lin = model.linearization(st)
+    ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]), sec["points"])
+    return lin, disp.sweep(lin, ks)
+
+
+def test_band_peak_is_the_named_track_maximum():
+    """On every unstable band of every bundled sweep, the peak is the root
+    that ``sweep(lin, [k])`` names, bit for bit, and it is at least that
+    track's largest value on the config's own grid."""
+    seen = {}
+    for name in ("band_composition.ini", "band_density.ini", "quasi_spinodal.ini",
+                 "stable_dense.ini"):
+        lin, res = bundled_sweep(name)
+        for j, mode in enumerate(res.mode_names):
+            for k_lo, k_hi in disp.unstable_bands(lin, res, j):
+                k, alpha, vec = disp.band_peak(lin, k_lo, k_hi, mode)
+                at = disp.sweep(lin, [k])
+                assert alpha == at.roots[0, at.track(mode)], (name, mode)
+                assert np.array_equal(vec, at.vectors[0, at.track(mode)])
+                assert k_lo <= k <= k_hi
+                assert alpha.real >= res.roots[:, j].real.max()
+                seen[name, mode] = (k, alpha)
+    assert sorted(seen) == [("band_composition.ini", "alpha1"),
+                            ("band_density.ini", "alpha2"),
+                            ("quasi_spinodal.ini", "alpha1")]
+    # the density band's alpha2 peaks inside the band, not on another root
+    k, alpha = seen["band_density.ini", "alpha2"]
+    assert k == pytest.approx(1.559, abs=1e-3)
+    assert alpha.real == pytest.approx(0.7699, abs=1e-4)
 
 
 def signed_growing_count(lin, ks, neutral):
@@ -794,8 +836,8 @@ def eig_calls(monkeypatch):
 
 class TestEigenBudget:
     """A sweep solves its whole grid in one eigensolve; a band edge takes one
-    batched solve of two k per closed-form candidate; golden-section steps
-    solve one k each; no QZ."""
+    batched solve of two k per closed-form candidate; a band peak takes one
+    sweep per refinement; no QZ."""
 
     def test_sweep_is_one_batched_call(self, band_composition, eig_calls):
         model, st = band_composition
@@ -812,22 +854,31 @@ class TestEigenBudget:
         assert eig_calls["numpy"] - before["numpy"] == 1
         assert eig_calls["matrices"] - before["matrices"] == 2
 
-    def test_one_call_per_golden_section_step(self, monkeypatch, eig_calls):
+    def test_one_sweep_per_refinement(self, monkeypatch, eig_calls):
         m = make_local(C_tilde=np.array([[-0.5, 0.0], [0.0, 2.0]]), M11=0.05)
         lin = m.linearization(ST_LOCAL)
-        steps = [0]
-        nearest = disp.eigenvector_at
+        grids = []
+        sweep = disp.sweep
 
-        def counting(lin, k, near):
-            steps[0] += 1
-            return nearest(lin, k, near)
+        def counting(lin, k_grid):
+            grids.append(np.asarray(k_grid))
+            return sweep(lin, k_grid)
 
-        monkeypatch.setattr(disp, "eigenvector_at", counting)
-        alpha = disp.growth_rates(lin, 14.0).alphas[0]
-        before = dict(eig_calls)
-        disp.band_peak(lin, 1.0, 14.0, alpha)
-        assert eig_calls["numpy"] - before["numpy"] == steps[0] > 10
-        assert eig_calls["matrices"] - before["matrices"] == steps[0]
+        monkeypatch.setattr(disp, "sweep", counting)
+        k, _, _ = disp.band_peak(lin, 1.0, 14.0, "alpha1")
+        # each refinement sweeps once, inside the last bracket and at most a
+        # quarter of its log-width (to the grid points' rounding), until it
+        # is narrower than 1e-10 k
+        assert len(grids) > 10
+        assert all(g.size == disp.PEAK_POINTS for g in grids)
+        for outer, inner in zip(grids, grids[1:]):
+            assert outer[0] <= inner[0] < inner[-1] <= outer[-1]
+            assert np.log(inner[-1] / inner[0]) \
+                <= 0.25 * np.log(outer[-1] / outer[0]) + 1e-15
+        assert grids[-1][-1] - grids[-1][0] <= 1e-10 * k < grids[-2][-1] - grids[-2][0]
+        # a sweep is its grid's solve, plus the seed candidates and the
+        # prefix where the long-wave expansions do not hold at its first k
+        assert eig_calls["numpy"] <= 3 * len(grids)
         assert eig_calls["scipy"] == 0
 
 

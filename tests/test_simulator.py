@@ -143,6 +143,21 @@ class TestGrowthRates:
         want = -m.inv_Re_s * k * k / ST.rho
         assert abs(fit.alpha.real - want) / abs(want) < 0.01
 
+    def test_transverse_viscous_mode_under_a_rule(self):
+        # the rule's viscosity at the background composition, not the
+        # model's constant, sets the pencil's viscous root
+        m, st = smoke_case("local", VISCOSITY_RULE)
+        grid = PeriodicGrid1D(L, 64)
+        mode = 3
+        cfg = sim.SimulationConfig(
+            model=m, state=st, length=L, n=64, dt=5e-4, t_end=1.5,
+            diagnostics_every=20,
+            perturbations=(sim.Perturbation("vy", mode, 1e-5),),
+            track=(("vy", mode),))
+        fit = sim.extract_growth_rate(sim.run(cfg), "vy", mode)
+        want = disp.viscous_root(m.linearization(st), grid.mode_wavenumber(mode))
+        assert abs(fit.alpha.real - want) / abs(want) < 0.01
+
     def test_linear_regime_fidelity(self):
         m = unstable_local()
         grid = PeriodicGrid1D(L, 64)
@@ -549,7 +564,8 @@ class TestFftBudget:
         m, st = smoke_cases()[name]
         grid = PeriodicGrid1D(L, 32)
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
-                                                 amplitude=1e-3)
+                                                 amplitude=1e-3,
+                                                 track_name="alpha1")
         dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
 
         def calls(steps):
@@ -574,7 +590,8 @@ class TestFftBudget:
         m, st = smoke_case(name, rule)
         grid = PeriodicGrid1D(L, 32)
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
-                                                 amplitude=1e-3)
+                                                 amplitude=1e-3,
+                                                 track_name="alpha1")
         dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
 
         def calls(every):
