@@ -50,23 +50,15 @@ def _write_atomic(path: str, text: str):
         raise
 
 
-_NUMERIC = (int, float, np.floating)
-
-
-def _csv(rows, header) -> str:
-    """CSV text; numbers as ``F`` formats them, anything else by ``str``.
-
-    A row of ``len(header)`` numbers goes through one %-format string,
-    which gives the same text as ``F`` value by value."""
-    lines = [",".join(header)]
-    numeric = ",".join(["%.17g"] * len(header))
-    for row in rows:
-        if len(row) == len(header) and all(isinstance(v, _NUMERIC) for v in row):
-            lines.append(numeric % tuple(row))
-        else:
-            lines.append(",".join(F(v) if isinstance(v, _NUMERIC) else str(v)
-                                  for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header, columns) -> str:
+    """CSV text, one row per entry of the columns.  A column is a float
+    array, each number as ``F`` formats it, or a label ``str`` that every
+    row repeats.  The file is one %-format string applied row by row."""
+    fmt = ",".join(c.replace("%", "%%") if isinstance(c, str) else "%.17g"
+                   for c in columns)
+    numeric = [np.asarray(c, dtype=float) for c in columns if not isinstance(c, str)]
+    rows = np.column_stack(numeric).tolist()
+    return "\n".join([",".join(header)] + [fmt % tuple(r) for r in rows]) + "\n"
 
 
 def _echo_config(cfg: RunConfig, outdir: str):
@@ -96,17 +88,12 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     lin = model.linearization(state)
     result = dispersion.sweep(lin, ks)
     names = result.mode_names
-    header = ["k"]
-    for nm in names:
+    header, columns = ["k"], [result.k_grid]
+    for j, nm in enumerate(names):
         header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
-    rows = []
-    for i, k in enumerate(result.k_grid):
-        row = [k]
-        for j, nm in enumerate(names):
-            row += [result.roots[i, j].real, result.roots[i, j].imag,
+        columns += [result.roots[:, j].real, result.roots[:, j].imag,
                     result.labels[j].value]
-        rows.append(row)
-    _write_atomic(os.path.join(outdir, "dispersion.csv"), _csv(rows, header))
+    _write_atomic(os.path.join(outdir, "dispersion.csv"), _csv(header, columns))
 
     # asymptote curves over their windows, plus the flat coefficient blocks
     for regime, fn, sel in (
@@ -121,18 +108,13 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
             continue
         _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.txt"),
                       co.flat_text())
-        hdr = ["k"]
+        header, columns = ["k"], [sel]
         for m in co.modes:
-            hdr += [f"re_{m.name}", f"im_{m.name}"]
-        rws = []
-        for k in sel:
-            row = [k]
-            for m in co.modes:
-                v = m.evaluate(k)
-                row += [v.real, v.imag]
-            rws.append(row)
+            v = m.evaluate(sel)
+            header += [f"re_{m.name}", f"im_{m.name}"]
+            columns += [v.real, v.imag]
         _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
-                      _csv(rws, hdr))
+                      _csv(header, columns))
 
     lines = []
     for j, nm in enumerate(names):
@@ -234,20 +216,16 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 
     for step, snap in trace.snapshots:
         names = sorted(snap)
-        rows = np.column_stack([trace.grid.x] + [snap[nm] for nm in names]).tolist()
         _write_atomic(os.path.join(outdir, f"snapshot_{step:08d}.csv"),
-                      _csv(rows, ["x"] + names))
+                      _csv(["x"] + names, [trace.grid.x] + [snap[nm] for nm in names]))
 
     header = ["t", "mass", "energy", "dissipation"]
+    columns = [trace.times, trace.mass, trace.energy, trace.dissipation]
     for fname, m in track:
+        amp = trace.amplitudes[(fname, m)]
         header += [f"re_{fname}_{m}", f"im_{fname}_{m}"]
-    rows = []
-    for i, t in enumerate(trace.times):
-        row = [t, trace.mass[i], trace.energy[i], trace.dissipation[i]]
-        for key in track:
-            row += [trace.amplitudes[key][i].real, trace.amplitudes[key][i].imag]
-        rows.append(row)
-    _write_atomic(os.path.join(outdir, "trace.csv"), _csv(rows, header))
+        columns += [amp.real, amp.imag]
+    _write_atomic(os.path.join(outdir, "trace.csv"), _csv(header, columns))
 
     drift = float(np.max(np.abs(trace.mass - trace.mass[0]))
                   / max(abs(trace.mass[0]), 1e-300))
@@ -304,42 +282,44 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
         checks.append(("model_build", False, str(exc)))
     if model is not None:
         def fd_check():
-            lin_fe = model.free_energy
-            rng = np.random.default_rng(0)
-            worst = 0.0
+            fe = model.free_energy
             base = model.state_densities(state)
-            for _ in range(25):
-                x = base * rng.uniform(0.8, 1.2, size=base.shape)
-                if not lin_fe.in_domain(x):
-                    continue
-                g = lin_fe.gradient(x)
-                h = 1e-6 * np.maximum(1.0, np.abs(x))
-                for i in range(x.size):
-                    e = np.zeros_like(x)
-                    e[i] = h[i]
-                    fd = (lin_fe.value(x + e) - lin_fe.value(x - e)) / (2 * h[i])
-                    worst = max(worst, abs(g[i] - fd) / max(abs(fd), 1e-8))
+            x = base * np.random.default_rng(0).uniform(0.8, 1.2, size=(25, base.size))
+            x = x[fe.domain_mask(x)]
+            g = fe.gradient(x)
+            h = 1e-6 * np.maximum(1.0, np.abs(x))
+            # row i of a sample's offsets moves its variable i by h_i
+            e = h[:, :, None] * np.eye(base.size)
+            up, down = fe.value(x[:, None, :] + np.stack([e, -e]))
+            fd = (up - down) / (2 * h)
+            worst = float(np.max(np.abs(g - fd) / np.maximum(np.abs(fd), 1e-8),
+                                 initial=0.0))
             return worst < 1e-5, f"max gradient FD deviation {worst:.3e}"
 
         check("gradient_fd", fd_check)
+        lin = None
+
+        def linearized():
+            # one linearization for both pencil checks; if the state cannot
+            # be linearized, each of them fails with the reason
+            nonlocal lin
+            lin = lin or model.linearization(state)
+            return lin
 
         def pencil_poly():
-            lin = model.linearization(state)
-            worst = 0.0
-            for k in (1e-2, 1.0, 10.0, 300.0):
-                ok, err = dispersion.pencil_matches_scalar(lin, k)
-                worst = max(worst, err)
-                if not ok:
-                    return False, f"coefficient mismatch {err:.3e} at k={k}"
-            return True, f"max coefficient mismatch {worst:.3e}"
+            ks = np.array([1e-2, 1.0, 10.0, 300.0])
+            ok, err = dispersion.pencil_matches_scalar(linearized(), ks)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                return False, f"coefficient mismatch {err[i]:.3e} at k={ks[i]}"
+            return True, f"max coefficient mismatch {err.max():.3e}"
 
         check("pencil_vs_polynomial", pencil_poly)
 
         def viscous_exact():
-            lin = model.linearization(state)
             ks = np.logspace(-3, 3, 13)
-            alphas, _, _ = dispersion._solve(lin, ks)
-            v = dispersion.viscous_root(lin, ks)
+            alphas, _, _ = dispersion._solve(linearized(), ks)
+            v = dispersion.viscous_root(linearized(), ks)
             worst = float(np.max(np.min(np.abs(alphas - v[:, None]), axis=1)
                                  / np.abs(v)))
             return worst < 1e-12, f"worst viscous-root deviation {worst:.3e}"

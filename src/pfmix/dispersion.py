@@ -150,32 +150,37 @@ def _scalar_coefficients(lin, k: float) -> np.ndarray:
     return np.polymul(cubic[::-1], viscous[::-1])[::-1]
 
 
-def pencil_matches_scalar(lin, k: float) -> tuple[bool, float]:
+def pencil_matches_scalar(lin, ks) -> tuple[np.ndarray, np.ndarray]:
     """Compare det(alpha B + A) coefficients with the printed scalar
-    polynomial, to 1e-9.  The two agree up to an alpha-independent constant
-    factor (exactly 1 for the compressible classes), so balanced coefficient
-    vectors are compared after normalizing by their largest entries."""
-    A, B = lin.pencil_matrices(np.array([k], dtype=float))[0], lin.B
-    size = A.shape[0] + 1
-    want = np.zeros(size, dtype=complex)
-    raw = _scalar_coefficients(lin, k).astype(complex)
-    want[: raw.size] = raw
-    nz = np.nonzero(np.abs(want) > 0)[0]
-    i0, i1 = nz[0], nz[-1]
-    scale = (np.abs(want[i0]) / np.abs(want[i1])) ** (1.0 / max(i1 - i0, 1))
-    scale = float(max(scale, 1e-30))
-    # exact interpolation of det(alpha B + A) on the circle |alpha| = scale
+    polynomial at every k of a 1-D array: (err <= 1e-9, err) per k.  The
+    two agree up to an alpha-independent constant factor (exactly 1 for the
+    compressible classes), so balanced coefficient vectors are compared
+    after normalizing by their largest entries."""
+    ks = np.asarray(ks, dtype=float)
+    A, B = lin.pencil_matrices(ks), lin.B
+    size = A.shape[1] + 1
+    want = np.zeros((ks.size, size), dtype=complex)
+    scale = np.empty(ks.size)
+    for i, k in enumerate(ks.tolist()):
+        raw = _scalar_coefficients(lin, k)
+        want[i, : raw.size] = raw
+        w = np.abs(want[i])
+        i0, i1 = np.nonzero(w > 0)[0][[0, -1]]
+        scale[i] = max((w[i0] / w[i1]) ** (1.0 / max(i1 - i0, 1)), 1e-30)
+    # exact interpolation of det(alpha B + A) on the circles |alpha| = scale
     nodes = np.exp(2j * np.pi * np.arange(size) / size)
-    vals = np.array([complex(np.linalg.det(scale * b * B + A)) for b in nodes])
-    powers = scale ** np.arange(size)
-    got = np.linalg.solve(np.vander(nodes, size, increasing=True), vals) / powers
+    vals = np.linalg.det(scale[:, None, None, None] * nodes[:, None, None] * B
+                         + A[:, None])
+    powers = scale[:, None] ** np.arange(size)
+    vander = np.vander(nodes, size, increasing=True)
+    got = np.linalg.solve(vander, vals[..., None])[..., 0] / powers
     got_b, want_b = got * powers, want * powers
     # balancing makes the outer entries equally large, so normalize both
     # vectors by the same entry or a tie may flip one of them
-    j = np.argmax(np.abs(want_b))
-    got_b = got_b / got_b[j]
-    want_b = want_b / want_b[j]
-    err = float(np.max(np.abs(got_b - want_b)) / np.max(np.abs(want_b)))
+    j = np.argmax(np.abs(want_b), axis=1)[:, None]
+    got_b = got_b / np.take_along_axis(got_b, j, axis=1)
+    want_b = want_b / np.take_along_axis(want_b, j, axis=1)
+    err = np.max(np.abs(got_b - want_b), axis=1) / np.max(np.abs(want_b), axis=1)
     return err <= 1e-9, err
 
 

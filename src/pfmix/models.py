@@ -145,11 +145,6 @@ class BinaryModel:
         if self.inv_Re_s < 0 or self.inv_Re_v < 0:
             raise RangeError("inverse Reynolds numbers must be nonnegative")
 
-    @property
-    def inv_Re(self) -> float:
-        """Combined longitudinal viscous coefficient 2/Re_s + 1/Re_v."""
-        return 2.0 * self.inv_Re_s + self.inv_Re_v
-
     def _viscosity_fields(self, part, total=1.0):
         """(eta, nu) pointwise at the composition part / total; constants
         unless a rule is attached."""

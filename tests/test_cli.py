@@ -63,6 +63,21 @@ points = 11
 """
 
 
+SWEEP_CONFIGS = ["band_composition.ini", "band_density.ini", "quasi_spinodal.ini",
+                 "stable_dense.ini"]
+BUNDLED_CONFIGS = SWEEP_CONFIGS + ["concavity_co2_decane.ini", "simulate_relaxation.ini"]
+
+
+def per_row_csv(header, rows):
+    """The CSV writer before the column writer: row by row, numbers value
+    by value through ``F``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(cli.F(v) if isinstance(v, (int, float, np.number))
+                              else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -240,6 +255,44 @@ points = 11
         assert "homogeneous of degree one" in err
         assert "compressibility term" in err and "quasi_incompressible" in err
 
+    def test_wrong_gradient_fails_the_fd_check(self, tmp_path, capsys, monkeypatch):
+        from pfmix.free_energy import PengRobinson
+        gradient = PengRobinson._gradient
+        monkeypatch.setattr(PengRobinson, "_gradient",
+                            lambda self, rho: gradient(self, rho) * (1 + 1e-4))
+        assert cli.main(["verify", "--config", str(config_path("band_density.ini")),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+        failed = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("FAIL")]
+        assert len(failed) == 1 and failed[0].startswith("FAIL gradient_fd")
+
+    def test_pencil_check_names_the_first_failing_k(self, tmp_path, capsys,
+                                                    monkeypatch):
+        from pfmix import dispersion
+        coefficients = dispersion._scalar_coefficients
+
+        def off_from_k_10(lin, k):
+            c = coefficients(lin, k)
+            return c * np.where(np.arange(c.size) == 1, 1 + 1e-6 * (k >= 10.0), 1.0)
+
+        monkeypatch.setattr(dispersion, "_scalar_coefficients", off_from_k_10)
+        assert cli.main(["verify", "--config", str(config_path("band_density.ini")),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+        failed = [ln for ln in capsys.readouterr().out.splitlines()
+                  if ln.startswith("FAIL")]
+        assert len(failed) == 1
+        assert failed[0].startswith("FAIL pencil_vs_polynomial: coefficient mismatch ")
+        assert failed[0].endswith(" at k=10.0")
+
+    @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
+    def test_fd_check_passes_on_bundled_configs(self, tmp_path, capsys, name):
+        cli.main(["verify", "--config", str(config_path(name)),
+                  "--out", str(tmp_path / "o")])
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "gradient_fd" in ln]
+        assert line.startswith("PASS gradient_fd: max gradient FD deviation ")
+        assert float(line.rsplit(" ", 1)[1]) < 1e-5
+
     def test_verify_default_config_passes(self, tmp_path):
         assert cli.main(["verify", "--config",
                          str(config_path("quasi_spinodal.ini")),
@@ -251,11 +304,11 @@ points = 11
     # the dt guard and the eigenvector seed; the seed's sweep solves k, the
     # candidate long-wave seeds and the tracked prefix up to k
     ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 3),
-    # pencil_vs_polynomial and viscous_mode_exact once each, the
+    # pencil_vs_polynomial and viscous_mode_exact share one, the
     # quasi-incompressible limit once per density ratio; the viscous check
     # solves its 13 wavenumbers in one eigensolve
     ("verify", "band_density.ini",
-     {"CompressibleLocal": 2, "QuasiIncompressible": 4}, 1),
+     {"CompressibleLocal": 1, "QuasiIncompressible": 4}, 1),
 ], ids=["sweep", "simulate", "verify"])
 def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
                                     linearizations, eig_calls):
@@ -303,29 +356,59 @@ class TestDeterminism:
             assert b"\r" not in b1
 
     def test_csv_matches_value_by_value_formatting(self):
-        # the per-value formatting every CSV used before the one-format
-        # fast path for numeric rows
-        def reference(rows, header):
-            lines = [",".join(header)]
-            for row in rows:
-                lines.append(",".join(cli.F(v) if isinstance(v, (int, float, np.floating))
-                                      else str(v) for v in row))
-            return "\n".join(lines) + "\n"
-
+        # every adversarial value, by columns, against the per-row writer
         rows = [
             [0, 1, -7, 2**60],
             [True, False, np.float64(0.1), 1.0 / 3.0],
             [-0.0, np.float64(-0.0), np.inf, -np.inf],
             [np.nan, np.float64(np.nan), 1e-310, 1.7976931348623157e308],
             [np.float32(0.1), np.float64(123456789.123456789), 5e-324, -2.5],
-            ["alpha1", 0.25, np.int64(2**60 + 1), 1j],       # a label row
-            [1.5, 2.5, 3.5],                                 # short row
+            [0.25, np.int64(2**60 + 1), -5e-324, -1.7976931348623157e308],
         ]
-        header = ["a", "b", "c", "d"]
-        assert cli._csv(rows, header) == reference(rows, header)
+        numeric = [list(c) for c in zip(*rows)]
+        labels = ["100% coupled", "%s%d%%"]
+        header = ["a", "label_a", "b", "c", "label_c", "d"]
+        columns = numeric[:1] + labels[:1] + numeric[1:3] + labels[1:] + numeric[3:]
+        want = [r[:1] + labels[:1] + r[1:3] + labels[1:] + r[3:] for r in rows]
+        assert cli._csv(header, columns) == per_row_csv(header, want)
         grid = np.random.default_rng(7).normal(size=(1024, 4)) * 10.0 ** np.arange(-3, 5, 2)
-        rows = [list(r) for r in grid]
-        assert cli._csv(rows, header) == reference(rows, header)
+        header = ["a", "b", "c", "d"]
+        assert cli._csv(header, list(grid.T)) == per_row_csv(header, grid.tolist())
+
+    @pytest.mark.parametrize("name", SWEEP_CONFIGS)
+    def test_sweep_csvs_match_the_per_row_writer(self, tmp_path, name):
+        """dispersion.csv and both asymptote curves, rebuilt row by row
+        and value by value, are the files the sweep writes."""
+        from pfmix import dispersion
+        from pfmix.config import build_all
+
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(config_path(name)),
+                         "--out", str(out)]) == cli.EXIT_OK
+        cfg = load_config(config_path(name))
+        sec = cfg.sections["sweep"]
+        assert sec["spacing"] == "log"
+        ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]), sec["points"])
+        model, state = build_all(cfg)
+        lin = model.linearization(state)
+        result = dispersion.sweep(lin, ks)
+        header, rows = ["k"], [[k] for k in result.k_grid]
+        for j, nm in enumerate(result.mode_names):
+            header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
+            for row, alpha in zip(rows, result.roots[:, j]):
+                row += [alpha.real, alpha.imag, result.labels[j].value]
+        assert (out / "dispersion.csv").read_text() == per_row_csv(header, rows)
+        for regime, co, sel in (("small", lin.small_k(), ks[ks <= sec["small_k_max"]]),
+                                ("large", lin.large_k(), ks[ks >= sec["large_k_min"]])):
+            header, rows = ["k"], [[k] for k in sel]
+            for m in co.modes:
+                header += [f"re_{m.name}", f"im_{m.name}"]
+                each = np.array([m.evaluate(k) for k in sel], dtype=complex)
+                assert m.evaluate(sel).tobytes() == each.tobytes(), m.name
+                for row, v in zip(rows, each):
+                    row += [v.real, v.imag]
+            assert (out / f"asymptotes_{regime}.csv").read_text() == per_row_csv(header,
+                                                                                  rows)
 
     def test_import_leaves_scipy_optimize_unloaded(self, tmp_path):
         import subprocess

@@ -81,8 +81,11 @@ class TestConstruction:
         assert np.allclose(sorted(rep.eigenvalues), [0.0, 2 * m.M11])
 
     def test_inv_re_combination(self):
-        m = make_local()
-        assert m.inv_Re == pytest.approx(2 * 0.5 + 0.2)
+        # the longitudinal viscous coefficient the pencil uses: 2/Re_s + 1/Re_v
+        for m, st in ((make_local(), models.MixtureState.total_partial(3.0, 1.0)),
+                      (make_quasi(), models.MixtureState.fraction(0.4))):
+            assert m.linearization(st).inv_Re == 2 * m.inv_Re_s + m.inv_Re_v
+            assert not hasattr(m, "inv_Re")
 
 
 class TestIdentity:
