@@ -285,7 +285,10 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
             fe = model.free_energy
             base = model.state_densities(state)
             x = base * np.random.default_rng(0).uniform(0.8, 1.2, size=(25, base.size))
-            x = x[fe.domain_mask(x)]
+            inside = fe.domain_mask(x)
+            if not inside.any():
+                fe.check_domain(x)      # fails with the energy's reason
+            x = x[inside]
             g = fe.gradient(x)
             h = 1e-6 * np.maximum(1.0, np.abs(x))
             # row i of a sample's offsets moves its variable i by h_i
@@ -398,10 +401,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         return cmd_verify(cfg, args.out)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RangeError as exc:
+    except (ConfigError, RangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowupError as exc:

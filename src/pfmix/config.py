@@ -103,9 +103,6 @@ class RunConfig:
     sections: dict = field(default_factory=dict)
     source: str = ""
 
-    def get(self, section: str, key: str):
-        return self.sections[section][key]
-
     def has_section(self, name: str) -> bool:
         return name in self.sections
 

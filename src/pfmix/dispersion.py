@@ -171,10 +171,10 @@ def pencil_matches_scalar(lin, ks) -> tuple[np.ndarray, np.ndarray]:
     nodes = np.exp(2j * np.pi * np.arange(size) / size)
     vals = np.linalg.det(scale[:, None, None, None] * nodes[:, None, None] * B
                          + A[:, None])
-    powers = scale[:, None] ** np.arange(size)
     vander = np.vander(nodes, size, increasing=True)
-    got = np.linalg.solve(vander, vals[..., None])[..., 0] / powers
-    got_b, want_b = got * powers, want * powers
+    # the solve gives the balanced coefficients, those of det(scale z B + A) in z
+    got_b = np.linalg.solve(vander, vals[..., None])[..., 0]
+    want_b = want * scale[:, None] ** np.arange(size)
     # balancing makes the outer entries equally large, so normalize both
     # vectors by the same entry or a tie may flip one of them
     j = np.argmax(np.abs(want_b), axis=1)[:, None]

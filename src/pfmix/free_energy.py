@@ -317,11 +317,6 @@ class PengRobinson(BulkFreeEnergy):
         self.m = np.array([species1.molar_mass, species2.molar_mass])
         self.RT = self.R * self.T
 
-    @property
-    def molar_mass_ratio(self) -> float:
-        """m2 / m1, the solute-to-solvent molar mass ratio."""
-        return self.m[1] / self.m[0]
-
     @classmethod
     def from_mixture_coefficients(cls, a_matrix, b, molar_masses, RT,
                                   thermal_wavelength: float = 1.0):

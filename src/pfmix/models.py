@@ -130,10 +130,9 @@ class BinaryModel:
     """Shared plumbing of the compressible and phase-field models:
     validation, viscosity and the state array.
 
-    A state is one (n_fields, n) array whose rows follow ``field_names``.
-    Every method that takes ``fields`` also accepts a dict keyed by field
-    name and stacks it once at that boundary; ``rhs_1d`` answers in the
-    form it was given.
+    A state is one (n_fields, n) array whose rows follow ``field_names``,
+    and every method takes that array; :meth:`state_array` stacks a dict
+    keyed by field name into it, where such a dict enters.
     """
 
     inv_Re_s: float
@@ -152,25 +151,17 @@ class BinaryModel:
             return self.inv_Re_s, self.inv_Re_v
         return average_viscosity(self.viscosity_rule, part / total)
 
-    def state_array(self, fields) -> np.ndarray:
+    def state_array(self, fields: dict) -> np.ndarray:
         """The state as one (n_fields, n) array in ``field_names`` order."""
-        if isinstance(fields, dict):
-            return np.stack([fields[name] for name in self.field_names])
-        return fields
+        return np.stack([fields[name] for name in self.field_names])
 
     def field_dict(self, u) -> dict:
         """The rows of a state array keyed by field name."""
         return dict(zip(self.field_names, u))
 
-    def rhs_1d(self, fields, grid, return_aux=False):
-        """Time derivative of the state on a periodic grid, as an array or
-        a dict like ``fields``; with ``return_aux`` also the auxiliary
-        fields of the class (chemical potentials, fluxes, pressure)."""
-        u = self.state_array(fields)
-        out, aux, _ = self._rhs(u, grid, return_aux)
-        if isinstance(fields, dict):
-            out = self.field_dict(out)
-        return (out, aux) if return_aux else out
+    def rhs_1d(self, u, grid):
+        """Time derivative of the state array u on a periodic grid."""
+        return self._rhs(u, grid)[0]
 
     def rhs_pass(self, u, grid, spectral=False):
         """The right-hand side of a state array and the forward spectra it
@@ -180,22 +171,14 @@ class BinaryModel:
         state and of its time derivative, for stepping in Fourier space."""
         if spectral:
             return self._rhs_spectral(u, grid)
-        out, _, core = self._rhs(u, grid, False)
-        return out, core
+        return self._rhs(u, grid)
 
     def _rhs_spectral(self, u, grid):
         """((u^, rhs^), core) by one batched ``rfft`` of the state and
         ``_rhs``; each row comes out as its own transform would give it."""
-        out, _, core = self._rhs(u, grid, False)
+        out, core = self._rhs(u, grid)
         h = np.fft.rfft(np.concatenate([u, out]), axis=-1)
         return (h[:len(u)], h[len(u):]), core
-
-    def total_energy(self, fields, grid) -> float:
-        return self.record(self.state_array(fields), grid)[1]
-
-    def energy_dissipation_rate(self, fields, grid) -> float:
-        """Viscous and diffusive dissipation, the closed form of dE/dt."""
-        return self.record(self.state_array(fields), grid)[2]
 
     def _amplitudes(self, u, grid, spectra, track):
         """Amplitudes of the tracked (field, mode) pairs from ``spectra``,
@@ -280,12 +263,12 @@ class CompressibleModel(BinaryModel):
         self._require_binary("a binary MixtureState")
         return np.array([getattr(state, v) for v in self.energy_fields])
 
-    def total_density(self, fields):
-        return self._weights_rows @ self.state_array(fields)[:self.n_components]
+    def total_density(self, u):
+        return self._weights_rows @ u[:self.n_components]
 
-    def energy_variables(self, fields, axis=-1):
+    def energy_variables(self, u, axis=-1):
         """The free energy's variables stacked along ``axis``."""
-        return self.state_array(fields)[self._rows].swapaxes(0, axis)
+        return u[self._rows].swapaxes(0, axis)
 
     def _spectral_core(self, u, grid, flux=False):
         """(E, rho, v, h, mu^): E, the total density, the velocities v =
@@ -303,29 +286,28 @@ class CompressibleModel(BinaryModel):
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.ik2 * h[:N])
         return E, rho, v, h, muh
 
-    def _rhs(self, u, grid, return_aux):
+    def _rhs(self, u, grid):
         """The forward transform, then one ``irfft`` of d2 mu, d mu, the
-        viscous forces (a viscosity rule's stresses take one more pair),
-        the flux divergences d(u*vx)/dx and, with ``return_aux``, mu.  The
-        auxiliary fields are mu (or None) and the fluxes J by density row;
-        the forward pass comes back with them."""
+        viscous forces (a viscosity rule's stresses take one more pair) and
+        the flux divergences d(u*vx)/dx; the forward pass comes back with
+        the right-hand side."""
         core = E, rho, v, h, muh = self._spectral_core(u, grid, flux=True)
         N = self.n_components
         eta, nu = self._viscosity_fields(E[0], rho)
         rows = [grid.ik2 * muh, grid.ik * muh,
                 _viscous_forces(grid, h[2 * N:2 * N + 2], eta, nu)[0],
-                grid.ik * h[2 * N + 2:]] + ([muh] if return_aux else [])
+                grid.ik * h[2 * N + 2:]]
         d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
         J = self._mobility_rows @ d[:N]
-        out = -d[f:f + N + 2]
+        out = -d[f:]
         out[:N] += J
         if self._mass_flux:
             out[N:] += 0.5 * (self._weights_rows @ J) * v + d[2 * N:f]
         else:
             out[N:] += d[2 * N:f]
         out[N] -= np.einsum("ix,ix->x", E, d[N:2 * N])     # sum_i E_i d mu_i
-        return out, {"mu": d[f + N + 2:] if return_aux else None, "J": J}, core
+        return out, core
 
     def record(self, u, grid, core=None, track=()):
         """Mass, total energy, dissipation rate and the amplitudes of the
@@ -369,8 +351,8 @@ class CompressibleModel(BinaryModel):
         return {name: level.get(name, 0.0) * np.ones(grid.n)
                 for name in self.field_names}
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(self.total_density(fields))
+    def total_mass(self, u, grid) -> float:
+        return grid.integrate(self.total_density(u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,20 +395,6 @@ class CompressibleGlobal(CompressibleModel):
             raise ConstraintError(
                 "local mass conservation requires zero mobility row sums; "
                 f"got row sums {rep.row_sums}")
-
-    def _state_from(self, densities, vx=0.0, vy=0.0):
-        """State array of an (N, n) density stack moving with (vx, vy)."""
-        rho = np.sum(densities, axis=0)
-        return np.concatenate([densities, [rho * vx, rho * vy]])
-
-    def constraint_residual(self, densities, grid) -> float:
-        """Max-norm of sum_i sum_j div(M_ij grad mu_j)."""
-        aux = self._rhs(self._state_from(densities), grid, True)[1]
-        return float(np.max(np.abs(aux["J"].sum(axis=0))))
-
-    def dissipation_rate(self, densities, vx, vy, grid) -> float:
-        """Closed-form dissipation rate of the densities moving with (vx, vy)."""
-        return self.energy_dissipation_rate(self._state_from(densities, vx, vy), grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -481,8 +449,7 @@ class QuasiIncompressible(BinaryModel):
 
     Equal specific densities (:func:`equal_specific_densities`) are the
     incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
-    is solenoidal (in 1D vx stays as it is) and the pressure is formed only
-    when it is asked for."""
+    is solenoidal (in 1D vx stays as it is) and no pressure is formed."""
 
     free_energy: BulkFreeEnergy            # single variable phi
     kappa_phi_phi: float
@@ -508,8 +475,8 @@ class QuasiIncompressible(BinaryModel):
         """The free energy's variable at the state, (phi,)."""
         return np.array([state.phi])
 
-    def energy_variables(self, fields):
-        return self.state_array(fields)[0][..., None]
+    def energy_variables(self, u):
+        return u[0][..., None]
 
     def uniform_fields(self, state, grid):
         return {"phi": state.phi * np.ones(grid.n),
@@ -518,8 +485,8 @@ class QuasiIncompressible(BinaryModel):
     def density(self, phi):
         return self.rho_hat_2 + (self.rho_hat_1 - self.rho_hat_2) * phi
 
-    def total_mass(self, fields, grid) -> float:
-        return grid.integrate(self.density(self.state_array(fields)[0]))
+    def total_mass(self, u, grid) -> float:
+        return grid.integrate(self.density(u[0]))
 
     def record(self, u, grid, core=None, track=()):
         """As :meth:`CompressibleModel.record`, from the spectral core; the
@@ -565,8 +532,7 @@ class QuasiIncompressible(BinaryModel):
         The constraint d vx/dx = (1-r) Mh d2 G/dx2 with G = mu_phi +
         (1 - r) Pi gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh
         k^2) = vx^ / (ik (1-r)^2 Mh) - mu^ / (1-r).  For equal specific
-        densities G = mu_phi and the pressure is left to
-        :meth:`_pressure`.
+        densities G = mu_phi and no pressure is formed.
         """
         phi, vx, _ = u
         g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
@@ -581,22 +547,6 @@ class QuasiIncompressible(BinaryModel):
         if not np.all(np.isfinite(Pih)):
             raise SolveError("pressure solve produced non-finite values")
         return _QuasiSpectra(h, muh, Pih, muh + r1 * Pih, eta, nu)
-
-    def _pressure(self, phi, core, grid):
-        """The hydrostatic field, zero mean: the core's Pi^ or, for equal
-        specific densities, the mean-free antiderivative of the x-momentum
-        balance of a solenoidal velocity, -phi d mu_phi/dx."""
-        if core.Pih is not None:
-            return np.fft.irfft(core.Pih, n=grid.n)
-        dmu = np.fft.irfft(grid.ik * core.muh, n=grid.n)
-        return np.fft.irfft(np.fft.rfft(-phi * dmu) * grid.inv_ik, n=grid.n)
-
-    def solve_pressure(self, fields, grid):
-        """Hydrostatic field from the divergence constraint, zero mean;
-        returns it with mu_phi."""
-        u = self.state_array(fields)
-        core = self._spectral_core(u, grid)
-        return self._pressure(u[0], core, grid), np.fft.irfft(core.muh, n=grid.n)
 
     def _rhs_parts(self, u, grid, physical_phi):
         """The right-hand side with its phi row in Fourier space,
@@ -630,14 +580,9 @@ class QuasiIncompressible(BinaryModel):
             ax = (-rho * vx * dv[0] + p[-2] - phi * p[-1]) / rho
         return core, phih, ax, ay, p[1] if physical_phi else None
 
-    def _rhs(self, u, grid, return_aux):
+    def _rhs(self, u, grid):
         core, _, ax, ay, phi_row = self._rhs_parts(u, grid, True)
-        out = np.empty_like(u)
-        out[0], out[1], out[2] = phi_row, ax, ay
-        if not return_aux:
-            return out, None, core
-        mu, G = np.fft.irfft(np.stack([core.muh, core.Gh]), n=grid.n, axis=-1)
-        return out, {"Pi": self._pressure(u[0], core, grid), "mu_phi": mu, "G": G}, core
+        return np.stack([phi_row, ax, ay]), core
 
     def _rhs_spectral(self, u, grid):
         """The state's spectrum from the core, the phi row as formed in
@@ -648,11 +593,11 @@ class QuasiIncompressible(BinaryModel):
         rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
         return (core.h[:3], rhsh), core
 
-    def divergence_residual(self, fields, grid) -> float:
+    def divergence_residual(self, u, grid) -> float:
         """Max-norm of div v minus its constrained value after the solve,
         d vx/dx - (1 - r) Mh d2 G/dx2; for equal specific densities that is
         max |d vx/dx|."""
-        core = self._spectral_core(self.state_array(fields), grid)
+        core = self._spectral_core(u, grid)
         r1, Mh = self._constraint
         res = np.fft.irfft(grid.ik * core.h[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
                            n=grid.n)

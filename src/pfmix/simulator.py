@@ -143,7 +143,7 @@ def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
             raise RangeError(f"unknown field {name!r} for {type(model).__name__}")
         fields[name] = fields[name] + bump
     if conservative:
-        rho = model.total_density(fields)
+        rho = model.total_density(model.state_array(fields))
         fields["mx"] = rho * bumps.get("vx", np.zeros(grid.n))
         fields["my"] = rho * bumps.get("vy", np.zeros(grid.n))
     _check_in_domain(model, model.state_array(fields), step=None)

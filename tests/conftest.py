@@ -5,6 +5,7 @@ from importlib import resources
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import build_all, load_config
+from pfmix.linearization import equal_specific_densities
 
 
 def config_path(name: str):
@@ -62,11 +63,28 @@ def dx2(grid, f):
     return derivatives(grid, np.asarray(f)[np.newaxis], (2,))[0]
 
 
+def chemical_potentials(m, u, grid):
+    """The chemical potentials of the state array u, formed here from the
+    bulk gradient and the physical-space Laplacian: mu = g(E) - kappa
+    d2E/dx2 by energy variable (rows) for the compressible classes,
+    mu_phi = g(phi) - kappa_phi_phi d2phi/dx2 for the phase field."""
+    if isinstance(m, models.QuasiIncompressible):
+        phi = u[0]
+        g = m.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        return g - m.kappa_phi_phi * dx2(grid, phi)
+    E = m.energy_variables(u, axis=0)
+    lap = derivatives(grid, E, (2,) * len(E))
+    return m.free_energy.gradient(E.T, pointwise=True).T - m.kappa.kappa @ lap
+
+
 def physical_record(m, u, grid):
     """(energy, dissipation rate) of the state array u by the physical-space
-    route: each derivative a transform pair of a physical field (mu, or G,
-    from ``rhs_1d``'s auxiliary fields), each integrand summed pointwise."""
-    _, aux = m.rhs_1d(u, grid, return_aux=True)
+    route: each derivative a transform pair of a physical field, each
+    integrand summed pointwise.  The diffusive flux's potential comes from
+    the state alone: the gradients of ``chemical_potentials`` or, for the
+    phase field, dG/dx from the divergence constraint d vx/dx = (1 - r) Mh
+    d2G/dx2, that is (vx - mean vx) / ((1 - r) Mh), and d mu_phi/dx where
+    the specific densities are equal (G = mu_phi)."""
     rule = m.viscosity_rule
     if isinstance(m, models.QuasiIncompressible):
         phi, vx, vy = u
@@ -74,7 +92,12 @@ def physical_record(m, u, grid):
         kin = 0.5 * rho * (vx ** 2 + vy ** 2)
         bulk = m.free_energy.value(phi[..., None], pointwise=True)
         grad = 0.5 * m.kappa_phi_phi * dx1(grid, phi) ** 2
-        mob = m.M11 * (dx1(grid, aux["G"]) / m.rho_hat_1) ** 2
+        if equal_specific_densities(m.rho_hat_1, m.rho_hat_2):
+            dG = dx1(grid, chemical_potentials(m, u, grid))
+        else:
+            r1, Mh = 1.0 - m.rho_hat_1 / m.rho_hat_2, m.M11 / m.rho_hat_1**2
+            dG = (vx - vx.mean()) / (r1 * Mh)
+        mob = m.M11 * (dG / m.rho_hat_1) ** 2
         part = phi
     else:
         rho = m.total_density(u)
@@ -84,7 +107,7 @@ def physical_record(m, u, grid):
         bulk = m.free_energy.value(E.T, pointwise=True)
         dE = derivatives(grid, E, (1,) * len(E))
         grad = 0.5 * np.einsum("ij,ix,jx->x", m.kappa.kappa, dE, dE)
-        dmu = derivatives(grid, aux["mu"], (1,) * len(E))
+        dmu = derivatives(grid, chemical_potentials(m, u, grid), (1,) * len(E))
         mob = np.einsum("ij,ix,jx->x", m.mobility_E, dmu, dmu)
         part = E[0] / rho
     eta, nu = ((m.inv_Re_s, m.inv_Re_v) if rule is None

@@ -284,6 +284,18 @@ points = 11
         assert failed[0].startswith("FAIL pencil_vs_polynomial: coefficient mismatch ")
         assert failed[0].endswith(" at k=10.0")
 
+    def test_fd_check_fails_outside_the_domain(self, tmp_path, capsys):
+        # every sample lies past the covolume packing limit: the check has
+        # nothing to compare and fails with the energy's reason
+        text = config_path("band_density.ini").read_text(encoding="utf-8")
+        path = write(tmp_path, "packed.ini", text.replace("rho0 = 1000.0", "rho0 = 1e9"))
+        assert cli.main(["verify", "--config", path,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "gradient_fd" in ln]
+        assert line.startswith("FAIL gradient_fd")
+        assert "covolume packing" in line
+
     @pytest.mark.parametrize("name", BUNDLED_CONFIGS)
     def test_fd_check_passes_on_bundled_configs(self, tmp_path, capsys, name):
         cli.main(["verify", "--config", str(config_path(name)),

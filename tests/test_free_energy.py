@@ -48,7 +48,7 @@ class TestBulkEnergy:
         a_mix = float(y @ pr.a @ y)
         b_mix = float(y @ pr.b)
         want = pr_energy_oracle(rho[0], rho[1], a_mix, b_mix,
-                                pr.molar_mass_ratio, pr.m[1], pr.R, pr.T, pr.lam)
+                                pr.m[1] / pr.m[0], pr.m[1], pr.R, pr.T, pr.lam)
         assert pr.value(rho) == pytest.approx(want, rel=1e-12)
 
     def test_pr_oracle_other_states(self, co2_decane, rng):
@@ -60,7 +60,7 @@ class TestBulkEnergy:
             nm = rho / pr.m
             y = nm / nm.sum()
             want = pr_energy_oracle(rho[0], rho[1], float(y @ pr.a @ y),
-                                    float(y @ pr.b), pr.molar_mass_ratio,
+                                    float(y @ pr.b), pr.m[1] / pr.m[0],
                                     pr.m[1], pr.R, pr.T, pr.lam)
             assert pr.value(rho) == pytest.approx(want, rel=1e-11)
 
@@ -273,23 +273,22 @@ class TestVariableChanges:
 
 class TestChemicalPotentials:
     """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) as the compressible
-    right-hand side forms it, read from its ``aux["mu"]``."""
+    right-hand side forms it, read through its density rows: at rest and
+    with the identity mobility they are the fluxes d2 mu_i/dx2."""
 
     @staticmethod
-    def mu(q, kap, densities, grid):
+    def d2mu(q, kap, densities, grid):
         m = models.CompressibleGlobal(q, kap, np.eye(2), inv_Re_s=0.5, inv_Re_v=0.2)
         u = np.concatenate([densities, np.zeros((2, grid.n))])
-        return m.rhs_1d(u, grid, return_aux=True)[1]["mu"]
+        return m.rhs_1d(u, grid)[:2]
 
     def test_uniform_fields(self):
+        # mu is the constant g(rho): no flux anywhere
         grid = PeriodicGrid1D(2 * np.pi, 32)
         q = fe.Quadratic(np.eye(2))
         kap = fe.GradientCoefficients(np.diag([0.1, 0.2]))
         fields = np.stack([np.full(grid.n, 1.5), np.full(grid.n, 2.5)])
-        mu = self.mu(q, kap, fields, grid)
-        g = q.gradient([1.5, 2.5])
-        assert np.allclose(mu[0], g[0], atol=1e-14)
-        assert np.allclose(mu[1], g[1], atol=1e-14)
+        assert np.max(np.abs(self.d2mu(q, kap, fields, grid))) <= 1e-14
 
     def test_single_mode_laplacian(self):
         grid = PeriodicGrid1D(2 * np.pi, 64)
@@ -300,10 +299,13 @@ class TestChemicalPotentials:
         k = grid.mode_wavenumber(mode)
         rho1 = 1.0 + eps * np.cos(k * grid.x)
         rho2 = np.full(grid.n, 2.0)
-        mu = self.mu(q, kap, np.stack([rho1, rho2]), grid)
-        grad_part = q.gradient(np.stack([rho1, rho2], axis=-1))[..., 0]
-        want = eps * k11 * k * k * np.cos(k * grid.x)
-        assert np.max(np.abs(mu[0] - grad_part - want)) < 1e-8 * eps * k11 * k * k
+        d2mu = self.d2mu(q, kap, np.stack([rho1, rho2]), grid)
+        # g = rho for the identity Hessian: d2 g1/dx2 = -k^2 eps cos(kx),
+        # and -k11 lap(rho1) adds -k11 k^4 eps cos(kx)
+        grad_part = -eps * k * k * np.cos(k * grid.x)
+        want = -eps * k11 * k**4 * np.cos(k * grid.x)
+        assert np.max(np.abs(d2mu[0] - grad_part - want)) < 1e-8 * eps * k11 * k**4
+        assert np.max(np.abs(d2mu[1])) <= 1e-14
 
 
 def classify_one(C):

@@ -1,12 +1,40 @@
 """The repository's scripts, run as a user runs them, and checks on the
 package's source."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pfmix"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+PACKAGE = ROOT / "src" / "pfmix"
+
+# The outputs of each command that ``scripts/bundled_digests.py`` digests,
+# and the command each bundled config has a section for (all run verify).
+OUTPUTS = {
+    "sweep": ("asymptotes_large.csv", "asymptotes_large.txt", "asymptotes_small.csv",
+              "asymptotes_small.txt", "config_echo.ini", "dispersion.csv", "summary.txt"),
+    "concavity-map": ("concavity.csv", "config_echo.ini", "summary.txt"),
+    "simulate": ("config_echo.ini", "trace.csv", "verdict.txt"),
+    "verify": ("config_echo.ini", "verify.txt"),
+}
+BUNDLED_COMMANDS = {
+    "band_composition.ini": "sweep", "band_density.ini": "sweep",
+    "quasi_spinodal.ini": "sweep", "stable_dense.ini": "sweep",
+    "concavity_co2_decane.ini": "concavity-map", "simulate_relaxation.ini": "simulate",
+}
+
+# Public package names that no command, script or benchmark reads yet,
+# each waiting for the ROADMAP item that gives it a reader.  The list may
+# only shrink: a name that gains a reader leaves it, and a new name needs one.
+UNREAD_ALLOWED = {
+    "change_variables_to_rho_rho1",             # item 4: the compare command
+    "QuasiIncompressible.divergence_residual",  # item 1: DIVERGENCE_RESIDUAL
+    "assemble_n_component",                     # item 7: N-component stability
+    "n_component_local_mobility",               # item 7: N-component stability
+}
 
 
 def test_calibrate_mixture_verifies_bundled_constants():
@@ -26,3 +54,54 @@ def test_no_class_switch_outside_the_models():
         text = (PACKAGE / name).read_text(encoding="utf-8")
         for switch in ("isinstance(model", "isinstance(lin"):
             assert switch not in text, f"{name} contains {switch}"
+
+
+def test_bundled_digests_cover_every_output():
+    # the byte-identity check, run as a user runs it; the digests themselves
+    # depend on the numpy build, so only the lines' names and exits are fixed
+    out = subprocess.run([sys.executable, str(SCRIPTS / "bundled_digests.py")],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = [ln.split() for ln in out.stdout.splitlines()]
+    assert len(lines) == 70
+    expected = {(name, command, f) for name, first in BUNDLED_COMMANDS.items()
+                for command in (first, "verify")
+                for f in OUTPUTS[command] + ("(stdout)", "(exit)")}
+    assert {tuple(ln[:3]) for ln in lines} == expected
+    exits = [ln for ln in lines if ln[2] == "(exit)"]
+    assert len(exits) == 12 and all(ln[3] == "0" for ln in exits)
+    assert all(re.fullmatch("[0-9a-f]{64}", ln[3]) for ln in lines if ln[2] != "(exit)")
+
+
+def public_definitions():
+    """(qualified name, file, first line, last line) of every public
+    module-level function and class of the package, and of every public
+    method of those classes."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    or node.name.startswith("_"):
+                continue
+            yield node.name, path, node.lineno, node.end_lineno
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", path, sub.lineno, sub.end_lineno
+
+
+def test_every_public_name_has_a_reader():
+    # a name is read where it appears as a whole word in the package, the
+    # scripts or the benchmark (not its frozen baseline copy), outside the
+    # lines of its own definition
+    readers = {path: path.read_text(encoding="utf-8").splitlines()
+               for base in (PACKAGE, SCRIPTS, ROOT / "perfbench")
+               for path in sorted(base.glob("*.py"))}
+
+    def read(name, own, first, last):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        return any(word.search(line) for path, lines in readers.items()
+                   for i, line in enumerate(lines, 1)
+                   if not (path == own and first <= i <= last))
+
+    unread = {qual for qual, path, first, last in public_definitions()
+              if not read(qual.rsplit(".", 1)[-1], path, first, last)}
+    assert unread == UNREAD_ALLOWED
