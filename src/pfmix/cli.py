@@ -23,7 +23,6 @@ from .errors import (
     NumericalError,
     PfmixError,
     RangeError,
-    SolveError,
 )
 from .linearization import classify_stability
 
@@ -407,7 +406,7 @@ def main(argv=None) -> int:
     except BlowupError as exc:
         print(f"transient blow-up: {exc}", file=sys.stderr)
         return EXIT_BLOWUP
-    except (NumericalError, SolveError) as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except PfmixError as exc:

@@ -2,9 +2,8 @@
 
 Provides the quadratic, Flory-Huggins and Peng-Robinson bulk energies
 together with their analytic gradients and Hessians, the gradient-energy
-coefficient matrix, definiteness classification, viscosity interpolation rules,
-and the coordinate changes between the (rho1, rho2), (rho1, rho) and
-phi formulations.
+coefficient matrix, definiteness classification and the coordinate
+changes between the (rho1, rho2), (rho1, rho) and phi formulations.
 
 Peng-Robinson parameters follow the standard 1976 prescription: for each
 species, from critical temperature Tc, critical pressure Pc and acentric
@@ -534,60 +533,3 @@ def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarr
     if np.any(ok):
         codes[ok] = classify_matrices(fe_tilde.hessian(pts[ok]))
     return codes
-
-
-# ---------------------------------------------------------------------------
-# Viscosity interpolation
-# ---------------------------------------------------------------------------
-
-
-class ViscosityModel(Enum):
-    MASS_FRACTION = "mass_fraction"
-    VOLUME_FRACTION = "volume_fraction"
-    KRIEGER_DOUGHERTY = "krieger_dougherty"
-
-
-@dataclass(frozen=True)
-class ViscosityRule:
-    """Average shear/volumetric viscosity of the mixture.
-
-    The Krieger-Dougherty exponent is named ``kd_exponent``; it is unrelated
-    to the volumetric viscosity even though the literature reuses the symbol.
-    """
-
-    rule: ViscosityModel
-    eta1: float = 0.0
-    eta2: float = 0.0
-    nu1: float = 0.0
-    nu2: float = 0.0
-    eta0: float = 0.0
-    nu0: float = 0.0
-    kd_exponent: float = 2.0
-
-    def __post_init__(self):
-        for name in ("eta1", "eta2", "nu1", "nu2", "eta0", "nu0"):
-            if getattr(self, name) < 0:
-                raise RangeError(f"{name} must be nonnegative")
-
-
-def average_viscosity(rule: ViscosityRule, composition):
-    """(eta, nu) from the rule's interpolation at the given composition.
-
-    ``composition`` is the fraction of component 1 (mass or volume per rule),
-    or the solute concentration for Krieger-Dougherty:
-    eta = eta0 (1 - x)^(-kd_exponent).
-    """
-    x = np.asarray(composition, dtype=float)
-    if rule.rule is ViscosityModel.KRIEGER_DOUGHERTY:
-        if np.any(x < 0.0) or np.any(x >= 1.0):
-            raise RangeError("Krieger-Dougherty concentration must lie in [0, 1)")
-        eta = rule.eta0 * (1.0 - x) ** (-rule.kd_exponent)
-        nu = rule.nu0 * (1.0 - x) ** (-rule.kd_exponent)
-    else:
-        if np.any(x < 0.0) or np.any(x > 1.0):
-            raise RangeError("composition fraction must lie in [0, 1]")
-        eta = x * rule.eta1 + (1.0 - x) * rule.eta2
-        nu = x * rule.nu1 + (1.0 - x) * rule.nu2
-    if np.ndim(composition) == 0:
-        return float(eta), float(nu)
-    return eta, nu

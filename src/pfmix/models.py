@@ -36,12 +36,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import ConstraintError, RangeError, ShapeError, SolveError
-from .free_energy import (
-    BulkFreeEnergy,
-    GradientCoefficients,
-    ViscosityRule,
-    average_viscosity,
-)
+from .free_energy import BulkFreeEnergy, GradientCoefficients
 from .grid import PeriodicGrid1D
 from .linearization import (
     CompressibleLinearization,
@@ -137,19 +132,23 @@ class BinaryModel:
 
     inv_Re_s: float
     inv_Re_v: float
-    viscosity_rule: Optional[ViscosityRule]
     field_names: tuple
 
     def _check_reynolds(self):
         if self.inv_Re_s < 0 or self.inv_Re_v < 0:
             raise RangeError("inverse Reynolds numbers must be nonnegative")
 
-    def _viscosity_fields(self, part, total=1.0):
-        """(eta, nu) pointwise at the composition part / total; constants
-        unless a rule is attached."""
-        if self.viscosity_rule is None:
-            return self.inv_Re_s, self.inv_Re_v
-        return average_viscosity(self.viscosity_rule, part / total)
+    def _viscous_forces(self, grid, vh):
+        """Spectra (fx^, fy^) of the viscous forces from the velocities'
+        spectra (vx^, vy^)."""
+        eta, nu = self.inv_Re_s, self.inv_Re_v
+        return grid.ik2 * vh * [[2.0 * eta + nu], [eta]]
+
+    def _viscous_dissipation(self, grid, vh):
+        """Integral of (2 eta + nu) (d vx/dx)^2 + eta (d vy/dx)^2, eta =
+        1/Re_s and nu = 1/Re_v, as a sum over the velocities' modes."""
+        eta, nu = self.inv_Re_s, self.inv_Re_v
+        return grid.gradient_form(np.diag([2.0 * eta + nu, eta]), vh)
 
     def state_array(self, fields: dict) -> np.ndarray:
         """The state as one (n_fields, n) array in ``field_names`` order."""
@@ -189,28 +188,6 @@ class BinaryModel:
             raise RangeError(f"unknown observable in {track}")
         return [grid.spectrum_amplitude(spectra[name], mode) if name in spectra
                 else grid.mode_amplitude(rows[name], mode) for name, mode in track]
-
-
-def _viscous_forces(grid, vh, eta, nu):
-    """Spectra (fx^, fy^) of the viscous forces from the velocities'
-    spectra (vx^, vy^), and the velocities' gradients if they were formed:
-    constant viscosities work in Fourier space (None); pointwise ones take
-    one more transform pair, of the gradients and then of the stresses."""
-    if np.ndim(eta) == 0:
-        return grid.ik2 * vh * [[2.0 * eta + nu], [eta]], None
-    dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
-    return grid.ik * np.fft.rfft(np.stack([(2.0 * eta + nu) * dv[0], eta * dv[1]]),
-                                 axis=-1), dv
-
-
-def _viscous_dissipation(grid, vh, eta, nu):
-    """Integral of (2 eta + nu) (d vx/dx)^2 + eta (d vy/dx)^2 from the
-    velocities' spectra: a sum over modes for constant viscosities;
-    pointwise ones take one ``irfft`` of the gradients."""
-    if np.ndim(eta) == 0:
-        return grid.gradient_form(np.diag([2.0 * eta + nu, eta]), vh)
-    dv = np.fft.irfft(grid.ik * vh, n=grid.n, axis=-1)
-    return grid.integrate((2.0 * eta + nu) * dv[0] ** 2 + eta * dv[1] ** 2)
 
 
 class CompressibleModel(BinaryModel):
@@ -288,14 +265,12 @@ class CompressibleModel(BinaryModel):
 
     def _rhs(self, u, grid):
         """The forward transform, then one ``irfft`` of d2 mu, d mu, the
-        viscous forces (a viscosity rule's stresses take one more pair) and
-        the flux divergences d(u*vx)/dx; the forward pass comes back with
-        the right-hand side."""
-        core = E, rho, v, h, muh = self._spectral_core(u, grid, flux=True)
+        viscous forces and the flux divergences d(u*vx)/dx; the forward
+        pass comes back with the right-hand side."""
+        core = E, _, v, h, muh = self._spectral_core(u, grid, flux=True)
         N = self.n_components
-        eta, nu = self._viscosity_fields(E[0], rho)
         rows = [grid.ik2 * muh, grid.ik * muh,
-                _viscous_forces(grid, h[2 * N:2 * N + 2], eta, nu)[0],
+                self._viscous_forces(grid, h[2 * N:2 * N + 2]),
                 grid.ik * h[2 * N + 2:]]
         d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
@@ -314,7 +289,7 @@ class CompressibleModel(BinaryModel):
         tracked (field, mode) pairs of the state array u, from the forward
         spectra ``core`` of a pass over u (:meth:`rhs_pass`) or of its own
         pass.  Only the kinetic and bulk energies are pointwise; the rest
-        are sums over modes (a viscosity rule's stresses take one irfft).
+        are sums over modes.
         The bulk energy is evaluated unchecked: that pass's pointwise
         gradient has already checked the same state's domain."""
         E, rho, _, h, muh = self._spectral_core(u, grid) if core is None else core
@@ -324,8 +299,7 @@ class CompressibleModel(BinaryModel):
         bulk = self.free_energy._value(E.T)
         energy = (grid.integrate(kin + bulk)
                   + 0.5 * grid.gradient_form(self.kappa.kappa, h[:N]))
-        eta, nu = self._viscosity_fields(E[0], rho)
-        dissipation = -(_viscous_dissipation(grid, vh, eta, nu)
+        dissipation = -(self._viscous_dissipation(grid, vh)
                         + grid.gradient_form(self.mobility_E, muh))
         spectra = dict(zip(self.energy_fields + ("vx", "vy"), [*h[:N], *vh]))
         return (self.total_mass(u, grid), energy, dissipation,
@@ -333,16 +307,14 @@ class CompressibleModel(BinaryModel):
 
     def linearization(self, state: MixtureState) -> CompressibleLinearization:
         """The pencil's densities are the first two state rows: E's
-        Hessian, kappa and mobility are indexed into that order.  The
-        viscosities are the right-hand side's at the state's composition."""
+        Hessian, kappa and mobility are indexed into that order."""
         E0 = self.state_densities(state)
         o = self._order
         rc = np.ix_(o, o)
-        rho0 = float(self.weights @ E0)
-        eta, nu = self._viscosity_fields(E0[0], rho0)
         return CompressibleLinearization(
             C=self.free_energy.hessian(E0)[rc], K=self.kappa.kappa[rc], p=E0[o],
-            rho0=rho0, inv_Re_s=eta, inv_Re=2.0 * eta + nu,
+            rho0=float(self.weights @ E0), inv_Re_s=self.inv_Re_s,
+            inv_Re=2.0 * self.inv_Re_s + self.inv_Re_v,
             mobility=self.mobility_E[rc],
             vector_fields=self.field_names[:2] + ("vx", "vy"))
 
@@ -361,7 +333,7 @@ class CompressibleGlobal(CompressibleModel):
 
     Fields: rho1, ..., rhoN, mx, my; E = (rho1, ..., rhoN), M_E = the
     mobility and w = 1.  N is the size of the mobility, kappa and the free
-    energy.  Binary states and a viscosity rule need N = 2.
+    energy.  Binary states need N = 2.
     """
 
     free_energy: BulkFreeEnergy            # variables (rho1, ..., rhoN)
@@ -369,7 +341,6 @@ class CompressibleGlobal(CompressibleModel):
     mobility: np.ndarray                   # NxN symmetric PSD
     inv_Re_s: float
     inv_Re_v: float
-    viscosity_rule: Optional[ViscosityRule] = None
 
     def __post_init__(self):
         self._check_reynolds()
@@ -386,8 +357,6 @@ class CompressibleGlobal(CompressibleModel):
         object.__setattr__(self, "mobility", M)
         object.__setattr__(self, "field_names", densities + ("mx", "my"))
         self._parameterize(densities, M, np.ones(n))
-        if self.viscosity_rule is not None:
-            self._require_binary("a viscosity rule")
 
     def require_local_conservation(self):
         rep = mobility_check(self.mobility)
@@ -408,7 +377,6 @@ class CompressibleLocal(CompressibleModel):
     M11: float
     inv_Re_s: float
     inv_Re_v: float
-    viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("rho", "rho1", "mx", "my")
 
@@ -432,8 +400,6 @@ class _QuasiSpectra(NamedTuple):
     muh: np.ndarray     # mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^
     Pih: np.ndarray     # Pi^, zero mode 0; None for equal specific densities
     Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
-    eta: object         # viscosities, constants or pointwise
-    nu: object
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,8 +410,7 @@ class QuasiIncompressible(BinaryModel):
     at every evaluation, in Fourier space: one forward transform
     (:meth:`_spectral_core`) serves the right-hand side, the pressure and
     the divergence residual, each of which then takes one inverse
-    transform, and the diagnostics record, which takes none with constant
-    viscosities.
+    transform, and the diagnostics record, which takes none.
 
     Equal specific densities (:func:`equal_specific_densities`) are the
     incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
@@ -458,7 +423,6 @@ class QuasiIncompressible(BinaryModel):
     inv_Re_v: float
     rho_hat_1: float
     rho_hat_2: float
-    viscosity_rule: Optional[ViscosityRule] = None
 
     field_names = ("phi", "vx", "vy")
 
@@ -499,19 +463,18 @@ class QuasiIncompressible(BinaryModel):
         bulk = self.free_energy._value(phi[..., None])
         energy = (grid.integrate(kin + bulk)
                   + grid.gradient_form(0.5 * self.kappa_phi_phi, c.h[:1]))
-        dissipation = -(_viscous_dissipation(grid, c.h[1:3], c.eta, c.nu)
+        dissipation = -(self._viscous_dissipation(grid, c.h[1:3])
                         + grid.gradient_form(self.M11 / self.rho_hat_1**2, c.Gh[None]))
         return (self.total_mass(u, grid), energy, dissipation,
                 self._amplitudes(u, grid, dict(zip(self.field_names, c.h)), track))
 
     def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
         hpp = float(self.free_energy.hessian(self.state_densities(state))[0, 0])
-        eta, nu = self._viscosity_fields(state.phi)
         return PhaseFieldLinearization(
             h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
             rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
             rho0=float(self.density(state.phi)), M11=self.M11,
-            inv_Re_s=eta, inv_Re=2.0 * eta + nu,
+            inv_Re_s=self.inv_Re_s, inv_Re=2.0 * self.inv_Re_s + self.inv_Re_v,
         )
 
     @property
@@ -538,39 +501,34 @@ class QuasiIncompressible(BinaryModel):
         g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
         h = np.fft.rfft(np.stack([*u, g] + ([phi * vx] if flux else [])), axis=-1)
         muh = h[3] - self.kappa_phi_phi * grid.ik2 * h[0]
-        eta, nu = self._viscosity_fields(phi)
         r1, Mh = self._constraint
         if r1 == 0.0:
-            return _QuasiSpectra(h, muh, None, muh, eta, nu)
+            return _QuasiSpectra(h, muh, None, muh)
         Pih = h[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
         Pih[0] = 0.0
         if not np.all(np.isfinite(Pih)):
             raise SolveError("pressure solve produced non-finite values")
-        return _QuasiSpectra(h, muh, Pih, muh + r1 * Pih, eta, nu)
+        return _QuasiSpectra(h, muh, Pih, muh + r1 * Pih)
 
     def _rhs_parts(self, u, grid, physical_phi):
         """The right-hand side with its phi row in Fourier space,
         -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
 
-        One ``irfft`` gives fy, with a pressure fx - d Pi/dx and d
-        mu_phi/dx, with ``physical_phi`` the phi row, and d vx, d vy unless
-        a viscosity rule's stresses (one more pair) formed them.  Returns
-        the core, the phi row's spectrum, the two velocity rows and the
-        physical phi row (or None).
+        One ``irfft`` gives fy, with ``physical_phi`` the phi row, with a
+        pressure fx - d Pi/dx and d mu_phi/dx, and last d vx, d vy.
+        Returns the core, the phi row's spectrum, the two velocity rows and
+        the physical phi row (or None).
         """
         phi, vx, _ = u
         core = self._spectral_core(u, grid, flux=True)
         ik, h = grid.ik, core.h
         phih = -ik * h[4] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
-        fh, dv = _viscous_forces(grid, h[1:3], core.eta, core.nu)
+        fh = self._viscous_forces(grid, h[1:3])
         rows = [fh[1]] + ([phih] if physical_phi else [])
         if core.Pih is not None:
             rows += [fh[0] - ik * core.Pih, ik * core.muh]
-        if dv is None:
-            rows += [ik * h[1], ik * h[2]]
-        p = np.fft.irfft(np.stack(rows), n=grid.n, axis=-1)
-        if dv is None:
-            p, dv = p[:-2], p[-2:]
+        p = np.fft.irfft(np.stack(rows + [ik * h[1], ik * h[2]]), n=grid.n, axis=-1)
+        p, dv = p[:-2], p[-2:]
         rho = self.density(phi)
         ay = (-rho * vx * dv[1] + p[0]) / rho
         if core.Pih is None:

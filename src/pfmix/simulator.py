@@ -127,27 +127,30 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
     ), result.roots[0, idx]
 
 
-def initial_fields(config: SimulationConfig, grid: PeriodicGrid1D) -> dict:
-    model, state = config.model, config.state
-    fields = model.uniform_fields(state, grid)
-    velocity_like = {"vx", "vy"}
+def initial_state(config: SimulationConfig, grid: PeriodicGrid1D) -> np.ndarray:
+    """The state array that :func:`run` starts from: the uniform fields plus
+    the perturbations, whose velocity bumps become the momenta rho * v in
+    the classes that evolve momenta; checked for the energy's domain."""
+    model = config.model
+    u = model.state_array(model.uniform_fields(config.state, grid))
+    names = model.field_names
     bumps = {}
     for p in config.perturbations:
         wave = (p.amplitude * np.exp(1j * grid.mode_wavenumber(p.mode) * grid.x)).real
         bumps[p.field] = bumps.get(p.field, 0.0) + wave
-    conservative = "mx" in fields   # the compressible classes evolve momenta
+    conservative = "mx" in names   # the compressible classes evolve momenta
     for name, bump in bumps.items():
-        if name in velocity_like and conservative:
+        if name in ("vx", "vy") and conservative:
             continue
-        if name not in fields:
+        if name not in names:
             raise RangeError(f"unknown field {name!r} for {type(model).__name__}")
-        fields[name] = fields[name] + bump
+        u[names.index(name)] += bump
     if conservative:
-        rho = model.total_density(model.state_array(fields))
-        fields["mx"] = rho * bumps.get("vx", np.zeros(grid.n))
-        fields["my"] = rho * bumps.get("vy", np.zeros(grid.n))
-    _check_in_domain(model, model.state_array(fields), step=None)
-    return fields
+        rho = model.total_density(u)
+        u[-2] = rho * bumps.get("vx", 0.0)
+        u[-1] = rho * bumps.get("vy", 0.0)
+    _check_in_domain(model, u, step=None)
+    return u
 
 
 def _check_in_domain(model, u, step):
@@ -202,7 +205,7 @@ def run(config: SimulationConfig) -> SimulationTrace:
             raise RangeError(
                 f"dt={config.dt:g} exceeds the stability guard {guard:g}; "
                 "reduce dt or set enforce_dt_guard=False")
-    u = model.state_array(initial_fields(config, grid))
+    u = initial_state(config, grid)
     n_steps = int(round(config.t_end / config.dt))
     semi_implicit = config.integrator == "semi_implicit"
     if semi_implicit:

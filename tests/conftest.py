@@ -85,7 +85,6 @@ def physical_record(m, u, grid):
     phase field, dG/dx from the divergence constraint d vx/dx = (1 - r) Mh
     d2G/dx2, that is (vx - mean vx) / ((1 - r) Mh), and d mu_phi/dx where
     the specific densities are equal (G = mu_phi)."""
-    rule = m.viscosity_rule
     if isinstance(m, models.QuasiIncompressible):
         phi, vx, vy = u
         rho = m.density(phi)
@@ -98,7 +97,6 @@ def physical_record(m, u, grid):
             r1, Mh = 1.0 - m.rho_hat_1 / m.rho_hat_2, m.M11 / m.rho_hat_1**2
             dG = (vx - vx.mean()) / (r1 * Mh)
         mob = m.M11 * (dG / m.rho_hat_1) ** 2
-        part = phi
     else:
         rho = m.total_density(u)
         vx, vy = u[-2] / rho, u[-1] / rho
@@ -109,9 +107,7 @@ def physical_record(m, u, grid):
         grad = 0.5 * np.einsum("ij,ix,jx->x", m.kappa.kappa, dE, dE)
         dmu = derivatives(grid, chemical_potentials(m, u, grid), (1,) * len(E))
         mob = np.einsum("ij,ix,jx->x", m.mobility_E, dmu, dmu)
-        part = E[0] / rho
-    eta, nu = ((m.inv_Re_s, m.inv_Re_v) if rule is None
-               else fe.average_viscosity(rule, part))
+    eta, nu = m.inv_Re_s, m.inv_Re_v
     visc = (2.0 * eta + nu) * dx1(grid, vx) ** 2 + eta * dx1(grid, vy) ** 2
     return grid.integrate(kin + bulk + grad), -grid.integrate(visc + mob)
 

@@ -426,36 +426,6 @@ class TestConcavityMap:
                     assert np.linalg.det(H) < 0.0
 
 
-class TestViscosity:
-    def test_mass_fraction_equal(self):
-        rule = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                                eta1=2.0, eta2=2.0, nu1=1.0, nu2=1.0)
-        eta, nu = fe.average_viscosity(rule, 0.3)
-        assert eta == pytest.approx(2.0) and nu == pytest.approx(1.0)
-
-    def test_volume_fraction(self):
-        rule = fe.ViscosityRule(fe.ViscosityModel.VOLUME_FRACTION,
-                                eta1=4.0, eta2=0.0)
-        eta, _ = fe.average_viscosity(rule, 0.25)
-        assert eta == pytest.approx(1.0)
-
-    def test_krieger_dougherty(self):
-        rule = fe.ViscosityRule(fe.ViscosityModel.KRIEGER_DOUGHERTY,
-                                eta0=1.0, kd_exponent=2.0)
-        eta, _ = fe.average_viscosity(rule, 0.5)
-        assert eta == pytest.approx(4.0)
-
-    def test_range_errors(self):
-        rule = fe.ViscosityRule(fe.ViscosityModel.KRIEGER_DOUGHERTY, eta0=1.0)
-        with pytest.raises(RangeError):
-            fe.average_viscosity(rule, 1.0)
-        rule2 = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION, eta1=1.0)
-        with pytest.raises(RangeError):
-            fe.average_viscosity(rule2, 1.2)
-        with pytest.raises(RangeError):
-            fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION, eta1=-1.0)
-
-
 class TestGradientCoefficients:
     def test_rejects_asymmetric(self):
         with pytest.raises(ShapeError):

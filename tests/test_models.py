@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -266,23 +264,6 @@ class TestEnergy:
         assert energy == pytest.approx(energy_ref, rel=1e-13, abs=0)
         assert dis == pytest.approx(dissipation_ref, rel=1e-13, abs=0)
 
-    def test_chain_rule_with_viscosity_rule(self, grid):
-        # pointwise composition-dependent viscosities keep the identity exact
-        rule = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                                eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
-        q = fe.Quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]),
-                         variables=("rho1", "rho"))
-        kap = fe.GradientCoefficients(np.diag([2e-3, 3e-3]))
-        m = models.CompressibleLocal(q, kap, M11=0.3, inv_Re_s=0.5,
-                                     inv_Re_v=0.2, viscosity_rule=rule)
-        u = m.state_array({"rho": smooth_field(grid, 3.0, 31),
-                           "rho1": smooth_field(grid, 1.0, 32),
-                           "mx": 0.08 * np.sin(grid.x), "my": 0.05 * np.cos(grid.x)})
-        dis = m.record(u, grid)[2]
-        assert self.energy_rate(m, u, grid) == pytest.approx(dis, rel=1e-6)
-        assert dis <= 0.0
-        assert dis == pytest.approx(physical_record(m, u, grid)[1], rel=1e-13, abs=0)
-
     def test_dissipation_nonpositive_random(self, rng):
         grid = PeriodicGrid1D(2 * np.pi, 64)
         for trial in range(30):
@@ -327,22 +308,11 @@ class TestQuasi:
         assert abs(dmass) < 1e-13
 
 
-def viscous_route(m, phi, grid):
-    """The velocities' derivative order, the viscosities and the viscous
-    forces (fx, fy) from the velocities differentiated to that order."""
-    if m.viscosity_rule is None:
-        vo, eta, nu = 2, m.inv_Re_s, m.inv_Re_v
-    else:
-        vo = 1
-        eta, nu = fe.average_viscosity(m.viscosity_rule, phi)
-
-    def viscous(dv):
-        if vo == 2:
-            return (2.0 * eta + nu) * dv[0], eta * dv[1]
-        return tuple(derivatives(grid, np.stack([(2.0 * eta + nu) * dv[0],
-                                                 eta * dv[1]]), (1, 1)))
-
-    return vo, eta, nu, viscous
+def viscous_route(m, d2v):
+    """The viscosities (eta, nu) and the viscous forces (fx, fy) from the
+    velocities' second derivatives d2v."""
+    eta, nu = m.inv_Re_s, m.inv_Re_v
+    return eta, nu, ((2.0 * eta + nu) * d2v[0], eta * d2v[1])
 
 
 def mu_phi(m, phi, laplacian):
@@ -363,7 +333,6 @@ def physical_quasi_route(m, u, grid):
     r = m.rho_hat_1 / m.rho_hat_2
     Mh = m.M11 / m.rho_hat_1**2
     k = grid.wavenumbers
-    vo, eta, nu, viscous = viscous_route(m, phi, grid)
     d = derivatives(grid, np.stack([phi, vx]), (2, 1))
     mu = mu_phi(m, phi, d[0])
     source = (d[1] - (1.0 - r) * Mh * dx2(grid, mu)) / ((1.0 - r) ** 2 * Mh)
@@ -374,8 +343,8 @@ def physical_quasi_route(m, u, grid):
     G = mu + (1.0 - r) * Pi
     rho = m.density(phi)
     d = derivatives(grid, np.stack([G, phi * vx, vx, Pi, mu, vy, vx, vy]),
-                    (2, 1, 1, 1, 1, 1, vo, vo))
-    fx, fy = viscous(d[6:])
+                    (2, 1, 1, 1, 1, 1, 2, 2))
+    eta, nu, (fx, fy) = viscous_route(m, d[6:])
     rhs = np.stack([-d[1] + Mh * d[0],
                     (-rho * vx * d[2] + fx - d[3] - phi * d[4]) / rho,
                     (-rho * vx * d[5] + fy) / rho])
@@ -397,10 +366,9 @@ def incompressible_route(m, u, grid):
     phi, vx, vy = u
     Mh = m.M11 / m.rho_hat_1**2
     rho = m.density(phi)
-    vo, eta, nu, viscous = viscous_route(m, phi, grid)
-    d = derivatives(grid, np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, vo, vo))
+    d = derivatives(grid, np.stack([phi, phi * vx, vy, vx, vy]), (2, 1, 1, 2, 2))
     mu = mu_phi(m, phi, d[0])
-    _, fy = viscous(d[3:])
+    eta, nu, (_, fy) = viscous_route(m, d[3:])
     rhs = np.stack([-d[1] + Mh * dx2(grid, mu), np.zeros(grid.n),
                     (-rho * vx * d[2] + fy) / rho])
     d = derivatives(grid, np.stack([vx, vy]), (1, 1))
@@ -425,13 +393,8 @@ def physical_compressible_route(m, u, grid, mobility_E, weights):
     dmu = np.stack([dx1(grid, x) for x in mu])
     J = mobility_E @ np.stack([dx2(grid, x) for x in mu])
     Jtot = weights @ J
-    if m.viscosity_rule is None:
-        eta, nu = m.inv_Re_s, m.inv_Re_v
-        fx, fy = (2.0 * eta + nu) * dx2(grid, vx), eta * dx2(grid, vy)
-    else:
-        eta, nu = fe.average_viscosity(m.viscosity_rule, E[0] / rho)
-        fx = dx1(grid, (2.0 * eta + nu) * dx1(grid, vx))
-        fy = dx1(grid, eta * dx1(grid, vy))
+    eta, nu = m.inv_Re_s, m.inv_Re_v
+    fx, fy = (2.0 * eta + nu) * dx2(grid, vx), eta * dx2(grid, vy)
     rhs = -np.stack([dx1(grid, row * vx) for row in u])
     for i, name in enumerate(m.energy_fields):
         rhs[m.field_names.index(name)] += J[i]
@@ -445,14 +408,10 @@ def physical_compressible_route(m, u, grid, mobility_E, weights):
 
 class TestCompressibleFusedCore:
     """The one-transform-pair compressible core (mu formed in Fourier
-    space) against the physical-space route, for both classes, with
-    constant viscosities and with a viscosity rule (N = 3 has no rule)."""
-
-    RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                            eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
+    space) against the physical-space route, for both classes."""
 
     @staticmethod
-    def case(name, rule, grid):
+    def case(name, grid):
         """(model, state, mobility in E, total density weights)."""
         vel = [smooth_field(grid, 0.1, 61, amp=1.0, modes=8),
                smooth_field(grid, 0.05, 62, amp=1.0, modes=8)]
@@ -466,17 +425,13 @@ class TestCompressibleFusedCore:
             dens = [smooth_field(grid, base, 65 + i, modes=8)
                     for i, base in enumerate([1.0, 2.0, 1.5][:m.n_components])]
             M_E, w = m.mobility, np.ones(m.n_components)
-        if rule:
-            m = dataclasses.replace(m, viscosity_rule=TestCompressibleFusedCore.RULE)
         rho = np.sum(dens, axis=0) if name != "local" else dens[0]
         return m, np.stack(dens + [rho * vel[0], rho * vel[1]]), M_E, w
 
-    @pytest.mark.parametrize("name, rule", [("global2", False), ("global2", True),
-                                            ("global3", False), ("local", False),
-                                            ("local", True)])
-    def test_matches_physical_route(self, name, rule):
+    @pytest.mark.parametrize("name", ["global2", "global3", "local"])
+    def test_matches_physical_route(self, name):
         grid = PeriodicGrid1D(2 * np.pi, 64)
-        m, u, M_E, w = self.case(name, rule, grid)
+        m, u, M_E, w = self.case(name, grid)
         rhs_ref, dis_ref = physical_compressible_route(m, u, grid, M_E, w)
         rhs = m.rhs_1d(u, grid)
         for got, want in zip(rhs, rhs_ref):
@@ -488,11 +443,7 @@ class TestCompressibleFusedCore:
 class TestQuasiSpectralCore:
     """The Fourier-space pressure and right-hand side against the
     physical-space route and, for equal specific densities, against the
-    incompressible formulas, with constant viscosities and with a
-    viscosity rule."""
-
-    RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                            eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
+    incompressible formulas."""
 
     @staticmethod
     def state(grid):
@@ -501,22 +452,20 @@ class TestQuasiSpectralCore:
         vy = smooth_field(grid, 0.02, 53, amp=1.0, modes=12)
         return np.stack([phi, vx, vy])
 
-    def model(self, rho_hat_1, rule):
+    def model(self, rho_hat_1):
         q = fe.Quadratic([[1.5]], g=[-1.5 * 0.4], variables=("phi",))
         return models.QuasiIncompressible(
             q, kappa_phi_phi=1e-3, M11=0.2, inv_Re_s=0.3, inv_Re_v=0.1,
-            rho_hat_1=rho_hat_1, rho_hat_2=1.0,
-            viscosity_rule=self.RULE if rule else None)
+            rho_hat_1=rho_hat_1, rho_hat_2=1.0)
 
     @staticmethod
     def rel(a, b):
         return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
-    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
     @pytest.mark.parametrize("rho_hat_1", [2.0], ids=["r=2"])
-    def test_matches_physical_route(self, rho_hat_1, rule):
+    def test_matches_physical_route(self, rho_hat_1):
         grid = PeriodicGrid1D(2 * np.pi, 64)
-        m = self.model(rho_hat_1, rule)
+        m = self.model(rho_hat_1)
         u = self.state(grid)
         rhs_ref, dis_ref = physical_quasi_route(m, u, grid)
         rel = self.rel
@@ -530,12 +479,11 @@ class TestQuasiSpectralCore:
         assert rel(np.fft.irfft(rh, n=grid.n, axis=-1), rhs_ref) <= 1e-12
         assert m.record(u, grid, core, (("phi", 1),)) == m.record(u, grid, None, (("phi", 1),))
 
-    @pytest.mark.parametrize("rule", [False, True], ids=["constant", "rule"])
     @pytest.mark.parametrize("rho_hat_1", [1.0, 1.0 - 0.5 * EQUAL_DENSITY_RTOL],
                              ids=["r=1", "window"])
-    def test_equal_densities_match_incompressible_route(self, rho_hat_1, rule):
+    def test_equal_densities_match_incompressible_route(self, rho_hat_1):
         grid = PeriodicGrid1D(2 * np.pi, 64)
-        m = self.model(rho_hat_1, rule)
+        m = self.model(rho_hat_1)
         u = self.state(grid)
         rhs_ref, dis_ref = incompressible_route(m, u, grid)
         rel = self.rel
@@ -649,14 +597,6 @@ class TestNComponent:
             sim.run(sim.SimulationConfig(model=m3, state=st, length=2 * np.pi,
                                          n=32, dt=1e-3, t_end=1e-3,
                                          enforce_dt_guard=False))
-
-    def test_viscosity_rule_needs_two_components(self):
-        rule = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                                eta1=0.8, eta2=0.3, nu1=0.4, nu2=0.1)
-        with pytest.raises(ShapeError):
-            models.CompressibleGlobal(
-                fe.Quadratic(np.eye(3)), fe.GradientCoefficients(1e-2 * np.eye(3)),
-                np.eye(3), 0.1, 0.1, viscosity_rule=rule)
 
     def test_component_count_must_match_shapes(self):
         with pytest.raises(ShapeError):

@@ -2,10 +2,13 @@
 package's source."""
 
 import ast
+import dataclasses
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from pfmix import models, simulator
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -71,6 +74,28 @@ def test_bundled_digests_cover_every_output():
     exits = [ln for ln in lines if ln[2] == "(exit)"]
     assert len(exits) == 12 and all(ln[3] == "0" for ln in exits)
     assert all(re.fullmatch("[0-9a-f]{64}", ln[3]) for ln in lines if ln[2] != "(exit)")
+
+
+def test_every_knob_is_set_by_a_command():
+    # every init field of the model classes and of the run configuration is
+    # passed by keyword where the commands build them (config.py, cli.py),
+    # so the package has no option that no command can set
+    classes = {cls.__name__: cls for cls in (
+        models.CompressibleGlobal, models.CompressibleLocal,
+        models.QuasiIncompressible, simulator.SimulationConfig)}
+    passed = {name: set() for name in classes}
+    for name in ("config.py", "cli.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if called in passed:
+                    passed[called] |= {kw.arg for kw in node.keywords}
+    unset = {f"{name}.{f.name}" for name, cls in classes.items()
+             for f in dataclasses.fields(cls) if f.init and f.name not in passed[name]}
+    assert unset == set()
 
 
 def public_definitions():

@@ -1,4 +1,3 @@
-import dataclasses
 
 import numpy as np
 import pytest
@@ -143,21 +142,6 @@ class TestGrowthRates:
         want = -m.inv_Re_s * k * k / ST.rho
         assert abs(fit.alpha.real - want) / abs(want) < 0.01
 
-    def test_transverse_viscous_mode_under_a_rule(self):
-        # the rule's viscosity at the background composition, not the
-        # model's constant, sets the pencil's viscous root
-        m, st = smoke_case("local", VISCOSITY_RULE)
-        grid = PeriodicGrid1D(L, 64)
-        mode = 3
-        cfg = sim.SimulationConfig(
-            model=m, state=st, length=L, n=64, dt=5e-4, t_end=1.5,
-            diagnostics_every=20,
-            perturbations=(sim.Perturbation("vy", mode, 1e-5),),
-            track=(("vy", mode),))
-        fit = sim.extract_growth_rate(sim.run(cfg), "vy", mode)
-        want = disp.viscous_root(m.linearization(st), grid.mode_wavenumber(mode))
-        assert abs(fit.alpha.real - want) / abs(want) < 0.01
-
     def test_linear_regime_fidelity(self):
         m = unstable_local()
         grid = PeriodicGrid1D(L, 64)
@@ -254,7 +238,7 @@ class TestIntegrators:
                                    enforce_dt_guard=False)
         symbols = m.linearization(ST).stiff_symbols(grid.wavenumbers**2)
         stiff = np.stack([symbols[name] for name in m.field_names])
-        u = m.state_array(sim.initial_fields(cfg, grid))
+        u = sim.initial_state(cfg, grid)
         for _ in range(20):
             h = np.fft.rfft(np.concatenate([u, m.rhs_1d(u, grid)]), axis=-1)
             fh, nh = h[:len(u)], h[len(u):] + stiff * h[:len(u)]
@@ -299,7 +283,7 @@ class TestFailureModes:
             perturbations=(sim.Perturbation("rho1", 3, 0.4),),
             enforce_dt_guard=False)
         grid = PeriodicGrid1D(L, 64)
-        u = m.state_array(sim.initial_fields(cfg, grid))
+        u = sim.initial_state(cfg, grid)
         with np.errstate(over="ignore", invalid="ignore"):
             for step in range(1, 50001):
                 try:
@@ -442,26 +426,15 @@ class TestEveryClassSmoke:
         assert symbol == pytest.approx(-disp.viscous_root(lin, k), rel=1e-15, abs=0)
 
 
-VISCOSITY_RULE = fe.ViscosityRule(fe.ViscosityModel.MASS_FRACTION,
-                                  eta1=0.6, eta2=0.4, nu1=0.3, nu2=0.1)
-
-
-def smoke_case(name, rule):
-    """A model of ``smoke_cases()``, with ``rule`` as its viscosity rule."""
-    m, st = smoke_cases()[name]
-    return dataclasses.replace(m, viscosity_rule=rule), st
-
-
 class TestRecordFromSpectra:
     """The records a run takes from the spectra of its own passes, against
     the physical-space route at the same states (every step is recorded
     and snapshotted)."""
 
-    @pytest.mark.parametrize("rule", [None, VISCOSITY_RULE], ids=["constant", "rule"])
     @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
     @pytest.mark.parametrize("name", ["global", "local", "quasi", "incompressible"])
-    def test_trace_matches_physical_route(self, name, integrator, rule):
-        m, st = smoke_case(name, rule)
+    def test_trace_matches_physical_route(self, name, integrator):
+        m, st = smoke_cases()[name]
         grid = PeriodicGrid1D(L, 32)
         # the physical route differentiates mu, whose mean is O(1): its
         # rounding, relative to the gradients, grows as 1/amplitude (1e-13
@@ -501,19 +474,17 @@ class TestRecordFromSpectra:
 
 
 # Upper bounds on numpy.fft.rfft + irfft calls: one batched transform pair
-# per right-hand side of each class (constant viscosities).  The bulk
-# gradient joins the state's forward transform and mu is formed in Fourier
-# space, so no class needs a second level.
+# per right-hand side of each class.  The bulk gradient joins the state's
+# forward transform and mu is formed in Fourier space, so no class needs a
+# second level.
 FFT_PER_RHS = {"global": 2, "local": 2, "quasi": 2, "incompressible": 2}
 # A quasi-incompressible semi-implicit step: the right-hand side's two,
 # one rfft of the two velocity rows and the closing irfft.
 QUASI_SEMI_IMPLICIT_STEP = 4
 # One diagnostics record inside a run: it takes mass, energy, dissipation
 # and the tracked modes from the spectra of the next step's first pass.
-# With a viscosity rule the viscous dissipation takes one irfft.
 QUASI_RECORD = 0
 COMPRESSIBLE_RECORD = 0
-RULE_RECORD = 1
 
 
 @pytest.fixture()
@@ -585,9 +556,9 @@ class TestFftBudget:
             assert per_step <= QUASI_SEMI_IMPLICIT_STEP
 
     @staticmethod
-    def record_calls(name, integrator, track, fft_calls, rule=None):
+    def record_calls(name, integrator, track, fft_calls):
         """FFT calls per diagnostics record of a ten-step run."""
-        m, st = smoke_case(name, rule)
+        m, st = smoke_cases()[name]
         grid = PeriodicGrid1D(L, 32)
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3,
@@ -622,5 +593,3 @@ class TestFftBudget:
         quasi = name in ("quasi", "incompressible")
         track, bound = ("phi", QUASI_RECORD) if quasi else ("rho1", COMPRESSIBLE_RECORD)
         assert self.record_calls(name, integrator, track, fft_calls) <= bound
-        assert self.record_calls(name, integrator, track, fft_calls,
-                                 VISCOSITY_RULE) <= RULE_RECORD
