@@ -229,22 +229,19 @@ def build_free_energy(cfg: RunConfig, model_class: str):
             kappa, fe.TildeFreeEnergy(_pr_from_config(cfg)), rho_hat_1, rho_hat_2)
         return bulk, kphi
 
+    local = model_class == "compressible_local"
     if kind == "quadratic":
+        # quadratic coefficients are read in the class's variables directly
         c11, c12, c22 = _need(cfg, "free_energy", ["c11", "c12", "c22"])
-        bulk = fe.Quadratic([[c11, c12], [c12, c22]], g=[sec["g1"], sec["g2"]])
-    elif kind == "flory_huggins":
+        return fe.Quadratic([[c11, c12], [c12, c22]], g=[sec["g1"], sec["g2"]],
+                            variables=("rho1", "rho") if local else None), kappa
+    if kind == "flory_huggins":
         c, n1, n2, chi = _need(cfg, "free_energy",
                                ["kbt_over_m", "n1", "n2", "chi"])
         bulk = fe.FloryHuggins(c, n1, n2, chi)
     else:
         bulk = _pr_from_config(cfg)
-    if model_class == "compressible_local":
-        if kind != "quadratic":
-            bulk = fe.TildeFreeEnergy(bulk)
-        else:
-            # quadratic coefficients are read in (rho1, rho) variables directly
-            bulk = fe.Quadratic(bulk.C, bulk.g, variables=("rho1", "rho"))
-    return bulk, kappa
+    return (fe.TildeFreeEnergy(bulk) if local else bulk), kappa
 
 
 def build_kappa(cfg: RunConfig, model_class: str) -> fe.GradientCoefficients:

@@ -23,11 +23,6 @@ class ShapeError(PfmixError):
     """A matrix or field has the wrong shape or lacks required symmetry."""
 
 
-class ConstraintError(PfmixError):
-    """A structural constraint (e.g. zero row sums of a mobility matrix
-    under local mass conservation) is violated."""
-
-
 class NumericalError(PfmixError):
     """A numerical routine (eigensolver, elliptic solve) failed to converge."""
 

@@ -2,8 +2,10 @@
 
 Provides the quadratic, Flory-Huggins and Peng-Robinson bulk energies
 together with their analytic gradients and Hessians, the gradient-energy
-coefficient matrix, definiteness classification and the coordinate
-changes between the (rho1, rho2), (rho1, rho) and phi formulations.
+coefficient matrix and definiteness classification.  One change of
+variables, h(offset + T x) with kappa -> T^T kappa T, carries a (rho1,
+rho2) energy to the (rho1, rho) formulation (``TildeFreeEnergy``) and a
+(rho1, rho) energy to the volume fraction phi (``PhiFreeEnergy``).
 
 Peng-Robinson parameters follow the standard 1976 prescription: for each
 species, from critical temperature Tc, critical pressure Pc and acentric
@@ -417,71 +419,64 @@ class PengRobinson(BulkFreeEnergy):
 J_RHO1_RHO = np.array([[1.0, 0.0], [-1.0, 1.0]])
 
 
-class TildeFreeEnergy(BulkFreeEnergy):
-    """A binary energy re-expressed in (rho1, rho) variables:
-    h~(rho1, rho) = h(rho1, rho - rho1)."""
+class ChangeOfVariables(BulkFreeEnergy):
+    """A base energy in new variables x: h(offset + T x), with gradient
+    T^T g, Hessian T^T H T and the base energy's domain checks at offset +
+    T x; its gradient coefficients map to T^T kappa T (:meth:`map_kappa`)."""
 
-    variables = ("rho1", "rho")
+    def __init__(self, base: BulkFreeEnergy, T, offset, variables):
+        self.base = base
+        self.T = np.asarray(T, dtype=float)
+        self.offset = np.asarray(offset, dtype=float)
+        self.variables = tuple(variables)
+
+    def _to_base(self, x):
+        """offset + T x over T's nonzero entries only: a zero entry times a
+        non-finite coordinate would put nan in every base variable."""
+        out = np.broadcast_to(self.offset, x.shape[:-1] + self.offset.shape).copy()
+        for i, j in zip(*np.nonzero(self.T)):
+            out[..., i] += self.T[i, j] * x[..., j]
+        return out
+
+    def _domain_checks(self, x):
+        return self.base._domain_checks(self._to_base(x))
+
+    def _value(self, x):
+        return self.base._value(self._to_base(x))
+
+    def _gradient(self, x):
+        return self.base._gradient(self._to_base(x)) @ self.T
+
+    def _hessian(self, x):
+        H = self.base._hessian(self._to_base(x))
+        return np.einsum("ki,...kl,lj->...ij", self.T, H, self.T)
+
+    def map_kappa(self, kappa: GradientCoefficients) -> np.ndarray:
+        """The base variables' gradient coefficients in x: T^T kappa T."""
+        if kappa.n != self.base.nvar:
+            raise ShapeError(f"variable change needs a kappa of size {self.base.nvar}")
+        return self.T.T @ kappa.kappa @ self.T
+
+
+class TildeFreeEnergy(ChangeOfVariables):
+    """A binary energy re-expressed in (rho1, rho) variables:
+    h~(rho1, rho) = h(rho1, rho - rho1), T = J_RHO1_RHO."""
 
     def __init__(self, base: BulkFreeEnergy):
         if base.nvar != 2:
             raise ShapeError("variable change requires a 2-component energy")
-        self.base = base
-
-    def _to_base(self, rho):
-        out = np.empty_like(rho)
-        out[..., 0] = rho[..., 0]
-        out[..., 1] = rho[..., 1] - rho[..., 0]
-        return out
-
-    def _domain_checks(self, rho):
-        return self.base._domain_checks(self._to_base(rho))
-
-    def _value(self, rho):
-        return self.base._value(self._to_base(rho))
-
-    def _gradient(self, rho):
-        return self.base._gradient(self._to_base(rho)) @ J_RHO1_RHO
-
-    def _hessian(self, rho):
-        H = self.base._hessian(self._to_base(rho))
-        return np.einsum("ki,...kl,lj->...ij", J_RHO1_RHO, H, J_RHO1_RHO)
+        super().__init__(base, J_RHO1_RHO, (0.0, 0.0), ("rho1", "rho"))
 
 
-class PhiFreeEnergy(BulkFreeEnergy):
+class PhiFreeEnergy(ChangeOfVariables):
     """Single-variable energy of the volume fraction,
     h^(phi) = h~(rho_hat_1 phi, (rho_hat_1 - rho_hat_2) phi + rho_hat_2)."""
-
-    variables = ("phi",)
 
     def __init__(self, fe_tilde: BulkFreeEnergy, rho_hat_1: float, rho_hat_2: float):
         if rho_hat_1 <= 0 or rho_hat_2 <= 0:
             raise RangeError("specific densities must be positive")
-        self.fe_tilde = fe_tilde
-        self.rho_hat_1 = float(rho_hat_1)
-        self.rho_hat_2 = float(rho_hat_2)
-        # direction of d(rho1, rho)/d(phi)
-        self.v = np.array([self.rho_hat_1, self.rho_hat_1 - self.rho_hat_2])
-
-    def _to_tilde(self, phi):
-        out = np.empty(phi.shape[:-1] + (2,))
-        out[..., 0] = self.rho_hat_1 * phi[..., 0]
-        out[..., 1] = (self.rho_hat_1 - self.rho_hat_2) * phi[..., 0] + self.rho_hat_2
-        return out
-
-    def _domain_checks(self, phi):
-        return self.fe_tilde._domain_checks(self._to_tilde(phi))
-
-    def _value(self, phi):
-        return self.fe_tilde._value(self._to_tilde(phi))
-
-    def _gradient(self, phi):
-        g = self.fe_tilde._gradient(self._to_tilde(phi))
-        return (g @ self.v)[..., None]
-
-    def _hessian(self, phi):
-        H = self.fe_tilde._hessian(self._to_tilde(phi))
-        return np.einsum("i,...ij,j->...", self.v, H, self.v)[..., None, None]
+        super().__init__(fe_tilde, [[rho_hat_1], [rho_hat_1 - rho_hat_2]],
+                         (0.0, rho_hat_2), ("phi",))
 
 
 def change_variables_to_rho_rho1(kappa: GradientCoefficients, fe: BulkFreeEnergy):
@@ -490,10 +485,8 @@ def change_variables_to_rho_rho1(kappa: GradientCoefficients, fe: BulkFreeEnergy
     kappa~ = J^T kappa J with J = [[1, 0], [-1, 1]]; exact and exactly
     invertible (integer congruence).
     """
-    if kappa.n != 2:
-        raise ShapeError("variable change requires a 2x2 kappa")
-    kt = J_RHO1_RHO.T @ kappa.kappa @ J_RHO1_RHO
-    return GradientCoefficients(kt), TildeFreeEnergy(fe)
+    fe_tilde = TildeFreeEnergy(fe)
+    return GradientCoefficients(fe_tilde.map_kappa(kappa)), fe_tilde
 
 
 def reduce_quasi_incompressible(kappa_tilde: GradientCoefficients,
@@ -504,11 +497,8 @@ def reduce_quasi_incompressible(kappa_tilde: GradientCoefficients,
     Returns (kappa_phi_phi, PhiFreeEnergy); kappa_phi_phi = v.kappa~.v with
     v = (rho_hat_1, rho_hat_1 - rho_hat_2).
     """
-    if kappa_tilde.n != 2:
-        raise ShapeError("reduction requires a 2x2 kappa")
     fe_phi = PhiFreeEnergy(fe_tilde, rho_hat_1, rho_hat_2)
-    kphi = float(fe_phi.v @ kappa_tilde.kappa @ fe_phi.v)
-    return kphi, fe_phi
+    return float(fe_phi.map_kappa(kappa_tilde)[0, 0]), fe_phi
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ mobility in E and the weights w of the total density rho = w.E.  Its two
 constructors only fill these in: ``CompressibleGlobal`` has E = (rho1,
 ..., rhoN), any PSD mobility and w = 1, for every N (N = 2 is the binary
 model, the only one with a linearization); ``CompressibleLocal`` has E =
-(rho1, rho), diag(M11, 0) and w = (0, 1).
+(rho1, rho), the zero-row-sum mobility :func:`local_conservation_matrix`
+in those variables, diag(M11, 0), and w = (0, 1).
 
 Conventions: conservative classes evolve momenta mx = rho*vx, my = rho*vy;
 the quasi-incompressible class evolves velocities directly.  Its
@@ -35,8 +36,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConstraintError, RangeError, ShapeError, SolveError
-from .free_energy import BulkFreeEnergy, GradientCoefficients
+from .errors import RangeError, ShapeError, SolveError
+from .free_energy import J_RHO1_RHO, BulkFreeEnergy, GradientCoefficients
 from .grid import PeriodicGrid1D
 from .linearization import (
     CompressibleLinearization,
@@ -81,39 +82,22 @@ class MixtureState:
 
 
 # ---------------------------------------------------------------------------
-# Mobility checks
+# Mobilities
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MobilityReport:
-    eigenvalues: np.ndarray
-    psd: bool
-    row_sums: np.ndarray
-    zero_row_sums: bool
-
-
-def mobility_check(M) -> MobilityReport:
-    """PSD and zero-row-sum (local conservation) verdicts for a mobility matrix."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    if M.shape[0] != M.shape[1]:
-        raise ShapeError(f"mobility must be square, got {M.shape}")
-    if not np.allclose(M, M.T, rtol=0.0, atol=PSD_TOL * max(1.0, np.linalg.norm(M))):
-        raise ShapeError("mobility must be symmetric")
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(np.linalg.norm(M), 1e-300)
-    rs = M.sum(axis=1)
-    return MobilityReport(
-        eigenvalues=eigs,
-        psd=bool(np.min(eigs) >= -PSD_TOL * scale),
-        row_sums=rs,
-        zero_row_sums=bool(np.max(np.abs(rs)) <= PSD_TOL * scale),
-    )
-
-
-def local_conservation_matrix(M11: float) -> np.ndarray:
-    """Full mobility matrix implied by the single-coefficient local model."""
-    return np.array([[M11, -M11], [-M11, M11]])
+def local_conservation_matrix(block) -> np.ndarray:
+    """Extend the scalar M11 or an (N-1)x(N-1) mobility block to the NxN
+    matrix with zero row sums, the mobility of local mass conservation:
+    M_iN = M_Ni = -sum_j M_ij, M_NN = sum_ij M_ij."""
+    B = np.atleast_2d(np.asarray(block, dtype=float))
+    n1 = B.shape[0]
+    M = np.zeros((n1 + 1, n1 + 1))
+    M[:n1, :n1] = B
+    M[:n1, n1] = -B.sum(axis=1)
+    M[n1, :n1] = -B.sum(axis=0)
+    M[n1, n1] = B.sum()
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +213,12 @@ class CompressibleModel(BinaryModel):
         """Number of densities N, the size of kappa."""
         return self.kappa.n
 
-    def _require_binary(self, what: str):
-        """The one guard of everything that exists for N = 2 only."""
-        if self.n_components != 2:
-            raise ShapeError(f"{what} needs two components; this model has "
-                             f"{self.n_components}")
-
     def state_densities(self, state: MixtureState) -> np.ndarray:
-        """E at a binary state, in the free energy's variable order."""
-        self._require_binary("a binary MixtureState")
+        """E at a binary state, in the free energy's variable order: the one
+        guard of everything that exists for N = 2 only."""
+        if self.n_components != 2:
+            raise ShapeError("a binary MixtureState needs two components; this "
+                             f"model has {self.n_components}")
         return np.array([getattr(state, v) for v in self.energy_fields])
 
     def total_density(self, u):
@@ -345,8 +326,13 @@ class CompressibleGlobal(CompressibleModel):
     def __post_init__(self):
         self._check_reynolds()
         M = np.atleast_2d(np.asarray(self.mobility, dtype=float))
-        rep = mobility_check(M)
-        if not rep.psd:
+        if M.shape[0] != M.shape[1]:
+            raise ShapeError(f"mobility must be square, got {M.shape}")
+        scale = np.linalg.norm(M)
+        if not np.allclose(M, M.T, rtol=0.0, atol=PSD_TOL * max(1.0, scale)):
+            raise ShapeError("mobility must be symmetric")
+        eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+        if not np.min(eigs) >= -PSD_TOL * max(scale, 1e-300):
             raise RangeError("mobility must be positive semi-definite")
         n = M.shape[0]
         if n < 2 or self.kappa.n != n or self.free_energy.nvar != n:
@@ -358,19 +344,13 @@ class CompressibleGlobal(CompressibleModel):
         object.__setattr__(self, "field_names", densities + ("mx", "my"))
         self._parameterize(densities, M, np.ones(n))
 
-    def require_local_conservation(self):
-        rep = mobility_check(self.mobility)
-        if not rep.zero_row_sums:
-            raise ConstraintError(
-                "local mass conservation requires zero mobility row sums; "
-                f"got row sums {rep.row_sums}")
-
 
 @dataclass(frozen=True, eq=False)
 class CompressibleLocal(CompressibleModel):
     """Binary compressible model with local mass conservation, single
-    mobility coefficient.  Fields: rho, rho1, mx, my; E = (rho1, rho),
-    M_E = diag(M11, 0), so only rho1 diffuses, and w = (0, 1)."""
+    mobility coefficient.  Fields: rho, rho1, mx, my; E = (rho1, rho), M_E
+    = J^-1 local_conservation_matrix(M11) J^-T = diag(M11, 0) with J =
+    J_RHO1_RHO, so only rho1 diffuses, and w = (0, 1)."""
 
     free_energy: BulkFreeEnergy            # variables (rho1, rho)
     kappa: GradientCoefficients            # 2x2 in (rho1, rho) order
@@ -386,11 +366,9 @@ class CompressibleLocal(CompressibleModel):
             raise RangeError("M11 must be nonnegative")
         if self.kappa.n != 2:
             raise ShapeError("binary model needs 2x2 kappa")
-        self._parameterize(("rho1", "rho"), np.diag([self.M11, 0.0]), (0.0, 1.0))
-
-    @property
-    def mobility(self) -> np.ndarray:
-        return local_conservation_matrix(self.M11)
+        J_inv = np.linalg.inv(J_RHO1_RHO)
+        M_E = J_inv @ local_conservation_matrix(self.M11) @ J_inv.T
+        self._parameterize(("rho1", "rho"), M_E, (0.0, 1.0))
 
 
 class _QuasiSpectra(NamedTuple):
@@ -560,38 +538,3 @@ class QuasiIncompressible(BinaryModel):
         res = np.fft.irfft(grid.ik * core.h[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
                            n=grid.n)
         return float(np.max(np.abs(res)))
-
-
-# ---------------------------------------------------------------------------
-# N-component construction
-# ---------------------------------------------------------------------------
-
-
-def n_component_local_mobility(block: np.ndarray) -> np.ndarray:
-    """Extend an (N-1)x(N-1) mobility block to the NxN matrix with zero row
-    sums: M_iN = M_Ni = -sum_j M_ij, M_NN = sum_ij M_ij."""
-    B = np.atleast_2d(np.asarray(block, dtype=float))
-    n1 = B.shape[0]
-    M = np.zeros((n1 + 1, n1 + 1))
-    M[:n1, :n1] = B
-    M[:n1, n1] = -B.sum(axis=1)
-    M[n1, :n1] = -B.sum(axis=0)
-    M[n1, n1] = B.sum()
-    return M
-
-
-def assemble_n_component(n_components: int, free_energy: BulkFreeEnergy,
-                         mobility, inv_Re_s: float, inv_Re_v: float,
-                         kappa: Optional[GradientCoefficients] = None,
-                         require_local_conservation: bool = False) -> CompressibleGlobal:
-    """The N-component model, a :class:`CompressibleGlobal` with zero kappa
-    unless one is given; checks that its shapes describe ``n_components``."""
-    if kappa is None:
-        kappa = GradientCoefficients(np.zeros((n_components, n_components)))
-    model = CompressibleGlobal(free_energy, kappa, mobility, inv_Re_s, inv_Re_v)
-    if model.n_components != n_components:
-        raise ShapeError(f"asked for {n_components} components, the mobility, "
-                         f"kappa and free energy have {model.n_components}")
-    if require_local_conservation:
-        model.require_local_conservation()
-    return model

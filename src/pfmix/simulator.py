@@ -129,7 +129,7 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
 
 def initial_state(config: SimulationConfig, grid: PeriodicGrid1D) -> np.ndarray:
     """The state array that :func:`run` starts from: the uniform fields plus
-    the perturbations, whose velocity bumps become the momenta rho * v in
+    the perturbations, whose velocity bumps add rho * v to the momenta in
     the classes that evolve momenta; checked for the energy's domain."""
     model = config.model
     u = model.state_array(model.uniform_fields(config.state, grid))
@@ -147,8 +147,8 @@ def initial_state(config: SimulationConfig, grid: PeriodicGrid1D) -> np.ndarray:
         u[names.index(name)] += bump
     if conservative:
         rho = model.total_density(u)
-        u[-2] = rho * bumps.get("vx", 0.0)
-        u[-1] = rho * bumps.get("vy", 0.0)
+        u[-2] += rho * bumps.get("vx", 0.0)
+        u[-1] += rho * bumps.get("vy", 0.0)
     _check_in_domain(model, u, step=None)
     return u
 

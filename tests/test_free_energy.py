@@ -270,6 +270,26 @@ class TestVariableChanges:
         fd = fd_hessian(lambda y: fphi.gradient(y), x)[0, 0]
         assert fphi.hessian(x)[0, 0] == pytest.approx(fd, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", ["tilde_pr", "tilde_fh", "phi_fh"])
+    def test_change_of_variables_matches_its_base(self, co2_decane, kind):
+        # each energy is its (rho1, rho2) energy at the point it maps x to,
+        # written out by hand here, and its gradient is its value's derivative
+        fh = fe.FloryHuggins(1.0, 1.0, 2.0, 3.0)
+        binary, energy, x, rho12 = {
+            "tilde_pr": (co2_decane, fe.TildeFreeEnergy(co2_decane),
+                         [80.0, 400.0], [80.0, 320.0]),
+            "tilde_fh": (fh, fe.TildeFreeEnergy(fh), [0.4, 1.0], [0.4, 0.6]),
+            # rho1 = rho_hat_1 phi, rho2 = rho_hat_2 (1 - phi)
+            "phi_fh": (fh, fe.PhiFreeEnergy(fe.TildeFreeEnergy(fh), 2.0, 1.0),
+                       [0.3], [0.6, 0.7]),
+        }[kind]
+        x = np.array(x)
+        assert energy.value(x) == pytest.approx(binary.value(rho12), rel=1e-14)
+        g = energy.gradient(x)
+        gfd = fd_gradient(energy.value, x)
+        assert g.shape == x.shape
+        assert np.max(np.abs(g - gfd)) < 1e-6 * np.max(np.abs(g))
+
 
 class TestChemicalPotentials:
     """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) as the compressible

@@ -4,8 +4,7 @@ import pytest
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
-from pfmix.errors import (ConstraintError, DomainError, RangeError, ShapeError,
-                          SolveError)
+from pfmix.errors import DomainError, RangeError, ShapeError, SolveError
 from pfmix.grid import PeriodicGrid1D
 from pfmix.linearization import EQUAL_DENSITY_RTOL
 
@@ -42,8 +41,7 @@ def make_three():
     q = fe.Quadratic(C, g=-C @ np.array([1.0, 2.0, 1.5]))
     kap = fe.GradientCoefficients(np.diag([1e-2, 2e-2, 3e-2]) + 2e-3)
     M = np.array([[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 1.5]])
-    return models.assemble_n_component(3, q, M, inv_Re_s=0.5, inv_Re_v=0.2,
-                                       kappa=kap)
+    return models.CompressibleGlobal(q, kap, M, inv_Re_s=0.5, inv_Re_v=0.2)
 
 
 def make_local():
@@ -74,10 +72,13 @@ class TestConstruction:
             models.CompressibleGlobal(q, kap, np.eye(2), -0.1, 0.1)
 
     def test_local_special_matrix_row_sums(self):
+        # the local model's mobility is the zero-row-sum matrix of M11,
+        # written in its (rho1, rho) variables
         m = make_local()
-        rep = models.mobility_check(m.mobility)
-        assert rep.psd and rep.zero_row_sums
-        assert np.allclose(sorted(rep.eigenvalues), [0.0, 2 * m.M11])
+        M = models.local_conservation_matrix(m.M11)
+        assert np.all(M.sum(axis=1) == 0.0)
+        assert np.allclose(np.linalg.eigvalsh(M), [0.0, 2 * m.M11])
+        assert np.array_equal(m.mobility_E, np.diag([m.M11, 0.0]))
 
     def test_inv_re_combination(self):
         # the longitudinal viscous coefficient the pencil uses: 2/Re_s + 1/Re_v
@@ -114,21 +115,24 @@ class TestIdentity:
 
 
 class TestMobilityCheck:
-    def test_identity(self):
-        rep = models.mobility_check(np.eye(2))
-        assert rep.psd and not rep.zero_row_sums
-
     def test_shape_errors(self):
+        q = fe.Quadratic(np.eye(2))
+        kap = fe.GradientCoefficients(np.eye(2) * 1e-3)
         with pytest.raises(ShapeError):
-            models.mobility_check(np.ones((2, 3)))
+            models.CompressibleGlobal(q, kap, np.ones((2, 3)), 0.1, 0.1)
         with pytest.raises(ShapeError):
-            models.mobility_check(np.array([[1.0, 0.5], [0.1, 1.0]]))
+            models.CompressibleGlobal(q, kap, np.array([[1.0, 0.5], [0.1, 1.0]]),
+                                      0.1, 0.1)
 
     def test_n3_assignment(self, rng):
+        # a PSD (N-1)x(N-1) block extends to a PSD matrix with zero row sums
         A = rng.normal(size=(2, 2))
-        M = models.n_component_local_mobility(A @ A.T + 0.1 * np.eye(2))
-        rep = models.mobility_check(M)
-        assert rep.psd and rep.zero_row_sums
+        B = A @ A.T + 0.1 * np.eye(2)
+        M = models.local_conservation_matrix(B)
+        scale = np.linalg.norm(M)
+        assert np.array_equal(M[:2, :2], B) and np.array_equal(M, M.T)
+        assert np.max(np.abs(M.sum(axis=1))) <= 1e-12 * scale
+        assert np.min(np.linalg.eigvalsh(M)) >= -1e-12 * scale
 
 
 class TestRhs:
@@ -520,12 +524,11 @@ class TestQuasiSpectralCore:
 class TestNComponent:
     def make3(self, rng):
         A = rng.normal(size=(2, 2))
-        M3 = models.n_component_local_mobility(A @ A.T + 0.1 * np.eye(2))
+        M3 = models.local_conservation_matrix(A @ A.T + 0.1 * np.eye(2))
         C3 = np.eye(3) + 0.2 * np.ones((3, 3))
-        return models.assemble_n_component(
-            3, fe.Quadratic(C3), M3, inv_Re_s=0.4, inv_Re_v=0.1,
-            kappa=fe.GradientCoefficients(0.01 * np.eye(3)),
-            require_local_conservation=True)
+        return models.CompressibleGlobal(
+            fe.Quadratic(C3), fe.GradientCoefficients(0.01 * np.eye(3)), M3,
+            inv_Re_s=0.4, inv_Re_v=0.1)
 
     def test_constraint_residual(self, rng):
         # at rest the density rows are the fluxes, whose sum the zero row
@@ -549,20 +552,14 @@ class TestNComponent:
             u = np.concatenate([dens, [rho * vx, rho * vy]])
             assert m3.record(u, grid)[2] <= 1e-12
 
-    def test_constraint_error_when_not_conserving(self):
-        with pytest.raises(ConstraintError):
-            models.assemble_n_component(
-                2, fe.Quadratic(np.eye(2)), np.eye(2), 0.1, 0.1,
-                require_local_conservation=True)
-
     def test_n2_reduces_to_binary_local(self, rng):
         grid = PeriodicGrid1D(2 * np.pi, 64)
         m11 = 0.37
         C2 = np.array([[2.0, 0.3], [0.3, 1.0]])
         k2 = np.array([[1e-2, 2e-3], [2e-3, 3e-2]])
-        m2 = models.assemble_n_component(
-            2, fe.Quadratic(C2), models.local_conservation_matrix(m11),
-            0.4, 0.1, kappa=fe.GradientCoefficients(k2))
+        m2 = models.CompressibleGlobal(
+            fe.Quadratic(C2), fe.GradientCoefficients(k2),
+            models.local_conservation_matrix(m11), 0.4, 0.1)
         ktil, qtil = fe.change_variables_to_rho_rho1(
             fe.GradientCoefficients(k2), fe.Quadratic(C2))
         ml = models.CompressibleLocal(qtil, ktil, M11=m11,
@@ -598,13 +595,9 @@ class TestNComponent:
                                          n=32, dt=1e-3, t_end=1e-3,
                                          enforce_dt_guard=False))
 
-    def test_component_count_must_match_shapes(self):
-        with pytest.raises(ShapeError):
-            models.assemble_n_component(3, fe.Quadratic(np.eye(2)), np.eye(2),
-                                        0.1, 0.1,
-                                        kappa=fe.GradientCoefficients(np.eye(2)))
-
     def test_shape_validation(self):
+        # the mobility and kappa describe three components, the energy two
         with pytest.raises(ShapeError):
-            models.assemble_n_component(3, fe.Quadratic(np.eye(2)),
-                                        np.eye(3), 0.1, 0.1)
+            models.CompressibleGlobal(fe.Quadratic(np.eye(2)),
+                                      fe.GradientCoefficients(np.zeros((3, 3))),
+                                      np.eye(3), 0.1, 0.1)

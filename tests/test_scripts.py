@@ -35,8 +35,6 @@ BUNDLED_COMMANDS = {
 UNREAD_ALLOWED = {
     "change_variables_to_rho_rho1",             # item 4: the compare command
     "QuasiIncompressible.divergence_residual",  # item 1: DIVERGENCE_RESIDUAL
-    "assemble_n_component",                     # item 7: N-component stability
-    "n_component_local_mobility",               # item 7: N-component stability
 }
 
 

@@ -56,6 +56,23 @@ class TestInitialization:
         with pytest.raises(BlowupError):
             sim.run(cfg)
 
+    def test_momentum_bumps_add_to_rho_v(self):
+        # a momentum perturbation lands on top of the velocity's rho * v
+        m = stable_local()
+        grid = PeriodicGrid1D(L, 32)
+        perts = (sim.Perturbation("rho1", 1, 0.1), sim.Perturbation("vx", 1, 1e-2),
+                 sim.Perturbation("mx", 2, 1e-3), sim.Perturbation("my", 3, 2e-3))
+        cfg = sim.SimulationConfig(model=m, state=ST, length=L, n=32, dt=1e-4,
+                                   t_end=1e-3, perturbations=perts)
+        f = m.field_dict(sim.initial_state(cfg, grid))
+
+        def wave(mode, amplitude):
+            return amplitude * np.cos(grid.mode_wavenumber(mode) * grid.x)
+
+        assert np.max(np.abs(f["mx"] - (f["rho"] * wave(1, 1e-2) + wave(2, 1e-3)))) \
+            < 1e-15
+        assert np.max(np.abs(f["my"] - wave(3, 2e-3))) < 1e-15
+
 
 class TestConservation:
     def test_constant_solution_stays_constant(self):
@@ -514,9 +531,9 @@ class TestFftBudget:
         if name == "three_components":
             # N = 3 has no uniform fields: an explicit (5, n) state
             C = np.eye(3) + 0.2 * np.ones((3, 3))
-            m = models.assemble_n_component(
-                3, fe.Quadratic(C), np.eye(3), inv_Re_s=0.5, inv_Re_v=0.2,
-                kappa=fe.GradientCoefficients(1e-2 * np.eye(3)))
+            m = models.CompressibleGlobal(
+                fe.Quadratic(C), fe.GradientCoefficients(1e-2 * np.eye(3)),
+                np.eye(3), inv_Re_s=0.5, inv_Re_v=0.2)
             rho = np.array([1.0, 2.0, 1.5])[:, None] + 0.1 * np.cos(grid.x)
             u = np.concatenate([rho, [0.1 * np.sin(grid.x), np.zeros(grid.n)]])
             assert u.shape == (5, grid.n)
