@@ -51,15 +51,16 @@ class PeriodicGrid1D:
     def integrate(self, f: np.ndarray) -> float:
         """Quadrature consistent with the periodic trapezoid rule (= midpoint
         on a uniform periodic grid, spectrally accurate for smooth f)."""
-        return float(np.sum(f) * self.dx)
+        return float(f.sum() * self.dx)
 
     def gradient_form(self, A, fh: np.ndarray) -> float:
         """Integral of sum_ij A_ij (df_i/dx)(df_j/dx) over real rows f_i,
         from their ``rfft`` spectra ``fh``: a sum over modes by Parseval,
-        taken over the nonzero entries of A only."""
+        taken over the nonzero entries of A only, row by row."""
         w = self.grad_weights
         return float(sum(a * np.vdot(fh[i], w * fh[j]).real
-                         for (i, j), a in np.ndenumerate(np.atleast_2d(A)) if a))
+                         for i, row in enumerate(np.atleast_2d(A).tolist())
+                         for j, a in enumerate(row) if a))
 
     def mode_amplitude(self, f: np.ndarray, mode: int) -> complex:
         """Complex amplitude a of Fourier mode ``mode`` (wavenumber k_m), so

@@ -122,17 +122,19 @@ class BinaryModel:
         if self.inv_Re_s < 0 or self.inv_Re_v < 0:
             raise RangeError("inverse Reynolds numbers must be nonnegative")
 
-    def _viscous_forces(self, grid, vh):
+    def _viscous_forces(self, grid, vh, out=None):
         """Spectra (fx^, fy^) of the viscous forces from the velocities'
-        spectra (vx^, vy^)."""
-        eta, nu = self.inv_Re_s, self.inv_Re_v
-        return grid.ik2 * vh * [[2.0 * eta + nu], [eta]]
+        spectra (vx^, vy^), written into ``out`` where it is given."""
+        out = np.multiply(grid.ik2, vh, out=out)
+        out[0] *= 2.0 * self.inv_Re_s + self.inv_Re_v
+        out[1] *= self.inv_Re_s
+        return out
 
     def _viscous_dissipation(self, grid, vh):
         """Integral of (2 eta + nu) (d vx/dx)^2 + eta (d vy/dx)^2, eta =
         1/Re_s and nu = 1/Re_v, as a sum over the velocities' modes."""
         eta, nu = self.inv_Re_s, self.inv_Re_v
-        return grid.gradient_form(np.diag([2.0 * eta + nu, eta]), vh)
+        return grid.gradient_form([[2.0 * eta + nu, 0.0], [0.0, eta]], vh)
 
     def state_array(self, fields: dict) -> np.ndarray:
         """The state as one (n_fields, n) array in ``field_names`` order."""
@@ -443,7 +445,7 @@ class QuasiIncompressible(BinaryModel):
                   + grid.gradient_form(0.5 * self.kappa_phi_phi, c.h[:1]))
         dissipation = -(self._viscous_dissipation(grid, c.h[1:3])
                         + grid.gradient_form(self.M11 / self.rho_hat_1**2, c.Gh[None]))
-        return (self.total_mass(u, grid), energy, dissipation,
+        return (grid.integrate(rho), energy, dissipation,
                 self._amplitudes(u, grid, dict(zip(self.field_names, c.h)), track))
 
     def linearization(self, state: MixtureState) -> PhaseFieldLinearization:
@@ -476,15 +478,19 @@ class QuasiIncompressible(BinaryModel):
         densities G = mu_phi and no pressure is formed.
         """
         phi, vx, _ = u
-        g = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
-        h = np.fft.rfft(np.stack([*u, g] + ([phi * vx] if flux else [])), axis=-1)
+        rows = np.empty((5 if flux else 4, grid.n))
+        rows[:3] = u
+        rows[3] = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        if flux:
+            np.multiply(phi, vx, out=rows[4])
+        h = np.fft.rfft(rows, axis=-1)
         muh = h[3] - self.kappa_phi_phi * grid.ik2 * h[0]
         r1, Mh = self._constraint
         if r1 == 0.0:
             return _QuasiSpectra(h, muh, None, muh)
         Pih = h[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
         Pih[0] = 0.0
-        if not np.all(np.isfinite(Pih)):
+        if not np.isfinite(Pih).all():
             raise SolveError("pressure solve produced non-finite values")
         return _QuasiSpectra(h, muh, Pih, muh + r1 * Pih)
 
@@ -492,41 +498,50 @@ class QuasiIncompressible(BinaryModel):
         """The right-hand side with its phi row in Fourier space,
         -ik (phi vx)^ - Mh k^2 G^, and its velocity rows.
 
-        One ``irfft`` gives fy, with ``physical_phi`` the phi row, with a
-        pressure fx - d Pi/dx and d mu_phi/dx, and last d vx, d vy.
-        Returns the core, the phi row's spectrum, the two velocity rows and
-        the physical phi row (or None).
+        One ``irfft`` of rows written in place gives, with ``physical_phi``,
+        the phi row, then the forces fx - d Pi/dx and fy, with a pressure
+        d mu_phi/dx, and last d vx, d vy.  The force rows turn into the
+        accelerations in place: ax = (fx - d Pi/dx - phi d mu_phi/dx) / rho
+        - vx d vx/dx and ay = fy / rho - vx d vy/dx.  Without a pressure the
+        x-momentum balance is the pressure's: vx is stationary, ax = 0.
+        Returns the core, the phi row's spectrum and the rows (phi, ax, ay),
+        or (ax, ay) without ``physical_phi``.
         """
         phi, vx, _ = u
         core = self._spectral_core(u, grid, flux=True)
         ik, h = grid.ik, core.h
         phih = -ik * h[4] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
-        fh = self._viscous_forces(grid, h[1:3])
-        rows = [fh[1]] + ([phih] if physical_phi else [])
-        if core.Pih is not None:
-            rows += [fh[0] - ik * core.Pih, ik * core.muh]
-        p = np.fft.irfft(np.stack(rows + [ik * h[1], ik * h[2]]), n=grid.n, axis=-1)
-        p, dv = p[:-2], p[-2:]
-        rho = self.density(phi)
-        ay = (-rho * vx * dv[1] + p[0]) / rho
-        if core.Pih is None:
-            # the x-momentum balance is the pressure's: vx is stationary
-            ax = np.zeros_like(vx)
-        else:
-            ax = (-rho * vx * dv[0] + p[-2] - phi * p[-1]) / rho
-        return core, phih, ax, ay, p[1] if physical_phi else None
+        pressure = core.Pih is not None
+        f = int(physical_phi)                   # the fx row
+        rows = np.empty((f + 4 + pressure, h.shape[-1]), dtype=complex)
+        if physical_phi:
+            rows[0] = phih
+        self._viscous_forces(grid, h[1:3], out=rows[f:f + 2])
+        if pressure:
+            rows[f] -= ik * core.Pih
+            np.multiply(ik, core.muh, out=rows[f + 2])
+        np.multiply(ik, h[1:3], out=rows[-2:])
+        p = np.fft.irfft(rows, n=grid.n, axis=-1)
+        a = p[f:f + 2]                          # the forces, then (ax, ay)
+        if pressure:
+            a[0] -= phi * p[f + 2]
+        a /= self.density(phi)
+        a -= vx * p[-2:]
+        if not pressure:
+            a[0] = 0.0
+        return core, phih, p[:f + 2]
 
     def _rhs(self, u, grid):
-        core, _, ax, ay, phi_row = self._rhs_parts(u, grid, True)
-        return np.stack([phi_row, ax, ay]), core
+        core, _, out = self._rhs_parts(u, grid, True)
+        return out, core
 
     def _rhs_spectral(self, u, grid):
         """The state's spectrum from the core, the phi row as formed in
         Fourier space and one ``rfft`` of the velocity rows."""
-        core, phih, ax, ay, _ = self._rhs_parts(u, grid, False)
+        core, phih, a = self._rhs_parts(u, grid, False)
         rhsh = np.empty_like(core.h[:3])
         rhsh[0] = phih
-        rhsh[1:] = np.fft.rfft(np.stack([ax, ay]), axis=-1)
+        rhsh[1:] = np.fft.rfft(a, axis=-1)
         return (core.h[:3], rhsh), core
 
     def divergence_residual(self, u, grid) -> float:

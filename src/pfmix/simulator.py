@@ -4,11 +4,14 @@ Used to verify dispersion predictions, mass conservation and the energy
 dissipation inequality independently of the linear analysis.  Explicit RK4
 is the default integrator; a first-order semi-implicit scheme (stiff linear
 terms integrated in Fourier space) is available for stiff parameter sets.
-It steps in Fourier space on the spectra that ``model.rhs_pass(u, grid,
-spectral=True)`` hands back: by default one batched ``rfft`` of the state
-and its right-hand side, while the quasi-incompressible class returns the
-spectra its own spectral core already holds.  A diagnostics record is
-taken from the forward spectra of the next step's first pass.
+It steps in Fourier space on the spectra u^ and rhs^ that
+``model.rhs_pass(u, grid, spectral=True)`` hands back: by default one
+batched ``rfft`` of the state and its right-hand side, while the
+quasi-incompressible class returns the spectra its own spectral core
+already holds.  Each step is u^ + dt / (1 + dt L) rhs^, with the stiff
+symbols L and the gain dt / (1 + dt L) formed once per run, then one
+``irfft``.  A diagnostics record is taken from the forward spectra of the
+next step's first pass.
 
 The state is carried as one (n_fields, n) array in ``model.field_names``
 order; traces, snapshots and blow-up dumps hand it out as dicts.
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlowupError, DomainError, FitError, RangeError
+from .errors import BlowupError, DomainError, FitError, RangeError, SolveError
 from .grid import PeriodicGrid1D
 from .models import MixtureState
 from . import dispersion
@@ -154,7 +157,7 @@ def initial_state(config: SimulationConfig, grid: PeriodicGrid1D) -> np.ndarray:
 
 
 def _check_in_domain(model, u, step):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise BlowupError("non-finite field value", step=step)
     try:
         model.free_energy.check_domain(model.energy_variables(u), pointwise=True)
@@ -175,14 +178,6 @@ def _rk4_step(model, u, grid, dt, k1):
     return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _semi_implicit_step(fh, rh, grid, dt, L):
-    """One step with the stiff symbols ``L`` (one row per field) implicit:
-    d/dt u = -L u + N(u), N = rhs + L u evaluated explicitly, from the
-    spectra of u and of its right-hand side; it ends in one ``irfft``."""
-    nh = rh + L * fh
-    return np.fft.irfft((fh + dt * nh) / (1.0 + dt * L), n=grid.n, axis=-1)
-
-
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
@@ -194,8 +189,9 @@ def run(config: SimulationConfig) -> SimulationTrace:
     A record step's state is checked for the domain at once; its record
     comes from the spectra of the next step's first right-hand side pass,
     and only the final record makes its own pass.  Aborts with
-    :class:`BlowupError` (carrying the step index) if any field leaves the
-    free-energy domain or turns non-finite.
+    :class:`BlowupError` (carrying the step index and the ``fields`` dump)
+    if any field leaves the free-energy domain or turns non-finite, or a
+    step's pressure solve produces non-finite values.
     """
     model = config.model
     grid = PeriodicGrid1D(config.length, config.n)
@@ -209,9 +205,12 @@ def run(config: SimulationConfig) -> SimulationTrace:
     n_steps = int(round(config.t_end / config.dt))
     semi_implicit = config.integrator == "semi_implicit"
     if semi_implicit:
-        # Fourier symbols of the stiffest linear operators, one row per field
+        # Fourier symbols L of the stiffest linear operators, one row per
+        # field, taken implicitly: d/dt u = -L u + N(u) with N = rhs + L u
+        # explicit gives u^ + dt (rhs^ + L u^) / (1 + dt L) = u^ + gain rhs^
         symbols = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
         stiff = np.stack([symbols[name] for name in model.field_names])
+        gain = config.dt / (1.0 + config.dt * stiff)
 
     records, snapshots = [], []    # records: (t, mass, energy, dissipation, amplitudes)
 
@@ -232,11 +231,14 @@ def run(config: SimulationConfig) -> SimulationTrace:
                     record(due, core)
                     due = None
                 if semi_implicit:
-                    u = _semi_implicit_step(*rhs, grid, config.dt, stiff)
+                    fh, rh = rhs
+                    u = np.fft.irfft(fh + gain * rh, n=grid.n, axis=-1)
                 else:
                     u = _rk4_step(model, u, grid, config.dt, rhs)
-            except DomainError as exc:
-                err = BlowupError(f"field left the free-energy domain: {exc}",
+            except (DomainError, SolveError) as exc:
+                # a state the pressure solve cannot take is a blow-up too
+                err = BlowupError(f"field left the free-energy domain: {exc}"
+                                  if isinstance(exc, DomainError) else str(exc),
                                   step=step)
                 err.fields = model.field_dict(u)  # state dump for post-mortem
                 raise err from exc

@@ -65,7 +65,8 @@ points = 11
 
 SWEEP_CONFIGS = ["band_composition.ini", "band_density.ini", "quasi_spinodal.ini",
                  "stable_dense.ini"]
-BUNDLED_CONFIGS = SWEEP_CONFIGS + ["concavity_co2_decane.ini", "simulate_relaxation.ini"]
+BUNDLED_CONFIGS = SWEEP_CONFIGS + ["concavity_co2_decane.ini", "simulate_relaxation.ini",
+                                   "simulate_quasi.ini"]
 
 
 def per_row_csv(header, rows):
@@ -107,7 +108,8 @@ class TestConfigParsing:
     def test_shipped_configs_parse(self):
         for name in ("band_composition.ini", "band_density.ini",
                      "stable_dense.ini", "concavity_co2_decane.ini",
-                     "quasi_spinodal.ini", "simulate_relaxation.ini"):
+                     "quasi_spinodal.ini", "simulate_relaxation.ini",
+                     "simulate_quasi.ini"):
             cfg = load_config(config_path(name))
             assert cfg.has_section("free_energy")
 
@@ -196,11 +198,16 @@ perturb_amplitude = 1e-6
         assert code == cli.EXIT_CONFIG
         assert f"[simulate] {key}:" in err and "Traceback" not in err
 
-    def test_blowup_exit_4(self, tmp_path):
-        text = MINI_SWEEP.replace("c11 = -0.5", "c11 = -3.0") \
-                         .replace("c22 = 2.0", "c22 = -3.0")
-        text = text.replace("[sweep]", "[simulate]").replace(
-            "k_min = 0.01\nk_max = 100.0\npoints = 41\nspacing = log", """length = 6.283185307179586
+    @pytest.mark.parametrize("case", ["compressible_local", "quasi_velocity"])
+    def test_blowup_exit_4(self, tmp_path, case):
+        # a density leaving the domain, and a velocity that overflows
+        # between record steps, so that the next step's pressure solve
+        # produces non-finite values: both are blow-ups of a step
+        if case == "compressible_local":
+            text = MINI_SWEEP.replace("c11 = -0.5", "c11 = -3.0") \
+                             .replace("c22 = 2.0", "c22 = -3.0")
+            text = text.replace("[sweep]", "[simulate]").replace(
+                "k_min = 0.01\nk_max = 100.0\npoints = 41\nspacing = log", """length = 6.283185307179586
 n = 64
 dt = 0.001
 t_end = 50.0
@@ -209,6 +216,20 @@ perturb_field = rho1
 perturb_mode = 3
 perturb_amplitude = 0.4
 enforce_dt_guard = false""")
+        else:
+            text = open(config_path("quasi_spinodal.ini")).read() + """
+[simulate]
+length = 6.283185307179586
+n = 32
+dt = 0.001
+t_end = 0.1
+integrator = semi_implicit
+diagnostics_every = 50
+perturb_field = vx
+perturb_mode = 3
+perturb_amplitude = 1e200
+enforce_dt_guard = false
+"""
         path = write(tmp_path, "blowup.ini", text)
         assert cli.main(["simulate", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_BLOWUP
@@ -521,16 +542,18 @@ class TestMapOutput:
 
 class TestSimulateVerdicts:
     def test_verdict_lines(self, tmp_path, capsys):
-        out = str(tmp_path / "o")
-        code = cli.main(["simulate", "--config",
-                         str(config_path("simulate_relaxation.ini")),
-                         "--out", out])
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "MASS_DRIFT" in text
-        assert "ENERGY_MONOTONE" in text
-        assert "ALPHA_MEASURED" in text and "ALPHA_PREDICTED" in text
-        drift = float(text.split("MASS_DRIFT")[1].split()[0])
-        assert drift <= 1e-10
-        rel = float(text.split("REL_ERROR")[1].split()[0])
-        assert rel < 0.05
+        # both bundled runs, RK4 and semi-implicit (far beyond the explicit
+        # guard), conserve mass and measure the predicted growth rate
+        for name in ("simulate_relaxation.ini", "simulate_quasi.ini"):
+            out = str(tmp_path / name)
+            code = cli.main(["simulate", "--config", str(config_path(name)),
+                             "--out", out])
+            assert code == 0
+            text = capsys.readouterr().out
+            assert "MASS_DRIFT" in text
+            assert "ENERGY_MONOTONE" in text
+            assert "ALPHA_MEASURED" in text and "ALPHA_PREDICTED" in text
+            drift = float(text.split("MASS_DRIFT")[1].split()[0])
+            assert drift <= 1e-10
+            rel = float(text.split("REL_ERROR")[1].split()[0])
+            assert rel < 0.05

@@ -27,6 +27,7 @@ BUNDLED_COMMANDS = {
     "band_composition.ini": "sweep", "band_density.ini": "sweep",
     "quasi_spinodal.ini": "sweep", "stable_dense.ini": "sweep",
     "concavity_co2_decane.ini": "concavity-map", "simulate_relaxation.ini": "simulate",
+    "simulate_quasi.ini": "simulate",
 }
 
 # Public package names that no command, script or benchmark reads yet,
@@ -64,13 +65,13 @@ def test_bundled_digests_cover_every_output():
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = [ln.split() for ln in out.stdout.splitlines()]
-    assert len(lines) == 70
+    assert len(lines) == 79
     expected = {(name, command, f) for name, first in BUNDLED_COMMANDS.items()
                 for command in (first, "verify")
                 for f in OUTPUTS[command] + ("(stdout)", "(exit)")}
     assert {tuple(ln[:3]) for ln in lines} == expected
     exits = [ln for ln in lines if ln[2] == "(exit)"]
-    assert len(exits) == 12 and all(ln[3] == "0" for ln in exits)
+    assert len(exits) == 14 and all(ln[3] == "0" for ln in exits)
     assert all(re.fullmatch("[0-9a-f]{64}", ln[3]) for ln in lines if ln[2] != "(exit)")
 
 

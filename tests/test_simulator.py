@@ -7,7 +7,7 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
 from pfmix.config import build_all, load_config
-from pfmix.errors import BlowupError, DomainError, FitError, RangeError
+from pfmix.errors import BlowupError, DomainError, FitError, RangeError, SolveError
 from pfmix.grid import PeriodicGrid1D
 
 from conftest import config_path, physical_record
@@ -239,28 +239,33 @@ class TestIntegrators:
         tr = sim.run(cfg)
         assert np.all(np.isfinite(tr.energy))
 
-    def test_semi_implicit_default_spectra_bit_for_bit(self):
-        # the default spectral right-hand side is the batched rfft of the
-        # state and its right-hand side: the step formula below, bit for bit
-        m = stable_local()
+    @pytest.mark.parametrize("name", ["default_spectra", "quasi"])
+    def test_semi_implicit_step_bit_for_bit(self, name):
+        # the step u^ + dt / (1 + dt L) rhs^ written out, bit for bit, on the
+        # default spectra (the batched rfft of the state and its right-hand
+        # side) and on those the quasi-incompressible pass hands back
+        m, st = (stable_local(), ST) if name == "default_spectra" \
+            else smoke_cases()["quasi"]
         grid = PeriodicGrid1D(L, 64)
-        perts, _ = sim.eigenvector_perturbations(m, ST, grid, mode=2,
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3,
                                                  track_name="alpha1")
         dt = 2e-3
-        cfg = sim.SimulationConfig(model=m, state=ST, length=L, n=64, dt=dt,
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=64, dt=dt,
                                    t_end=20 * dt, diagnostics_every=5,
                                    perturbations=perts,
                                    integrator="semi_implicit",
                                    enforce_dt_guard=False)
-        symbols = m.linearization(ST).stiff_symbols(grid.wavenumbers**2)
+        symbols = m.linearization(st).stiff_symbols(grid.wavenumbers**2)
         stiff = np.stack([symbols[name] for name in m.field_names])
         u = sim.initial_state(cfg, grid)
         for _ in range(20):
-            h = np.fft.rfft(np.concatenate([u, m.rhs_1d(u, grid)]), axis=-1)
-            fh, nh = h[:len(u)], h[len(u):] + stiff * h[:len(u)]
-            u = np.fft.irfft((fh + dt * nh) / (1.0 + dt * stiff), n=grid.n,
-                             axis=-1)
+            if name == "default_spectra":
+                h = np.fft.rfft(np.concatenate([u, m.rhs_1d(u, grid)]), axis=-1)
+                fh, rh = h[:len(u)], h[len(u):]
+            else:
+                (fh, rh), _ = m.rhs_pass(u, grid, spectral=True)
+            u = np.fft.irfft(fh + dt / (1.0 + dt * stiff) * rh, n=grid.n, axis=-1)
         final = sim.run(cfg).final_fields
         for i, name in enumerate(m.field_names):
             assert np.array_equal(final[name], u[i])
@@ -284,38 +289,62 @@ class TestFailureModes:
         assert isinstance(dump, dict) and tuple(dump) == m.field_names
         assert all(np.shape(v) == (64,) for v in dump.values())
 
-    @pytest.mark.parametrize("every", [1, 50])
-    def test_blowup_step_and_dump_match_a_plain_loop(self, every):
-        # RK4 written out with rhs_1d: the run reports the step of the
-        # first domain exit (inside a step, or at the check of a record
-        # step) and dumps the state it had then, bit for bit
-        q = fe.Quadratic(-3.0 * np.eye(2), variables=("rho1", "rho"))
-        kap = fe.GradientCoefficients(np.diag([2e-3, 2e-3]))
-        m = models.CompressibleLocal(q, kap, M11=0.05, inv_Re_s=0.0,
-                                     inv_Re_v=0.0)
-        dt = 1e-3
-        cfg = sim.SimulationConfig(
-            model=m, state=ST, length=L, n=64, dt=dt, t_end=50.0,
-            diagnostics_every=every,
-            perturbations=(sim.Perturbation("rho1", 3, 0.4),),
-            enforce_dt_guard=False)
+    @pytest.mark.parametrize("case, every", [
+        pytest.param("local", 1, id="1"), pytest.param("local", 50, id="50"),
+        pytest.param("quasi", 1, id="quasi-1"), pytest.param("quasi", 50, id="quasi-50")])
+    def test_blowup_step_and_dump_match_a_plain_loop(self, case, every):
+        # the step written out (RK4 with rhs_1d on a local density leaving
+        # the domain; the semi-implicit step on a quasi-incompressible
+        # velocity that overflows, whose next pressure solve is non-finite):
+        # the run reports the step of the first failure (inside a step, or
+        # at the check of a record step), why, and dumps the state it had
+        # then, bit for bit
         grid = PeriodicGrid1D(L, 64)
+        if case == "local":
+            q = fe.Quadratic(-3.0 * np.eye(2), variables=("rho1", "rho"))
+            kap = fe.GradientCoefficients(np.diag([2e-3, 2e-3]))
+            m = models.CompressibleLocal(q, kap, M11=0.05, inv_Re_s=0.0,
+                                         inv_Re_v=0.0)
+            st, dt, n_steps, integrator = ST, 1e-3, 50000, "rk4"
+            perts = (sim.Perturbation("rho1", 3, 0.4),)
+
+            def step(u):
+                k1 = m.rhs_1d(u, grid)
+                k2 = m.rhs_1d(u + 0.5 * dt * k1, grid)
+                k3 = m.rhs_1d(u + 0.5 * dt * k2, grid)
+                k4 = m.rhs_1d(u + dt * k3, grid)
+                return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        else:
+            m, st = smoke_cases()["quasi"]
+            dt, n_steps, integrator = 1e-3, 100, "semi_implicit"
+            perts = (sim.Perturbation("vx", 3, 1e200),)
+            symbols = m.linearization(st).stiff_symbols(grid.wavenumbers**2)
+            stiff = np.stack([symbols[name] for name in m.field_names])
+
+            def step(u):
+                (fh, rh), _ = m.rhs_pass(u, grid, spectral=True)
+                return np.fft.irfft(fh + dt / (1.0 + dt * stiff) * rh, n=grid.n,
+                                    axis=-1)
+        cfg = sim.SimulationConfig(
+            model=m, state=st, length=L, n=64, dt=dt, t_end=n_steps * dt,
+            diagnostics_every=every, perturbations=perts, integrator=integrator,
+            enforce_dt_guard=False)
         u = sim.initial_state(cfg, grid)
         with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(1, 50001):
+            for n in range(1, n_steps + 1):
                 try:
-                    k1 = m.rhs_1d(u, grid)
-                    k2 = m.rhs_1d(u + 0.5 * dt * k1, grid)
-                    k3 = m.rhs_1d(u + 0.5 * dt * k2, grid)
-                    k4 = m.rhs_1d(u + dt * k3, grid)
-                except DomainError:
+                    new = step(u)
+                except (DomainError, SolveError) as exc:
+                    reason = str(exc)
                     break
-                u = u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if step % every == 0 and not np.all(np.isfinite(u)):
+                u = new
+                if n % every == 0 and not np.all(np.isfinite(u)):
+                    reason = "non-finite field value"
                     break
         with pytest.raises(BlowupError) as err:
             sim.run(cfg)
-        assert err.value.step == step < 50000
+        assert err.value.step == n < n_steps
+        assert reason in str(err.value)
         for i, name in enumerate(m.field_names):
             assert np.array_equal(err.value.fields[name], u[i], equal_nan=True)
 
@@ -339,7 +368,8 @@ class TestFailureModes:
 
 BUNDLED_CONFIGS = ["band_composition.ini", "band_density.ini",
                    "concavity_co2_decane.ini", "quasi_spinodal.ini",
-                   "simulate_relaxation.ini", "stable_dense.ini"]
+                   "simulate_quasi.ini", "simulate_relaxation.ini",
+                   "stable_dense.ini"]
 
 
 @pytest.mark.parametrize("config", BUNDLED_CONFIGS)
