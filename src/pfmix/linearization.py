@@ -4,8 +4,8 @@
 for both compressible classes, one for the phase-field model.  Each owns
 everything specific to its classes: the 4x4 dispersion pencil, the reduced
 scalar dispersion polynomial and its band edges, the long- and short-wave
-expansions, the explicit-step stiffness, the Fourier symbols of the stiff
-linear terms and the names of the pencil variables.  Pencil variable orders:
+expansions, the Fourier symbols of the stiff linear terms and the names of
+the pencil variables.  Pencil variable orders:
 
 * compressible, global conservation:  (rho1, rho2, vx, vy)
 * compressible, local conservation:   (rho, rho1, vx, vy)
@@ -461,19 +461,10 @@ class CompressibleLinearization(_Pencil):
         ) + tuple(ModeExpansion(ModeLabel.COUPLED, name, powers, c)
                   for name, c in zip(("alpha2", "alpha3"), coefficients)), aux
 
-    def explicit_stiffness(self, kmax: float):
-        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
-        cutoff from mobility stiffness and acoustics (positive ones only)."""
-        kap = float(np.max(np.abs(self.K)))
-        mob = float(np.max(np.abs(self.mobility)))
-        stiff = mob * (kap * kmax**4 + float(np.max(np.abs(self.C))) * kmax**2)
-        pCp = float(self.p @ self.C @ self.p)
-        return ([stiff] if stiff > 0 else [],
-                [np.sqrt(pCp / self.rho0) * kmax] if pCp > 0 else [])
-
     def stiff_symbols(self, k2: np.ndarray) -> dict:
-        """Symbols keyed by field name: the two densities, then mx and my,
-        which decay at the viscous rates of vx and vy, 1/Re k^2 / rho0."""
+        """Symbols keyed by field name, in the order of the standard form's
+        unknowns: the two densities, then mx and my, which decay at the
+        viscous rates of vx and vy, 1/Re k^2 / rho0."""
         k4 = k2 * k2
         C, K, Md = self.C, self.K, np.diag(self.mobility)
         return {
@@ -531,11 +522,11 @@ class PhaseFieldLinearization(_Pencil):
         Mh = self.Mh
         Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
         A = np.zeros((k.size, 4, 4), dtype=complex)
-        if self.equal_densities:
+        if self.equal_densities:    # 1 - r is 0, as in the model
             A[:, 0, 2] = 1j * k
         else:
             A[:, 0, 2] = 1j * k * (1.0 - self.phi0 * (1.0 - r))
-        A[:, 1, 0] = Mh * k * k * (1.0 - r)
+            A[:, 1, 0] = Mh * k * k * (1.0 - r)
         A[:, 1, 1] = Mh * k * k * Dphi
         A[:, 1, 2] = 1j * k * self.phi0
         A[:, 2, 0] = 1j * k
@@ -557,7 +548,8 @@ class PhaseFieldLinearization(_Pencil):
         """
         keep, Pi_row = self._elimination(A)
         Ak = A[:, keep][:, :, keep]
-        Ak = Ak - A[:, keep, :1] * (Pi_row[:, None, keep] / Pi_row[:, None, :1])
+        if not self.equal_densities:
+            Ak = Ak - A[:, keep, :1] * (Pi_row[:, None, keep] / Pi_row[:, None, :1])
         return -Ak / np.diag(self.B)[keep][:, None]
 
     def _lift(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -656,16 +648,15 @@ class PhaseFieldLinearization(_Pencil):
         return 1.0 / ((1.0 - self.rho_hat_1 / self.rho_hat_2) ** 2
                       * self.M11 / self.rho_hat_1**2)
 
-    def explicit_stiffness(self, kmax: float):
-        """(real-axis, imaginary-axis) eigenvalue magnitudes at the spectral
-        cutoff from the phase mobility (positive ones only)."""
-        stiff = self.Mh * (self.kappa_phi_phi * kmax**4 + abs(self.h_phi_phi) * kmax**2)
-        return [stiff] if stiff > 0 else [], []
-
     def stiff_symbols(self, k2: np.ndarray) -> dict:
+        """Symbols keyed by field name, in the order of the standard form's
+        unknowns: with equal densities vx is eliminated (it is stationary)."""
         k4 = k2 * k2
-        return {
+        symbols = {
             "phi": self.Mh * (self.kappa_phi_phi * k4 + max(self.h_phi_phi, 0.0) * k2),
             "vx": self.inv_Re * k2 / self.rho0,
             "vy": self.inv_Re_s * k2 / self.rho0,
         }
+        if self.equal_densities:
+            del symbols["vx"]
+        return symbols

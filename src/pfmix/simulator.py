@@ -28,7 +28,11 @@ from .grid import PeriodicGrid1D
 from .models import MixtureState
 from . import dispersion
 
-DT_SAFETY = 0.2
+# run admits dt where StepRule admits dt / DT_SAFETY: a factor 2 for the
+# nonlinear terms, which still admits simulate_quasi.ini (0.36 of its limit)
+DT_SAFETY = 0.5
+# per-step amplification beyond the exact rate put down to the roots' rounding
+AMPLIFICATION_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -85,24 +89,62 @@ class SimulationTrace:
     snapshots: tuple = ()               # (step, fields dict) pairs
 
 
-RK4_REAL_AXIS = 2.5   # conservative RK4 stability radius on the negative real axis
-RK4_IMAG_AXIS = 2.5
+class StepRule:
+    """The dt rule of both integrators: no grid mode k > 0 may grow faster
+    per step under the scheme than e^{dt max(Re alpha, 0)} over the roots
+    alpha(k) of the standard form J(k).  RK4 amplifies a mode by
+    max |R(dt alpha)|, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and the
+    semi-implicit step by the spectral radius of I + G J(k), G = dt /
+    (1 + dt L) from the stiff symbols L; the diagonal changes vx / i and
+    m = rho0 v leave both as they are.  Logs are compared."""
+
+    def __init__(self, lin, grid: PeriodicGrid1D, integrator: str):
+        if integrator not in ("rk4", "semi_implicit"):
+            raise RangeError(f"unknown integrator {integrator!r}")
+        k = grid.wavenumbers[1:]
+        A = lin.pencil_matrices(k)
+        A[-1] = A[-1].real    # the grid's ik is 0 at Nyquist: no i k couplings
+        self.J = lin.standard_form(A)
+        self.roots = np.linalg.eigvals(self.J)
+        self.growth = np.maximum(self.roots.real.max(axis=1), 0.0)
+        self.stiff = (np.stack(list(lin.stiff_symbols(k * k).values()), axis=-1)
+                      if integrator == "semi_implicit" else None)
+
+    def excess(self, dt: float) -> np.ndarray:
+        """Per mode, the log of the scheme's amplification minus the exact one's."""
+        if self.stiff is None:
+            z = dt * self.roots
+            amp = np.abs(1.0 + z * (1.0 + z / 2 * (1.0 + z / 3 * (1.0 + z / 4))))
+        else:
+            gain = (dt / (1.0 + dt * self.stiff))[:, :, None]
+            amp = np.abs(np.linalg.eigvals(np.eye(gain.shape[1]) + gain * self.J))
+        with np.errstate(divide="ignore"):
+            return np.log(amp.max(axis=1)) - dt * self.growth
+
+    def admits(self, dt: float) -> bool:
+        return bool(self.excess(dt).max() <= AMPLIFICATION_TOL)
+
+    def limit(self) -> tuple:
+        """(dt, mode, alpha): the largest dt admitted, to a relative 1e-3 (by
+        doubling from 1 / max|alpha|, then bisection), the grid mode that
+        binds above it and its root of largest modulus; inf past 2^60 times."""
+        top = np.abs(self.roots).max()
+        lo, hi, cap = 0.0, 1.0 / top, 2.0**60 / top
+        while hi < cap and self.admits(hi):
+            lo, hi = hi, 2.0 * hi
+        if hi >= cap:
+            return np.inf, None, None
+        while hi > lo * 1.001:
+            mid = np.sqrt(lo * hi) if lo else hi / 2.0    # dt = 0 is admitted
+            lo, hi = (mid, hi) if self.admits(mid) else (lo, mid)
+        i = int(np.argmax(self.excess(hi)))
+        return lo, i + 1, self.roots[i, np.argmax(np.abs(self.roots[i]))]
 
 
-def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D) -> float:
-    """Explicit step bound, DT_SAFETY times the RK4 limit of the viscous,
-    mobility-stiffness and acoustic eigenvalue magnitudes at the spectral
-    cutoff k_max = pi/dx."""
-    kmax = np.pi / grid.dx
-    lin = model.linearization(state)
-    rates = []
-    if lin.inv_Re > 0:
-        rates.append(RK4_REAL_AXIS / (lin.inv_Re / lin.rho0 * kmax**2))
-    real, imag = lin.explicit_stiffness(kmax)
-    rates += [RK4_REAL_AXIS / s for s in real] + [RK4_IMAG_AXIS / s for s in imag]
-    if not rates:
-        return np.inf
-    return DT_SAFETY * min(rates)
+def stable_dt_estimate(model, state: MixtureState, grid: PeriodicGrid1D,
+                       integrator: str = "rk4") -> float:
+    """The largest dt that ``run`` admits: DT_SAFETY times the limit."""
+    return DT_SAFETY * StepRule(model.linearization(state), grid, integrator).limit()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -195,21 +237,29 @@ def run(config: SimulationConfig) -> SimulationTrace:
     """
     model = config.model
     grid = PeriodicGrid1D(config.length, config.n)
+    semi_implicit = config.integrator == "semi_implicit"
+    if config.enforce_dt_guard or semi_implicit:
+        lin = model.linearization(config.state)
     if config.enforce_dt_guard:
-        guard = stable_dt_estimate(model, config.state, grid)
-        if config.dt > guard:
+        rule = StepRule(lin, grid, config.integrator)
+        if not rule.admits(config.dt / DT_SAFETY):
+            limit, mode, alpha = rule.limit()
             raise RangeError(
-                f"dt={config.dt:g} exceeds the stability guard {guard:g}; "
-                "reduce dt or set enforce_dt_guard=False")
+                f"dt={config.dt:g} exceeds the {config.integrator} stability guard "
+                f"{DT_SAFETY * limit:g}, DT_SAFETY={DT_SAFETY:g} times the step above "
+                f"which grid mode {mode} (k={grid.mode_wavenumber(mode):g}, root "
+                f"{alpha:.6g}) outgrows the linearized flow; reduce dt or set "
+                "enforce_dt_guard=False")
     u = initial_state(config, grid)
     n_steps = int(round(config.t_end / config.dt))
-    semi_implicit = config.integrator == "semi_implicit"
     if semi_implicit:
         # Fourier symbols L of the stiffest linear operators, one row per
-        # field, taken implicitly: d/dt u = -L u + N(u) with N = rhs + L u
-        # explicit gives u^ + dt (rhs^ + L u^) / (1 + dt L) = u^ + gain rhs^
-        symbols = model.linearization(config.state).stiff_symbols(grid.wavenumbers**2)
-        stiff = np.stack([symbols[name] for name in model.field_names])
+        # field (0 for an eliminated vx, which is stationary), taken
+        # implicitly: d/dt u = -L u + N(u) with N = rhs + L u explicit gives
+        # u^ + dt (rhs^ + L u^) / (1 + dt L) = u^ + gain rhs^
+        symbols = lin.stiff_symbols(grid.wavenumbers**2)
+        stiff = np.stack([symbols.get(name, 0.0 * grid.wavenumbers)
+                          for name in model.field_names])
         gain = config.dt / (1.0 + config.dt * stiff)
 
     records, snapshots = [], []    # records: (t, mass, energy, dissipation, amplitudes)

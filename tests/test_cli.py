@@ -542,8 +542,8 @@ class TestMapOutput:
 
 class TestSimulateVerdicts:
     def test_verdict_lines(self, tmp_path, capsys):
-        # both bundled runs, RK4 and semi-implicit (far beyond the explicit
-        # guard), conserve mass and measure the predicted growth rate
+        # both bundled runs, RK4 and semi-implicit (beyond the RK4 guard),
+        # conserve mass and measure the predicted growth rate
         for name in ("simulate_relaxation.ini", "simulate_quasi.ini"):
             out = str(tmp_path / name)
             code = cli.main(["simulate", "--config", str(config_path(name)),
@@ -557,3 +557,35 @@ class TestSimulateVerdicts:
             assert drift <= 1e-10
             rel = float(text.split("REL_ERROR")[1].split()[0])
             assert rel < 0.05
+
+    def test_bundled_semi_implicit_run_keeps_the_guard(self, tmp_path):
+        path = config_path("simulate_quasi.ini")
+        assert load_config(path).sections["simulate"]["enforce_dt_guard"]
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("config, integrator, dt", [
+        ("band_density.ini", "rk4", 0.0065),
+        ("stable_dense.ini", "semi_implicit", 2.4e-4),
+    ], ids=["band_density_rk4", "stable_dense_semi_implicit"])
+    def test_dt_that_blows_up_is_refused(self, tmp_path, capsys, config,
+                                         integrator, dt):
+        # without the guard these runs leave the domain at steps 4 and 133
+        # (exit 4); the guard refuses them at once and names the mode
+        text = open(config_path(config)).read() + f"""
+[simulate]
+length = 6.283185307179586
+n = 256
+dt = {dt}
+t_end = {400 * dt}
+integrator = {integrator}
+perturb_field = rho1
+perturb_mode = 3
+perturb_amplitude = 1e-6
+"""
+        path = write(tmp_path, "unstable.ini", text)
+        code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert f"exceeds the {integrator} stability guard" in err
+        assert "grid mode 127 (k=127, root " in err     # the capillary wave

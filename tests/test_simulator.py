@@ -220,22 +220,23 @@ class TestIntegrators:
         assert np.all(np.abs(orders - 1.0) < 0.25)
 
     def test_semi_implicit_stable_beyond_explicit_guard(self):
-        # stiff interface coefficients: explicit guard is tiny, the
-        # semi-implicit step runs far beyond it without blowing up
+        # stiff interface coefficients: the semi-implicit guard admits, and
+        # the step runs without blowing up, a dt that the RK4 guard refuses
         q = fe.Quadratic(np.array([[1.0, 0.0], [0.0, 2.0]]),
                          variables=("rho1", "rho"))
         kap = fe.GradientCoefficients(np.diag([0.05, 0.05]))
         m = models.CompressibleLocal(q, kap, M11=0.5, inv_Re_s=0.5,
                                      inv_Re_v=0.2)
         grid = PeriodicGrid1D(L, 64)
-        guard = sim.stable_dt_estimate(m, ST, grid)
+        dt = 2e-4
+        assert sim.stable_dt_estimate(m, ST, grid) < dt \
+            <= sim.stable_dt_estimate(m, ST, grid, "semi_implicit")
         cfg = sim.SimulationConfig(model=m, state=ST, length=L, n=64,
-                                   dt=min(20 * guard, 2e-4), t_end=0.05,
+                                   dt=dt, t_end=0.05,
                                    diagnostics_every=50,
                                    perturbations=(sim.Perturbation("rho1", 2,
                                                                    1e-4),),
-                                   integrator="semi_implicit",
-                                   enforce_dt_guard=False)
+                                   integrator="semi_implicit")
         tr = sim.run(cfg)
         assert np.all(np.isfinite(tr.energy))
 
@@ -436,6 +437,13 @@ def smoke_cases():
     }
 
 
+# dt of the smoke runs, 1/34 to 1/11 of each class's RK4 step limit and at
+# most 1/21 of its semi-implicit one (n = 32), fixed so that the runs' work
+# does not move with the step guard
+SMOKE_DT = {"global": 5.044227789256199e-05, "local": 0.0024414062500000004,
+            "quasi": 0.0009114583333333335, "incompressible": 0.0009765625}
+
+
 class TestEveryClassSmoke:
     """Eigenvector seeding, dt guard, stiff symbols and the domain check
     of every class under both integrators."""
@@ -448,7 +456,7 @@ class TestEveryClassSmoke:
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3,
                                                  track_name="alpha1")
-        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        dt = SMOKE_DT[name]
         cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
                                    t_end=20 * dt, diagnostics_every=1,
                                    perturbations=perts, integrator=integrator)
@@ -473,6 +481,125 @@ class TestEveryClassSmoke:
         assert symbol == pytest.approx(-disp.viscous_root(lin, k), rel=1e-15, abs=0)
 
 
+class TestStepGuard:
+    """The one dt rule of both integrators (``StepRule``): sharp on the grid
+    mode it names, and the estimate is where ``run`` starts refusing."""
+
+    @pytest.mark.parametrize("config, length, integrator", [
+        ("band_density.ini", L, "rk4"),
+        ("simulate_quasi.ini", 20 * np.pi, "semi_implicit")])
+    def test_binding_mode_outgrows_its_root_just_above_the_limit(
+            self, config, length, integrator):
+        # guard off: the seeded binding mode, the capillary wave at k = 127
+        # and the coupled root at the lowest mode, grows faster than the
+        # fastest root there at 1.1 times the limit, and not at 0.9 times it
+        m, st = build_all(load_config(config_path(config)))
+        grid = PeriodicGrid1D(length, 256)
+        rule = sim.StepRule(m.linearization(st), grid, integrator)
+        limit, mode, _ = rule.limit()
+        growth = max(rule.roots[mode - 1].real.max(), 0.0)
+        ratios = []
+        for factor in (0.9, 1.1):
+            dt = factor * limit
+            cfg = sim.SimulationConfig(
+                model=m, state=st, length=length, n=256, dt=dt, t_end=20 * dt,
+                diagnostics_every=20, integrator=integrator,
+                perturbations=(sim.Perturbation("vx", mode, 1e-8),),
+                track=(("vx", mode),), enforce_dt_guard=False)
+            amp = np.abs(sim.run(cfg).amplitudes[("vx", mode)])
+            ratios.append(amp[-1] / amp[0] / np.exp(20 * dt * growth))
+        assert ratios[0] <= 1.0 < 10.0 < ratios[1]
+
+    def test_nyquist_mode_has_no_first_derivative(self):
+        # the right-hand side drops the pencil's i k couplings at the Nyquist
+        # mode, where the local class's vx decays at the bare viscous rate
+        # -1/Re k^2 / rho0, faster than any root of the whole pencil there:
+        # that rate sets the limit, and RK4 at 0.9 times it is stable
+        m, st = smoke_cases()["local"]
+        grid = PeriodicGrid1D(L, 32)
+        lin = m.linearization(st)
+        limit, mode, alpha = sim.StepRule(lin, grid, "rk4").limit()
+        assert mode == 16
+        assert alpha == pytest.approx(-lin.inv_Re * 16**2 / lin.rho0, rel=1e-14)
+        assert np.abs(np.linalg.eigvals(lin.standard_form(
+            lin.pencil_matrices([16.0])))).max() < 0.75 * abs(alpha)
+        dt = 0.9 * limit
+        cfg = sim.SimulationConfig(
+            model=m, state=st, length=L, n=32, dt=dt, t_end=40 * dt,
+            diagnostics_every=40, perturbations=(sim.Perturbation("vx", 16, 1e-8),),
+            track=(("vx", 16),), enforce_dt_guard=False)
+        amp = np.abs(sim.run(cfg).amplitudes[("vx", 16)])
+        assert amp[-1] < amp[0]
+
+    @pytest.mark.parametrize("integrator", ["rk4", "semi_implicit"])
+    def test_excess_is_the_closed_form_on_the_incompressible_class(self, integrator):
+        # J is diagonal there with the closed-form roots, so each mode's
+        # amplification is max |R(dt alpha)| or max |1 + dt alpha / (1 + dt L)|
+        m, st = smoke_cases()["incompressible"]
+        grid = PeriodicGrid1D(L, 32)
+        lin = m.linearization(st)
+        k = grid.wavenumbers[1:]
+        alphas = np.stack(disp.incompressible_roots(lin, k), axis=1)
+        symbols = lin.stiff_symbols(k**2)
+        stiff = np.stack([symbols["vy"], symbols["phi"]], axis=1)
+        rule = sim.StepRule(lin, grid, integrator)
+        for dt in (1e-3, 1e-2, 0.05):
+            z = dt * alphas
+            amp = (1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24 if integrator == "rk4"
+                   else 1 + z / (1 + dt * stiff))
+            want = (np.log(np.abs(amp).max(axis=1))
+                    - dt * np.maximum(alphas.max(axis=1), 0.0))
+            assert rule.excess(dt) == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+    def test_semi_implicit_admits_only_rounding_growth_of_undamped_waves(self):
+        # no viscosity and no mobility: the semi-implicit step is forward
+        # Euler on the sound waves, |1 + i omega dt| > 1 at every dt, so the
+        # guard admits only dt whose excess growth per step is at rounding
+        # level, while RK4 steps them stably up to 2 sqrt(2) / omega
+        q = fe.Quadratic(np.array([[1.0, 0.0], [0.0, 2.0]]), variables=("rho1", "rho"))
+        m = models.CompressibleLocal(q, fe.GradientCoefficients(np.zeros((2, 2))),
+                                     M11=0.0, inv_Re_s=0.0, inv_Re_v=0.0)
+        grid = PeriodicGrid1D(L, 32)
+        omega = np.abs(sim.StepRule(m.linearization(ST), grid, "rk4").roots).max()
+        semi = sim.stable_dt_estimate(m, ST, grid, "semi_implicit") / sim.DT_SAFETY
+        rk4 = sim.stable_dt_estimate(m, ST, grid) / sim.DT_SAFETY
+        assert np.log1p((omega * semi) ** 2) / 2 <= 2e-8
+        assert rk4 * omega == pytest.approx(2 * np.sqrt(2), rel=2e-3)
+
+    @pytest.mark.parametrize("config", ["simulate_relaxation.ini", "simulate_quasi.ini"])
+    def test_run_refuses_exactly_above_the_estimate(self, config):
+        # run admits 0.99 and refuses 1.01 times the estimate, which is
+        # DT_SAFETY = 1/2 of the limit, with the bundled config's grid
+        cfg = load_config(config_path(config))
+        m, st = build_all(cfg)
+        sec = cfg.sections["simulate"]
+        grid = PeriodicGrid1D(sec["length"], sec["n"])
+        est = sim.stable_dt_estimate(m, st, grid, sec["integrator"])
+        limit, _, _ = sim.StepRule(m.linearization(st), grid, sec["integrator"]).limit()
+        assert est == 0.5 * limit and sec["dt"] < est
+
+        def one_step(dt):
+            return sim.run(sim.SimulationConfig(
+                model=m, state=st, length=sec["length"], n=sec["n"], dt=dt,
+                t_end=dt, integrator=sec["integrator"]))
+
+        assert one_step(0.99 * est).times.size == 2
+        with pytest.raises(RangeError, match=r"stability guard .* grid mode \d+ "):
+            one_step(1.01 * est)
+
+    def test_unknown_integrator_raises(self):
+        m, st = smoke_cases()["local"]
+        with pytest.raises(RangeError, match="unknown integrator"):
+            sim.stable_dt_estimate(m, st, PeriodicGrid1D(L, 32), "euler")
+
+    def test_record_times_are_record_steps_times_dt(self):
+        m, st = smoke_cases()["local"]
+        dt = 1e-3
+        tr = sim.run(sim.SimulationConfig(model=m, state=st, length=L, n=32,
+                                          dt=dt, t_end=10 * dt, diagnostics_every=3))
+        assert np.array_equal(tr.times, np.array([0, 3, 6, 9, 10]) * dt)
+
+
 class TestRecordFromSpectra:
     """The records a run takes from the spectra of its own passes, against
     the physical-space route at the same states (every step is recorded
@@ -491,7 +618,7 @@ class TestRecordFromSpectra:
                                                  track_name="alpha1")
         observables = m.field_names + (("vx", "vy") if "mx" in m.field_names else ())
         track = tuple((f, 2) for f in observables) + ((m.field_names[0], 0),)
-        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        dt = SMOKE_DT[name]
         cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
                                    t_end=10 * dt, diagnostics_every=1,
                                    snapshot_every=1, perturbations=perts,
@@ -584,7 +711,7 @@ class TestFftBudget:
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3,
                                                  track_name="alpha1")
-        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        dt = SMOKE_DT[name]
 
         def calls(steps):
             # diagnostics only at the first and the last step of each run
@@ -610,7 +737,7 @@ class TestFftBudget:
         perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
                                                  amplitude=1e-3,
                                                  track_name="alpha1")
-        dt = 0.5 * sim.stable_dt_estimate(m, st, grid)
+        dt = SMOKE_DT[name]
 
         def calls(every):
             cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
