@@ -123,34 +123,42 @@ class BulkFreeEnergy:
 
     # -- domain ------------------------------------------------------------
     def _domain_checks(self, rho):
-        """The domain as ordered pointwise checks: yields (bad_mask, reason)
-        pairs over the points of ``rho``.  Subclasses extend the sequence."""
-        yield ~np.isfinite(rho).all(axis=-1), "non-finite density"
+        """The domain as ordered checks: yields (bad_mask, reason) pairs, each
+        mask over the points of ``rho`` or over their entries (a last axis of
+        any size).  Subclasses extend the sequence."""
+        yield ~np.isfinite(rho), "non-finite density"
+
+    def _point_checks(self, rho):
+        """:meth:`_domain_checks` with each mask reduced to the points."""
+        for bad, reason in self._domain_checks(rho):
+            yield bad.reshape(rho.shape[:-1] + (-1,)).any(axis=-1), reason
 
     def domain_mask(self, rho: np.ndarray) -> np.ndarray:
         """Boolean mask over the points of ``rho``: True where in the domain."""
         rho = np.asarray(rho, dtype=float)
         ok = np.ones(rho.shape[:-1], dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
-            for bad, _ in self._domain_checks(rho):
+            for bad, _ in self._point_checks(rho):
                 ok &= ~bad
         return ok
 
     def domain_violation(self, rho: np.ndarray):
         """Return (flat_index, message) of the first out-of-domain point, or
         None: the first failing check, at its first bad point."""
-        for bad, reason in self._domain_checks(np.asarray(rho, dtype=float)):
-            if np.any(bad):
+        for bad, reason in self._point_checks(np.asarray(rho, dtype=float)):
+            if bad.any():
                 return int(np.argmax(bad.ravel())), reason
         return None
 
     def check_domain(self, rho: np.ndarray, pointwise: bool = False) -> None:
-        hit = self.domain_violation(rho)
-        if hit is not None:
-            idx, msg = hit
-            raise DomainError(
-                f"{type(self).__name__}: {msg}", index=idx if pointwise else None
-            )
+        """Each check is first tested over the whole array; the points are
+        looked at, for the index and reason, only when one fails."""
+        rho = np.asarray(rho, dtype=float)
+        for bad, _ in self._domain_checks(rho):
+            if bad.any():
+                idx, msg = self.domain_violation(rho)
+                raise DomainError(f"{type(self).__name__}: {msg}",
+                                  index=idx if pointwise else None)
 
     def in_domain(self, rho: np.ndarray) -> bool:
         return self.domain_violation(np.asarray(rho, dtype=float)) is None
@@ -222,7 +230,7 @@ class FloryHuggins(BulkFreeEnergy):
 
     def _domain_checks(self, rho):
         yield from super()._domain_checks(rho)
-        yield (rho <= 0.0).any(axis=-1), "density <= 0"
+        yield rho <= 0.0, "density <= 0"
 
     def _value(self, rho):
         r1, r2 = rho[..., 0], rho[..., 1]
@@ -348,7 +356,7 @@ class PengRobinson(BulkFreeEnergy):
     def _domain_checks(self, rho):
         yield from super()._domain_checks(rho)
         nm = self._moles(rho)
-        yield (nm <= 0.0).any(axis=-1), "molar density <= 0"
+        yield nm <= 0.0, "molar density <= 0"
         yield nm @ self.b >= 1.0, "covolume packing b.n >= 1"
 
     @staticmethod

@@ -196,6 +196,7 @@ class CompressibleModel(BinaryModel):
     energy_fields: tuple
     mobility_E: np.ndarray
     weights: np.ndarray
+    n_components: int                      # N, the number of densities
 
     def _parameterize(self, energy_fields, mobility_E, weights):
         """Store the three values and, in state-row order, what the
@@ -206,14 +207,9 @@ class CompressibleModel(BinaryModel):
         for name, value in (("energy_fields", tuple(energy_fields)),
                             ("mobility_E", M), ("weights", w), ("_rows", rows),
                             ("_order", order), ("_mobility_rows", M[order]),
-                            ("_weights_rows", w[order]),
+                            ("_weights_rows", w[order]), ("n_components", len(rows)),
                             ("_mass_flux", bool(np.any(w @ M != 0.0)))):
             object.__setattr__(self, name, value)
-
-    @property
-    def n_components(self) -> int:
-        """Number of densities N, the size of kappa."""
-        return self.kappa.n
 
     def state_densities(self, state: MixtureState) -> np.ndarray:
         """E at a binary state, in the free energy's variable order: the one
@@ -235,30 +231,40 @@ class CompressibleModel(BinaryModel):
         (vx, vy), the spectra h of E, g(E), v (then of the fluxes u*vx,
         with ``flux``) from one batched ``rfft``, and mu^.  The bulk
         gradient g(E) is pointwise (with the energy's domain check), so it
-        joins the state's rows; mu^ = g^ - kappa (ik)^2 E^."""
+        joins the state's rows; mu^ = g^ - kappa (ik)^2 E^.  The transform's
+        input is one fresh array per call, filled row by row; E and v are
+        its rows."""
         rho = self.total_density(u)
-        E = self.energy_variables(u, axis=0)
-        v = u[-2:] / rho
         N = self.n_components
-        g = self.free_energy.gradient(E.T, pointwise=True).T
-        h = np.fft.rfft(np.concatenate([E, g, v, u * v[0]] if flux else [E, g, v]),
-                        axis=-1)
+        f = 2 * N + 2
+        rows = np.empty((f + len(u) if flux else f, grid.n))
+        # "clip" writes out directly, where the default mode copies through a buffer
+        E = np.take(u, self._rows, axis=0, out=rows[:N], mode="clip")
+        rows[N:2 * N] = self.free_energy.gradient(E.T, pointwise=True).T
+        v = np.divide(u[-2:], rho, out=rows[2 * N:f])
+        if flux:
+            np.multiply(u, v[0], out=rows[f:])
+        h = np.fft.rfft(rows, axis=-1)
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.ik2 * h[:N])
         return E, rho, v, h, muh
 
     def _rhs(self, u, grid):
         """The forward transform, then one ``irfft`` of d2 mu, d mu, the
-        viscous forces and the flux divergences d(u*vx)/dx; the forward
-        pass comes back with the right-hand side."""
+        viscous forces and the flux divergences d(u*vx)/dx, whose input is
+        one fresh array per call written row by row; the last rows of its
+        output, negated in place, start the right-hand side, which comes
+        back with the forward pass."""
         core = E, _, v, h, muh = self._spectral_core(u, grid, flux=True)
         N = self.n_components
-        rows = [grid.ik2 * muh, grid.ik * muh,
-                self._viscous_forces(grid, h[2 * N:2 * N + 2]),
-                grid.ik * h[2 * N + 2:]]
-        d = np.fft.irfft(np.concatenate(rows), n=grid.n, axis=-1)
         f = 2 * N + 2
+        rows = np.empty((f + len(u), h.shape[-1]), dtype=complex)
+        np.multiply(grid.ik2, muh, out=rows[:N])
+        np.multiply(grid.ik, muh, out=rows[N:2 * N])
+        self._viscous_forces(grid, h[2 * N:f], out=rows[2 * N:f])
+        np.multiply(grid.ik, h[f:], out=rows[f:])
+        d = np.fft.irfft(rows, n=grid.n, axis=-1)
         J = self._mobility_rows @ d[:N]
-        out = -d[f:]
+        out = np.negative(d[f:], out=d[f:])
         out[:N] += J
         if self._mass_flux:
             out[N:] += 0.5 * (self._weights_rows @ J) * v + d[2 * N:f]

@@ -558,6 +558,29 @@ class TestSimulateVerdicts:
             rel = float(text.split("REL_ERROR")[1].split()[0])
             assert rel < 0.05
 
+    def test_energy_rise_of_1e6_fails_energy_monotone(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # a short run of the bundled mixture (|E0| ~ 55), then the same run
+        # with its last record's energy 1e-6 |E0| above the one before
+        text = open(config_path("simulate_relaxation.ini")).read()
+        path = write(tmp_path, "short.ini", text.replace("t_end = 4.0", "t_end = 0.05"))
+        real_run = cli.simulator.run
+
+        def rising(run_cfg):
+            trace = real_run(run_cfg)
+            assert abs(trace.energy[0]) > 1.0
+            trace.energy[-1] = trace.energy[-2] + 1e-6 * abs(trace.energy[0])
+            return trace
+
+        verdicts = []
+        for patch in (False, True):
+            if patch:
+                monkeypatch.setattr(cli.simulator, "run", rising)
+            assert cli.main(["simulate", "--config", path,
+                             "--out", str(tmp_path / str(patch))]) == cli.EXIT_OK
+            verdicts.append(capsys.readouterr().out.split("ENERGY_MONOTONE ")[1].split()[0])
+        assert verdicts == ["yes", "no"]
+
     def test_bundled_semi_implicit_run_keeps_the_guard(self, tmp_path):
         path = config_path("simulate_quasi.ini")
         assert load_config(path).sections["simulate"]["enforce_dt_guard"]

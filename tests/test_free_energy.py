@@ -371,6 +371,10 @@ class TestConcavityMap:
         (np.diag([-1.0, -_OUTSIDE]), fe.MAP_NEGATIVE_DEFINITE),
         (np.diag([-1.0, _INSIDE]), fe.MAP_SINGULAR),
         (np.array([[1.0, 2.0], [2.0, 1.0]]), fe.MAP_INDEFINITE),
+        # literal Hessians, not scaled by DEFINITENESS_TOL: with ||C||_F ~ 1
+        # an eigenvalue of 1e-8 counts, one of 1e-12 is zero
+        (np.diag([1.0, 1e-8]), fe.MAP_POSITIVE_DEFINITE),
+        (np.diag([1.0, 1e-12]), fe.MAP_SINGULAR),
     ])
     def test_quadratic_matches_per_cell(self, C, code):
         q = fe.Quadratic(C, variables=("rho1", "rho"))

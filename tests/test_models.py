@@ -443,6 +443,61 @@ class TestCompressibleFusedCore:
         assert np.array_equal(m.rhs_pass(u, grid)[0], rhs)
         assert m.record(u, grid)[2] == pytest.approx(dis_ref, rel=1e-12)
 
+    @pytest.mark.parametrize("name", ["global2", "global3", "local"])
+    def test_pass_is_pure(self, name):
+        # a pass leaves its state as it was, and what it hands back (the
+        # right-hand side and the forward spectra) stays that state's after
+        # passes over other states: no buffer is shared between calls
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        m, u, _, _ = self.case(name, grid)
+        u0 = u.copy()
+        track = ((m.field_names[1], 2), ("vx", 3))
+        out, core = m.rhs_pass(u, grid)
+        assert np.array_equal(u, u0)
+        out0 = out.copy()
+        for s in (1, 2, 3):
+            m.rhs_1d(u0 * (1.0 + 0.02 * s * np.cos(s * grid.x)), grid)
+        assert np.array_equal(u, u0)
+        assert np.array_equal(out, out0)
+        assert m.record(u, grid, core, track) == m.record(u, grid, None, track)
+        assert np.array_equal(out, m.rhs_1d(u0, grid))
+
+
+class TestRhsDomainFailure:
+    """A state outside the energy's domain fails the right-hand side pass
+    itself, at its first bad cell and with the first failing check."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 1])
+    @pytest.mark.parametrize("name", ["global2", "local"])
+    def test_non_finite_density_cell(self, name, row, bad):
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        m, u, _, _ = TestCompressibleFusedCore.case(name, grid)
+        u[row, 17] = bad
+        # an infinite rho1 meets the local class's zero weight in rho = w.E
+        with np.errstate(invalid="ignore"), pytest.raises(
+                DomainError, match=r"non-finite density \(grid index 17\)$") as exc:
+            m.rhs_1d(u, grid)
+        assert exc.value.index == 17
+
+    @pytest.mark.parametrize("cells, want", [
+        ({(1, 40): -1.0}, "molar density <= 0 (grid index 40)"),
+        ({(0, 9): 6000.0}, "covolume packing b.n >= 1 (grid index 9)"),
+        # the earlier check wins over a later one at a smaller index
+        ({(0, 3): 6000.0, (1, 30): 0.0}, "molar density <= 0 (grid index 30)"),
+        ({(0, 3): 6000.0, (1, 30): np.nan}, "non-finite density (grid index 30)"),
+    ])
+    def test_peng_robinson_cell(self, band_composition, cells, want):
+        # rows (rho, rho1) of the calibrated local mixture at rho = 400
+        m, st = band_composition
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        u = m.state_array(m.uniform_fields(st, grid))
+        for cell, value in cells.items():
+            u[cell] = value
+        with pytest.raises(DomainError) as exc:
+            m.rhs_1d(u, grid)
+        assert str(exc.value) == f"TildeFreeEnergy: {want}"
+
 
 class TestQuasiSpectralCore:
     """The Fourier-space pressure and right-hand side against the

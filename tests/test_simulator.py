@@ -480,6 +480,33 @@ class TestEveryClassSmoke:
         symbol = lin.stiff_symbols(k**2)[m.field_names[-1]]
         assert symbol == pytest.approx(-disp.viscous_root(lin, k), rel=1e-15, abs=0)
 
+    @pytest.mark.parametrize("name", ["quasi", "unstable_local", "concave_global"])
+    def test_concave_bulk_term_leaves_only_the_gradient_symbol(self, name):
+        # h'' < 0 (phase field) or C_ii < 0 (density i): the diffusive symbol
+        # keeps no bulk k^2 term, only M_ii kappa_ii k^4
+        k2 = PeriodicGrid1D(L, 32).wavenumbers ** 2
+        k4 = k2 * k2
+        if name == "quasi":
+            m, st = smoke_cases()["quasi"]
+            lin = m.linearization(st)
+            assert lin.h_phi_phi == -1.0
+            want = {"phi": lin.Mh * (lin.kappa_phi_phi * k4)}
+        elif name == "unstable_local":
+            m = unstable_local()      # C = diag(-0.5, 2) in (rho1, rho)
+            lin = m.linearization(ST)
+            want = {"rho1": m.M11 * (m.kappa.kappa[0, 0] * k4)}
+        else:
+            M = np.array([[0.2, 0.05], [0.05, 0.3]])
+            m = models.CompressibleGlobal(
+                fe.Quadratic(np.array([[-0.5, 0.1], [0.1, -0.3]])),
+                fe.GradientCoefficients(np.diag([1e-2, 3e-2])), M,
+                inv_Re_s=0.5, inv_Re_v=0.2)
+            lin = m.linearization(models.MixtureState.binary(1.0, 2.0))
+            want = {"rho1": 0.2 * (1e-2 * k4), "rho2": 0.3 * (3e-2 * k4)}
+        symbols = lin.stiff_symbols(k2)
+        for field, symbol in want.items():
+            np.testing.assert_array_equal(symbols[field], symbol)
+
 
 class TestStepGuard:
     """The one dt rule of both integrators (``StepRule``): sharp on the grid
