@@ -61,7 +61,7 @@ def build_mixture(x):
 def tilde_entries(pr, rho, rho1):
     t = fe.TildeFreeEnergy(pr)
     pt = np.array([rho1, rho])
-    if not t.in_domain(pt):
+    if not t.domain_mask(pt):
         return None
     H = t.hessian(pt)
     return {"h11": H[0, 0], "hrr": H[1, 1], "hr1": H[0, 1]}
@@ -225,11 +225,11 @@ def verify(s1, s2, T, k12):
     ok &= eB_small < 0.05 and eB_large < 0.05
 
     resC = disp.sweep(mC.linearization(stC), ks)
-    definiteness = fe.classify_matrix(mC.free_energy.hessian(mC.state_densities(stC)))
-    print(f"C: max Re {resC.roots.real.max():.2e}, "
-          f"definiteness {definiteness.value}")
+    code = fe.classify_matrices(mC.free_energy.hessian(mC.state_densities(stC)))
+    print(f"C: max Re {resC.roots.real.max():.2e}, definiteness code {code} "
+          f"({fe.MAP_POSITIVE_DEFINITE} is positive definite)")
     ok &= resC.roots.real.max() <= 0
-    ok &= definiteness is fe.Definiteness.POSITIVE_DEFINITE
+    ok &= code == fe.MAP_POSITIVE_DEFINITE
     return ok
 
 

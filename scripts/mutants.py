@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Run the test suite against one-line mutants of the package.
+
+Each mutant replaces one fragment of one line of a package file, a fragment
+that must occur exactly once there.  Per mutant the tree (``src``,
+``tests``, ``scripts``, ``perfbench``, whose files the tests read, and
+``pyproject.toml``) is copied to a temporary directory, the fragment is
+replaced, and ``pytest -x -q`` runs in the copy.  The unmutated copy runs
+first and must pass.  One line is printed per mutant: ``killed`` with the
+first failing test, or ``survived``.  A mutant that the tests cannot tell apart from the package
+would be listed with the reason it is equivalent; none is at present.
+
+    python3 scripts/mutants.py                      # every mutant, all tests
+    python3 scripts/mutants.py -m TIE_TOL           # mutants matching a text
+    python3 scripts/mutants.py tests/test_cli.py    # a subset of the tests
+
+This is not part of the test suite: every mutant but a survivor stops at
+its first failure, and a survivor costs one whole run of the tests.
+"""
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (file under src/pfmix, old text, new text, what the mutant breaks)
+MUTANTS = [
+    ("simulator.py", "DT_SAFETY = 0.5", "DT_SAFETY = 0.6", "dt guard: safety factor up"),
+    ("simulator.py", "DT_SAFETY = 0.5", "DT_SAFETY = 0.4", "dt guard: safety factor down"),
+    ("simulator.py", "(1.0 + z / 4)", "(1.0 + z / 5)", "dt guard: RK4 stability polynomial"),
+    ("simulator.py", "np.log(amp.max(axis=1)) - dt * self.growth",
+     "np.log(amp.max(axis=1))", "dt guard: exact growth not subtracted"),
+    ("simulator.py", "np.log(amp.max(axis=1)) - dt",
+     "0.9 * np.log(amp.max(axis=1)) - dt", "dt guard: log amplification x 0.9"),
+    ("simulator.py", "AMPLIFICATION_TOL = float(np.sqrt(np.finfo(float).eps))",
+     "AMPLIFICATION_TOL = 1e-2", "dt guard: amplification tolerance"),
+    ("simulator.py", "A[-1] = A[-1].real", "A[-1] = A[-1]",
+     "dt guard: Nyquist couplings kept"),
+    ("simulator.py", "(dt / (1.0 + dt * self.stiff))", "(dt / (1.0 + 1.1 * dt * self.stiff))",
+     "dt guard: semi-implicit gain"),
+    ("simulator.py", "while hi > lo * 1.001:", "while hi > lo * 1.03:",
+     "dt guard: bisection tolerance"),
+    ("simulator.py", "due = step * config.dt", "due = (step + 1) * config.dt",
+     "record times shifted by one step"),
+    ("simulator.py", "FIT_SKIP_FRACTION = 0.1", "FIT_SKIP_FRACTION = 0.3",
+     "growth fit: window start"),
+    ("simulator.py", "if not 0 <= m <= self.n // 2:", "if not m <= self.n // 2:",
+     "negative modes admitted"),
+    ("cli.py", "tol = 1e-8 * max(1.0, abs(trace.energy[0]))",
+     "tol = 1e-2 * max(1.0, abs(trace.energy[0]))", "ENERGY_MONOTONE tolerance"),
+    ("cli.py", "return worst < 1e-5,", "return worst < 1e-1,", "verify: gradient bound"),
+    ("free_energy.py", "DEFINITENESS_TOL = 1e-10", "DEFINITENESS_TOL = 1e-6",
+     "definiteness: zero-eigenvalue tolerance"),
+    ("free_energy.py", "idx = None if rho.ndim < 2 else", "idx = None if rho.ndim < 1 else",
+     "domain: a lone point carries an index"),
+    ("linearization.py", "max(self.h_phi_phi, 0.0)", "abs(self.h_phi_phi)",
+     "stiff symbol: concave phase-field term"),
+    ("linearization.py", "max(C[0, 0], 0.0)", "abs(C[0, 0])",
+     "stiff symbol: concave first density term"),
+    ("linearization.py", "max(C[1, 1], 0.0)", "abs(C[1, 1])",
+     "stiff symbol: concave second density term"),
+    ("linearization.py", "(-lam * PK, -lam * PC)", "(-lam * PK, -1.01 * lam * PC)",
+     "rank-one large k: alpha1's k^2 coefficient x 1.01"),
+    ("dispersion.py", "EIG_RESIDUAL_TOL = 1e-8", "EIG_RESIDUAL_TOL = 1e-4",
+     "eigensolve residual tolerance"),
+    ("dispersion.py", "OVERLAP_TIE_TOL = 1e-6", "OVERLAP_TIE_TOL = 1e-2",
+     "mode tracking: overlap tie tolerance"),
+]
+
+# a failing test as pytest -q lists it in its short summary
+FAILED = re.compile(r"^(?:FAILED|ERROR) (\S+)", re.MULTILINE)
+
+
+def run_mutant(name, old, new, pytest_args):
+    """'killed by <first failing test>' or 'survived' for one mutant; with
+    ``name`` None, the unmutated tree."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", "*.pyc", ".pytest_cache")
+        for part in ("src", "tests", "scripts", "perfbench"):
+            shutil.copytree(ROOT / part, tree / part, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", tree)
+        if name is not None:
+            path = tree / "src" / "pfmix" / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                raise SystemExit(f"{name}: {old!r} occurs {text.count(old)} times, not once")
+            path.write_text(text.replace(old, new), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *pytest_args], cwd=tree, env=env, capture_output=True, text=True)
+    if out.returncode == 0:
+        return "survived"
+    failed = FAILED.search(out.stdout)
+    return f"killed by {failed.group(1) if failed else f'pytest exit {out.returncode}'}"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("-m", "--match", default="",
+                    help="only the mutants whose file, texts or reason contain this")
+    ap.add_argument("pytest_args", nargs="*", help="passed on to pytest")
+    args = ap.parse_args()
+    verdict = run_mutant(None, None, None, args.pytest_args)
+    if verdict != "survived":
+        raise SystemExit(f"the unmutated tree fails: {verdict}")
+    survivors = 0
+    for mutant in MUTANTS:
+        if args.match and not any(args.match in field for field in mutant):
+            continue
+        name, old, new, reason = mutant
+        verdict = run_mutant(name, old, new, args.pytest_args)
+        survivors += verdict == "survived"
+        print(f"{name}: {old} -> {new} ({reason}): {verdict}", flush=True)
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

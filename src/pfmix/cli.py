@@ -143,6 +143,8 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
     if not cfg.has_section("map"):
         raise ConfigError(f"{cfg.source}: concavity-map needs a [map] section")
     sec = cfg.sections["map"]
+    if sec["n_rho1"] < 1 or sec["n_rho"] < 1:
+        raise ConfigError("concavity-map needs n_rho1 >= 1 and n_rho >= 1")
     model, _ = build_all(cfg)
     if model.free_energy.variables != ("rho1", "rho"):
         raise ConfigError("concavity-map requires the compressible_local class "

@@ -7,8 +7,8 @@ class PfmixError(Exception):
 
 class DomainError(PfmixError):
     """A free-energy evaluation left its physical domain (e.g. a log argument
-    went nonpositive).  Carries the offending grid index when the evaluation
-    was pointwise on a field."""
+    went nonpositive).  Given more than one point, it carries the flat index
+    of the first failing check's first bad point; a lone point has none."""
 
     def __init__(self, message, index=None):
         super().__init__(message if index is None else f"{message} (grid index {index})")

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from enum import Enum
 from importlib import resources
 
 import numpy as np
@@ -36,27 +35,17 @@ SQRT2 = np.sqrt(2.0)
 # An eigenvalue counts as zero if |lam| <= DEFINITENESS_TOL * ||C||_F.
 DEFINITENESS_TOL = 1e-10
 
-
-class Definiteness(Enum):
-    POSITIVE_DEFINITE = "positive_definite"
-    NEGATIVE_DEFINITE = "negative_definite"
-    INDEFINITE = "indefinite"
-    SINGULAR = "singular"
-
-
-# Definiteness codes of classify_matrices, the concavity map and its CLI output.
+# The definiteness codes of classify_matrices, classify_stability, the
+# concavity map and its CLI output.
 MAP_EXCLUDED = 0
 MAP_POSITIVE_DEFINITE = 1
 MAP_INDEFINITE = 2
 MAP_NEGATIVE_DEFINITE = 3
 MAP_SINGULAR = 4
 
-_BY_CODE = (None, Definiteness.POSITIVE_DEFINITE, Definiteness.INDEFINITE,
-            Definiteness.NEGATIVE_DEFINITE, Definiteness.SINGULAR)
-
 
 def classify_matrices(H) -> np.ndarray:
-    """Definiteness code of every matrix C of a (..., n, n) stack, shape (...);
+    """The code (above) of every matrix C of a (..., n, n) stack, shape (...);
     an eigenvalue with |lam| <= DEFINITENESS_TOL * ||C||_F makes C singular."""
     H = np.asarray(H, dtype=float)
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
@@ -65,10 +54,6 @@ def classify_matrices(H) -> np.ndarray:
                      np.where((eigs < 0).all(axis=-1), MAP_NEGATIVE_DEFINITE,
                               MAP_INDEFINITE))
     return np.where((np.abs(eigs) <= tol[..., None]).any(axis=-1), MAP_SINGULAR, codes)
-
-
-def classify_matrix(C: np.ndarray) -> Definiteness:
-    return _BY_CODE[int(classify_matrices(C))]
 
 
 # ---------------------------------------------------------------------------
@@ -128,55 +113,40 @@ class BulkFreeEnergy:
         any size).  Subclasses extend the sequence."""
         yield ~np.isfinite(rho), "non-finite density"
 
-    def _point_checks(self, rho):
-        """:meth:`_domain_checks` with each mask reduced to the points."""
-        for bad, reason in self._domain_checks(rho):
-            yield bad.reshape(rho.shape[:-1] + (-1,)).any(axis=-1), reason
-
     def domain_mask(self, rho: np.ndarray) -> np.ndarray:
         """Boolean mask over the points of ``rho``: True where in the domain."""
         rho = np.asarray(rho, dtype=float)
         ok = np.ones(rho.shape[:-1], dtype=bool)
         with np.errstate(invalid="ignore", over="ignore"):
-            for bad, _ in self._point_checks(rho):
-                ok &= ~bad
+            for bad, _ in self._domain_checks(rho):
+                ok &= ~bad.reshape(ok.shape + (-1,)).any(axis=-1)
         return ok
 
-    def domain_violation(self, rho: np.ndarray):
-        """Return (flat_index, message) of the first out-of-domain point, or
-        None: the first failing check, at its first bad point."""
-        for bad, reason in self._point_checks(np.asarray(rho, dtype=float)):
-            if bad.any():
-                return int(np.argmax(bad.ravel())), reason
-        return None
-
-    def check_domain(self, rho: np.ndarray, pointwise: bool = False) -> None:
-        """Each check is first tested over the whole array; the points are
-        looked at, for the index and reason, only when one fails."""
+    def check_domain(self, rho: np.ndarray) -> None:
+        """Raise at the first failing check.  Each check is tested over the
+        whole array; only when one fails, and ``rho`` holds more than one
+        point, is its first bad point's flat index looked up."""
         rho = np.asarray(rho, dtype=float)
-        for bad, _ in self._domain_checks(rho):
+        for bad, reason in self._domain_checks(rho):
             if bad.any():
-                idx, msg = self.domain_violation(rho)
-                raise DomainError(f"{type(self).__name__}: {msg}",
-                                  index=idx if pointwise else None)
-
-    def in_domain(self, rho: np.ndarray) -> bool:
-        return self.domain_violation(np.asarray(rho, dtype=float)) is None
+                idx = None if rho.ndim < 2 else int(np.argmax(
+                    bad.reshape(rho.shape[:-1] + (-1,)).any(axis=-1).ravel()))
+                raise DomainError(f"{type(self).__name__}: {reason}", index=idx)
 
     # -- evaluation ----------------------------------------------------------
-    def value(self, rho, pointwise: bool = False):
+    def value(self, rho):
         rho = np.asarray(rho, dtype=float)
-        self.check_domain(rho, pointwise=pointwise)
+        self.check_domain(rho)
         return self._value(rho)
 
-    def gradient(self, rho, pointwise: bool = False):
+    def gradient(self, rho):
         rho = np.asarray(rho, dtype=float)
-        self.check_domain(rho, pointwise=pointwise)
+        self.check_domain(rho)
         return self._gradient(rho)
 
-    def hessian(self, rho, pointwise: bool = False):
+    def hessian(self, rho):
         rho = np.asarray(rho, dtype=float)
-        self.check_domain(rho, pointwise=pointwise)
+        self.check_domain(rho)
         return self._hessian(rho)
 
 

@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import RangeError
+
 
 @dataclass(frozen=True)
 class PeriodicGrid1D:
@@ -28,9 +30,9 @@ class PeriodicGrid1D:
 
     def __post_init__(self):
         if self.length <= 0:
-            raise ValueError("grid length must be positive")
+            raise RangeError("grid length must be positive")
         if self.n < 4:
-            raise ValueError("need at least 4 cells")
+            raise RangeError("need at least 4 cells")
         object.__setattr__(self, "x", np.arange(self.n) * self.dx)
         k = 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
         object.__setattr__(self, "wavenumbers", k)

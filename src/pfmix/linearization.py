@@ -41,7 +41,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateCase, PfmixError, RangeError, SingularExpansion
-from .free_energy import Definiteness, classify_matrix
+from .free_energy import (MAP_NEGATIVE_DEFINITE, MAP_POSITIVE_DEFINITE, MAP_SINGULAR,
+                          classify_matrices)
 
 DEGENERATE_TOL = 1e-12
 
@@ -195,21 +196,21 @@ def classify_stability(C, p, M) -> StabilityReport:
     if np.min(eigs) < -1e-12 * scale or np.max(eigs) <= 1e-12 * scale:
         raise RangeError("mobility must be PSD with a positive eigenvalue")
     g1 = adjugate_form(M, p)
-    definiteness = classify_matrix(C)
+    code = classify_matrices(C)
     scaleC = max(np.linalg.norm(C), 1e-300)
     pCp = float(p @ C @ p)
     det = float(np.linalg.det(C))
-    if definiteness is Definiteness.SINGULAR:
+    if code == MAP_SINGULAR:
         raise DegenerateCase("Hessian is singular within tolerance")
     if abs(pCp) <= DEGENERATE_TOL * scaleC * float(p @ p):
         raise DegenerateCase("p.C.p sits on the decision boundary")
     if abs(det) <= DEGENERATE_TOL * scaleC**2:
         raise DegenerateCase("det C sits on the decision boundary")
     neg, pos = SignVerdict.NEGATIVE, SignVerdict.POSITIVE
-    if definiteness is Definiteness.POSITIVE_DEFINITE:
+    if code == MAP_POSITIVE_DEFINITE:
         category = "C > 0"
         verdicts = {"alpha0": neg, "alpha1": neg, "alpha2": neg, "alpha3": neg}
-    elif definiteness is Definiteness.NEGATIVE_DEFINITE:
+    elif code == MAP_NEGATIVE_DEFINITE:
         category = "C < 0"
         verdicts = {"alpha0": neg, "alpha1": pos, "alpha2": pos, "alpha3": neg}
     else:

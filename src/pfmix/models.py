@@ -230,17 +230,19 @@ class CompressibleModel(BinaryModel):
         """(E, rho, v, h, mu^): E, the total density, the velocities v =
         (vx, vy), the spectra h of E, g(E), v (then of the fluxes u*vx,
         with ``flux``) from one batched ``rfft``, and mu^.  The bulk
-        gradient g(E) is pointwise (with the energy's domain check), so it
-        joins the state's rows; mu^ = g^ - kappa (ik)^2 E^.  The transform's
-        input is one fresh array per call, filled row by row; E and v are
-        its rows."""
-        rho = self.total_density(u)
+        gradient g(E) is evaluated per point (with the energy's domain
+        check), so it joins the state's rows; mu^ = g^ - kappa (ik)^2 E^.
+        The transform's input is one fresh array per call, filled row by
+        row; E and v are its rows."""
         N = self.n_components
         f = 2 * N + 2
         rows = np.empty((f + len(u) if flux else f, grid.n))
         # "clip" writes out directly, where the default mode copies through a buffer
         E = np.take(u, self._rows, axis=0, out=rows[:N], mode="clip")
-        rows[N:2 * N] = self.free_energy.gradient(E.T, pointwise=True).T
+        # the domain check comes before rho = w.E, where a zero weight would
+        # meet a non-finite density
+        rows[N:2 * N] = self.free_energy.gradient(E.T).T
+        rho = self.total_density(u)
         v = np.divide(u[-2:], rho, out=rows[2 * N:f])
         if flux:
             np.multiply(u, v[0], out=rows[f:])
@@ -277,10 +279,10 @@ class CompressibleModel(BinaryModel):
         """Mass, total energy, dissipation rate and the amplitudes of the
         tracked (field, mode) pairs of the state array u, from the forward
         spectra ``core`` of a pass over u (:meth:`rhs_pass`) or of its own
-        pass.  Only the kinetic and bulk energies are pointwise; the rest
-        are sums over modes.
-        The bulk energy is evaluated unchecked: that pass's pointwise
-        gradient has already checked the same state's domain."""
+        pass.  Only the kinetic and bulk energies are evaluated per point;
+        the rest are sums over modes.
+        The bulk energy is evaluated unchecked: that pass's bulk gradient
+        has already checked the same state's domain."""
         E, rho, _, h, muh = self._spectral_core(u, grid) if core is None else core
         N = self.n_components
         vh = h[2 * N:2 * N + 2]
@@ -474,8 +476,8 @@ class QuasiIncompressible(BinaryModel):
     def _spectral_core(self, u, grid, flux=False) -> _QuasiSpectra:
         """The forward transform that every evaluation of the class shares.
 
-        The bulk gradient g(phi) is pointwise (with the energy's domain
-        check), so it joins the state and, with ``flux``, phi*vx in one
+        The bulk gradient g(phi) is evaluated per point (with the energy's
+        domain check), so it joins the state and, with ``flux``, phi*vx in one
         batched ``rfft``; then mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^.
 
         The constraint d vx/dx = (1-r) Mh d2 G/dx2 with G = mu_phi +
@@ -486,7 +488,7 @@ class QuasiIncompressible(BinaryModel):
         phi, vx, _ = u
         rows = np.empty((5 if flux else 4, grid.n))
         rows[:3] = u
-        rows[3] = self.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        rows[3] = self.free_energy.gradient(phi[..., None])[..., 0]
         if flux:
             np.multiply(phi, vx, out=rows[4])
         h = np.fft.rfft(rows, axis=-1)

@@ -72,6 +72,9 @@ class SimulationConfig:
             raise RangeError(f"unknown integrator {self.integrator!r}")
         if self.diagnostics_every < 1:
             raise RangeError("diagnostics cadence must be >= 1")
+        for m in [p.mode for p in self.perturbations] + [m for _, m in self.track]:
+            if not 0 <= m <= self.n // 2:
+                raise RangeError(f"mode {m} lies outside the grid's 0..{self.n // 2}")
 
 
 @dataclass
@@ -194,15 +197,15 @@ def initial_state(config: SimulationConfig, grid: PeriodicGrid1D) -> np.ndarray:
         rho = model.total_density(u)
         u[-2] += rho * bumps.get("vx", 0.0)
         u[-1] += rho * bumps.get("vy", 0.0)
-    _check_in_domain(model, u, step=None)
+    _check_state(model, u, step=None)
     return u
 
 
-def _check_in_domain(model, u, step):
+def _check_state(model, u, step):
     if not np.isfinite(u).all():
         raise BlowupError("non-finite field value", step=step)
     try:
-        model.free_energy.check_domain(model.energy_variables(u), pointwise=True)
+        model.free_energy.check_domain(model.energy_variables(u))
     except DomainError as exc:
         raise BlowupError(f"field left the free-energy domain: {exc}",
                           step=step) from exc
@@ -294,7 +297,7 @@ def run(config: SimulationConfig) -> SimulationTrace:
                 raise err from exc
             if step % config.diagnostics_every == 0 or step == n_steps:
                 try:
-                    _check_in_domain(model, u, step)
+                    _check_state(model, u, step)
                 except BlowupError as err:
                     err.fields = model.field_dict(u)
                     raise

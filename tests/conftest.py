@@ -70,11 +70,11 @@ def chemical_potentials(m, u, grid):
     mu_phi = g(phi) - kappa_phi_phi d2phi/dx2 for the phase field."""
     if isinstance(m, models.QuasiIncompressible):
         phi = u[0]
-        g = m.free_energy.gradient(phi[..., None], pointwise=True)[..., 0]
+        g = m.free_energy.gradient(phi[..., None])[..., 0]
         return g - m.kappa_phi_phi * dx2(grid, phi)
     E = m.energy_variables(u, axis=0)
     lap = derivatives(grid, E, (2,) * len(E))
-    return m.free_energy.gradient(E.T, pointwise=True).T - m.kappa.kappa @ lap
+    return m.free_energy.gradient(E.T).T - m.kappa.kappa @ lap
 
 
 def physical_record(m, u, grid):
@@ -89,7 +89,7 @@ def physical_record(m, u, grid):
         phi, vx, vy = u
         rho = m.density(phi)
         kin = 0.5 * rho * (vx ** 2 + vy ** 2)
-        bulk = m.free_energy.value(phi[..., None], pointwise=True)
+        bulk = m.free_energy.value(phi[..., None])
         grad = 0.5 * m.kappa_phi_phi * dx1(grid, phi) ** 2
         if equal_specific_densities(m.rho_hat_1, m.rho_hat_2):
             dG = dx1(grid, chemical_potentials(m, u, grid))
@@ -102,7 +102,7 @@ def physical_record(m, u, grid):
         vx, vy = u[-2] / rho, u[-1] / rho
         E = m.energy_variables(u, axis=0)
         kin = 0.5 * (u[-2] ** 2 + u[-1] ** 2) / rho
-        bulk = m.free_energy.value(E.T, pointwise=True)
+        bulk = m.free_energy.value(E.T)
         dE = derivatives(grid, E, (1,) * len(E))
         grad = 0.5 * np.einsum("ij,ix,jx->x", m.kappa.kappa, dE, dE)
         dmu = derivatives(grid, chemical_potentials(m, u, grid), (1,) * len(E))

@@ -198,6 +198,29 @@ perturb_amplitude = 1e-6
         assert code == cli.EXIT_CONFIG
         assert f"[simulate] {key}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("line, bad, want", [
+        ("n = 64", "n = 2", "need at least 4 cells"),
+        ("length = 6.283185307179586", "length = -1", "grid length must be positive"),
+        ("track = rho1:6", "track = rho1:40", "mode 40 lies outside the grid's 0..32"),
+        ("track = rho1:6", "track = rho1:-3", "mode -3 lies outside the grid's 0..32"),
+        ("perturb_mode = 6", "perturb_mode = 5000",
+         "mode 5000 lies outside the grid's 0..32"),
+    ], ids=["two_cells", "negative_length", "track_above_nyquist", "negative_track",
+            "perturb_above_nyquist"])
+    def test_bad_grid_or_mode_exit_2(self, tmp_path, capsys, monkeypatch, line, bad,
+                                     want):
+        # refused before any step, with the exit code of a configuration
+        # error (exit 1 would claim a failed verify); n = 64 holds modes 0..32
+        text = open(config_path("simulate_relaxation.ini")).read()
+        assert line in text and "n = 64" in text
+        monkeypatch.setattr(cli.simulator, "run",
+                            lambda cfg: pytest.fail("the run started"))
+        path = write(tmp_path, "bad.ini", text.replace(line, bad))
+        code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert want in err and "Traceback" not in err
+
     @pytest.mark.parametrize("case", ["compressible_local", "quasi_velocity"])
     def test_blowup_exit_4(self, tmp_path, case):
         # a density leaving the domain, and a velocity that overflows
@@ -527,6 +550,21 @@ class TestMapOutput:
         assert code == cli.EXIT_CONFIG
         assert ("concavity-map requires the compressible_local class (energy "
                 "in (rho1, rho) variables)") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, bad", [
+        ("n_rho1 = 120", "n_rho1 = -1"),
+        ("n_rho = 120", "n_rho = 0"),
+    ], ids=["negative_n_rho1", "zero_n_rho"])
+    def test_map_refuses_an_empty_axis(self, tmp_path, capsys, line, bad):
+        text = open(config_path("concavity_co2_decane.ini")).read()
+        assert line in text
+        path = write(tmp_path, "map.ini", text.replace(line, bad))
+        code = cli.main(["concavity-map", "--config", path,
+                         "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG
+        assert "concavity-map needs n_rho1 >= 1 and n_rho >= 1" in err
+        assert "Traceback" not in err
 
     def test_co2_decane_map_has_both_regions(self, tmp_path):
         out = str(tmp_path / "o")

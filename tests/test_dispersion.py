@@ -161,6 +161,21 @@ class TestAsymptotics:
         co = m.linearization(ST_LOCAL).large_k()
         assert co.mode("alpha1").coefficients[0] == pytest.approx(-1e-8)
 
+    def test_large_k_rank_one_subleading_coefficient(self):
+        """alpha1 = x k^4 + y k^2 + O(1) on the rank-one (local) branch: y
+        recovered from the pencil as (alpha1(k) - x k^4) / k^2 converges to
+        the printed y at rate k^-2."""
+        lin = make_local().linearization(ST_LOCAL)
+        x, y = lin.large_k().mode("alpha1").coefficients
+        errors = []
+        for k in (1e2, 3e2, 1e3):
+            roots = disp.growth_rates(lin, k).alphas
+            alpha1 = roots[np.argmin(np.abs(roots - (x * k**4 + y * k**2)))]
+            errors.append(abs((alpha1 - x * k**4) / k**2 - y))
+        assert errors[0] < 1e-3 * abs(y)
+        assert errors[1] <= 1.5 * (1 / 3) ** 2 * errors[0]
+        assert errors[2] <= 1.5 * 0.3**2 * errors[1]
+
     def test_large_k_zero_mobility_thermo(self):
         """With M = 0 only alpha1 is 0; the coupled pair has its own
         x k^2 + y branch.  Every expansion matches its own root, with an
@@ -896,6 +911,14 @@ class TestTrackingGap:
                 assert cost[np.arange(n), got].sum() == pytest.approx(
                     cost[np.arange(n), ref].sum(), rel=1e-14)
                 assert np.array_equal(got, ref)
+
+    def test_overlap_gap_above_the_tie_tolerance_wins(self):
+        # keeping the roots sums the mismatch to 0, swapping them to 1e-4;
+        # the distance favours the swap, but decides only within the tolerance
+        cost = np.array([[0.0, 5e-5], [5e-5, 0.0]])
+        distance = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert list(disp._match(cost, distance)) == [0, 1]
+        assert list(disp._match(1e-3 * cost, distance)) == [1, 0]
 
     def test_long_wave_sweep_is_not_ambiguous(self, band_composition):
         model, st = band_composition

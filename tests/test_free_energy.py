@@ -55,7 +55,7 @@ class TestBulkEnergy:
         pr = co2_decane
         for _ in range(20):
             rho = rng.uniform([5.0, 20.0], [300.0, 400.0])
-            if not pr.in_domain(rho):
+            if not pr.domain_mask(rho):
                 continue
             nm = rho / pr.m
             y = nm / nm.sum()
@@ -69,13 +69,14 @@ class TestBulkEnergy:
             fe.FloryHuggins(1.0, 1.0, 1.0, 0.0).value([1.0, -1.0])
         # covolume packing limit b.n >= 1
         dense = np.array([1.0, 2000.0])
-        assert not co2_decane.in_domain(dense)
+        assert not co2_decane.domain_mask(dense)
         with pytest.raises(DomainError):
             co2_decane.value(dense)
 
     # (energy, points, (index, message)): one bad point of each kind on each
     # energy and wrapper, the first failing check winning over a later kind
-    # at a smaller index; recorded before the checks became mask-based
+    # at a smaller index; recorded before the checks became mask-based.  A
+    # lone point carries no index
     @pytest.mark.parametrize("kind, pts, want", [
         ("quadratic", [[1, 2], [3, np.nan], [np.nan, 1]], (1, "non-finite density")),
         ("quadratic", [[1, 2], [1, 2], [-np.inf, 0]], (2, "non-finite density")),
@@ -107,18 +108,21 @@ class TestBulkEnergy:
             "phi_fh": fe.PhiFreeEnergy(fe.TildeFreeEnergy(fh), 2.0, 1.0),
         }[kind]
         pts = np.array(pts, dtype=float)
-        assert energy.domain_violation(pts) == want
+        idx, reason = want
+        with pytest.raises(DomainError) as err:
+            energy.check_domain(pts)
+        where = f" (grid index {idx})" if pts.ndim > 1 else ""
+        assert err.value.index == (idx if where else None)
+        assert str(err.value) == f"{type(energy).__name__}: {reason}{where}"
         mask = energy.domain_mask(pts)
         assert mask.shape == pts.shape[:-1]
-        assert np.all(mask) == (want is None)
-        if want is not None:
-            assert not mask.ravel()[want[0]]
+        assert not mask.ravel()[idx]
 
     def test_pointwise_domain_error_carries_index(self, co2_decane):
         field = np.tile([50.0, 200.0], (8, 1))
         field[5, 1] = -3.0
         with pytest.raises(DomainError) as err:
-            co2_decane.value(field, pointwise=True)
+            co2_decane.value(field)
         assert err.value.index == 5
 
 
@@ -157,7 +161,7 @@ class TestDerivatives:
         checked = 0
         for _ in range(200):
             x = rng.uniform(lo, hi)
-            if not energy.in_domain(x):
+            if not energy.domain_mask(x):
                 continue
             g = energy.gradient(x)
             gfd = fd_gradient(lambda y: energy.value(y), x)
@@ -175,17 +179,17 @@ class TestHessianClassification:
     def test_quadratic_identity_report(self):
         x = np.array([1.0, 2.0])
         C = fe.Quadratic(np.eye(2)).hessian(x)
-        assert fe.classify_matrix(C) is fe.Definiteness.POSITIVE_DEFINITE
+        assert fe.classify_matrices(C) == fe.MAP_POSITIVE_DEFINITE
         assert np.linalg.det(C) == pytest.approx(1.0)
         assert x @ C @ x == pytest.approx(5.0)
 
     def test_calibrated_states(self, band_composition, stable_dense):
         model, state = stable_dense
         C = model.free_energy.hessian(model.state_densities(state))
-        assert fe.classify_matrix(C) is fe.Definiteness.POSITIVE_DEFINITE
+        assert fe.classify_matrices(C) == fe.MAP_POSITIVE_DEFINITE
         model, state = band_composition
         C = model.free_energy.hessian(model.state_densities(state))
-        assert fe.classify_matrix(C) is fe.Definiteness.INDEFINITE
+        assert fe.classify_matrices(C) == fe.MAP_INDEFINITE
         assert np.linalg.det(C) < 0.0
 
 
@@ -346,14 +350,15 @@ def classify_one(C):
 
 
 def per_cell_map(energy, rho1_values, rho_values):
-    """The concavity map one cell at a time: ``in_domain``, then the
-    Hessian and ``classify_one`` of that cell alone."""
+    """The concavity map one cell at a time: the Hessian, with its domain
+    check, and ``classify_one`` of that cell alone."""
     codes = np.full((len(rho1_values), len(rho_values)), fe.MAP_EXCLUDED)
     for i, r1 in enumerate(rho1_values):
         for j, r in enumerate(rho_values):
-            pt = np.array([r1, r])
-            if energy.in_domain(pt):
-                codes[i, j] = classify_one(energy.hessian(pt))
+            try:
+                codes[i, j] = classify_one(energy.hessian(np.array([r1, r])))
+            except DomainError:
+                pass
     return codes
 
 
@@ -426,7 +431,7 @@ class TestConcavityMap:
         assert codes[102] == fe.MAP_POSITIVE_DEFINITE
         assert set(want) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
                              fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
-        assert fe.classify_matrix(H[102]) is fe.Definiteness.POSITIVE_DEFINITE
+        assert fe.classify_matrices(H[102]) == fe.MAP_POSITIVE_DEFINITE
         assert fe.classify_matrices(H.reshape(20, 10, 3, 3)).shape == (20, 10)
 
     def test_quadratic_all_positive_definite(self):

@@ -159,6 +159,19 @@ class TestGrowthRates:
         want = -m.inv_Re_s * k * k / ST.rho
         assert abs(fit.alpha.real - want) / abs(want) < 0.01
 
+    def test_fit_window_skips_the_first_tenth(self):
+        # 100 samples, t = 0..99: a transient decaying as e^{-3t} is gone
+        # (below 1e-13) from sample 10 on, where the window starts; the
+        # amplitude changes by under a decade, so the window runs to the end
+        t = np.arange(100.0)
+        amp = np.exp((0.01 + 0.5j) * t) + 0.5 * np.exp(-3.0 * t)
+        zeros = np.zeros_like(t)
+        trace = sim.SimulationTrace(t, zeros, zeros, zeros, {("rho1", 1): amp},
+                                    {}, PeriodicGrid1D(L, 32), None)
+        fit = sim.extract_growth_rate(trace, "rho1", 1)
+        assert fit.window == (10.0, 99.0) and fit.n_samples == 90
+        assert abs(fit.alpha - (0.01 + 0.5j)) < 1e-12
+
     def test_linear_regime_fidelity(self):
         m = unstable_local()
         grid = PeriodicGrid1D(L, 64)
