@@ -50,7 +50,7 @@ MUTANTS = [
      "record times shifted by one step"),
     ("simulator.py", "FIT_SKIP_FRACTION = 0.1", "FIT_SKIP_FRACTION = 0.3",
      "growth fit: window start"),
-    ("simulator.py", "if not 0 <= m <= self.n // 2:", "if not m <= self.n // 2:",
+    ("simulator.py", "if not 0 <= m <= n // 2:", "if not m <= n // 2:",
      "negative modes admitted"),
     ("cli.py", "tol = 1e-8 * max(1.0, abs(trace.energy[0]))",
      "tol = 1e-2 * max(1.0, abs(trace.energy[0]))", "ENERGY_MONOTONE tolerance"),
@@ -71,6 +71,11 @@ MUTANTS = [
      "eigensolve residual tolerance"),
     ("dispersion.py", "OVERLAP_TIE_TOL = 1e-6", "OVERLAP_TIE_TOL = 1e-2",
      "mode tracking: overlap tie tolerance"),
+    ("linearization.py", "np.abs(det) <= DEGENERATE_TOL * scale_c**2",
+     "np.abs(det) <= DEGENERATE_TOL * scale_c", "batched classifier: det-boundary scale"),
+    ("dispersion.py", "d *= 2", "d *= 3", "track scan: doubling step"),
+    ("dispersion.py", "start = (result, lo)", "start = None",
+     "band_peak: names re-seeded each sweep"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

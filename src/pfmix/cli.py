@@ -9,6 +9,7 @@ newline line endings so identical configs give byte-identical results.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -24,7 +25,7 @@ from .errors import (
     PfmixError,
     RangeError,
 )
-from .linearization import classify_stability
+from .linearization import CATEGORY, classify_stability, unavailable
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -183,6 +184,16 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     model, state = build_all(cfg)
     grid = simulator.PeriodicGrid1D(sec["length"], sec["n"])
     mode = sec["perturb_mode"]
+    track = []
+    for item in (sec["track"].split(",") if sec.get("track") else ()):
+        fname, _, m = item.strip().partition(":")
+        try:
+            track.append((fname, int(m)))
+        except ValueError:
+            raise ConfigError(f"[simulate] track: {item.strip()!r} is not "
+                              "field:mode") from None
+    # before the eigenvector seed sweeps the mode's wavenumber
+    simulator.check_modes([mode] + [m for _, m in track], grid.n)
     alpha_pred = None
     if sec["seed_eigenvector"]:
         try:
@@ -196,17 +207,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
             raise ConfigError("simulate needs perturb_field (or seed_eigenvector)")
         perts = (simulator.Perturbation(sec["perturb_field"], mode,
                                         sec["perturb_amplitude"]),)
-    track = []
-    if sec.get("track"):
-        for item in sec["track"].split(","):
-            fname, _, m = item.strip().partition(":")
-            try:
-                track.append((fname, int(m)))
-            except ValueError:
-                raise ConfigError(f"[simulate] track: {item.strip()!r} is not "
-                                  "field:mode") from None
-    else:
-        track.append((perts[0].field, mode))
+    track = track or [(perts[0].field, mode)]
     run_cfg = simulator.SimulationConfig(
         model=model, state=state, length=sec["length"], n=sec["n"],
         dt=sec["dt"], t_end=sec["t_end"], integrator=sec["integrator"],
@@ -350,16 +351,21 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
     check("quasi_to_incompressible_limit", quasi_limit)
 
     def table_classification():
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            p = rng.uniform(0.5, 2.0, size=2)
-            M = np.diag(rng.uniform(0.5, 2.0, size=2))
-            for Cmat, cat in (
-                (np.diag(rng.uniform(0.5, 2.0, 2)), "C > 0"),
-                (-np.diag(rng.uniform(0.5, 2.0, 2)), "C < 0"),
-            ):
-                if classify_stability(Cmat, p, M).category != cat:
-                    return False, f"misclassified {cat}"
+        # case i draws p, then the diagonals of M, of a C > 0 and of a C < 0
+        u = np.random.default_rng(1).uniform(0.5, 2.0, size=(10, 4, 2))
+        diagonals = u[:, 1:, :, None] * np.eye(2)
+        C = diagonals[:, 1:] * np.array([1.0, -1.0])[:, None, None]
+        p = np.repeat(u[:, None, 0], 2, axis=1)
+        M = np.repeat(diagonals[:, None, 0], 2, axis=1)
+        rep = classify_stability(C, p, M)
+        want = np.array([free_energy.MAP_POSITIVE_DEFINITE,
+                         free_energy.MAP_NEGATIVE_DEFINITE])
+        bad = ((rep.reason != 0) | (rep.code != want)).ravel()
+        if bad.any():
+            i = int(np.argmax(bad))
+            if rep.reason.flat[i]:
+                raise unavailable(int(rep.reason.flat[i]))
+            return False, f"misclassified {CATEGORY[want[i % 2]]}"
         return True, "sign patterns reproduced on synthetic Hessians"
 
     check("long_wave_classification", table_classification)
@@ -382,7 +388,10 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call of ``main`` and
+    kept for the process's later calls."""
     parser = argparse.ArgumentParser(
         prog="pfmix",
         description="Phase-field mixture models: stability sweeps, concavity "
@@ -392,7 +401,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.command == "sweep":

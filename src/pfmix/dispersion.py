@@ -272,7 +272,21 @@ def _match(cost: np.ndarray, tie: np.ndarray = None) -> np.ndarray:
     return perms[sums.argmin(axis=1)].reshape(cost.shape[:-1])
 
 
-def sweep(lin, k_grid) -> DispersionResult:
+def _chain(first: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Rows cols[0] = first and cols[i] = step[i - 1][cols[i - 1]] for a
+    stack of index maps ``step`` (T - 1, n): a prefix scan of their
+    compositions by doubling (Hillis & Steele, Commun. ACM 29 (1986) 1170),
+    in ceil(log2 T) whole-array steps, each exact in integers."""
+    cols = np.concatenate([first[None], step])
+    d = 1
+    while d < cols.shape[0]:
+        # row i now composes rows i - 2d + 1 .. i of the stack
+        cols[d:] = np.take_along_axis(cols[d:], cols[:-d], axis=1)
+        d *= 2
+    return cols
+
+
+def sweep(lin, k_grid, start=None) -> DispersionResult:
     """Growth rates over an increasing positive k grid, from one eigensolve
     of the whole grid, with mode tracking seeded from the long-wave
     asymptotics and continued by eigenvector continuity.
@@ -281,39 +295,52 @@ def sweep(lin, k_grid) -> DispersionResult:
     first of k_grid[0] / 10, ..., k_grid[0] / 1e16 where they do (one
     batched solve of all 16) and runs through 20 log-spaced points per
     decade up to k_grid[0], which are then dropped; NumericalError if
-    there is no such k."""
+    there is no such k.
+
+    With ``start``, a pair (result, i) of an earlier sweep of ``lin`` and
+    one of its grid indices, with result.k_grid[i] <= k_grid[0], the tracks
+    continue from that point's named roots by the same rule instead, so
+    the whole sweep is its grid's one eigensolve."""
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
     alphas, vecs, res = _solve(lin, k_grid)
-    modes = lin.small_k().modes
-    labels = tuple(m.label for m in modes)
-    names = tuple(m.name for m in modes)
-    n, k_seed = 0, k_grid[0]
-    if not _long_wave(modes, k_grid[:1], alphas[:1], res[:1])[0]:
-        seeds = k_seed * 10.0 ** -np.arange(1.0, 17.0)
-        w, _, r = _eigen(lin, seeds)
-        found = np.flatnonzero(_long_wave(modes, seeds, w, r))
-        if not found.size:
-            raise NumericalError(
-                f"the long-wave expansions match the pencil's roots at no k "
-                f"down to {seeds[-1]:.3g}, so the sweep's modes cannot be named")
-        n = 20 * (int(found[0]) + 1)
-        prefix = k_seed * np.logspace(-n / 20, 0.0, n, endpoint=False)
+    if start is not None:
+        prev, i = start
+        if prev.k_grid[i] > k_grid[0]:
+            raise RangeError("a sweep continues only from a k at or below its grid")
+        labels, names, n = prev.labels, prev.mode_names, 1
         alphas, vecs, res = (np.concatenate(pair) for pair in zip(
-            _solve(lin, prefix), (alphas, vecs, res)))
-        k_seed = prefix[0]
-    predicted = np.array([m.evaluate(k_seed) for m in modes])
+            (prev.roots[i:i + 1], prev.vectors[i:i + 1].transpose(0, 2, 1),
+             prev.residuals[i:i + 1]), (alphas, vecs, res)))
+        first = np.arange(len(names))
+    else:
+        modes = lin.small_k().modes
+        labels = tuple(m.label for m in modes)
+        names = tuple(m.name for m in modes)
+        n, k_seed = 0, k_grid[0]
+        if not _long_wave(modes, k_grid[:1], alphas[:1], res[:1])[0]:
+            seeds = k_seed * 10.0 ** -np.arange(1.0, 17.0)
+            w, _, r = _eigen(lin, seeds)
+            found = np.flatnonzero(_long_wave(modes, seeds, w, r))
+            if not found.size:
+                raise NumericalError(
+                    f"the long-wave expansions match the pencil's roots at no k "
+                    f"down to {seeds[-1]:.3g}, so the sweep's modes cannot be named")
+            n = 20 * (int(found[0]) + 1)
+            prefix = k_seed * np.logspace(-n / 20, 0.0, n, endpoint=False)
+            alphas, vecs, res = (np.concatenate(pair) for pair in zip(
+                _solve(lin, prefix), (alphas, vecs, res)))
+            k_seed = prefix[0]
+        predicted = np.array([m.evaluate(k_seed) for m in modes])
+        first = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
 
     # step[i, j]: the root at k[i + 1] that root j at k[i] goes to, by the
     # mismatch 1 - |x^H y| of unit eigenvectors (a crossing of two real
     # roots ties their distances, not their eigenvectors), then by distance
     mismatch = 1.0 - np.abs(np.einsum("ivj,ivm->ijm", vecs[:-1].conj(), vecs[1:]))
     step = _match(mismatch, tie=np.abs(alphas[:-1, :, None] - alphas[1:, None, :]))
-    cols = np.empty(alphas.shape, dtype=int)
-    cols[0] = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
-    for i in range(1, cols.shape[0]):
-        cols[i] = step[i - 1][cols[i - 1]]
+    cols = _chain(first, step)
     alphas, vecs, res, cols = alphas[n:], vecs[n:], res[n:], cols[n:]
     roots = np.take_along_axis(alphas, cols, axis=1)
     vectors = np.take_along_axis(vecs, cols[:, None, :], axis=2).transpose(0, 2, 1)
@@ -379,16 +406,20 @@ def band_peak(lin, k_lo: float, k_hi: float, name: str):
 
     Each step sweeps PEAK_POINTS log-spaced k of the bracket and narrows it
     to the grid intervals beside the largest value, until the bracket is
-    narrower than 1e-10 times that k."""
+    narrower than 1e-10 times that k.  Each sweep after the first carries
+    the names on from the previous one's point at its lower end."""
     a, b = float(k_lo), float(k_hi)
+    start = None
     while True:
-        result = sweep(lin, np.geomspace(a, b, PEAK_POINTS))
+        result = sweep(lin, np.geomspace(a, b, PEAK_POINTS), start)
         j = result.track(name)
         i = int(np.argmax(result.roots[:, j].real))
         ks = result.k_grid
         if b - a <= 1e-10 * ks[i]:
             return float(ks[i]), complex(result.roots[i, j]), result.vectors[i, j]
-        a, b = ks[max(i - 1, 0)], ks[min(i + 1, PEAK_POINTS - 1)]
+        lo = max(i - 1, 0)
+        a, b = ks[lo], ks[min(i + 1, PEAK_POINTS - 1)]
+        start = (result, lo)
 
 
 def angular_deviation(vector) -> float:

@@ -41,8 +41,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateCase, PfmixError, RangeError, SingularExpansion
-from .free_energy import (MAP_NEGATIVE_DEFINITE, MAP_POSITIVE_DEFINITE, MAP_SINGULAR,
-                          classify_matrices)
+from .free_energy import (MAP_INDEFINITE, MAP_NEGATIVE_DEFINITE, MAP_POSITIVE_DEFINITE,
+                          MAP_SINGULAR, classify_matrices)
 
 DEGENERATE_TOL = 1e-12
 
@@ -158,10 +158,11 @@ def _real_pencil(A: np.ndarray) -> np.ndarray:
     return (A * _VX_BY_I / _VX_BY_I[:, None]).real
 
 
-def adjugate_form(M: np.ndarray, p: np.ndarray) -> float:
-    """p.adj(M).p of a symmetric 2x2 M."""
-    return float(M[1, 1] * p[0] ** 2 + M[0, 0] * p[1] ** 2
-                 - 2.0 * M[0, 1] * p[0] * p[1])
+def adjugate_form(M: np.ndarray, p: np.ndarray):
+    """p.adj(M).p of a symmetric 2x2 M, or of each item of a stack
+    (M ...x2x2, p ...x2)."""
+    return (M[..., 1, 1] * p[..., 0] ** 2 + M[..., 0, 0] * p[..., 1] ** 2
+            - 2.0 * M[..., 0, 1] * p[..., 0] * p[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -174,55 +175,83 @@ class SignVerdict(Enum):
     POSITIVE = "positive"
 
 
+# the modes of the long-wave sign table, in the order of its verdicts
+TABLE_MODES = ("alpha0", "alpha1", "alpha2", "alpha3")
+CATEGORY = {MAP_POSITIVE_DEFINITE: "C > 0", MAP_NEGATIVE_DEFINITE: "C < 0",
+            MAP_INDEFINITE: "C indefinite"}
+# Why the table does not hold, by reason code (0: it holds), in the order
+# classify_stability checks them.
+UNAVAILABLE = (
+    None,
+    (RangeError, "mobility must be PSD with a positive eigenvalue"),
+    (DegenerateCase, "Hessian is singular within tolerance"),
+    (DegenerateCase, "p.C.p sits on the decision boundary"),
+    (DegenerateCase, "det C sits on the decision boundary"),
+)
+
+
+def unavailable(reason: int) -> PfmixError:
+    """The error of a reason code of UNAVAILABLE."""
+    cls, message = UNAVAILABLE[reason]
+    return cls(message)
+
+
 @dataclass(frozen=True)
 class StabilityReport:
-    category: str              # "C > 0", "C < 0", "C indefinite"
-    verdicts: dict             # mode name -> SignVerdict
-    g1: float
+    """The long-wave sign table of one (C, p, M), or of each item of a
+    stack, as arrays over the stack's shape: the definiteness code of C,
+    whether each of TABLE_MODES grows (last axis of ``growing``), the
+    thermodynamic weight g1, and the reason code of UNAVAILABLE (0 where
+    the table holds)."""
+
+    code: np.ndarray
+    growing: np.ndarray
+    g1: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def category(self) -> str:
+        """The category of a single item: "C > 0", "C < 0" or "C indefinite"."""
+        return CATEGORY[int(self.code)]
+
+    @property
+    def verdicts(self) -> dict:
+        """Mode name -> SignVerdict, of a single item."""
+        return {name: SignVerdict.POSITIVE if grows else SignVerdict.NEGATIVE
+                for name, grows in zip(TABLE_MODES, self.growing.tolist())}
 
 
 def classify_stability(C, p, M) -> StabilityReport:
     """Long-wave sign pattern of the four modes from the bulk energy's
-    Hessian C: its definiteness, det C and p.C.p.
+    Hessian C: its definiteness, det C and p.C.p; for one (C 2x2, p 2,
+    M 2x2) or for each item of stacks (C ...x2x2, p ...x2, M ...x2x2).
 
     Requires a PSD mobility with at least one positive eigenvalue (so the
     thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
-    or p.C.p at the decision boundary) are reported, not guessed.
+    or p.C.p at the decision boundary) are reported, not guessed: a stack
+    gives each item's reason code, a single item raises its error.
     """
-    p = np.asarray(p, dtype=float)
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale = max(np.linalg.norm(M), 1e-300)
-    if np.min(eigs) < -1e-12 * scale or np.max(eigs) <= 1e-12 * scale:
-        raise RangeError("mobility must be PSD with a positive eigenvalue")
-    g1 = adjugate_form(M, p)
+    C, p, M = (np.asarray(x, dtype=float) for x in (C, p, M))
+    eigs = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    scale_m = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
     code = classify_matrices(C)
-    scaleC = max(np.linalg.norm(C), 1e-300)
-    pCp = float(p @ C @ p)
-    det = float(np.linalg.det(C))
-    if code == MAP_SINGULAR:
-        raise DegenerateCase("Hessian is singular within tolerance")
-    if abs(pCp) <= DEGENERATE_TOL * scaleC * float(p @ p):
-        raise DegenerateCase("p.C.p sits on the decision boundary")
-    if abs(det) <= DEGENERATE_TOL * scaleC**2:
-        raise DegenerateCase("det C sits on the decision boundary")
-    neg, pos = SignVerdict.NEGATIVE, SignVerdict.POSITIVE
-    if code == MAP_POSITIVE_DEFINITE:
-        category = "C > 0"
-        verdicts = {"alpha0": neg, "alpha1": neg, "alpha2": neg, "alpha3": neg}
-    elif code == MAP_NEGATIVE_DEFINITE:
-        category = "C < 0"
-        verdicts = {"alpha0": neg, "alpha1": pos, "alpha2": pos, "alpha3": neg}
-    else:
-        category = "C indefinite"
-        same_sign = (pCp > 0) == (det > 0)
-        verdicts = {
-            "alpha0": neg,
-            "alpha1": neg if same_sign else pos,
-            "alpha2": neg if pCp > 0 else pos,
-            "alpha3": neg,
-        }
-    return StabilityReport(category=category, verdicts=verdicts, g1=g1)
+    scale_c = np.maximum(np.linalg.norm(C, axis=(-2, -1)), 1e-300)
+    pCp = (p[..., None, :] @ C @ p[..., :, None])[..., 0, 0]
+    det = np.linalg.det(C)
+    reason = np.select(
+        [(eigs.min(axis=-1) < -1e-12 * scale_m) | (eigs.max(axis=-1) <= 1e-12 * scale_m),
+         code == MAP_SINGULAR,
+         np.abs(pCp) <= DEGENERATE_TOL * scale_c * (p * p).sum(axis=-1),
+         np.abs(det) <= DEGENERATE_TOL * scale_c**2],
+        [1, 2, 3, 4], 0)
+    if C.ndim == 2 and reason:
+        raise unavailable(int(reason))
+    negative, indefinite = code == MAP_NEGATIVE_DEFINITE, code == MAP_INDEFINITE
+    alpha1 = negative | (indefinite & ((pCp > 0) != (det > 0)))
+    alpha2 = negative | (indefinite & ~(pCp > 0))
+    growing = np.stack(np.broadcast_arrays(False, alpha1, alpha2, False), axis=-1)
+    return StabilityReport(code=code, growing=growing, g1=adjugate_form(M, p),
+                           reason=reason)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +283,7 @@ class CompressibleLinearization(_Pencil):
     @property
     def g1(self) -> float:
         """p.adj(M).p, the weight of the long-wave thermodynamic mode."""
-        return adjugate_form(self.mobility, self.p)
+        return float(adjugate_form(self.mobility, self.p))
 
     def pencil_matrices(self, k) -> np.ndarray:
         """A(k) for every k of a 1-D array, shape (k.size, 4, 4): the
@@ -434,7 +463,7 @@ class CompressibleLinearization(_Pencil):
         exactly K[1, 1], C[1, 1] and rho^2 for local conservation's diag(0, M11)."""
         r0, iRe, P = self.rho0, self.inv_Re, self.mobility / lam
         PK, PC = float(np.tensordot(P, self.K)), float(np.tensordot(P, self.C))
-        G = adjugate_form(P, self.p)
+        G = float(adjugate_form(P, self.p))
         if PK <= 0:
             raise SingularExpansion("short-wave expansion needs M:K > 0 "
                                     "(kappa_rho1_rho1 > 0 for local conservation)")

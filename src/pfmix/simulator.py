@@ -72,9 +72,15 @@ class SimulationConfig:
             raise RangeError(f"unknown integrator {self.integrator!r}")
         if self.diagnostics_every < 1:
             raise RangeError("diagnostics cadence must be >= 1")
-        for m in [p.mode for p in self.perturbations] + [m for _, m in self.track]:
-            if not 0 <= m <= self.n // 2:
-                raise RangeError(f"mode {m} lies outside the grid's 0..{self.n // 2}")
+        check_modes([p.mode for p in self.perturbations] + [m for _, m in self.track],
+                    self.n)
+
+
+def check_modes(modes, n: int):
+    """RangeError for the first mode outside 0..n/2, the modes of n cells."""
+    for m in modes:
+        if not 0 <= m <= n // 2:
+            raise RangeError(f"mode {m} lies outside the grid's 0..{n // 2}")
 
 
 @dataclass

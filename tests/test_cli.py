@@ -210,16 +210,27 @@ perturb_amplitude = 1e-6
     def test_bad_grid_or_mode_exit_2(self, tmp_path, capsys, monkeypatch, line, bad,
                                      want):
         # refused before any step, with the exit code of a configuration
-        # error (exit 1 would claim a failed verify); n = 64 holds modes 0..32
+        # error (exit 1 would claim a failed verify); n = 64 holds modes 0..32.
+        # The config seeds an eigenvector, and a bad mode is refused before
+        # the seed's sweep runs
         text = open(config_path("simulate_relaxation.ini")).read()
-        assert line in text and "n = 64" in text
+        assert line in text and "n = 64" in text and "seed_eigenvector = true" in text
         monkeypatch.setattr(cli.simulator, "run",
                             lambda cfg: pytest.fail("the run started"))
+        sweeps = []
+        sweep = cli.dispersion.sweep
+
+        def counting(*args, **kwargs):
+            sweeps.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(cli.dispersion, "sweep", counting)
         path = write(tmp_path, "bad.ini", text.replace(line, bad))
         code = cli.main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == cli.EXIT_CONFIG
         assert want in err and "Traceback" not in err
+        assert sweeps == []
 
     @pytest.mark.parametrize("case", ["compressible_local", "quasi_velocity"])
     def test_blowup_exit_4(self, tmp_path, case):
@@ -396,6 +407,35 @@ def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
     assert dict(calls) == linearizations
     if eig_calls is not None:
         assert eigs[0] == eig_calls
+
+
+def test_main_answers_every_call_as_its_first(tmp_path, capsys):
+    """``main`` builds its parser once per process: later calls of each
+    command write the same files and stdout and exit as the first did, and
+    a usage error still exits 2."""
+    text = open(config_path("simulate_relaxation.ini")).read()
+    assert "t_end = 4.0" in text
+    short = write(tmp_path, "short.ini", text.replace("t_end = 4.0", "t_end = 0.05"))
+    runs = [("sweep", str(config_path("band_composition.ini"))),
+            ("concavity-map", str(config_path("concavity_co2_decane.ini"))),
+            ("simulate", short),
+            ("verify", str(config_path("band_density.ini")))]
+
+    def call(command, config, out):
+        code = cli.main([command, "--config", config, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        return code, capsys.readouterr().out, files
+
+    first = [call(command, config, tmp_path / f"first_{command}")
+             for command, config in runs]
+    assert [code for code, _, _ in first] == [cli.EXIT_OK] * 4
+    for argv in (["sweep"], ["nonsense", "--config", short]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: pfmix" in capsys.readouterr().err
+    for (command, config), want in zip(runs, first):
+        assert call(command, config, tmp_path / f"again_{command}") == want
 
 
 class TestDeterminism:

@@ -8,9 +8,10 @@ from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import build_all, load_config
-from pfmix.errors import DegenerateCase, NumericalError, RangeError
+from pfmix.errors import DegenerateCase, NumericalError, PfmixError, RangeError
 from pfmix.linearization import (
     EQUAL_DENSITY_RTOL,
+    UNAVAILABLE,
     CompressibleLinearization,
     ModeLabel,
     SignVerdict,
@@ -449,6 +450,93 @@ class TestClassification:
             assert rep.g1 >= 0.0
 
 
+# constructed items, each with the reason code that classify_stability
+# gives it: (C, p, M, reason)
+M_PD = np.array([[2.0, 0.5], [0.5, 1.0]])
+DEGENERATE_ITEMS = [
+    # a mobility with a negative eigenvalue, or none positive, is refused
+    # before the Hessian is looked at, singular or not
+    (np.eye(2), [1.0, 2.0], np.diag([1.0, -1.0]), 1),
+    (np.eye(2), [1.0, 2.0], np.zeros((2, 2)), 1),
+    (np.diag([1.0, 0.0]), [1.0, 2.0], -np.eye(2), 1),
+    # an eigenvalue within DEFINITENESS_TOL of 0
+    (np.diag([1.0, 0.0]), [1.0, 1.0], M_PD, 2),
+    (np.diag([-1.0, 1e-12]), [1.0, 1.0], M_PD, 2),
+    # p.C.p = 0 exactly, and within DEGENERATE_TOL of 0
+    (np.diag([1.0, -1.0]), [1.0, 1.0], M_PD, 3),
+    (np.diag([1.0, -1.0 + 1e-13]), [1.0, 1.0], M_PD, 3),
+    # det C within DEGENERATE_TOL ||C||^2 of 0 while both eigenvalues of its
+    # symmetric part are far from 0: only a non-symmetric C gets there, since
+    # for a symmetric one such a det makes an eigenvalue singular first; at
+    # ||C|| ~ 2e3 the bound is DEGENERATE_TOL ||C||^2 = 5e-6 > det = 1e-7
+    (1e3 * np.array([[1.0, 2.0], [0.0, 1e-13]]), [1.0, 1.0], M_PD, 4),
+    (np.array([[1.0, 2.0], [0.0, 0.0]]), [1.0, 1.0], M_PD, 4),
+]
+
+
+class TestBatchedClassification:
+    """``classify_stability`` over a stack against one call per item."""
+
+    @staticmethod
+    def draws(rng, n):
+        C = rng.normal(size=(n, 2, 2))
+        C[n // 4:] = 0.5 * (C[n // 4:] + C[n // 4:].transpose(0, 2, 1))
+        p = rng.uniform(-2.0, 2.0, size=(n, 2))
+        A = rng.normal(size=(n, 2, 2))
+        M = A @ A.transpose(0, 2, 1)
+        v = rng.normal(size=(n // 5, 2))
+        M[::5] = v[:, :, None] * v[:, None, :]    # rank one
+        M[3::17] *= -1.0                           # not PSD
+        extra = [np.array([item[i] for item in DEGENERATE_ITEMS], dtype=float)
+                 for i in range(3)]
+        return [np.concatenate(pair) for pair in zip((C, p, M), extra)]
+
+    def test_stack_matches_one_call_per_item(self, rng):
+        C, p, M = self.draws(rng, 400)
+        rep = classify_stability(C, p, M)
+        assert rep.code.shape == rep.g1.shape == rep.reason.shape == (C.shape[0],)
+        assert rep.growing.shape == (C.shape[0], 4)
+        for i in range(C.shape[0]):
+            try:
+                one = classify_stability(C[i], p[i], M[i])
+            except PfmixError as exc:
+                assert rep.reason[i] != 0
+                cls, message = UNAVAILABLE[rep.reason[i]]
+                assert type(exc) is cls and str(exc) == message
+                continue
+            assert rep.reason[i] == 0 and one.reason == 0
+            assert one.code == rep.code[i]
+            assert np.array_equal(one.growing, rep.growing[i])
+            assert one.g1 == rep.g1[i]
+        # every reason, and every definiteness row of the table, is reached
+        assert set(rep.reason.tolist()) == {0, 1, 2, 3, 4}
+        assert set(rep.code[rep.reason == 0].tolist()) == {
+            fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE, fe.MAP_NEGATIVE_DEFINITE}
+
+    def test_degenerate_items_are_reported_per_item(self):
+        C, p, M = (np.array([item[i] for item in DEGENERATE_ITEMS], dtype=float)
+                   for i in range(3))
+        want = [item[3] for item in DEGENERATE_ITEMS]
+        assert classify_stability(C, p, M).reason.tolist() == want
+        for (Ci, pi, Mi, reason) in DEGENERATE_ITEMS:
+            cls, message = UNAVAILABLE[reason]
+            with pytest.raises(cls) as exc:
+                classify_stability(Ci, pi, Mi)
+            assert type(exc.value) is cls and str(exc.value) == message
+
+    def test_table_rows_over_a_stack(self):
+        C = np.array([np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, -1.0])])
+        p = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 0.2], [0.2, 1.0]])
+        rep = classify_stability(C, p, np.broadcast_to(M_PD, (4, 2, 2)))
+        assert rep.reason.tolist() == [0, 0, 0, 0]
+        assert rep.code.tolist() == [fe.MAP_POSITIVE_DEFINITE, fe.MAP_NEGATIVE_DEFINITE,
+                                     fe.MAP_INDEFINITE, fe.MAP_INDEFINITE]
+        assert rep.growing.tolist() == [[False, False, False, False],
+                                        [False, True, True, False],
+                                        [False, True, False, False],
+                                        [False, False, True, False]]
+
+
 # A calibrated Peng-Robinson mixture near band_density.ini at which distance
 # tracking swapped the viscous track from k = 308 to 1000.
 SEED4_DENSITY_INI = """
@@ -874,9 +962,14 @@ class TestEigenBudget:
         grids = []
         sweep = disp.sweep
 
-        def counting(lin, k_grid):
+        solves = []
+
+        def counting(lin, k_grid, start=None):
             grids.append(np.asarray(k_grid))
-            return sweep(lin, k_grid)
+            before = eig_calls["numpy"]
+            result = sweep(lin, k_grid, start)
+            solves.append(eig_calls["numpy"] - before)
+            return result
 
         monkeypatch.setattr(disp, "sweep", counting)
         k, _, _ = disp.band_peak(lin, 1.0, 14.0, "alpha1")
@@ -890,10 +983,62 @@ class TestEigenBudget:
             assert np.log(inner[-1] / inner[0]) \
                 <= 0.25 * np.log(outer[-1] / outer[0]) + 1e-15
         assert grids[-1][-1] - grids[-1][0] <= 1e-10 * k < grids[-2][-1] - grids[-2][0]
-        # a sweep is its grid's solve, plus the seed candidates and the
-        # prefix where the long-wave expansions do not hold at its first k
-        assert eig_calls["numpy"] <= 3 * len(grids)
+        # the first sweep is its grid's solve, plus the seed candidates and
+        # the prefix where the long-wave expansions do not hold at its first
+        # k; every later one carries the names on and is its grid's solve
+        assert solves[0] <= 3 and solves[1:] == [1] * (len(grids) - 1)
         assert eig_calls["scipy"] == 0
+
+    @pytest.mark.parametrize("name, mode", [("band_composition.ini", "alpha1"),
+                                            ("band_density.ini", "alpha2")])
+    def test_carried_names_are_the_reseeded_ones(self, monkeypatch, eig_calls,
+                                                 name, mode):
+        # every refinement sweep, which continues the names of the one
+        # before, equals a sweep of its grid seeded from the long-wave
+        # window, bit for bit; so does the peak
+        lin, res = bundled_sweep(name)
+        (k_lo, k_hi), = disp.unstable_bands(lin, res, res.track(mode))
+        sweeps = []
+        sweep = disp.sweep
+
+        def recording(lin, k_grid, start=None):
+            sweeps.append(sweep(lin, k_grid, start))
+            return sweeps[-1]
+
+        monkeypatch.setattr(disp, "sweep", recording)
+        before = eig_calls["numpy"]
+        k, alpha, vec = disp.band_peak(lin, k_lo, k_hi, mode)
+        assert eig_calls["numpy"] - before <= len(sweeps) + 2
+        for got in sweeps:
+            want = sweep(lin, got.k_grid)
+            assert got.mode_names == want.mode_names and got.labels == want.labels
+            assert np.array_equal(got.roots, want.roots)
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.residuals, want.residuals)
+        last = sweeps[-1]
+        i = int(np.argmax(last.roots[:, last.track(mode)].real))
+        assert (k, alpha) == (last.k_grid[i], last.roots[i, last.track(mode)])
+        assert np.array_equal(vec, last.vectors[i, last.track(mode)])
+
+    def test_continuing_from_above_the_grid_is_refused(self, band_composition):
+        model, st = band_composition
+        lin = model.linearization(st)
+        res = disp.sweep(lin, [1.0, 2.0])
+        with pytest.raises(RangeError, match="continues only from a k at or below"):
+            disp.sweep(lin, [1.5, 3.0], (res, 1))
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 400])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chain_is_the_sequential_composition(rng, length, n):
+    first = rng.permutation(n)
+    step = np.array([rng.permutation(n) for _ in range(length - 1)],
+                    dtype=int).reshape(length - 1, n)
+    want = np.empty((length, n), dtype=int)
+    want[0] = first
+    for i in range(1, length):
+        want[i] = step[i - 1][want[i - 1]]
+    assert np.array_equal(disp._chain(first, step), want)
 
 
 class TestTrackingGap:
