@@ -71,11 +71,23 @@ MUTANTS = [
      "eigensolve residual tolerance"),
     ("dispersion.py", "OVERLAP_TIE_TOL = 1e-6", "OVERLAP_TIE_TOL = 1e-2",
      "mode tracking: overlap tie tolerance"),
-    ("linearization.py", "np.abs(det) <= DEGENERATE_TOL * scale_c**2",
-     "np.abs(det) <= DEGENERATE_TOL * scale_c", "batched classifier: det-boundary scale"),
     ("dispersion.py", "d *= 2", "d *= 3", "track scan: doubling step"),
     ("dispersion.py", "start = (result, lo)", "start = None",
      "band_peak: names re-seeded each sweep"),
+    ("linearization.py", "B[0, 1] = -self.one_minus_r", "B[0, 1] = self.one_minus_r",
+     "phase-field pencil: sign of B[0, 1]"),
+    ("linearization.py", "A[:, 1, 0] = Mh * k * k * r1", "A[:, 1, 0] = 0.0",
+     "phase-field pencil: A[1, 0] coupling dropped"),
+    ("config.py", "reduce_quasi_incompressible(kappa, tilde, rho_hat_1, rho_hat_2)",
+     "reduce_quasi_incompressible(kappa, tilde, rho_hat_2, rho_hat_1)",
+     "phase-field reduction: rho_hat_1 and rho_hat_2 swapped"),
+    ("cli.py", "except (ConfigError, RangeError) as exc:", "except ConfigError as exc:",
+     "exit codes: range errors not configuration errors"),
+    ("cli.py", "return EXIT_BLOWUP", "return EXIT_NUMERIC", "exit codes: blow-up as 3"),
+    ("cli.py", "return EXIT_OK if all_ok else EXIT_VERIFY_FAIL", "return EXIT_OK",
+     "exit codes: failed verify exits 0"),
+    ("cli.py", 'print(f"error: {exc}", file=sys.stderr)', "raise",
+     "exit codes: other package errors escape main"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -261,7 +261,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
+def cmd_verify(cfg: RunConfig, outdir: str) -> int:
     """One-shot invariant suite on the configured model."""
     checks = []
 
@@ -377,9 +377,8 @@ def cmd_verify(cfg: RunConfig, outdir: str = None) -> int:
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     report = "\n".join(lines) + "\n"
     sys.stdout.write(report)
-    if outdir:
-        _write_atomic(os.path.join(outdir, "verify.txt"), report)
-        _echo_config(cfg, outdir)
+    _write_atomic(os.path.join(outdir, "verify.txt"), report)
+    _echo_config(cfg, outdir)
     return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
 
 

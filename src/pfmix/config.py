@@ -209,29 +209,22 @@ def _build_species(cfg: RunConfig, idx: int) -> fe.PRSpecies:
 
 
 def build_free_energy(cfg: RunConfig, model_class: str):
-    """(bulk energy in the class's natural variables, kappa)."""
+    """(bulk energy in the class's natural variables, kappa).  A quadratic
+    energy is read in those variables; a (rho1, rho2) energy of any other
+    kind is carried to them by the paper's changes of variables:
+    (rho1, rho) for compressible_local, and on from there to phi by
+    ``reduce_quasi_incompressible`` for the phase-field classes."""
     sec = cfg.sections["free_energy"]
     kind = sec["kind"]
     if kind not in _FE_KINDS:
         raise ConfigError(f"{cfg.source}: unknown free energy kind {kind!r}")
-    phase_field = model_class in _PHASE_FIELD_CLASSES
-    if phase_field and kind not in ("quadratic", "peng_robinson"):
-        raise ConfigError(
-            f"{cfg.source}: {kind} is not supported for phase-field classes")
+    local = model_class == "compressible_local"
     kappa = build_kappa(cfg, model_class)
-    if phase_field:
-        if kind == "quadratic":
+    if kind == "quadratic":
+        if model_class in _PHASE_FIELD_CLASSES:
             (hpp,) = _need(cfg, "free_energy", ["h_phi_phi"])
             bulk = fe.Quadratic([[hpp]], g=[sec["g_phi"]], variables=("phi",))
             return bulk, float(kappa.kappa[0, 0])
-        rho_hat_1, rho_hat_2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
-        kphi, bulk = fe.reduce_quasi_incompressible(
-            kappa, fe.TildeFreeEnergy(_pr_from_config(cfg)), rho_hat_1, rho_hat_2)
-        return bulk, kphi
-
-    local = model_class == "compressible_local"
-    if kind == "quadratic":
-        # quadratic coefficients are read in the class's variables directly
         c11, c12, c22 = _need(cfg, "free_energy", ["c11", "c12", "c22"])
         return fe.Quadratic([[c11, c12], [c12, c22]], g=[sec["g1"], sec["g2"]],
                             variables=("rho1", "rho") if local else None), kappa
@@ -241,7 +234,14 @@ def build_free_energy(cfg: RunConfig, model_class: str):
         bulk = fe.FloryHuggins(c, n1, n2, chi)
     else:
         bulk = _pr_from_config(cfg)
-    return (fe.TildeFreeEnergy(bulk) if local else bulk), kappa
+    if model_class == "compressible_global":
+        return bulk, kappa
+    tilde = fe.TildeFreeEnergy(bulk)
+    if local:
+        return tilde, kappa
+    rho_hat_1, rho_hat_2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
+    kphi, bulk = fe.reduce_quasi_incompressible(kappa, tilde, rho_hat_1, rho_hat_2)
+    return bulk, kphi
 
 
 def build_kappa(cfg: RunConfig, model_class: str) -> fe.GradientCoefficients:

@@ -186,7 +186,6 @@ UNAVAILABLE = (
     (RangeError, "mobility must be PSD with a positive eigenvalue"),
     (DegenerateCase, "Hessian is singular within tolerance"),
     (DegenerateCase, "p.C.p sits on the decision boundary"),
-    (DegenerateCase, "det C sits on the decision boundary"),
 )
 
 
@@ -223,13 +222,15 @@ class StabilityReport:
 
 def classify_stability(C, p, M) -> StabilityReport:
     """Long-wave sign pattern of the four modes from the bulk energy's
-    Hessian C: its definiteness, det C and p.C.p; for one (C 2x2, p 2,
-    M 2x2) or for each item of stacks (C ...x2x2, p ...x2, M ...x2x2).
+    symmetric Hessian C: its definiteness, det C and p.C.p; for one (C 2x2,
+    p 2, M 2x2) or for each item of stacks (C ...x2x2, p ...x2, M ...x2x2).
 
     Requires a PSD mobility with at least one positive eigenvalue (so the
     thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
     or p.C.p at the decision boundary) are reported, not guessed: a stack
-    gives each item's reason code, a single item raises its error.
+    gives each item's reason code, a single item raises its error.  For a
+    symmetric C, det C near 0 makes an eigenvalue singular, so det C needs
+    no boundary check of its own.
     """
     C, p, M = (np.asarray(x, dtype=float) for x in (C, p, M))
     eigs = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
@@ -241,9 +242,8 @@ def classify_stability(C, p, M) -> StabilityReport:
     reason = np.select(
         [(eigs.min(axis=-1) < -1e-12 * scale_m) | (eigs.max(axis=-1) <= 1e-12 * scale_m),
          code == MAP_SINGULAR,
-         np.abs(pCp) <= DEGENERATE_TOL * scale_c * (p * p).sum(axis=-1),
-         np.abs(det) <= DEGENERATE_TOL * scale_c**2],
-        [1, 2, 3, 4], 0)
+         np.abs(pCp) <= DEGENERATE_TOL * scale_c * (p * p).sum(axis=-1)],
+        [1, 2, 3], 0)
     if C.ndim == 2 and reason:
         raise unavailable(int(reason))
     negative, indefinite = code == MAP_NEGATIVE_DEFINITE, code == MAP_INDEFINITE
@@ -512,15 +512,18 @@ class CompressibleLinearization(_Pencil):
 
 @dataclass(frozen=True, eq=False)
 class PhaseFieldLinearization(_Pencil):
-    """Quasi-incompressible and incompressible classes.  With
-    ``equal_densities`` the divergence constraint is the incompressible one
-    and the coupled mode drops out of the pencil."""
+    """Quasi-incompressible and incompressible classes.  ``one_minus_r``
+    is the model's 1 - r, r = rho_hat_1 / rho_hat_2, exactly 0 for equal
+    specific densities (``equal_densities``): the divergence constraint is
+    then the incompressible one and the coupled mode drops out of the
+    pencil."""
 
     h_phi_phi: float
     kappa_phi_phi: float
     phi0: float
     rho_hat_1: float
     rho_hat_2: float
+    one_minus_r: float
     rho0: float
     M11: float
     inv_Re_s: float
@@ -530,7 +533,7 @@ class PhaseFieldLinearization(_Pencil):
 
     @property
     def equal_densities(self) -> bool:
-        return equal_specific_densities(self.rho_hat_1, self.rho_hat_2)
+        return self.one_minus_r == 0.0
 
     @property
     def Mh(self) -> float:
@@ -539,8 +542,7 @@ class PhaseFieldLinearization(_Pencil):
     @property
     def B(self) -> np.ndarray:
         B = np.diag([0.0, 1.0, self.rho0, self.rho0])
-        if not self.equal_densities:
-            B[0, 1] = -(1.0 - self.rho_hat_1 / self.rho_hat_2)
+        B[0, 1] = -self.one_minus_r
         return B
 
     def pencil_matrices(self, k) -> np.ndarray:
@@ -548,15 +550,11 @@ class PhaseFieldLinearization(_Pencil):
         conservation / divergence constraint, phase transport, longitudinal
         and transverse momentum."""
         k = np.asarray(k, dtype=float)
-        r = self.rho_hat_1 / self.rho_hat_2
-        Mh = self.Mh
+        r1, Mh = self.one_minus_r, self.Mh
         Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
         A = np.zeros((k.size, 4, 4), dtype=complex)
-        if self.equal_densities:    # 1 - r is 0, as in the model
-            A[:, 0, 2] = 1j * k
-        else:
-            A[:, 0, 2] = 1j * k * (1.0 - self.phi0 * (1.0 - r))
-            A[:, 1, 0] = Mh * k * k * (1.0 - r)
+        A[:, 0, 2] = 1j * k * (1.0 - self.phi0 * r1)
+        A[:, 1, 0] = Mh * k * k * r1
         A[:, 1, 1] = Mh * k * k * Dphi
         A[:, 1, 2] = 1j * k * self.phi0
         A[:, 2, 0] = 1j * k
@@ -614,17 +612,15 @@ class PhaseFieldLinearization(_Pencil):
                 else "no spinodal band (h_phi_phi >= 0)")
 
     def reduced_polynomial(self, k: float) -> np.ndarray:
-        r = self.rho_hat_1 / self.rho_hat_2
-        Mh = self.Mh
+        """With 1 - r = 0 the alpha^2 coefficient is 0 and the polynomial is
+        k^2 (alpha + Mh k^2 Dphi), the phase mode alone."""
+        r1, Mh = self.one_minus_r, self.Mh
         Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
-        if self.equal_densities:
-            # det(alpha B + A) = viscous * k^2 * (alpha + Mh k^2 Dphi)
-            return np.array([k**2 * Mh * Dphi, 1.0]) * k**2
-        Qbar = 1.0 - (1.0 - r) * self.phi0
+        Qbar = 1.0 - r1 * self.phi0
         return np.array([
             k**4 * Mh * Dphi * Qbar**2,
-            k**2 + self.inv_Re * Mh * (1.0 - r) ** 2 * k**4,
-            self.rho0 * Mh * (1.0 - r) ** 2 * k**2,
+            k**2 + self.inv_Re * Mh * r1 ** 2 * k**4,
+            self.rho0 * Mh * r1 ** 2 * k**2,
         ])
 
     def small_k(self) -> AsymptoticCoefficients:
@@ -675,8 +671,7 @@ class PhaseFieldLinearization(_Pencil):
     @property
     def Aco(self) -> float:
         """Coupled-mode coefficient 1 / ((1 - r)^2 M11 / rho_hat_1^2)."""
-        return 1.0 / ((1.0 - self.rho_hat_1 / self.rho_hat_2) ** 2
-                      * self.M11 / self.rho_hat_1**2)
+        return 1.0 / (self.one_minus_r ** 2 * self.M11 / self.rho_hat_1**2)
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:
         """Symbols keyed by field name, in the order of the standard form's

@@ -122,13 +122,12 @@ class BinaryModel:
         if self.inv_Re_s < 0 or self.inv_Re_v < 0:
             raise RangeError("inverse Reynolds numbers must be nonnegative")
 
-    def _viscous_forces(self, grid, vh, out=None):
+    def _viscous_forces(self, grid, vh, out):
         """Spectra (fx^, fy^) of the viscous forces from the velocities'
-        spectra (vx^, vy^), written into ``out`` where it is given."""
-        out = np.multiply(grid.ik2, vh, out=out)
+        spectra (vx^, vy^), written into ``out``."""
+        np.multiply(grid.ik2, vh, out=out)
         out[0] *= 2.0 * self.inv_Re_s + self.inv_Re_v
         out[1] *= self.inv_Re_s
-        return out
 
     def _viscous_dissipation(self, grid, vh):
         """Integral of (2 eta + nu) (d vx/dx)^2 + eta (d vy/dx)^2, eta =
@@ -226,17 +225,16 @@ class CompressibleModel(BinaryModel):
         """The free energy's variables stacked along ``axis``."""
         return u[self._rows].swapaxes(0, axis)
 
-    def _spectral_core(self, u, grid, flux=False):
+    def _spectral_core(self, u, grid):
         """(E, rho, v, h, mu^): E, the total density, the velocities v =
-        (vx, vy), the spectra h of E, g(E), v (then of the fluxes u*vx,
-        with ``flux``) from one batched ``rfft``, and mu^.  The bulk
-        gradient g(E) is evaluated per point (with the energy's domain
-        check), so it joins the state's rows; mu^ = g^ - kappa (ik)^2 E^.
-        The transform's input is one fresh array per call, filled row by
-        row; E and v are its rows."""
+        (vx, vy), the spectra h of E, g(E), v and the fluxes u*vx from one
+        batched ``rfft``, and mu^.  The bulk gradient g(E) is evaluated per
+        point (with the energy's domain check), so it joins the state's
+        rows; mu^ = g^ - kappa (ik)^2 E^.  The transform's input is one
+        fresh array per call, filled row by row; E and v are its rows."""
         N = self.n_components
         f = 2 * N + 2
-        rows = np.empty((f + len(u) if flux else f, grid.n))
+        rows = np.empty((f + len(u), grid.n))
         # "clip" writes out directly, where the default mode copies through a buffer
         E = np.take(u, self._rows, axis=0, out=rows[:N], mode="clip")
         # the domain check comes before rho = w.E, where a zero weight would
@@ -244,8 +242,7 @@ class CompressibleModel(BinaryModel):
         rows[N:2 * N] = self.free_energy.gradient(E.T).T
         rho = self.total_density(u)
         v = np.divide(u[-2:], rho, out=rows[2 * N:f])
-        if flux:
-            np.multiply(u, v[0], out=rows[f:])
+        np.multiply(u, v[0], out=rows[f:])
         h = np.fft.rfft(rows, axis=-1)
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.ik2 * h[:N])
         return E, rho, v, h, muh
@@ -256,7 +253,7 @@ class CompressibleModel(BinaryModel):
         one fresh array per call written row by row; the last rows of its
         output, negated in place, start the right-hand side, which comes
         back with the forward pass."""
-        core = E, _, v, h, muh = self._spectral_core(u, grid, flux=True)
+        core = E, _, v, h, muh = self._spectral_core(u, grid)
         N = self.n_components
         f = 2 * N + 2
         rows = np.empty((f + len(u), h.shape[-1]), dtype=complex)
@@ -384,7 +381,7 @@ class CompressibleLocal(CompressibleModel):
 class _QuasiSpectra(NamedTuple):
     """One pass of :meth:`QuasiIncompressible._spectral_core`."""
 
-    h: np.ndarray       # rfft of phi, vx, vy, g(phi), then of phi*vx if asked for
+    h: np.ndarray       # rfft of phi, vx, vy, g(phi), phi*vx
     muh: np.ndarray     # mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^
     Pih: np.ndarray     # Pi^, zero mode 0; None for equal specific densities
     Gh: np.ndarray      # G^ = mu^ + (1 - r) Pi^
@@ -400,8 +397,10 @@ class QuasiIncompressible(BinaryModel):
     the divergence residual, each of which then takes one inverse
     transform, and the diagnostics record, which takes none.
 
-    Equal specific densities (:func:`equal_specific_densities`) are the
-    incompressible model: 1 - r is taken as 0, so G = mu_phi, the velocity
+    Construction sets the constraint's weights once: ``one_minus_r``, 1 - r
+    with r = rho_hat_1 / rho_hat_2, and ``Mh`` = M11 / rho_hat_1^2.  Equal
+    specific densities (:func:`equal_specific_densities`) are the
+    incompressible model: 1 - r is exactly 0, so G = mu_phi, the velocity
     is solenoidal (in 1D vx stays as it is) and no pressure is formed."""
 
     free_energy: BulkFreeEnergy            # single variable phi
@@ -422,6 +421,10 @@ class QuasiIncompressible(BinaryModel):
             raise RangeError("kappa_phi_phi must be nonnegative")
         if self.rho_hat_1 <= 0 or self.rho_hat_2 <= 0:
             raise RangeError("specific densities must be positive")
+        one_minus_r = 0.0 if equal_specific_densities(self.rho_hat_1, self.rho_hat_2) \
+            else 1.0 - self.rho_hat_1 / self.rho_hat_2
+        object.__setattr__(self, "one_minus_r", one_minus_r)
+        object.__setattr__(self, "Mh", self.M11 / self.rho_hat_1**2)
 
     def state_densities(self, state: MixtureState) -> np.ndarray:
         """The free energy's variable at the state, (phi,)."""
@@ -461,24 +464,17 @@ class QuasiIncompressible(BinaryModel):
         return PhaseFieldLinearization(
             h_phi_phi=hpp, kappa_phi_phi=self.kappa_phi_phi, phi0=state.phi,
             rho_hat_1=self.rho_hat_1, rho_hat_2=self.rho_hat_2,
-            rho0=float(self.density(state.phi)), M11=self.M11,
-            inv_Re_s=self.inv_Re_s, inv_Re=2.0 * self.inv_Re_s + self.inv_Re_v,
+            one_minus_r=self.one_minus_r, rho0=float(self.density(state.phi)),
+            M11=self.M11, inv_Re_s=self.inv_Re_s,
+            inv_Re=2.0 * self.inv_Re_s + self.inv_Re_v,
         )
 
-    @property
-    def _constraint(self):
-        """(1 - r, Mh) of the divergence constraint, r = rho_hat_1 / rho_hat_2
-        and Mh = M11 / rho_hat_1^2; 1 - r is 0 for equal specific densities."""
-        r1 = 0.0 if equal_specific_densities(self.rho_hat_1, self.rho_hat_2) \
-            else 1.0 - self.rho_hat_1 / self.rho_hat_2
-        return r1, self.M11 / self.rho_hat_1**2
-
-    def _spectral_core(self, u, grid, flux=False) -> _QuasiSpectra:
+    def _spectral_core(self, u, grid) -> _QuasiSpectra:
         """The forward transform that every evaluation of the class shares.
 
         The bulk gradient g(phi) is evaluated per point (with the energy's
-        domain check), so it joins the state and, with ``flux``, phi*vx in one
-        batched ``rfft``; then mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^.
+        domain check), so it joins the state and phi*vx in one batched
+        ``rfft``; then mu_phi^ = g^ - kappa_phi_phi (ik)^2 phi^.
 
         The constraint d vx/dx = (1-r) Mh d2 G/dx2 with G = mu_phi +
         (1 - r) Pi gives Pi^ = -(ik vx^ + (1-r) Mh k^2 mu^) / ((1-r)^2 Mh
@@ -486,14 +482,13 @@ class QuasiIncompressible(BinaryModel):
         densities G = mu_phi and no pressure is formed.
         """
         phi, vx, _ = u
-        rows = np.empty((5 if flux else 4, grid.n))
+        rows = np.empty((5, grid.n))
         rows[:3] = u
         rows[3] = self.free_energy.gradient(phi[..., None])[..., 0]
-        if flux:
-            np.multiply(phi, vx, out=rows[4])
+        np.multiply(phi, vx, out=rows[4])
         h = np.fft.rfft(rows, axis=-1)
         muh = h[3] - self.kappa_phi_phi * grid.ik2 * h[0]
-        r1, Mh = self._constraint
+        r1, Mh = self.one_minus_r, self.Mh
         if r1 == 0.0:
             return _QuasiSpectra(h, muh, None, muh)
         Pih = h[1] * grid.inv_ik / (r1**2 * Mh) - muh / r1
@@ -516,9 +511,9 @@ class QuasiIncompressible(BinaryModel):
         or (ax, ay) without ``physical_phi``.
         """
         phi, vx, _ = u
-        core = self._spectral_core(u, grid, flux=True)
+        core = self._spectral_core(u, grid)
         ik, h = grid.ik, core.h
-        phih = -ik * h[4] - self._constraint[1] * grid.wavenumbers**2 * core.Gh
+        phih = -ik * h[4] - self.Mh * grid.wavenumbers**2 * core.Gh
         pressure = core.Pih is not None
         f = int(physical_phi)                   # the fx row
         rows = np.empty((f + 4 + pressure, h.shape[-1]), dtype=complex)
@@ -557,7 +552,7 @@ class QuasiIncompressible(BinaryModel):
         d vx/dx - (1 - r) Mh d2 G/dx2; for equal specific densities that is
         max |d vx/dx|."""
         core = self._spectral_core(u, grid)
-        r1, Mh = self._constraint
-        res = np.fft.irfft(grid.ik * core.h[1] + r1 * Mh * grid.wavenumbers**2 * core.Gh,
+        res = np.fft.irfft(grid.ik * core.h[1]
+                           + self.one_minus_r * self.Mh * grid.wavenumbers**2 * core.Gh,
                            n=grid.n)
         return float(np.max(np.abs(res)))

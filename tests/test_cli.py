@@ -4,8 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from pfmix import cli
-from pfmix.config import load_config, parse_config
+from pfmix import cli, dispersion
+from pfmix.config import build_all, load_config, parse_config
 from pfmix.errors import ConfigError
 from pfmix.linearization import EQUAL_DENSITY_RTOL
 
@@ -323,7 +323,6 @@ points = 11
 
     def test_pencil_check_names_the_first_failing_k(self, tmp_path, capsys,
                                                     monkeypatch):
-        from pfmix import dispersion
         coefficients = dispersion._scalar_coefficients
 
         def off_from_k_10(lin, k):
@@ -475,9 +474,6 @@ class TestDeterminism:
     def test_sweep_csvs_match_the_per_row_writer(self, tmp_path, name):
         """dispersion.csv and both asymptote curves, rebuilt row by row
         and value by value, are the files the sweep writes."""
-        from pfmix import dispersion
-        from pfmix.config import build_all
-
         out = tmp_path / "o"
         assert cli.main(["sweep", "--config", str(config_path(name)),
                          "--out", str(out)]) == cli.EXIT_OK
@@ -690,3 +686,111 @@ perturb_amplitude = 1e-6
         assert code == cli.EXIT_CONFIG
         assert f"exceeds the {integrator} stability guard" in err
         assert "grid mode 127 (k=127, root " in err     # the capillary wave
+
+
+# Flory-Huggins (kBT/m = 1, N1 = N2 = 1, chi = 3) reduced to the volume
+# fraction: kappa_phi_phi = v.kappa~.v = 4 * 0.004 with v = (2, 1).
+FH_PHASE_FIELD = """
+[free_energy]
+kind = flory_huggins
+kBT_over_m = 1.0
+N1 = 1.0
+N2 = 1.0
+chi = 3.0
+kappa_rho1_rho1 = 0.004
+kappa_rho_rho1 = 0.0
+kappa_rho_rho = 0.0
+
+[model]
+class = quasi_incompressible
+M11 = 1.0
+Re_s = 1.0
+Re_v = 1.0
+rho_hat_1 = 2.0
+rho_hat_2 = 1.0
+
+[state]
+phi0 = 0.45
+
+[sweep]
+k_min = 0.01
+k_max = 100.0
+points = 41
+
+[simulate]
+length = 6.283185307179586
+n = 128
+dt = 2e-3
+t_end = 2.0
+integrator = semi_implicit
+seed_eigenvector = true
+eigen_track = alpha1
+perturb_mode = 1
+perturb_amplitude = 1e-7
+"""
+
+
+class TestFloryHugginsPhaseField:
+    """A Flory-Huggins energy reaches both phase-field classes by the
+    reduction of its (rho1, rho) form to phi."""
+
+    def test_quasi_sweep_matches_the_closed_form(self, tmp_path):
+        path = write(tmp_path, "fh.ini", FH_PHASE_FIELD)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        model, state = build_all(load_config(path))
+        lin = model.linearization(state)
+        assert lin.one_minus_r == -1.0
+        table = np.genfromtxt(out / "dispersion.csv", delimiter=",", names=True,
+                              dtype=None, encoding="utf-8")
+        for name, want in zip(("alpha0", "alpha1", "alpha2"),
+                              dispersion.quasi_explicit_roots(lin, table["k"])):
+            got = table[f"re_{name}"] + 1j * table[f"im_{name}"]
+            assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+    def test_h_phi_phi_is_the_reduced_energy_s_curvature(self):
+        model, state = build_all(parse_config(FH_PHASE_FIELD))
+        lin = model.linearization(state)
+        assert lin.kappa_phi_phi == pytest.approx(0.016, rel=1e-15)
+
+        def on_the_line(phi):
+            # the configured energy at rho1 = rho_hat_1 phi, rho2 = rho_hat_2 (1 - phi)
+            r1, r2 = 2.0 * phi, 1.0 - phi
+            r = r1 + r2
+            return r1 * np.log(r1 / r) + r2 * np.log(r2 / r) + 3.0 * r1 * r2 / r
+
+        phi, d = state.phi, 1e-4
+        for h in (lambda x: model.free_energy.value([x]), on_the_line):
+            fd = (h(phi + d) - 2.0 * h(phi) + h(phi - d)) / d**2
+            assert lin.h_phi_phi == pytest.approx(fd, rel=1e-6)
+
+    def test_every_verify_line_passes(self, tmp_path, capsys):
+        path = write(tmp_path, "fh.ini", FH_PHASE_FIELD)
+        assert cli.main(["verify", "--config", path,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and all(ln.startswith("PASS ") for ln in lines)
+
+    def test_simulate_measures_the_predicted_rate(self, tmp_path, capsys):
+        path = write(tmp_path, "fh.ini", FH_PHASE_FIELD)
+        assert cli.main(["simulate", "--config", path,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        text = capsys.readouterr().out
+        assert "ENERGY_MONOTONE yes" in text
+        assert float(text.split("REL_ERROR")[1].split()[0]) < 0.05
+
+    def test_incompressible_alpha1_is_the_closed_form(self):
+        text = FH_PHASE_FIELD.replace("class = quasi_incompressible",
+                                      "class = incompressible")
+        model, state = build_all(parse_config(text.replace("rho_hat_1 = 2.0",
+                                                           "rho_hat_1 = 1.0")))
+        lin = model.linearization(state)
+        assert lin.equal_densities and lin.one_minus_r == 0.0
+        # symmetric Flory-Huggins at rho = 1: h'' = 1/phi + 1/(1 - phi) - 2 chi
+        phi = state.phi
+        assert lin.h_phi_phi == pytest.approx(1 / phi + 1 / (1 - phi) - 6.0, rel=1e-14)
+        ks = np.logspace(-2, 2, 41)
+        result = dispersion.sweep(lin, ks)
+        _, want = dispersion.incompressible_roots(lin, ks)
+        got = result.roots[:, result.mode_names.index("alpha1")]
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13

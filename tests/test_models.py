@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pfmix import free_energy as fe
+from pfmix import linearization
 from pfmix import models
 from pfmix import simulator as sim
 from pfmix.errors import DomainError, RangeError, ShapeError, SolveError
@@ -559,6 +560,25 @@ class TestQuasiSpectralCore:
         # quasi-incompressible remainder
         div = np.max(np.abs(dx1(grid, u[1])))
         assert m.divergence_residual(u, grid) == pytest.approx(div, rel=1e-12)
+
+    @pytest.mark.parametrize("rho_hat_1", [2.0, 1.0], ids=["r=2", "r=1"])
+    def test_passes_never_ask_for_equal_densities(self, monkeypatch, rho_hat_1):
+        # 1 - r is set once at construction; no pass tests the densities again
+        calls = []
+        for module in (models, linearization):
+            test = module.equal_specific_densities
+            monkeypatch.setattr(module, "equal_specific_densities",
+                                lambda a, b, test=test: calls.append(1) or test(a, b))
+        m = self.model(rho_hat_1)
+        assert len(calls) == 1
+        assert (m.one_minus_r == 0.0) == (rho_hat_1 == 1.0)
+        grid = PeriodicGrid1D(2 * np.pi, 32)
+        u = self.state(grid)
+        for spectral in (False, True):
+            _, core = m.rhs_pass(u, grid, spectral=spectral)
+            m.record(u, grid, core, (("phi", 1),))
+        m.divergence_residual(u, grid)
+        assert len(calls) == 1
 
     def test_non_finite_pressure_raises(self):
         grid = PeriodicGrid1D(2 * np.pi, 32)
