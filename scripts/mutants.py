@@ -78,16 +78,51 @@ MUTANTS = [
      "phase-field pencil: sign of B[0, 1]"),
     ("linearization.py", "A[:, 1, 0] = Mh * k * k * r1", "A[:, 1, 0] = 0.0",
      "phase-field pencil: A[1, 0] coupling dropped"),
-    ("config.py", "reduce_quasi_incompressible(kappa, tilde, rho_hat_1, rho_hat_2)",
-     "reduce_quasi_incompressible(kappa, tilde, rho_hat_2, rho_hat_1)",
+    ("config.py", "reduce_quasi_incompressible(kappa, bulk, rh1, rh2)",
+     "reduce_quasi_incompressible(kappa, bulk, rh2, rh1)",
      "phase-field reduction: rho_hat_1 and rho_hat_2 swapped"),
+    ("config.py", "reduce_quasi_incompressible(kappa, bulk, rh1, rh2)",
+     'reduce_quasi_incompressible(kappa, bulk, *_need(cfg, "model", '
+     '["rho_hat_1", "rho_hat_2"]))',
+     "phase-field reduction: along the configured, not the resolved, densities"),
+    ("config.py", "        rh2 = rh1", "        rh2 = rh2",
+     "incompressible class: rho_hat_2 not set to rho_hat_1"),
     ("cli.py", "except (ConfigError, RangeError) as exc:", "except ConfigError as exc:",
      "exit codes: range errors not configuration errors"),
     ("cli.py", "return EXIT_BLOWUP", "return EXIT_NUMERIC", "exit codes: blow-up as 3"),
-    ("cli.py", "return EXIT_OK if all_ok else EXIT_VERIFY_FAIL", "return EXIT_OK",
+    ("cli.py", "(EXIT_OK if all_ok else EXIT_VERIFY_FAIL)", "(EXIT_OK)",
      "exit codes: failed verify exits 0"),
     ("cli.py", 'print(f"error: {exc}", file=sys.stderr)', "raise",
      "exit codes: other package errors escape main"),
+    ("cli.py", "_write_atomic(os.path.join(args.out, name), text)",
+     "_write_atomic(os.path.join(args.out, name), text[:-1])",
+     "main: each file written without its last newline"),
+    ("cli.py", "sys.stdout.write(text)", "sys.stdout.write(name)",
+     "main: the report's name printed, not its text"),
+    ("cli.py", '_write_atomic(os.path.join(args.out, "config_echo.ini"), cfg.normalized())',
+     "None", "main: no config echo"),
+    ("cli.py", "if section is not None and not cfg.has_section(section):", "if False:",
+     "main: command section not checked"),
+    ("cli.py", 'f"# unavailable: {exc}\\n"', '"# unavailable\\n"',
+     "sweep: unavailable asymptotes without their reason"),
+    ("cli.py", 'ks = np.linspace(sec["k_min"]', 'ks = np.geomspace(sec["k_min"]',
+     "sweep: linear spacing read as log"),
+    ("cli.py", "for step, snap in trace.snapshots:",
+     "for step, snap in trace.snapshots[1:]:",
+     "simulate: first snapshot dropped"),
+    ("cli.py", "names = sorted(snap)", "names = list(snap)",
+     "simulate: snapshot columns in state-row order"),
+    ("linearization.py", "y3 = -(x3**2 * r0 * MK", "y3 = (x3**2 * r0 * MK",
+     "full-rank large k: sign of alpha3's constant term"),
+    ("linearization.py", '("alpha1", (-MK + disc) / 2.0)',
+     '("alpha1", (-MK + 1.01 * disc) / 2.0)',
+     "full-rank large k: alpha1's k^4 coefficient off"),
+    ("linearization.py", "((-iRe + disc) / (2.0 * r0),))", "((iRe + disc) / (2.0 * r0),))",
+     "phase-field large k: oscillatory alpha1's sign of 1/Re"),
+    ("linearization.py", '"no spinodal band (h_phi_phi >= 0)"', '"no spinodal band"',
+     "phase-field classification: reason of no band dropped"),
+    ("simulator.py", "return np.inf, None, None", "return hi, None, None",
+     "dt guard: finite limit where every dt is admitted"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -1,7 +1,11 @@
 """Command-line front end: sweeps, concavity maps, transient runs, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure, 4 transient blow-up.  Output files are written
+3 numerical failure, 4 transient blow-up.  Each ``cmd_*`` is a function of
+the config alone that returns ``(exit code, files)``: ``files`` holds
+(name, text) pairs, the report last, and whatever can fail has run before
+it returns.  ``main`` alone writes them, prints the report and echoes the
+config, so a command that fails writes nothing.  Output files are written
 atomically (temp file + rename) with 17-significant-digit floats and
 newline line endings so identical configs give byte-identical results.
 """
@@ -61,18 +65,12 @@ def _csv(header, columns) -> str:
     return "\n".join([",".join(header)] + [fmt % tuple(r) for r in rows]) + "\n"
 
 
-def _echo_config(cfg: RunConfig, outdir: str):
-    _write_atomic(os.path.join(outdir, "config_echo.ini"), cfg.normalized())
-
-
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
 
 
-def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
-    if not cfg.has_section("sweep"):
-        raise ConfigError(f"{cfg.source}: sweep command needs a [sweep] section")
+def cmd_sweep(cfg: RunConfig):
     model, state = build_all(cfg)
     sec = cfg.sections["sweep"]
     if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
@@ -93,7 +91,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
         header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
         columns += [result.roots[:, j].real, result.roots[:, j].imag,
                     result.labels[j].value]
-    _write_atomic(os.path.join(outdir, "dispersion.csv"), _csv(header, columns))
+    files = [("dispersion.csv", _csv(header, columns))]
 
     # asymptote curves over their windows, plus the flat coefficient blocks
     for regime, fn, sel in (
@@ -103,18 +101,15 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
         try:
             co = fn()
         except PfmixError as exc:
-            _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
-                          f"# unavailable: {exc}\n")
+            files.append((f"asymptotes_{regime}.csv", f"# unavailable: {exc}\n"))
             continue
-        _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.txt"),
-                      co.flat_text())
+        files.append((f"asymptotes_{regime}.txt", co.flat_text()))
         header, columns = ["k"], [sel]
         for m in co.modes:
             v = m.evaluate(sel)
             header += [f"re_{m.name}", f"im_{m.name}"]
             columns += [v.real, v.imag]
-        _write_atomic(os.path.join(outdir, f"asymptotes_{regime}.csv"),
-                      _csv(header, columns))
+        files.append((f"asymptotes_{regime}.csv", _csv(header, columns)))
 
     lines = []
     for j, nm in enumerate(names):
@@ -128,11 +123,8 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
     lines.append(lin.classification())
     if result.ambiguous:
         lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
-    summary = "\n".join(lines) + "\n"
-    _write_atomic(os.path.join(outdir, "summary.txt"), summary)
-    sys.stdout.write(summary)
-    _echo_config(cfg, outdir)
-    return EXIT_OK
+    files.append(("summary.txt", "\n".join(lines) + "\n"))
+    return EXIT_OK, files
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +132,7 @@ def cmd_sweep(cfg: RunConfig, outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
-    if not cfg.has_section("map"):
-        raise ConfigError(f"{cfg.source}: concavity-map needs a [map] section")
+def cmd_concavity_map(cfg: RunConfig):
     sec = cfg.sections["map"]
     if sec["n_rho1"] < 1 or sec["n_rho"] < 1:
         raise ConfigError("concavity-map needs n_rho1 >= 1 and n_rho >= 1")
@@ -161,15 +151,11 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
     for r1, row in zip(rho1, codes.tolist()):
         r1_txt = F(r1)
         lines += [f"{r1_txt},{r},{code_txt[c]}" for r, c in zip(rho_txt, row)]
-    _write_atomic(os.path.join(outdir, "concavity.csv"), "\n".join(lines) + "\n")
     counts = {c: int(np.sum(codes == c)) for c in range(5)}
     summary = ("cells: excluded={0} positive_definite={1} indefinite={2} "
                "negative_definite={3} singular={4}\n").format(
                    counts[0], counts[1], counts[2], counts[3], counts[4])
-    _write_atomic(os.path.join(outdir, "summary.txt"), summary)
-    sys.stdout.write(summary)
-    _echo_config(cfg, outdir)
-    return EXIT_OK
+    return EXIT_OK, [("concavity.csv", "\n".join(lines) + "\n"), ("summary.txt", summary)]
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +163,7 @@ def cmd_concavity_map(cfg: RunConfig, outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
-    if not cfg.has_section("simulate"):
-        raise ConfigError(f"{cfg.source}: simulate needs a [simulate] section")
+def cmd_simulate(cfg: RunConfig):
     sec = cfg.sections["simulate"]
     model, state = build_all(cfg)
     grid = simulator.PeriodicGrid1D(sec["length"], sec["n"])
@@ -216,18 +200,12 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
         snapshot_every=sec["snapshot_every"])
     trace = simulator.run(run_cfg)
 
-    for step, snap in trace.snapshots:
-        names = sorted(snap)
-        _write_atomic(os.path.join(outdir, f"snapshot_{step:08d}.csv"),
-                      _csv(["x"] + names, [trace.grid.x] + [snap[nm] for nm in names]))
-
     header = ["t", "mass", "energy", "dissipation"]
     columns = [trace.times, trace.mass, trace.energy, trace.dissipation]
     for fname, m in track:
         amp = trace.amplitudes[(fname, m)]
         header += [f"re_{fname}_{m}", f"im_{fname}_{m}"]
         columns += [amp.real, amp.imag]
-    _write_atomic(os.path.join(outdir, "trace.csv"), _csv(header, columns))
 
     drift = float(np.max(np.abs(trace.mass - trace.mass[0]))
                   / max(abs(trace.mass[0]), 1e-300))
@@ -250,10 +228,17 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     except PfmixError as exc:
         lines.append(f"ALPHA_MEASURED unavailable: {exc}")
     verdict = "\n".join(lines) + "\n"
-    _write_atomic(os.path.join(outdir, "verdict.txt"), verdict)
-    sys.stdout.write(verdict)
-    _echo_config(cfg, outdir)
-    return EXIT_OK
+
+    def files():
+        # each text is formed only when main writes it
+        for step, snap in trace.snapshots:
+            names = sorted(snap)
+            yield (f"snapshot_{step:08d}.csv",
+                   _csv(["x"] + names, [trace.grid.x] + [snap[nm] for nm in names]))
+        yield "trace.csv", _csv(header, columns)
+        yield "verdict.txt", verdict
+
+    return EXIT_OK, files()
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +246,7 @@ def cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig, outdir: str) -> int:
+def cmd_verify(cfg: RunConfig):
     """One-shot invariant suite on the configured model."""
     checks = []
 
@@ -376,15 +361,19 @@ def cmd_verify(cfg: RunConfig, outdir: str) -> int:
         all_ok &= ok
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     report = "\n".join(lines) + "\n"
-    sys.stdout.write(report)
-    _write_atomic(os.path.join(outdir, "verify.txt"), report)
-    _echo_config(cfg, outdir)
-    return EXIT_OK if all_ok else EXIT_VERIFY_FAIL
+    return (EXIT_OK if all_ok else EXIT_VERIFY_FAIL), [("verify.txt", report)]
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+
+# each command and the config section it needs; its handler is
+# cmd_<command>, looked up when main is called, so that a handler wrapped
+# or replaced on the module is the one that runs
+COMMANDS = {"sweep": "sweep", "concavity-map": "map", "simulate": "simulate",
+            "verify": None}
 
 
 @functools.cache
@@ -396,7 +385,7 @@ def _parser() -> argparse.ArgumentParser:
         description="Phase-field mixture models: stability sweeps, concavity "
                     "maps, transient verification runs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("sweep", "concavity-map", "simulate", "verify"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
@@ -405,15 +394,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    section = COMMANDS[args.command]
     try:
         cfg = load_config(args.config)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.out)
-        if args.command == "concavity-map":
-            return cmd_concavity_map(cfg, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out)
-        return cmd_verify(cfg, args.out)
+        if section is not None and not cfg.has_section(section):
+            raise ConfigError(f"{cfg.source}: {args.command} needs a [{section}] section")
+        code, files = globals()["cmd_" + args.command.replace("-", "_")](cfg)
+        for name, text in files:
+            _write_atomic(os.path.join(args.out, name), text)
+        sys.stdout.write(text)      # the report, the last file
+        _write_atomic(os.path.join(args.out, "config_echo.ini"), cfg.normalized())
+        return code
     except (ConfigError, RangeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

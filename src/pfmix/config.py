@@ -209,11 +209,11 @@ def _build_species(cfg: RunConfig, idx: int) -> fe.PRSpecies:
 
 
 def build_free_energy(cfg: RunConfig, model_class: str):
-    """(bulk energy in the class's natural variables, kappa).  A quadratic
-    energy is read in those variables; a (rho1, rho2) energy of any other
-    kind is carried to them by the paper's changes of variables:
-    (rho1, rho) for compressible_local, and on from there to phi by
-    ``reduce_quasi_incompressible`` for the phase-field classes."""
+    """(bulk energy, kappa).  A quadratic energy is read in the class's
+    natural variables; a (rho1, rho2) energy of any other kind is carried
+    to (rho1, rho) by the paper's change of variables for every class but
+    compressible_global, and ``build_model`` reduces it on to phi for the
+    phase-field classes."""
     sec = cfg.sections["free_energy"]
     kind = sec["kind"]
     if kind not in _FE_KINDS:
@@ -223,8 +223,7 @@ def build_free_energy(cfg: RunConfig, model_class: str):
     if kind == "quadratic":
         if model_class in _PHASE_FIELD_CLASSES:
             (hpp,) = _need(cfg, "free_energy", ["h_phi_phi"])
-            bulk = fe.Quadratic([[hpp]], g=[sec["g_phi"]], variables=("phi",))
-            return bulk, float(kappa.kappa[0, 0])
+            return fe.Quadratic([[hpp]], g=[sec["g_phi"]], variables=("phi",)), kappa
         c11, c12, c22 = _need(cfg, "free_energy", ["c11", "c12", "c22"])
         return fe.Quadratic([[c11, c12], [c12, c22]], g=[sec["g1"], sec["g2"]],
                             variables=("rho1", "rho") if local else None), kappa
@@ -236,12 +235,7 @@ def build_free_energy(cfg: RunConfig, model_class: str):
         bulk = _pr_from_config(cfg)
     if model_class == "compressible_global":
         return bulk, kappa
-    tilde = fe.TildeFreeEnergy(bulk)
-    if local:
-        return tilde, kappa
-    rho_hat_1, rho_hat_2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
-    kphi, bulk = fe.reduce_quasi_incompressible(kappa, tilde, rho_hat_1, rho_hat_2)
-    return bulk, kphi
+    return fe.TildeFreeEnergy(bulk), kappa
 
 
 def build_kappa(cfg: RunConfig, model_class: str) -> fe.GradientCoefficients:
@@ -279,21 +273,18 @@ def build_model(cfg: RunConfig):
     if sec["re_s"] <= 0 or sec["re_v"] <= 0:
         raise ConfigError(f"{cfg.source}: Re_s and Re_v must be positive")
     inv_s, inv_v = 1.0 / sec["re_s"], 1.0 / sec["re_v"]
-    built = build_free_energy(cfg, cls)
+    bulk, kappa = build_free_energy(cfg, cls)
     if cls == "compressible_global":
-        bulk, kappa = built
         m11, m12, m22 = _need(cfg, "model", ["m11", "m12", "m22"])
         return models.CompressibleGlobal(
             free_energy=bulk, kappa=kappa,
             mobility=np.array([[m11, m12], [m12, m22]]),
             inv_Re_s=inv_s, inv_Re_v=inv_v)
     if cls == "compressible_local":
-        bulk, kappa = built
         (m11,) = _need(cfg, "model", ["m11"])
         return models.CompressibleLocal(
             free_energy=bulk, kappa=kappa, M11=m11,
             inv_Re_s=inv_s, inv_Re_v=inv_v)
-    bulk, kphi = built
     (m11,) = _need(cfg, "model", ["m11"])
     rh1, rh2 = _need(cfg, "model", ["rho_hat_1", "rho_hat_2"])
     equal = equal_specific_densities(rh1, rh2)
@@ -307,25 +298,22 @@ def build_model(cfg: RunConfig):
             f"{cfg.source}: rho_hat_1 == rho_hat_2 (to a relative "
             f"{EQUAL_DENSITY_RTOL:.1e}) degenerates the quasi-incompressible "
             "model to the incompressible one; set class = incompressible instead")
+    # the energy is reduced along the resolved specific densities
+    kphi = float(kappa.kappa[0, 0])
+    if bulk.variables != ("phi",):
+        kphi, bulk = fe.reduce_quasi_incompressible(kappa, bulk, rh1, rh2)
     return models.QuasiIncompressible(
         free_energy=bulk, kappa_phi_phi=kphi, M11=m11,
         inv_Re_s=inv_s, inv_Re_v=inv_v, rho_hat_1=rh1, rho_hat_2=rh2)
 
 
 def build_state(cfg: RunConfig) -> models.MixtureState:
-    sec = cfg.sections["state"]
     cls = cfg.sections["model"]["class"]
     if cls == "compressible_global":
-        if sec.get("rho1_0") is None or sec.get("rho2_0") is None:
-            raise ConfigError(f"{cfg.source}: [state] needs rho1_0 and rho2_0")
-        return models.MixtureState.binary(sec["rho1_0"], sec["rho2_0"])
+        return models.MixtureState.binary(*_need(cfg, "state", ["rho1_0", "rho2_0"]))
     if cls == "compressible_local":
-        if sec.get("rho0") is None or sec.get("rho1_0") is None:
-            raise ConfigError(f"{cfg.source}: [state] needs rho0 and rho1_0")
-        return models.MixtureState.total_partial(sec["rho0"], sec["rho1_0"])
-    if sec.get("phi0") is None:
-        raise ConfigError(f"{cfg.source}: [state] needs phi0")
-    return models.MixtureState.fraction(sec["phi0"])
+        return models.MixtureState.total_partial(*_need(cfg, "state", ["rho0", "rho1_0"]))
+    return models.MixtureState.fraction(*_need(cfg, "state", ["phi0"]))
 
 
 def build_all(cfg: RunConfig):

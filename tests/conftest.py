@@ -12,6 +12,48 @@ def config_path(name: str):
     return resources.files("pfmix.data.configs").joinpath(name)
 
 
+# Flory-Huggins (kBT/m = 1, N1 = N2 = 1, chi = 3) reduced to the volume
+# fraction: kappa_phi_phi = v.kappa~.v = 4 * 0.004 with v = (2, 1).
+FH_PHASE_FIELD = """
+[free_energy]
+kind = flory_huggins
+kBT_over_m = 1.0
+N1 = 1.0
+N2 = 1.0
+chi = 3.0
+kappa_rho1_rho1 = 0.004
+kappa_rho_rho1 = 0.0
+kappa_rho_rho = 0.0
+
+[model]
+class = quasi_incompressible
+M11 = 1.0
+Re_s = 1.0
+Re_v = 1.0
+rho_hat_1 = 2.0
+rho_hat_2 = 1.0
+
+[state]
+phi0 = 0.45
+
+[sweep]
+k_min = 0.01
+k_max = 100.0
+points = 41
+
+[simulate]
+length = 6.283185307179586
+n = 128
+dt = 2e-3
+t_end = 2.0
+integrator = semi_implicit
+seed_eigenvector = true
+eigen_track = alpha1
+perturb_mode = 1
+perturb_amplitude = 1e-7
+"""
+
+
 @pytest.fixture(scope="session")
 def band_composition():
     """Calibrated mixture at the composition-unstable reference state."""

@@ -7,9 +7,10 @@ import pytest
 from pfmix import cli, dispersion
 from pfmix.config import build_all, load_config, parse_config
 from pfmix.errors import ConfigError
+from pfmix.grid import PeriodicGrid1D
 from pfmix.linearization import EQUAL_DENSITY_RTOL
 
-from conftest import config_path
+from conftest import FH_PHASE_FIELD, config_path
 
 
 MINI_SWEEP = """
@@ -120,12 +121,18 @@ class TestExitCodes:
         assert cli.main(["sweep", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
 
-    def test_negative_kappa_fails_verify_exit_1(self, tmp_path):
+    def test_negative_kappa_fails_verify_exit_1(self, tmp_path, capsys):
+        # a verify that fails still writes its report and the echo
         bad = MINI_SWEEP.replace("kappa_rho1_rho1 = 0.002",
                                  "kappa_rho1_rho1 = -0.002")
         path = write(tmp_path, "badkappa.ini", bad)
+        out = tmp_path / "o"
         assert cli.main(["verify", "--config", path,
-                         "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+                         "--out", str(out)]) == cli.EXIT_VERIFY_FAIL
+        assert sorted(f.name for f in out.iterdir()) == ["config_echo.ini", "verify.txt"]
+        report = (out / "verify.txt").read_text()
+        assert "FAIL kappa_psd" in report and report == capsys.readouterr().out
+        assert (out / "config_echo.ini").read_text() == parse_config(bad).normalized()
 
     @pytest.mark.parametrize("case, failed", [
         # equal specific densities break the model build, not kappa
@@ -142,6 +149,47 @@ class TestExitCodes:
         verdicts = [ln.split(":")[0].split() for ln in out.splitlines()]
         assert [name for v, name in verdicts if v == "FAIL"] == failed
         assert ["PASS", "kappa_psd"] in verdicts or "kappa_psd" in failed
+
+    @pytest.mark.parametrize("command, text, old, new, want", [
+        ("sweep", MINI_SWEEP, "kind = quadratic", "kind = cubic",
+         "unknown free energy kind 'cubic'"),
+        ("sweep", MINI_SWEEP, "class = compressible_local", "class = regional",
+         "unknown model class 'regional'"),
+        ("sweep", MINI_SWEEP, "Re_s = 2.0", "Re_s = 0.0",
+         "Re_s and Re_v must be positive"),
+        ("sweep", FH_PHASE_FIELD, "class = quasi_incompressible",
+         "class = incompressible", "incompressible class needs rho_hat_1 == rho_hat_2"),
+        ("concavity-map", "concavity_co2_decane.ini", "species1 = n-decane\n", "",
+         "species1 needs either a data-file name or inline species1_tc"),
+        ("concavity-map", "concavity_co2_decane.ini", "species2 = CO2",
+         "species2 = argon", "unknown species 'argon' in data file"),
+        ("sweep", MINI_SWEEP, "rho1_0 = 1.0\n", "", "[state] requires 'rho1_0'"),
+        ("sweep", MINI_SWEEP.replace(
+            "kappa_rho_rho1 = 0.0\nkappa_rho_rho = 0.002",
+            "kappa_rho1_rho2 = 0.0\nkappa_rho2_rho2 = 0.002").replace(
+            "M11 = 0.05", "M11 = 0.05\nM12 = 0.0\nM22 = 0.05").replace(
+            "class = compressible_local", "class = compressible_global"),
+         "rho0 = 3.0\nrho1_0 = 1.0", "rho1_0 = 1.0", "[state] requires 'rho2_0'"),
+        ("sweep", FH_PHASE_FIELD, "phi0 = 0.45\n", "", "[state] requires 'phi0'"),
+        ("sweep", MINI_SWEEP, "spacing = log", "spacing = cubic",
+         "unknown spacing 'cubic'"),
+        ("sweep", "concavity_co2_decane.ini", "", "", "sweep needs a [sweep] section"),
+        ("concavity-map", MINI_SWEEP, "", "", "concavity-map needs a [map] section"),
+        ("simulate", MINI_SWEEP, "", "", "simulate needs a [simulate] section"),
+    ], ids=["kind", "model_class", "re_s", "incompressible_unequal", "species_unnamed",
+            "species_unknown", "state_local", "state_global", "state_phase_field",
+            "spacing", "no_sweep", "no_map", "no_simulate"])
+    def test_config_errors_exit_2_and_write_nothing(self, tmp_path, capsys, command,
+                                                    text, old, new, want):
+        if text.endswith(".ini"):
+            text = config_path(text).read_text(encoding="utf-8")
+        assert old in text
+        path = write(tmp_path, "bad.ini", text.replace(old, new))
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert want in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_equal_rho_hats_guided_exit_2(self, tmp_path, capsys):
         path = write(tmp_path, "equal.ini", EQUAL_RHO_HATS)
@@ -437,6 +485,118 @@ def test_main_answers_every_call_as_its_first(tmp_path, capsys):
         assert call(command, config, tmp_path / f"again_{command}") == want
 
 
+# A compressible_local quadratic mixture whose two closed-form band edges
+# fall in one bracket, [11.22, 12.59], of its 81 log-spaced k: the band is
+# narrower than the grid spacing, and the sweep exits 3.
+NARROW_BAND = """
+[free_energy]
+kind = quadratic
+c11 = -0.278
+c12 = -0.006
+c22 = -1.142
+kappa_rho1_rho1 = 0.00216
+kappa_rho_rho1 = 0.0
+kappa_rho_rho = 0.00724
+
+[model]
+class = compressible_local
+M11 = 0.814
+Re_s = 4.039
+Re_v = 2.536
+
+[state]
+rho0 = 2.354
+rho1_0 = 0.535
+
+[sweep]
+k_min = 0.01
+k_max = 100.0
+points = 81
+"""
+
+
+class TestCommandContract:
+    """Each command returns its exit code and its files, the report last;
+    ``main`` alone writes them, prints the report and echoes the config."""
+
+    def test_failing_sweep_leaves_the_output_directory_unchanged(self, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", str(config_path("band_composition.ini")),
+                         "--out", str(out)]) == cli.EXIT_OK
+        before = {f.name: f.read_bytes() for f in out.iterdir()}
+        capsys.readouterr()
+        path = write(tmp_path, "narrow.ini", NARROW_BAND)
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_NUMERIC
+        captured = capsys.readouterr()
+        assert "2 closed-form band edges change the pencil's count" in captured.err
+        assert captured.out == ""
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+    def test_main_calls_the_handler_on_the_module(self, tmp_path, capsys, monkeypatch):
+        # looked up when main is called, so a replaced handler is the one
+        # that runs; its exit code passes through and its files are written
+        calls = []
+
+        def handler(cfg):
+            calls.append(cfg.source)
+            files = [("a.csv", "x\n"), ("summary.txt", "report\n")]
+            return cli.EXIT_VERIFY_FAIL, iter(files)
+
+        monkeypatch.setattr(cli, "cmd_sweep", handler)
+        path = write(tmp_path, "mini.ini", MINI_SWEEP)
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) \
+            == cli.EXIT_VERIFY_FAIL
+        assert calls == [path]
+        assert capsys.readouterr().out == "report\n"
+        assert {f.name: f.read_text() for f in out.iterdir()} == {
+            "a.csv": "x\n", "summary.txt": "report\n",
+            "config_echo.ini": parse_config(MINI_SWEEP).normalized()}
+
+
+class TestOutputFiles:
+    def test_unavailable_asymptotes_are_named_in_their_csv(self, tmp_path):
+        # kappa_rho1_rho1 = 0 leaves the local class no short-wave expansion
+        text = open(config_path("simulate_relaxation.ini")).read().replace(
+            "kappa_rho1_rho1 = 0.002", "kappa_rho1_rho1 = 0.0")
+        path = write(tmp_path, "flat.ini", text + "\n[sweep]\nk_min = 0.01\n"
+                     "k_max = 1000.0\npoints = 41\n")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        line = (out / "asymptotes_large.csv").read_text()
+        assert line.startswith("# unavailable: ") and "M:K > 0" in line
+        assert line.count("\n") == 1
+        assert not (out / "asymptotes_large.txt").exists()
+        assert (out / "asymptotes_small.txt").exists()
+
+    def test_snapshot_csvs(self, tmp_path):
+        # 100 steps with a snapshot every 40th, step 0 included; columns x,
+        # then the fields sorted by name (not in the state's row order)
+        text = open(config_path("simulate_relaxation.ini")).read()
+        path = write(tmp_path, "snap.ini", text.replace("t_end = 4.0", "t_end = 0.05")
+                     .replace("track = rho1:6", "track = rho1:6\nsnapshot_every = 40"))
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        names = sorted(f.name for f in out.glob("snapshot_*.csv"))
+        assert names == ["snapshot_00000000.csv", "snapshot_00000040.csv",
+                         "snapshot_00000080.csv"]
+        x = PeriodicGrid1D(2 * np.pi, 64).x
+        for name in names:
+            lines = (out / name).read_text().splitlines()
+            assert lines[0] == "x,mx,my,rho,rho1"
+            assert [float(ln.split(",")[0]) for ln in lines[1:]] == x.tolist()
+
+    def test_linear_spacing(self, tmp_path):
+        path = write(tmp_path, "linear.ini",
+                     MINI_SWEEP.replace("spacing = log", "spacing = linear"))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        lines = (out / "dispersion.csv").read_text().splitlines()[1:]
+        assert [float(ln.split(",")[0]) for ln in lines] \
+            == np.linspace(0.01, 100.0, 41).tolist()
+
+
 class TestDeterminism:
     def test_sweep_byte_identical(self, tmp_path):
         path = write(tmp_path, "mini.ini", MINI_SWEEP)
@@ -688,48 +848,6 @@ perturb_amplitude = 1e-6
         assert "grid mode 127 (k=127, root " in err     # the capillary wave
 
 
-# Flory-Huggins (kBT/m = 1, N1 = N2 = 1, chi = 3) reduced to the volume
-# fraction: kappa_phi_phi = v.kappa~.v = 4 * 0.004 with v = (2, 1).
-FH_PHASE_FIELD = """
-[free_energy]
-kind = flory_huggins
-kBT_over_m = 1.0
-N1 = 1.0
-N2 = 1.0
-chi = 3.0
-kappa_rho1_rho1 = 0.004
-kappa_rho_rho1 = 0.0
-kappa_rho_rho = 0.0
-
-[model]
-class = quasi_incompressible
-M11 = 1.0
-Re_s = 1.0
-Re_v = 1.0
-rho_hat_1 = 2.0
-rho_hat_2 = 1.0
-
-[state]
-phi0 = 0.45
-
-[sweep]
-k_min = 0.01
-k_max = 100.0
-points = 41
-
-[simulate]
-length = 6.283185307179586
-n = 128
-dt = 2e-3
-t_end = 2.0
-integrator = semi_implicit
-seed_eigenvector = true
-eigen_track = alpha1
-perturb_mode = 1
-perturb_amplitude = 1e-7
-"""
-
-
 class TestFloryHugginsPhaseField:
     """A Flory-Huggins energy reaches both phase-field classes by the
     reduction of its (rho1, rho) form to phi."""
@@ -778,6 +896,21 @@ class TestFloryHugginsPhaseField:
         text = capsys.readouterr().out
         assert "ENERGY_MONOTONE yes" in text
         assert float(text.split("REL_ERROR")[1].split()[0]) < 0.05
+
+    def test_incompressible_energy_is_reduced_along_the_resolved_densities(self):
+        # rho_hat_2 := rho_hat_1 for the incompressible class before the
+        # energy is reduced, so a pair inside EQUAL_DENSITY_RTOL builds the
+        # same model as the equal pair, bit for bit
+        text = FH_PHASE_FIELD.replace("class = quasi_incompressible",
+                                      "class = incompressible").replace(
+            "rho_hat_1 = 2.0", "rho_hat_1 = 1.0")
+        h = []
+        for rho_hat_2 in ("1.0", "1.00000001"):
+            model, state = build_all(parse_config(text.replace(
+                "rho_hat_2 = 1.0", f"rho_hat_2 = {rho_hat_2}")))
+            assert model.rho_hat_2 == 1.0
+            h.append(model.linearization(state).h_phi_phi)
+        assert h == [-1.9595959595959607] * 2
 
     def test_incompressible_alpha1_is_the_closed_form(self):
         text = FH_PHASE_FIELD.replace("class = quasi_incompressible",

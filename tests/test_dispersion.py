@@ -311,6 +311,22 @@ class TestOneCompressibleLinearization:
         e3, e4 = (worst_expansion_error(lin, co, k) for k in (1e3, 1e4))
         assert e4 * 50.0 <= e3
 
+    def test_large_k_full_rank_error_is_fourth_order(self, rng):
+        # the full-rank mobility branch (two k^4 roots of x^2 + (M:K) x +
+        # |M||K| = 0, and alpha3 = -k^2 / (Re rho0) + y3): every expansion
+        # within O(k^-4) of its nearest root of the pencil, on random
+        # mixtures and states
+        worst = 0.0
+        for _ in range(200):
+            lin = random_global_model(rng).linearization(
+                models.MixtureState.binary(*rng.uniform(0.2, 2.0, size=2)))
+            co = lin.large_k()
+            assert "M:K" in co.auxiliaries
+            e2, e3 = (worst_expansion_error(lin, co, k) for k in (1e2, 1e3))
+            assert e3 * 1e3 <= e2
+            worst = max(worst, e3)
+        assert worst <= 1e-5
+
     def test_local_large_k_needs_kappa_rho1_rho1(self):
         q = fe.Quadratic(np.array([[1.0, 0.2], [0.2, 2.0]]), variables=("rho1", "rho"))
         kap = fe.GradientCoefficients(np.array([[0.0, 0.0], [0.0, 3e-3]]))
@@ -336,7 +352,20 @@ class TestQuasiRoots:
         _, a1_out, _ = disp.quasi_explicit_roots(lin, edges[0] * 1.001)
         assert a1_in.real > 0 > a1_out.real
         for h_pp in (0.0, 1.0):
-            assert make_quasi(h_pp=h_pp).linearization(ST_PHI).band_edges().size == 0
+            lin = make_quasi(h_pp=h_pp).linearization(ST_PHI)
+            assert lin.band_edges().size == 0
+            assert lin.classification() == "no spinodal band (h_phi_phi >= 0)"
+
+    def test_large_k_oscillatory_pair_converges(self):
+        # 1/Re^2 < 4 rho0 kappa Q^2: alpha1 and alpha2 are a conjugate
+        # pair at leading order k^2, each within O(k^-2) of a pencil root
+        lin = make_quasi(kappa_pp=0.1).linearization(ST_PHI)
+        co = lin.large_k()
+        x1, = co.mode("alpha1").coefficients
+        x2, = co.mode("alpha2").coefficients
+        assert x1.imag > 0 and x2 == x1.conjugate()
+        e2, e4 = (worst_expansion_error(lin, co, k) for k in (1e2, 1e4))
+        assert e2 <= 1e-2 and e4 * 1e3 <= e2
 
     def test_equal_densities_raise(self):
         lin = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0).linearization(ST_PHI)

@@ -6,11 +6,11 @@ from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
-from pfmix.config import build_all, load_config
+from pfmix.config import build_all, load_config, parse_config
 from pfmix.errors import BlowupError, DomainError, FitError, RangeError, SolveError
 from pfmix.grid import PeriodicGrid1D
 
-from conftest import config_path, physical_record
+from conftest import FH_PHASE_FIELD, config_path, physical_record
 
 L = 2 * np.pi
 
@@ -626,6 +626,15 @@ class TestStepGuard:
         assert one_step(0.99 * est).times.size == 2
         with pytest.raises(RangeError, match=r"stability guard .* grid mode \d+ "):
             one_step(1.01 * est)
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_semi_implicit_limit_is_inf_where_no_dt_is_refused(self, n):
+        # on the Flory-Huggins phase field the semi-implicit step admits
+        # every dt that doubling reaches below its 2^60 / max|alpha| cap
+        m, st = build_all(parse_config(FH_PHASE_FIELD))
+        rule = sim.StepRule(m.linearization(st), PeriodicGrid1D(L, n), "semi_implicit")
+        assert rule.limit() == (np.inf, None, None)
+        assert rule.admits(1e6 / np.abs(rule.roots).max())
 
     def test_unknown_integrator_raises(self):
         m, st = smoke_cases()["local"]
