@@ -2,10 +2,11 @@
 """Print a SHA-256 digest of every output of every bundled configuration.
 
 Each bundled config under ``src/pfmix/data/configs`` is run through every
-CLI command it has a section for (``verify`` runs on all of them) into a
-temporary directory.  One ``config command file sha256`` line is printed
-per output file, plus the captured stdout and the exit code, so that two
-checkouts can be compared with ``diff``:
+command of ``cli.COMMANDS`` whose section it has (``verify``, which needs
+none, runs on all of them), in that table's order, into a temporary
+directory.  One ``config command file sha256`` line is printed per output
+file, plus the captured stdout and the exit code, so that two checkouts can
+be compared with ``diff``:
 
     python3 scripts/bundled_digests.py > digests.txt
 """
@@ -21,7 +22,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from pfmix import cli  # noqa: E402
 
 CONFIGS = Path(cli.__file__).resolve().parent / "data" / "configs"
-SECTIONS = {"sweep": "[sweep]", "concavity-map": "[map]", "simulate": "[simulate]"}
 
 
 def sha(data: bytes) -> str:
@@ -31,7 +31,8 @@ def sha(data: bytes) -> str:
 def main() -> int:
     for path in sorted(CONFIGS.glob("*.ini")):
         text = path.read_text(encoding="utf-8")
-        commands = [c for c, s in SECTIONS.items() if s in text] + ["verify"]
+        commands = [c for c, s in cli.COMMANDS.items()
+                    if s is None or f"[{s}]" in text]
         for command in commands:
             with tempfile.TemporaryDirectory() as out:
                 stdout, stderr = io.StringIO(), io.StringIO()

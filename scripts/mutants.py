@@ -123,6 +123,14 @@ MUTANTS = [
      "phase-field classification: reason of no band dropped"),
     ("simulator.py", "return np.inf, None, None", "return hi, None, None",
      "dt guard: finite limit where every dt is admitted"),
+    ("linearization.py", "(pCp > 0) != (det > 0)", "(pCp > 0) == (det > 0)",
+     "sign table: alpha1's indefinite rows swapped"),
+    ("linearization.py", "not pCp > 0", "pCp > 0",
+     "sign table: alpha2's indefinite rows swapped"),
+    ("linearization.py", "if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):",
+     "if False:", "full-rank large k: vanishing k^4 branch denominator not refused"),
+    ("cli.py", "os.fchmod(fd, 0o666 & ~umask)", "os.fchmod(fd, 0o600)",
+     "output files: mkstemp's owner-only mode kept"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -6,8 +6,9 @@ the config alone that returns ``(exit code, files)``: ``files`` holds
 (name, text) pairs, the report last, and whatever can fail has run before
 it returns.  ``main`` alone writes them, prints the report and echoes the
 config, so a command that fails writes nothing.  Output files are written
-atomically (temp file + rename) with 17-significant-digit floats and
-newline line endings so identical configs give byte-identical results.
+atomically (temp file + rename), with the mode a plain ``open`` would give
+under the umask, 17-significant-digit floats and newline line endings, so
+identical configs give byte-identical results.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
     PfmixError,
     RangeError,
 )
-from .linearization import CATEGORY, classify_stability, unavailable
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -45,6 +45,9 @@ def _write_atomic(path: str, text: str):
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)   # the mode open() gives, not mkstemp's 0600
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
         os.replace(tmp, path)
@@ -334,26 +337,6 @@ def cmd_verify(cfg: RunConfig):
         return prev < 1e-3, f"final sup relative difference {prev:.3e}"
 
     check("quasi_to_incompressible_limit", quasi_limit)
-
-    def table_classification():
-        # case i draws p, then the diagonals of M, of a C > 0 and of a C < 0
-        u = np.random.default_rng(1).uniform(0.5, 2.0, size=(10, 4, 2))
-        diagonals = u[:, 1:, :, None] * np.eye(2)
-        C = diagonals[:, 1:] * np.array([1.0, -1.0])[:, None, None]
-        p = np.repeat(u[:, None, 0], 2, axis=1)
-        M = np.repeat(diagonals[:, None, 0], 2, axis=1)
-        rep = classify_stability(C, p, M)
-        want = np.array([free_energy.MAP_POSITIVE_DEFINITE,
-                         free_energy.MAP_NEGATIVE_DEFINITE])
-        bad = ((rep.reason != 0) | (rep.code != want)).ravel()
-        if bad.any():
-            i = int(np.argmax(bad))
-            if rep.reason.flat[i]:
-                raise unavailable(int(rep.reason.flat[i]))
-            return False, f"misclassified {CATEGORY[want[i % 2]]}"
-        return True, "sign patterns reproduced on synthetic Hessians"
-
-    check("long_wave_classification", table_classification)
 
     lines = []
     all_ok = True

@@ -175,83 +175,46 @@ class SignVerdict(Enum):
     POSITIVE = "positive"
 
 
-# the modes of the long-wave sign table, in the order of its verdicts
-TABLE_MODES = ("alpha0", "alpha1", "alpha2", "alpha3")
 CATEGORY = {MAP_POSITIVE_DEFINITE: "C > 0", MAP_NEGATIVE_DEFINITE: "C < 0",
             MAP_INDEFINITE: "C indefinite"}
-# Why the table does not hold, by reason code (0: it holds), in the order
-# classify_stability checks them.
-UNAVAILABLE = (
-    None,
-    (RangeError, "mobility must be PSD with a positive eigenvalue"),
-    (DegenerateCase, "Hessian is singular within tolerance"),
-    (DegenerateCase, "p.C.p sits on the decision boundary"),
-)
-
-
-def unavailable(reason: int) -> PfmixError:
-    """The error of a reason code of UNAVAILABLE."""
-    cls, message = UNAVAILABLE[reason]
-    return cls(message)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """The long-wave sign table of one (C, p, M), or of each item of a
-    stack, as arrays over the stack's shape: the definiteness code of C,
-    whether each of TABLE_MODES grows (last axis of ``growing``), the
-    thermodynamic weight g1, and the reason code of UNAVAILABLE (0 where
-    the table holds)."""
-
-    code: np.ndarray
-    growing: np.ndarray
-    g1: np.ndarray
-    reason: np.ndarray
-
-    @property
-    def category(self) -> str:
-        """The category of a single item: "C > 0", "C < 0" or "C indefinite"."""
-        return CATEGORY[int(self.code)]
-
-    @property
-    def verdicts(self) -> dict:
-        """Mode name -> SignVerdict, of a single item."""
-        return {name: SignVerdict.POSITIVE if grows else SignVerdict.NEGATIVE
-                for name, grows in zip(TABLE_MODES, self.growing.tolist())}
+    category: str              # "C > 0", "C < 0", "C indefinite"
+    verdicts: dict             # mode name -> SignVerdict
+    g1: float
 
 
 def classify_stability(C, p, M) -> StabilityReport:
     """Long-wave sign pattern of the four modes from the bulk energy's
-    symmetric Hessian C: its definiteness, det C and p.C.p; for one (C 2x2,
-    p 2, M 2x2) or for each item of stacks (C ...x2x2, p ...x2, M ...x2x2).
+    symmetric Hessian C: its definiteness, det C and p.C.p.
 
     Requires a PSD mobility with at least one positive eigenvalue (so the
     thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
-    or p.C.p at the decision boundary) are reported, not guessed: a stack
-    gives each item's reason code, a single item raises its error.  For a
+    or p.C.p at the decision boundary) are reported, not guessed.  For a
     symmetric C, det C near 0 makes an eigenvalue singular, so det C needs
     no boundary check of its own.
     """
     C, p, M = (np.asarray(x, dtype=float) for x in (C, p, M))
-    eigs = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
-    scale_m = np.maximum(np.linalg.norm(M, axis=(-2, -1)), 1e-300)
-    code = classify_matrices(C)
-    scale_c = np.maximum(np.linalg.norm(C, axis=(-2, -1)), 1e-300)
-    pCp = (p[..., None, :] @ C @ p[..., :, None])[..., 0, 0]
-    det = np.linalg.det(C)
-    reason = np.select(
-        [(eigs.min(axis=-1) < -1e-12 * scale_m) | (eigs.max(axis=-1) <= 1e-12 * scale_m),
-         code == MAP_SINGULAR,
-         np.abs(pCp) <= DEGENERATE_TOL * scale_c * (p * p).sum(axis=-1)],
-        [1, 2, 3], 0)
-    if C.ndim == 2 and reason:
-        raise unavailable(int(reason))
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    scale_m = max(np.linalg.norm(M), 1e-300)
+    if eigs.min() < -1e-12 * scale_m or eigs.max() <= 1e-12 * scale_m:
+        raise RangeError("mobility must be PSD with a positive eigenvalue")
+    code = int(classify_matrices(C))
+    if code == MAP_SINGULAR:
+        raise DegenerateCase("Hessian is singular within tolerance")
+    pCp = float(p @ C @ p)
+    if abs(pCp) <= DEGENERATE_TOL * max(np.linalg.norm(C), 1e-300) * float(p @ p):
+        raise DegenerateCase("p.C.p sits on the decision boundary")
+    det = float(np.linalg.det(C))
     negative, indefinite = code == MAP_NEGATIVE_DEFINITE, code == MAP_INDEFINITE
-    alpha1 = negative | (indefinite & ((pCp > 0) != (det > 0)))
-    alpha2 = negative | (indefinite & ~(pCp > 0))
-    growing = np.stack(np.broadcast_arrays(False, alpha1, alpha2, False), axis=-1)
-    return StabilityReport(code=code, growing=growing, g1=adjugate_form(M, p),
-                           reason=reason)
+    growing = (False, negative or indefinite and (pCp > 0) != (det > 0),
+               negative or indefinite and not pCp > 0, False)
+    verdicts = {name: SignVerdict.POSITIVE if grows else SignVerdict.NEGATIVE
+                for name, grows in zip(("alpha0", "alpha1", "alpha2", "alpha3"), growing)}
+    return StabilityReport(category=CATEGORY[code], verdicts=verdicts,
+                           g1=float(adjugate_form(M, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,14 +383,10 @@ class CompressibleLinearization(_Pencil):
                 den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
                 num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
                         + x * (iRe * MK + r0 * detM * d))
-                if abs(den) > DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
-                    y = num / den
-                elif abs(num) <= DEGENERATE_TOL * max(abs(r0), 1.0):
-                    y = 0.0   # degenerate 0/0 branch (e.g. M = 0)
-                else:
+                if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
                     raise SingularExpansion("k^4 branch denominator vanishes")
                 modes.append(ModeExpansion(ModeLabel.THERMODYNAMIC, name, (4, 2),
-                                           (x, y)))
+                                           (x, num / den)))
             x3 = -iRe / r0
             if detM * detK != 0.0 and iRe > 0:
                 y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)

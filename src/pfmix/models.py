@@ -455,7 +455,7 @@ class QuasiIncompressible(BinaryModel):
         energy = (grid.integrate(kin + bulk)
                   + grid.gradient_form(0.5 * self.kappa_phi_phi, c.h[:1]))
         dissipation = -(self._viscous_dissipation(grid, c.h[1:3])
-                        + grid.gradient_form(self.M11 / self.rho_hat_1**2, c.Gh[None]))
+                        + grid.gradient_form(self.Mh, c.Gh[None]))
         return (grid.integrate(rho), energy, dissipation,
                 self._amplitudes(u, grid, dict(zip(self.field_names, c.h)), track))
 

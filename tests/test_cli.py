@@ -570,6 +570,84 @@ class TestOutputFiles:
         assert not (out / "asymptotes_large.txt").exists()
         assert (out / "asymptotes_small.txt").exists()
 
+    @pytest.mark.parametrize("old, new, summary", [
+        ("M11 = 0.05", "M11 = 0.0",
+         "alpha0 (viscous): max Re = -1.6666666666666667e-05 at k = 0.01\n"
+         "alpha1 (thermodynamic): max Re = 1.1011581370331272e-14 at k = 100\n"
+         "alpha2 (coupled): max Re = -2.0000000000000052e-05 at k = 0.01\n"
+         "alpha3 (coupled): max Re = -2.0000000000000052e-05 at k = 0.01\n"
+         "long-wave classification unavailable: mobility must be PSD with a "
+         "positive eigenvalue\n"),
+        ("c12 = 0.0\nc22 = 2.0", "c12 = 1.0\nc22 = -2.0",
+         "alpha0 (viscous): max Re = -1.6666666666666667e-05 at k = 0.01\n"
+         "alpha1 (thermodynamic): max Re = -1.7999978919851051e-12 at k = 0.01\n"
+         "alpha2 (coupled): max Re = 12.557620727174111 at k = 19.952623149688808\n"
+         "alpha2 unstable bands: (0.01, 35.355339059327363)\n"
+         "alpha3 (coupled): max Re = -0.02043117395077524 at k = 0.01\n"
+         "long-wave classification unavailable: Hessian is singular within "
+         "tolerance\n"),
+    ], ids=["zero_mobility", "singular_hessian"])
+    def test_unavailable_classification_summary(self, tmp_path, old, new, summary):
+        # the sign table's reason is the summary's last line
+        assert old in MINI_SWEEP
+        path = write(tmp_path, "degenerate.ini", MINI_SWEEP.replace(old, new))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "summary.txt").read_text() == summary
+
+    def test_full_rank_branch_without_a_k4_root_is_unavailable(self, tmp_path):
+        # det K = 0 makes alpha1's k^4 coefficient 0 and its k^2 correction
+        # 0/0; the pencil's root there (-76019 at k = 1000) is described by
+        # no expansion, so the large-k file says so instead of writing one
+        path = write(tmp_path, "global.ini", """
+[free_energy]
+kind = quadratic
+c11 = 1.0
+c12 = 0.2
+c22 = 2.0
+kappa_rho1_rho1 = 1e-3
+kappa_rho1_rho2 = 0.0
+kappa_rho2_rho2 = 0.0
+
+[model]
+class = compressible_global
+M11 = 0.05
+M12 = -0.01
+M22 = 0.04
+Re_s = 5.0
+Re_v = 3.3333333333333335
+
+[state]
+rho1_0 = 1.0
+rho2_0 = 2.0
+
+[sweep]
+k_min = 1e-3
+k_max = 1e3
+points = 61
+""")
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        assert (out / "asymptotes_large.csv").read_text() == \
+            "# unavailable: k^4 branch denominator vanishes\n"
+        assert not (out / "asymptotes_large.txt").exists()
+        assert (out / "asymptotes_small.txt").exists()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask_022", "umask_027"])
+    def test_files_get_the_mode_of_a_plain_open(self, tmp_path, umask):
+        path = write(tmp_path, "mini.ini", MINI_SWEEP)
+        out = tmp_path / "o"
+        old = os.umask(umask)
+        try:
+            assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        finally:
+            os.umask(old)
+        names = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
+        assert names == dict.fromkeys(
+            ["dispersion.csv", "asymptotes_small.txt", "asymptotes_small.csv",
+             "asymptotes_large.txt", "asymptotes_large.csv", "summary.txt",
+             "config_echo.ini"], 0o666 & ~umask)
+
     def test_snapshot_csvs(self, tmp_path):
         # 100 steps with a snapshot every 40th, step 0 included; columns x,
         # then the fields sorted by name (not in the state's row order)
@@ -887,7 +965,7 @@ class TestFloryHugginsPhaseField:
         assert cli.main(["verify", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_OK
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 6 and all(ln.startswith("PASS ") for ln in lines)
+        assert len(lines) == 5 and all(ln.startswith("PASS ") for ln in lines)
 
     def test_simulate_measures_the_predicted_rate(self, tmp_path, capsys):
         path = write(tmp_path, "fh.ini", FH_PHASE_FIELD)

@@ -8,10 +8,9 @@ from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import build_all, load_config
-from pfmix.errors import DegenerateCase, NumericalError, PfmixError, RangeError
+from pfmix.errors import DegenerateCase, NumericalError, RangeError
 from pfmix.linearization import (
     EQUAL_DENSITY_RTOL,
-    UNAVAILABLE,
     CompressibleLinearization,
     ModeLabel,
     SignVerdict,
@@ -479,88 +478,34 @@ class TestClassification:
             assert rep.g1 >= 0.0
 
 
-# constructed items, each with the reason code that classify_stability
-# gives it: (C, p, M, reason)
 M_PD = np.array([[2.0, 0.5], [0.5, 1.0]])
-DEGENERATE_ITEMS = [
+MOBILITY = (RangeError, "mobility must be PSD with a positive eigenvalue")
+SINGULAR = (DegenerateCase, "Hessian is singular within tolerance")
+BOUNDARY = (DegenerateCase, "p.C.p sits on the decision boundary")
+
+
+@pytest.mark.parametrize("C, p, M, error", [
     # a mobility with a negative eigenvalue, or none positive, is refused
     # before the Hessian is looked at, singular or not
-    (np.eye(2), [1.0, 2.0], np.diag([1.0, -1.0]), 1),
-    (np.eye(2), [1.0, 2.0], np.zeros((2, 2)), 1),
-    (np.diag([1.0, 0.0]), [1.0, 2.0], -np.eye(2), 1),
+    (np.eye(2), [1.0, 2.0], np.diag([1.0, -1.0]), MOBILITY),
+    (np.eye(2), [1.0, 2.0], np.zeros((2, 2)), MOBILITY),
+    (np.diag([1.0, 0.0]), [1.0, 2.0], -np.eye(2), MOBILITY),
     # an eigenvalue within DEFINITENESS_TOL of 0
-    (np.diag([1.0, 0.0]), [1.0, 1.0], M_PD, 2),
-    (np.diag([-1.0, 1e-12]), [1.0, 1.0], M_PD, 2),
+    (np.diag([1.0, 0.0]), [1.0, 1.0], M_PD, SINGULAR),
+    (np.diag([-1.0, 1e-12]), [1.0, 1.0], M_PD, SINGULAR),
     # a symmetric C with det C within DEGENERATE_TOL ||C||^2 of 0 has an
     # eigenvalue within DEFINITENESS_TOL ||C|| of 0, so it is singular
-    (np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]]), [1.0, 1.0], M_PD, 2),
+    (np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]]), [1.0, 1.0], M_PD, SINGULAR),
     # p.C.p = 0 exactly, and within DEGENERATE_TOL of 0
-    (np.diag([1.0, -1.0]), [1.0, 1.0], M_PD, 3),
-    (np.diag([1.0, -1.0 + 1e-13]), [1.0, 1.0], M_PD, 3),
-]
-
-
-class TestBatchedClassification:
-    """``classify_stability`` over a stack against one call per item."""
-
-    @staticmethod
-    def draws(rng, n):
-        C = rng.normal(size=(n, 2, 2))
-        C[n // 4:] = 0.5 * (C[n // 4:] + C[n // 4:].transpose(0, 2, 1))
-        p = rng.uniform(-2.0, 2.0, size=(n, 2))
-        A = rng.normal(size=(n, 2, 2))
-        M = A @ A.transpose(0, 2, 1)
-        v = rng.normal(size=(n // 5, 2))
-        M[::5] = v[:, :, None] * v[:, None, :]    # rank one
-        M[3::17] *= -1.0                           # not PSD
-        extra = [np.array([item[i] for item in DEGENERATE_ITEMS], dtype=float)
-                 for i in range(3)]
-        return [np.concatenate(pair) for pair in zip((C, p, M), extra)]
-
-    def test_stack_matches_one_call_per_item(self, rng):
-        C, p, M = self.draws(rng, 400)
-        rep = classify_stability(C, p, M)
-        assert rep.code.shape == rep.g1.shape == rep.reason.shape == (C.shape[0],)
-        assert rep.growing.shape == (C.shape[0], 4)
-        for i in range(C.shape[0]):
-            try:
-                one = classify_stability(C[i], p[i], M[i])
-            except PfmixError as exc:
-                assert rep.reason[i] != 0
-                cls, message = UNAVAILABLE[rep.reason[i]]
-                assert type(exc) is cls and str(exc) == message
-                continue
-            assert rep.reason[i] == 0 and one.reason == 0
-            assert one.code == rep.code[i]
-            assert np.array_equal(one.growing, rep.growing[i])
-            assert one.g1 == rep.g1[i]
-        # every reason, and every definiteness row of the table, is reached
-        assert set(rep.reason.tolist()) == {0, 1, 2, 3}
-        assert set(rep.code[rep.reason == 0].tolist()) == {
-            fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE, fe.MAP_NEGATIVE_DEFINITE}
-
-    def test_degenerate_items_are_reported_per_item(self):
-        C, p, M = (np.array([item[i] for item in DEGENERATE_ITEMS], dtype=float)
-                   for i in range(3))
-        want = [item[3] for item in DEGENERATE_ITEMS]
-        assert classify_stability(C, p, M).reason.tolist() == want
-        for (Ci, pi, Mi, reason) in DEGENERATE_ITEMS:
-            cls, message = UNAVAILABLE[reason]
-            with pytest.raises(cls) as exc:
-                classify_stability(Ci, pi, Mi)
-            assert type(exc.value) is cls and str(exc.value) == message
-
-    def test_table_rows_over_a_stack(self):
-        C = np.array([np.eye(2), -np.eye(2), np.diag([1.0, -1.0]), np.diag([1.0, -1.0])])
-        p = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 0.2], [0.2, 1.0]])
-        rep = classify_stability(C, p, np.broadcast_to(M_PD, (4, 2, 2)))
-        assert rep.reason.tolist() == [0, 0, 0, 0]
-        assert rep.code.tolist() == [fe.MAP_POSITIVE_DEFINITE, fe.MAP_NEGATIVE_DEFINITE,
-                                     fe.MAP_INDEFINITE, fe.MAP_INDEFINITE]
-        assert rep.growing.tolist() == [[False, False, False, False],
-                                        [False, True, True, False],
-                                        [False, True, False, False],
-                                        [False, False, True, False]]
+    (np.diag([1.0, -1.0]), [1.0, 1.0], M_PD, BOUNDARY),
+    (np.diag([1.0, -1.0 + 1e-13]), [1.0, 1.0], M_PD, BOUNDARY),
+], ids=["mobility_indefinite", "mobility_zero", "mobility_negative_singular_C",
+        "C_eigenvalue_zero", "C_eigenvalue_tiny", "C_det_tiny", "pCp_zero", "pCp_tiny"])
+def test_degenerate_item_raises_its_error(C, p, M, error):
+    cls, message = error
+    with pytest.raises(cls) as exc:
+        classify_stability(C, p, M)
+    assert type(exc.value) is cls and str(exc.value) == message
 
 
 # A calibrated Peng-Robinson mixture near band_density.ini at which distance
