@@ -131,6 +131,20 @@ MUTANTS = [
      "if False:", "full-rank large k: vanishing k^4 branch denominator not refused"),
     ("cli.py", "os.fchmod(fd, 0o666 & ~umask)", "os.fchmod(fd, 0o600)",
      "output files: mkstemp's owner-only mode kept"),
+    ("free_energy.py", "H[..., i, j] = (ideal + rep + F)",
+     "H[..., j, i] = H[..., i, j] = (ideal + rep + F)",
+     "Peng-Robinson Hessian: one off-diagonal entry mirrored into the other"),
+    ("free_energy.py", "[self.T[k, i] * H[..., k, l] * self.T[l, j] for l in ls]",
+     "[(self.T[k, i] * self.T[l, j]) * H[..., k, l] for l in ls]",
+     "change of variables: T's two factors multiplied first"),
+    ("free_energy.py", "n, A, B = np.atleast_1d(nm.sum(axis=-1), A, B)",
+     "n, A, B = nm.sum(axis=-1), A, B",
+     "Peng-Robinson Hessian: a lone point's powers taken on numpy scalars"),
+    ("free_energy.py", "if out.size == 1 else terms", "if False else terms",
+     "change of variables: a one-entry Hessian summed term by term"),
+    ("free_energy.py", "bad = ~np.isfinite(H).all(axis=(-2, -1))",
+     "bad = np.zeros(H.shape[:-2], dtype=bool)",
+     "definiteness: a non-finite matrix gets a code"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -147,17 +147,15 @@ def cmd_concavity_map(cfg: RunConfig):
     rho1 = np.linspace(sec["rho1_min"], sec["rho1_max"], sec["n_rho1"])
     rho = np.linspace(sec["rho_min"], sec["rho_max"], sec["n_rho"])
     codes = free_energy.concavity_map(fe_tilde, rho1, rho)
-    # each axis value and code is formatted once, as _csv would format it
-    rho_txt = [F(r) for r in rho]
+    # cell[j][c] is ",rho[j],c" as F formats them, each number formatted once
     code_txt = [F(c) for c in range(5)]
+    cell = np.array([[f",{F(r)},{c}" for c in code_txt] for r in rho], dtype=object)
+    rows = cell[np.arange(len(rho)), codes].tolist()
     lines = ["rho1,rho,definiteness_code"]
-    for r1, row in zip(rho1, codes.tolist()):
-        r1_txt = F(r1)
-        lines += [f"{r1_txt},{r},{code_txt[c]}" for r, c in zip(rho_txt, row)]
-    counts = {c: int(np.sum(codes == c)) for c in range(5)}
-    summary = ("cells: excluded={0} positive_definite={1} indefinite={2} "
-               "negative_definite={3} singular={4}\n").format(
-                   counts[0], counts[1], counts[2], counts[3], counts[4])
+    lines += [t + ("\n" + t).join(row) for t, row in zip(map(F, rho1), rows)]
+    summary = ("cells: excluded={} positive_definite={} indefinite={} "
+               "negative_definite={} singular={}\n").format(
+                   *np.bincount(codes.ravel(), minlength=5))
     return EXIT_OK, [("concavity.csv", "\n".join(lines) + "\n"), ("summary.txt", summary)]
 
 

@@ -2,17 +2,18 @@
 
 
 class PfmixError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.  One raised over a batch of points
+    or matrices may carry the flat index of its first bad one."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message if index is None else f"{message} (grid index {index})")
+        self.index = index
 
 
 class DomainError(PfmixError):
     """A free-energy evaluation left its physical domain (e.g. a log argument
     went nonpositive).  Given more than one point, it carries the flat index
     of the first failing check's first bad point; a lone point has none."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message if index is None else f"{message} (grid index {index})")
-        self.index = index
 
 
 class RangeError(PfmixError):
@@ -24,7 +25,7 @@ class ShapeError(PfmixError):
 
 
 class NumericalError(PfmixError):
-    """A numerical routine (eigensolver, elliptic solve) failed to converge."""
+    """A numerical routine failed to converge, or a matrix to classify is not finite."""
 
 
 class SolveError(NumericalError):

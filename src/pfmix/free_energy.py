@@ -28,7 +28,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ShapeError
+from .errors import DomainError, NumericalError, RangeError, ShapeError
 
 SQRT2 = np.sqrt(2.0)
 
@@ -46,8 +46,12 @@ MAP_SINGULAR = 4
 
 def classify_matrices(H) -> np.ndarray:
     """The code (above) of every matrix C of a (..., n, n) stack, shape (...);
-    an eigenvalue with |lam| <= DEFINITENESS_TOL * ||C||_F makes C singular."""
+    an eigenvalue with |lam| <= DEFINITENESS_TOL * ||C||_F makes C singular.
+    A non-finite matrix has no code: NumericalError names the first one."""
     H = np.asarray(H, dtype=float)
+    bad = ~np.isfinite(H).all(axis=(-2, -1))
+    if bad.any():
+        raise NumericalError("non-finite matrix", index=int(np.argmax(bad.ravel())))
     eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
     tol = DEFINITENESS_TOL * np.linalg.norm(H, axis=(-2, -1))
     codes = np.where((eigs > 0).all(axis=-1), MAP_POSITIVE_DEFINITE,
@@ -366,27 +370,26 @@ class PengRobinson(BulkFreeEnergy):
         return dn / self.m
 
     def _hessian(self, rho):
+        # entry by entry on (M,) arrays, a lone point's too: a numpy
+        # scalar's ** rounds differently from the ufunc on an array
         nm = self._moles(rho)
-        n = nm.sum(axis=-1)[..., None, None]
         A, Ai, B = self._AB(nm)
-        A, B = A[..., None, None], B[..., None, None]
+        n, A, B = np.atleast_1d(nm.sum(axis=-1), A, B)
         L, Lp, Lpp = self._L(B), self._Lp(B), self._Lpp(B)
-        bi = self.b[:, None]
-        bj = self.b[None, :]
-        Ai_ = Ai[..., :, None]
-        Aj_ = Ai[..., None, :]
-        s = 2.0 * SQRT2
-        ideal = np.zeros(nm.shape[:-1] + (2, 2))
-        ideal[..., 0, 0] = self.RT / nm[..., 0]
-        ideal[..., 1, 1] = self.RT / nm[..., 1]
-        rep = self.RT * (bi + bj) / (1.0 - B) + n * self.RT * bi * bj / (1.0 - B) ** 2
-        F = ((2.0 * self.a / (s * B) - (Ai_ * bj + Aj_ * bi) / (s * B**2)
-              + 2.0 * A * bi * bj / (s * B**3)) * L
-             + (Ai_ / (s * B) - A * bi / (s * B**2)) * Lp * bj
-             + (Aj_ / (s * B) - A * bj / (s * B**2)) * Lp * bi
-             + A / (s * B) * Lpp * bi * bj)
-        H = ideal + rep + F
-        return H / (self.m[:, None] * self.m[None, :])
+        sB, sB2, sB3 = 2.0 * SQRT2 * B, 2.0 * SQRT2 * B**2, 2.0 * SQRT2 * B**3
+        omB, omB2, nRT = 1.0 - B, (1.0 - B) ** 2, n * self.RT
+        H = np.empty(rho.shape[:-1] + (2, 2))
+        for i, j in np.ndindex(2, 2):    # all four: H01 and H10 differ in bits
+            bi, bj, Ai_, Aj_ = self.b[i], self.b[j], Ai[..., i], Ai[..., j]
+            ideal = self.RT / nm[..., i] if i == j else 0.0
+            rep = self.RT * (bi + bj) / omB + nRT * bi * bj / omB2
+            F = ((2.0 * self.a[i, j] / sB - (Ai_ * bj + Aj_ * bi) / sB2
+                  + 2.0 * A * bi * bj / sB3) * L
+                 + (Ai_ / sB - A * bi / sB2) * Lp * bj
+                 + (Aj_ / sB - A * bj / sB2) * Lp * bi
+                 + A / sB * Lpp * bi * bj)
+            H[..., i, j] = (ideal + rep + F) / (self.m[i] * self.m[j])
+        return H
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +410,11 @@ class ChangeOfVariables(BulkFreeEnergy):
         self.T = np.asarray(T, dtype=float)
         self.offset = np.asarray(offset, dtype=float)
         self.variables = tuple(variables)
+        # (i, j, k, ls): entry (i, j) of T^T H T gets T[k, i] H[k, l] T[l, j]
+        # for T's nonzero entries, in (k, l) row-major order
+        nz = list(zip(*np.nonzero(self.T)))
+        self._terms = [(i, j, k, [l for l, jl in nz if jl == j])
+                       for k, i in nz for j in range(self.nvar)]
 
     def _to_base(self, x):
         """offset + T x over T's nonzero entries only: a zero entry times a
@@ -427,7 +435,13 @@ class ChangeOfVariables(BulkFreeEnergy):
 
     def _hessian(self, x):
         H = self.base._hessian(self._to_base(x))
-        return np.einsum("ki,...kl,lj->...ij", self.T, H, self.T)
+        out = np.zeros(H.shape[:-2] + (self.nvar, self.nvar))
+        for i, j, k, ls in self._terms:
+            terms = [self.T[k, i] * H[..., k, l] * self.T[l, j] for l in ls]
+            # a one-entry Hessian (a lone phi) keeps its sum order: row k's terms first
+            for t in ([sum(terms)] if out.size == 1 else terms):
+                out[..., i, j] += t
+        return out
 
     def map_kappa(self, kappa: GradientCoefficients) -> np.ndarray:
         """The base variables' gradient coefficients in x: T^T kappa T."""
@@ -489,7 +503,8 @@ def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarr
     rectangular grid.  Out-of-domain cells, non-finite coordinates included,
     are marked MAP_EXCLUDED, not raised; every other cell gets its
     ``classify_matrices`` code.  The whole grid is one ``domain_mask``, one
-    batched Hessian of the cells inside it and one batched eigensolve.
+    batched Hessian of the cells inside it and one batched eigensolve; a
+    non-finite Hessian inside the domain is a NumericalError naming its cell.
 
     Returns an int array of shape (len(rho1_values), len(rho_values)).
     """
@@ -499,5 +514,11 @@ def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarr
     ok = fe_tilde.domain_mask(pts)
     codes = np.full(ok.shape, MAP_EXCLUDED, dtype=int)
     if np.any(ok):
-        codes[ok] = classify_matrices(fe_tilde.hessian(pts[ok]))
+        with np.errstate(all="ignore"):
+            H = fe_tilde.hessian(pts[ok])
+        try:
+            codes[ok] = classify_matrices(H)
+        except NumericalError as exc:
+            raise NumericalError("non-finite Hessian at the cell (rho1, rho) = "
+                                 f"{tuple(pts[ok][exc.index].tolist())}") from None
     return codes

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -788,6 +789,47 @@ class TestMapOutput:
             "summary.txt":
                 "f2fbe3aec0b8e3d09e0af07ffb26b2fa73f2f354b5509c0df1da1834ce3b47ae",
         }
+
+    def test_text_matches_the_per_cell_rendering(self, tmp_path, monkeypatch):
+        # every code, excluded cells included, rendered by the row-joined
+        # table as the per-cell formatting of each (rho1, rho, code) would
+        text = open(config_path("concavity_co2_decane.ini")).read()
+        text = text.replace("n_rho1 = 120", "n_rho1 = 9").replace(
+            "n_rho = 120", "n_rho = 13").replace("rho_min = 2.0", "rho_min = 0.1")
+        codes = np.random.default_rng(7).integers(0, 5, size=(9, 13))
+        assert set(codes.ravel()) == {0, 1, 2, 3, 4}
+        grid = []
+        monkeypatch.setattr(cli.free_energy, "concavity_map",
+                            lambda fe_tilde, rho1, rho: grid.extend([rho1, rho]) or codes)
+        out = str(tmp_path / "o")
+        assert cli.main(["concavity-map", "--config", write(tmp_path, "m.ini", text),
+                         "--out", out]) == 0
+        rho1, rho = grid
+        want = ["rho1,rho,definiteness_code"] + [
+            f"{cli.F(rho1[i])},{cli.F(rho[j])},{cli.F(codes[i, j])}"
+            for i in range(9) for j in range(13)]
+        assert open(os.path.join(out, "concavity.csv")).read() == "\n".join(want) + "\n"
+        counts = [int(np.sum(codes == c)) for c in range(5)]
+        assert open(os.path.join(out, "summary.txt")).read() == (
+            "cells: excluded={} positive_definite={} indefinite={} "
+            "negative_definite={} singular={}\n".format(*counts))
+
+    def test_non_finite_hessian_in_the_domain_exits_3(self, tmp_path, capsys):
+        # a molar density of 7e-320 passes the domain, but RT/n overflows:
+        # the cell is named, not classified indefinite
+        text = open(config_path("concavity_co2_decane.ini")).read()
+        text = text.replace("rho1_min = 2.0", "rho1_min = 1e-320")
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["concavity-map", "--config",
+                             write(tmp_path, "m.ini", text), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_NUMERIC
+        assert "non-finite Hessian at the cell (rho1, rho) = (1e-320, 2.0)" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
+        assert not out.exists()
 
     def test_quadratic_map_all_positive(self, tmp_path):
         text = MINI_SWEEP.replace("c11 = -0.5", "c11 = 1.0")

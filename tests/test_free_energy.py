@@ -1,9 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pfmix import free_energy as fe
 from pfmix import models
-from pfmix.errors import DomainError, RangeError, ShapeError
+from pfmix.errors import DomainError, NumericalError, RangeError, ShapeError
 from pfmix.grid import PeriodicGrid1D
 
 from conftest import fd_gradient, fd_hessian
@@ -295,6 +297,118 @@ class TestVariableChanges:
         assert np.max(np.abs(g - gfd)) < 1e-6 * np.max(np.abs(g))
 
 
+# ---------------------------------------------------------------------------
+# The batched Hessians as they were first written, with (..., 2, 2)
+# broadcasting and einsum: the package's entry-by-entry forms must do the
+# same floating-point operations in the same order, so every bit agrees.
+# ---------------------------------------------------------------------------
+
+def pr_hessian_reference(pr, rho):
+    nm = pr._moles(rho)
+    n = nm.sum(axis=-1)[..., None, None]
+    A, Ai, B = pr._AB(nm)
+    A, B = A[..., None, None], B[..., None, None]
+    L, Lp, Lpp = pr._L(B), pr._Lp(B), pr._Lpp(B)
+    bi = pr.b[:, None]
+    bj = pr.b[None, :]
+    Ai_ = Ai[..., :, None]
+    Aj_ = Ai[..., None, :]
+    s = 2.0 * SQRT2
+    ideal = np.zeros(nm.shape[:-1] + (2, 2))
+    ideal[..., 0, 0] = pr.RT / nm[..., 0]
+    ideal[..., 1, 1] = pr.RT / nm[..., 1]
+    rep = pr.RT * (bi + bj) / (1.0 - B) + n * pr.RT * bi * bj / (1.0 - B) ** 2
+    F = ((2.0 * pr.a / (s * B) - (Ai_ * bj + Aj_ * bi) / (s * B**2)
+          + 2.0 * A * bi * bj / (s * B**3)) * L
+         + (Ai_ / (s * B) - A * bi / (s * B**2)) * Lp * bj
+         + (Aj_ / (s * B) - A * bj / (s * B**2)) * Lp * bi
+         + A / (s * B) * Lpp * bi * bj)
+    H = ideal + rep + F
+    return H / (pr.m[:, None] * pr.m[None, :])
+
+
+def hessian_reference(energy, x):
+    """The Hessian of ``energy`` at points ``x``, every change of variables
+    by einsum and Peng-Robinson by broadcasting."""
+    if isinstance(energy, fe.ChangeOfVariables):
+        H = hessian_reference(energy.base, energy._to_base(x))
+        return np.einsum("ki,...kl,lj->...ij", energy.T, H, energy.T)
+    if isinstance(energy, fe.PengRobinson):
+        return pr_hessian_reference(energy, x)
+    return energy._hessian(x)
+
+
+def points_inside(energy, rng, lo, hi, size):
+    """``size`` uniform points in the box [lo, hi] that lie in the domain."""
+    x = rng.uniform(lo, hi, size=(4 * size + 40, energy.nvar))
+    x = x[energy.domain_mask(x)][:size]
+    assert len(x) == size
+    return x
+
+
+class TestHessianBits:
+    QUADRATIC_C = np.array([[1.3, -0.7], [-0.7, 0.45]])
+    FH = (1.0, 1.0, 2.0, 3.0)
+    # each energy, and the box its sample points are drawn from
+    CASES = {
+        "peng_robinson": (lambda pr: pr, [1.0, 1.0], [600.0, 600.0]),
+        "flory_huggins": (lambda pr: fe.FloryHuggins(*TestHessianBits.FH),
+                          [0.01, 0.01], [2.0, 2.0]),
+        "quadratic": (lambda pr: fe.Quadratic(TestHessianBits.QUADRATIC_C),
+                      [-3.0, -3.0], [3.0, 3.0]),
+        "tilde_peng_robinson": (lambda pr: fe.TildeFreeEnergy(pr),
+                                [1.0, 1.0], [600.0, 1200.0]),
+        "tilde_flory_huggins": (lambda pr: fe.TildeFreeEnergy(
+            fe.FloryHuggins(*TestHessianBits.FH)), [0.01, 0.01], [2.0, 4.0]),
+        "tilde_quadratic": (lambda pr: fe.TildeFreeEnergy(
+            fe.Quadratic(TestHessianBits.QUADRATIC_C)), [-3.0, -3.0], [3.0, 3.0]),
+        "phi_dyadic": (lambda pr: fe.PhiFreeEnergy(fe.TildeFreeEnergy(pr), 2.0, 1.0),
+                       [0.001], [0.999]),
+        "phi_non_dyadic": (lambda pr: fe.PhiFreeEnergy(
+            fe.TildeFreeEnergy(pr), 1.7, 0.9), [0.001], [0.999]),
+    }
+
+    @pytest.mark.parametrize("size", [1, 7, 5000])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_stack_matches_the_reference_bit_for_bit(self, co2_decane, rng, case, size):
+        make, lo, hi = self.CASES[case]
+        energy = make(co2_decane)
+        x = points_inside(energy, rng, lo, hi, size)
+        H = energy.hessian(x)
+        assert H.shape == (size, energy.nvar, energy.nvar)
+        assert np.array_equal(H, hessian_reference(energy, x))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_lone_point_matches_the_reference_bit_for_bit(self, co2_decane, rng, case):
+        # a lone point's Peng-Robinson powers must be the ufunc's on arrays,
+        # not a numpy scalar's, which round differently in a few % of cases;
+        # a lone phi, alone or as a stack of one, has a one-entry Hessian,
+        # whose terms einsum sums row by row
+        make, lo, hi = self.CASES[case]
+        energy = make(co2_decane)
+        for x in points_inside(energy, rng, lo, hi, 200):
+            H = energy.hessian(x)
+            assert H.shape == (energy.nvar, energy.nvar)
+            assert np.array_equal(H, hessian_reference(energy, x))
+            assert np.array_equal(energy.hessian(x[None]),
+                                  hessian_reference(energy, x[None]))
+
+    def test_lone_point_squares_are_the_ufuncs(self, co2_decane):
+        # 1 - B of a 0-d array is a numpy scalar, whose ** 2 rounds
+        # differently from the ufunc's square at this point (13 of 20,000
+        # random ones): a lone point's B must stay an array through every power
+        x = np.array([209.30802337464328, 45.928110254822776])
+        assert np.array_equal(co2_decane.hessian(x), pr_hessian_reference(co2_decane, x))
+
+    def test_peng_robinson_hessian_is_not_mirrored(self, co2_decane, rng):
+        # the two off-diagonal entries sum their terms in different orders,
+        # so they may differ in the last bit: both are computed
+        x = points_inside(co2_decane, rng, [1.0, 1.0], [600.0, 600.0], 5000)
+        H = co2_decane.hessian(x)
+        assert np.any(H[:, 0, 1] != H[:, 1, 0])
+        np.testing.assert_allclose(H[:, 0, 1], H[:, 1, 0], rtol=1e-12)
+
+
 class TestChemicalPotentials:
     """mu_i = dh/drho_i - sum_j kappa_ij lap(rho_j) as the compressible
     right-hand side forms it, read through its density rows: at rest and
@@ -433,6 +547,29 @@ class TestConcavityMap:
                              fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
         assert fe.classify_matrices(H[102]) == fe.MAP_POSITIVE_DEFINITE
         assert fe.classify_matrices(H.reshape(20, 10, 3, 3)).shape == (20, 10)
+
+    def test_non_finite_matrix_has_no_code(self):
+        H = np.tile(np.eye(2), (2, 3, 1, 1))
+        H[1, 0, 0, 1] = np.nan
+        H[1, 2, 1, 1] = np.inf
+        with pytest.raises(NumericalError, match=r"non-finite matrix \(grid index 3\)") as exc:
+            fe.classify_matrices(H)
+        assert exc.value.index == 3
+        with pytest.raises(NumericalError, match=r"\(grid index 0\)"):
+            fe.classify_matrices(np.array([[1.0, 0.0], [0.0, -np.inf]]))
+
+    def test_non_finite_hessian_in_the_domain_names_its_cell(self, co2_decane):
+        # rho1 = 1e-320 is a positive molar density, but RT/n overflows
+        tq = fe.TildeFreeEnergy(co2_decane)
+        rho1 = np.array([np.nan, 1e-320, 5.0])
+        rho = np.array([-1.0, 300.0, 400.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"non-finite Hessian at the "
+                               r"cell \(rho1, rho\) = \(1e-320, 300\.0\)"):
+                fe.concavity_map(tq, rho1, rho)
+        np.testing.assert_array_equal(fe.concavity_map(tq, rho1[[0, 2]], rho),
+                                      per_cell_map(tq, rho1[[0, 2]], rho))
 
     def test_quadratic_all_positive_definite(self):
         q = fe.Quadratic(np.eye(2), variables=("rho1", "rho"))
