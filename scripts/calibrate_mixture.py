@@ -189,12 +189,12 @@ def verify(s1, s2, T, k12):
 
     def asym_worst(lin, regime, kvals):
         co = lin.small_k() if regime == "small" else lin.large_k()
+        alphas, _, _ = disp.growth_rates(lin, kvals)
         worst = 0.0
-        for k in kvals:
-            gr = disp.growth_rates(lin, k)
+        for k, roots in zip(kvals, alphas):
             for md in co.modes:
                 pred = md.evaluate(k)
-                best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
+                best = roots[np.argmin(np.abs(roots - pred))]
                 worst = max(worst, abs(pred - best) / abs(best))
         return worst
 

@@ -145,6 +145,12 @@ MUTANTS = [
     ("free_energy.py", "bad = ~np.isfinite(H).all(axis=(-2, -1))",
      "bad = np.zeros(H.shape[:-2], dtype=bool)",
      "definiteness: a non-finite matrix gets a code"),
+    ("dispersion.py", "alphas, vecs, res = growth_rates(lin, k_grid)",
+     "alphas, vecs, res = _eigen(lin, k_grid)", "sweep: grid solved without the gate"),
+    ("config.py", "if typ is float and not np.isfinite(value):", "if False:",
+     "config: non-finite numbers admitted"),
+    ("simulator.py", "> 1e-9 * self.t_end", "> 1e-2 * self.t_end",
+     "run length: whole-steps tolerance"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -309,7 +309,7 @@ def cmd_verify(cfg: RunConfig):
 
         def viscous_exact():
             ks = np.logspace(-3, 3, 13)
-            alphas, _, _ = dispersion._solve(linearized(), ks)
+            alphas, _, _ = dispersion.growth_rates(linearized(), ks)
             v = dispersion.viscous_root(linearized(), ks)
             worst = float(np.max(np.min(np.abs(alphas - v[:, None]), axis=1)
                                  / np.abs(v)))

@@ -130,10 +130,13 @@ def _coerce(raw: str, typ, section: str, key: str):
             if low in ("false", "no", "0", "off"):
                 return False
             raise ValueError(raw)
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} as {typ.__name__}") from exc
+    if typ is float and not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: {raw!r} is not a finite number")
+    return value
 
 
 def parse_config(text: str, source: str = "<string>") -> RunConfig:

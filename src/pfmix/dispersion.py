@@ -50,40 +50,28 @@ PEAK_POINTS = 9
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthRates:
-    """Finite generalized eigenvalues of one pencil, sorted by descending
-    real part, with right eigenvectors (columns of ``vectors``, unit norm,
-    largest-modulus component real and positive) and relative residuals."""
-
-    k: float
-    alphas: np.ndarray
-    vectors: np.ndarray
-    residuals: np.ndarray
-
-
-def _solve(lin, k) -> tuple:
+def growth_rates(lin, ks) -> tuple:
     """(alphas, vectors, residuals) of the pencil of ``lin`` at every k of a
     1-D array, from one batched eigensolve of its standard form.
 
-    ``alphas[i]`` holds the finite roots at k[i] by descending real part
+    ``alphas[i]`` holds the finite roots at ks[i] by descending real part
     (a conjugate pair: negative imaginary part first) and ``vectors[i]``
     their eigenvectors as columns, each of unit norm with its
     largest-modulus component real and positive.  Every root is checked on
     the full pencil: ``residuals[i, j]`` is |(alpha B + A) x| / (|A| |x|),
     and NumericalError is raised where one exceeds EIG_RESIDUAL_TOL.
     """
-    w, x, res = _eigen(lin, k)
+    w, x, res = _eigen(lin, ks)
     bad = res > EIG_RESIDUAL_TOL
     if np.any(bad):
         raise NumericalError(
             f"eigen-residual {res[bad].max():.3e} exceeds {EIG_RESIDUAL_TOL:.1e} "
-            f"at k={np.asarray(k, dtype=float)[bad.any(axis=1)][0]}")
+            f"at k={np.asarray(ks, dtype=float)[bad.any(axis=1)][0]}")
     return w, x, res
 
 
 def _eigen(lin, k) -> tuple:
-    """``_solve`` without the residual check."""
+    """:func:`growth_rates` without the residual check."""
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
         raise RangeError("wavenumber must be positive")
@@ -117,12 +105,6 @@ def _unit_phase(x: np.ndarray) -> np.ndarray:
     x = x * (np.conj(x[top]) / (mag[top] * size))[:, None, :]
     x[top] = mag[top] / size
     return x
-
-
-def growth_rates(lin, k: float) -> GrowthRates:
-    """All finite growth rates at wavenumber k, descending real part."""
-    w, x, res = _solve(lin, [k])
-    return GrowthRates(k=k, alphas=w[0], vectors=x[0], residuals=res[0])
 
 
 def viscous_root(lin, k: float) -> float:
@@ -304,7 +286,7 @@ def sweep(lin, k_grid, start=None) -> DispersionResult:
     k_grid = np.asarray(k_grid, dtype=float)
     if np.any(k_grid <= 0) or np.any(np.diff(k_grid) <= 0):
         raise RangeError("k grid must be strictly increasing and positive")
-    alphas, vecs, res = _solve(lin, k_grid)
+    alphas, vecs, res = growth_rates(lin, k_grid)
     if start is not None:
         prev, i = start
         if prev.k_grid[i] > k_grid[0]:
@@ -330,7 +312,7 @@ def sweep(lin, k_grid, start=None) -> DispersionResult:
             n = 20 * (int(found[0]) + 1)
             prefix = k_seed * np.logspace(-n / 20, 0.0, n, endpoint=False)
             alphas, vecs, res = (np.concatenate(pair) for pair in zip(
-                _solve(lin, prefix), (alphas, vecs, res)))
+                growth_rates(lin, prefix), (alphas, vecs, res)))
             k_seed = prefix[0]
         predicted = np.array([m.evaluate(k_seed) for m in modes])
         first = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
@@ -392,7 +374,7 @@ def unstable_bands(lin, result: DispersionResult, track: int):
 def _band_edge(lin, k0: float, k1: float) -> float:
     edges = lin.band_edges()
     found = [e for e in edges[(edges >= k0) & (edges <= k1)] if np.ptp(
-        _growing(_solve(lin, e * np.array([1 - 1e-6, 1 + 1e-6]))[0]).sum(axis=1))]
+        _growing(growth_rates(lin, e * np.array([1 - 1e-6, 1 + 1e-6]))[0]).sum(axis=1))]
     if len(found) != 1:
         raise NumericalError(
             f"{len(found)} closed-form band edges change the pencil's count of "

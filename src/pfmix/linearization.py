@@ -428,7 +428,7 @@ class CompressibleLinearization(_Pencil):
                                     "(kappa_rho1_rho1 > 0 for local conservation)")
         disc = _csqrt(iRe * iRe - 4.0 * r0 * G * detK / PK)
         xs = ((-iRe + disc) / (2.0 * r0), (-iRe - disc) / (2.0 * r0))
-        aux = {"d": d, "det_K": detK, "x23": xs}
+        aux = {"d": d, "det_K": detK}
         if disc.imag == 0.0:
             powers, coefficients = (2, 0), []
             for x in xs:

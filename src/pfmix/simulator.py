@@ -66,8 +66,14 @@ class SimulationConfig:
     def __post_init__(self):
         if self.n & (self.n - 1):
             raise RangeError("cell count must be a power of two")
-        if self.dt <= 0 or self.t_end <= 0:
-            raise RangeError("dt and t_end must be positive")
+        if not (np.isfinite(self.dt) and np.isfinite(self.t_end)
+                and self.dt > 0 and self.t_end > 0):
+            raise RangeError(f"dt and t_end must be finite and positive, not "
+                             f"dt={self.dt:g} and t_end={self.t_end:g}")
+        steps = round(self.t_end / self.dt)
+        if steps < 1 or abs(self.t_end - steps * self.dt) > 1e-9 * self.t_end:
+            raise RangeError(f"t_end={self.t_end:g} is not a whole number of "
+                             f"steps dt={self.dt:g}")
         if self.integrator not in ("rk4", "semi_implicit"):
             raise RangeError(f"unknown integrator {self.integrator!r}")
         if self.diagnostics_every < 1:
@@ -168,7 +174,10 @@ def eigenvector_perturbations(model, state: MixtureState, grid: PeriodicGrid1D,
 
     The root is the one ``dispersion.sweep(lin, [k])`` tracks under
     ``track_name`` (e.g. "alpha1"; KeyError for a name it does not have).
+    RangeError for mode 0, whose k = 0 the sweep does not take.
     """
+    if mode < 1:
+        raise RangeError(f"an eigenvector seed needs a mode >= 1, not {mode}")
     lin = model.linearization(state)
     result = dispersion.sweep(lin, [grid.mode_wavenumber(mode)])
     idx = result.track(track_name)

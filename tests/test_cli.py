@@ -177,9 +177,39 @@ class TestExitCodes:
         ("sweep", "concavity_co2_decane.ini", "", "", "sweep needs a [sweep] section"),
         ("concavity-map", MINI_SWEEP, "", "", "concavity-map needs a [map] section"),
         ("simulate", MINI_SWEEP, "", "", "simulate needs a [simulate] section"),
+        # a non-finite number used to surface later as some other failure,
+        # or as none
+        ("sweep", "band_composition.ini", "Re_s = 1.0", "Re_s = nan",
+         "[model] re_s: 'nan' is not a finite number"),
+        ("sweep", "band_composition.ini", "kappa_rho_rho = 1.06e-4", "kappa_rho_rho = nan",
+         "[free_energy] kappa_rho_rho: 'nan' is not a finite number"),
+        ("sweep", "band_composition.ini", "Re_s = 1.0", "Re_s = inf",
+         "[model] re_s: 'inf' is not a finite number"),
+        ("verify", "band_composition.ini", "Re_s = 1.0", "Re_s = inf",
+         "[model] re_s: 'inf' is not a finite number"),
+        ("sweep", MINI_SWEEP, "c11 = -0.5", "c11 = -inf",
+         "[free_energy] c11: '-inf' is not a finite number"),
+        ("simulate", "simulate_relaxation.ini", "dt = 0.0005", "dt = nan",
+         "[simulate] dt: 'nan' is not a finite number"),
+        ("simulate", "simulate_relaxation.ini", "t_end = 4.0", "t_end = inf",
+         "[simulate] t_end: 'inf' is not a finite number"),
+        ("concavity-map", "concavity_co2_decane.ini", "rho_max = 500.0", "rho_max = nan",
+         "[map] rho_max: 'nan' is not a finite number"),
+        ("verify", "quasi_spinodal.ini", "M11 = 0.1", "M11 = nan",
+         "[model] m11: 'nan' is not a finite number"),
+        # a run steps round(t_end / dt) times: 0 steps failed on an empty
+        # trace, and 8,001 ran to t = 4.0005
+        ("simulate", "simulate_relaxation.ini", "t_end = 4.0", "t_end = 0.0002",
+         "t_end=0.0002 is not a whole number of steps dt=0.0005"),
+        ("simulate", "simulate_relaxation.ini", "t_end = 4.0", "t_end = 4.0003",
+         "t_end=4.0003 is not a whole number of steps dt=0.0005"),
+        ("simulate", "simulate_relaxation.ini", "perturb_mode = 6", "perturb_mode = 0",
+         "an eigenvector seed needs a mode >= 1"),
     ], ids=["kind", "model_class", "re_s", "incompressible_unequal", "species_unnamed",
             "species_unknown", "state_local", "state_global", "state_phase_field",
-            "spacing", "no_sweep", "no_map", "no_simulate"])
+            "spacing", "no_sweep", "no_map", "no_simulate", "re_s_nan", "kappa_nan",
+            "re_s_inf", "verify_re_s_inf", "c11_minus_inf", "dt_nan", "t_end_inf", "map_nan",
+            "verify_m11_nan", "no_whole_step", "part_step", "mode_0_seed"])
     def test_config_errors_exit_2_and_write_nothing(self, tmp_path, capsys, command,
                                                     text, old, new, want):
         if text.endswith(".ini"):

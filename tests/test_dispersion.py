@@ -92,25 +92,27 @@ class TestGrowthRates:
                                                  rho_hat_1=1.5, rho_hat_2=1.5),
                       ST_PHI, 2))
         for model, st, n in cases:
-            assert disp.growth_rates(model.linearization(st), 1.0).alphas.size == n
+            alphas, _, _ = disp.growth_rates(model.linearization(st), [1.0])
+            assert alphas[0].size == n
 
     def test_viscous_root_exact(self):
         for model, st in ((make_global(), ST_GLOBAL), (make_local(), ST_LOCAL),
                           (make_quasi(), ST_PHI)):
             lin = model.linearization(st)
-            for k in np.logspace(-3, 3, 7):
-                gr = disp.growth_rates(lin, k)
+            ks = np.logspace(-3, 3, 7)
+            alphas, _, _ = disp.growth_rates(lin, ks)
+            for k, roots in zip(ks, alphas):
                 v = disp.viscous_root(lin, k)
-                assert min(abs(a - v) for a in gr.alphas) <= 1e-12 * abs(v)
+                assert min(abs(a - v) for a in roots) <= 1e-12 * abs(v)
 
     def test_residuals_small(self):
-        gr = disp.growth_rates(make_global().linearization(ST_GLOBAL), 0.7)
-        assert np.all(gr.residuals <= 1e-8)
+        _, _, residuals = disp.growth_rates(make_global().linearization(ST_GLOBAL), [0.7])
+        assert np.all(residuals <= 1e-8)
 
     def test_conjugate_pairs(self):
         lin = make_global().linearization(ST_GLOBAL)
-        for k in (0.3, 1.0, 5.0):
-            a = disp.growth_rates(lin, k).alphas
+        alphas, _, _ = disp.growth_rates(lin, [0.3, 1.0, 5.0])
+        for a in alphas:
             scale = np.abs(a).max()
             complex_roots = a[np.abs(a.imag) > 1e-12 * scale]
             assert complex_roots.size % 2 == 0
@@ -120,7 +122,7 @@ class TestGrowthRates:
 
     def test_positive_k_required(self):
         with pytest.raises(RangeError):
-            disp.growth_rates(make_global().linearization(ST_GLOBAL), 0.0)
+            disp.growth_rates(make_global().linearization(ST_GLOBAL), [0.0])
 
 
 class TestAsymptotics:
@@ -146,10 +148,10 @@ class TestAsymptotics:
         lin = make_local().linearization(ST_LOCAL)
         co = lin.small_k()
         k = 1e-3
-        gr = disp.growth_rates(lin, k)
+        alphas, _, _ = disp.growth_rates(lin, [k])
         for md in co.modes:
             pred = md.evaluate(k)
-            best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
+            best = alphas[0][np.argmin(np.abs(alphas[0] - pred))]
             assert abs(pred - best) / abs(best) < 1e-2
 
     def test_large_k_local_leading_coefficient(self):
@@ -168,8 +170,8 @@ class TestAsymptotics:
         lin = make_local().linearization(ST_LOCAL)
         x, y = lin.large_k().mode("alpha1").coefficients
         errors = []
-        for k in (1e2, 3e2, 1e3):
-            roots = disp.growth_rates(lin, k).alphas
+        ks = [1e2, 3e2, 1e3]
+        for k, roots in zip(ks, disp.growth_rates(lin, ks)[0]):
             alpha1 = roots[np.argmin(np.abs(roots - (x * k**4 + y * k**2)))]
             errors.append(abs((alpha1 - x * k**4) / k**2 - y))
         assert errors[0] < 1e-3 * abs(y)
@@ -188,8 +190,8 @@ class TestAsymptotics:
             assert co.mode("alpha1").coefficients == (0.0, 0.0)
             assert co.mode("alpha2").powers == co.mode("alpha3").powers == (2, 0)
             worst = []
-            for k in (1e2, 1e3, 1e4):
-                roots = disp.growth_rates(lin, k).alphas
+            ks = [1e2, 1e3, 1e4]
+            for k, roots in zip(ks, disp.growth_rates(lin, ks)[0]):
                 pred = np.array([md.evaluate(k) for md in co.modes])
                 gaps = np.abs(pred[:, None] - roots[None, :])
                 assert sorted(gaps.argmin(axis=1)) == [0, 1, 2, 3]
@@ -200,11 +202,12 @@ class TestAsymptotics:
     def test_large_k_matches_roots(self):
         lin = make_local().linearization(ST_LOCAL)
         co = lin.large_k()
-        for k in (100.0, 300.0):
-            gr = disp.growth_rates(lin, k)
+        ks = [100.0, 300.0]
+        alphas, _, _ = disp.growth_rates(lin, ks)
+        for k, roots in zip(ks, alphas):
             for md in co.modes:
                 pred = md.evaluate(k)
-                best = gr.alphas[np.argmin(np.abs(gr.alphas - pred))]
+                best = roots[np.argmin(np.abs(roots - pred))]
                 assert abs(pred - best) / abs(best) < 5e-2
 
     def test_singular_expansion_raised(self):
@@ -231,7 +234,7 @@ def local_from_global(C, kappa, M11, inv_Re_s=0.5, inv_Re_v=0.2):
 def worst_expansion_error(lin, co, k):
     """Largest relative distance from a mode's expansion at k to the
     nearest root of the pencil."""
-    roots = disp.growth_rates(lin, k).alphas
+    roots = disp.growth_rates(lin, [k])[0][0]
     worst = 0.0
     for m in co.modes:
         pred = m.evaluate(k)
@@ -274,8 +277,8 @@ class TestOneCompressibleLinearization:
         glob, loc = local_from_global(C_MIX, kappa, M11=0.3)
         lg, ll = glob.linearization(ST_GLOBAL), loc.linearization(ST_GLOBAL)
         ks = np.logspace(-3, 3, 61)
-        rg, _, _ = disp._solve(lg, ks)
-        rl, _, _ = disp._solve(ll, ks)
+        rg, _, _ = disp.growth_rates(lg, ks)
+        rl, _, _ = disp.growth_rates(ll, ks)
         assert max(worst_root_gap(a, b) for a, b in zip(rg, rl)) <= 1e-13
         for regime in ("small_k", "large_k"):
             cg, cl = getattr(lg, regime)(), getattr(ll, regime)()
@@ -337,9 +340,10 @@ class TestOneCompressibleLinearization:
 class TestQuasiRoots:
     def test_explicit_matches_pencil(self):
         lin = make_quasi().linearization(ST_PHI)
-        for k in np.logspace(-2, 2, 25):
+        ks = np.logspace(-2, 2, 25)
+        for k, roots in zip(ks, disp.growth_rates(lin, ks)[0]):
             a0, a1, a2 = disp.quasi_explicit_roots(lin, float(k))
-            got = np.sort_complex(disp.growth_rates(lin, float(k)).alphas)
+            got = np.sort_complex(roots)
             want = np.sort_complex(np.array([a0, a1, a2]))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
@@ -393,7 +397,7 @@ class TestQuasiRoots:
             matched = 0
             for k in ks:
                 try:
-                    got = disp.growth_rates(lin, k).alphas
+                    got = disp.growth_rates(lin, [k])[0][0]
                 except NumericalError as exc:
                     assert "eigen-residual" in str(exc)
                     continue
@@ -429,10 +433,10 @@ class TestQuasiRoots:
         _, a1 = disp.incompressible_roots(lin, k)
         assert np.allclose(a1, k**2 - k**4)
         assert a1[0] > 0 and a1[1] == pytest.approx(0.0) and a1[2] < 0
-        for kk in (0.5, 2.0):
-            gr = disp.growth_rates(lin, kk)
+        kks = [0.5, 2.0]
+        for kk, roots in zip(kks, disp.growth_rates(lin, kks)[0]):
             _, want = disp.incompressible_roots(lin, kk)
-            assert min(abs(a - want) for a in gr.alphas) < 1e-12 * max(abs(want), 1)
+            assert min(abs(a - want) for a in roots) < 1e-12 * max(abs(want), 1)
 
 
 class TestClassification:
@@ -703,7 +707,7 @@ def signed_growing_count(lin, ks, neutral):
     form, kappa the root's condition number from the inverse eigenvector
     matrix); -1 where more than ``neutral`` roots lie within their bound,
     so the count is not known."""
-    alphas, x, _ = disp._solve(lin, ks)
+    alphas, x, _ = disp.growth_rates(lin, ks)
     S = lin.standard_form(lin.pencil_matrices(ks))
     kappa = np.linalg.norm(np.linalg.inv(x), axis=2)
     bound = (10.0 * np.finfo(float).eps * kappa
@@ -835,8 +839,8 @@ class TestBatchedEngine:
     def test_phase_field_roots_match_closed_form(self, case):
         model = make_quasi() if case == "quasi" else make_incompressible()
         lin = model.linearization(ST_PHI)
-        for k in (1e-2, 0.5, 3.0, 9.0, 40.0, 300.0):
-            got = disp.growth_rates(lin, k).alphas
+        ks = [1e-2, 0.5, 3.0, 9.0, 40.0, 300.0]
+        for k, got in zip(ks, disp.growth_rates(lin, ks)[0]):
             assert worst_root_gap(got, closed_form_roots(model, ST_PHI, k)) <= 1e-12
 
     def test_sweep_roots_are_the_one_k_roots(self, band_composition):
@@ -844,18 +848,21 @@ class TestBatchedEngine:
         lin = model.linearization(st)
         ks = np.logspace(-3, 2, 60)
         res = disp.sweep(lin, ks)
+        grid = disp.growth_rates(lin, ks)
         for i, k in enumerate(ks):
-            one = disp.growth_rates(lin, k).alphas
-            assert np.array_equal(np.sort_complex(res.roots[i]), np.sort_complex(one))
+            one = disp.growth_rates(lin, [k])
+            # the grid's solve is the one-k solve at every k, bit for bit
+            for got, want in zip(grid, one):
+                assert np.array_equal(got[i], want[0])
+            assert np.array_equal(np.sort_complex(res.roots[i]),
+                                  np.sort_complex(one[0][0]))
 
     def test_eigenvector_convention(self):
         cases = [(make_global(C=-np.eye(2)), ST_GLOBAL), (make_local(), ST_LOCAL),
                  (make_quasi(), ST_PHI), (make_incompressible(), ST_PHI)]
         for model, st in cases:
             lin = model.linearization(st)
-            for k in (0.3, 2.0, 50.0):
-                gr = disp.growth_rates(lin, k)
-                v = gr.vectors
+            for v in disp.growth_rates(lin, [0.3, 2.0, 50.0])[1]:
                 assert np.allclose(np.linalg.norm(v, axis=0), 1.0, rtol=0, atol=1e-15)
                 top = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
                 assert np.all(top.imag == 0.0) and np.all(top.real > 0.0)
@@ -863,8 +870,7 @@ class TestBatchedEngine:
     def test_real_and_conjugate_roots_are_exact(self):
         # the standard form is real: no rounding-level imaginary parts
         lin = make_global().linearization(ST_GLOBAL)
-        for k in np.logspace(-2, 2, 9):
-            a = disp.growth_rates(lin, k).alphas
+        for a in disp.growth_rates(lin, np.logspace(-2, 2, 9))[0]:
             for root in a[a.imag != 0.0]:
                 assert np.conj(root) in a
 
@@ -879,7 +885,7 @@ class TestBatchedEngine:
 
         monkeypatch.setattr(np.linalg, "eig", perturbed)
         with pytest.raises(NumericalError, match="eigen-residual"):
-            disp.growth_rates(make_local().linearization(ST_LOCAL), 1.0)
+            disp.growth_rates(make_local().linearization(ST_LOCAL), [1.0])
         with pytest.raises(NumericalError, match="eigen-residual"):
             disp.sweep(make_quasi().linearization(ST_PHI), np.logspace(-1, 1, 20))
 
@@ -907,10 +913,44 @@ def eig_calls(monkeypatch):
     return counts
 
 
+@pytest.fixture()
+def solves(monkeypatch):
+    """The k arrays handed to dispersion.growth_rates while the test runs."""
+    calls = []
+    growth_rates = disp.growth_rates
+
+    def counting(lin, ks):
+        calls.append(np.asarray(ks, dtype=float))
+        return growth_rates(lin, ks)
+
+    monkeypatch.setattr(disp, "growth_rates", counting)
+    return calls
+
+
 class TestEigenBudget:
     """A sweep solves its whole grid in one eigensolve; a band edge takes one
     batched solve of two k per closed-form candidate; a band peak takes one
     sweep per refinement; no QZ."""
+
+    def test_every_gated_solve_is_one_public_call(self, band_composition, tmp_path,
+                                                  solves):
+        # the sweep's grid, each closed-form edge checked and verify's
+        # viscous check each solve through dispersion.growth_rates, once
+        model, st = band_composition
+        lin = model.linearization(st)
+        sec = load_config(config_path("band_composition.ini")).sections["sweep"]
+        ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]),
+                         sec["points"])
+        res = disp.sweep(lin, ks)
+        assert len(solves) == 1 and np.array_equal(solves[0], ks) and ks.size == 241
+        edge = lin.band_edges()[0]
+        assert disp.unstable_bands(lin, res, res.track("alpha1")) == [(ks[0], edge)]
+        assert len(solves) == 2
+        assert np.array_equal(solves[1], edge * np.array([1 - 1e-6, 1 + 1e-6]))
+        solves.clear()
+        assert cli.main(["verify", "--config", str(config_path("band_composition.ini")),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        assert len(solves) == 1 and np.array_equal(solves[0], np.logspace(-3, 3, 13))
 
     def test_sweep_is_one_batched_call(self, band_composition, eig_calls):
         model, st = band_composition

@@ -58,6 +58,15 @@ def test_no_class_switch_outside_the_models():
             assert switch not in text, f"{name} contains {switch}"
 
 
+def test_no_private_dispersion_call_outside_its_module():
+    # growth_rates is the one gated solve that other modules and the
+    # scripts call; the private helpers stay inside dispersion.py
+    for path in [*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py")]:
+        if path.name != "dispersion.py":
+            text = path.read_text(encoding="utf-8")
+            assert not re.search(r"\b(?:dispersion|disp)\._", text), path.name
+
+
 def test_bundled_digests_cover_every_output():
     # the byte-identity check, run as a user runs it; the digests themselves
     # depend on the numpy build, so only the lines' names and exits are fixed

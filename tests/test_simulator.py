@@ -43,6 +43,14 @@ class TestInitialization:
             sim.SimulationConfig(model=stable_local(), state=ST, length=L,
                                  n=100, dt=1e-4, t_end=1.0)
 
+    @pytest.mark.parametrize("dt, t_end", [(np.nan, 1.0), (1e-3, np.inf), (1e-3, 0.0)],
+                             ids=["dt_nan", "t_end_inf", "t_end_zero"])
+    def test_dt_and_t_end_must_be_finite_and_positive(self, dt, t_end):
+        # a NaN dt passes dt <= 0, and a library caller skips the parser
+        with pytest.raises(RangeError, match="finite and positive"):
+            sim.SimulationConfig(model=stable_local(), state=ST, length=L,
+                                 n=64, dt=dt, t_end=t_end)
+
     def test_out_of_domain_perturbation_rejected(self):
         fh = fe.FloryHuggins(1.0, 1.0, 1.0, 0.0)
         tq = fe.TildeFreeEnergy(fh)
