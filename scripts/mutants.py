@@ -151,6 +151,22 @@ MUTANTS = [
      "config: non-finite numbers admitted"),
     ("simulator.py", "> 1e-9 * self.t_end", "> 1e-2 * self.t_end",
      "run length: whole-steps tolerance"),
+    ("free_energy.py", "s = np.where(s > 0.0, s, 1.0)", "s = 1.0",
+     "2 x 2 definiteness: matrices not scaled by their largest entry"),
+    ("free_energy.py", "m + np.copysign(np.hypot(0.5 * (a - c), b), m)",
+     "m + np.hypot(0.5 * (a - c), b)",
+     "2 x 2 definiteness: the larger eigenvalue's sign not that of the trace"),
+    ("free_energy.py", "np.where(smallest <= tol,", "np.where(smallest < tol,",
+     "definiteness: an eigenvalue at the tolerance not zero"),
+    ("linearization.py", "- r0 * (hpp * Q * Q) ** 2 / Aco**3",
+     "+ r0 * (hpp * Q * Q) ** 2 / Aco**3",
+     "phase-field small k: sign of alpha1's k^4 term in r0"),
+    ("linearization.py", "-(Aco * x1 + hpp * Q * Q) / disc.real",
+     "-hpp * Q * Q / ((iRe + disc.real) / 2.0)",
+     "phase-field large k: alpha1's k^0 coefficient without A x and over (1/Re + disc)/2"),
+    ("linearization.py", "if disc.real > 0.0 and iRe > 0:",
+     "if disc.imag == 0.0 and iRe > 0:",
+     "phase-field large k: a double root given a second coefficient"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -14,6 +14,7 @@ identical configs give byte-identical results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -177,8 +178,15 @@ def cmd_simulate(cfg: RunConfig):
         except ValueError:
             raise ConfigError(f"[simulate] track: {item.strip()!r} is not "
                               "field:mode") from None
-    # before the eigenvector seed sweeps the mode's wavenumber
+    # the run's numbers and modes, before the eigenvector seed sweeps the
+    # mode's wavenumber
     simulator.check_modes([mode] + [m for _, m in track], grid.n)
+    run_cfg = simulator.SimulationConfig(
+        model=model, state=state, length=sec["length"], n=sec["n"],
+        dt=sec["dt"], t_end=sec["t_end"], integrator=sec["integrator"],
+        diagnostics_every=sec["diagnostics_every"], perturbations=(),
+        track=tuple(track), enforce_dt_guard=sec["enforce_dt_guard"],
+        snapshot_every=sec["snapshot_every"])
     alpha_pred = None
     if sec["seed_eigenvector"]:
         try:
@@ -193,13 +201,8 @@ def cmd_simulate(cfg: RunConfig):
         perts = (simulator.Perturbation(sec["perturb_field"], mode,
                                         sec["perturb_amplitude"]),)
     track = track or [(perts[0].field, mode)]
-    run_cfg = simulator.SimulationConfig(
-        model=model, state=state, length=sec["length"], n=sec["n"],
-        dt=sec["dt"], t_end=sec["t_end"], integrator=sec["integrator"],
-        diagnostics_every=sec["diagnostics_every"], perturbations=perts,
-        track=tuple(track), enforce_dt_guard=sec["enforce_dt_guard"],
-        snapshot_every=sec["snapshot_every"])
-    trace = simulator.run(run_cfg)
+    trace = simulator.run(dataclasses.replace(run_cfg, perturbations=perts,
+                                              track=tuple(track)))
 
     header = ["t", "mass", "energy", "dissipation"]
     columns = [trace.times, trace.mass, trace.energy, trace.dissipation]

@@ -46,18 +46,43 @@ MAP_SINGULAR = 4
 
 def classify_matrices(H) -> np.ndarray:
     """The code (above) of every matrix C of a (..., n, n) stack, shape (...);
-    an eigenvalue with |lam| <= DEFINITENESS_TOL * ||C||_F makes C singular.
-    A non-finite matrix has no code: NumericalError names the first one."""
+    an eigenvalue of (C + C^T)/2 with |lam| <= DEFINITENESS_TOL * ||C||_F
+    makes C singular.  A non-finite matrix has no code: NumericalError names
+    the first one.  A 2 x 2 stack is classified in closed form, any other n
+    by one batched eigvalsh."""
     H = np.asarray(H, dtype=float)
     bad = ~np.isfinite(H).all(axis=(-2, -1))
     if bad.any():
         raise NumericalError("non-finite matrix", index=int(np.argmax(bad.ravel())))
-    eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
-    tol = DEFINITENESS_TOL * np.linalg.norm(H, axis=(-2, -1))
-    codes = np.where((eigs > 0).all(axis=-1), MAP_POSITIVE_DEFINITE,
-                     np.where((eigs < 0).all(axis=-1), MAP_NEGATIVE_DEFINITE,
-                              MAP_INDEFINITE))
-    return np.where((np.abs(eigs) <= tol[..., None]).any(axis=-1), MAP_SINGULAR, codes)
+    if H.shape[-1] == 2:
+        lo, hi, smallest, tol = _symmetric_eigenpair(H)
+    else:
+        eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
+        lo, hi, smallest = eigs[..., 0], eigs[..., -1], np.abs(eigs).min(axis=-1)
+        tol = DEFINITENESS_TOL * np.linalg.norm(H, axis=(-2, -1))
+    codes = np.where(lo > 0, MAP_POSITIVE_DEFINITE,
+                     np.where(hi < 0, MAP_NEGATIVE_DEFINITE, MAP_INDEFINITE))
+    return np.where(smallest <= tol, MAP_SINGULAR, codes)
+
+
+def _symmetric_eigenpair(H):
+    """(lower, upper, smallest |.|) eigenvalue of (C + C^T)/2 and the zero
+    tolerance, for every C of a (..., 2, 2) stack, each C scaled by its
+    largest |entry| so that no product overflows or underflows.  The larger
+    eigenvalue in magnitude is m + sign(m) r, the smaller det / that: the
+    2 x 2 symmetric Schur step (Golub & Van Loan, Matrix Computations, 8.5)."""
+    h00, h01, h10, h11 = H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1]
+    s = np.maximum(np.maximum(np.abs(h00), np.abs(h11)),
+                   np.maximum(np.abs(h01), np.abs(h10)))
+    s = np.where(s > 0.0, s, 1.0)
+    a, c, u, v = h00 / s, h11 / s, h01 / s, h10 / s
+    b = 0.5 * (u + v)
+    m = 0.5 * (a + c)
+    big = m + np.copysign(np.hypot(0.5 * (a - c), b), m)
+    small = np.divide(a * c - b * b, big, out=np.zeros_like(big), where=big != 0.0)
+    tol = DEFINITENESS_TOL * np.sqrt(a * a + c * c + u * u + v * v)
+    return (np.minimum(small, big), np.maximum(small, big),
+            np.minimum(np.abs(small), np.abs(big)), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +528,7 @@ def concavity_map(fe_tilde: BulkFreeEnergy, rho1_values, rho_values) -> np.ndarr
     rectangular grid.  Out-of-domain cells, non-finite coordinates included,
     are marked MAP_EXCLUDED, not raised; every other cell gets its
     ``classify_matrices`` code.  The whole grid is one ``domain_mask``, one
-    batched Hessian of the cells inside it and one batched eigensolve; a
+    batched Hessian of the cells inside it and one classification of them; a
     non-finite Hessian inside the domain is a NumericalError naming its cell.
 
     Returns an int array of shape (len(rho1_values), len(rho_values)).

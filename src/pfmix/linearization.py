@@ -602,16 +602,16 @@ class PhaseFieldLinearization(_Pencil):
         if regime == "small_k":
             x1 = -hpp * Q * Q / Aco
             y1 = -kpp * Q * Q / Aco + hpp * Q * Q * iRe / Aco**2 \
-                + r0 * (hpp * Q * Q) ** 2 / Aco**3
+                - r0 * (hpp * Q * Q) ** 2 / Aco**3
             thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1))
             coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (0, 2),
                                     (-Aco / r0, -iRe / r0 + hpp * Q * Q / Aco))
         else:
             disc = _csqrt(iRe * iRe - 4.0 * r0 * kpp * Q * Q)
-            if disc.imag == 0.0 and iRe > 0:
-                den = (iRe + disc.real) / 2.0
+            if disc.real > 0.0 and iRe > 0:
+                x1 = -kpp * Q * Q / ((iRe + disc.real) / 2.0)
                 thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 0),
-                                       (-kpp * Q * Q / den, -hpp * Q * Q / den))
+                                       (x1, -(Aco * x1 + hpp * Q * Q) / disc.real))
                 coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
                                         (-(iRe + disc.real) / (2.0 * r0),))
             else:

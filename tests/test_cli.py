@@ -284,14 +284,23 @@ perturb_amplitude = 1e-6
         ("track = rho1:6", "track = rho1:-3", "mode -3 lies outside the grid's 0..32"),
         ("perturb_mode = 6", "perturb_mode = 5000",
          "mode 5000 lies outside the grid's 0..32"),
+        ("t_end = 4.0", "t_end = 4.0003",
+         "t_end=4.0003 is not a whole number of steps dt=0.0005"),
+        ("t_end = 4.0", "t_end = 0.0002",
+         "t_end=0.0002 is not a whole number of steps dt=0.0005"),
+        ("dt = 0.0005", "dt = -0.0005", "dt and t_end must be finite and positive"),
+        ("integrator = rk4", "integrator = euler", "unknown integrator 'euler'"),
+        ("diagnostics_every = 20", "diagnostics_every = 0",
+         "diagnostics cadence must be >= 1"),
     ], ids=["two_cells", "negative_length", "track_above_nyquist", "negative_track",
-            "perturb_above_nyquist"])
+            "perturb_above_nyquist", "part_step", "no_whole_step", "negative_dt",
+            "unknown_integrator", "no_cadence"])
     def test_bad_grid_or_mode_exit_2(self, tmp_path, capsys, monkeypatch, line, bad,
                                      want):
         # refused before any step, with the exit code of a configuration
         # error (exit 1 would claim a failed verify); n = 64 holds modes 0..32.
-        # The config seeds an eigenvector, and a bad mode is refused before
-        # the seed's sweep runs
+        # The config seeds an eigenvector, and a bad grid, mode, run length,
+        # integrator or cadence is refused before the seed's sweep runs
         text = open(config_path("simulate_relaxation.ini")).read()
         assert line in text and "n = 64" in text and "seed_eigenvector = true" in text
         monkeypatch.setattr(cli.simulator, "run",

@@ -370,6 +370,41 @@ class TestQuasiRoots:
         e2, e4 = (worst_expansion_error(lin, co, k) for k in (1e2, 1e4))
         assert e2 <= 1e-2 and e4 * 1e3 <= e2
 
+    @pytest.mark.parametrize("regime, ks", [("small_k", (1e-2, 1e-3)),
+                                            ("large_k", (1e2, 1e3))])
+    def test_two_term_expansions_fall_by_their_next_order(self, regime, ks):
+        # a two-term expansion is within a relative O(k^4) of its closed-form
+        # root at small k, and O(k^-4) at large k: its error falls by about
+        # 10^4 over the decade of k, where a wrong second coefficient leaves
+        # the O(k^2) or O(k^-2) of the first term alone, about 10^2
+        model, state = build_all(load_config(config_path("quasi_spinodal.ini")))
+        lins = [model.linearization(state)] + [
+            make_quasi(h_pp=h_pp, rho_hat_1=rho_hat_1).linearization(ST_PHI)
+            for h_pp in (-1.0, 0.5) for rho_hat_1 in (2.0, 0.5)]
+        for lin in lins:
+            two_term = [m for m in getattr(lin, regime)().modes
+                        if len(m.coefficients) == 2]
+            assert two_term
+            for mode in two_term:
+                errors = []
+                for k in ks:
+                    roots = np.array(disp.quasi_explicit_roots(lin, k))
+                    pred = mode.evaluate(k)
+                    nearest = roots[np.argmin(np.abs(roots - pred))]
+                    errors.append(abs(pred - nearest) / abs(nearest))
+                assert errors[1] * 1e3 <= errors[0], (mode.name, errors)
+
+    def test_large_k_double_root_is_one_leading_term(self):
+        # 1/Re^2 = 4 rho0 kappa Q^2 exactly: alpha1 and alpha2 meet at
+        # leading order, where the second coefficient's 1/disc is infinite
+        # (0.75^2 = 4 * 1 * 0.0625 * 1.5^2 in binary floating point)
+        lin = dataclasses.replace(make_quasi().linearization(ST_PHI), phi0=0.5,
+                                  rho0=1.0, inv_Re=0.75, kappa_phi_phi=0.0625)
+        assert lin.Q == 1.5
+        co = lin.large_k()
+        for name in ("alpha1", "alpha2"):
+            assert co.mode(name).coefficients == (-lin.inv_Re / (2.0 * lin.rho0),)
+
     def test_equal_densities_raise(self):
         lin = make_quasi(rho_hat_1=1.0, rho_hat_2=1.0).linearization(ST_PHI)
         with pytest.raises(RangeError):

@@ -530,13 +530,17 @@ class TestConcavityMap:
         assert np.any((codes == fe.MAP_EXCLUDED) & (0.0 < R1) & (R1 < R)
                       & np.isfinite(R))
 
-    def test_classify_matrices_matches_per_matrix(self, rng):
-        H = rng.normal(size=(200, 3, 3))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_classify_matrices_matches_per_matrix(self, rng, n):
+        # n = 2 is classified in closed form, n = 3 by eigvalsh
+        H = rng.normal(size=(200, n, n))
         H[:50] = H[:50] @ np.swapaxes(H[:50], 1, 2)        # positive definite
         H[50:100] = -H[50:100] @ np.swapaxes(H[50:100], 1, 2)
         H[100] = 0.0
-        H[101] = np.diag([2.0, 1.0, _INSIDE * np.sqrt(5.0)])
-        H[102] = np.diag([2.0, 1.0, _OUTSIDE * np.sqrt(5.0)])
+        head = [2.0, 1.0][:n - 1]
+        norm = np.sqrt(sum(h * h for h in head))
+        H[101] = np.diag(head + [_INSIDE * norm])
+        H[102] = np.diag(head + [_OUTSIDE * norm])
         codes = fe.classify_matrices(H)
         assert codes.shape == (200,)
         want = [classify_one(C) for C in H]
@@ -546,7 +550,55 @@ class TestConcavityMap:
         assert set(want) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
                              fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
         assert fe.classify_matrices(H[102]) == fe.MAP_POSITIVE_DEFINITE
-        assert fe.classify_matrices(H.reshape(20, 10, 3, 3)).shape == (20, 10)
+        assert fe.classify_matrices(H.reshape(20, 10, n, n)).shape == (20, 10)
+
+    def test_closed_form_2x2_matches_per_matrix(self, rng):
+        # general, symmetric and near rank-one matrices, the last within
+        # 1e-13 to 1e-7 of singular, at scales from 1e-150 to 1e150
+        N = 4000
+        H = rng.normal(size=(N, 2, 2))
+        H[N // 2:] = 0.5 * (H[N // 2:] + np.swapaxes(H[N // 2:], 1, 2))
+        u = rng.normal(size=(N, 2))
+        rank_one = rng.choice([-1.0, 1.0], N)[:, None, None] * u[:, :, None] * u[:, None, :]
+        near = rng.random(N) < 0.3
+        H[near] = (rank_one + rng.normal(size=(N, 2, 2))
+                   * 10.0 ** rng.uniform(-13.0, -7.0, N)[:, None, None])[near]
+        H *= 10.0 ** rng.uniform(-150.0, 150.0, N)[:, None, None]
+        codes = fe.classify_matrices(H)
+        np.testing.assert_array_equal(codes, [classify_one(C) for C in H])
+        assert set(codes[near]) == {fe.MAP_INDEFINITE, fe.MAP_SINGULAR,
+                                    fe.MAP_POSITIVE_DEFINITE, fe.MAP_NEGATIVE_DEFINITE}
+
+    def test_closed_form_2x2_tolerance_probes(self):
+        # diagonal matrices, whose eigenvalues eigvalsh returns exactly, with
+        # a second eigenvalue from 4e-6 inside to 4e-6 outside the zero
+        # tolerance in steps of 1e-7 of it, of both signs; and the zero and
+        # an antisymmetric matrix, whose symmetric parts vanish
+        steps = np.concatenate([-np.arange(1, 41), np.arange(1, 41)]) * 1e-7
+        second = fe.DEFINITENESS_TOL * np.concatenate([1.0 + steps, -(1.0 + steps),
+                                                       [1.0 - 1e-3, 1.0 + 1e-3]])
+        H = np.zeros((2 * second.size + 2, 2, 2))
+        H[:second.size, 0, 0] = 1.0
+        H[second.size:-2, 0, 0] = -1.0
+        H[:-2, 1, 1] = np.tile(second, 2)
+        H[-1] = [[0.0, 1.0], [-1.0, 0.0]]
+        codes = fe.classify_matrices(H)
+        np.testing.assert_array_equal(codes, [classify_one(C) for C in H])
+        assert codes[-2] == codes[-1] == fe.MAP_SINGULAR
+        assert set(codes) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
+                              fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
+
+    def test_closed_form_2x2_near_overflow(self, rng):
+        # entries near 1e200: an unscaled ac - b^2, or ||C||_F, overflows.
+        # The codes are those of the same matrices at 1e-200 of the size
+        H = rng.normal(size=(400, 2, 2))
+        H[:100] = H[:100] @ np.swapaxes(H[:100], 1, 2)
+        H[100:200] = -H[100:200] @ np.swapaxes(H[100:200], 1, 2)
+        H[200] = [[1.0, 2.0], [2.0, 4.0]]                    # rank one
+        codes = fe.classify_matrices(H * 1e200)
+        np.testing.assert_array_equal(codes, [classify_one(C) for C in H])
+        assert set(codes) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
+                              fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
 
     def test_non_finite_matrix_has_no_code(self):
         H = np.tile(np.eye(2), (2, 3, 1, 1))
