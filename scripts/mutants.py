@@ -167,6 +167,12 @@ MUTANTS = [
     ("linearization.py", "if disc.real > 0.0 and iRe > 0:",
      "if disc.imag == 0.0 and iRe > 0:",
      "phase-field large k: a double root given a second coefficient"),
+    ("simulator.py", "acc += np.multiply(k3, 2.0, out=k3)",
+     "acc += np.multiply(k3, 1.9, out=k3)", "RK4: third stage weight"),
+    ("models.py", "out = np.negative(d[f:])", "out = np.negative(d[f:], out=d[f:])",
+     "right-hand side: a workspace buffer handed back, not a fresh array"),
+    ("free_energy.py", "H = H / np.where(s > 0.0, s, 1.0)", "H = H",
+     "n x n definiteness: matrices not scaled by their largest entry"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

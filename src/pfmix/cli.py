@@ -22,8 +22,8 @@ import tempfile
 
 import numpy as np
 
-from . import dispersion, free_energy, models, simulator
-from .config import RunConfig, build_all, build_kappa, load_config
+from . import dispersion, free_energy, simulator
+from .config import RunConfig, build_all, load_config
 from .errors import (
     BlowupError,
     ConfigError,
@@ -261,11 +261,6 @@ def cmd_verify(cfg: RunConfig):
             ok, detail = False, str(exc)
         checks.append((name, ok, detail))
 
-    def kappa_psd():
-        build_kappa(cfg, cfg.sections["model"]["class"])
-        return True, "gradient coefficients accepted (PSD)"
-
-    check("kappa_psd", kappa_psd)
     model = state = None
     try:
         model, state = build_all(cfg)
@@ -319,25 +314,6 @@ def cmd_verify(cfg: RunConfig):
             return worst < 1e-12, f"worst viscous-root deviation {worst:.3e}"
 
         check("viscous_mode_exact", viscous_exact)
-
-    def quasi_limit():
-        qphi = free_energy.Quadratic([[1.0]], variables=("phi",))
-        prev = np.inf
-        for ratio in (1.5, 1.1, 1.01, 1.001):
-            mq = models.QuasiIncompressible(
-                free_energy=qphi, kappa_phi_phi=1e-2, M11=0.1,
-                inv_Re_s=1.0, inv_Re_v=1.0, rho_hat_1=ratio, rho_hat_2=1.0)
-            lin = mq.linearization(models.MixtureState.fraction(2.0 / 3.0))
-            ks = np.logspace(-2, 1, 40)
-            _, a1, _ = dispersion.quasi_explicit_roots(lin, ks)
-            _, a1_inc = dispersion.incompressible_roots(lin, ks)
-            rel = np.max(np.abs(a1 - a1_inc) / np.abs(a1_inc))
-            if rel > prev:
-                return False, f"limit not monotone at ratio {ratio}"
-            prev = rel
-        return prev < 1e-3, f"final sup relative difference {prev:.3e}"
-
-    check("quasi_to_incompressible_limit", quasi_limit)
 
     lines = []
     all_ok = True

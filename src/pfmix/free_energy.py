@@ -49,7 +49,9 @@ def classify_matrices(H) -> np.ndarray:
     an eigenvalue of (C + C^T)/2 with |lam| <= DEFINITENESS_TOL * ||C||_F
     makes C singular.  A non-finite matrix has no code: NumericalError names
     the first one.  A 2 x 2 stack is classified in closed form, any other n
-    by one batched eigvalsh."""
+    by one batched eigvalsh; either way each C is first scaled by its
+    largest |entry|, so that neither ||C||_F nor an eigenvalue overflows or
+    underflows."""
     H = np.asarray(H, dtype=float)
     bad = ~np.isfinite(H).all(axis=(-2, -1))
     if bad.any():
@@ -57,6 +59,8 @@ def classify_matrices(H) -> np.ndarray:
     if H.shape[-1] == 2:
         lo, hi, smallest, tol = _symmetric_eigenpair(H)
     else:
+        s = np.abs(H).max(axis=(-2, -1), keepdims=True)
+        H = H / np.where(s > 0.0, s, 1.0)
         eigs = np.linalg.eigvalsh(0.5 * (H + np.swapaxes(H, -1, -2)))
         lo, hi, smallest = eigs[..., 0], eigs[..., -1], np.abs(eigs).min(axis=-1)
         tol = DEFINITENESS_TOL * np.linalg.norm(H, axis=(-2, -1))
@@ -168,10 +172,20 @@ class BulkFreeEnergy:
         self.check_domain(rho)
         return self._value(rho)
 
-    def gradient(self, rho):
+    def gradient(self, rho, out=None):
+        """The gradient at every point of ``rho``; with ``out``, an array of
+        the shape of ``rho``, it is written there and ``out`` returned."""
         rho = np.asarray(rho, dtype=float)
         self.check_domain(rho)
-        return self._gradient(rho)
+        if out is None:
+            return self._gradient(rho)
+        return self._gradient_into(rho, out)
+
+    def _gradient_into(self, rho, out):
+        """``_gradient`` written into ``out``; a kind that can form it there
+        directly overrides this."""
+        out[...] = self._gradient(rho)
+        return out
 
     def hessian(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -201,6 +215,11 @@ class Quadratic(BulkFreeEnergy):
 
     def _gradient(self, rho):
         return rho @ self.C + self.g
+
+    def _gradient_into(self, rho, out):
+        np.matmul(rho, self.C, out=out)
+        out += self.g
+        return out
 
     def _hessian(self, rho):
         shape = rho.shape[:-1] + self.C.shape

@@ -207,8 +207,18 @@ class CompressibleModel(BinaryModel):
                             ("mobility_E", M), ("weights", w), ("_rows", rows),
                             ("_order", order), ("_mobility_rows", M[order]),
                             ("_weights_rows", w[order]), ("n_components", len(rows)),
-                            ("_mass_flux", bool(np.any(w @ M != 0.0)))):
+                            ("_mass_flux", bool(np.any(w @ M != 0.0))),
+                            ("_workspaces", {})):
             object.__setattr__(self, name, value)
+
+    def _workspace(self, grid) -> "_Workspace":
+        """The grid's workspace, built on its first pass."""
+        ws = self._workspaces.get(grid)
+        if ws is None:
+            eta, nu = self.inv_Re_s, self.inv_Re_v
+            ws = self._workspaces[grid] = _Workspace(
+                grid, 3 * self.n_components + 4, [[2.0 * eta + nu], [eta]])
+        return ws
 
     def state_densities(self, state: MixtureState) -> np.ndarray:
         """E at a binary state, in the free energy's variable order: the one
@@ -225,45 +235,55 @@ class CompressibleModel(BinaryModel):
         """The free energy's variables stacked along ``axis``."""
         return u[self._rows].swapaxes(0, axis)
 
-    def _spectral_core(self, u, grid):
+    def _spectral_core(self, u, grid, ws=None):
         """(E, rho, v, h, mu^): E, the total density, the velocities v =
         (vx, vy), the spectra h of E, g(E), v and the fluxes u*vx from one
         batched ``rfft``, and mu^.  The bulk gradient g(E) is evaluated per
-        point (with the energy's domain check), so it joins the state's
-        rows; mu^ = g^ - kappa (ik)^2 E^.  The transform's input is one
-        fresh array per call, filled row by row; E and v are its rows."""
+        point (with the energy's domain check) straight into its rows of the
+        transform's input; mu^ = g^ - kappa (ik)^2 E^.  That input and its
+        spectrum are the buffers of the workspace ``ws`` or, without one,
+        fresh arrays; E and v are its rows."""
         N = self.n_components
         f = 2 * N + 2
-        rows = np.empty((f + len(u), grid.n))
+        rows = np.empty((f + len(u), grid.n)) if ws is None else ws.rows
         # "clip" writes out directly, where the default mode copies through a buffer
         E = np.take(u, self._rows, axis=0, out=rows[:N], mode="clip")
         # the domain check comes before rho = w.E, where a zero weight would
         # meet a non-finite density
-        rows[N:2 * N] = self.free_energy.gradient(E.T).T
+        self.free_energy.gradient(E.T, out=rows[N:2 * N].T)
         rho = self.total_density(u)
         v = np.divide(u[-2:], rho, out=rows[2 * N:f])
         np.multiply(u, v[0], out=rows[f:])
-        h = np.fft.rfft(rows, axis=-1)
+        h = np.fft.rfft(rows, axis=-1, out=None if ws is None else ws.h)
         muh = h[N:2 * N] - self.kappa.kappa @ (grid.ik2 * h[:N])
         return E, rho, v, h, muh
 
-    def _rhs(self, u, grid):
-        """The forward transform, then one ``irfft`` of d2 mu, d mu, the
-        viscous forces and the flux divergences d(u*vx)/dx, whose input is
-        one fresh array per call written row by row; the last rows of its
-        output, negated in place, start the right-hand side, which comes
-        back with the forward pass."""
-        core = E, _, v, h, muh = self._spectral_core(u, grid)
+    def rhs_1d(self, u, grid):
+        """Time derivative of the state array u on a periodic grid, a fresh
+        array; the pass's forward rows and spectrum are the grid's
+        workspace's, which the next pass overwrites."""
+        return self._rhs(u, grid, reuse=True)[0]
+
+    def _rhs(self, u, grid, reuse=False):
+        """The forward transform, into the grid's workspace with ``reuse``
+        and else into fresh arrays, as the core handed out with the result
+        needs, then one ``irfft`` of d2 mu, d mu, the viscous forces and the
+        flux divergences d(u*vx)/dx, whose input and output are the
+        workspace's.  Its last rows, negated into a fresh array, start the
+        right-hand side, which comes back with the forward pass."""
+        work = self._workspace(grid)
+        core = E, _, v, h, muh = self._spectral_core(u, grid, work if reuse else None)
         N = self.n_components
         f = 2 * N + 2
-        rows = np.empty((f + len(u), h.shape[-1]), dtype=complex)
-        np.multiply(grid.ik2, muh, out=rows[:N])
-        np.multiply(grid.ik, muh, out=rows[N:2 * N])
-        self._viscous_forces(grid, h[2 * N:f], out=rows[2 * N:f])
+        rows = work.inv
+        # (ik)^2 mu^ and ik mu^ by one broadcast multiply
+        np.multiply(work.derivatives, muh, out=rows[:2 * N].reshape(2, N, -1))
+        np.multiply(grid.ik2, h[2 * N:f], out=rows[2 * N:f])
+        rows[2 * N:f] *= work.viscous
         np.multiply(grid.ik, h[f:], out=rows[f:])
-        d = np.fft.irfft(rows, n=grid.n, axis=-1)
+        d = np.fft.irfft(rows, n=grid.n, axis=-1, out=work.d)
         J = self._mobility_rows @ d[:N]
-        out = np.negative(d[f:], out=d[f:])
+        out = np.negative(d[f:])
         out[:N] += J
         if self._mass_flux:
             out[N:] += 0.5 * (self._weights_rows @ J) * v + d[2 * N:f]
@@ -313,6 +333,22 @@ class CompressibleModel(BinaryModel):
 
     def total_mass(self, u, grid) -> float:
         return grid.integrate(self.total_density(u))
+
+
+class _Workspace:
+    """The arrays a compressible right-hand side pass reuses on one grid:
+    the forward rows and their spectrum, the inverse rows and their
+    transform, (ik)^2 and ik stacked as a (2, 1, n/2 + 1) array, and the
+    viscous scales (2/Re_s + 1/Re_v, 1/Re_s) as one column.  A model keeps
+    one per grid, so two passes of one model must not run concurrently."""
+
+    def __init__(self, grid, n_rows, viscous):
+        self.rows = np.empty((n_rows, grid.n))
+        self.h = np.empty((n_rows, grid.n // 2 + 1), dtype=complex)
+        self.inv = np.empty_like(self.h)
+        self.d = np.empty_like(self.rows)
+        self.derivatives = np.stack([grid.ik2, grid.ik])[:, None]
+        self.viscous = np.array(viscous)
 
 
 @dataclass(frozen=True, eq=False)

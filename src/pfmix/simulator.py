@@ -232,10 +232,21 @@ def _check_state(model, u, step):
 
 
 def _rk4_step(model, u, grid, dt, k1):
-    k2 = model.rhs_1d(u + 0.5 * dt * k1, grid)
-    k3 = model.rhs_1d(u + 0.5 * dt * k2, grid)
-    k4 = model.rhs_1d(u + dt * k3, grid)
-    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """The classic step u + dt / 6 (k1 + 2 k2 + 2 k3 + k4) from k1 = rhs(u),
+    with each stage input and the final sum formed in place, in the order
+    of the written-out step and so bit for bit its result.  The stage
+    inputs share one array and the sum builds up in k2, so rhs_1d must hand
+    back a fresh array; u and k1 are not written, so a stage that raises
+    leaves u the state before the step."""
+    s = np.multiply(k1, 0.5 * dt)
+    k2 = model.rhs_1d(np.add(u, s, out=s), grid)
+    k3 = model.rhs_1d(np.add(u, np.multiply(k2, 0.5 * dt, out=s), out=s), grid)
+    k4 = model.rhs_1d(np.add(u, np.multiply(k3, dt, out=s), out=s), grid)
+    acc = np.add(k1, np.multiply(k2, 2.0, out=k2), out=k2)
+    acc += np.multiply(k3, 2.0, out=k3)
+    acc += k4
+    acc *= dt / 6.0
+    return np.add(u, acc, out=acc)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,27 @@ class TestDerivatives:
                 break
         assert checked == 100
 
+    @pytest.mark.parametrize("which", ["quadratic", "tilde_quadratic", "fh", "tilde_pr"])
+    def test_gradient_into_a_transposed_view_bit_for_bit(self, which, co2_decane):
+        # out= writes the gradient into an (nvar, M) array's transpose, as
+        # the compressible pass does, with the bits of a plain gradient
+        q = fe.Quadratic([[2.0, 0.5], [0.5, -1.5]], g=[0.1, -0.2])
+        energy, base = {
+            "quadratic": (q, [1.0, 2.0]),
+            "tilde_quadratic": (fe.TildeFreeEnergy(q), [1.0, 3.0]),
+            "fh": (fe.FloryHuggins(1.3, 5.0, 2.0, 1.7), [1.0, 2.0]),
+            "tilde_pr": (fe.TildeFreeEnergy(co2_decane), [80.0, 400.0]),
+        }[which]
+        grid = PeriodicGrid1D(2 * np.pi, 64)
+        x = np.array(base)[:, None] * (1.0 + 0.1 * np.cos([[1.0], [2.0]] * grid.x))
+        rows = np.full((4, grid.n), np.nan)
+        got = energy.gradient(x.T, out=rows[1:3].T)
+        assert np.shares_memory(got, rows) and np.array_equal(got, rows[1:3].T)
+        assert np.array_equal(rows[1:3], energy.gradient(x.T).T)
+        assert np.isnan(rows[[0, 3]]).all()
+        with pytest.raises(DomainError):
+            energy.gradient(np.full((3, 2), np.nan), out=np.zeros((3, 2)))
+
 
 class TestHessianClassification:
     def test_quadratic_identity_report(self):
@@ -599,6 +620,23 @@ class TestConcavityMap:
         np.testing.assert_array_equal(codes, [classify_one(C) for C in H])
         assert set(codes) == {fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE,
                               fe.MAP_NEGATIVE_DEFINITE, fe.MAP_SINGULAR}
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_3x3_scaled_by_its_largest_entry(self, rng, scale):
+        # an unscaled ||C||_F overflows at 1e200 (tol = inf calls every
+        # matrix singular) and underflows at 1e-200; no warning either way
+        H = rng.normal(size=(30, 3, 3))
+        H[:10] = H[:10] @ np.swapaxes(H[:10], 1, 2)
+        H[10:20] = -H[10:20] @ np.swapaxes(H[10:20], 1, 2)
+        H[20] = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])      # rank one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fe.classify_matrices(scale * np.eye(3)) == fe.MAP_POSITIVE_DEFINITE
+            np.testing.assert_array_equal(fe.classify_matrices(scale * H),
+                                          fe.classify_matrices(H))
+        assert set(fe.classify_matrices(H)) == {
+            fe.MAP_POSITIVE_DEFINITE, fe.MAP_INDEFINITE, fe.MAP_NEGATIVE_DEFINITE,
+            fe.MAP_SINGULAR}
 
     def test_non_finite_matrix_has_no_code(self):
         H = np.tile(np.eye(2), (2, 3, 1, 1))

@@ -463,6 +463,29 @@ class TestCompressibleFusedCore:
         assert m.record(u, grid, core, track) == m.record(u, grid, None, track)
         assert np.array_equal(out, m.rhs_1d(u0, grid))
 
+    @pytest.mark.parametrize("name", ["global2", "global3", "local"])
+    def test_workspace_is_pure(self, name):
+        # one model's passes over two grids in turn give each state what a
+        # fresh model gives it, bit for bit, and each result is an array of
+        # its own: no later pass overwrites it, and it shares no memory with
+        # another result or with the grids' workspaces
+        grids = [PeriodicGrid1D(2 * np.pi, n) for n in (32, 64)]
+        m = self.case(name, grids[0])[0]
+        results = []
+        for s in (0, 1, 2):
+            for grid in grids:
+                fresh, u, _, _ = self.case(name, grid)
+                u = u * (1.0 + 0.02 * s * np.cos((s + 1) * grid.x))
+                out = m.rhs_1d(u, grid)
+                assert np.array_equal(out, fresh.rhs_1d(u, grid))
+                results.append((out, out.copy()))
+        assert len(m._workspaces) == 2
+        buffers = [a for ws in m._workspaces.values() for a in vars(ws).values()]
+        for i, (out, copy) in enumerate(results):
+            assert np.array_equal(out, copy)
+            assert not any(np.shares_memory(out, b) for b in buffers)
+            assert not any(np.shares_memory(out, other) for other, _ in results[i + 1:])
+
 
 class TestRhsDomainFailure:
     """A state outside the energy's domain fails the right-hand side pass

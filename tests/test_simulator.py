@@ -30,6 +30,15 @@ def unstable_local(M11=0.05, kappa=2e-3):
 ST = models.MixtureState.total_partial(3.0, 1.0)
 
 
+def classic_rk4_step(m, u, grid, dt):
+    """The classic RK4 step written out over ``rhs_1d``."""
+    k1 = m.rhs_1d(u, grid)
+    k2 = m.rhs_1d(u + 0.5 * dt * k1, grid)
+    k3 = m.rhs_1d(u + 0.5 * dt * k2, grid)
+    k4 = m.rhs_1d(u + dt * k3, grid)
+    return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 class TestInitialization:
     def test_dt_guard(self):
         m = stable_local()
@@ -261,6 +270,29 @@ class TestIntegrators:
         tr = sim.run(cfg)
         assert np.all(np.isfinite(tr.energy))
 
+    @pytest.mark.parametrize("name", ["local", "global"])
+    def test_rk4_step_bit_for_bit(self, name):
+        # the run forms each stage input and the final sum in place; they
+        # must equal the classic step written out, bit for bit.  The global
+        # mobility moves total mass (w.M != 0), so its momentum rows take
+        # the 1/2 (w.J) v term; the local one does not
+        m, st = smoke_cases()[name]
+        assert np.any(m.weights @ m.mobility_E != 0.0) == (name == "global")
+        grid = PeriodicGrid1D(L, 64)
+        perts, _ = sim.eigenvector_perturbations(m, st, grid, mode=2,
+                                                 amplitude=1e-2,
+                                                 track_name="alpha1")
+        dt = SMOKE_DT[name]
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=64, dt=dt,
+                                   t_end=20 * dt, diagnostics_every=5,
+                                   perturbations=perts, enforce_dt_guard=False)
+        u = sim.initial_state(cfg, grid)
+        for _ in range(20):
+            u = classic_rk4_step(m, u, grid, dt)
+        final = sim.run(cfg).final_fields
+        for i, field in enumerate(m.field_names):
+            assert np.array_equal(final[field], u[i])
+
     @pytest.mark.parametrize("name", ["default_spectra", "quasi"])
     def test_semi_implicit_step_bit_for_bit(self, name):
         # the step u^ + dt / (1 + dt L) rhs^ written out, bit for bit, on the
@@ -331,11 +363,7 @@ class TestFailureModes:
             perts = (sim.Perturbation("rho1", 3, 0.4),)
 
             def step(u):
-                k1 = m.rhs_1d(u, grid)
-                k2 = m.rhs_1d(u + 0.5 * dt * k1, grid)
-                k3 = m.rhs_1d(u + 0.5 * dt * k2, grid)
-                k4 = m.rhs_1d(u + dt * k3, grid)
-                return u + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                return classic_rk4_step(m, u, grid, dt)
         else:
             m, st = smoke_cases()["quasi"]
             dt, n_steps, integrator = 1e-3, 100, "semi_implicit"
@@ -369,6 +397,37 @@ class TestFailureModes:
         assert reason in str(err.value)
         for i, name in enumerate(m.field_names):
             assert np.array_equal(err.value.fields[name], u[i], equal_nan=True)
+
+    @pytest.mark.parametrize("stage", [2, 3, 4])
+    def test_failing_stage_dumps_the_state_before_its_step(self, monkeypatch, stage):
+        # a stage pass of step 3 raises: the run blames step 3 and dumps
+        # the state after two classic steps, bit for bit, so no stage
+        # input was formed in the state's own array
+        m, st = smoke_cases()["local"]
+        grid = PeriodicGrid1D(L, 32)
+        dt = SMOKE_DT["local"]
+        cfg = sim.SimulationConfig(model=m, state=st, length=L, n=32, dt=dt,
+                                   t_end=10 * dt,
+                                   perturbations=(sim.Perturbation("rho1", 2, 1e-2),),
+                                   enforce_dt_guard=False)
+        u = sim.initial_state(cfg, grid)
+        for _ in range(2):
+            u = classic_rk4_step(m, u, grid, dt)
+        rhs_1d, calls = type(m).rhs_1d, []
+
+        def failing(self, v, g):
+            # stages 2-4 of each step are rhs_1d calls, stage 1 a rhs_pass
+            calls.append(1)
+            if len(calls) == 6 + stage - 1:
+                raise DomainError("stage pass refused")
+            return rhs_1d(self, v, g)
+
+        monkeypatch.setattr(type(m), "rhs_1d", failing)
+        with pytest.raises(BlowupError, match="stage pass refused") as err:
+            sim.run(cfg)
+        assert err.value.step == 3
+        for i, name in enumerate(m.field_names):
+            assert np.array_equal(err.value.fields[name], u[i])
 
     def test_fit_needs_enough_samples(self):
         m = stable_local()
