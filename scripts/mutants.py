@@ -65,8 +65,6 @@ MUTANTS = [
      "stiff symbol: concave first density term"),
     ("linearization.py", "max(C[1, 1], 0.0)", "abs(C[1, 1])",
      "stiff symbol: concave second density term"),
-    ("linearization.py", "(-lam * PK, -lam * PC)", "(-lam * PK, -1.01 * lam * PC)",
-     "rank-one large k: alpha1's k^2 coefficient x 1.01"),
     ("dispersion.py", "EIG_RESIDUAL_TOL = 1e-8", "EIG_RESIDUAL_TOL = 1e-4",
      "eigensolve residual tolerance"),
     ("dispersion.py", "OVERLAP_TIE_TOL = 1e-6", "OVERLAP_TIE_TOL = 1e-2",
@@ -103,8 +101,6 @@ MUTANTS = [
      "None", "main: no config echo"),
     ("cli.py", "if section is not None and not cfg.has_section(section):", "if False:",
      "main: command section not checked"),
-    ("cli.py", 'f"# unavailable: {exc}\\n"', '"# unavailable\\n"',
-     "sweep: unavailable asymptotes without their reason"),
     ("cli.py", 'ks = np.linspace(sec["k_min"]', 'ks = np.geomspace(sec["k_min"]',
      "sweep: linear spacing read as log"),
     ("cli.py", "for step, snap in trace.snapshots:",
@@ -112,13 +108,6 @@ MUTANTS = [
      "simulate: first snapshot dropped"),
     ("cli.py", "names = sorted(snap)", "names = list(snap)",
      "simulate: snapshot columns in state-row order"),
-    ("linearization.py", "y3 = -(x3**2 * r0 * MK", "y3 = (x3**2 * r0 * MK",
-     "full-rank large k: sign of alpha3's constant term"),
-    ("linearization.py", '("alpha1", (-MK + disc) / 2.0)',
-     '("alpha1", (-MK + 1.01 * disc) / 2.0)',
-     "full-rank large k: alpha1's k^4 coefficient off"),
-    ("linearization.py", "((-iRe + disc) / (2.0 * r0),))", "((iRe + disc) / (2.0 * r0),))",
-     "phase-field large k: oscillatory alpha1's sign of 1/Re"),
     ("linearization.py", '"no spinodal band (h_phi_phi >= 0)"', '"no spinodal band"',
      "phase-field classification: reason of no band dropped"),
     ("simulator.py", "return np.inf, None, None", "return hi, None, None",
@@ -127,8 +116,6 @@ MUTANTS = [
      "sign table: alpha1's indefinite rows swapped"),
     ("linearization.py", "not pCp > 0", "pCp > 0",
      "sign table: alpha2's indefinite rows swapped"),
-    ("linearization.py", "if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):",
-     "if False:", "full-rank large k: vanishing k^4 branch denominator not refused"),
     ("cli.py", "os.fchmod(fd, 0o666 & ~umask)", "os.fchmod(fd, 0o600)",
      "output files: mkstemp's owner-only mode kept"),
     ("free_energy.py", "H[..., i, j] = (ideal + rep + F)",
@@ -158,21 +145,27 @@ MUTANTS = [
      "2 x 2 definiteness: the larger eigenvalue's sign not that of the trace"),
     ("free_energy.py", "np.where(smallest <= tol,", "np.where(smallest < tol,",
      "definiteness: an eigenvalue at the tolerance not zero"),
-    ("linearization.py", "- r0 * (hpp * Q * Q) ** 2 / Aco**3",
-     "+ r0 * (hpp * Q * Q) ** 2 / Aco**3",
-     "phase-field small k: sign of alpha1's k^4 term in r0"),
-    ("linearization.py", "-(Aco * x1 + hpp * Q * Q) / disc.real",
-     "-hpp * Q * Q / ((iRe + disc.real) / 2.0)",
-     "phase-field large k: alpha1's k^0 coefficient without A x and over (1/Re + disc)/2"),
-    ("linearization.py", "if disc.real > 0.0 and iRe > 0:",
-     "if disc.imag == 0.0 and iRe > 0:",
-     "phase-field large k: a double root given a second coefficient"),
     ("simulator.py", "acc += np.multiply(k3, 2.0, out=k3)",
      "acc += np.multiply(k3, 1.9, out=k3)", "RK4: third stage weight"),
     ("models.py", "out = np.negative(d[f:])", "out = np.negative(d[f:], out=d[f:])",
      "right-hand side: a workspace buffer handed back, not a fresh array"),
     ("free_energy.py", "H = H / np.where(s > 0.0, s, 1.0)", "H = H",
      "n x n definiteness: matrices not scaled by their largest entry"),
+    ("linearization.py", "<= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])",
+     ">= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])",
+     "expansions: the Newton polygon's upper hull at small k, lower at large k"),
+    ("linearization.py", "-sum(part) / dP", "sum(part) / dP",
+     "expansions: sign of the Newton correction"),
+    ("linearization.py", 'x["p.K.p"] + iRe * MC + r0 * dM * dC', 'x["p.K.p"] + iRe * MC',
+     "coefficient array: rho0 det M det C dropped from the alpha k^4 entry"),
+    ("linearization.py", "CANCEL_RTOL = 1e-9", "CANCEL_RTOL = 1e-6",
+     "expansions: cancellation tolerance"),
+    ("linearization.py", "key=lambda b: (-b[0], -b[1].real, -b[1].imag)",
+     "key=lambda b: (b[0], -b[1].real, -b[1].imag)",
+     "expansions: branches by ascending exponent"),
+    ("linearization.py", "key=lambda b: (-b[0], -b[1].real, -b[1].imag)",
+     "key=lambda b: (-b[0], b[1].real, b[1].imag)",
+     "expansions: branches of one exponent by ascending (Re, Im)"),
 ]
 
 # a failing test as pytest -q lists it in its short summary

@@ -98,15 +98,10 @@ def cmd_sweep(cfg: RunConfig):
     files = [("dispersion.csv", _csv(header, columns))]
 
     # asymptote curves over their windows, plus the flat coefficient blocks
-    for regime, fn, sel in (
-        ("small", lin.small_k, ks[ks <= sec["small_k_max"]]),
-        ("large", lin.large_k, ks[ks >= sec["large_k_min"]]),
+    for regime, co, sel in (
+        ("small", lin.small_k(), ks[ks <= sec["small_k_max"]]),
+        ("large", lin.large_k(), ks[ks >= sec["large_k_min"]]),
     ):
-        try:
-            co = fn()
-        except PfmixError as exc:
-            files.append((f"asymptotes_{regime}.csv", f"# unavailable: {exc}\n"))
-            continue
         files.append((f"asymptotes_{regime}.txt", co.flat_text()))
         header, columns = ["k"], [sel]
         for m in co.modes:
@@ -296,7 +291,13 @@ def cmd_verify(cfg: RunConfig):
             return lin
 
         def pencil_poly():
+            # four k over the config's sweep range, else a fixed spread
             ks = np.array([1e-2, 1.0, 10.0, 300.0])
+            if cfg.has_section("sweep"):
+                sec = cfg.sections["sweep"]
+                if not 0 < sec["k_min"] < sec["k_max"]:
+                    raise ConfigError("sweep needs 0 < k_min < k_max")
+                ks = np.geomspace(sec["k_min"], sec["k_max"], 4)
             ok, err = dispersion.pencil_matches_scalar(linearized(), ks)
             if not ok.all():
                 i = int(np.argmin(ok))

@@ -173,12 +173,15 @@ def pencil_matches_scalar(lin, ks) -> tuple[np.ndarray, np.ndarray]:
 
 def quasi_explicit_roots(lin, k):
     """Closed-form (alpha0, alpha1, alpha2) of the quasi-incompressible
-    dispersion equation; requires unequal specific densities."""
+    dispersion equation, with Q = phi0 - rho_hat_2 / (rho_hat_2 - rho_hat_1)
+    and the coupled-mode coefficient A = 1 / ((1 - r)^2 M11 / rho_hat_1^2);
+    requires unequal specific densities."""
     if lin.equal_densities:
         raise RangeError(
             "equal specific densities: use incompressible_roots instead")
     k = np.asarray(k, dtype=float)
-    Q, Aco = lin.Q, lin.Aco
+    Q = lin.phi0 - lin.rho_hat_2 / (lin.rho_hat_2 - lin.rho_hat_1)
+    Aco = 1.0 / (lin.one_minus_r ** 2 * lin.M11 / lin.rho_hat_1**2)
     Dphi = lin.h_phi_phi + k * k * lin.kappa_phi_phi
     S = lin.inv_Re * k * k + Aco
     disc = np.sqrt(np.asarray(S * S - 4.0 * lin.rho0 * k * k * Dphi * Q * Q,

@@ -33,7 +33,7 @@ class SolveError(NumericalError):
 
 
 class SingularExpansion(PfmixError):
-    """An asymptotic expansion denominator vanished within tolerance."""
+    """The long-wave expansion does not exist: p.C.p vanishes within tolerance."""
 
 
 class DegenerateCase(PfmixError):

@@ -114,11 +114,6 @@ class AsymptoticCoefficients:
         return "\n".join(lines) + "\n"
 
 
-def _guard_denominator(value: float, scale: float, what: str, why: str = ""):
-    if abs(value) <= DEGENERATE_TOL * max(scale, 1.0):
-        raise SingularExpansion(f"{what} vanishes within tolerance{why}")
-
-
 # p.C.p / rho0 is dP/drho at fixed composition, the squared sound speed
 _NO_SOUND_SPEED = (
     ": the pressure does not change with the total density at fixed "
@@ -128,12 +123,83 @@ _NO_SOUND_SPEED = (
     "energy, or use the quasi_incompressible class")
 
 
-def _csqrt(x: float) -> complex:
-    return complex(np.sqrt(complex(x)))
+# An order of P(a k^e) cancels when its sum is below this share of the sum
+# of its terms' magnitudes.
+CANCEL_RTOL = 1e-9
 
 
-def _viscous_mode(inv_Re_s: float, rho0: float) -> ModeExpansion:
-    return ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,), (-inv_Re_s / rho0,))
+def _cancels(terms) -> bool:
+    return abs(sum(terms)) <= CANCEL_RTOL * sum(map(abs, terms))
+
+
+def expand(c: np.ndarray, regime: str, head: ModeExpansion,
+           auxiliaries: dict) -> AsymptoticCoefficients:
+    """The expansions alpha ~ a k^e + b k^e2 of every root of the reduced
+    polynomial P = sum c[i, j] alpha^i k^j for k -> 0 (``small_k``) or
+    k -> infinity, after ``head``, by Newton-Puiseux (Walker, Algebraic
+    Curves, 1950, ch. IV).  An alpha^i dividing P gives i zero roots.  Each
+    edge of the lower (k -> 0) or upper convex hull of the points (i, j)
+    gives e = -dj/di, in sixths (di <= 3), and the roots a of its edge
+    polynomial.  A simple a gets one Newton correction: b k^e2 is minus the
+    first later order of P(a k^e) that does not cancel over the leading order
+    of dP/dalpha(a k^e).  Coincident roots (where P cancels at a root of the
+    edge polynomial's derivative) keep their leading term only.  Zero roots
+    come first, then descending e, then descending (Re a, Im a): alpha1 and
+    every k^4 branch are thermodynamic, the others coupled."""
+    sign = 1 if regime == "small_k" else -1
+    rows = c.tolist()
+    zeros = next(i for i, row in enumerate(rows) if any(row))
+    points = [(i, j, v) for i, row in enumerate(rows[zeros:])
+              for j, v in enumerate(row) if v]
+    # the hull of each row's first (k -> 0) or last power of k, as (i, sign j)
+    ends = {i: min(sign * j for n, j, _ in points if n == i) for i, _, _ in points}
+    hull = []
+    for pt in sorted(ends.items()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 <= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    branches = []
+    for (i0, y0), (i1, y1) in zip(hull, hull[1:]):
+        e6 = -6 * sign * (y1 - y0) // (i1 - i0)
+        top = 6 * sign * y0 + e6 * i0
+        orders = [6 * j + e6 * i for i, j, _ in points]
+        edge = [0.0] * (i1 - i0 + 1)
+        for (i, _, v), m in zip(points, orders):
+            if m == top:
+                edge[i - i0] = v
+        roots = np.roots(edge[::-1]).tolist() if len(edge) > 2 else [-edge[0] / edge[1]]
+        simple = [True] * len(roots)
+        for r in np.roots([n * q for n, q in enumerate(edge)][:0:-1]).tolist():
+            if _cancels([q * r ** n for n, q in enumerate(edge)]):
+                for n in sorted(range(len(roots)), key=lambda n: abs(roots[n] - r))[:2]:
+                    roots[n], simple[n] = r, False
+        later = sorted({sign * m for m in orders if m != top})
+        for a, ok in zip(roots, simple):
+            terms, second = [v * a ** i for i, _, v in points], ()
+            for s in later if ok else ():
+                part = [t for t, m in zip(terms, orders) if sign * m == s]
+                if not _cancels(part):
+                    dP = sum(i * t for (i, _, _), t, m in zip(points, terms, orders)
+                             if m == top) / a
+                    second = ((sign * s - top + e6, -sum(part) / dP),)
+                    break
+            branches.append((e6, a, second, ok))
+    branches.sort(key=lambda b: (-b[0], -b[1].real, -b[1].imag))
+    modes, coincident = [], []
+    for n, (e6, a, second, ok) in enumerate([(0, 0.0, (), True)] * zeros + branches, 1):
+        terms = ((e6, a),) + second
+        label = ModeLabel.THERMODYNAMIC if n == 1 or e6 == 24 else ModeLabel.COUPLED
+        modes.append(ModeExpansion(
+            label, f"alpha{n}", tuple(p // 6 if p % 6 == 0 else p / 6 for p, _ in terms),
+            tuple(v + 0.0 if v.imag else v.real + 0.0 for _, v in terms)))
+        if not ok:
+            coincident.append(f"alpha{n}")
+    if coincident:
+        auxiliaries = dict(auxiliaries, leading_only=(
+            f"{', '.join(coincident)}: coincident roots of the edge polynomial"))
+    return AsymptoticCoefficients(regime=regime, modes=(head, *modes),
+                                  auxiliaries=auxiliaries)
 
 
 # x = T x' with T = diag(1, 1, i, 1) makes T^-1 (alpha B + A) T real
@@ -152,6 +218,26 @@ class _Pencil:
         """Eigenvectors of the pencil in all four variables from the columns
         of Y, eigenvectors of ``standard_form(A)``."""
         return _VX_BY_I[:, None] * self._lift(_real_pencil(A), Y)
+
+    def reduced_polynomial(self, k: float) -> np.ndarray:
+        """Coefficients, ascending in alpha, of the reduced polynomial at k:
+        ``reduced_coefficients()`` evaluated there."""
+        c = self.reduced_coefficients()
+        return c @ float(k) ** np.arange(c.shape[1])
+
+    def small_k(self) -> AsymptoticCoefficients:
+        """The long-wave expansions of every root (``expand``)."""
+        return self._expansions("small_k")
+
+    def large_k(self) -> AsymptoticCoefficients:
+        """The short-wave expansions of every root (``expand``)."""
+        return self._expansions("large_k")
+
+    def _expansions(self, regime: str) -> AsymptoticCoefficients:
+        aux = self.auxiliaries()
+        viscous = ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,),
+                                (-self.inv_Re_s / self.rho0,))
+        return expand(self.reduced_coefficients(aux), regime, viscous, aux)
 
 
 def _real_pencil(A: np.ndarray) -> np.ndarray:
@@ -243,11 +329,6 @@ class CompressibleLinearization(_Pencil):
     def B(self) -> np.ndarray:
         return np.diag([1.0, 1.0, self.rho0, self.rho0])
 
-    @property
-    def g1(self) -> float:
-        """p.adj(M).p, the weight of the long-wave thermodynamic mode."""
-        return float(adjugate_form(self.mobility, self.p))
-
     def pencil_matrices(self, k) -> np.ndarray:
         """A(k) for every k of a 1-D array, shape (k.size, 4, 4): the
         density-velocity coupling i k p, the pressure row i k p.D(k), the
@@ -285,16 +366,6 @@ class CompressibleLinearization(_Pencil):
         verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
         return f"long-wave classification [{rep.category}]: {verdicts}"
 
-    def invariants(self):
-        """(p.C.p, p.K.p, det C, det K, d) shared by both expansions."""
-        C, K, p = self.C, self.K, self.p
-        pCp = float(p @ C @ p)
-        pKp = float(p @ K @ p)
-        detC = float(np.linalg.det(C))
-        detK = float(np.linalg.det(K))
-        d = float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0] - 2.0 * C[0, 1] * K[0, 1])
-        return pCp, pKp, detC, detK, d
-
     def band_edges(self) -> np.ndarray:
         """Ascending k > 0 where the alpha^0 coefficient of the reduced
         polynomial vanishes: the only k where a root's real part changes
@@ -311,144 +382,51 @@ class CompressibleLinearization(_Pencil):
         (g1 = det M = 0, as with M11 = 0) a root is 0 at every k, and the
         edges are those of the next one,
         p.C.p + s (p.K.p + M:C / Re) + s^2 M:K / Re."""
-        pCp, pKp, detC, detK, d = self.invariants()
-        MK, MC = (float(np.tensordot(self.mobility, X)) * self.inv_Re
-                  for X in (self.K, self.C))
-        neutral = self.g1 == 0.0 and np.linalg.det(self.mobility) == 0.0
-        s = np.roots([MK, pKp + MC, pCp] if neutral else [detK, d, detC])
+        x, iRe = self.auxiliaries(), self.inv_Re
+        s = np.roots([x["M:K"] * iRe, x["p.K.p"] + x["M:C"] * iRe, x["p.C.p"]]
+                     if x["g1"] == 0.0 and x["det_M"] == 0.0
+                     else [x["det_K"], x["d"], x["det_C"]])
         return np.sort(np.sqrt(s[(s.imag == 0.0) & (s.real > 0.0)].real))
 
-    def reduced_polynomial(self, k: float) -> np.ndarray:
-        D = self.C + k * k * self.K
-        M, p, r0, iRe = self.mobility, self.p, self.rho0, self.inv_Re
-        MD = float(np.tensordot(M, D))
-        detM = float(np.linalg.det(M))
-        detD = float(np.linalg.det(D))
-        pDp = float(p @ D @ p)
-        return np.array([
-            k**4 * (iRe * detM * k**2 + self.g1) * detD,
-            pDp * k**2 + iRe * MD * k**4 + r0 * detM * detD * k**4,
-            k**2 * (iRe + r0 * MD),
-            r0,
-        ])
+    def auxiliaries(self) -> dict:
+        """The scalars of ``reduced_coefficients``: p.C.p, p.K.p, det C,
+        det K, d = C:adj(K), g1 = p.adj(M).p (the long-wave thermodynamic
+        mode's weight), M:C, M:K and det M, which is 0 within DEGENERATE_TOL
+        (tr M)^2, so that a rank-one mobility is exactly rank one."""
+        C, K, p, M = self.C, self.K, self.p, self.mobility
+        det_M = float(np.linalg.det(M))
+        if abs(det_M) <= DEGENERATE_TOL * np.trace(M) ** 2:
+            det_M = 0.0
+        return {"p.C.p": float(p @ C @ p), "p.K.p": float(p @ K @ p),
+                "det_C": float(np.linalg.det(C)), "det_K": float(np.linalg.det(K)),
+                "d": float(C[0, 0] * K[1, 1] + C[1, 1] * K[0, 0]
+                           - 2.0 * C[0, 1] * K[0, 1]),
+                "g1": float(adjugate_form(M, p)), "M:C": float(np.vdot(M, C)),
+                "M:K": float(np.vdot(M, K)), "det_M": det_M}
+
+    def reduced_coefficients(self, aux: dict = None) -> np.ndarray:
+        """c[i, j], the coefficient of alpha^i k^j of the reduced polynomial
+        rho0 a^3 + k^2 (1/Re + rho0 M:D) a^2 + k^2 (p.D.p + k^2 (M:D / Re
+        + rho0 |M| |D|)) a + k^4 (g1 + |M| k^2 / Re) |D|, with D = C + k^2 K,
+        M:D = M:C + k^2 M:K, |D| = det C + d k^2 + det K k^4, scalars of ``aux``."""
+        x = aux or self.auxiliaries()
+        r0, iRe, MC, MK, dM = self.rho0, self.inv_Re, x["M:C"], x["M:K"], x["det_M"]
+        dC, d, dK, g1 = x["det_C"], x["d"], x["det_K"], x["g1"]
+        c = np.zeros((4, 11))
+        c[3, 0] = r0
+        c[2, 2], c[2, 4] = iRe + r0 * MC, r0 * MK
+        c[1, 2:9:2] = (x["p.C.p"], x["p.K.p"] + iRe * MC + r0 * dM * dC,
+                       iRe * MK + r0 * dM * d, r0 * dM * dK)
+        c[0, 4:11:2] = (g1 * dC, g1 * d + iRe * dM * dC, g1 * dK + iRe * dM * d,
+                        iRe * dM * dK)
+        return c
 
     def small_k(self) -> AsymptoticCoefficients:
-        """alpha1 ~ x1 k^2 + y1 k^4 and the coupled pair +-xc k + y23 k^2."""
-        C, M, p, r0, iRe = self.C, self.mobility, self.p, self.rho0, self.inv_Re
-        pCp, pKp, detC, detK, d = self.invariants()
-        _guard_denominator(pCp, np.linalg.norm(C) * float(p @ p), "p.C.p",
-                           _NO_SOUND_SPEED)
-        g1 = self.g1
-        detM = float(np.linalg.det(M))
-        MC = float(np.tensordot(M, C))
-        r0MC = float(np.tensordot(r0 * M, C))
-        x1 = -g1 * detC / pCp
-        y1 = (-(x1**3 * r0 + x1**2 * (r0MC + iRe)
-                + x1 * (pKp + MC * iRe + r0 * detM * detC)) / pCp
-              - (g1 * d + iRe * detM * detC) / pCp)
-        # (pC).M.(pC), the mobility's weight on the pressure's gradient
-        q0 = p[0] * C[0, 0] + p[1] * C[1, 0]
-        q1 = p[0] * C[0, 1] + p[1] * C[1, 1]
-        y23 = (-iRe / (2.0 * r0)
-               - (M[0, 0] * q0**2 + 2.0 * M[0, 1] * q0 * q1 + M[1, 1] * q1**2)
-               / (2.0 * pCp))
-        xc = _csqrt(-pCp / r0)
-        modes = (
-            _viscous_mode(self.inv_Re_s, r0),
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha2", (1, 2), (xc, y23)),
-            ModeExpansion(ModeLabel.COUPLED, "alpha3", (1, 2), (-xc, y23)),
-        )
-        aux = {"g1": g1, "d": d, "p.C.p": pCp, "det_C": detC}
-        return AsymptoticCoefficients(regime="small_k", modes=modes, auxiliaries=aux)
-
-    def large_k(self) -> AsymptoticCoefficients:
-        C, K, M, r0, iRe = self.C, self.K, self.mobility, self.rho0, self.inv_Re
-        pCp, pKp, detC, detK, d = self.invariants()
-        detM = float(np.linalg.det(M))
-        lam = float(np.trace(M))
-        if not np.any(M):
-            modes, aux = self._zero_mobility_large_k(pCp, pKp)
-        elif lam > 0 and abs(detM) <= DEGENERATE_TOL * lam * lam:
-            modes, aux = self._rank_one_large_k(lam, pKp, detK, d)
-        else:
-            g1 = self.g1
-            MK = float(np.tensordot(M, K))
-            MC = float(np.tensordot(M, C))
-            # x^2 + (M:K) x + |M||K| = 0 for the two k^4 branches
-            disc = _csqrt(MK * MK - 4.0 * detM * detK)
-            modes = []
-            for name, x in (("alpha1", (-MK + disc) / 2.0),
-                            ("alpha2", (-MK - disc) / 2.0)):
-                den = r0 * (3.0 * x * x + 2.0 * x * MK + detM * detK)
-                num = -(iRe * detM * detK + x * x * (iRe + r0 * MC)
-                        + x * (iRe * MK + r0 * detM * d))
-                if abs(den) <= DEGENERATE_TOL * abs(r0) * max(MK**2, 1.0):
-                    raise SingularExpansion("k^4 branch denominator vanishes")
-                modes.append(ModeExpansion(ModeLabel.THERMODYNAMIC, name, (4, 2),
-                                           (x, num / den)))
-            x3 = -iRe / r0
-            if detM * detK != 0.0 and iRe > 0:
-                y3 = -(x3**2 * r0 * MK + x3 * (r0 * detM * d + iRe * MK)
-                       + detM * iRe * d + g1 * detK) / (r0 * detM * detK)
-                alpha3 = (2, 0), (x3, y3)
-            else:
-                alpha3 = (2,), (x3,)
-            modes.append(ModeExpansion(ModeLabel.COUPLED, "alpha3", *alpha3))
-            aux = {"g1": g1, "d": d, "M:K": MK, "det_M": detM, "det_K": detK}
-        return AsymptoticCoefficients(
-            regime="large_k", modes=(_viscous_mode(self.inv_Re_s, r0), *modes),
-            auxiliaries=aux)
-
-    def _zero_mobility_large_k(self, pCp, pKp):
-        """M = 0: nothing diffuses, so alpha1 = 0 exactly, and the coupled
-        pair solves rho0 a^2 + (1/Re) k^2 a + k^2 p.D(k).p = 0 with D(k) =
-        C + k^2 K: a ~ x k^2 + y with rho0 x^2 + x / Re + p.K.p = 0 and
-        y = -p.C.p / (2 rho0 x + 1/Re), a relative error of O(k^-4)."""
-        r0, iRe = self.rho0, self.inv_Re
-        disc = _csqrt(iRe * iRe - 4.0 * r0 * pKp)
-        _guard_denominator(abs(disc), max(iRe * iRe, abs(r0 * pKp)) ** 0.5,
-                           "coupled pair discriminant")
-        return (ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2), (0.0, 0.0)),
-                ) + tuple(ModeExpansion(ModeLabel.COUPLED, name, (2, 0),
-                                        ((-iRe + s * disc) / (2.0 * r0), -pCp / (s * disc)))
-                          for name, s in (("alpha2", 1.0), ("alpha3", -1.0))), \
-            {"p.C.p": pCp, "p.K.p": pKp}
-
-    def _rank_one_large_k(self, lam, pKp, detK, d):
-        """M = lam P with P = M / tr M: one diffusive mode -(M:K) k^4 - (M:C)
-        k^2 and a coupled pair x k^2 + y with rho0 (M:K) x^2 + (M:K) x / Re
-        + g1 det K = 0.  Written with P:K, P:C and p.adj(P).p, which are
-        exactly K[1, 1], C[1, 1] and rho^2 for local conservation's diag(0, M11)."""
-        r0, iRe, P = self.rho0, self.inv_Re, self.mobility / lam
-        PK, PC = float(np.tensordot(P, self.K)), float(np.tensordot(P, self.C))
-        G = float(adjugate_form(P, self.p))
-        if PK <= 0:
-            raise SingularExpansion("short-wave expansion needs M:K > 0 "
-                                    "(kappa_rho1_rho1 > 0 for local conservation)")
-        disc = _csqrt(iRe * iRe - 4.0 * r0 * G * detK / PK)
-        xs = ((-iRe + disc) / (2.0 * r0), (-iRe - disc) / (2.0 * r0))
-        aux = {"d": d, "det_K": detK}
-        if disc.imag == 0.0:
-            powers, coefficients = (2, 0), []
-            for x in xs:
-                den = 2.0 * x * r0 * lam * PK + lam * PK * iRe
-                _guard_denominator(abs(den), max(abs(r0 * lam * PK), 1.0),
-                                   "k^2 branch denominator")
-                coefficients.append((x, -lam * G * d / den
-                                     - (x**3 * r0 + x**2 * (r0 * lam * PC + iRe)
-                                        + x * (lam * PC * iRe + pKp)) / den))
-        else:
-            # oscillatory pair: the subleading-correction denominator
-            # 2 x rho0 + 1/Re is purely imaginary here, so the printed
-            # correction is degenerate; report the leading order only
-            powers, coefficients = (2,), [(x,) for x in xs]
-            aux["subleading"] = "omitted: oscillatory branch denominator degenerate"
-        return (
-            ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (4, 2),
-                          (-lam * PK, -lam * PC)),
-        ) + tuple(ModeExpansion(ModeLabel.COUPLED, name, powers, c)
-                  for name, c in zip(("alpha2", "alpha3"), coefficients)), aux
+        """The long-wave expansions, refused where p.C.p (rho0 c^2) vanishes."""
+        C, p = self.C, self.p
+        if abs(p @ C @ p) <= DEGENERATE_TOL * max(np.linalg.norm(C) * float(p @ p), 1.0):
+            raise SingularExpansion(f"p.C.p vanishes within tolerance{_NO_SOUND_SPEED}")
+        return super().small_k()
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:
         """Symbols keyed by field name, in the order of the standard form's
@@ -570,67 +548,25 @@ class PhaseFieldLinearization(_Pencil):
         return (f"spinodal band: (0, {edges[0]:.17g})" if edges.size
                 else "no spinodal band (h_phi_phi >= 0)")
 
-    def reduced_polynomial(self, k: float) -> np.ndarray:
-        """With 1 - r = 0 the alpha^2 coefficient is 0 and the polynomial is
-        k^2 (alpha + Mh k^2 Dphi), the phase mode alone."""
-        r1, Mh = self.one_minus_r, self.Mh
-        Dphi = self.h_phi_phi + k * k * self.kappa_phi_phi
-        Qbar = 1.0 - r1 * self.phi0
-        return np.array([
-            k**4 * Mh * Dphi * Qbar**2,
-            k**2 + self.inv_Re * Mh * r1 ** 2 * k**4,
-            self.rho0 * Mh * r1 ** 2 * k**2,
-        ])
+    def auxiliaries(self) -> dict:
+        """The scalars of ``reduced_coefficients``: Mh, 1 - r, 1 - (1 - r) phi0."""
+        return {"Mh": self.Mh, "one_minus_r": self.one_minus_r,
+                "Qbar": 1.0 - self.one_minus_r * self.phi0}
 
-    def small_k(self) -> AsymptoticCoefficients:
-        return self._expansions("small_k")
-
-    def large_k(self) -> AsymptoticCoefficients:
-        return self._expansions("large_k")
-
-    def _expansions(self, regime: str) -> AsymptoticCoefficients:
-        visc = _viscous_mode(self.inv_Re_s, self.rho0)
-        if self.equal_densities:
-            thermo = ModeExpansion(
-                ModeLabel.THERMODYNAMIC, "alpha1", (2, 4),
-                (-self.M11 / self.rho_hat_2**2 * self.h_phi_phi,
-                 -self.M11 / self.rho_hat_1**2 * self.kappa_phi_phi))
-            return AsymptoticCoefficients(regime=regime, modes=(visc, thermo),
-                                          auxiliaries={})
-        Q, Aco = self.Q, self.Aco
-        iRe, r0, hpp, kpp = self.inv_Re, self.rho0, self.h_phi_phi, self.kappa_phi_phi
-        if regime == "small_k":
-            x1 = -hpp * Q * Q / Aco
-            y1 = -kpp * Q * Q / Aco + hpp * Q * Q * iRe / Aco**2 \
-                - r0 * (hpp * Q * Q) ** 2 / Aco**3
-            thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 4), (x1, y1))
-            coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (0, 2),
-                                    (-Aco / r0, -iRe / r0 + hpp * Q * Q / Aco))
-        else:
-            disc = _csqrt(iRe * iRe - 4.0 * r0 * kpp * Q * Q)
-            if disc.real > 0.0 and iRe > 0:
-                x1 = -kpp * Q * Q / ((iRe + disc.real) / 2.0)
-                thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2, 0),
-                                       (x1, -(Aco * x1 + hpp * Q * Q) / disc.real))
-                coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
-                                        (-(iRe + disc.real) / (2.0 * r0),))
-            else:
-                thermo = ModeExpansion(ModeLabel.THERMODYNAMIC, "alpha1", (2,),
-                                       ((-iRe + disc) / (2.0 * r0),))
-                coupled = ModeExpansion(ModeLabel.COUPLED, "alpha2", (2,),
-                                        ((-iRe - disc) / (2.0 * r0),))
-        return AsymptoticCoefficients(
-            regime=regime, modes=(visc, thermo, coupled),
-            auxiliaries={"Q": Q, "A": Aco})
-
-    @property
-    def Q(self) -> float:
-        return self.phi0 - self.rho_hat_2 / (self.rho_hat_2 - self.rho_hat_1)
-
-    @property
-    def Aco(self) -> float:
-        """Coupled-mode coefficient 1 / ((1 - r)^2 M11 / rho_hat_1^2)."""
-        return 1.0 / (self.one_minus_r ** 2 * self.M11 / self.rho_hat_1**2)
+    def reduced_coefficients(self, aux: dict = None) -> np.ndarray:
+        """c[i, j], the coefficient of alpha^i k^j of the reduced polynomial
+        rho0 Mh (1 - r)^2 k^2 a^2 + (k^2 + Mh (1 - r)^2 k^4 / Re) a
+        + Mh Qbar^2 k^4 (h'' + kappa k^2).  With 1 - r = 0 the a^2 row is 0
+        and the polynomial is k^2 (a + Mh k^2 (h'' + kappa k^2)), the phase
+        mode alone.  The scalars are those of ``aux``, or ``auxiliaries()``."""
+        x = aux or self.auxiliaries()
+        Mh, r1, Qbar = x["Mh"], x["one_minus_r"], x["Qbar"]
+        c = np.zeros((3, 7))
+        c[2, 2] = self.rho0 * Mh * r1 ** 2
+        c[1, 2], c[1, 4] = 1.0, self.inv_Re * Mh * r1 ** 2
+        c[0, 4], c[0, 6] = (Mh * Qbar ** 2 * self.h_phi_phi,
+                            Mh * Qbar ** 2 * self.kappa_phi_phi)
+        return c
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:
         """Symbols keyed by field name, in the order of the standard form's

@@ -81,6 +81,16 @@ def per_row_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+def expansion_errors(lin, co, ks):
+    """At each k, the largest relative distance from an expansion of ``co``
+    to the nearest root of the pencil."""
+    alphas = dispersion.growth_rates(lin, ks)[0]
+    pred = np.array([m.evaluate(ks) for m in co.modes]).T
+    gap = np.abs(pred[:, :, None] - alphas[:, None, :])
+    nearest = np.take_along_axis(alphas, gap.argmin(axis=2), axis=1)
+    return (gap.min(axis=2) / np.abs(nearest)).max(axis=1)
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
@@ -429,6 +439,32 @@ points = 11
         assert failed[0].startswith("FAIL pencil_vs_polynomial: coefficient mismatch ")
         assert failed[0].endswith(" at k=10.0")
 
+    @pytest.mark.parametrize("name, ks", [
+        ("band_density.ini", [1e-3, 0.1, 10.0, 1e3]),
+        ("simulate_relaxation.ini", [1e-2, 1.0, 10.0, 300.0]),
+    ], ids=["sweep_range", "no_sweep"])
+    def test_pencil_check_samples_the_sweep_range(self, tmp_path, capsys, monkeypatch,
+                                                  name, ks):
+        # four k log-spaced over [k_min, k_max] of a [sweep] section, else
+        # a fixed spread
+        seen = []
+        check = dispersion.pencil_matches_scalar
+        monkeypatch.setattr(dispersion, "pencil_matches_scalar",
+                            lambda lin, k: seen.append(list(k)) or check(lin, k))
+        assert cli.main(["verify", "--config", str(config_path(name)),
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_OK
+        assert seen == [ks]
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "pencil_vs_polynomial" in ln]
+        assert line.startswith("PASS pencil_vs_polynomial: max coefficient mismatch ")
+
+    def test_pencil_check_refuses_an_empty_sweep_range(self, tmp_path, capsys):
+        path = write(tmp_path, "range.ini", MINI_SWEEP.replace("k_min = 0.01", "k_min = 0.0"))
+        assert cli.main(["verify", "--config", path,
+                         "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
+        assert "FAIL pencil_vs_polynomial: sweep needs 0 < k_min < k_max\n" \
+            in capsys.readouterr().out
+
     def test_fd_check_fails_outside_the_domain(self, tmp_path, capsys):
         # every sample lies past the covolume packing limit: the check has
         # nothing to compare and fails with the energy's reason
@@ -597,19 +633,27 @@ class TestCommandContract:
 
 
 class TestOutputFiles:
-    def test_unavailable_asymptotes_are_named_in_their_csv(self, tmp_path):
-        # kappa_rho1_rho1 = 0 leaves the local class no short-wave expansion
+    def test_asymptotes_without_kappa_rho1_rho1_are_written(self, tmp_path):
+        # kappa_rho1_rho1 = 0 gives the local class M:K = 0: no k^4 branch,
+        # and all three roots of the reduced polynomial go as k^2 + k^0
         text = open(config_path("simulate_relaxation.ini")).read().replace(
             "kappa_rho1_rho1 = 0.002", "kappa_rho1_rho1 = 0.0")
         path = write(tmp_path, "flat.ini", text + "\n[sweep]\nk_min = 0.01\n"
                      "k_max = 1000.0\npoints = 41\n")
         out = tmp_path / "o"
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        line = (out / "asymptotes_large.csv").read_text()
-        assert line.startswith("# unavailable: ") and "M:K > 0" in line
-        assert line.count("\n") == 1
-        assert not (out / "asymptotes_large.txt").exists()
+        model, state = build_all(load_config(path))
+        lin = model.linearization(state)
+        co = lin.large_k()
+        assert co.auxiliaries["M:K"] == 0.0
+        assert (out / "asymptotes_large.txt").read_text() == co.flat_text()
+        assert [m.powers for m in co.modes] == [(2,)] + [(2, 0)] * 3
+        # the 9 grid points at or above large_k_min = 100
+        assert (out / "asymptotes_large.csv").read_text().count("\n") == 1 + 9
         assert (out / "asymptotes_small.txt").exists()
+        # measured 3.8e-8 and 3.8e-12: a margin of 2.6
+        e3, e4 = expansion_errors(lin, co, [1e3, 1e4])
+        assert e3 <= 1e-7 and e4 <= 1e-11
 
     @pytest.mark.parametrize("old, new, summary", [
         ("M11 = 0.05", "M11 = 0.0",
@@ -636,10 +680,10 @@ class TestOutputFiles:
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
         assert (out / "summary.txt").read_text() == summary
 
-    def test_full_rank_branch_without_a_k4_root_is_unavailable(self, tmp_path):
-        # det K = 0 makes alpha1's k^4 coefficient 0 and its k^2 correction
-        # 0/0; the pencil's root there (-76019 at k = 1000) is described by
-        # no expansion, so the large-k file says so instead of writing one
+    def test_full_rank_branch_with_singular_kappa_has_a_k4_root(self, tmp_path):
+        # det K = 0 (kappa on rho1 only) leaves one k^4 root, -(M:K) k^4,
+        # where a regular kappa has two, and two k^2 roots; each has its
+        # correction
         path = write(tmp_path, "global.ini", """
 [free_energy]
 kind = quadratic
@@ -669,10 +713,16 @@ points = 61
 """)
         out = tmp_path / "o"
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
-        assert (out / "asymptotes_large.csv").read_text() == \
-            "# unavailable: k^4 branch denominator vanishes\n"
-        assert not (out / "asymptotes_large.txt").exists()
-        assert (out / "asymptotes_small.txt").exists()
+        model, state = build_all(load_config(path))
+        lin = model.linearization(state)
+        co = lin.large_k()
+        assert co.auxiliaries["det_K"] == 0.0
+        assert (out / "asymptotes_large.txt").read_text() == co.flat_text()
+        assert [m.powers for m in co.modes] == [(2,), (4, 2), (2, 0), (2, 0)]
+        assert co.mode("alpha1").coefficients[0] == -co.auxiliaries["M:K"]
+        # measured 1.03e-7 and 1.03e-11: a margin of 2
+        e3, e4 = expansion_errors(lin, co, [1e3, 1e4])
+        assert e3 <= 2e-7 and e4 <= 2e-11
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["umask_022", "umask_027"])
     def test_files_get_the_mode_of_a_plain_open(self, tmp_path, umask):
