@@ -101,7 +101,7 @@ MUTANTS = [
      "None", "main: no config echo"),
     ("cli.py", "if section is not None and not cfg.has_section(section):", "if False:",
      "main: command section not checked"),
-    ("cli.py", 'ks = np.linspace(sec["k_min"]', 'ks = np.geomspace(sec["k_min"]',
+    ("cli.py", "ks = np.linspace(k_min", "ks = np.geomspace(k_min",
      "sweep: linear spacing read as log"),
     ("cli.py", "for step, snap in trace.snapshots:",
      "for step, snap in trace.snapshots[1:]:",

@@ -74,32 +74,36 @@ def _csv(header, columns) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _sweep_range(sec) -> tuple[float, float]:
+    """(k_min, k_max) of a valid [sweep] section, else ConfigError."""
+    if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
+        raise ConfigError("sweep needs 0 < k_min < k_max and points >= 2")
+    return sec["k_min"], sec["k_max"]
+
+
 def cmd_sweep(cfg: RunConfig):
     model, state = build_all(cfg)
     sec = cfg.sections["sweep"]
-    if sec["k_min"] <= 0 or sec["k_max"] <= sec["k_min"] or sec["points"] < 2:
-        raise ConfigError("sweep needs 0 < k_min < k_max and points >= 2")
+    k_min, k_max = _sweep_range(sec)
     if sec["spacing"] == "log":
-        ks = np.logspace(np.log10(sec["k_min"]), np.log10(sec["k_max"]),
-                         sec["points"])
+        ks = np.logspace(np.log10(k_min), np.log10(k_max), sec["points"])
     elif sec["spacing"] == "linear":
-        ks = np.linspace(sec["k_min"], sec["k_max"], sec["points"])
+        ks = np.linspace(k_min, k_max, sec["points"])
     else:
         raise ConfigError(f"unknown spacing {sec['spacing']!r}")
 
     lin = model.linearization(state)
     result = dispersion.sweep(lin, ks)
-    names = result.mode_names
+    modes = result.long_wave.modes
     header, columns = ["k"], [result.k_grid]
-    for j, nm in enumerate(names):
-        header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
-        columns += [result.roots[:, j].real, result.roots[:, j].imag,
-                    result.labels[j].value]
+    for j, m in enumerate(modes):
+        header += [f"re_{m.name}", f"im_{m.name}", f"label_{m.name}"]
+        columns += [result.roots[:, j].real, result.roots[:, j].imag, m.label.value]
     files = [("dispersion.csv", _csv(header, columns))]
 
     # asymptote curves over their windows, plus the flat coefficient blocks
     for regime, co, sel in (
-        ("small", lin.small_k(), ks[ks <= sec["small_k_max"]]),
+        ("small", result.long_wave, ks[ks <= sec["small_k_max"]]),
         ("large", lin.large_k(), ks[ks >= sec["large_k_min"]]),
     ):
         files.append((f"asymptotes_{regime}.txt", co.flat_text()))
@@ -111,14 +115,14 @@ def cmd_sweep(cfg: RunConfig):
         files.append((f"asymptotes_{regime}.csv", _csv(header, columns)))
 
     lines = []
-    for j, nm in enumerate(names):
+    for j, m in enumerate(modes):
         re = result.roots[:, j].real
-        lines.append(f"{nm} ({result.labels[j].value}): max Re = {F(re.max())} "
+        lines.append(f"{m.name} ({m.label.value}): max Re = {F(re.max())} "
                      f"at k = {F(result.k_grid[np.argmax(re)])}")
         bands = dispersion.unstable_bands(lin, result, j)
         if bands:
             txt = ", ".join(f"({F(a)}, {F(b)})" for a, b in bands)
-            lines.append(f"{nm} unstable bands: {txt}")
+            lines.append(f"{m.name} unstable bands: {txt}")
     lines.append(lin.classification())
     if result.ambiguous:
         lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
@@ -294,10 +298,7 @@ def cmd_verify(cfg: RunConfig):
             # four k over the config's sweep range, else a fixed spread
             ks = np.array([1e-2, 1.0, 10.0, 300.0])
             if cfg.has_section("sweep"):
-                sec = cfg.sections["sweep"]
-                if not 0 < sec["k_min"] < sec["k_max"]:
-                    raise ConfigError("sweep needs 0 < k_min < k_max")
-                ks = np.geomspace(sec["k_min"], sec["k_max"], 4)
+                ks = np.geomspace(*_sweep_range(cfg.sections["sweep"]), 4)
             ok, err = dispersion.pencil_matches_scalar(linearized(), ks)
             if not ok.all():
                 i = int(np.argmin(ok))

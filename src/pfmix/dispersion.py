@@ -211,18 +211,21 @@ def incompressible_roots(lin, k):
 class DispersionResult:
     """Tracked growth rates over a wavenumber grid.
 
-    ``roots[i, j]`` is track j at k_grid[i]; ``labels[j]`` names the track
-    by its long-wave character; ``ambiguous`` lists grid indices where two
+    ``roots[i, j]`` is track j at k_grid[i], named by ``lin.small_k()``'s
+    mode j (``long_wave``); ``ambiguous`` lists grid indices where two
     roots were too close to track reliably (labels may swap there).
     """
 
     k_grid: np.ndarray
     roots: np.ndarray
     vectors: np.ndarray
-    labels: tuple
-    mode_names: tuple
+    long_wave: AsymptoticCoefficients  # from pfmix.linearization
     residuals: np.ndarray
     ambiguous: tuple
+
+    @property
+    def mode_names(self) -> tuple:
+        return tuple(m.name for m in self.long_wave.modes)
 
     def track(self, name: str) -> int:
         """The column of the track named ``name``; KeyError, listing the
@@ -294,20 +297,18 @@ def sweep(lin, k_grid, start=None) -> DispersionResult:
         prev, i = start
         if prev.k_grid[i] > k_grid[0]:
             raise RangeError("a sweep continues only from a k at or below its grid")
-        labels, names, n = prev.labels, prev.mode_names, 1
+        long_wave, n = prev.long_wave, 1
         alphas, vecs, res = (np.concatenate(pair) for pair in zip(
             (prev.roots[i:i + 1], prev.vectors[i:i + 1].transpose(0, 2, 1),
              prev.residuals[i:i + 1]), (alphas, vecs, res)))
-        first = np.arange(len(names))
+        first = np.arange(len(long_wave.modes))
     else:
-        modes = lin.small_k().modes
-        labels = tuple(m.label for m in modes)
-        names = tuple(m.name for m in modes)
+        long_wave = lin.small_k()
         n, k_seed = 0, k_grid[0]
-        if not _long_wave(modes, k_grid[:1], alphas[:1], res[:1])[0]:
+        if not _long_wave(long_wave.modes, k_grid[:1], alphas[:1], res[:1])[0]:
             seeds = k_seed * 10.0 ** -np.arange(1.0, 17.0)
             w, _, r = _eigen(lin, seeds)
-            found = np.flatnonzero(_long_wave(modes, seeds, w, r))
+            found = np.flatnonzero(_long_wave(long_wave.modes, seeds, w, r))
             if not found.size:
                 raise NumericalError(
                     f"the long-wave expansions match the pencil's roots at no k "
@@ -317,7 +318,7 @@ def sweep(lin, k_grid, start=None) -> DispersionResult:
             alphas, vecs, res = (np.concatenate(pair) for pair in zip(
                 growth_rates(lin, prefix), (alphas, vecs, res)))
             k_seed = prefix[0]
-        predicted = np.array([m.evaluate(k_seed) for m in modes])
+        predicted = np.array([m.evaluate(k_seed) for m in long_wave.modes])
         first = _match(np.abs(predicted[:, None] - alphas[0][None, :]))
 
     # step[i, j]: the root at k[i + 1] that root j at k[i] goes to, by the
@@ -337,8 +338,8 @@ def sweep(lin, k_grid, start=None) -> DispersionResult:
     close[:, np.arange(size.shape[1]), np.arange(size.shape[1])] = False
     ambiguous = tuple(int(i) for i in np.flatnonzero(close.any(axis=(1, 2))))
     return DispersionResult(
-        k_grid=k_grid, roots=roots, vectors=vectors, labels=labels,
-        mode_names=names, residuals=residuals, ambiguous=ambiguous)
+        k_grid=k_grid, roots=roots, vectors=vectors, long_wave=long_wave,
+        residuals=residuals, ambiguous=ambiguous)
 
 
 def _long_wave(modes, ks, alphas, residuals) -> np.ndarray:

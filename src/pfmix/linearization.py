@@ -132,12 +132,11 @@ def _cancels(terms) -> bool:
     return abs(sum(terms)) <= CANCEL_RTOL * sum(map(abs, terms))
 
 
-def expand(c: np.ndarray, regime: str, head: ModeExpansion,
-           auxiliaries: dict) -> AsymptoticCoefficients:
+def expand(c: np.ndarray, regime: str, auxiliaries: dict) -> AsymptoticCoefficients:
     """The expansions alpha ~ a k^e + b k^e2 of every root of the reduced
     polynomial P = sum c[i, j] alpha^i k^j for k -> 0 (``small_k``) or
-    k -> infinity, after ``head``, by Newton-Puiseux (Walker, Algebraic
-    Curves, 1950, ch. IV).  An alpha^i dividing P gives i zero roots.  Each
+    k -> infinity, by Newton-Puiseux (Walker, Algebraic Curves, 1950,
+    ch. IV).  An alpha^i dividing P gives i zero roots.  Each
     edge of the lower (k -> 0) or upper convex hull of the points (i, j)
     gives e = -dj/di, in sixths (di <= 3), and the roots a of its edge
     polynomial.  A simple a gets one Newton correction: b k^e2 is minus the
@@ -198,8 +197,7 @@ def expand(c: np.ndarray, regime: str, head: ModeExpansion,
     if coincident:
         auxiliaries = dict(auxiliaries, leading_only=(
             f"{', '.join(coincident)}: coincident roots of the edge polynomial"))
-    return AsymptoticCoefficients(regime=regime, modes=(head, *modes),
-                                  auxiliaries=auxiliaries)
+    return AsymptoticCoefficients(regime, tuple(modes), auxiliaries)
 
 
 # x = T x' with T = diag(1, 1, i, 1) makes T^-1 (alpha B + A) T real
@@ -234,10 +232,10 @@ class _Pencil:
         return self._expansions("large_k")
 
     def _expansions(self, regime: str) -> AsymptoticCoefficients:
-        aux = self.auxiliaries()
+        co = expand(self.reduced_coefficients(), regime, self.auxiliaries())
         viscous = ModeExpansion(ModeLabel.VISCOUS, "alpha0", (2,),
                                 (-self.inv_Re_s / self.rho0,))
-        return expand(self.reduced_coefficients(aux), regime, viscous, aux)
+        return AsymptoticCoefficients(regime, (viscous, *co.modes), co.auxiliaries)
 
 
 def _real_pencil(A: np.ndarray) -> np.ndarray:
@@ -404,12 +402,12 @@ class CompressibleLinearization(_Pencil):
                 "g1": float(adjugate_form(M, p)), "M:C": float(np.vdot(M, C)),
                 "M:K": float(np.vdot(M, K)), "det_M": det_M}
 
-    def reduced_coefficients(self, aux: dict = None) -> np.ndarray:
+    def reduced_coefficients(self) -> np.ndarray:
         """c[i, j], the coefficient of alpha^i k^j of the reduced polynomial
         rho0 a^3 + k^2 (1/Re + rho0 M:D) a^2 + k^2 (p.D.p + k^2 (M:D / Re
         + rho0 |M| |D|)) a + k^4 (g1 + |M| k^2 / Re) |D|, with D = C + k^2 K,
-        M:D = M:C + k^2 M:K, |D| = det C + d k^2 + det K k^4, scalars of ``aux``."""
-        x = aux or self.auxiliaries()
+        M:D = M:C + k^2 M:K, |D| = det C + d k^2 + det K k^4."""
+        x = self.auxiliaries()
         r0, iRe, MC, MK, dM = self.rho0, self.inv_Re, x["M:C"], x["M:K"], x["det_M"]
         dC, d, dK, g1 = x["det_C"], x["d"], x["det_K"], x["g1"]
         c = np.zeros((4, 11))
@@ -535,7 +533,7 @@ class PhaseFieldLinearization(_Pencil):
 
     def band_edges(self) -> np.ndarray:
         """The spinodal edge sqrt(-h''/kappa), where the alpha^0 coefficient
-        of the reduced polynomial, k^4 Mh (h'' + kappa k^2) times a positive
+        of the reduced polynomial, k^4 (h'' + kappa k^2) times a positive
         factor, vanishes; empty when h'' >= 0.  As for the compressible
         classes, with 1/Re > 0 no root crosses the imaginary axis off 0."""
         if self.h_phi_phi < 0.0 < self.kappa_phi_phi:
@@ -553,19 +551,18 @@ class PhaseFieldLinearization(_Pencil):
         return {"Mh": self.Mh, "one_minus_r": self.one_minus_r,
                 "Qbar": 1.0 - self.one_minus_r * self.phi0}
 
-    def reduced_coefficients(self, aux: dict = None) -> np.ndarray:
+    def reduced_coefficients(self) -> np.ndarray:
         """c[i, j], the coefficient of alpha^i k^j of the reduced polynomial
-        rho0 Mh (1 - r)^2 k^2 a^2 + (k^2 + Mh (1 - r)^2 k^4 / Re) a
-        + Mh Qbar^2 k^4 (h'' + kappa k^2).  With 1 - r = 0 the a^2 row is 0
-        and the polynomial is k^2 (a + Mh k^2 (h'' + kappa k^2)), the phase
-        mode alone.  The scalars are those of ``aux``, or ``auxiliaries()``."""
-        x = aux or self.auxiliaries()
-        Mh, r1, Qbar = x["Mh"], x["one_minus_r"], x["Qbar"]
+        over Mh (so that a coincident large-k pair is -1/(2 Re rho0) with no
+        rounding of Mh), rho0 (1 - r)^2 k^2 a^2 + (k^2 / Mh + (1 - r)^2 k^4
+        / Re) a + Qbar^2 k^4 (h'' + kappa k^2); with 1 - r = 0, the phase
+        mode alone."""
+        x = self.auxiliaries()
+        r1, Qbar = x["one_minus_r"], x["Qbar"]
         c = np.zeros((3, 7))
-        c[2, 2] = self.rho0 * Mh * r1 ** 2
-        c[1, 2], c[1, 4] = 1.0, self.inv_Re * Mh * r1 ** 2
-        c[0, 4], c[0, 6] = (Mh * Qbar ** 2 * self.h_phi_phi,
-                            Mh * Qbar ** 2 * self.kappa_phi_phi)
+        c[2, 2] = self.rho0 * r1 ** 2
+        c[1, 2], c[1, 4] = 1.0 / x["Mh"], self.inv_Re * r1 ** 2
+        c[0, 4], c[0, 6] = Qbar ** 2 * self.h_phi_phi, Qbar ** 2 * self.kappa_phi_phi
         return c
 
     def stiff_symbols(self, k2: np.ndarray) -> dict:

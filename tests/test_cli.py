@@ -462,7 +462,7 @@ points = 11
         path = write(tmp_path, "range.ini", MINI_SWEEP.replace("k_min = 0.01", "k_min = 0.0"))
         assert cli.main(["verify", "--config", path,
                          "--out", str(tmp_path / "o")]) == cli.EXIT_VERIFY_FAIL
-        assert "FAIL pencil_vs_polynomial: sweep needs 0 < k_min < k_max\n" \
+        assert "FAIL pencil_vs_polynomial: sweep needs 0 < k_min < k_max and points >= 2\n" \
             in capsys.readouterr().out
 
     def test_fd_check_fails_outside_the_domain(self, tmp_path, capsys):
@@ -817,7 +817,7 @@ class TestDeterminism:
         for j, nm in enumerate(result.mode_names):
             header += [f"re_{nm}", f"im_{nm}", f"label_{nm}"]
             for row, alpha in zip(rows, result.roots[:, j]):
-                row += [alpha.real, alpha.imag, result.labels[j].value]
+                row += [alpha.real, alpha.imag, result.long_wave.modes[j].label.value]
         assert (out / "dispersion.csv").read_text() == per_row_csv(header, rows)
         for regime, co, sel in (("small", lin.small_k(), ks[ks <= sec["small_k_max"]]),
                                 ("large", lin.large_k(), ks[ks >= sec["large_k_min"]])):
