@@ -112,10 +112,13 @@ MUTANTS = [
      "phase-field classification: reason of no band dropped"),
     ("simulator.py", "return np.inf, None, None", "return hi, None, None",
      "dt guard: finite limit where every dt is admitted"),
-    ("linearization.py", "(pCp > 0) != (det > 0)", "(pCp > 0) == (det > 0)",
-     "sign table: alpha1's indefinite rows swapped"),
-    ("linearization.py", "not pCp > 0", "pCp > 0",
-     "sign table: alpha2's indefinite rows swapped"),
+    ("linearization.py", '"positive" if re > 0 else "negative"',
+     '"negative" if re > 0 else "positive"', "sign table: positive and negative swapped"),
+    ("linearization.py", 'if re < 0 else "zero"', 'if re <= 0 else "zero"',
+     "sign table: an exact zero root read as negative"),
+    ("linearization.py", '_sign(long_wave.mode("alpha1")) != "positive"',
+     '_sign(long_wave.mode("alpha1")) == "positive"',
+     "phase-field classification: band condition negated"),
     ("cli.py", "os.fchmod(fd, 0o666 & ~umask)", "os.fchmod(fd, 0o600)",
      "output files: mkstemp's owner-only mode kept"),
     ("free_energy.py", "H[..., i, j] = (ideal + rep + F)",

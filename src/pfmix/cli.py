@@ -123,7 +123,7 @@ def cmd_sweep(cfg: RunConfig):
         if bands:
             txt = ", ".join(f"({F(a)}, {F(b)})" for a, b in bands)
             lines.append(f"{m.name} unstable bands: {txt}")
-    lines.append(lin.classification())
+    lines.append(lin.classification(result.long_wave))
     if result.ambiguous:
         lines.append(f"tracking ambiguity at grid indices {list(result.ambiguous)}")
     files.append(("summary.txt", "\n".join(lines) + "\n"))

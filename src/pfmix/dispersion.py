@@ -17,10 +17,10 @@ Every function takes ``lin``, the object a model's ``linearization``
 method returns for a state, so a caller linearizes a state once and passes
 it on.  Everything class-specific (pencil, variable order, reduced
 polynomial, the small- and large-k expansions ``lin.small_k()`` and
-``lin.large_k()``, the long-wave classification ``lin.classification()``)
-lives on that object; see :mod:`pfmix.linearization`.  The one exception
-is :func:`scalar_dispersion_coefficients`, which keeps
-``(model, state, k)``.
+``lin.large_k()``, the summary's verdict ``lin.classification(long_wave)``
+read off a sweep's ``long_wave``) lives on that object; see
+:mod:`pfmix.linearization`.  The one exception is
+:func:`scalar_dispersion_coefficients`, which keeps ``(model, state, k)``.
 """
 
 from __future__ import annotations

@@ -36,11 +36,6 @@ class SingularExpansion(PfmixError):
     """The long-wave expansion does not exist: p.C.p vanishes within tolerance."""
 
 
-class DegenerateCase(PfmixError):
-    """A classification quantity sits on a decision boundary; the verdict is
-    reported as degenerate instead of guessed."""
-
-
 class BlowupError(PfmixError):
     """A transient run produced NaN or left the free-energy domain."""
 

@@ -35,8 +35,8 @@ SQRT2 = np.sqrt(2.0)
 # An eigenvalue counts as zero if |lam| <= DEFINITENESS_TOL * ||C||_F.
 DEFINITENESS_TOL = 1e-10
 
-# The definiteness codes of classify_matrices, classify_stability, the
-# concavity map and its CLI output.
+# The definiteness codes of classify_matrices, the long-wave category of a
+# sweep's summary, the concavity map and its CLI output.
 MAP_EXCLUDED = 0
 MAP_POSITIVE_DEFINITE = 1
 MAP_INDEFINITE = 2

@@ -26,8 +26,9 @@ in (.., vx / i, ..), where it is real: real roots come out real and
 complex ones in exact conjugate pairs.
 
 Each class gives the one-line verdict of a sweep's summary
-(``classification``): the long-wave sign table of ``classify_stability``
-for the compressible classes, the spinodal band for the phase-field one.
+(``classification``), read off the sweep's own long-wave expansions: the
+category of C and the sign of each mode for the compressible classes, the
+spinodal band for the phase-field one.
 
 The linearizations hold arrays, so they compare and hash by identity
 (``eq=False``), like the models.
@@ -40,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DegenerateCase, PfmixError, RangeError, SingularExpansion
+from .errors import SingularExpansion
 from .free_energy import (MAP_INDEFINITE, MAP_NEGATIVE_DEFINITE, MAP_POSITIVE_DEFINITE,
                           MAP_SINGULAR, classify_matrices)
 
@@ -254,51 +255,15 @@ def adjugate_form(M: np.ndarray, p: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-class SignVerdict(Enum):
-    NEGATIVE = "negative"
-    POSITIVE = "positive"
-
-
 CATEGORY = {MAP_POSITIVE_DEFINITE: "C > 0", MAP_NEGATIVE_DEFINITE: "C < 0",
             MAP_INDEFINITE: "C indefinite"}
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    category: str              # "C > 0", "C < 0", "C indefinite"
-    verdicts: dict             # mode name -> SignVerdict
-    g1: float
-
-
-def classify_stability(C, p, M) -> StabilityReport:
-    """Long-wave sign pattern of the four modes from the bulk energy's
-    symmetric Hessian C: its definiteness, det C and p.C.p.
-
-    Requires a PSD mobility with at least one positive eigenvalue (so the
-    thermodynamic weight g1 is positive).  Degenerate Hessians (singular,
-    or p.C.p at the decision boundary) are reported, not guessed.  For a
-    symmetric C, det C near 0 makes an eigenvalue singular, so det C needs
-    no boundary check of its own.
-    """
-    C, p, M = (np.asarray(x, dtype=float) for x in (C, p, M))
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    scale_m = max(np.linalg.norm(M), 1e-300)
-    if eigs.min() < -1e-12 * scale_m or eigs.max() <= 1e-12 * scale_m:
-        raise RangeError("mobility must be PSD with a positive eigenvalue")
-    code = int(classify_matrices(C))
-    if code == MAP_SINGULAR:
-        raise DegenerateCase("Hessian is singular within tolerance")
-    pCp = float(p @ C @ p)
-    if abs(pCp) <= DEGENERATE_TOL * max(np.linalg.norm(C), 1e-300) * float(p @ p):
-        raise DegenerateCase("p.C.p sits on the decision boundary")
-    det = float(np.linalg.det(C))
-    negative, indefinite = code == MAP_NEGATIVE_DEFINITE, code == MAP_INDEFINITE
-    growing = (False, negative or indefinite and (pCp > 0) != (det > 0),
-               negative or indefinite and not pCp > 0, False)
-    verdicts = {name: SignVerdict.POSITIVE if grows else SignVerdict.NEGATIVE
-                for name, grows in zip(("alpha0", "alpha1", "alpha2", "alpha3"), growing)}
-    return StabilityReport(category=CATEGORY[code], verdicts=verdicts,
-                           g1=float(adjugate_form(M, p)))
+def _sign(mode: ModeExpansion) -> str:
+    """The sign of a long-wave expansion's first coefficient with a nonzero
+    real part (an oscillatory pair's k^2 term); "zero" for an exact zero root."""
+    re = next((c.real for c in mode.coefficients if c.real), 0.0)
+    return "positive" if re > 0 else "negative" if re < 0 else "zero"
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +319,14 @@ class CompressibleLinearization(_Pencil):
     def _lift(self, A: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return Y
 
-    def classification(self) -> str:
-        """The long-wave sign table of ``classify_stability`` on C, p and
-        the mobility, or why it is unavailable."""
-        try:
-            rep = classify_stability(self.C, self.p, self.mobility)
-        except PfmixError as exc:
-            return f"long-wave classification unavailable: {exc}"
-        verdicts = ", ".join(f"{k}={v.value}" for k, v in rep.verdicts.items())
-        return f"long-wave classification [{rep.category}]: {verdicts}"
+    def classification(self, long_wave: AsymptoticCoefficients) -> str:
+        """The category of C and the sign of each mode of ``long_wave``,
+        this linearization's ``small_k()``, or why they are unavailable."""
+        code = int(classify_matrices(self.C))
+        if code == MAP_SINGULAR:
+            return "long-wave classification unavailable: Hessian is singular within tolerance"
+        signs = ", ".join(f"{m.name}={_sign(m)}" for m in long_wave.modes)
+        return f"long-wave classification [{CATEGORY[code]}]: {signs}"
 
     def band_edges(self) -> np.ndarray:
         """Ascending k > 0 where the alpha^0 coefficient of the reduced
@@ -420,9 +384,10 @@ class CompressibleLinearization(_Pencil):
         return c
 
     def small_k(self) -> AsymptoticCoefficients:
-        """The long-wave expansions, refused where p.C.p (rho0 c^2) vanishes."""
+        """The long-wave expansions, refused where p.C.p (rho0 c^2) is within
+        DEGENERATE_TOL ||C|| |p|^2 of 0."""
         C, p = self.C, self.p
-        if abs(p @ C @ p) <= DEGENERATE_TOL * max(np.linalg.norm(C) * float(p @ p), 1.0):
+        if abs(p @ C @ p) <= DEGENERATE_TOL * np.linalg.norm(C) * float(p @ p):
             raise SingularExpansion(f"p.C.p vanishes within tolerance{_NO_SOUND_SPEED}")
         return super().small_k()
 
@@ -540,11 +505,15 @@ class PhaseFieldLinearization(_Pencil):
             return np.sqrt(np.array([-self.h_phi_phi / self.kappa_phi_phi]))
         return np.empty(0)
 
-    def classification(self) -> str:
-        """The spinodal band (0, ``band_edges()``), where h'' < 0."""
+    def classification(self, long_wave: AsymptoticCoefficients) -> str:
+        """The spinodal band (0, ``band_edges()``), or (0, inf) with no
+        edge, where alpha1 of ``long_wave``, this linearization's
+        ``small_k()``, grows."""
+        if _sign(long_wave.mode("alpha1")) != "positive":
+            return "no spinodal band (h_phi_phi >= 0)"
         edges = self.band_edges()
-        return (f"spinodal band: (0, {edges[0]:.17g})" if edges.size
-                else "no spinodal band (h_phi_phi >= 0)")
+        edge = f"{edges[0]:.17g}" if edges.size else "inf"
+        return f"spinodal band: (0, {edge})"
 
     def auxiliaries(self) -> dict:
         """The scalars of ``reduced_coefficients``: Mh, 1 - r, 1 - (1 - r) phi0."""

@@ -9,7 +9,6 @@ from pfmix import free_energy as fe
 from pfmix import models
 from pfmix import simulator as sim
 from pfmix.grid import PeriodicGrid1D
-from pfmix.linearization import SignVerdict, classify_stability
 
 from conftest import fd_gradient, fd_hessian
 
@@ -138,8 +137,9 @@ def test_criterion_4_stable_state(stable_dense):
 # ---------------------------------------------------------------------------
 
 def _draw_case(rng, category):
-    """Random (C, p, M) realizing the requested Hessian category, with
-    margins so the k = 1e-3 signs are unambiguous."""
+    """A model and state from a random (C, p, M) realizing the requested
+    Hessian category, with margins so the k = 1e-3 signs are unambiguous,
+    and their long-wave expansions."""
     while True:
         th = rng.uniform(0.0, np.pi)
         R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
@@ -180,7 +180,7 @@ def _draw_case(rng, category):
                     ok_sep = False
         if not ok_sep:
             continue
-        return m, st, C, p, M, co
+        return m, st, co
 
 
 def test_criterion_5_long_wave_classification(rng):
@@ -189,20 +189,22 @@ def test_criterion_5_long_wave_classification(rng):
     checked = {c: 0 for c in categories}
     for cat, want_label in categories.items():
         while checked[cat] < 20:
-            m, st, C, p, M, co = _draw_case(rng, cat)
-            rep = classify_stability(C, p, M)
-            assert rep.category == want_label
-            alphas, _, _ = disp.growth_rates(m.linearization(st), [1e-3])
+            m, st, co = _draw_case(rng, cat)
+            lin = m.linearization(st)
+            # the printed table: "long-wave classification [<C>]: alpha0=<sign>, ..."
+            head, _, signs = lin.classification(co).partition("]: ")
+            assert head == f"long-wave classification [{want_label}"
+            verdicts = dict(item.split("=") for item in signs.split(", "))
+            alphas, _, _ = disp.growth_rates(lin, [1e-3])
             # associate roots with mode names via the asymptotic predictions
             preds = np.array([md.evaluate(1e-3) for md in co.modes])
             cost = np.abs(preds[:, None] - alphas[0][None, :])
             from scipy.optimize import linear_sum_assignment
             _, cols = linear_sum_assignment(cost)
             for j, md in enumerate(co.modes):
-                verdict = rep.verdicts[md.name]
+                verdict = verdicts[md.name]
                 re = alphas[0][cols[j]].real
-                want_positive = verdict is SignVerdict.POSITIVE
-                assert (re > 0) == want_positive, \
+                assert (re > 0) == (verdict == "positive"), \
                     f"{cat}/{md.name}: Re={re:.3e} vs verdict {verdict}"
             checked[cat] += 1
     report(5, all(v == 20 for v in checked.values()),

@@ -81,6 +81,50 @@ def per_row_csv(header, rows):
     return "\n".join(lines) + "\n"
 
 
+# A rank-one mobility parallel to the state, so that g1 = p.adj(M).p = 0
+# and the long-wave thermodynamic root is exactly 0.
+PARALLEL_MOBILITY = """
+[free_energy]
+kind = quadratic
+c11 = 1.0
+c12 = 0.2
+c22 = 2.0
+kappa_rho1_rho1 = 1e-3
+kappa_rho1_rho2 = 0.0
+kappa_rho2_rho2 = 1e-3
+
+[model]
+class = compressible_global
+M11 = 0.05
+M12 = 0.05
+M22 = 0.05
+Re_s = 5.0
+Re_v = 3.3333333333333335
+
+[state]
+rho1_0 = 1.0
+rho2_0 = 1.0
+
+[sweep]
+k_min = 1e-3
+k_max = 1e3
+points = 61
+"""
+
+
+def leading_real_signs(asymptotes):
+    """Per mode of an asymptotes_small.txt, the sign of its first
+    coefficient with a nonzero real part ("zero" where none has one)."""
+    signs = {}
+    for line in asymptotes.splitlines():
+        key, _, value = line.partition(" = ")
+        name, _, term = key.partition(".k^")
+        if term and signs.get(name, "zero") == "zero":
+            re = float(value.split()[0])
+            signs[name] = "positive" if re > 0 else "negative" if re < 0 else "zero"
+    return signs
+
+
 def expansion_errors(lin, co, ks):
     """At each k, the largest relative distance from an expansion of ``co``
     to the nearest root of the pencil."""
@@ -492,26 +536,27 @@ points = 11
                          "--out", str(tmp_path / "o")]) == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("command, config, linearizations, eig_calls", [
-    ("sweep", "band_density.ini", {"CompressibleLocal": 1}, None),
+@pytest.mark.parametrize("command, config, linearizations, eig_calls, regimes", [
+    # the summary's sign table reads the sweep's own long-wave expansions
+    ("sweep", "band_density.ini", {"CompressibleLocal": 1}, None, ["large_k", "small_k"]),
     # the dt guard and the eigenvector seed; the seed's sweep solves k, the
     # candidate long-wave seeds and the tracked prefix up to k
-    ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 3),
+    ("simulate", "simulate_relaxation.ini", {"CompressibleLocal": 2}, 3, ["small_k"]),
     # pencil_vs_polynomial and viscous_mode_exact share one; the viscous
     # check solves its 13 wavenumbers in one eigensolve
-    ("verify", "band_density.ini", {"CompressibleLocal": 1}, 1),
+    ("verify", "band_density.ini", {"CompressibleLocal": 1}, 1, []),
 ], ids=["sweep", "simulate", "verify"])
 def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
-                                    linearizations, eig_calls):
-    """Each command linearizes a state once where it needs it and passes
-    the linearization on."""
+                                    linearizations, eig_calls, regimes):
+    """Each command linearizes a state once where it needs it, forms each
+    expansion at most once, and passes them on."""
     from collections import Counter
 
     import numpy as np
 
-    from pfmix import models
+    from pfmix import linearization, models
 
-    calls, eigs = Counter(), [0]
+    calls, eigs, expansions = Counter(), [0], []
     for cls in (models.CompressibleGlobal, models.CompressibleLocal,
                 models.QuasiIncompressible):
         def counting_linearization(self, state, linearize=cls.linearization):
@@ -526,9 +571,17 @@ def test_linearizations_per_command(tmp_path, monkeypatch, command, config,
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    expand = linearization.expand
+
+    def counting_expand(c, regime, auxiliaries):
+        expansions.append(regime)
+        return expand(c, regime, auxiliaries)
+
+    monkeypatch.setattr(linearization, "expand", counting_expand)
     assert cli.main([command, "--config", str(config_path(config)),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_OK
     assert dict(calls) == linearizations
+    assert sorted(expansions) == regimes
     if eig_calls is not None:
         assert eigs[0] == eig_calls
 
@@ -661,8 +714,8 @@ class TestOutputFiles:
          "alpha1 (thermodynamic): max Re = 1.1011581370331272e-14 at k = 100\n"
          "alpha2 (coupled): max Re = -2.0000000000000052e-05 at k = 0.01\n"
          "alpha3 (coupled): max Re = -2.0000000000000052e-05 at k = 0.01\n"
-         "long-wave classification unavailable: mobility must be PSD with a "
-         "positive eigenvalue\n"),
+         "long-wave classification [C indefinite]: alpha0=negative, alpha1=zero, "
+         "alpha2=negative, alpha3=negative\n"),
         ("c12 = 0.0\nc22 = 2.0", "c12 = 1.0\nc22 = -2.0",
          "alpha0 (viscous): max Re = -1.6666666666666667e-05 at k = 0.01\n"
          "alpha1 (thermodynamic): max Re = -1.7999978919851051e-12 at k = 0.01\n"
@@ -673,12 +726,41 @@ class TestOutputFiles:
          "tolerance\n"),
     ], ids=["zero_mobility", "singular_hessian"])
     def test_unavailable_classification_summary(self, tmp_path, old, new, summary):
-        # the sign table's reason is the summary's last line
+        # the sign table, or why it is unavailable, is the summary's last
+        # line; without mobility alpha1 is an exact zero root
         assert old in MINI_SWEEP
         path = write(tmp_path, "degenerate.ini", MINI_SWEEP.replace(old, new))
         out = tmp_path / "o"
         assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
         assert (out / "summary.txt").read_text() == summary
+
+    @pytest.mark.parametrize("config", [
+        "band_composition.ini", "band_density.ini", "quasi_spinodal.ini",
+        "stable_dense.ini", "parallel_mobility", "quasi_without_kappa"])
+    def test_summary_signs_are_those_of_the_small_k_expansion(self, tmp_path, config):
+        # every verdict of the summary's last line is the sign of its mode's
+        # first coefficient with a nonzero real part in asymptotes_small.txt;
+        # the phase field's band is where alpha1 grows, at every k when
+        # there is no kappa to close it
+        if config == "parallel_mobility":
+            path = write(tmp_path, "parallel.ini", PARALLEL_MOBILITY)
+        elif config == "quasi_without_kappa":
+            text = open(config_path("quasi_spinodal.ini")).read()
+            path = write(tmp_path, "flat.ini",
+                         text.replace("kappa_phi_phi = 0.01", "kappa_phi_phi = 0.0"))
+        else:
+            path = str(config_path(config))
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        signs = leading_real_signs((out / "asymptotes_small.txt").read_text())
+        last = (out / "summary.txt").read_text().splitlines()[-1]
+        if last.startswith("long-wave classification ["):
+            verdicts = dict(item.split("=") for item in last.partition("]: ")[2].split(", "))
+            assert verdicts == signs
+        else:
+            assert last.startswith("spinodal band: ") == (signs["alpha1"] == "positive")
+        assert {"parallel_mobility": "alpha1=zero",
+                "quasi_without_kappa": "spinodal band: (0, inf)"}.get(config, "") in last
 
     def test_full_rank_branch_with_singular_kappa_has_a_k4_root(self, tmp_path):
         # det K = 0 (kappa on rho1 only) leaves one k^4 root, -(M:K) k^4,

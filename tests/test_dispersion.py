@@ -9,14 +9,12 @@ from pfmix import dispersion as disp
 from pfmix import free_energy as fe
 from pfmix import models
 from pfmix.config import build_all, load_config
-from pfmix.errors import DegenerateCase, NumericalError, RangeError
+from pfmix.errors import NumericalError, RangeError
 from pfmix.linearization import (
     EQUAL_DENSITY_RTOL,
     AsymptoticCoefficients,
     CompressibleLinearization,
     ModeLabel,
-    SignVerdict,
-    classify_stability,
 )
 
 from conftest import config_path, random_global_model
@@ -472,7 +470,11 @@ class TestQuasiRoots:
         for h_pp in (0.0, 1.0):
             lin = make_quasi(h_pp=h_pp).linearization(ST_PHI)
             assert lin.band_edges().size == 0
-            assert lin.classification() == "no spinodal band (h_phi_phi >= 0)"
+            assert lin.classification(lin.small_k()) == "no spinodal band (h_phi_phi >= 0)"
+        # without kappa, h'' < 0 grows alpha1 at every k: no edge closes the band
+        lin = make_quasi(h_pp=-1.0, kappa_pp=0.0).linearization(ST_PHI)
+        assert lin.band_edges().size == 0
+        assert lin.classification(lin.small_k()) == "spinodal band: (0, inf)"
 
     def test_large_k_oscillatory_pair_converges(self):
         # 1/Re^2 < 4 rho0 kappa Q^2: alpha1 and alpha2 are a conjugate pair
@@ -617,77 +619,81 @@ class TestQuasiRoots:
             assert min(abs(a - want) for a in roots) < 1e-12 * max(abs(want), 1)
 
 
-class TestClassification:
-    M = np.array([[2.0, 0.5], [0.5, 1.0]])
-
-    def test_positive_definite(self):
-        rep = classify_stability(np.eye(2), [1.0, 2.0], self.M)
-        assert rep.category == "C > 0"
-        assert all(v is SignVerdict.NEGATIVE for v in rep.verdicts.values())
-
-    def test_negative_definite(self):
-        rep = classify_stability(-np.eye(2), [1.0, 2.0], self.M)
-        assert rep.verdicts["alpha1"] is SignVerdict.POSITIVE
-        assert rep.verdicts["alpha2"] is SignVerdict.POSITIVE
-        assert rep.verdicts["alpha0"] is SignVerdict.NEGATIVE
-        assert rep.verdicts["alpha3"] is SignVerdict.NEGATIVE
-
-    def test_indefinite_positive_form(self):
-        rep = classify_stability(np.diag([1.0, -1.0]), [1.0, 0.2], self.M)
-        assert rep.category == "C indefinite"
-        assert rep.verdicts["alpha1"] is SignVerdict.POSITIVE
-        assert rep.verdicts["alpha2"] is SignVerdict.NEGATIVE
-
-    def test_indefinite_negative_form(self):
-        rep = classify_stability(np.diag([1.0, -1.0]), [0.2, 1.0], self.M)
-        assert rep.verdicts["alpha1"] is SignVerdict.NEGATIVE
-        assert rep.verdicts["alpha2"] is SignVerdict.POSITIVE
-
-    def test_degenerate_reported(self):
-        with pytest.raises(DegenerateCase):
-            classify_stability([[1.0, 0.0], [0.0, 0.0]], [1.0, 1.0], self.M)
-
-    def test_mobility_precondition(self):
-        with pytest.raises(RangeError):
-            classify_stability(np.eye(2), [1.0, 1.0], np.zeros((2, 2)))
-
-    def test_g1_nonnegative_property(self, rng):
-        for _ in range(50):
-            A = rng.normal(size=(2, 2))
-            M = A @ A.T + 1e-3 * np.eye(2)
-            p = rng.uniform(0.1, 3.0, size=2)
-            rep = classify_stability(np.eye(2), p, M)
-            assert rep.g1 >= 0.0
-
-
 M_PD = np.array([[2.0, 0.5], [0.5, 1.0]])
-MOBILITY = (RangeError, "mobility must be PSD with a positive eigenvalue")
-SINGULAR = (DegenerateCase, "Hessian is singular within tolerance")
-BOUNDARY = (DegenerateCase, "p.C.p sits on the decision boundary")
 
 
-@pytest.mark.parametrize("C, p, M, error", [
-    # a mobility with a negative eigenvalue, or none positive, is refused
-    # before the Hessian is looked at, singular or not
-    (np.eye(2), [1.0, 2.0], np.diag([1.0, -1.0]), MOBILITY),
-    (np.eye(2), [1.0, 2.0], np.zeros((2, 2)), MOBILITY),
-    (np.diag([1.0, 0.0]), [1.0, 2.0], -np.eye(2), MOBILITY),
+def classification_linearization(C, p, M=M_PD):
+    """A globally-conserving linearization with Hessian C at densities p."""
+    p = np.asarray(p, float)
+    return CompressibleLinearization(
+        C=np.asarray(C, float), K=1e-3 * np.eye(2), p=p, rho0=float(p.sum()),
+        inv_Re_s=0.4, inv_Re=0.3, mobility=np.asarray(M, float),
+        vector_fields=("rho1", "rho2", "vx", "vy"))
+
+
+def table(category, alpha1, alpha2):
+    return (f"long-wave classification [{category}]: alpha0=negative, "
+            f"alpha1={alpha1}, alpha2={alpha2}, alpha3=negative")
+
+
+UNAVAILABLE = "long-wave classification unavailable: Hessian is singular within tolerance"
+
+
+@pytest.mark.parametrize("C, p, M, line", [
+    (np.eye(2), [1.0, 2.0], M_PD, table("C > 0", "negative", "negative")),
+    (-np.eye(2), [1.0, 2.0], M_PD, table("C < 0", "positive", "positive")),
+    # indefinite C: p.C.p > 0 grows alpha1, p.C.p < 0 alpha2
+    (np.diag([1.0, -1.0]), [1.0, 0.2], M_PD, table("C indefinite", "positive", "negative")),
+    (np.diag([1.0, -1.0]), [0.2, 1.0], M_PD, table("C indefinite", "negative", "positive")),
     # an eigenvalue within DEFINITENESS_TOL of 0
-    (np.diag([1.0, 0.0]), [1.0, 1.0], M_PD, SINGULAR),
-    (np.diag([-1.0, 1e-12]), [1.0, 1.0], M_PD, SINGULAR),
+    (np.diag([1.0, 0.0]), [1.0, 1.0], M_PD, UNAVAILABLE),
+    (np.diag([-1.0, 1e-12]), [1.0, 1.0], M_PD, UNAVAILABLE),
     # a symmetric C with det C within DEGENERATE_TOL ||C||^2 of 0 has an
     # eigenvalue within DEFINITENESS_TOL ||C|| of 0, so it is singular
-    (np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]]), [1.0, 1.0], M_PD, SINGULAR),
-    # p.C.p = 0 exactly, and within DEGENERATE_TOL of 0
-    (np.diag([1.0, -1.0]), [1.0, 1.0], M_PD, BOUNDARY),
-    (np.diag([1.0, -1.0 + 1e-13]), [1.0, 1.0], M_PD, BOUNDARY),
-], ids=["mobility_indefinite", "mobility_zero", "mobility_negative_singular_C",
-        "C_eigenvalue_zero", "C_eigenvalue_tiny", "C_det_tiny", "pCp_zero", "pCp_tiny"])
-def test_degenerate_item_raises_its_error(C, p, M, error):
-    cls, message = error
-    with pytest.raises(cls) as exc:
-        classify_stability(C, p, M)
-    assert type(exc.value) is cls and str(exc.value) == message
+    (np.array([[1.0, 2.0], [2.0, 4.0 + 1e-12]]), [1.0, 1.0], M_PD, UNAVAILABLE),
+    # g1 = p.adj(M).p = 0 makes alpha1 an exact zero root: no mobility, or
+    # a rank-one mobility parallel to the state
+    (np.eye(2), [1.0, 2.0], np.zeros((2, 2)), table("C > 0", "zero", "negative")),
+    (np.eye(2), [1.0, 1.0], np.full((2, 2), 0.05), table("C > 0", "zero", "negative")),
+], ids=["C_positive_definite", "C_negative_definite", "indefinite_positive_form",
+        "indefinite_negative_form", "C_eigenvalue_zero", "C_eigenvalue_tiny", "C_det_tiny",
+        "mobility_zero", "rank_one_parallel_to_state"])
+def test_classification_line(C, p, M, line):
+    lin = classification_linearization(C, p, M)
+    assert lin.classification(lin.small_k()) == line
+
+
+@pytest.mark.parametrize("C", [np.diag([1.0, -1.0]), np.diag([1.0, -1.0 + 1e-13])],
+                         ids=["pCp_zero", "pCp_tiny"])
+def test_small_k_refuses_pCp_within_tolerance(C):
+    with pytest.raises(disp.SingularExpansion):
+        classification_linearization(C, [1.0, 1.0]).small_k()
+
+
+def test_small_k_is_scale_free():
+    # C, K -> s C, s K, M -> M / sqrt(s) and 1/Re -> sqrt(s) / Re scale every
+    # root by sqrt(s); at s = 1e-13 ||C|| |p|^2 is below 1e-12
+    lin = dataclasses.replace(
+        classification_linearization([[1.0, 0.2], [0.2, 2.0]], [1.0, 1.0]),
+        K=np.array([[2e-3, 1e-4], [1e-4, 3e-3]]))
+    s = 1e-13
+    small = dataclasses.replace(lin, C=s * lin.C, K=s * lin.K, mobility=lin.mobility / s**0.5,
+                                inv_Re_s=s**0.5 * lin.inv_Re_s, inv_Re=s**0.5 * lin.inv_Re)
+    co, co_small = lin.small_k(), small.small_k()
+    assert [(m.name, m.label, m.powers) for m in co_small.modes] == \
+        [(m.name, m.label, m.powers) for m in co.modes]
+    for m, m_small in zip(co.modes, co_small.modes):
+        assert np.allclose(np.array(m_small.coefficients) / s**0.5, m.coefficients,
+                           rtol=1e-9, atol=0.0)
+    assert lin.classification(co) == small.classification(co_small)
+
+
+def test_g1_nonnegative_property(rng):
+    for _ in range(50):
+        A = rng.normal(size=(2, 2))
+        M = A @ A.T + 1e-3 * np.eye(2)
+        p = rng.uniform(0.1, 3.0, size=2)
+        assert classification_linearization(np.eye(2), p, M).auxiliaries()["g1"] >= 0.0
 
 
 # A calibrated Peng-Robinson mixture near band_density.ini at which distance
